@@ -7,7 +7,6 @@ from .algebra import (
     Monomial,
     augment,
     basis_in_degree,
-    multiply,
     normalize_product,
 )
 from .catalog import Catalog, build_poset, enumerate_fibrations
@@ -29,7 +28,6 @@ from .invariants import (
     connecting_image,
     connecting_images,
     depth_of_subspaces,
-    depth_over_catalog,
     der_homology,
     fibre_gottlieb,
     finiteness_window,
@@ -37,7 +35,7 @@ from .invariants import (
     les_check,
     toral_certificate,
 )
-from .linalg import RatMatrix, Subspace, homology, image, kernel, rref
+from .linalg import Echelon, HomologySlice, RatMatrix, Subspace
 from .model import (
     ClassificationReport,
     RelativeModel,

@@ -301,10 +301,6 @@ class AlgElement:
         return text.replace("+ -", "- ")
 
 
-def multiply(a: AlgElement, b: AlgElement) -> AlgElement:
-    return a * b
-
-
 def augment(a: AlgElement) -> Fraction:
     """Coefficient of the unit monomial (the degree-0 projection)."""
     return a.coefficient(UNIT)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import AlgElement, GenSet, Monomial, basis_in_degree
 from .errors import CombinatorialBlowup, FiberMismatch, NotClosed, NotFiniteAtBound
@@ -20,7 +20,6 @@ class Catalog:
 
     fiber: SullivanModel
     entries: list[tuple[str, RelativeModel]] = field(default_factory=list)
-    source_paths: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         seen = set()

@@ -22,6 +22,7 @@ from .errors import (
     AmbientMismatch,
     BoundExceeded,
     CombinatorialBlowup,
+    ModelSyntaxError,
     NotAComplex,
     NotFiniteAtBound,
     RhtError,
@@ -31,7 +32,6 @@ from .invariants import (
     depth_of_subspaces,
     der_homology,
     fibre_gottlieb,
-    finiteness_window,
     gottlieb,
     les_check,
     top_shift,
@@ -57,10 +57,19 @@ COMPUTATION_ERRORS = (
 )
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelSyntaxError(
+            f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+
+
 def _load_models(paths: Sequence[str]) -> list[ModelLike]:
     out: list[ModelLike] = []
     for path in paths:
-        out.extend(parse_document(Path(path).read_text()))
+        out.extend(parse_document(_read(path)))
     if not out:
         raise RhtError("no models found in " + ", ".join(paths))
     return out
@@ -76,16 +85,22 @@ def _fibrations(models: Sequence[ModelLike]) -> list[RelativeModel]:
 def _parse_degrees(spec: Optional[str], default: tuple[int, int]) -> range:
     if spec is None:
         lo, hi = default
-    elif ".." in spec:
-        a, b = spec.split("..", 1)
-        lo, hi = int(a), int(b)
     else:
-        lo = hi = int(spec)
+        a, dots, b = spec.partition("..")
+        try:
+            lo, hi = int(a), int(b if dots else a)
+        except ValueError:
+            raise RhtError(f"--degrees expects a..b or a single degree, got {spec!r}") from None
+        if not 1 <= lo <= hi:
+            raise RhtError(f"--degrees needs 1 <= a <= b, got {spec!r}")
     return range(lo, hi + 1)
 
 
 def _parse_coeffs(spec: str) -> list[Fraction]:
-    return [Fraction(tok.strip()) for tok in spec.split(",") if tok.strip()]
+    try:
+        return [Fraction(tok.strip()) for tok in spec.split(",") if tok.strip()]
+    except (ValueError, ZeroDivisionError):
+        raise RhtError(f"--coeffs expects comma-separated rationals, got {spec!r}") from None
 
 
 def _emit_json(args, model_name, degrees, bound=None, window=None):
@@ -121,7 +136,7 @@ def _cmd_validate(args) -> int:
     status = 0
     for path in args.files:
         try:
-            models = parse_document(Path(path).read_text())
+            models = parse_document(_read(path))
             for m in models:
                 target = m.total if isinstance(m, RelativeModel) else m
                 target.validate()
@@ -279,7 +294,7 @@ def _catalog_from_files(args) -> Catalog:
     entries = []
     for i, f in enumerate(fibs):
         entries.append((f.name or f"fibration-{i}", f))
-    return Catalog(fibs[0].fiber, entries, source_paths=list(args.files))
+    return Catalog(fibs[0].fiber, entries)
 
 
 def _cmd_depth(args) -> int:
@@ -375,6 +390,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.window < 1:
+            raise RhtError(f"--window must be at least 1, got {args.window}")
+        if args.max_degree is not None and args.max_degree < 0:
+            raise RhtError(f"--max-degree must be nonnegative, got {args.max_degree}")
         return args.func(args)
     except COMPUTATION_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

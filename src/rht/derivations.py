@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .algebra import (
-    MIXED,
     AlgElement,
     GenSet,
     Generator,

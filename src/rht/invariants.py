@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .algebra import AlgElement
+from .algebra import AlgElement, Monomial
 from .derivations import (
     ABSOLUTE,
     IDEAL,
@@ -25,14 +25,16 @@ from .derivations import (
     inclusion_matrix,
     restriction_matrix,
 )
-from .errors import BaseNotDegreeTwo, FiberMismatch, NotFiniteAtBound
-from .linalg import HomologySlice, RatMatrix, Subspace, kernel
+from .errors import BaseNotDegreeTwo, NotAComplex
+from .linalg import Echelon, HomologySlice, RatMatrix, Subspace, _dense
 from .model import (
     RelativeModel,
     SullivanModel,
+    _check_window,
     cohomology,
     formal_dimension_estimate,
 )
+from .poset import poset_of_subspaces
 
 ModelLike = Union[SullivanModel, RelativeModel]
 
@@ -122,14 +124,19 @@ class GottliebResult:
 
 def _image_on_cycles(
     eval_matrix: RatMatrix,
-    cycles: Subspace,
-    boundaries_in: RatMatrix,
+    d_out: RatMatrix,
+    d_in: RatMatrix,
     frame: Sequence[str],
 ) -> Subspace:
-    # the evaluation must kill boundaries, otherwise the image on cycles is
-    # not well defined on homology; asserted on every run
-    assert (eval_matrix @ boundaries_in).is_zero(), "evaluation does not kill boundaries"
-    return Subspace(frame, [eval_matrix.apply(row) for row in cycles.rows])
+    """Image under evaluation of the cycles of d_out.
+
+    The evaluation must kill the boundaries d_in, otherwise the image on
+    cycles is not well defined on homology; checked on every run.
+    """
+    if not (eval_matrix @ d_in).is_zero():
+        raise NotAComplex("evaluation does not kill boundaries")
+    cycles = Echelon(d_out.cols, d_out.sparse_lines(0)).kernel()
+    return Subspace(frame, [eval_matrix.apply(_dense(z, d_out.cols)) for z in cycles])
 
 
 def gottlieb(m: ModelLike, max_degree: Optional[int] = None) -> GottliebResult:
@@ -141,9 +148,12 @@ def gottlieb(m: ModelLike, max_degree: Optional[int] = None) -> GottliebResult:
         frame = dual_frame(fiber, n)
         if not frame:
             continue
-        aug = augmentation_matrix(fiber, n)
-        cycles = kernel(boundary_matrix(fiber, n, ABSOLUTE))
-        per[n] = _image_on_cycles(aug, cycles, boundary_matrix(fiber, n + 1, ABSOLUTE), frame)
+        per[n] = _image_on_cycles(
+            augmentation_matrix(fiber, n),
+            boundary_matrix(fiber, n, ABSOLUTE),
+            boundary_matrix(fiber, n + 1, ABSOLUTE),
+            frame,
+        )
     return GottliebResult(fiber, per, "absolute")
 
 
@@ -155,10 +165,11 @@ def fibre_gottlieb(f: RelativeModel, max_degree: Optional[int] = None) -> Gottli
         frame = dual_frame(f.fiber, n)
         if not frame:
             continue
-        eval_res = augmentation_matrix(f, n) @ restriction_matrix(f, n)
-        cycles = kernel(boundary_matrix(f, n, RELATIVE))
         per[n] = _image_on_cycles(
-            eval_res, cycles, boundary_matrix(f, n + 1, RELATIVE), frame
+            augmentation_matrix(f, n) @ restriction_matrix(f, n),
+            boundary_matrix(f, n, RELATIVE),
+            boundary_matrix(f, n + 1, RELATIVE),
+            frame,
         )
     return GottliebResult(f.fiber, per, f.name or "fibration")
 
@@ -226,10 +237,9 @@ def _section_matrix(f: RelativeModel, n: int) -> RatMatrix:
     tgt_index = tgt.index()
     entries = {}
     for j, (w, mono) in enumerate(src.pairs):
-        total_mono = mono
-        lifted = tuple((i + f.base_size, e) for i, e in mono.exponents)
+        lifted = Monomial(tuple((i + f.base_size, e) for i, e in mono.exponents))
         tw = f.total.gens.get(w.name)
-        entries[(tgt_index[(tw.index, type(mono)(lifted))], j)] = 1
+        entries[(tgt_index[(tw.index, lifted)], j)] = 1
     return RatMatrix(tgt.dim, src.dim, entries)
 
 
@@ -248,9 +258,7 @@ def _induced(map_matrix: RatMatrix, h_src: HomologySlice, h_tgt: HomologySlice) 
 
 
 def _rank(m: RatMatrix) -> int:
-    from .linalg import rref
-
-    return rref(m)[1]
+    return Echelon(m.cols, m.sparse_lines(0)).rank
 
 
 def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
@@ -301,7 +309,8 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
                     continue
                 w, m = rel_pairs[i]
                 key = (w.index, m)
-                assert key in ideal_index, "boundary of a lifted cycle left the ideal"
+                if key not in ideal_index:
+                    raise NotAComplex("boundary of a lifted cycle left the ideal")
                 ideal_vec[ideal_index[key]] = c
             cols.append(h_id.coords(ideal_vec))
         return RatMatrix(
@@ -354,6 +363,7 @@ def finiteness_window(
     model: ModelLike, window: int = 6
 ) -> tuple[bool, Optional[int], dict[int, tuple[int, list[AlgElement]]]]:
     """Bounded finiteness test: does H vanish on (fd, fd + window]?"""
+    _check_window(window)
     total = model.total if isinstance(model, RelativeModel) else model
     fd = formal_dimension_estimate(total.gens)
     if fd is None:
@@ -368,6 +378,7 @@ def toral_certificate(f: RelativeModel, window: int = 6) -> ToralCertificate:
 
     Needs every base generator in degree 2 and D congruent to d modulo the
     base ideal (the latter is enforced by the RelativeModel invariants).
+    A window below 1 is rejected by finiteness_window: its range is empty.
     """
     for g in f.base.gens:
         if g.degree != 2:
@@ -405,62 +416,9 @@ def depth_of_subspaces(subspaces: dict[str, Subspace]) -> DepthResult:
     """Longest strictly decreasing inclusion chain among realized subspaces.
 
     The count is the number of strict steps; a single realized subspace has
-    depth 0 and an empty family depth -1.
+    depth 0 and an empty family depth -1.  Each step of the witness chain is
+    named by the first witness of its poset node.
     """
-    distinct: list[tuple[Subspace, str]] = []
-    seen = {}
-    for key, sub in subspaces.items():
-        if sub not in seen:
-            seen[sub] = key
-            distinct.append((sub, key))
-    if not distinct:
-        return DepthResult(-1, [])
-    n = len(distinct)
-    children = {
-        i: [
-            j
-            for j in range(n)
-            if i != j and distinct[i][0].includes(distinct[j][0])
-        ]
-        for i in range(n)
-    }
-    best: dict[int, tuple[int, list[int]]] = {}
-
-    def longest(i: int) -> tuple[int, list[int]]:
-        if i in best:
-            return best[i]
-        result = (0, [i])
-        for j in children[i]:
-            length, path = longest(j)
-            if length + 1 > result[0]:
-                result = (length + 1, [i] + path)
-        best[i] = result
-        return result
-
-    depth, path = max((longest(i) for i in range(n)), key=lambda t: t[0])
-    return DepthResult(depth, [distinct[i][1] for i in path])
-
-
-def depth_over_catalog(
-    fiber: SullivanModel,
-    catalog: Sequence[tuple[str, RelativeModel]],
-    window: int = 6,
-    require_finite: bool = True,
-) -> DepthResult:
-    """Depth of the realized fibre-restricted Gottlieb subspaces of a catalog."""
-    subspaces: dict[str, Subspace] = {}
-    offenders = []
-    for key, entry in catalog:
-        if entry.fiber.gens != fiber.gens or entry.fiber.diff != fiber.diff:
-            raise FiberMismatch(f"catalog entry {key!r} has a different fiber")
-        if require_finite:
-            finite, _, _ = finiteness_window(entry, window)
-            if not finite:
-                offenders.append(key)
-                continue
-        subspaces[key] = fibre_gottlieb(entry).total()
-    if offenders:
-        raise NotFiniteAtBound(
-            "total spaces failed the finiteness gate: " + ", ".join(offenders)
-        )
-    return depth_of_subspaces(subspaces)
+    poset = poset_of_subspaces(subspaces)
+    path = poset.longest_path()
+    return DepthResult(len(path) - 1, [poset.nodes[i].witnesses[0] for i in path])

@@ -1,8 +1,9 @@
-"""Exact rational linear algebra: RREF, kernels, images, homology, subspaces.
+"""Exact rational linear algebra: one sparse echelon, subspaces, homology.
 
-Everything is over Q with fractions.Fraction; no floating point.  Subspaces
-are canonical (reduced row-echelon basis), so equality of subspaces is plain
-equality of the stored rows.
+Everything is over Q with fractions.Fraction; no floating point.  All
+elimination goes through ``Echelon``, which keeps a fully reduced row-echelon
+basis of a span.  That basis depends only on the span, so subspaces are
+canonical and equality of subspaces is plain equality of the stored rows.
 """
 
 from __future__ import annotations
@@ -13,10 +14,28 @@ from typing import Iterable, Optional, Sequence
 from .errors import AmbientMismatch, NotAComplex
 
 Vector = tuple[Fraction, ...]
+Sparse = dict[int, Fraction]  # column -> nonzero entry
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def _vec(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
+def _sparse(values: Iterable) -> Sparse:
+    return {i: Fraction(v) for i, v in enumerate(values) if v}
+
+
+def _dense(v: Sparse, n: int) -> Vector:
+    return tuple(v.get(i, _ZERO) for i in range(n))
+
+
+def _subtract(v: Sparse, f: Fraction, row: Sparse) -> None:
+    """v -= f * row in place, dropping entries that cancel."""
+    for c, x in row.items():
+        y = v.get(c, _ZERO) - f * x
+        if y:
+            v[c] = y
+        else:
+            del v[c]
 
 
 class RatMatrix:
@@ -58,25 +77,15 @@ class RatMatrix:
     def identity(n: int) -> "RatMatrix":
         return RatMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
 
-    def to_rows(self) -> list[list[Fraction]]:
-        data = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            data[r][c] = v
-        return data
-
     def get(self, r: int, c: int) -> Fraction:
         return self.entries.get((r, c), Fraction(0))
 
-    def row(self, r: int) -> Vector:
-        return tuple(self.get(r, c) for c in range(self.cols))
-
-    def column(self, c: int) -> Vector:
-        return tuple(self.get(r, c) for r in range(self.rows))
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
+    def sparse_lines(self, axis: int) -> list[Sparse]:
+        """The rows (axis 0) or the columns (axis 1) as sparse vectors."""
+        out: list[Sparse] = [{} for _ in range(self.cols if axis else self.rows)]
+        for key, v in self.entries.items():
+            out[key[axis]][key[1 - axis]] = v
+        return out
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -107,14 +116,6 @@ class RatMatrix:
                 out[r] += a * Fraction(v[c])
         return tuple(out)
 
-    def stack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in stack")
-        ent = dict(self.entries)
-        for (r, c), v in other.entries.items():
-            ent[(r + self.rows, c)] = v
-        return RatMatrix(self.rows + other.rows, self.cols, ent)
-
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -128,55 +129,76 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
 
 
-def _rref_rows(data: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    n_rows = len(data)
-    n_cols = len(data[0]) if n_rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if data[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        data[r], data[pivot_row] = data[pivot_row], data[r]
-        inv = 1 / data[r][c]
-        data[r] = [v * inv for v in data[r]]
-        for i in range(n_rows):
-            if i != r and data[i][c]:
-                f = data[i][c]
-                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return data, pivots
+class Echelon:
+    """Fully reduced row-echelon basis of a span inside Q^n, kept sparse.
 
+    ``rows`` maps each pivot column to its row: the row is 1 at its pivot,
+    zero left of it, and zero at every other pivot.  Such a basis is unique
+    for its span, whatever vectors were added and in whatever order.
+    """
 
-def rref(m: RatMatrix) -> tuple[RatMatrix, int, list[int]]:
-    data, pivots = _rref_rows(m.to_rows())
-    return RatMatrix.from_rows(data) if m.rows else m, len(pivots), pivots
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n: int, vectors: Iterable[Sparse] = ()):
+        self.n = n
+        self.rows: dict[int, Sparse] = {}
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, v: Sparse) -> Sparse:
+        """Remainder of v modulo the span; it is zero on every pivot column."""
+        v = dict(v)
+        rows = self.rows
+        # a row is zero on every other pivot, so one pass clears them all
+        for p in [c for c in v if c in rows]:
+            _subtract(v, v[p], rows[p])
+        return v
+
+    def add(self, v: Sparse) -> bool:
+        """Extend the span by v; False when v already lies in it."""
+        r = self.reduce(v)
+        if not r:
+            return False
+        p = min(r)
+        if r[p] != 1:
+            inv = 1 / r[p]
+            r = {c: x * inv for c, x in r.items()}
+        for row in self.rows.values():
+            f = row.get(p)
+            if f:
+                _subtract(row, f, r)
+        self.rows[p] = r
+        return True
+
+    def kernel(self) -> list[Sparse]:
+        """Basis of {x : row . x = 0 for every row}, one vector per free column."""
+        free: dict[int, Sparse] = {
+            f: {f: _ONE} for f in range(self.n) if f not in self.rows
+        }
+        for p, row in self.rows.items():
+            for c, x in row.items():
+                if c != p:  # any other column of a reduced row is free
+                    free[c][p] = -x
+        return list(free.values())
+
+    def dense_rows(self) -> tuple[Vector, ...]:
+        """The basis as dense vectors, ordered by pivot column."""
+        return tuple(_dense(self.rows[p], self.n) for p in sorted(self.rows))
 
 
 class Subspace:
     """A subspace of a labeled coordinate space, stored as an RREF basis."""
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("ambient", "rows", "_echelon")
 
     def __init__(self, ambient: Sequence[str], vectors: Iterable[Sequence] = ()):
         self.ambient: tuple[str, ...] = tuple(ambient)
-        data = [list(_vec(v)) for v in vectors]
-        for v in data:
-            if len(v) != len(self.ambient):
-                raise AmbientMismatch("vector length does not match ambient frame")
-        if data:
-            data, _ = _rref_rows(data)
-        self.rows: tuple[Vector, ...] = tuple(
-            tuple(row) for row in data if any(row)
-        )
+        self._echelon = Echelon(len(self.ambient), (self._in_frame(v) for v in vectors))
+        self.rows: tuple[Vector, ...] = self._echelon.dense_rows()
 
     @staticmethod
     def full(ambient: Sequence[str]) -> "Subspace":
@@ -187,45 +209,26 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _check(self, other: "Subspace"):
+    def _in_frame(self, v: Sequence) -> Sparse:
+        if len(v) != len(self.ambient):
+            raise AmbientMismatch("vector length does not match ambient frame")
+        return _sparse(v)
+
+    def reduce(self, v: Sequence) -> Vector:
+        """Reduce a vector modulo this subspace (eliminate its pivots)."""
+        return _dense(self._echelon.reduce(self._in_frame(v)), len(self.ambient))
+
+    def contains(self, v: Sequence) -> bool:
+        return not self._echelon.reduce(self._in_frame(v))
+
+    def includes(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise AmbientMismatch(
                 f"ambient frames differ: {self.ambient} vs {other.ambient}"
             )
-
-    def reduce(self, v: Sequence) -> Vector:
-        """Reduce a vector modulo this subspace (eliminate its pivots)."""
-        v = list(_vec(v))
-        if len(v) != len(self.ambient):
-            raise AmbientMismatch("vector length does not match ambient frame")
-        for row in self.rows:
-            pivot = next(i for i, a in enumerate(row) if a)
-            if v[pivot]:
-                f = v[pivot]
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
-
-    def contains(self, v: Sequence) -> bool:
-        return not any(self.reduce(v))
-
-    def includes(self, other: "Subspace") -> bool:
-        self._check(other)
-        return all(self.contains(row) for row in other.rows)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace(self.ambient, list(self.rows) + list(other.rows))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        # row space = orthogonal complement of the kernel, and the standard
-        # form on Q^n is definite, so U cap V = (ker U + ker V)^perp
-        ka = kernel(RatMatrix.from_rows(self.rows or [[0] * len(self.ambient)]))
-        kb = kernel(RatMatrix.from_rows(other.rows or [[0] * len(self.ambient)]))
-        stacked = RatMatrix.from_rows(
-            list(ka.rows) + list(kb.rows) or [[0] * len(self.ambient)]
+        return not any(
+            self._echelon.reduce(row) for row in other._echelon.rows.values()
         )
-        return Subspace(self.ambient, kernel(stacked).rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -237,67 +240,21 @@ class Subspace:
 
     def basis_labels(self) -> list[str]:
         """Labels of coordinates that head the basis rows (for display)."""
-        out = []
-        for row in self.rows:
-            pivot = next(i for i, a in enumerate(row) if a)
-            out.append(self.ambient[pivot])
-        return out
+        return [self.ambient[p] for p in sorted(self._echelon.rows)]
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {len(self.ambient)})"
 
 
-def kernel(m: RatMatrix, ambient: Optional[Sequence[str]] = None) -> Subspace:
-    """Null space {x : M x = 0} as a subspace of the domain coordinates."""
-    if ambient is None:
-        ambient = [f"x{i}" for i in range(m.cols)]
-    if m.rows == 0 or m.is_zero():
-        return Subspace.full(ambient)
-    data, pivots = _rref_rows(m.to_rows())
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -data[r][f]
-        vectors.append(v)
-    return Subspace(ambient, vectors)
-
-
-def image(m: RatMatrix, ambient: Optional[Sequence[str]] = None) -> Subspace:
-    """Column space of M as a subspace of the codomain coordinates."""
-    if ambient is None:
-        ambient = [f"x{i}" for i in range(m.rows)]
-    return Subspace(ambient, [m.column(c) for c in range(m.cols)])
-
-
-def solve(m: RatMatrix, b: Sequence) -> Optional[Vector]:
-    """One exact solution x of M x = b (free variables set to 0), or None."""
-    b = _vec(b)
-    if len(b) != m.rows:
-        raise ValueError("rhs length mismatch")
-    data = m.to_rows()
-    for r in range(m.rows):
-        data[r] = data[r] + [b[r]]
-    data, pivots = _rref_rows(data) if m.rows else (data, [])
-    x = [Fraction(0)] * m.cols
-    for r, p in enumerate(pivots):
-        if p == m.cols:
-            return None  # pivot in the augmented column: inconsistent
-        x[p] = data[r][m.cols]
-    return tuple(x)
-
-
 class HomologySlice:
     """Homology at one spot of a chain complex, with quotient coordinates.
 
-    Built from d_in: C_{n+1} -> C_n and d_out: C_n -> C_{n-1}.  Stores cycle
-    representatives whose classes form a basis of ker(d_out)/im(d_in).
+    Built from d_in: C_{n+1} -> C_n and d_out: C_n -> C_{n-1}.  The
+    representatives are the reduced echelon basis of the cycles reduced
+    modulo the boundaries; their classes form a basis of ker(d_out)/im(d_in).
     """
 
-    __slots__ = ("dim", "representatives", "_boundaries", "_rep_matrix", "_ambient")
+    __slots__ = ("dim", "representatives", "_boundaries", "_reps")
 
     def __init__(self, d_in: RatMatrix, d_out: RatMatrix):
         if d_in.rows != d_out.cols:
@@ -305,37 +262,18 @@ class HomologySlice:
         if not (d_out @ d_in).is_zero():
             raise NotAComplex("d_out . d_in != 0")
         n = d_in.rows
-        self._ambient = [f"c{i}" for i in range(n)]
-        cycles = kernel(d_out, self._ambient)
-        self._boundaries = image(d_in, self._ambient)
-        reduced = []
-        for row in cycles.rows:
-            r = self._boundaries.reduce(row)
-            if any(r):
-                reduced.append(r)
-        reps = Subspace(self._ambient, reduced)
-        self.representatives: tuple[Vector, ...] = reps.rows
-        self.dim = len(self.representatives)
-        assert self.dim == cycles.dim - self._boundaries.dim
-        # columns = representatives followed by a boundary basis; any cycle is
-        # a unique combination, and the leading coordinates are its class
-        cols = list(self.representatives) + list(self._boundaries.rows)
-        if cols:
-            self._rep_matrix = RatMatrix.from_rows(cols).transpose()
-        else:
-            self._rep_matrix = RatMatrix.zero(n, 0)
+        self._boundaries = Echelon(n, d_in.sparse_lines(1))
+        cycles = Echelon(n, d_out.sparse_lines(0)).kernel()
+        self._reps = Echelon(n, (self._boundaries.reduce(z) for z in cycles))
+        self.representatives: tuple[Vector, ...] = self._reps.dense_rows()
+        self.dim = self._reps.rank
 
     def coords(self, cycle: Sequence) -> Vector:
         """Class of a cycle in the chosen representative basis."""
-        if self.dim == 0 and self._boundaries.dim == 0:
-            return ()
-        x = solve(self._rep_matrix, cycle)
-        if x is None:
+        if len(cycle) != self._boundaries.n:
+            raise ValueError("vector length does not match the chain degree")
+        r = self._boundaries.reduce(_sparse(cycle))
+        if self._reps.reduce(r):
             raise ValueError("vector is not a cycle modulo boundaries of this slice")
-        return x[: self.dim]
-
-
-def homology(d_in: RatMatrix, d_out: RatMatrix) -> tuple[int, list[Vector]]:
-    """Dimension and representative cycles of ker(d_out)/im(d_in)."""
-    h = HomologySlice(d_in, d_out)
-    return h.dim, list(h.representatives)
+        # the representatives are 1 at their own pivot and 0 at the others
+        return tuple(r.get(p, _ZERO) for p in sorted(self._reps.rows))

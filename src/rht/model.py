@@ -223,9 +223,6 @@ class RelativeModel:
             ) from exc
         self.total.validate()  # degree homogeneity and D.D = 0
 
-    def by_name_base(self):
-        return self.base.gens.by_name
-
     @property
     def bound(self) -> Optional[int]:
         return self.total.bound
@@ -363,9 +360,17 @@ def formal_dimension_estimate(gens: GenSet) -> Optional[int]:
     return est if est > 0 else None
 
 
+def _check_window(window: int) -> None:
+    # the vanishing range (fd, fd + window] must hold at least one degree,
+    # or every model would pass it vacuously
+    if window < 1:
+        raise ValueError(f"the finiteness window must be at least 1, got {window}")
+
+
 def classify(
     model: SullivanModel, bound: Optional[int] = None, window: int = 6
 ) -> ClassificationReport:
+    _check_window(window)
     gens = model.gens
     n_even = sum(1 for g in gens if not g.is_odd)
     n_odd = len(gens) - n_even

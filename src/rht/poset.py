@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .linalg import Subspace
 
@@ -29,38 +28,26 @@ class Poset:
     nodes: list[PosetNode]
     edges: list[tuple[int, int]]  # (larger, smaller): covering relations
 
-    def reachable(self) -> set[tuple[int, int]]:
-        """Transitive closure of the edge set."""
-        adj = {i: set() for i in range(len(self.nodes))}
+    def longest_path(self) -> list[int]:
+        """Node indices of a longest path along the edges; [] when empty.
+
+        Ties go to the first node, then to the first edge, in stored order.
+        """
+        below: dict[int, list[int]] = {i: [] for i in range(len(self.nodes))}
         for a, b in self.edges:
-            adj[a].add(b)
-        closure = set()
+            below[a].append(b)
+        memo: dict[int, list[int]] = {}
 
-        def dfs(start, i):
-            for j in adj[i]:
-                if (start, j) not in closure:
-                    closure.add((start, j))
-                    dfs(start, j)
+        def path(i: int) -> list[int]:
+            if i not in memo:
+                memo[i] = [i] + max((path(j) for j in below[i]), key=len, default=[])
+            return memo[i]
 
-        for i in adj:
-            dfs(i, i)
-        return closure
+        return max((path(i) for i in below), key=len, default=[])
 
     def longest_chain(self) -> int:
         """Number of edges on a longest path; -1 for an empty poset."""
-        if not self.nodes:
-            return -1
-        adj = {i: [] for i in range(len(self.nodes))}
-        for a, b in self.edges:
-            adj[a].append(b)
-        memo: dict[int, int] = {}
-
-        def depth(i: int) -> int:
-            if i not in memo:
-                memo[i] = max((depth(j) + 1 for j in adj[i]), default=0)
-            return memo[i]
-
-        return max(depth(i) for i in range(len(self.nodes)))
+        return len(self.longest_path()) - 1
 
 
 def poset_of_subspaces(realized: dict[str, Subspace]) -> Poset:

@@ -21,7 +21,6 @@ from rht import (
     build_poset,
     connecting_images,
     depth_of_subspaces,
-    depth_over_catalog,
     der_homology,
     enumerate_fibrations,
     fibre_gottlieb,
@@ -302,7 +301,8 @@ def test_08_depth(wedge):
         assert depth_of_subspaces(family_a).depth == 3
         assert depth_of_subspaces(family_b).depth == 2
         fiber = wedge["p00"].fiber
-        result = depth_over_catalog(fiber, list(wedge.items()), require_finite=False)
+        catalog = Catalog(fiber, list(wedge.items()))
+        result = depth_of_subspaces(catalog.realized_subspaces(require_finite=False))
         assert result.depth == 2
         chain = [fibre_gottlieb(wedge[k]).basis_labels() for k in result.witness]
         assert chain == [["w1*", "w2*", "w3*"], ["w2*", "w3*"], ["w3*"]]

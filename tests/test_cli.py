@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, output shapes, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rht
 from rht.cli import main
 
 from conftest import FIXTURES
@@ -11,6 +16,15 @@ from conftest import FIXTURES
 
 def fx(name):
     return str(FIXTURES / name)
+
+
+def subprocess_cli(*argv):
+    """Run the CLI in a fresh interpreter; returns (code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rht.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "rht.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def run(capsys, *argv):
@@ -160,3 +174,56 @@ def test_finiteness_gate_failure_exits_two(capsys):
     )
     assert code == 2
     assert "NotFiniteAtBound" in err
+
+
+# ----------------------------------------------------------------------
+# bad input ends in a one-line message, never a traceback
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["les-check", fx("ex44.smf"), "--degrees", "5..3"],
+        ["les-check", fx("ex44.smf"), "--degrees", "abc"],
+        ["der-homology", fx("su5.smf"), "--degrees", "0..2"],
+        ["enumerate", fx("fiber-3-3-3-3.smf"), fx("base-qt.smf"), "--coeffs", "1/0"],
+        ["validate", "NOT-UTF8"],
+        ["gottlieb", "NOT-UTF8"],
+        ["cohomology", fx("su5.smf"), "--max-degree", "-1"],
+        ["toral-check", fx("su4-trivial.smf"), "--window", "0"],
+        ["toral-check", fx("su4-trivial.smf"), "--window", "-2"],
+    ],
+    ids=[
+        "degrees-reversed",
+        "degrees-not-a-number",
+        "degrees-below-one",
+        "coeffs-zero-denominator",
+        "validate-not-utf8",
+        "gottlieb-not-utf8",
+        "max-degree-negative",
+        "window-zero",
+        "window-negative",
+    ],
+)
+def test_bad_input_exits_one_without_traceback(argv, tmp_path):
+    bad = tmp_path / "latin1.smf"
+    bad.write_bytes("[space caf\xe9]\ngen v 3\n".encode("latin-1"))
+    code, out, err = subprocess_cli(*(str(bad) if a == "NOT-UTF8" else a for a in argv))
+    assert code == 1
+    assert "Traceback" not in err
+    assert len((err or out).strip().splitlines()) == 1
+
+
+def test_cli_imports_only_the_standard_library():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from rht.cli import main\n"
+        f"main(['gottlieb', {fx('su5.smf')!r}])\n"
+        "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'rht'}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(rht.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -135,7 +135,7 @@ def check_boundary_against_definition(m, n, scope):
     sign = (-1) ** n
     for j in range(src.dim):
         theta = src.derivation(j)
-        col = matrix.column(j)
+        col = [matrix.get(r, j) for r in range(matrix.rows)]
         out = Derivation(
             tgt.value_gens,
             n - 1,

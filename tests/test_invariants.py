@@ -1,6 +1,13 @@
 """Gottlieb-type invariants on the worked fixtures."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import rht
 
 from rht import (
     ABSOLUTE,
@@ -12,7 +19,6 @@ from rht import (
     connecting_image,
     connecting_images,
     depth_of_subspaces,
-    depth_over_catalog,
     der_homology,
     fibre_gottlieb,
     finiteness_window,
@@ -21,6 +27,7 @@ from rht import (
     toral_certificate,
     trivial_fibration,
 )
+from rht.catalog import Catalog
 from rht.derivations import boundary_matrix, der_basis
 from rht.errors import BaseNotDegreeTwo, FiberMismatch, NotFiniteAtBound
 from rht.invariants import _homology_at
@@ -217,11 +224,42 @@ def test_toral_requires_degree_two_base(su5_bundle):
         toral_certificate(su5_bundle)
 
 
+@pytest.mark.parametrize("window", [0, -2])
+def test_window_below_one_is_rejected(su4_fixtures, window):
+    # the vanishing range (fd, fd + window] would be empty and certify
+    # su4-trivial, which a window of 6 or 8 refutes
+    with pytest.raises(ValueError):
+        toral_certificate(su4_fixtures["su4-trivial"], window=window)
+    with pytest.raises(ValueError):
+        finiteness_window(su4_fixtures["su4-trivial"], window)
+
+
 def test_finiteness_window(su4_fixtures):
     finite, fd, _ = finiteness_window(su4_fixtures["su4-circle"], 6)
     assert finite and fd == 3 + 5 + 7 - 1
     finite, _, _ = finiteness_window(su4_fixtures["su4-trivial"], 6)
     assert not finite
+
+
+def test_invariant_checks_survive_optimize_flag():
+    # an evaluation that does not kill boundaries is not a chain map; the
+    # check must raise even when python -O strips assert statements
+    code = (
+        "from rht.errors import NotAComplex\n"
+        "from rht.invariants import _image_on_cycles\n"
+        "from rht.linalg import RatMatrix\n"
+        "one = RatMatrix.identity(1)\n"
+        "try:\n"
+        "    _image_on_cycles(one, RatMatrix.zero(0, 1), one, ('x*',))\n"
+        "except NotAComplex:\n"
+        "    print('NotAComplex')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(rht.__file__).parent.parent))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "NotAComplex"
 
 
 # ----------------------------------------------------------------------
@@ -272,8 +310,8 @@ def test_depth_edge_cases():
 
 def test_depth_over_wedge_catalog(wedge):
     fiber = wedge["p00"].fiber
-    result = depth_over_catalog(
-        fiber, list(wedge.items()), require_finite=False
+    result = depth_of_subspaces(
+        Catalog(fiber, list(wedge.items())).realized_subspaces(require_finite=False)
     )
     assert result.depth == 2
     assert result.witness == ["p00", "p10", "p11"]
@@ -282,17 +320,21 @@ def test_depth_over_wedge_catalog(wedge):
 def test_depth_over_catalog_fiber_mismatch(wedge, su5_bundle):
     fiber = wedge["p00"].fiber
     with pytest.raises(FiberMismatch):
-        depth_over_catalog(fiber, [("odd", su5_bundle)], require_finite=False)
+        depth_of_subspaces(
+            Catalog(fiber, [("odd", su5_bundle)]).realized_subspaces(require_finite=False)
+        )
 
 
 def test_depth_over_catalog_finiteness_gate(su4_fixtures):
     fiber = su4_fixtures["su4-circle"].fiber
     with pytest.raises(NotFiniteAtBound) as err:
-        depth_over_catalog(
-            fiber,
-            [
-                ("circle", su4_fixtures["su4-circle"]),
-                ("trivial", su4_fixtures["su4-trivial"]),
-            ],
+        depth_of_subspaces(
+            Catalog(
+                fiber,
+                [
+                    ("circle", su4_fixtures["su4-circle"]),
+                    ("trivial", su4_fixtures["su4-trivial"]),
+                ],
+            ).realized_subspaces()
         )
     assert "trivial" in str(err.value)

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: RREF, kernels, subspaces, homology."""
+"""Exact rational linear algebra: the echelon kernel, subspaces, homology."""
 
 from fractions import Fraction
 
@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rht import RatMatrix, Subspace, homology, image, kernel, rref
+from rht import Echelon, HomologySlice, RatMatrix, Subspace
 from rht.errors import AmbientMismatch, NotAComplex
-from rht.linalg import HomologySlice, solve
 
 entries = st.integers(-4, 4)
 
@@ -27,71 +26,82 @@ def matrices(draw, max_dim=5):
     return RatMatrix.from_rows(data)
 
 
+def dense(v, n):
+    return tuple(v.get(i, 0) for i in range(n))
+
+
+def sparse(row):
+    return {i: x for i, x in enumerate(row) if x}
+
+
+def row_echelon(m):
+    return Echelon(m.cols, m.sparse_lines(0))
+
+
 # ----------------------------------------------------------------------
-# matrices and RREF
+# matrices and the echelon
 
 
 def test_matrix_basics():
     m = RatMatrix.from_rows([[1, 2], [3, 4]])
     assert m.get(1, 0) == 3
-    assert m.transpose().get(0, 1) == 3
+    assert m.sparse_lines(1)[0] == {0: 1, 1: 3}
     assert m.apply([1, 1]) == (Fraction(3), Fraction(7))
     assert (m @ RatMatrix.identity(2)) == m
     assert RatMatrix.zero(2, 2).is_zero()
-    stacked = m.stack(RatMatrix.identity(2))
-    assert stacked.rows == 4 and stacked.row(2) == (1, 0)
+    assert RatMatrix.zero(2, 3).sparse_lines(0) == [{}, {}]
 
 
 def test_matmul_against_dense():
     a = RatMatrix.from_rows([[1, 2, 0], [0, -1, 3]])
     b = RatMatrix.from_rows([[2, 0], [1, 1], [0, 4]])
-    assert (a @ b).to_rows() == [[4, 2], [-1, 11]]
+    assert (a @ b) == RatMatrix.from_rows([[4, 2], [-1, 11]])
 
 
 @given(matrices())
 @settings(max_examples=100)
 def test_rref_idempotent_and_pivots(m):
-    r, rank, pivots = rref(m)
-    r2, rank2, pivots2 = rref(r)
-    assert (r2, rank2, pivots2) == (r, rank, pivots)
-    assert rank == len(pivots)
-    for i, p in enumerate(pivots):
-        col = r.column(p)
-        assert col[i] == 1 and all(v == 0 for j, v in enumerate(col) if j != i)
+    e = row_echelon(m)
+    again = Echelon(m.cols, e.rows.values())
+    assert again.dense_rows() == e.dense_rows() and again.rank == e.rank
+    for p, row in e.rows.items():
+        assert row[p] == 1 and min(row) == p
+        assert all(p not in other for q, other in e.rows.items() if q != p)
 
 
 @given(matrices())
 @settings(max_examples=100)
 def test_rank_nullity(m):
-    _, rank, _ = rref(m)
-    assert kernel(m).dim == m.cols - rank
-    assert image(m).dim == rank
-    # transpose has the same rank
-    assert rref(m.transpose())[1] == rank
+    rank = row_echelon(m).rank
+    assert len(row_echelon(m).kernel()) == m.cols - rank
+    # the column space has the same rank
+    assert Echelon(m.rows, m.sparse_lines(1)).rank == rank
 
 
 @given(matrices())
 @settings(max_examples=100)
 def test_kernel_vectors_annihilated(m):
-    for row in kernel(m).rows:
-        assert all(v == 0 for v in m.apply(row))
+    for v in row_echelon(m).kernel():
+        assert all(x == 0 for x in m.apply(dense(v, m.cols)))
 
 
 @given(matrices(), st.data())
 @settings(max_examples=100)
 def test_solve_consistency(m, data):
+    # M x lies in the column space, so the column echelon reduces it to 0
     x = data.draw(
         st.lists(entries, min_size=m.cols, max_size=m.cols)
     )
-    b = m.apply(x)
-    got = solve(m, b)
-    assert got is not None
-    assert m.apply(got) == tuple(b)
+    b = sparse(m.apply(x))
+    columns = Echelon(m.rows, m.sparse_lines(1))
+    assert columns.reduce(b) == {}
+    assert not columns.add(b)
 
 
 def test_solve_inconsistent():
     m = RatMatrix.from_rows([[1, 0], [1, 0]])
-    assert solve(m, [1, 2]) is None
+    columns = Echelon(m.rows, m.sparse_lines(1))
+    assert columns.reduce({0: 1, 1: 2}) == {1: 1}
 
 
 # ----------------------------------------------------------------------
@@ -131,14 +141,17 @@ def test_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
         Subspace(FRAME, [[1, 0]])
     with pytest.raises(AmbientMismatch):
-        Subspace(FRAME).sum(Subspace(("y0",)))
+        Subspace(FRAME).includes(Subspace(("y0",)))
 
 
 @given(subspaces(), subspaces())
 @settings(max_examples=100)
 def test_sum_and_intersection_dimensions(u, v):
-    s = u.sum(v)
-    i = u.intersect(v)
+    s = Subspace(FRAME, u.rows + v.rows)
+    # U cap V is the annihilator of ker U + ker V, for the standard form on Q^4
+    ker_u = Echelon(4, map(sparse, u.rows)).kernel()
+    ker_v = Echelon(4, map(sparse, v.rows)).kernel()
+    i = Subspace(FRAME, [dense(w, 4) for w in Echelon(4, ker_u + ker_v).kernel()])
     assert s.includes(u) and s.includes(v)
     assert u.includes(i) and v.includes(i)
     assert s.dim + i.dim == u.dim + v.dim
@@ -171,8 +184,8 @@ def test_homology_of_exact_and_trivial():
     ident = RatMatrix.identity(1)
     zero_out = RatMatrix.zero(0, 1)
     zero_in = RatMatrix.zero(1, 0)
-    assert homology(ident, zero_out)[0] == 0
-    assert homology(zero_in, zero_out)[0] == 1
+    assert HomologySlice(ident, zero_out).dim == 0
+    assert HomologySlice(zero_in, zero_out).dim == 1
 
 
 def test_homology_coords():
@@ -183,13 +196,109 @@ def test_homology_coords():
     assert h.dim == 1
     assert h.coords([5, 7]) == (7,)
     assert h.coords([3, 0]) == (0,)
+    with pytest.raises(ValueError):
+        HomologySlice(RatMatrix.zero(2, 0), RatMatrix.identity(2)).coords([1, 0])
 
 
 def test_homology_euler_characteristic():
     # for any two-step complex, dim H = dim ker - rank d_in
     d_in = RatMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
     d_out = RatMatrix.zero(1, 2)
-    dim, reps = homology(d_in, d_out)
-    assert dim == kernel(d_out).dim - rref(d_in)[1]
-    for rep in reps:
+    h = HomologySlice(d_in, d_out)
+    assert h.dim == len(row_echelon(d_out).kernel()) - row_echelon(d_in).rank
+    for rep in h.representatives:
         assert all(v == 0 for v in d_out.apply(rep))
+
+
+# ----------------------------------------------------------------------
+# a dense-Fraction RREF oracle, independent of the sparse echelon
+
+
+def oracle_rref(data, n):
+    """Reduced row echelon form of dense rows of length n, zero rows dropped."""
+    data = [[Fraction(v) for v in row] for row in data]
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, len(data)) if data[i][c]), None)
+        if pivot is None:
+            continue
+        data[r], data[pivot] = data[pivot], data[r]
+        data[r] = [v / data[r][c] for v in data[r]]
+        for i in range(len(data)):
+            if i != r and data[i][c]:
+                f = data[i][c]
+                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+        r += 1
+    return [tuple(row) for row in data[:r]]
+
+
+def oracle_kernel(data, n):
+    """Null space basis of dense rows, one vector per free column."""
+    rows = oracle_rref(data, n)
+    pivots = [next(c for c in range(n) if row[c]) for row in rows]
+    out = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        out.append(v)
+    return out
+
+
+def oracle_homology(d_in_cols, d_out_rows, n):
+    """Dimension and RREF representatives of ker(d_out) reduced mod im(d_in)."""
+    boundaries = oracle_rref(d_in_cols, n)
+    reduced = []
+    for z in oracle_kernel(d_out_rows, n):
+        for row in boundaries:
+            p = next(c for c in range(n) if row[c])
+            z = [a - z[p] * b for a, b in zip(z, row)]
+        reduced.append(z)
+    reps = oracle_rref(reduced, n)
+    return len(reps), reps
+
+
+@st.composite
+def complexes(draw, max_dim=5):
+    """d_in: Q^k -> Q^n and d_out: Q^n -> Q^m with d_out . d_in = 0."""
+    n = draw(st.integers(1, max_dim))
+    m = draw(st.integers(0, max_dim))
+    k = draw(st.integers(0, max_dim))
+    vec = st.lists(entries, min_size=n, max_size=n)
+    d_out_rows = draw(st.lists(vec, min_size=m, max_size=m))
+    cycles = oracle_kernel(d_out_rows, n)
+    d_in_cols = []
+    for _ in range(k):
+        coeffs = draw(st.lists(entries, min_size=len(cycles), max_size=len(cycles)))
+        d_in_cols.append(
+            [sum((c * z[i] for c, z in zip(coeffs, cycles)), Fraction(0)) for i in range(n)]
+        )
+    d_out = RatMatrix(m, n, {(r, c): v for r, row in enumerate(d_out_rows) for c, v in enumerate(row)})
+    d_in = RatMatrix(n, k, {(r, c): v for c, col in enumerate(d_in_cols) for r, v in enumerate(col)})
+    return d_in, d_out, d_in_cols, d_out_rows
+
+
+@given(matrices(), st.randoms(use_true_random=False))
+@settings(max_examples=150)
+def test_echelon_matches_dense_oracle(m, rnd):
+    rows = m.sparse_lines(0)
+    e = Echelon(m.cols, rows)
+    dense_rows = [dense(r, m.cols) for r in rows]
+    oracle = oracle_rref(dense_rows, m.cols)
+    assert e.dense_rows() == tuple(oracle)
+    assert e.rank == len(oracle)
+    assert len(e.kernel()) == len(oracle_kernel(dense_rows, m.cols)) == m.cols - e.rank
+    # the rows depend only on the span, not on the order of insertion
+    rnd.shuffle(rows)
+    assert Echelon(m.cols, rows).dense_rows() == e.dense_rows()
+
+
+@given(complexes())
+@settings(max_examples=150)
+def test_homology_slice_matches_dense_oracle(cx):
+    d_in, d_out, d_in_cols, d_out_rows = cx
+    h = HomologySlice(d_in, d_out)
+    dim, reps = oracle_homology(d_in_cols, d_out_rows, d_in.rows)
+    assert h.dim == dim
+    assert h.representatives == tuple(reps)

@@ -276,3 +276,10 @@ def test_classify_infinite_cohomology():
     # the polynomial part survives: not elliptic in the inspected window
     assert not report.elliptic_at_bound
     assert not report.f0_candidate
+
+
+@pytest.mark.parametrize("window", [0, -2])
+def test_classify_rejects_window_below_one(window):
+    # an empty window would report a free polynomial algebra as elliptic
+    with pytest.raises(ValueError):
+        classify(parse_model("[space free]\ngen t 2\ngen x 3\n"), window=window)
