@@ -9,7 +9,7 @@ from .algebra import (
     basis_in_degree,
     normalize_product,
 )
-from .catalog import Catalog, build_poset, enumerate_fibrations
+from .catalog import Catalog, enumerate_fibrations
 from .derivations import (
     ABSOLUTE,
     IDEAL,
@@ -22,9 +22,11 @@ from .derivations import (
     restriction_matrix,
 )
 from .invariants import (
+    ClassificationReport,
     DepthResult,
     GottliebResult,
     ToralCertificate,
+    classify,
     connecting_image,
     connecting_images,
     depth_of_subspaces,
@@ -37,10 +39,8 @@ from .invariants import (
 )
 from .linalg import Echelon, HomologySlice, RatMatrix, Subspace
 from .model import (
-    ClassificationReport,
     RelativeModel,
     SullivanModel,
-    classify,
     cohomology,
     parse_document,
     parse_fibration,

@@ -1,4 +1,4 @@
-"""Catalogs of fibrations over a fixed base, enumeration, and their posets."""
+"""Catalogs of fibrations over a fixed base, enumeration, and the finiteness gate."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ from typing import Sequence
 from .algebra import AlgElement, GenSet, Monomial, basis_in_degree
 from .errors import CombinatorialBlowup, FiberMismatch, NotClosed, NotFiniteAtBound
 from .invariants import fibre_gottlieb, finiteness_window
+from .linalg import Subspace
 from .model import RelativeModel, SullivanModel, _reexpress
-from .poset import Poset, poset_of_subspaces
 
 
 @dataclass
@@ -33,31 +33,29 @@ class Catalog:
             ):
                 raise FiberMismatch(f"catalog entry {key!r} has a different fiber")
 
-    def realized_subspaces(
-        self, window: int = 6, require_finite: bool = True
-    ):
-        """fibre_gottlieb total subspace per entry, after the finiteness gate."""
-        offenders = []
-        out = {}
-        for key, entry in self.entries:
-            if require_finite:
-                finite, _, _ = finiteness_window(entry, window)
-                if not finite:
-                    offenders.append(key)
-                    continue
-            out[key] = fibre_gottlieb(entry).total()
+    def realized_subspaces(self) -> dict[str, Subspace]:
+        """fibre_gottlieb total subspace per entry."""
+        return {key: fibre_gottlieb(entry).total() for key, entry in self.entries}
+
+    def check_finite(self, window: int = 6) -> None:
+        """Raise NotFiniteAtBound naming every entry that fails the finiteness window."""
+        _, offenders = _split_finite(self.entries, window)
         if offenders:
             raise NotFiniteAtBound(
                 "total spaces failed the finiteness gate: " + ", ".join(offenders)
             )
-        return out
 
 
-def build_poset(
-    c: Catalog, window: int = 6, require_finite: bool = True
-) -> Poset:
-    """Distinct realized fibre-restricted subspaces under inclusion, reduced."""
-    return poset_of_subspaces(c.realized_subspaces(window, require_finite))
+def _split_finite(entries, window: int):
+    """(entries whose total space passes finiteness_window, ids of the rest)."""
+    kept, offenders = [], []
+    for key, entry in entries:
+        finite, _, _ = finiteness_window(entry, window)
+        if finite:
+            kept.append((key, entry))
+        else:
+            offenders.append(key)
+    return kept, offenders
 
 
 def enumerate_fibrations(
@@ -115,9 +113,7 @@ def enumerate_fibrations(
             )
         except NotClosed:
             continue
-        if require_finite:
-            finite, _, _ = finiteness_window(entry, window)
-            if not finite:
-                continue
         entries.append((key, entry))
+    if require_finite:
+        entries, _ = _split_finite(entries, window)
     return Catalog(fiber, entries)

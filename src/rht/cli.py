@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .catalog import Catalog, build_poset, enumerate_fibrations
+from .catalog import Catalog, enumerate_fibrations
 from .derivations import ABSOLUTE, RELATIVE
 from .errors import (
     AmbientMismatch,
@@ -44,7 +44,7 @@ from .model import (
     formal_dimension_estimate,
     parse_document,
 )
-from .poset import render
+from .poset import poset_of_subspaces, render
 
 ModelLike = Union[SullivanModel, RelativeModel]
 
@@ -103,24 +103,16 @@ def _parse_coeffs(spec: str) -> list[Fraction]:
         raise RhtError(f"--coeffs expects comma-separated rationals, got {spec!r}") from None
 
 
-def _emit_json(args, model_name, degrees, bound=None, window=None):
-    doc = {
-        "model": model_name,
-        "degrees": degrees,
-        "bound": bound,
-        "window": window,
-    }
-    print(json.dumps(doc, indent=2, default=str))
-
-
-def _report_degrees(args, model_name, rows, bound=None, window=None):
+def _report_degrees(args, model_name, rows, bound=None):
     """rows: degree -> (dim, basis labels).  Text table or JSON document."""
     if args.json:
         degrees = {
             str(n): {"dim": dim, "basis": list(basis)}
             for n, (dim, basis) in sorted(rows.items())
         }
-        _emit_json(args, model_name, degrees, bound, window)
+        # "window" is part of the pinned schema; no per-degree report has one
+        doc = {"model": model_name, "degrees": degrees, "bound": bound, "window": None}
+        print(json.dumps(doc, indent=2, default=str))
         return
     print(f"model {model_name}")
     for n, (dim, basis) in sorted(rows.items()):
@@ -150,7 +142,9 @@ def _cmd_validate(args) -> int:
 def _cmd_homotopy(args) -> int:
     for m in _load_models(args.files):
         space = m.fiber if isinstance(m, RelativeModel) else m
-        top = args.max_degree or max(g.degree for g in space.gens)
+        top = args.max_degree
+        if top is None:
+            top = max(g.degree for g in space.gens)
         rows = {}
         for n in range(2, top + 1):
             names = [g.name for g in space.gens if g.degree == n]
@@ -294,13 +288,14 @@ def _catalog_from_files(args) -> Catalog:
     entries = []
     for i, f in enumerate(fibs):
         entries.append((f.name or f"fibration-{i}", f))
-    return Catalog(fibs[0].fiber, entries)
+    cat = Catalog(fibs[0].fiber, entries)
+    if args.require_finite:
+        cat.check_finite(args.window)
+    return cat
 
 
 def _cmd_depth(args) -> int:
-    cat = _catalog_from_files(args)
-    subspaces = cat.realized_subspaces(args.window, args.require_finite)
-    result = depth_of_subspaces(subspaces)
+    result = depth_of_subspaces(_catalog_from_files(args).realized_subspaces())
     if args.json:
         doc = {"depth": result.depth, "witness": result.witness}
         print(json.dumps(doc, indent=2))
@@ -321,7 +316,7 @@ def _emit_poset(args, poset) -> None:
 
 def _cmd_poset(args) -> int:
     cat = _catalog_from_files(args)
-    _emit_poset(args, build_poset(cat, args.window, args.require_finite))
+    _emit_poset(args, poset_of_subspaces(cat.realized_subspaces()))
     return 0
 
 
@@ -339,7 +334,7 @@ def _cmd_enumerate(args) -> int:
         window=args.window,
     )
     print(f"{len(cat.entries)} fibration(s) kept", file=sys.stderr)
-    _emit_poset(args, build_poset(cat, args.window, args.require_finite))
+    _emit_poset(args, poset_of_subspaces(cat.realized_subspaces()))
     return 0
 
 
@@ -354,46 +349,58 @@ def _build_parser() -> argparse.ArgumentParser:
         "of Sullivan models over the rationals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("files", nargs="+", help="model files")
-        p.add_argument("--degrees", help="degree range a..b or a single degree")
-        p.add_argument("--max-degree", type=int, help="top degree to compute")
-        p.add_argument("--window", type=int, default=6, help="finiteness window size")
-        p.add_argument("--coeffs", default="0,1", help="enumeration coefficients")
-        p.add_argument(
-            "--require-finite",
+    options = {
+        "--degrees": dict(help="degree range a..b or a single degree"),
+        "--max-degree": dict(type=int, help="top degree to compute"),
+        "--window": dict(type=int, default=6, help="finiteness window size"),
+        "--coeffs": dict(default="0,1", help="enumeration coefficients"),
+        "--require-finite": dict(
             action="store_true",
             help="drop or reject entries failing the finiteness window check",
-        )
-        p.add_argument("--dot", help="write the Hasse diagram to this DOT file")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        ),
+        "--dot": dict(help="write the Hasse diagram to this DOT file"),
+        "--json": dict(action="store_true", help="emit JSON instead of text"),
+    }
+
+    def add(name, func, help_text, *flags):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("files", nargs="+", help="model files")
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
         p.set_defaults(func=func)
-        return p
 
     add("validate", _cmd_validate, "parse and check model files")
-    add("homotopy", _cmd_homotopy, "rational homotopy ranks from generator degrees")
-    add("cohomology", _cmd_cohomology, "cohomology of the (total) algebra")
-    add("der-homology", _cmd_der_homology, "derivation complex homology")
-    add("gottlieb", _cmd_gottlieb, "rationalized Gottlieb group")
-    add("fibre-gottlieb", _cmd_fibre_gottlieb, "fibre-restricted Gottlieb group")
-    add("connecting", _cmd_connecting, "connecting image inside the Gottlieb group")
-    add("les-check", _cmd_les_check, "ideal/relative/absolute exactness check")
-    add("toral-check", _cmd_toral_check, "bounded almost-free torus certificate")
-    add("depth", _cmd_depth, "depth of realized subspaces of a catalog")
-    add("poset", _cmd_poset, "inclusion poset of realized subspaces")
-    add("enumerate", _cmd_enumerate, "enumerate fibrations of a fiber over a base")
+    add("homotopy", _cmd_homotopy, "rational homotopy ranks from generator degrees",
+        "--max-degree", "--json")
+    add("cohomology", _cmd_cohomology, "cohomology of the (total) algebra",
+        "--max-degree", "--json")
+    add("der-homology", _cmd_der_homology, "derivation complex homology", "--degrees", "--json")
+    add("gottlieb", _cmd_gottlieb, "rationalized Gottlieb group", "--max-degree", "--json")
+    add("fibre-gottlieb", _cmd_fibre_gottlieb, "fibre-restricted Gottlieb group",
+        "--max-degree", "--json")
+    add("connecting", _cmd_connecting, "connecting image inside the Gottlieb group", "--json")
+    add("les-check", _cmd_les_check, "ideal/relative/absolute exactness check",
+        "--degrees", "--json")
+    add("toral-check", _cmd_toral_check, "bounded almost-free torus certificate",
+        "--window", "--json")
+    add("depth", _cmd_depth, "depth of realized subspaces of a catalog",
+        "--window", "--require-finite", "--json")
+    add("poset", _cmd_poset, "inclusion poset of realized subspaces",
+        "--window", "--require-finite", "--dot", "--json")
+    add("enumerate", _cmd_enumerate, "enumerate fibrations of a fiber over a base",
+        "--window", "--coeffs", "--require-finite", "--dot", "--json")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    window = getattr(args, "window", None)
+    max_degree = getattr(args, "max_degree", None)
     try:
-        if args.window < 1:
-            raise RhtError(f"--window must be at least 1, got {args.window}")
-        if args.max_degree is not None and args.max_degree < 0:
-            raise RhtError(f"--max-degree must be nonnegative, got {args.max_degree}")
+        if window is not None and window < 1:
+            raise RhtError(f"--window must be at least 1, got {window}")
+        if max_degree is not None and max_degree < 0:
+            raise RhtError(f"--max-degree must be nonnegative, got {max_degree}")
         return args.func(args)
     except COMPUTATION_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 Everything here reduces to exact linear algebra: homology of the derivation
 complexes, images of evaluation/restriction maps inside the dual coordinate
 space Hom(W^n, Q), long-exact-sequence checks, bounded finiteness
-certificates for torus actions, and depth of chains of realized subspaces.
+certificates for torus actions, classification of spaces, and depth of
+chains of realized subspaces.
 """
 
 from __future__ import annotations
@@ -27,13 +28,7 @@ from .derivations import (
 )
 from .errors import BaseNotDegreeTwo, NotAComplex
 from .linalg import Echelon, HomologySlice, RatMatrix, Subspace, _dense
-from .model import (
-    RelativeModel,
-    SullivanModel,
-    _check_window,
-    cohomology,
-    formal_dimension_estimate,
-)
+from .model import RelativeModel, SullivanModel, cohomology, formal_dimension_estimate
 from .poset import poset_of_subspaces
 
 ModelLike = Union[SullivanModel, RelativeModel]
@@ -295,7 +290,6 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
         h_id = H[(IDEAL, n - 1)]
         section = _section_matrix(f, n)
         delta = boundary_matrix(f, n, RELATIVE)
-        inc = inclusion_matrix(f, n - 1)
         ideal_index = {
             (w.index, m): i for i, (w, m) in enumerate(der_basis(f, n - 1, IDEAL).pairs)
         }
@@ -348,7 +342,7 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
 
 
 # ----------------------------------------------------------------------
-# toral-rank certificates
+# finiteness windows: toral-rank certificates and classification
 
 
 @dataclass
@@ -363,7 +357,9 @@ def finiteness_window(
     model: ModelLike, window: int = 6
 ) -> tuple[bool, Optional[int], dict[int, tuple[int, list[AlgElement]]]]:
     """Bounded finiteness test: does H vanish on (fd, fd + window]?"""
-    _check_window(window)
+    # the range must hold at least one degree, or every model passes vacuously
+    if window < 1:
+        raise ValueError(f"the finiteness window must be at least 1, got {window}")
     total = model.total if isinstance(model, RelativeModel) else model
     fd = formal_dimension_estimate(total.gens)
     if fd is None:
@@ -400,6 +396,28 @@ def toral_certificate(f: RelativeModel, window: int = 6) -> ToralCertificate:
             if mono.exponents and all(f.is_base_index(i) for i, _ in mono.exponents):
                 return ToralCertificate(r, top, "refuted-at-bound", top_nonzero)
     return ToralCertificate(r, top, "inconclusive", top_nonzero)
+
+
+@dataclass
+class ClassificationReport:
+    chi_pi: int
+    formal_dimension: Optional[int]
+    pure: bool
+    elliptic_at_bound: bool
+    f0_candidate: bool
+    cohomology_dims: dict[int, int] = field(default_factory=dict)
+    window: int = 6
+
+
+def classify(model: SullivanModel, window: int = 6) -> ClassificationReport:
+    """Homotopy Euler characteristic, purity and the bounded finiteness test."""
+    elliptic, fd, coh = finiteness_window(model, window)
+    n_even = sum(1 for g in model.gens if not g.is_odd)
+    chi_pi = n_even - (len(model.gens) - n_even)
+    pure = model.is_pure
+    dims = {n: d for n, (d, _) in coh.items()}
+    f0 = pure and chi_pi == 0 and elliptic
+    return ClassificationReport(chi_pi, fd, pure, elliptic, f0, dims, window)
 
 
 # ----------------------------------------------------------------------

@@ -317,7 +317,7 @@ def _reexpress(el: AlgElement, target: GenSet) -> AlgElement:
 
 
 # ----------------------------------------------------------------------
-# cohomology and classification
+# cohomology and formal dimension
 
 
 def cohomology(
@@ -341,51 +341,12 @@ def cohomology(
     return out
 
 
-@dataclass
-class ClassificationReport:
-    chi_pi: int
-    formal_dimension: Optional[int]
-    pure: bool
-    elliptic_at_bound: bool
-    f0_candidate: bool
-    cohomology_dims: dict[int, int] = field(default_factory=dict)
-    window: int = 6
-
-
 def formal_dimension_estimate(gens: GenSet) -> Optional[int]:
     """Elliptic-space formula: sum of odd degrees minus sum of (even - 1)."""
     est = sum(g.degree for g in gens if g.is_odd) - sum(
         g.degree - 1 for g in gens if not g.is_odd
     )
     return est if est > 0 else None
-
-
-def _check_window(window: int) -> None:
-    # the vanishing range (fd, fd + window] must hold at least one degree,
-    # or every model would pass it vacuously
-    if window < 1:
-        raise ValueError(f"the finiteness window must be at least 1, got {window}")
-
-
-def classify(
-    model: SullivanModel, bound: Optional[int] = None, window: int = 6
-) -> ClassificationReport:
-    _check_window(window)
-    gens = model.gens
-    n_even = sum(1 for g in gens if not g.is_odd)
-    n_odd = len(gens) - n_even
-    chi_pi = n_even - n_odd
-    fd = formal_dimension_estimate(gens)
-    pure = model.is_pure
-    if fd is None:
-        return ClassificationReport(chi_pi, None, pure, False, False, {}, window)
-    top = fd + window
-    if bound is not None and top > bound:
-        raise BoundExceeded(f"classification needs degree {top} > requested bound {bound}")
-    dims = {n: d for n, (d, _) in cohomology(model, top).items()}
-    elliptic = all(dims[n] == 0 for n in range(fd + 1, top + 1))
-    f0 = pure and chi_pi == 0 and elliptic
-    return ClassificationReport(chi_pi, fd, pure, elliptic, f0, dims, window)
 
 
 # ----------------------------------------------------------------------

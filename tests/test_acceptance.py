@@ -18,7 +18,6 @@ from rht import (
     Monomial,
     SullivanModel,
     Subspace,
-    build_poset,
     connecting_images,
     depth_of_subspaces,
     der_homology,
@@ -27,6 +26,7 @@ from rht import (
     gottlieb,
     les_check,
     parse_fibration,
+    poset_of_subspaces,
     toral_certificate,
     trivial_fibration,
 )
@@ -137,7 +137,7 @@ def test_04_well_ordered_chain_poset(ex47):
         assert fibre_gottlieb(ex47["first"]).basis_labels() == ["w3*", "w4*"]
         assert fibre_gottlieb(ex47["second"]).basis_labels() == ["w4*"]
         cat = Catalog(ex47["first"].fiber, list(ex47.items()))
-        p = build_poset(cat, require_finite=False)
+        p = poset_of_subspaces(cat.realized_subspaces())
         assert [node.dim for node in p.nodes] == [4, 2, 1]
         assert p.edges == [(0, 1), (1, 2)]
         assert p.longest_chain() == 2
@@ -245,7 +245,7 @@ def test_06_enumeration_dimension_constraints():
     base = SullivanModel(GenSet([("t", 2)]), {}, name="qt")
     with timed(60.0):
         cat = enumerate_fibrations(fiber, base, coeff_set=(0, 1), require_finite=True)
-        subs = cat.realized_subspaces(require_finite=True)
+        subs = cat.realized_subspaces()
         dims = {sub.dim for sub in subs.values()}
         assert dims <= {4, 2, 1}
         assert 3 not in dims
@@ -302,7 +302,7 @@ def test_08_depth(wedge):
         assert depth_of_subspaces(family_b).depth == 2
         fiber = wedge["p00"].fiber
         catalog = Catalog(fiber, list(wedge.items()))
-        result = depth_of_subspaces(catalog.realized_subspaces(require_finite=False))
+        result = depth_of_subspaces(catalog.realized_subspaces())
         assert result.depth == 2
         chain = [fibre_gottlieb(wedge[k]).basis_labels() for k in result.witness]
         assert chain == [["w1*", "w2*", "w3*"], ["w2*", "w3*"], ["w3*"]]

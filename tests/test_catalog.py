@@ -6,9 +6,9 @@ from rht import (
     Catalog,
     GenSet,
     SullivanModel,
-    build_poset,
     enumerate_fibrations,
     parse_fibration,
+    poset_of_subspaces,
 )
 from rht.errors import CombinatorialBlowup, FiberMismatch, NotFiniteAtBound
 
@@ -48,9 +48,9 @@ def test_catalog_finiteness_gate_lists_offenders(su4_fixtures):
         ],
     )
     with pytest.raises(NotFiniteAtBound) as err:
-        cat.realized_subspaces(require_finite=True)
+        cat.check_finite(6)
     assert "trivial" in str(err.value)
-    subs = cat.realized_subspaces(require_finite=False)
+    subs = cat.realized_subspaces()
     assert set(subs) == {"circle", "trivial"}
 
 
@@ -59,7 +59,7 @@ def test_build_poset_of_named_fibrations(ex47):
         ex47["first"].fiber,
         [(name, f) for name, f in ex47.items()],
     )
-    p = build_poset(cat, require_finite=False)
+    p = poset_of_subspaces(cat.realized_subspaces())
     assert [node.dim for node in p.nodes] == [4, 2, 1]
     assert p.edges == [(0, 1), (1, 2)]
 
@@ -73,7 +73,7 @@ def test_enumeration_case_all_equal_degrees():
     # twistings arise and every surviving entry realizes the full group
     cat = enumerate_fibrations(odd_fiber(3, 3, 3, 3), qt_base(), require_finite=True)
     assert len(cat.entries) == 15  # any nonempty subset of {w1..w4} hit by t^2
-    p = build_poset(cat, require_finite=True)
+    p = poset_of_subspaces(cat.realized_subspaces())
     assert len(p.nodes) == 1 and p.nodes[0].dim == 4
 
 

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import rht
+import rht.catalog
 from rht.cli import main
 
 from conftest import FIXTURES
@@ -92,6 +94,13 @@ def test_homotopy_and_cohomology(capsys):
     assert code == 0 and "n=5  dim 1  v2" in out
 
 
+def test_max_degree_zero_is_honoured(capsys):
+    # 0 is a degree, not "unset": both tables stop below degree 1
+    for cmd in ("homotopy", "gottlieb"):
+        code, out, _ = run(capsys, cmd, fx("su5.smf"), "--max-degree", "0")
+        assert (code, out) == (0, "model su5\n")
+
+
 def test_connecting_report(capsys):
     code, out, _ = run(capsys, "connecting", fx("su5-bundle.smf"))
     assert code == 0
@@ -152,6 +161,28 @@ def test_enumerate_single_node(capsys):
     assert len(doc["nodes"]) == 1 and doc["nodes"][0]["dim"] == 4
 
 
+def test_enumerate_windows_each_model_once(capsys, monkeypatch):
+    calls = Counter()
+    real = rht.catalog.finiteness_window
+
+    def counted(model, window=6):
+        calls[model.name] += 1
+        return real(model, window)
+
+    monkeypatch.setattr(rht.catalog, "finiteness_window", counted)
+    code, _, err = run(
+        capsys,
+        "enumerate",
+        fx("fiber-3-3-3-3.smf"),
+        fx("base-qt.smf"),
+        "--require-finite",
+        "--json",
+    )
+    assert code == 0 and "15 fibration(s) kept" in err
+    assert len(calls) >= 15
+    assert set(calls.values()) == {1}
+
+
 def test_enumerate_needs_two_spaces(capsys):
     code, _, err = run(capsys, "enumerate", fx("fiber-3-3-3-3.smf"))
     assert code == 1
@@ -178,6 +209,18 @@ def test_finiteness_gate_failure_exits_two(capsys):
 
 # ----------------------------------------------------------------------
 # bad input ends in a one-line message, never a traceback
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--require-finite"], ["--window", "3"], ["--coeffs", "x"]],
+    ids=["require-finite", "window", "coeffs"],
+)
+def test_subcommand_refuses_flags_it_does_not_read(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["gottlieb", fx("su5.smf"), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -311,7 +311,7 @@ def test_depth_edge_cases():
 def test_depth_over_wedge_catalog(wedge):
     fiber = wedge["p00"].fiber
     result = depth_of_subspaces(
-        Catalog(fiber, list(wedge.items())).realized_subspaces(require_finite=False)
+        Catalog(fiber, list(wedge.items())).realized_subspaces()
     )
     assert result.depth == 2
     assert result.witness == ["p00", "p10", "p11"]
@@ -321,20 +321,19 @@ def test_depth_over_catalog_fiber_mismatch(wedge, su5_bundle):
     fiber = wedge["p00"].fiber
     with pytest.raises(FiberMismatch):
         depth_of_subspaces(
-            Catalog(fiber, [("odd", su5_bundle)]).realized_subspaces(require_finite=False)
+            Catalog(fiber, [("odd", su5_bundle)]).realized_subspaces()
         )
 
 
 def test_depth_over_catalog_finiteness_gate(su4_fixtures):
     fiber = su4_fixtures["su4-circle"].fiber
+    catalog = Catalog(
+        fiber,
+        [
+            ("circle", su4_fixtures["su4-circle"]),
+            ("trivial", su4_fixtures["su4-trivial"]),
+        ],
+    )
     with pytest.raises(NotFiniteAtBound) as err:
-        depth_of_subspaces(
-            Catalog(
-                fiber,
-                [
-                    ("circle", su4_fixtures["su4-circle"]),
-                    ("trivial", su4_fixtures["su4-trivial"]),
-                ],
-            ).realized_subspaces()
-        )
+        catalog.check_finite(6)
     assert "trivial" in str(err.value)
