@@ -17,7 +17,7 @@ when a shift-n derivation passes a factor x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .algebra import (
     AlgElement,
@@ -28,7 +28,7 @@ from .algebra import (
     leibniz_apply,
 )
 from .errors import GeneratorSetMismatch
-from .linalg import RatMatrix
+from .linalg import HomologySlice, RatMatrix
 from .model import RelativeModel, SullivanModel
 
 ABSOLUTE = "absolute"
@@ -92,115 +92,144 @@ class ComplexSlice:
         return [f"({g.name}, {m.format(self.value_gens)})" for g, m in self.pairs]
 
 
-def _slice_ingredients(m: ModelLike, scope: str):
-    """domain generators, value generator set, governing model, base filter."""
-    if scope == ABSOLUTE:
-        if isinstance(m, RelativeModel):
-            model = m.fiber
+class DerComplex:
+    """One scope of the derivation complex of a model, for one call.
+
+    Each slice and each boundary is built at most once, on first use, and
+    lives only as long as this object: a caller that needs several of them
+    builds one DerComplex and drops it when it is done.
+    """
+
+    def __init__(self, m: ModelLike, scope: str = ABSOLUTE):
+        fiber = m.fiber if isinstance(m, RelativeModel) else m
+        if scope == ABSOLUTE:
+            self.model, self._keep = fiber, None
+        elif scope in (RELATIVE, IDEAL):
+            if not isinstance(m, RelativeModel):
+                raise ValueError(f"{scope} scope needs a RelativeModel")
+            self.model = m.total
+            self._keep = m.monomial_has_base if scope == IDEAL else None
         else:
-            model = m
-        return model.gens, model.gens, model, None
-    if scope in (RELATIVE, IDEAL):
-        if not isinstance(m, RelativeModel):
-            raise ValueError(f"{scope} scope needs a RelativeModel")
-        has_base = m.monomial_has_base if scope == IDEAL else None
-        return m.fiber.gens, m.total.gens, m.total, has_base
-    raise ValueError(f"unknown scope {scope!r}")
+            raise ValueError(f"unknown scope {scope!r}")
+        self.source = m
+        self.scope = scope
+        self.domain = fiber.gens
+        self._slices: dict[int, ComplexSlice] = {}
+        self._boundaries: dict[int, RatMatrix] = {}
+
+    def slice(self, n: int) -> ComplexSlice:
+        """All pairs (w, monomial) with |w| - |monomial| = n, filtered by scope."""
+        if n in self._slices:
+            return self._slices[n]
+        if n < 0:
+            raise ValueError("derivation degree must be nonnegative")
+        gens = self.model.gens
+        pairs = []
+        for g in self.domain:
+            w = gens.get(g.name)
+            deg = w.degree - n
+            if deg < 0:
+                continue
+            self.model.check_bound(deg)
+            for mono in basis_in_degree(gens, deg):
+                if self._keep is None or self._keep(mono):
+                    pairs.append((w, mono))
+        self._slices[n] = ComplexSlice(n, self.scope, tuple(pairs), gens, self.domain)
+        return self._slices[n]
+
+    def boundary(self, n: int) -> RatMatrix:
+        """delta from the shift-n slice to the shift-(n-1) slice, in basis coordinates."""
+        if n in self._boundaries:
+            return self._boundaries[n]
+        if n < 1:
+            raise ValueError("boundary starts at shift 1")
+        src = self.slice(n)
+        tgt = self.slice(n - 1)
+        model, gens = self.model, self.model.gens
+        tgt_index = tgt.index()
+        sign = -1 if n % 2 == 0 else 1  # -(-1)^n
+        gen_diffs = [(gens.get(g.name), model.diff_of(g.name)) for g in self.domain]
+        entries = {}
+        for j, (w, mono) in enumerate(src.pairs):
+            theta = src.derivation(j)
+            for gv, dg in gen_diffs:
+                val = AlgElement.zero(gens)
+                if gv.index == w.index:
+                    val = val + model.d(AlgElement.monomial(gens, mono))
+                if not dg.is_zero():
+                    val = val + sign * theta(dg)
+                for mm, c in val.terms.items():
+                    entries[(tgt_index[(gv.index, mm)], j)] = c
+        self._boundaries[n] = RatMatrix(tgt.dim, src.dim, entries)
+        return self._boundaries[n]
+
+    def homology(self, n: int) -> HomologySlice:
+        """H_n, from the boundaries into and out of the shift-n slice."""
+        return HomologySlice(self.boundary(n + 1), self.boundary(n))
+
+    def map_to(self, other: "DerComplex", n: int) -> RatMatrix:
+        """Slice n into other's slice n, each pair to the same pair or to zero.
+
+        Between the scopes of one fibration this is the inclusion (ideal to
+        relative), the restriction p_V (relative to absolute), its section
+        (absolute to relative) and the projection onto the ideal pairs.
+        """
+        src, tgt = self.slice(n).pairs, other.slice(n).pairs
+        if self.model is other.model:
+            return relabel(src, tgt, lambda p: p)
+        f, gens = self.source, other.model.gens
+        mono = f.fiber_monomial if other.scope == ABSOLUTE else f.total_monomial
+        return relabel(src, tgt, lambda p: (gens.get(p[0].name), mono(p[1])))
+
+    def evaluation(self, n: int) -> RatMatrix:
+        """Evaluation on generators: (w, 1) -> w*, every other pair -> 0.
+
+        Rows are indexed by the dual basis of the degree-n generators of the
+        domain, in declaration order.
+        """
+        duals = [g.name for g in self.domain if g.degree == n]
+        return relabel(
+            self.slice(n).pairs, duals, lambda p: p[0].name if p[1].is_unit else None
+        )
+
+
+def relabel(src: Sequence, tgt: Sequence, key: Callable) -> RatMatrix:
+    """The 0/1 matrix sending src[j] to tgt[i] where key(src[j]) == tgt[i].
+
+    An element whose key is not in tgt goes to zero.
+    """
+    index = {t: i for i, t in enumerate(tgt)}
+    entries = {}
+    for j, s in enumerate(src):
+        i = index.get(key(s))
+        if i is not None:
+            entries[(i, j)] = 1
+    return RatMatrix(len(tgt), len(src), entries)
 
 
 def der_basis(m: ModelLike, n: int, scope: str = ABSOLUTE) -> ComplexSlice:
     """All pairs (w, monomial) with |w| - |monomial| = n, filtered by scope."""
-    if n < 0:
-        raise ValueError("derivation degree must be nonnegative")
-    domain, value_gens, model, base_filter = _slice_ingredients(m, scope)
-    domain_in_value = (
-        [value_gens.get(g.name) for g in domain] if scope != ABSOLUTE else list(domain)
-    )
-    pairs = []
-    for g in domain_in_value:
-        deg = g.degree - n
-        if deg < 0:
-            continue
-        model.check_bound(deg)
-        for mono in basis_in_degree(value_gens, deg):
-            if base_filter is not None and not base_filter(mono):
-                continue
-            pairs.append((g, mono))
-    return ComplexSlice(n, scope, tuple(pairs), value_gens, domain)
+    return DerComplex(m, scope).slice(n)
 
 
 def boundary_matrix(m: ModelLike, n: int, scope: str = ABSOLUTE) -> RatMatrix:
     """delta from the shift-n slice to the shift-(n-1) slice, in basis coordinates."""
-    if n < 1:
-        raise ValueError("boundary starts at shift 1")
-    src = der_basis(m, n, scope)
-    tgt = der_basis(m, n - 1, scope)
-    domain, value_gens, model, _ = _slice_ingredients(m, scope)
-    tgt_index = tgt.index()
-    sign = -1 if n % 2 == 0 else 1  # -(-1)^n
-    entries = {}
-    for j in range(src.dim):
-        w, mono = src.pairs[j]
-        theta = src.derivation(j)
-        for g in domain:
-            gv = value_gens.get(g.name)
-            val = AlgElement.zero(value_gens)
-            if gv.index == w.index:
-                val = val + model.d(AlgElement.monomial(value_gens, mono))
-            dg = model.diff_of(gv.name)
-            if not dg.is_zero():
-                val = val + sign * theta(dg)
-            for mm, c in val.terms.items():
-                entries[(tgt_index[(gv.index, mm)], j)] = c
-    return RatMatrix(tgt.dim, src.dim, entries)
+    return DerComplex(m, scope).boundary(n)
 
 
 def restriction_matrix(f: RelativeModel, n: int) -> RatMatrix:
-    """Chain map from the relative slice onto the absolute fiber slice.
-
-    Sends (w, m) to (w, p_V(m)) where p_V kills monomials with base content.
-    """
-    src = der_basis(f, n, RELATIVE)
-    tgt = der_basis(f, n, ABSOLUTE)
-    tgt_index = tgt.index()
-    entries = {}
-    for j, (w, mono) in enumerate(src.pairs):
-        if f.monomial_has_base(mono):
-            continue
-        fiber_mono = Monomial(
-            tuple((i - f.base_size, e) for i, e in mono.exponents)
-        )
-        fiber_gen = f.fiber.gens.get(w.name)
-        entries[(tgt_index[(fiber_gen.index, fiber_mono)], j)] = 1
-    return RatMatrix(tgt.dim, src.dim, entries)
+    """Chain map from the relative slice onto the absolute one: (w, m) -> (w, p_V(m))."""
+    return DerComplex(f, RELATIVE).map_to(DerComplex(f, ABSOLUTE), n)
 
 
 def augmentation_matrix(m: ModelLike, n: int) -> RatMatrix:
-    """Evaluation of absolute derivations on generators: (w, 1) -> w*.
-
-    Rows are indexed by the dual basis of the degree-n generators, in
-    declaration order.
-    """
-    src = der_basis(m, n, ABSOLUTE)
-    model = m.fiber if isinstance(m, RelativeModel) else m
-    duals = [g for g in model.gens if g.degree == n]
-    dual_index = {g.index: i for i, g in enumerate(duals)}
-    entries = {}
-    for j, (w, mono) in enumerate(src.pairs):
-        if mono.is_unit and w.index in dual_index:
-            entries[(dual_index[w.index], j)] = 1
-    return RatMatrix(len(duals), src.dim, entries)
+    """Evaluation of absolute derivations on generators: (w, 1) -> w*."""
+    return DerComplex(m, ABSOLUTE).evaluation(n)
 
 
 def inclusion_matrix(f: RelativeModel, n: int) -> RatMatrix:
     """The ideal-valued slice included into the relative slice (a 0/1 map)."""
-    src = der_basis(f, n, IDEAL)
-    tgt = der_basis(f, n, RELATIVE)
-    tgt_index = tgt.index()
-    entries = {}
-    for j, (w, mono) in enumerate(src.pairs):
-        entries[(tgt_index[(w.index, mono)], j)] = 1
-    return RatMatrix(tgt.dim, src.dim, entries)
+    return DerComplex(f, IDEAL).map_to(DerComplex(f, RELATIVE), n)
 
 
 def dual_frame(model: SullivanModel, n: int) -> tuple[str, ...]:

@@ -12,19 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .algebra import AlgElement, Monomial
+from .algebra import AlgElement
 from .derivations import (
     ABSOLUTE,
     IDEAL,
     RELATIVE,
     ComplexSlice,
+    DerComplex,
     Derivation,
-    augmentation_matrix,
-    boundary_matrix,
-    der_basis,
     dual_frame,
-    inclusion_matrix,
-    restriction_matrix,
 )
 from .errors import BaseNotDegreeTwo, NotAComplex
 from .linalg import Echelon, HomologySlice, RatMatrix, Subspace, _dense
@@ -68,15 +64,16 @@ class DerHomology:
 
 
 def _homology_at(m: ModelLike, n: int, scope: str) -> HomologySlice:
-    return HomologySlice(boundary_matrix(m, n + 1, scope), boundary_matrix(m, n, scope))
+    return DerComplex(m, scope).homology(n)
 
 
 def der_homology(m: ModelLike, n: int, scope: str = ABSOLUTE) -> DerHomology:
     """H_n of the chosen derivation complex, with representative cycles."""
     if n < 1:
         raise ValueError("derivation homology is computed for n >= 1")
-    h = _homology_at(m, n, scope)
-    return DerHomology(h.dim, der_basis(m, n, scope), list(h.representatives))
+    cx = DerComplex(m, scope)
+    h = cx.homology(n)
+    return DerHomology(h.dim, cx.slice(n), list(h.representatives))
 
 
 # ----------------------------------------------------------------------
@@ -136,37 +133,29 @@ def _image_on_cycles(
 
 def gottlieb(m: ModelLike, max_degree: Optional[int] = None) -> GottliebResult:
     """Image of evaluation on absolute derivation homology, per degree."""
-    fiber = _fiber_of(m)
-    top = max_degree if max_degree is not None else top_shift(m)
-    per: dict[int, Subspace] = {}
-    for n in range(1, top + 1):
-        frame = dual_frame(fiber, n)
-        if not frame:
-            continue
-        per[n] = _image_on_cycles(
-            augmentation_matrix(fiber, n),
-            boundary_matrix(fiber, n, ABSOLUTE),
-            boundary_matrix(fiber, n + 1, ABSOLUTE),
-            frame,
-        )
-    return GottliebResult(fiber, per, "absolute")
+    return _evaluation_images(DerComplex(m, ABSOLUTE), max_degree, "absolute")
 
 
 def fibre_gottlieb(f: RelativeModel, max_degree: Optional[int] = None) -> GottliebResult:
-    """Image of evaluation . restriction on relative derivation cycles."""
-    top = max_degree if max_degree is not None else top_shift(f)
+    """Image of evaluation . restriction on relative derivation cycles.
+
+    The restriction keeps each pair (w, 1) and evaluation keeps only those,
+    so the composite is evaluation on the relative slice itself.
+    """
+    return _evaluation_images(DerComplex(f, RELATIVE), max_degree, f.name or "fibration")
+
+
+def _evaluation_images(
+    cx: DerComplex, max_degree: Optional[int], provenance: str
+) -> GottliebResult:
+    fiber = _fiber_of(cx.source)
+    top = max_degree if max_degree is not None else top_shift(fiber)
     per: dict[int, Subspace] = {}
     for n in range(1, top + 1):
-        frame = dual_frame(f.fiber, n)
-        if not frame:
-            continue
-        per[n] = _image_on_cycles(
-            augmentation_matrix(f, n) @ restriction_matrix(f, n),
-            boundary_matrix(f, n, RELATIVE),
-            boundary_matrix(f, n + 1, RELATIVE),
-            frame,
-        )
-    return GottliebResult(f.fiber, per, f.name or "fibration")
+        frame = dual_frame(fiber, n)
+        if frame:
+            per[n] = _image_on_cycles(cx.evaluation(n), cx.boundary(n), cx.boundary(n + 1), frame)
+    return GottliebResult(fiber, per, provenance)
 
 
 def connecting_image(f: RelativeModel, n: int) -> Subspace:
@@ -225,19 +214,6 @@ class LesReport:
         return self.chain_level_ok and all(nd.exact for nd in self.nodes)
 
 
-def _section_matrix(f: RelativeModel, n: int) -> RatMatrix:
-    """Splitting of the restriction: absolute pairs seen as relative pairs."""
-    src = der_basis(f, n, ABSOLUTE)
-    tgt = der_basis(f, n, RELATIVE)
-    tgt_index = tgt.index()
-    entries = {}
-    for j, (w, mono) in enumerate(src.pairs):
-        lifted = Monomial(tuple((i + f.base_size, e) for i, e in mono.exponents))
-        tw = f.total.gens.get(w.name)
-        entries[(tgt_index[(tw.index, lifted)], j)] = 1
-    return RatMatrix(tgt.dim, src.dim, entries)
-
-
 def _induced(map_matrix: RatMatrix, h_src: HomologySlice, h_tgt: HomologySlice) -> RatMatrix:
     cols = [h_tgt.coords(map_matrix.apply(rep)) for rep in h_src.representatives]
     return RatMatrix(
@@ -264,58 +240,46 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     map equals the kernel of the outgoing one (composite zero + ranks add up).
     """
     degrees = sorted(degrees)
+    if not degrees:
+        raise ValueError("les_check needs at least one degree")
     lo, hi = degrees[0], degrees[-1]
     if lo < 1:
         raise ValueError("les_check needs degrees >= 1")
+    ideal, rel, ab = (DerComplex(f, scope) for scope in (IDEAL, RELATIVE, ABSOLUTE))
     report = LesReport()
     H = {}  # (scope, n) -> HomologySlice
     for n in range(max(1, lo - 1), hi + 2):
-        for scope in (IDEAL, RELATIVE, ABSOLUTE):
-            H[(scope, n)] = _homology_at(f, n, scope)
+        for cx in (ideal, rel, ab):
+            H[(cx.scope, n)] = cx.homology(n)
     # chain-level short exactness per degree
+    inc, res = {}, {}
     for n in range(max(0, lo - 1), hi + 2):
-        inc = inclusion_matrix(f, n)
-        res = restriction_matrix(f, n)
+        inc[n] = ideal.map_to(rel, n)
+        res[n] = rel.map_to(ab, n)
         ok = (
-            (res @ inc).is_zero()
-            and _rank(res) == der_basis(f, n, ABSOLUTE).dim
-            and der_basis(f, n, IDEAL).dim + der_basis(f, n, ABSOLUTE).dim
-            == der_basis(f, n, RELATIVE).dim
+            (res[n] @ inc[n]).is_zero()
+            and _rank(res[n]) == ab.slice(n).dim
+            and ideal.slice(n).dim + ab.slice(n).dim == rel.slice(n).dim
         )
         report.chain_level_ok = report.chain_level_ok and ok
 
+    conn: dict[int, RatMatrix] = {}
+
     def connecting(n: int) -> RatMatrix:
         """H_n(absolute) -> H_{n-1}(ideal) via lift, boundary, pull back."""
-        h_abs = H[(ABSOLUTE, n)]
-        h_id = H[(IDEAL, n - 1)]
-        section = _section_matrix(f, n)
-        delta = boundary_matrix(f, n, RELATIVE)
-        ideal_index = {
-            (w.index, m): i for i, (w, m) in enumerate(der_basis(f, n - 1, IDEAL).pairs)
-        }
-        rel_pairs = der_basis(f, n - 1, RELATIVE).pairs
-        cols = []
-        for rep in h_abs.representatives:
-            chain = delta.apply(section.apply(rep))
-            ideal_vec = [0] * len(ideal_index)
-            for i, c in enumerate(chain):
-                if not c:
-                    continue
-                w, m = rel_pairs[i]
-                key = (w.index, m)
-                if key not in ideal_index:
-                    raise NotAComplex("boundary of a lifted cycle left the ideal")
-                ideal_vec[ideal_index[key]] = c
-            cols.append(h_id.coords(ideal_vec))
-        return RatMatrix(
-            h_id.dim,
-            h_abs.dim,
-            {(r, c): v for c, col in enumerate(cols) for r, v in enumerate(col) if v},
-        )
+        if n not in conn:
+            lifted = rel.boundary(n) @ ab.map_to(rel, n)
+            # the restriction kills exactly the ideal pairs
+            left = res[n - 1] @ lifted
+            if any(any(left.apply(rep)) for rep in H[(ABSOLUTE, n)].representatives):
+                raise NotAComplex("boundary of a lifted cycle left the ideal")
+            to_ideal = rel.map_to(ideal, n - 1)
+            conn[n] = _induced(to_ideal @ lifted, H[(ABSOLUTE, n)], H[(IDEAL, n - 1)])
+        return conn[n]
 
     for n in degrees:
-        i_star = _induced(inclusion_matrix(f, n), H[(IDEAL, n)], H[(RELATIVE, n)])
-        j_star = _induced(restriction_matrix(f, n), H[(RELATIVE, n)], H[(ABSOLUTE, n)])
+        i_star = _induced(inc[n], H[(IDEAL, n)], H[(RELATIVE, n)])
+        j_star = _induced(res[n], H[(RELATIVE, n)], H[(ABSOLUTE, n)])
         # node H_n(relative): image(i) = kernel(j)
         dim_r = H[(RELATIVE, n)].dim
         exact_r = (j_star @ i_star).is_zero() and _rank(i_star) + _rank(j_star) == dim_r
@@ -323,13 +287,12 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
             LesNodeReport(f"H_{n}(relative)", dim_r, _rank(i_star), _rank(j_star), exact_r)
         )
         # node H_n(ideal): image(connecting from n+1) = kernel(i)
-        if n + 1 <= hi + 1:
-            d_in = connecting(n + 1)
-            dim_i = H[(IDEAL, n)].dim
-            exact_i = (i_star @ d_in).is_zero() and _rank(d_in) + _rank(i_star) == dim_i
-            report.nodes.append(
-                LesNodeReport(f"H_{n}(ideal)", dim_i, _rank(d_in), _rank(i_star), exact_i)
-            )
+        d_in = connecting(n + 1)
+        dim_i = H[(IDEAL, n)].dim
+        exact_i = (i_star @ d_in).is_zero() and _rank(d_in) + _rank(i_star) == dim_i
+        report.nodes.append(
+            LesNodeReport(f"H_{n}(ideal)", dim_i, _rank(d_in), _rank(i_star), exact_i)
+        )
         # node H_n(absolute): image(j) = kernel(connecting to n-1)
         if n >= 2:
             d_out = connecting(n)

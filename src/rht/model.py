@@ -233,24 +233,31 @@ class RelativeModel:
         # base generators occupy the leading indices of the total set
         return AlgElement(self._total_gens, {m: c for m, c in el.terms.items()})
 
+    def total_monomial(self, m: Monomial) -> Monomial:
+        """A fiber monomial in the total generator set."""
+        return Monomial(tuple((i + self.base_size, e) for i, e in m.exponents))
+
+    def fiber_monomial(self, m: Monomial) -> Optional[Monomial]:
+        """p_V on one total monomial: None when it contains a base generator."""
+        if self.monomial_has_base(m):
+            return None
+        return Monomial(tuple((i - self.base_size, e) for i, e in m.exponents))
+
     def embed_fiber(self, el: AlgElement) -> AlgElement:
-        shift = self.base_size
-        out = {}
-        for m, c in el.terms.items():
-            out[Monomial(tuple((i + shift, e) for i, e in m.exponents))] = c
-        return AlgElement(self._total_gens, out)
+        return AlgElement(
+            self._total_gens, {self.total_monomial(m): c for m, c in el.terms.items()}
+        )
 
     def project_fiber(self, el: AlgElement) -> AlgElement:
         """p_V: kill every monomial containing a base generator."""
         return self.project_fiber_named(self.fiber.gens, el)
 
     def project_fiber_named(self, fiber_gens: GenSet, el: AlgElement) -> AlgElement:
-        shift = self.base_size
         out = {}
         for m, c in el.terms.items():
-            if any(i < shift for i, _ in m.exponents):
-                continue
-            out[Monomial(tuple((i - shift, e) for i, e in m.exponents))] = c
+            fm = self.fiber_monomial(m)
+            if fm is not None:
+                out[fm] = c
         return AlgElement(fiber_gens, out)
 
     def is_base_index(self, i: int) -> bool:
@@ -274,6 +281,8 @@ class RelativeModel:
         for g in self.fiber.gens:
             if g.name in self.fiber.diff:
                 lines.append(f"d {g.name} = {self.fiber.diff[g.name].format()}")
+        if self.bound != self.base.bound:
+            lines.append(f"bound {self.bound}")
         lines.append("[total]")
         for g in self.fiber.gens:
             dv = self.total.diff_of(g.name)
@@ -289,15 +298,8 @@ def trivial_fibration(
     fiber: SullivanModel, base: SullivanModel, name: Optional[str] = None
 ) -> RelativeModel:
     """The product fibration: D = d_W, no base terms in any D(w)."""
-    combined = GenSet(
-        [(g.name, g.degree) for g in base.gens] + [(g.name, g.degree) for g in fiber.gens]
-    )
-    total_diff = {
-        gname: _reexpress(val, combined) for gname, val in fiber.diff.items()
-    }
     return RelativeModel(
-        base, fiber.gens, total_diff, fiber_diff=dict(fiber.diff), name=name,
-        bound=fiber.bound,
+        base, fiber.gens, fiber.diff, fiber_diff=fiber.diff, name=name, bound=fiber.bound
     )
 
 
@@ -585,7 +587,7 @@ def parse_document(text: str) -> list[Union[SullivanModel, RelativeModel]]:
                     total_diff,
                     fiber_diff=fiber_diff,
                     name=sec.name,
-                    bound=parts["fiber"].bound or sec.bound,
+                    bound=fsec.bound if fsec.bound is not None else sec.bound,
                 )
             )
             i = j

@@ -16,7 +16,8 @@ from rht import (
     der_basis,
     restriction_matrix,
 )
-from rht.derivations import dual_frame, inclusion_matrix
+from rht.derivations import DerComplex, dual_frame, inclusion_matrix
+from rht.linalg import RatMatrix
 from rht.errors import GeneratorSetMismatch
 
 from conftest import as_dict, load, oracle_operator, random_fibration, random_space
@@ -188,6 +189,42 @@ def test_inclusion_followed_by_restriction_is_zero(su5_bundle):
     for n in range(0, top_of(su5_bundle) + 1):
         prod = restriction_matrix(su5_bundle, n) @ inclusion_matrix(su5_bundle, n)
         assert prod.is_zero()
+
+
+def fixture_and_random_fibrations(su5_bundle, ex44, ex47, wedge):
+    rng = random.Random(29)
+    randoms = [random_fibration(rng) for _ in range(10)]
+    return [su5_bundle, ex44] + list(ex47.values()) + list(wedge.values()) + randoms
+
+
+def test_restriction_splits_the_section(su5_bundle, ex44, ex47, wedge):
+    # the section lifts each absolute pair to the relative pair of the same
+    # label, and restricting it back is the identity
+    for f in fixture_and_random_fibrations(su5_bundle, ex44, ex47, wedge):
+        absolute, relative = DerComplex(f, ABSOLUTE), DerComplex(f, RELATIVE)
+        for n in range(0, top_of(f) + 1):
+            section = absolute.map_to(relative, n)
+            dim = absolute.slice(n).dim
+            assert restriction_matrix(f, n) @ section == RatMatrix.identity(dim), (f.name, n)
+            rel_labels = relative.slice(n).labels()
+            lifted = {c: rel_labels[r] for (r, c), v in section.entries.items() if v == 1}
+            assert lifted == dict(enumerate(absolute.slice(n).labels())), (f.name, n)
+
+
+def test_inclusion_image_is_the_base_pairs(su5_bundle, ex44, ex47, wedge):
+    for f in fixture_and_random_fibrations(su5_bundle, ex44, ex47, wedge):
+        base = {g.name for g in f.base.gens}
+        for n in range(0, top_of(f) + 1):
+            inc = inclusion_matrix(f, n)
+            rel = der_basis(f, n, RELATIVE)
+            with_base = [
+                i
+                for i, (_, m) in enumerate(rel.pairs)
+                if any(rel.value_gens[j].name in base for j, _ in m.exponents)
+            ]
+            assert set(inc.entries.values()) <= {1}
+            assert sorted(c for _, c in inc.entries) == list(range(inc.cols))
+            assert sorted(r for r, _ in inc.entries) == with_base, (f.name, n)
 
 
 def test_augmentation_picks_unit_pairs(su5):

@@ -2,6 +2,7 @@
 
 import os
 import subprocess
+from collections import Counter
 import sys
 from pathlib import Path
 
@@ -28,9 +29,9 @@ from rht import (
     trivial_fibration,
 )
 from rht.catalog import Catalog
-from rht.derivations import boundary_matrix, der_basis
+from rht.derivations import ComplexSlice, boundary_matrix, der_basis
 from rht.errors import BaseNotDegreeTwo, FiberMismatch, NotFiniteAtBound
-from rht.invariants import _homology_at
+from rht.invariants import _homology_at, top_shift
 
 from conftest import load
 
@@ -201,6 +202,30 @@ def test_les_exact_on_two_sphere_twist(ex44):
 def test_les_rejects_bad_degrees(su5_bundle):
     with pytest.raises(ValueError):
         les_check(su5_bundle, [0, 1])
+    with pytest.raises(ValueError, match="at least one degree"):
+        les_check(su5_bundle, [])
+
+
+def test_each_slice_is_built_once_per_call(ex47, monkeypatch):
+    built = []
+    real_init = ComplexSlice.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append((self.scope, self.degree))
+
+    monkeypatch.setattr(ComplexSlice, "__init__", counting_init)
+    for f in ex47.values():
+        calls = {
+            "les_check": lambda: les_check(f, range(1, top_shift(f) + 1)),
+            "gottlieb": lambda: gottlieb(f),
+            "fibre_gottlieb": lambda: fibre_gottlieb(f),
+        }
+        for name, call in calls.items():
+            built.clear()
+            call()
+            repeats = {key: k for key, k in Counter(built).items() if k > 1}
+            assert built and not repeats, (f.name, name, repeats)
 
 
 # ----------------------------------------------------------------------

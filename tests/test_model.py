@@ -219,6 +219,17 @@ def test_serialize_round_trip_fixture_files():
             assert again.serialize() == model.serialize()
 
 
+@pytest.mark.parametrize("bound", [0, 7])
+def test_fibration_bound_survives_parse_and_serialize(bound):
+    text = (
+        "[fibration b]\n[base]\ngen t 2\n"
+        f"[fiber]\ngen x 3\nbound {bound}\n[total]\nD x = t^2\n"
+    )
+    f = parse_fibration(text)
+    assert f.bound == bound
+    assert parse_fibration(f.serialize()).bound == bound
+
+
 # ----------------------------------------------------------------------
 # cohomology and classification
 
