@@ -15,11 +15,8 @@ from .derivations import (
     IDEAL,
     RELATIVE,
     Derivation,
+    DerComplex,
     apply_derivation,
-    augmentation_matrix,
-    boundary_matrix,
-    der_basis,
-    restriction_matrix,
 )
 from .invariants import (
     ClassificationReport,
@@ -39,6 +36,7 @@ from .invariants import (
 )
 from .linalg import Echelon, HomologySlice, RatMatrix, Subspace
 from .model import (
+    Cochains,
     RelativeModel,
     SullivanModel,
     cohomology,

@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import AlgElement, GenSet, Monomial, basis_in_degree
-from .errors import CombinatorialBlowup, FiberMismatch, NotClosed, NotFiniteAtBound
+from .errors import CombinatorialBlowup, DuplicateId, FiberMismatch, NotClosed, NotFiniteAtBound
 from .invariants import fibre_gottlieb, finiteness_window
 from .linalg import Subspace
 from .model import RelativeModel, SullivanModel, _reexpress
@@ -25,7 +25,7 @@ class Catalog:
         seen = set()
         for key, entry in self.entries:
             if key in seen:
-                raise ValueError(f"duplicate catalog id {key!r}")
+                raise DuplicateId(f"duplicate catalog id {key!r}")
             seen.add(key)
             if (
                 entry.fiber.gens != self.fiber.gens

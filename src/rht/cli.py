@@ -3,14 +3,16 @@
 Every subcommand reads line-oriented model files, runs one computation, and
 prints a text table or, with --json, a stable JSON document of the shape
 {"model": ..., "degrees": {...}, "bound": ..., "window": ...}.  Exit status
-is 0 on success, 1 for validation failures, and 2 for computation failures
-(bound overruns, enumeration blowups, failed finiteness gates).
+is 0 on success, 1 for validation failures, 2 for computation failures
+(bound overruns, enumeration blowups, failed finiteness gates), and 141 when
+the reader of stdout goes away.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -401,7 +403,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise RhtError(f"--window must be at least 1, got {window}")
         if max_degree is not None and max_degree < 0:
             raise RhtError(f"--max-degree must be nonnegative, got {max_degree}")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # 128 + SIGPIPE, what a shell reports for a tool killed by the signal;
+        # stdout goes to devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except COMPUTATION_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

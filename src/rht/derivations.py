@@ -19,17 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
-from .algebra import (
-    AlgElement,
-    GenSet,
-    Generator,
-    Monomial,
-    basis_in_degree,
-    leibniz_apply,
-)
+from .algebra import AlgElement, GenSet, Generator, Monomial, leibniz_apply
 from .errors import GeneratorSetMismatch
 from .linalg import HomologySlice, RatMatrix
-from .model import RelativeModel, SullivanModel
+from .model import Cochains, RelativeModel, SullivanModel
 
 ABSOLUTE = "absolute"
 RELATIVE = "relative"
@@ -97,7 +90,8 @@ class DerComplex:
 
     Each slice and each boundary is built at most once, on first use, and
     lives only as long as this object: a caller that needs several of them
-    builds one DerComplex and drops it when it is done.
+    builds one DerComplex and drops it when it is done.  The monomials of
+    the slices come from one Cochains of the value model.
     """
 
     def __init__(self, m: ModelLike, scope: str = ABSOLUTE):
@@ -114,6 +108,7 @@ class DerComplex:
         self.source = m
         self.scope = scope
         self.domain = fiber.gens
+        self._cochains = Cochains(self.model)
         self._slices: dict[int, ComplexSlice] = {}
         self._boundaries: dict[int, RatMatrix] = {}
 
@@ -131,7 +126,7 @@ class DerComplex:
             if deg < 0:
                 continue
             self.model.check_bound(deg)
-            for mono in basis_in_degree(gens, deg):
+            for mono in self._cochains.basis(deg):
                 if self._keep is None or self._keep(mono):
                     pairs.append((w, mono))
         self._slices[n] = ComplexSlice(n, self.scope, tuple(pairs), gens, self.domain)
@@ -205,31 +200,6 @@ def relabel(src: Sequence, tgt: Sequence, key: Callable) -> RatMatrix:
         if i is not None:
             entries[(i, j)] = 1
     return RatMatrix(len(tgt), len(src), entries)
-
-
-def der_basis(m: ModelLike, n: int, scope: str = ABSOLUTE) -> ComplexSlice:
-    """All pairs (w, monomial) with |w| - |monomial| = n, filtered by scope."""
-    return DerComplex(m, scope).slice(n)
-
-
-def boundary_matrix(m: ModelLike, n: int, scope: str = ABSOLUTE) -> RatMatrix:
-    """delta from the shift-n slice to the shift-(n-1) slice, in basis coordinates."""
-    return DerComplex(m, scope).boundary(n)
-
-
-def restriction_matrix(f: RelativeModel, n: int) -> RatMatrix:
-    """Chain map from the relative slice onto the absolute one: (w, m) -> (w, p_V(m))."""
-    return DerComplex(f, RELATIVE).map_to(DerComplex(f, ABSOLUTE), n)
-
-
-def augmentation_matrix(m: ModelLike, n: int) -> RatMatrix:
-    """Evaluation of absolute derivations on generators: (w, 1) -> w*."""
-    return DerComplex(m, ABSOLUTE).evaluation(n)
-
-
-def inclusion_matrix(f: RelativeModel, n: int) -> RatMatrix:
-    """The ideal-valued slice included into the relative slice (a 0/1 map)."""
-    return DerComplex(f, IDEAL).map_to(DerComplex(f, RELATIVE), n)
 
 
 def dual_frame(model: SullivanModel, n: int) -> tuple[str, ...]:

@@ -55,6 +55,10 @@ class NotAComplex(RhtError):
     """d_out . d_in != 0 was passed where a chain complex was required."""
 
 
+class DuplicateId(RhtError, ValueError):
+    """Two catalog entries share one id."""
+
+
 class FiberMismatch(RhtError):
     """Catalog entries do not share the same fiber model."""
 

@@ -24,7 +24,7 @@ from .derivations import (
 )
 from .errors import BaseNotDegreeTwo, NotAComplex
 from .linalg import Echelon, HomologySlice, RatMatrix, Subspace, _dense
-from .model import RelativeModel, SullivanModel, cohomology, formal_dimension_estimate
+from .model import Cochains, RelativeModel, SullivanModel, formal_dimension_estimate
 from .poset import poset_of_subspaces
 
 ModelLike = Union[SullivanModel, RelativeModel]
@@ -61,10 +61,6 @@ class DerHomology:
                 values[g.index] = values.get(g.index, AlgElement.zero(self.slice.value_gens)) + term
             out.append(Derivation(self.slice.value_gens, self.slice.degree, values))
         return out
-
-
-def _homology_at(m: ModelLike, n: int, scope: str) -> HomologySlice:
-    return DerComplex(m, scope).homology(n)
 
 
 def der_homology(m: ModelLike, n: int, scope: str = ABSOLUTE) -> DerHomology:
@@ -318,18 +314,23 @@ class ToralCertificate:
 
 def finiteness_window(
     model: ModelLike, window: int = 6
-) -> tuple[bool, Optional[int], dict[int, tuple[int, list[AlgElement]]]]:
-    """Bounded finiteness test: does H vanish on (fd, fd + window]?"""
+) -> tuple[bool, Optional[int], Cochains]:
+    """Bounded finiteness test: does H vanish on (fd, fd + window]?
+
+    Returns (verdict, fd, the Cochains it read).  It reads H only in the
+    window, up to its first nonzero degree; callers read more from it.
+    """
     # the range must hold at least one degree, or every model passes vacuously
     if window < 1:
         raise ValueError(f"the finiteness window must be at least 1, got {window}")
     total = model.total if isinstance(model, RelativeModel) else model
+    cx = Cochains(total)
     fd = formal_dimension_estimate(total.gens)
     if fd is None:
-        return False, None, {}
-    coh = cohomology(total, fd + window)
-    finite = all(coh[n][0] == 0 for n in range(fd + 1, fd + window + 1))
-    return finite, fd, coh
+        return False, None, cx
+    total.check_bound(fd + window)
+    finite = all(cx.homology(n)[0] == 0 for n in range(fd + 1, fd + window + 1))
+    return finite, fd, cx
 
 
 def toral_certificate(f: RelativeModel, window: int = 6) -> ToralCertificate:
@@ -345,7 +346,7 @@ def toral_certificate(f: RelativeModel, window: int = 6) -> ToralCertificate:
                 f"base generator {g.name} has degree {g.degree}, expected 2"
             )
     r = len(f.base.gens)
-    finite, fd, coh = finiteness_window(f, window)
+    finite, fd, cx = finiteness_window(f, window)
     if fd is None:
         return ToralCertificate(r, -1, "inconclusive")
     top = fd + window
@@ -353,8 +354,8 @@ def toral_certificate(f: RelativeModel, window: int = 6) -> ToralCertificate:
         return ToralCertificate(r, top, "certified")
     # nonvanishing persists: refute (at this bound) when the top classes are
     # base-polynomial multiples, the signature of surviving t-powers
-    top_nonzero = max(n for n in range(0, top + 1) if coh[n][0])
-    for rep in coh[top_nonzero][1]:
+    top_nonzero = max(n for n in range(fd + 1, top + 1) if cx.homology(n)[0])
+    for rep in cx.homology(top_nonzero)[1]:
         for mono in rep.terms:
             if mono.exponents and all(f.is_base_index(i) for i, _ in mono.exponents):
                 return ToralCertificate(r, top, "refuted-at-bound", top_nonzero)
@@ -374,11 +375,11 @@ class ClassificationReport:
 
 def classify(model: SullivanModel, window: int = 6) -> ClassificationReport:
     """Homotopy Euler characteristic, purity and the bounded finiteness test."""
-    elliptic, fd, coh = finiteness_window(model, window)
+    elliptic, fd, cx = finiteness_window(model, window)
     n_even = sum(1 for g in model.gens if not g.is_odd)
     chi_pi = n_even - (len(model.gens) - n_even)
     pure = model.is_pure
-    dims = {n: d for n, (d, _) in coh.items()}
+    dims = {} if fd is None else {n: cx.homology(n)[0] for n in range(fd + window + 1)}
     f0 = pure and chi_pi == 0 and elliptic
     return ClassificationReport(chi_pi, fd, pure, elliptic, f0, dims, window)
 

@@ -127,21 +127,6 @@ class SullivanModel:
                 f"degree {n} exceeds the model's validity bound {self.bound}"
             )
 
-    def basis(self, n: int) -> list[Monomial]:
-        return basis_in_degree(self.gens, n)
-
-    def diff_matrix(self, n: int) -> RatMatrix:
-        """Matrix of d from the degree-n basis to the degree-(n+1) basis."""
-        src = self.basis(n)
-        tgt = self.basis(n + 1)
-        tgt_index = {m: i for i, m in enumerate(tgt)}
-        entries = {}
-        for j, mono in enumerate(src):
-            dm = self.d(AlgElement.monomial(self.gens, mono))
-            for m, c in dm.terms.items():
-                entries[(tgt_index[m], j)] = c
-        return RatMatrix(len(tgt), len(src), entries)
-
     # --- serialization ------------------------------------------------
 
     def serialize(self) -> str:
@@ -322,25 +307,57 @@ def _reexpress(el: AlgElement, target: GenSet) -> AlgElement:
 # cohomology and formal dimension
 
 
+class Cochains:
+    """The cochain complex (Lambda V, d) of one model, for one call.
+
+    Each degree's basis, differential and cohomology is built at most once,
+    on first use, and lives only as long as this object.
+    """
+
+    def __init__(self, m: SullivanModel):
+        self.model = m
+        self._bases: dict[int, list[Monomial]] = {-1: []}  # d(-1) is the zero map into H^0
+        self._d: dict[int, RatMatrix] = {}
+        self._h: dict[int, tuple[int, list[AlgElement]]] = {}
+
+    def basis(self, n: int) -> list[Monomial]:
+        if n not in self._bases:
+            self._bases[n] = basis_in_degree(self.model.gens, n)
+        return self._bases[n]
+
+    def d(self, n: int) -> RatMatrix:
+        """Matrix of d from the degree-n basis to the degree-(n+1) basis."""
+        if n not in self._d:
+            m, src = self.model, self.basis(n)
+            tgt_index = {mono: i for i, mono in enumerate(self.basis(n + 1))}
+            entries = {}
+            for j, mono in enumerate(src):
+                for t, c in m.d(AlgElement.monomial(m.gens, mono)).terms.items():
+                    entries[(tgt_index[t], j)] = c
+            self._d[n] = RatMatrix(len(tgt_index), len(src), entries)
+        return self._d[n]
+
+    def homology(self, n: int) -> tuple[int, list[AlgElement]]:
+        """H^n: its dimension and a representative of each basis class."""
+        if n not in self._h:
+            h = HomologySlice(self.d(n - 1), self.d(n))
+            basis = self.basis(n)
+            reps = [
+                AlgElement(self.model.gens, {basis[i]: v for i, v in enumerate(vec) if v})
+                for vec in h.representatives
+            ]
+            self._h[n] = (h.dim, reps)
+        return self._h[n]
+
+
 def cohomology(
     model: Union[SullivanModel, RelativeModel], max_degree: int
 ) -> dict[int, tuple[int, list[AlgElement]]]:
     """H^n of the (total) algebra for n = 0..max_degree, with representatives."""
     m = model.total if isinstance(model, RelativeModel) else model
     m.check_bound(max_degree)
-    out: dict[int, tuple[int, list[AlgElement]]] = {}
-    mats = {n: m.diff_matrix(n) for n in range(0, max_degree + 1)}
-    for n in range(0, max_degree + 1):
-        d_out = mats[n]
-        d_in = mats.get(n - 1, RatMatrix.zero(d_out.cols, 0))
-        h = HomologySlice(d_in, d_out)
-        basis = m.basis(n)
-        reps = [
-            AlgElement(m.gens, {basis[i]: v for i, v in enumerate(vec) if v})
-            for vec in h.representatives
-        ]
-        out[n] = (h.dim, reps)
-    return out
+    cx = Cochains(m)
+    return {n: cx.homology(n) for n in range(max_degree + 1)}
 
 
 def formal_dimension_estimate(gens: GenSet) -> Optional[int]:

@@ -31,9 +31,8 @@ from rht import (
     trivial_fibration,
 )
 from rht.catalog import Catalog
-from rht.derivations import augmentation_matrix, boundary_matrix, der_basis, restriction_matrix
+from rht.derivations import DerComplex
 from rht.errors import DegreeMismatch
-from rht.invariants import _homology_at
 
 from conftest import random_fibration, random_space
 
@@ -83,10 +82,11 @@ def test_01_absolute_derivation_homology_table(su5):
     with timed(1.0):
         dims = {n: der_homology(su5, n, ABSOLUTE).dim for n in range(1, 10)}
         assert dims == {1: 1, 2: 3, 3: 1, 4: 2, 5: 1, 6: 1, 7: 1, 8: 0, 9: 1}
+        cx = DerComplex(su5, ABSOLUTE)
         for n, pairs in listed.items():
-            h = _homology_at(su5, n, ABSOLUTE)
-            basis = der_basis(su5, n, ABSOLUTE)
-            delta = boundary_matrix(su5, n, ABSOLUTE)
+            h = cx.homology(n)
+            basis = cx.slice(n)
+            delta = cx.boundary(n)
             coords = []
             for gen_name, factors in pairs:
                 mono = Monomial(
@@ -314,22 +314,25 @@ def test_08_depth(wedge):
 
 def battery_space(m):
     top = top_of(m)
+    cx = DerComplex(m, ABSOLUTE)
     for n in range(1, top):
-        delta_next = boundary_matrix(m, n + 1, ABSOLUTE)
-        assert (boundary_matrix(m, n, ABSOLUTE) @ delta_next).is_zero()
-        assert (augmentation_matrix(m, n) @ delta_next).is_zero()
+        delta_next = cx.boundary(n + 1)
+        assert (cx.boundary(n) @ delta_next).is_zero()
+        assert (cx.evaluation(n) @ delta_next).is_zero()
 def battery_fibration(f):
     top = top_of(f)
     for scope in (ABSOLUTE, RELATIVE, IDEAL):
+        cx = DerComplex(f, scope)
         for n in range(1, top):
-            prod = boundary_matrix(f, n, scope) @ boundary_matrix(f, n + 1, scope)
+            prod = cx.boundary(n) @ cx.boundary(n + 1)
             assert prod.is_zero()
+    relative, absolute = DerComplex(f, RELATIVE), DerComplex(f, ABSOLUTE)
     for n in range(1, top):
-        lhs = restriction_matrix(f, n) @ boundary_matrix(f, n + 1, RELATIVE)
-        rhs = boundary_matrix(f, n + 1, ABSOLUTE) @ restriction_matrix(f, n + 1)
+        lhs = relative.map_to(absolute, n) @ relative.boundary(n + 1)
+        rhs = absolute.boundary(n + 1) @ relative.map_to(absolute, n + 1)
         assert lhs == rhs
-        eval_res = augmentation_matrix(f, n) @ restriction_matrix(f, n)
-        assert (eval_res @ boundary_matrix(f, n + 1, RELATIVE)).is_zero()
+        eval_res = absolute.evaluation(n) @ relative.map_to(absolute, n)
+        assert (eval_res @ relative.boundary(n + 1)).is_zero()
     g = gottlieb(f)
     fg = fibre_gottlieb(f)
     for n, sub in connecting_images(f).items():
@@ -381,7 +384,7 @@ def test_09_property_suite(su5, su5_bundle, ex44, ex47, wedge, su4_fixtures):
 
         for _ in range(10):
             s = random_space(rng)
-            basis = der_basis(s, 2, ABSOLUTE)
+            basis = DerComplex(s, ABSOLUTE).slice(2)
             if basis.dim == 0:
                 continue
             theta = basis.derivation(rng.randrange(basis.dim))

@@ -235,6 +235,7 @@ def test_subcommand_refuses_flags_it_does_not_read(capsys, flag):
         ["cohomology", fx("su5.smf"), "--max-degree", "-1"],
         ["toral-check", fx("su4-trivial.smf"), "--window", "0"],
         ["toral-check", fx("su4-trivial.smf"), "--window", "-2"],
+        ["depth", fx("ex47.smf"), fx("ex47.smf")],
     ],
     ids=[
         "degrees-reversed",
@@ -246,6 +247,7 @@ def test_subcommand_refuses_flags_it_does_not_read(capsys, flag):
         "max-degree-negative",
         "window-zero",
         "window-negative",
+        "duplicate-catalog-id",
     ],
 )
 def test_bad_input_exits_one_without_traceback(argv, tmp_path):
@@ -255,6 +257,22 @@ def test_bad_input_exits_one_without_traceback(argv, tmp_path):
     assert code == 1
     assert "Traceback" not in err
     assert len((err or out).strip().splitlines()) == 1
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(rht.__file__).parent.parent))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "rht.cli", "les-check", fx("ex47.smf")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""
 
 
 def test_cli_imports_only_the_standard_library():

@@ -11,12 +11,8 @@ from rht import (
     AlgElement,
     Derivation,
     apply_derivation,
-    augmentation_matrix,
-    boundary_matrix,
-    der_basis,
-    restriction_matrix,
 )
-from rht.derivations import DerComplex, dual_frame, inclusion_matrix
+from rht.derivations import DerComplex, dual_frame
 from rht.linalg import RatMatrix
 from rht.errors import GeneratorSetMismatch
 
@@ -43,27 +39,29 @@ def top_of(m):
 def test_absolute_slice_dims_by_hand(su5):
     # shift 2 pairs (v, m) need |m| = |v| - 2: v2->3, v3->5, v4->7, each a
     # single monomial since all generators are odd
-    slice2 = der_basis(su5, 2, ABSOLUTE)
+    cx = DerComplex(su5, ABSOLUTE)
+    slice2 = cx.slice(2)
     assert slice2.labels() == ["(v2, v1)", "(v3, v2)", "(v4, v3)"]
     # shift 9 only (v4, 1) survives
-    assert der_basis(su5, 9, ABSOLUTE).labels() == ["(v4, 1)"]
-    assert der_basis(su5, 10, ABSOLUTE).dim == 0
+    assert cx.slice(9).labels() == ["(v4, 1)"]
+    assert cx.slice(10).dim == 0
 
 
 def test_relative_slice_contains_base_valued_pairs(su5_bundle):
-    rel = der_basis(su5_bundle, 1, RELATIVE)
+    rel = DerComplex(su5_bundle, RELATIVE).slice(1)
     labels = rel.labels()
     assert "(v2, t1)" in labels  # base-valued pair absent from the fiber slice
-    absolute = der_basis(su5_bundle, 1, ABSOLUTE)
+    absolute = DerComplex(su5_bundle, ABSOLUTE).slice(1)
     assert all(lbl in labels for lbl in absolute.labels())
 
 
 def test_scope_dims_split(su5_bundle, ex44):
     for f in (su5_bundle, ex44):
+        ideal, absolute, relative = (DerComplex(f, s) for s in (IDEAL, ABSOLUTE, RELATIVE))
         for n in range(0, top_of(f) + 1):
-            dim_i = der_basis(f, n, IDEAL).dim
-            dim_a = der_basis(f, n, ABSOLUTE).dim
-            dim_r = der_basis(f, n, RELATIVE).dim
+            dim_i = ideal.slice(n).dim
+            dim_a = absolute.slice(n).dim
+            dim_r = relative.slice(n).dim
             assert dim_i + dim_a == dim_r
 
 
@@ -71,7 +69,7 @@ def test_der_basis_negative_shift_rejected():
     m = load("wedge.smf")[0]
     # values of degree top - 0 = 7 are fine, but asking at shift -1 is not
     with pytest.raises(ValueError):
-        der_basis(m, -1)
+        DerComplex(m).slice(-1)
 
 
 # ----------------------------------------------------------------------
@@ -88,9 +86,10 @@ def test_derivation_homogeneity_enforced(su5):
 def test_apply_derivation_matches_oracle(su5):
     rng = random.Random(11)
     gens = su5.gens
+    cx = DerComplex(su5, ABSOLUTE)
     for _ in range(20):
         n = rng.randint(1, 6)
-        basis = der_basis(su5, n, ABSOLUTE)
+        basis = cx.slice(n)
         if basis.dim == 0:
             continue
         theta = basis.derivation(rng.randrange(basis.dim))
@@ -112,7 +111,7 @@ def test_apply_derivation_matches_oracle(su5):
 
 
 def test_apply_derivation_wrong_gens(su5, ex44):
-    basis = der_basis(su5, 3, ABSOLUTE)
+    basis = DerComplex(su5, ABSOLUTE).slice(3)
     theta = basis.derivation(0)
     with pytest.raises(GeneratorSetMismatch):
         apply_derivation(theta, AlgElement.unit(ex44.fiber.gens))
@@ -126,9 +125,10 @@ def check_boundary_against_definition(m, n, scope):
     """delta(theta)(g) must equal D(theta g) - (-1)^n theta(D g) for all g."""
     from rht import RelativeModel
 
-    src = der_basis(m, n, scope)
-    tgt = der_basis(m, n - 1, scope)
-    matrix = boundary_matrix(m, n, scope)
+    cx = DerComplex(m, scope)
+    src = cx.slice(n)
+    tgt = cx.slice(n - 1)
+    matrix = cx.boundary(n)
     model = m.total if (isinstance(m, RelativeModel) and scope != ABSOLUTE) else (
         m.fiber if isinstance(m, RelativeModel) else m
     )
@@ -172,22 +172,25 @@ def test_boundary_squares_to_zero_on_fixtures(su5, su5_bundle, ex44, ex47, wedge
     models = [su5, su5_bundle, ex44] + list(ex47.values()) + list(wedge.values())
     for m in models:
         for scope in scopes_of(m):
+            cx = DerComplex(m, scope)
             for n in range(1, top_of(m)):
-                prod = boundary_matrix(m, n, scope) @ boundary_matrix(m, n + 1, scope)
+                prod = cx.boundary(n) @ cx.boundary(n + 1)
                 assert prod.is_zero(), (m, scope, n)
 
 
 def test_restriction_is_chain_map(su5_bundle, ex44, ex47):
     for f in [su5_bundle, ex44] + list(ex47.values()):
+        relative, absolute = DerComplex(f, RELATIVE), DerComplex(f, ABSOLUTE)
         for n in range(1, top_of(f)):
-            lhs = restriction_matrix(f, n) @ boundary_matrix(f, n + 1, RELATIVE)
-            rhs = boundary_matrix(f, n + 1, ABSOLUTE) @ restriction_matrix(f, n + 1)
+            lhs = relative.map_to(absolute, n) @ relative.boundary(n + 1)
+            rhs = absolute.boundary(n + 1) @ relative.map_to(absolute, n + 1)
             assert lhs == rhs, (f.name, n)
 
 
 def test_inclusion_followed_by_restriction_is_zero(su5_bundle):
+    ideal, relative, absolute = (DerComplex(su5_bundle, s) for s in (IDEAL, RELATIVE, ABSOLUTE))
     for n in range(0, top_of(su5_bundle) + 1):
-        prod = restriction_matrix(su5_bundle, n) @ inclusion_matrix(su5_bundle, n)
+        prod = relative.map_to(absolute, n) @ ideal.map_to(relative, n)
         assert prod.is_zero()
 
 
@@ -205,7 +208,7 @@ def test_restriction_splits_the_section(su5_bundle, ex44, ex47, wedge):
         for n in range(0, top_of(f) + 1):
             section = absolute.map_to(relative, n)
             dim = absolute.slice(n).dim
-            assert restriction_matrix(f, n) @ section == RatMatrix.identity(dim), (f.name, n)
+            assert relative.map_to(absolute, n) @ section == RatMatrix.identity(dim), (f.name, n)
             rel_labels = relative.slice(n).labels()
             lifted = {c: rel_labels[r] for (r, c), v in section.entries.items() if v == 1}
             assert lifted == dict(enumerate(absolute.slice(n).labels())), (f.name, n)
@@ -214,9 +217,10 @@ def test_restriction_splits_the_section(su5_bundle, ex44, ex47, wedge):
 def test_inclusion_image_is_the_base_pairs(su5_bundle, ex44, ex47, wedge):
     for f in fixture_and_random_fibrations(su5_bundle, ex44, ex47, wedge):
         base = {g.name for g in f.base.gens}
+        ideal, relative = DerComplex(f, IDEAL), DerComplex(f, RELATIVE)
         for n in range(0, top_of(f) + 1):
-            inc = inclusion_matrix(f, n)
-            rel = der_basis(f, n, RELATIVE)
+            inc = ideal.map_to(relative, n)
+            rel = relative.slice(n)
             with_base = [
                 i
                 for i, (_, m) in enumerate(rel.pairs)
@@ -228,8 +232,9 @@ def test_inclusion_image_is_the_base_pairs(su5_bundle, ex44, ex47, wedge):
 
 
 def test_augmentation_picks_unit_pairs(su5):
-    aug = augmentation_matrix(su5, 7)
-    basis = der_basis(su5, 7, ABSOLUTE)
+    cx = DerComplex(su5, ABSOLUTE)
+    aug = cx.evaluation(7)
+    basis = cx.slice(7)
     assert dual_frame(su5, 7) == ("v3*",)
     assert aug.rows == 1 and aug.cols == basis.dim
     unit_cols = [j for j, (w, m) in enumerate(basis.pairs) if m.is_unit]
@@ -237,12 +242,14 @@ def test_augmentation_picks_unit_pairs(su5):
 
 
 def test_augmentation_kills_boundaries(su5, su5_bundle):
+    cx = DerComplex(su5, ABSOLUTE)
     for n in range(1, top_of(su5)):
-        prod = augmentation_matrix(su5, n) @ boundary_matrix(su5, n + 1, ABSOLUTE)
+        prod = cx.evaluation(n) @ cx.boundary(n + 1)
         assert prod.is_zero()
+    relative, absolute = DerComplex(su5_bundle, RELATIVE), DerComplex(su5_bundle, ABSOLUTE)
     for n in range(1, top_of(su5_bundle)):
-        eval_res = augmentation_matrix(su5_bundle, n) @ restriction_matrix(su5_bundle, n)
-        prod = eval_res @ boundary_matrix(su5_bundle, n + 1, RELATIVE)
+        eval_res = absolute.evaluation(n) @ relative.map_to(absolute, n)
+        prod = eval_res @ relative.boundary(n + 1)
         assert prod.is_zero()
 
 
@@ -250,11 +257,13 @@ def test_random_models_boundary_squares_to_zero():
     rng = random.Random(23)
     for _ in range(10):
         s = random_space(rng)
+        cx = DerComplex(s)
         for n in range(1, top_of(s)):
-            prod = boundary_matrix(s, n) @ boundary_matrix(s, n + 1)
+            prod = cx.boundary(n) @ cx.boundary(n + 1)
             assert prod.is_zero()
         f = random_fibration(rng)
         for scope in (ABSOLUTE, RELATIVE, IDEAL):
+            cx = DerComplex(f, scope)
             for n in range(1, top_of(f)):
-                prod = boundary_matrix(f, n, scope) @ boundary_matrix(f, n + 1, scope)
+                prod = cx.boundary(n) @ cx.boundary(n + 1)
                 assert prod.is_zero()

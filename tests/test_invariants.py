@@ -1,6 +1,7 @@
 """Gottlieb-type invariants on the worked fixtures."""
 
 import os
+import random
 import subprocess
 from collections import Counter
 import sys
@@ -9,14 +10,18 @@ from pathlib import Path
 import pytest
 
 import rht
+import rht.model
 
 from rht import (
     ABSOLUTE,
     RELATIVE,
     GenSet,
     Monomial,
+    RelativeModel,
     SullivanModel,
     Subspace,
+    classify,
+    cohomology,
     connecting_image,
     connecting_images,
     depth_of_subspaces,
@@ -25,15 +30,33 @@ from rht import (
     finiteness_window,
     gottlieb,
     les_check,
+    parse_document,
     toral_certificate,
     trivial_fibration,
 )
 from rht.catalog import Catalog
-from rht.derivations import ComplexSlice, boundary_matrix, der_basis
-from rht.errors import BaseNotDegreeTwo, FiberMismatch, NotFiniteAtBound
-from rht.invariants import _homology_at, top_shift
+from rht.derivations import ComplexSlice, DerComplex
+from rht.errors import BaseNotDegreeTwo, BoundExceeded, FiberMismatch, NotFiniteAtBound
+from rht.invariants import top_shift
+from rht.model import formal_dimension_estimate
 
-from conftest import load
+from conftest import FIXTURES, load, random_fibration, random_space
+
+CP3 = Path(__file__).parent.parent / "perfbench" / "cp3.smf"
+
+
+def fixture_models():
+    """Every model of every well-formed fixture file, and cp3.smf."""
+    paths = [p for p in sorted(FIXTURES.glob("*.smf")) if p.name != "bad-degree.smf"]
+    return [m for p in paths + [CP3] for m in parse_document(p.read_text())]
+
+
+def total_of(m):
+    return m.total if isinstance(m, RelativeModel) else m
+
+
+def degree_two_base(m):
+    return isinstance(m, RelativeModel) and all(g.degree == 2 for g in m.base.gens)
 
 
 # ----------------------------------------------------------------------
@@ -57,7 +80,7 @@ SU5_ABSOLUTE_REPS = {
 
 def pair_vector(m, n, scope, gen_name, mono_factors):
     """Coordinate vector of the derivation (gen, monomial) in the slice basis."""
-    basis = der_basis(m, n, scope)
+    basis = DerComplex(m, scope).slice(n)
     gens = basis.value_gens
     mono = Monomial(tuple((gens.get(g).index, e) for g, e in mono_factors))
     idx = basis.index()[(gens.get(gen_name).index, mono)]
@@ -71,9 +94,10 @@ def test_absolute_der_homology_dims(su5):
 
 def test_absolute_der_homology_representatives(su5):
     # the listed (generator, monomial) pairs are cycles and span each H_n
+    cx = DerComplex(su5, ABSOLUTE)
     for n, listed in SU5_ABSOLUTE_REPS.items():
-        h = _homology_at(su5, n, ABSOLUTE)
-        delta = boundary_matrix(su5, n, ABSOLUTE)
+        h = cx.homology(n)
+        delta = cx.boundary(n)
         coords = []
         for gen_name, mono_factors in listed:
             vec = pair_vector(su5, n, ABSOLUTE, gen_name, mono_factors)
@@ -93,11 +117,12 @@ def test_relative_der_homology_dims(su5_bundle):
 
 def test_relative_surviving_classes(su5_bundle):
     # (v4, v3) survives at shift 2 and (v_i, 1) at each generator degree
-    h2 = _homology_at(su5_bundle, 2, RELATIVE)
+    cx = DerComplex(su5_bundle, RELATIVE)
+    h2 = cx.homology(2)
     vec = pair_vector(su5_bundle, 2, RELATIVE, "v4", [("v3", 1)])
     assert any(h2.coords(vec))
     for n, gen_name in ((3, "v1"), (5, "v2"), (7, "v3"), (9, "v4")):
-        h = _homology_at(su5_bundle, n, RELATIVE)
+        h = cx.homology(n)
         assert h.dim == 1
         assert any(h.coords(pair_vector(su5_bundle, n, RELATIVE, gen_name, [])))
 
@@ -264,6 +289,102 @@ def test_finiteness_window(su4_fixtures):
     assert finite and fd == 3 + 5 + 7 - 1
     finite, _, _ = finiteness_window(su4_fixtures["su4-trivial"], 6)
     assert not finite
+
+
+def test_window_verdicts_match_full_cohomology():
+    # the window reads only (fd, fd + window]; recompute every verdict from
+    # the full cohomology in degrees 0..fd + window
+    rng = random.Random(41)
+    models = fixture_models()
+    models += [random_fibration(rng) for _ in range(12)] + [random_space(rng) for _ in range(6)]
+    for m in models:
+        total = total_of(m)
+        fd = formal_dimension_estimate(total.gens)
+        if fd is None:
+            assert finiteness_window(m, 6)[:2] == (False, None), m.name
+            assert classify(total, 6).cohomology_dims == {}, m.name
+            continue
+        windows = [w for w in (1, 3, 6) if total.bound is None or fd + w <= total.bound]
+        for window in {1, 3, 6} - set(windows):
+            with pytest.raises(BoundExceeded):
+                finiteness_window(m, window)
+        if not windows:
+            continue
+        coh = cohomology(total, fd + max(windows))
+        dims = {n: dim for n, (dim, _) in coh.items()}
+        assert classify(total, max(windows)).cohomology_dims == dims, m.name
+        for window in windows:
+            dims = {n: coh[n][0] for n in range(fd + window + 1)}
+            want = not any(dims[n] for n in range(fd + 1, fd + window + 1))
+            assert finiteness_window(m, window)[:2] == (want, fd), (m.name, window)
+            if degree_two_base(m):
+                top = None if want else max(n for n, dim in dims.items() if dim)
+                assert toral_certificate(m, window).top_nonzero == top, (m.name, window)
+
+
+def test_finiteness_window_reads_only_its_window(monkeypatch):
+    bases, slices, diffs = [], [], []
+    real_basis, real_slice, real_d = (
+        rht.model.basis_in_degree, rht.model.HomologySlice, rht.model.Cochains.d
+    )
+
+    def counting_basis(gens, n):
+        bases.append(n)
+        return real_basis(gens, n)
+
+    def counting_slice(d_in, d_out):
+        slices.append(d_out)
+        return real_slice(d_in, d_out)
+
+    def counting_d(self, n):
+        diffs.append((n, real_d(self, n)))
+        return diffs[-1][1]
+
+    monkeypatch.setattr(rht.model, "basis_in_degree", counting_basis)
+    monkeypatch.setattr(rht.model, "HomologySlice", counting_slice)
+    monkeypatch.setattr(rht.model.Cochains, "d", counting_d)
+    models = [m for m in fixture_models() if degree_two_base(m)]
+    assert len(models) >= 5
+    for m in models:
+        for window in (1, 6):
+            for seen in (bases, slices, diffs):
+                seen.clear()
+            finite, fd, _ = finiteness_window(m, window)
+            # the slice at degree n is built from d(n - 1) and d(n)
+            degrees = [next(n for n, d in diffs if d is d_out) for d_out in slices]
+            assert min(bases) >= fd, (m.name, window, sorted(set(bases)))
+            assert degrees and min(degrees) > fd and max(degrees) <= fd + window
+            assert not finite or degrees == list(range(fd + 1, fd + window + 1))
+
+
+def test_each_degree_basis_is_built_once_per_call(monkeypatch):
+    built = []
+    real_basis = rht.model.basis_in_degree
+
+    def counting_basis(gens, n):
+        built.append((gens, n))
+        return real_basis(gens, n)
+
+    monkeypatch.setattr(rht.model, "basis_in_degree", counting_basis)
+    for m in fixture_models():
+        total = total_of(m)
+        calls = {
+            "cohomology": lambda: cohomology(m, total.bound or 12),
+            "classify": lambda: classify(total),
+            "gottlieb": lambda: gottlieb(m),
+        }
+        if isinstance(m, RelativeModel):
+            calls["fibre_gottlieb"] = lambda: fibre_gottlieb(m)
+        if degree_two_base(m):
+            calls["toral_certificate"] = lambda: toral_certificate(m)
+        for name, call in calls.items():
+            built.clear()
+            try:
+                call()
+            except BoundExceeded:
+                pass  # wedge.smf: its window passes its bound
+            repeats = {n: k for (_, n), k in Counter(built).items() if k > 1}
+            assert not repeats, (m.name, name, repeats)
 
 
 def test_invariant_checks_survive_optimize_flag():
