@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
+    CombinatorialBlowup,
     DuplicateGenerator,
     GeneratorSetMismatch,
     NotSimplyConnected,
@@ -100,9 +101,6 @@ class Monomial:
             if i == index:
                 return e
         return 0
-
-    def factors(self) -> list[tuple[int, int]]:
-        return list(self.exponents)
 
     def word(self) -> list[int]:
         """The monomial as a flat word of generator indices."""
@@ -262,9 +260,8 @@ class AlgElement:
         self._check(other)
         out: dict[Monomial, Fraction] = {}
         for ma, ca in self.terms.items():
-            fa = ma.factors()
             for mb, cb in other.terms.items():
-                norm = normalize_word(self.gens, fa + mb.factors())
+                norm = normalize_word(self.gens, ma.exponents + mb.exponents)
                 if norm is None:
                     continue
                 sign, mono = norm
@@ -306,30 +303,101 @@ def augment(a: AlgElement) -> Fraction:
     return a.coefficient(UNIT)
 
 
+# Largest degree basis any computation may build; above it the count alone
+# is reported.  The largest basis of any fixture or benchmark has 331.
+MAX_BASIS = 50_000
+
+
 def basis_in_degree(gens: GenSet, n: int) -> list[Monomial]:
-    """All normal-form monomials of total degree n, in graded-lex order."""
+    """All normal-form monomials of total degree n, in graded-lex order.
+
+    Exponents are walked from high to low, which is that order.  A count of
+    the monomials each suffix of generators reaches in each degree sizes the
+    basis first and then prunes every dead branch.
+    """
     if n < 0:
         raise ValueError("degree must be nonnegative")
+    counts = [[1] + [0] * n]  # counts[k - i][r]: monomials of degree r in gens[i:]
+    for g in reversed(gens.gens):
+        prev, row = counts[-1], counts[-1][:]
+        src = prev if g.is_odd else row
+        for r in range(g.degree, n + 1):
+            row[r] += src[r - g.degree]
+        counts.append(row)
+    counts.reverse()
+    if counts[0][n] > MAX_BASIS:
+        raise CombinatorialBlowup(
+            f"degree {n} has {counts[0][n]} monomials, more than {MAX_BASIS}"
+        )
     out: list[Monomial] = []
 
     def rec(i: int, remaining: int, acc: list[tuple[int, int]]):
         if remaining == 0:
             out.append(Monomial(tuple(acc)))
             return
-        if i >= len(gens):
-            return
-        g = gens[i]
-        max_e = 1 if g.is_odd else remaining // g.degree
-        rec(i + 1, remaining, acc)
-        for e in range(1, max_e + 1):
-            if e * g.degree <= remaining:
+        g, reach = gens[i], counts[i + 1]
+        top = remaining // g.degree
+        for e in range(min(top, 1) if g.is_odd else top, 0, -1):
+            if reach[remaining - e * g.degree]:
                 acc.append((i, e))
                 rec(i + 1, remaining - e * g.degree, acc)
                 acc.pop()
+        if reach[remaining]:
+            rec(i + 1, remaining, acc)
 
     rec(0, n, [])
-    out.sort(key=lambda m: m.sort_key(gens))
     return out
+
+
+def monomial_images(gens: GenSet, values: Mapping[int, AlgElement]) -> dict:
+    """Nonzero generator images for apply_to_monomial: index -> ((exponents, coeff), ...)."""
+    return {
+        i: tuple((m.exponents, c) for m, c in v.terms.items())
+        for i, v in values.items()
+        if v.terms
+    }
+
+
+def apply_to_monomial(
+    gens: GenSet, images: Mapping, parity: int, mono: Monomial
+) -> dict[Monomial, Fraction]:
+    """The graded-Leibniz operator with these generator images, on one monomial.
+
+    For each factor g^e with an image, one g is removed and the exponents of
+    each image term are added to the rest.  The Koszul sign is
+    (-1)^(parity * |factors before g|) times (-1) for every odd generator of
+    the rest lying strictly between g and an odd generator of the term; the
+    term is zero when one of its odd generators is already in the rest.
+    """
+    out: dict[Monomial, Fraction] = {}
+    exps = mono.exponents
+    odd_prefix = 0
+    for g, e in exps:
+        image = images.get(g)
+        if image:
+            rest = dict(exps)
+            if e > 1:
+                rest[g] = e - 1
+            else:
+                del rest[g]
+            odd_rest = [i for i in rest if gens.gens[i].degree % 2]
+            scale = -e if parity % 2 and odd_prefix else e
+            for term, c in image:
+                new, sign = dict(rest), scale
+                for x, ex in term:
+                    if gens.gens[x].degree % 2:
+                        if x in rest:
+                            break
+                        lo, hi = (x, g) if x < g else (g, x)
+                        for i in odd_rest:
+                            if lo < i < hi:
+                                sign = -sign
+                    new[x] = new.get(x, 0) + ex
+                else:
+                    key = Monomial(tuple(sorted(new.items())))
+                    out[key] = out.get(key, 0) + sign * c
+        odd_prefix ^= e * gens.gens[g].degree % 2
+    return {m: c for m, c in out.items() if c}
 
 
 def leibniz_apply(
@@ -348,24 +416,9 @@ def leibniz_apply(
     """
     if element.gens != gens:
         raise GeneratorSetMismatch("element over a different generator set")
-    result = AlgElement.zero(gens)
-    odd_op = parity % 2 == 1
+    images = monomial_images(gens, values)
+    out: dict[Monomial, Fraction] = {}
     for mono, coeff in element.terms.items():
-        factors = mono.factors()
-        prefix_deg = 0
-        for pos, (i, e) in enumerate(factors):
-            val = values.get(i)
-            g = gens[i]
-            if val is not None and not val.is_zero():
-                # sign from passing the preceding factors
-                sign = -1 if (odd_op and prefix_deg % 2 == 1) else 1
-                # within the group g^e every slot gives the same term: g is
-                # either even (no sign) or odd with e == 1
-                before = factors[:pos] + ([(i, e - 1)] if e > 1 else [])
-                after = factors[pos + 1 :]
-                term = AlgElement.monomial(gens, Monomial(tuple(before)), sign * e * coeff)
-                term = term * val
-                term = term * AlgElement.monomial(gens, Monomial(tuple(after)))
-                result = result + term
-            prefix_deg += e * g.degree
-    return result
+        for m, c in apply_to_monomial(gens, images, parity, mono).items():
+            out[m] = out.get(m, 0) + coeff * c
+    return AlgElement(gens, out)

@@ -17,9 +17,9 @@ when a shift-n derivation passes a factor x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .algebra import AlgElement, GenSet, Generator, Monomial, leibniz_apply
+from .algebra import AlgElement, GenSet, Generator, Monomial, apply_to_monomial, leibniz_apply
 from .errors import GeneratorSetMismatch
 from .linalg import HomologySlice, RatMatrix
 from .model import Cochains, RelativeModel, SullivanModel
@@ -91,10 +91,11 @@ class DerComplex:
     Each slice and each boundary is built at most once, on first use, and
     lives only as long as this object: a caller that needs several of them
     builds one DerComplex and drops it when it is done.  The monomials of
-    the slices come from one Cochains of the value model.
+    the slices come from one Cochains of the value model; two scopes over
+    the same total model can share one by passing it as ``cochains``.
     """
 
-    def __init__(self, m: ModelLike, scope: str = ABSOLUTE):
+    def __init__(self, m: ModelLike, scope: str = ABSOLUTE, cochains: Optional[Cochains] = None):
         fiber = m.fiber if isinstance(m, RelativeModel) else m
         if scope == ABSOLUTE:
             self.model, self._keep = fiber, None
@@ -108,7 +109,11 @@ class DerComplex:
         self.source = m
         self.scope = scope
         self.domain = fiber.gens
-        self._cochains = Cochains(self.model)
+        if cochains is None:
+            cochains = Cochains(self.model)
+        elif cochains.model is not self.model:
+            raise ValueError("cochains of a different model")
+        self.cochains = cochains
         self._slices: dict[int, ComplexSlice] = {}
         self._boundaries: dict[int, RatMatrix] = {}
 
@@ -126,7 +131,7 @@ class DerComplex:
             if deg < 0:
                 continue
             self.model.check_bound(deg)
-            for mono in self._cochains.basis(deg):
+            for mono in self.cochains.basis(deg):
                 if self._keep is None or self._keep(mono):
                     pairs.append((w, mono))
         self._slices[n] = ComplexSlice(n, self.scope, tuple(pairs), gens, self.domain)
@@ -143,18 +148,18 @@ class DerComplex:
         model, gens = self.model, self.model.gens
         tgt_index = tgt.index()
         sign = -1 if n % 2 == 0 else 1  # -(-1)^n
-        gen_diffs = [(gens.get(g.name), model.diff_of(g.name)) for g in self.domain]
+        gen_diffs = [(gens.get(g.name).index, model.diff_of(g.name).terms) for g in self.domain]
         entries = {}
         for j, (w, mono) in enumerate(src.pairs):
-            theta = src.derivation(j)
-            for gv, dg in gen_diffs:
-                val = AlgElement.zero(gens)
-                if gv.index == w.index:
-                    val = val + model.d(AlgElement.monomial(gens, mono))
-                if not dg.is_zero():
-                    val = val + sign * theta(dg)
-                for mm, c in val.terms.items():
-                    entries[(tgt_index[(gv.index, mm)], j)] = c
+            theta = {w.index: ((mono.exponents, 1),)}
+            for gi, dg in gen_diffs:
+                val = apply_to_monomial(gens, model.images, 1, mono) if gi == w.index else {}
+                for term, c in dg.items():
+                    for mm, v in apply_to_monomial(gens, theta, n, term).items():
+                        val[mm] = val.get(mm, 0) + sign * c * v
+                for mm, c in val.items():
+                    if c:
+                        entries[(tgt_index[(gi, mm)], j)] = c
         self._boundaries[n] = RatMatrix(tgt.dim, src.dim, entries)
         return self._boundaries[n]
 

@@ -241,7 +241,8 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     lo, hi = degrees[0], degrees[-1]
     if lo < 1:
         raise ValueError("les_check needs degrees >= 1")
-    ideal, rel, ab = (DerComplex(f, scope) for scope in (IDEAL, RELATIVE, ABSOLUTE))
+    rel, ab = DerComplex(f, RELATIVE), DerComplex(f, ABSOLUTE)
+    ideal = DerComplex(f, IDEAL, rel.cochains)  # both scopes read f.total
     report = LesReport()
     H = {}  # (scope, n) -> HomologySlice
     for n in range(max(1, lo - 1), hi + 2):

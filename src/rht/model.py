@@ -30,8 +30,10 @@ from .algebra import (
     AlgElement,
     GenSet,
     Monomial,
+    apply_to_monomial,
     basis_in_degree,
     leibniz_apply,
+    monomial_images,
 )
 from .errors import (
     BaseDiffViolated,
@@ -66,6 +68,7 @@ class SullivanModel:
         self._diff_by_index = {
             gens.get(n).index: v for n, v in self.diff.items()
         }
+        self.images = monomial_images(gens, self._diff_by_index)
         if validate:
             self.validate()
 
@@ -332,7 +335,7 @@ class Cochains:
             tgt_index = {mono: i for i, mono in enumerate(self.basis(n + 1))}
             entries = {}
             for j, mono in enumerate(src):
-                for t, c in m.d(AlgElement.monomial(m.gens, mono)).terms.items():
+                for t, c in apply_to_monomial(m.gens, m.images, 1, mono).items():
                     entries[(tgt_index[t], j)] = c
             self._d[n] = RatMatrix(len(tgt_index), len(src), entries)
         return self._d[n]
@@ -357,6 +360,8 @@ def cohomology(
     m = model.total if isinstance(model, RelativeModel) else model
     m.check_bound(max_degree)
     cx = Cochains(m)
+    for n in range(max_degree + 2):
+        cx.basis(n)  # an oversized basis is refused before any elimination
     return {n: cx.homology(n) for n in range(max_degree + 1)}
 
 
@@ -436,11 +441,9 @@ def parse_expression(
             if k2 != "num" or int(v2) < 1:
                 fail("expected a positive integer exponent", c2)
             exp = int(v2)
-        el = AlgElement.gen(gens, g.name)
-        out = AlgElement.unit(gens)
-        for _ in range(exp):
-            out = out * el
-        return out
+        if g.is_odd and exp > 1:
+            return AlgElement.zero(gens)
+        return AlgElement.monomial(gens, Monomial(((g.index, exp),)))
 
     def parse_term() -> AlgElement:
         sign = 1

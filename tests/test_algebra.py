@@ -17,8 +17,21 @@ from rht import (
     basis_in_degree,
     normalize_product,
 )
-from rht.algebra import MIXED, UNIT, leibniz_apply, normalize_word
-from rht.errors import DuplicateGenerator, NotSimplyConnected, UnknownGenerator
+from rht.algebra import (
+    MAX_BASIS,
+    MIXED,
+    UNIT,
+    apply_to_monomial,
+    leibniz_apply,
+    monomial_images,
+    normalize_word,
+)
+from rht.errors import (
+    CombinatorialBlowup,
+    DuplicateGenerator,
+    NotSimplyConnected,
+    UnknownGenerator,
+)
 
 from conftest import as_dict, bubble_sign, oracle_mul, oracle_operator, word_to_monomial
 
@@ -175,10 +188,17 @@ def brute_force_basis(gens, n):
 
 @pytest.mark.parametrize("n", range(0, 16))
 def test_basis_in_degree_matches_brute_force(n):
-    got = basis_in_degree(GENS, n)
-    assert sorted(got, key=lambda m: m.sort_key(GENS)) == got
-    assert set(got) == set(brute_force_basis(GENS, n))
-    assert len(got) == len(set(got))
+    # the order matters: it fixes every printed label
+    want = sorted(brute_force_basis(GENS, n), key=lambda m: m.sort_key(GENS))
+    assert basis_in_degree(GENS, n) == want
+
+
+def test_oversized_basis_is_refused_before_it_is_built():
+    # six degree-2 generators have C(35, 5) = 324,632 monomials in degree 60
+    six = GenSet([(f"x{i}", 2) for i in range(6)])
+    assert len(basis_in_degree(six, 38)) == 42_504 <= MAX_BASIS
+    with pytest.raises(CombinatorialBlowup, match="324632 monomials"):
+        basis_in_degree(six, 60)
 
 
 def test_basis_degree_zero_is_unit():
@@ -202,6 +222,26 @@ def test_leibniz_matches_dense_oracle(x, parity, data):
     got = leibniz_apply(GENS, values, parity, x)
     oracle = oracle_operator(GENS, {i: as_dict(v) for i, v in values.items()}, parity, x)
     assert as_dict(got) == oracle
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_kernel_matches_dense_oracle_on_every_monomial(parity):
+    # every monomial up to degree 14, under random images of random
+    # generators (odd and even, repeated and not)
+    rng = random.Random(parity)
+    monomials = [m for n in range(15) for m in basis_in_degree(GENS, n)]
+    for _ in range(12):
+        values = {}
+        for g in GENS:
+            if rng.random() < 0.6:
+                terms = {rng.choice(monomials): rng.randint(-2, 2) for _ in range(3)}
+                values[g.index] = AlgElement(GENS, terms)
+        images = monomial_images(GENS, values)
+        dense = {i: as_dict(v) for i, v in values.items()}
+        for mono in monomials:
+            got = apply_to_monomial(GENS, images, parity, mono)
+            want = oracle_operator(GENS, dense, parity, AlgElement.monomial(GENS, mono))
+            assert got == want, (mono.format(GENS), values)
 
 
 def test_leibniz_on_product_rule():

@@ -20,11 +20,15 @@ def fx(name):
     return str(FIXTURES / name)
 
 
-def subprocess_cli(*argv):
+def subprocess_cli(*argv, timeout=None):
     """Run the CLI in a fresh interpreter; returns (code, stdout, stderr)."""
     env = dict(os.environ, PYTHONPATH=str(Path(rht.__file__).parent.parent))
     done = subprocess.run(
-        [sys.executable, "-m", "rht.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "rht.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -197,6 +201,16 @@ def test_bound_overrun_exits_two(capsys):
     code, _, err = run(capsys, "cohomology", fx("wedge.smf"), "--max-degree", "20")
     assert code == 2
     assert "BoundExceeded" in err
+
+
+def test_oversized_basis_exits_two(tmp_path):
+    # degree 40 of six degree-2 generators has 53,130 monomials; the size
+    # guard stops the run before any elimination
+    six = tmp_path / "six.smf"
+    six.write_text("".join(f"gen x{i} 2\n" for i in range(6)))
+    code, _, err = subprocess_cli("cohomology", str(six), "--max-degree", "60", timeout=60)
+    assert code == 2
+    assert "CombinatorialBlowup: degree 40 has 53130 monomials" in err
 
 
 def test_finiteness_gate_failure_exits_two(capsys):

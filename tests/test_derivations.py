@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rht import (
     ABSOLUTE,
@@ -12,6 +14,7 @@ from rht import (
     Derivation,
     apply_derivation,
 )
+from rht.invariants import top_shift
 from rht.derivations import DerComplex, dual_frame
 from rht.linalg import RatMatrix
 from rht.errors import GeneratorSetMismatch
@@ -159,6 +162,42 @@ def _values_from_coords(slice_, coords):
         term = AlgElement.monomial(slice_.value_gens, mono, c)
         values[g.index] = values.get(g.index, AlgElement.zero(slice_.value_gens)) + term
     return values
+
+
+def oracle_boundary_column(cx, n, j):
+    """Column j of delta at shift n, assembled from oracle_operator alone."""
+    model, (w, mono) = cx.model, cx.slice(n).pairs[j]
+    gens = model.gens
+    d_values = {gens.get(name).index: as_dict(v) for name, v in model.diff.items()}
+    theta = {w.index: {mono: 1}}
+    column = {}
+    for g in cx.domain:
+        gv = gens.get(g.name)
+        value = {}
+        if gv.index == w.index:
+            value = oracle_operator(gens, d_values, 1, AlgElement.monomial(gens, mono))
+        for m, c in oracle_operator(gens, theta, n, model.diff_of(g.name)).items():
+            value[m] = value.get(m, 0) - (-1) ** n * c
+        for m, c in value.items():
+            if c:
+                column[cx.slice(n - 1).index()[(gv.index, m)]] = c
+    return column
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_boundary_matrices_match_oracle(seed):
+    # every column of every boundary of a random space and a random
+    # fibration, in all three scopes, against the dense word-by-word oracle
+    rng = random.Random(seed)
+    for m in (random_space(rng, 6), random_fibration(rng, 6)):
+        for scope in scopes_of(m):
+            cx = DerComplex(m, scope)
+            for n in range(1, top_shift(m) + 1):
+                matrix = cx.boundary(n)
+                for j in range(matrix.cols):
+                    got = {r: v for (r, c), v in matrix.entries.items() if c == j}
+                    assert got == oracle_boundary_column(cx, n, j), (m.name, scope, n, j)
 
 
 def test_boundary_matches_definition(su5, su5_bundle, ex44):

@@ -375,6 +375,7 @@ def test_each_degree_basis_is_built_once_per_call(monkeypatch):
         }
         if isinstance(m, RelativeModel):
             calls["fibre_gottlieb"] = lambda: fibre_gottlieb(m)
+            calls["les_check"] = lambda: les_check(m, range(1, top_shift(m) + 1))
         if degree_two_base(m):
             calls["toral_certificate"] = lambda: toral_certificate(m)
         for name, call in calls.items():

@@ -1,12 +1,18 @@
 """Model construction, parsing, serialization, cohomology, classification."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rht import (
     AlgElement,
+    Cochains,
     GenSet,
+    Monomial,
     RelativeModel,
     SullivanModel,
     classify,
@@ -26,7 +32,7 @@ from rht.errors import (
 )
 from rht.model import formal_dimension_estimate, parse_expression
 
-from conftest import load
+from conftest import as_dict, load, oracle_operator, random_fibration, random_space
 
 
 # ----------------------------------------------------------------------
@@ -173,6 +179,15 @@ def test_parse_expression_terms():
     assert el == w1w2t + Fraction(-1, 3) * t5
 
 
+def test_power_is_parsed_by_exponent():
+    # g^e is one monomial, not e products, so a huge exponent parses at once
+    gens = GenSet([("t", 2), ("x", 3)])
+    start = time.perf_counter()
+    el = parse_expression("t^1000000 + x^2", gens)
+    assert time.perf_counter() - start < 1.0
+    assert el == AlgElement.monomial(gens, Monomial(((0, 1000000),)))
+
+
 def test_parse_expression_errors_carry_position():
     gens = GenSet([("x", 3)])
     with pytest.raises(ModelSyntaxError) as err:
@@ -256,6 +271,24 @@ def test_cohomology_product_matches_kunneth(su5):
         for n in range(24, d - 1, -1):
             poly[n] += poly[n - d]
     assert {n: coh[n][0] for n in range(25)} == {n: poly[n] for n in range(25)}
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_differential_matrices_match_oracle(seed):
+    # every column of d on a random space and on a random fibration's total
+    # model against the dense word-by-word oracle
+    rng = random.Random(seed)
+    for m in (random_space(rng, 6), random_fibration(rng, 6).total):
+        gens = m.gens
+        values = {gens.get(name).index: as_dict(v) for name, v in m.diff.items()}
+        cx = Cochains(m)
+        for n in range(2 * max(g.degree for g in gens)):
+            matrix, target = cx.d(n), cx.basis(n + 1)
+            for j, mono in enumerate(cx.basis(n)):
+                got = {target[r]: v for (r, c), v in matrix.entries.items() if c == j}
+                want = oracle_operator(gens, values, 1, AlgElement.monomial(gens, mono))
+                assert got == want, (m.name, n, mono.format(gens))
 
 
 def test_cohomology_representatives_are_cocycles(su4_fixtures):
