@@ -149,9 +149,10 @@ class DerComplex:
         tgt_index = tgt.index()
         sign = -1 if n % 2 == 0 else 1  # -(-1)^n
         gen_diffs = [(gens.get(g.name).index, model.diff_of(g.name).terms) for g in self.domain]
-        entries = {}
-        for j, (w, mono) in enumerate(src.pairs):
+        columns = []
+        for w, mono in src.pairs:
             theta = {w.index: ((mono.exponents, 1),)}
+            col = {}
             for gi, dg in gen_diffs:
                 val = apply_to_monomial(gens, model.images, 1, mono) if gi == w.index else {}
                 for term, c in dg.items():
@@ -159,8 +160,9 @@ class DerComplex:
                         val[mm] = val.get(mm, 0) + sign * c * v
                 for mm, c in val.items():
                     if c:
-                        entries[(tgt_index[(gi, mm)], j)] = c
-        self._boundaries[n] = RatMatrix(tgt.dim, src.dim, entries)
+                        col[tgt_index[(gi, mm)]] = c
+            columns.append(col)
+        self._boundaries[n] = RatMatrix(tgt.dim, columns)
         return self._boundaries[n]
 
     def homology(self, n: int) -> HomologySlice:
@@ -199,12 +201,8 @@ def relabel(src: Sequence, tgt: Sequence, key: Callable) -> RatMatrix:
     An element whose key is not in tgt goes to zero.
     """
     index = {t: i for i, t in enumerate(tgt)}
-    entries = {}
-    for j, s in enumerate(src):
-        i = index.get(key(s))
-        if i is not None:
-            entries[(i, j)] = 1
-    return RatMatrix(len(tgt), len(src), entries)
+    keys = (index.get(key(s)) for s in src)
+    return RatMatrix(len(tgt), ({} if i is None else {i: 1} for i in keys))
 
 
 def dual_frame(model: SullivanModel, n: int) -> tuple[str, ...]:

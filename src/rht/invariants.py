@@ -47,19 +47,17 @@ def top_shift(m: ModelLike) -> int:
 class DerHomology:
     dim: int
     slice: ComplexSlice
-    representatives: list[tuple]  # coordinate vectors in the slice basis
+    representatives: list[dict]  # sparse coordinate vectors in the slice basis
 
     def derivations(self) -> list[Derivation]:
-        out = []
+        gens, out = self.slice.value_gens, []
         for vec in self.representatives:
-            values: dict[int, AlgElement] = {}
-            for i, c in enumerate(vec):
-                if not c:
-                    continue
+            terms: dict[int, dict] = {}  # generator index -> the monomial terms of its value
+            for i, c in sorted(vec.items()):
                 g, mono = self.slice.pairs[i]
-                term = AlgElement.monomial(self.slice.value_gens, mono, c)
-                values[g.index] = values.get(g.index, AlgElement.zero(self.slice.value_gens)) + term
-            out.append(Derivation(self.slice.value_gens, self.slice.degree, values))
+                terms.setdefault(g.index, {})[mono] = c
+            values = {i: AlgElement(gens, t) for i, t in terms.items()}
+            out.append(Derivation(gens, self.slice.degree, values))
         return out
 
 
@@ -69,7 +67,7 @@ def der_homology(m: ModelLike, n: int, scope: str = ABSOLUTE) -> DerHomology:
         raise ValueError("derivation homology is computed for n >= 1")
     cx = DerComplex(m, scope)
     h = cx.homology(n)
-    return DerHomology(h.dim, cx.slice(n), list(h.representatives))
+    return DerHomology(h.dim, cx.slice(n), h.representatives)
 
 
 # ----------------------------------------------------------------------
@@ -123,8 +121,8 @@ def _image_on_cycles(
     """
     if not (eval_matrix @ d_in).is_zero():
         raise NotAComplex("evaluation does not kill boundaries")
-    cycles = Echelon(d_out.cols, d_out.sparse_lines(0)).kernel()
-    return Subspace(frame, [eval_matrix.apply(_dense(z, d_out.cols)) for z in cycles])
+    cycles = Echelon(d_out.cols, d_out.row_lines()).kernel()
+    return Subspace(frame, [_dense(eval_matrix.apply(z), eval_matrix.rows) for z in cycles])
 
 
 def gottlieb(m: ModelLike, max_degree: Optional[int] = None) -> GottliebResult:
@@ -211,21 +209,13 @@ class LesReport:
 
 
 def _induced(map_matrix: RatMatrix, h_src: HomologySlice, h_tgt: HomologySlice) -> RatMatrix:
-    cols = [h_tgt.coords(map_matrix.apply(rep)) for rep in h_src.representatives]
     return RatMatrix(
-        h_tgt.dim,
-        h_src.dim,
-        {
-            (r, c): v
-            for c, col in enumerate(cols)
-            for r, v in enumerate(col)
-            if v
-        },
+        h_tgt.dim, [h_tgt.coords(map_matrix.apply(rep)) for rep in h_src.representatives]
     )
 
 
 def _rank(m: RatMatrix) -> int:
-    return Echelon(m.cols, m.sparse_lines(0)).rank
+    return Echelon(m.rows, m.columns).rank
 
 
 def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
@@ -268,7 +258,7 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
             lifted = rel.boundary(n) @ ab.map_to(rel, n)
             # the restriction kills exactly the ideal pairs
             left = res[n - 1] @ lifted
-            if any(any(left.apply(rep)) for rep in H[(ABSOLUTE, n)].representatives):
+            if any(left.apply(rep) for rep in H[(ABSOLUTE, n)].representatives):
                 raise NotAComplex("boundary of a lifted cycle left the ideal")
             to_ideal = rel.map_to(ideal, n - 1)
             conn[n] = _induced(to_ideal @ lifted, H[(ABSOLUTE, n)], H[(IDEAL, n - 1)])
@@ -330,7 +320,7 @@ def finiteness_window(
     if fd is None:
         return False, None, cx
     total.check_bound(fd + window)
-    finite = all(cx.homology(n)[0] == 0 for n in range(fd + 1, fd + window + 1))
+    finite = all(cx.homology(n).dim == 0 for n in range(fd + 1, fd + window + 1))
     return finite, fd, cx
 
 
@@ -355,9 +345,10 @@ def toral_certificate(f: RelativeModel, window: int = 6) -> ToralCertificate:
         return ToralCertificate(r, top, "certified")
     # nonvanishing persists: refute (at this bound) when the top classes are
     # base-polynomial multiples, the signature of surviving t-powers
-    top_nonzero = max(n for n in range(fd + 1, top + 1) if cx.homology(n)[0])
-    for rep in cx.homology(top_nonzero)[1]:
-        for mono in rep.terms:
+    top_nonzero = max(n for n in range(fd + 1, top + 1) if cx.homology(n).dim)
+    basis = cx.basis(top_nonzero)
+    for rep in cx.homology(top_nonzero).representatives:
+        for mono in (basis[j] for j in rep):
             if mono.exponents and all(f.is_base_index(i) for i, _ in mono.exponents):
                 return ToralCertificate(r, top, "refuted-at-bound", top_nonzero)
     return ToralCertificate(r, top, "inconclusive", top_nonzero)
@@ -380,7 +371,7 @@ def classify(model: SullivanModel, window: int = 6) -> ClassificationReport:
     n_even = sum(1 for g in model.gens if not g.is_odd)
     chi_pi = n_even - (len(model.gens) - n_even)
     pure = model.is_pure
-    dims = {} if fd is None else {n: cx.homology(n)[0] for n in range(fd + window + 1)}
+    dims = {} if fd is None else {n: cx.homology(n).dim for n in range(fd + window + 1)}
     f0 = pure and chi_pi == 0 and elliptic
     return ClassificationReport(chi_pi, fd, pure, elliptic, f0, dims, window)
 

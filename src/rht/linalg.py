@@ -9,7 +9,7 @@ canonical and equality of subspaces is plain equality of the stored rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import AmbientMismatch, NotAComplex
 
@@ -18,10 +18,6 @@ Sparse = dict[int, Fraction]  # column -> nonzero entry
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _sparse(values: Iterable) -> Sparse:
-    return {i: Fraction(v) for i, v in enumerate(values) if v}
 
 
 def _dense(v: Sparse, n: int) -> Vector:
@@ -39,94 +35,61 @@ def _subtract(v: Sparse, f: Fraction, row: Sparse) -> None:
 
 
 class RatMatrix:
-    """A rows x cols matrix of exact rationals, stored sparsely."""
+    """A rows x cols matrix of exact rationals, stored as sparse columns."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "columns")
 
-    def __init__(self, rows: int, cols: int, entries: Optional[dict] = None):
+    def __init__(self, rows: int, columns: Iterable[Mapping[int, object]]):
         self.rows = rows
-        self.cols = cols
-        self.entries: dict[tuple[int, int], Fraction] = {}
-        if entries:
-            for (r, c), v in entries.items():
-                v = Fraction(v)
-                if v:
-                    if not (0 <= r < rows and 0 <= c < cols):
-                        raise IndexError("entry outside matrix dimensions")
-                    self.entries[(r, c)] = v
+        self.columns: list[Sparse] = []
+        for column in columns:
+            col = {r: Fraction(v) for r, v in column.items() if v}
+            if col and not (0 <= min(col) and max(col) < rows):
+                raise IndexError("entry outside matrix dimensions")
+            self.columns.append(col)
+        self.cols = len(self.columns)
 
     @staticmethod
     def from_rows(data: Sequence[Sequence]) -> "RatMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        ent = {}
-        for r, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                v = Fraction(v)
-                if v:
-                    ent[(r, c)] = v
-        return RatMatrix(rows, cols, ent)
+        cols = len(data[0]) if data else 0
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
+        return RatMatrix(len(data), ({r: row[c] for r, row in enumerate(data)} for c in range(cols)))
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix(rows, cols)
-
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    def get(self, r: int, c: int) -> Fraction:
-        return self.entries.get((r, c), Fraction(0))
-
-    def sparse_lines(self, axis: int) -> list[Sparse]:
-        """The rows (axis 0) or the columns (axis 1) as sparse vectors."""
-        out: list[Sparse] = [{} for _ in range(self.cols if axis else self.rows)]
-        for key, v in self.entries.items():
-            out[key[axis]][key[1 - axis]] = v
+    def row_lines(self) -> list[Sparse]:
+        """The rows as sparse vectors."""
+        out: list[Sparse] = [{} for _ in range(self.rows)]
+        for c, col in enumerate(self.columns):
+            for r, v in col.items():
+                out[r][c] = v
         return out
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.columns)
+
+    def apply(self, v: Mapping[int, Fraction]) -> Sparse:
+        """The product with a sparse column vector, as a sparse vector."""
+        out: Sparse = {}
+        for c, x in v.items():
+            if not 0 <= c < self.cols:
+                raise ValueError("vector index outside the matrix columns")
+            for r, a in self.columns[c].items():
+                out[r] = out.get(r, _ZERO) + a * x
+        return {r: y for r, y in out.items() if y}
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, k), v in self.entries.items():
-            by_row.setdefault(r, []).append((k, v))
-        by_k: dict[int, list[tuple[int, Fraction]]] = {}
-        for (k, c), v in other.entries.items():
-            by_k.setdefault(k, []).append((c, v))
-        out: dict[tuple[int, int], Fraction] = {}
-        for r, terms in by_row.items():
-            for k, v in terms:
-                for c, w in by_k.get(k, ()):
-                    key = (r, c)
-                    out[key] = out.get(key, Fraction(0)) + v * w
-        return RatMatrix(self.rows, other.cols, out)
-
-    def apply(self, v: Sequence) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [Fraction(0)] * self.rows
-        for (r, c), a in self.entries.items():
-            if v[c]:
-                out[r] += a * Fraction(v[c])
-        return tuple(out)
+        return RatMatrix(self.rows, map(self.apply, other.columns))
 
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return self.rows == other.rows and self.columns == other.columns
 
     def __repr__(self):
-        return f"RatMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
+        nnz = sum(map(len, self.columns))
+        return f"RatMatrix({self.rows}x{self.cols}, {nnz} entries)"
 
 
 class Echelon:
@@ -164,8 +127,9 @@ class Echelon:
         if not r:
             return False
         p = min(r)
-        if r[p] != 1:
-            inv = 1 / r[p]
+        # int input is scaled too, so every stored entry is an exact Fraction
+        if r[p] != 1 or not all(type(x) is Fraction for x in r.values()):
+            inv = _ONE / r[p]
             r = {c: x * inv for c, x in r.items()}
         for row in self.rows.values():
             f = row.get(p)
@@ -212,7 +176,7 @@ class Subspace:
     def _in_frame(self, v: Sequence) -> Sparse:
         if len(v) != len(self.ambient):
             raise AmbientMismatch("vector length does not match ambient frame")
-        return _sparse(v)
+        return {i: Fraction(x) for i, x in enumerate(v) if x}
 
     def reduce(self, v: Sequence) -> Vector:
         """Reduce a vector modulo this subspace (eliminate its pivots)."""
@@ -249,31 +213,46 @@ class Subspace:
 class HomologySlice:
     """Homology at one spot of a chain complex, with quotient coordinates.
 
-    Built from d_in: C_{n+1} -> C_n and d_out: C_n -> C_{n-1}.  The
-    representatives are the reduced echelon basis of the cycles reduced
-    modulo the boundaries; their classes form a basis of ker(d_out)/im(d_in).
+    Built from d_in: C_{n+1} -> C_n and d_out: C_n -> C_{n-1}.  Its
+    dimension is dim C_n - rk d_out - rk d_in.  The representatives are built
+    on first use: the reduced echelon basis of the cycles reduced modulo the
+    boundaries, as sparse vectors in pivot order.  Their classes form a basis
+    of ker(d_out)/im(d_in).
     """
 
-    __slots__ = ("dim", "representatives", "_boundaries", "_reps")
+    __slots__ = ("dim", "_boundaries", "_rows_out", "_reps")
 
     def __init__(self, d_in: RatMatrix, d_out: RatMatrix):
         if d_in.rows != d_out.cols:
             raise ValueError("chain degree mismatch between d_in and d_out")
+        # the rank formula below needs im(d_in) inside ker(d_out)
         if not (d_out @ d_in).is_zero():
             raise NotAComplex("d_out . d_in != 0")
         n = d_in.rows
-        self._boundaries = Echelon(n, d_in.sparse_lines(1))
-        cycles = Echelon(n, d_out.sparse_lines(0)).kernel()
-        self._reps = Echelon(n, (self._boundaries.reduce(z) for z in cycles))
-        self.representatives: tuple[Vector, ...] = self._reps.dense_rows()
-        self.dim = self._reps.rank
+        self._boundaries = Echelon(n, d_in.columns)
+        self._rows_out = Echelon(n, d_out.row_lines())
+        self.dim = n - self._rows_out.rank - self._boundaries.rank
+        self._reps: Optional[Echelon] = None
 
-    def coords(self, cycle: Sequence) -> Vector:
-        """Class of a cycle in the chosen representative basis."""
-        if len(cycle) != self._boundaries.n:
-            raise ValueError("vector length does not match the chain degree")
-        r = self._boundaries.reduce(_sparse(cycle))
-        if self._reps.reduce(r):
+    def _representatives(self) -> Echelon:
+        if self._reps is None:
+            cycles = self._rows_out.kernel()
+            self._reps = Echelon(self._boundaries.n, map(self._boundaries.reduce, cycles))
+        return self._reps
+
+    @property
+    def representatives(self) -> list[Sparse]:
+        """A representative cycle of each basis class, in pivot order."""
+        rows = self._representatives().rows
+        return [rows[p] for p in sorted(rows)]
+
+    def coords(self, cycle: Mapping[int, Fraction]) -> Sparse:
+        """Class of a cycle in the representative basis, keyed by index."""
+        if any(not 0 <= c < self._boundaries.n for c in cycle):
+            raise ValueError("vector index outside the chain degree")
+        reps = self._representatives()
+        r = self._boundaries.reduce(cycle)
+        if reps.reduce(r):
             raise ValueError("vector is not a cycle modulo boundaries of this slice")
         # the representatives are 1 at their own pivot and 0 at the others
-        return tuple(r.get(p, _ZERO) for p in sorted(self._reps.rows))
+        return {i: r[p] for i, p in enumerate(sorted(reps.rows)) if p in r}

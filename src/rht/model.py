@@ -321,7 +321,7 @@ class Cochains:
         self.model = m
         self._bases: dict[int, list[Monomial]] = {-1: []}  # d(-1) is the zero map into H^0
         self._d: dict[int, RatMatrix] = {}
-        self._h: dict[int, tuple[int, list[AlgElement]]] = {}
+        self._h: dict[int, HomologySlice] = {}
 
     def basis(self, n: int) -> list[Monomial]:
         if n not in self._bases:
@@ -333,23 +333,17 @@ class Cochains:
         if n not in self._d:
             m, src = self.model, self.basis(n)
             tgt_index = {mono: i for i, mono in enumerate(self.basis(n + 1))}
-            entries = {}
-            for j, mono in enumerate(src):
-                for t, c in apply_to_monomial(m.gens, m.images, 1, mono).items():
-                    entries[(tgt_index[t], j)] = c
-            self._d[n] = RatMatrix(len(tgt_index), len(src), entries)
+            columns = [
+                {tgt_index[t]: c for t, c in apply_to_monomial(m.gens, m.images, 1, mono).items()}
+                for mono in src
+            ]
+            self._d[n] = RatMatrix(len(tgt_index), columns)
         return self._d[n]
 
-    def homology(self, n: int) -> tuple[int, list[AlgElement]]:
-        """H^n: its dimension and a representative of each basis class."""
+    def homology(self, n: int) -> HomologySlice:
+        """H^n, in coordinates of the degree-n basis."""
         if n not in self._h:
-            h = HomologySlice(self.d(n - 1), self.d(n))
-            basis = self.basis(n)
-            reps = [
-                AlgElement(self.model.gens, {basis[i]: v for i, v in enumerate(vec) if v})
-                for vec in h.representatives
-            ]
-            self._h[n] = (h.dim, reps)
+            self._h[n] = HomologySlice(self.d(n - 1), self.d(n))
         return self._h[n]
 
 
@@ -362,7 +356,12 @@ def cohomology(
     cx = Cochains(m)
     for n in range(max_degree + 2):
         cx.basis(n)  # an oversized basis is refused before any elimination
-    return {n: cx.homology(n) for n in range(max_degree + 1)}
+    out = {}
+    for n in range(max_degree + 1):
+        h, basis = cx.homology(n), cx.basis(n)
+        reps = [AlgElement(m.gens, {basis[i]: c for i, c in rep.items()}) for rep in h.representatives]
+        out[n] = (h.dim, reps)
+    return out
 
 
 def formal_dimension_estimate(gens: GenSet) -> Optional[int]:

@@ -93,9 +93,9 @@ def test_01_absolute_derivation_homology_table(su5):
                     tuple((su5.gens.get(g).index, e) for g, e in factors)
                 )
                 idx = basis.index()[(su5.gens.get(gen_name).index, mono)]
-                vec = [1 if i == idx else 0 for i in range(basis.dim)]
-                assert all(v == 0 for v in delta.apply(vec))
-                coords.append(h.coords(vec))
+                vec = {idx: 1}
+                assert delta.apply(vec) == {}
+                coords.append([h.coords(vec).get(i, 0) for i in range(h.dim)])
             span = Subspace([f"h{i}" for i in range(h.dim)], coords)
             assert span.dim == h.dim == len(pairs)
 

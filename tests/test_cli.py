@@ -98,6 +98,35 @@ def test_homotopy_and_cohomology(capsys):
     assert code == 0 and "n=5  dim 1  v2" in out
 
 
+EX44_DER_HOMOLOGY = """\
+model two-sphere-twist
+  n=1  dim 3  (w1, v1) + (w4, -v2*w2), (w2, v1) + (w4, v2*w1), (w4, w1*w2)
+  n=2  dim 0
+  n=3  dim 0
+  n=4  dim 2  (w4, w1), (w4, w2)
+  n=5  dim 1  (w4, v1)
+  n=6  dim 0
+  n=7  dim 1  (w4, 1)
+"""
+
+EX47_MULTI_TERM_CLASSES = [
+    "  n=13  dim 6  t^5*w1, t^4*u*w1, t^3*u^2*w1, t^2*u^3*w1, t*w3 - u^2*w2, u^5*w1",
+    "  n=15  dim 6  t^6*w1, t^5*u*w1, t^4*u^2*w1, t^3*u^3*w1, t^2*w3 - t*u^2*w2, t*u*w3 - u^3*w2",
+    "  n=16  dim 5  t^8, t^7*u, t^6*u^2, t^5*u^3, t*w1*w3 - u^2*w1*w2",
+]
+
+
+def test_printed_representatives_are_pinned(capsys):
+    # the goldens keep only dimensions; these pin the representatives
+    # themselves, signed sums included
+    code, out, err = run(capsys, "der-homology", fx("ex44.smf"))
+    assert (code, out, err) == (0, EX44_DER_HOMOLOGY, "")
+    code, out, _ = run(capsys, "cohomology", fx("ex47.smf"), "--max-degree", "16")
+    assert code == 0
+    multi = [line for line in out.splitlines() if " - " in line or " + " in line]
+    assert multi == EX47_MULTI_TERM_CLASSES
+
+
 def test_max_degree_zero_is_honoured(capsys):
     # 0 is a degree, not "unset": both tables stop below degree 1
     for cmd in ("homotopy", "gottlieb"):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import rht
+import rht.linalg
 import rht.model
 
 from rht import (
@@ -79,12 +80,11 @@ SU5_ABSOLUTE_REPS = {
 
 
 def pair_vector(m, n, scope, gen_name, mono_factors):
-    """Coordinate vector of the derivation (gen, monomial) in the slice basis."""
+    """Sparse coordinate vector of the derivation (gen, monomial) in the slice basis."""
     basis = DerComplex(m, scope).slice(n)
     gens = basis.value_gens
     mono = Monomial(tuple((gens.get(g).index, e) for g, e in mono_factors))
-    idx = basis.index()[(gens.get(gen_name).index, mono)]
-    return [1 if i == idx else 0 for i in range(basis.dim)]
+    return {basis.index()[(gens.get(gen_name).index, mono)]: 1}
 
 
 def test_absolute_der_homology_dims(su5):
@@ -101,8 +101,8 @@ def test_absolute_der_homology_representatives(su5):
         coords = []
         for gen_name, mono_factors in listed:
             vec = pair_vector(su5, n, ABSOLUTE, gen_name, mono_factors)
-            assert all(v == 0 for v in delta.apply(vec)), (n, gen_name)
-            coords.append(h.coords(vec))
+            assert delta.apply(vec) == {}, (n, gen_name)
+            coords.append([h.coords(vec).get(i, 0) for i in range(h.dim)])
         span = Subspace([f"h{i}" for i in range(h.dim)], coords)
         assert span.dim == h.dim == len(listed)
 
@@ -120,11 +120,11 @@ def test_relative_surviving_classes(su5_bundle):
     cx = DerComplex(su5_bundle, RELATIVE)
     h2 = cx.homology(2)
     vec = pair_vector(su5_bundle, 2, RELATIVE, "v4", [("v3", 1)])
-    assert any(h2.coords(vec))
+    assert h2.coords(vec) != {}
     for n, gen_name in ((3, "v1"), (5, "v2"), (7, "v3"), (9, "v4")):
         h = cx.homology(n)
         assert h.dim == 1
-        assert any(h.coords(pair_vector(su5_bundle, n, RELATIVE, gen_name, [])))
+        assert h.coords(pair_vector(su5_bundle, n, RELATIVE, gen_name, [])) != {}
 
 
 # ----------------------------------------------------------------------
@@ -291,11 +291,22 @@ def test_finiteness_window(su4_fixtures):
     assert not finite
 
 
+def scaling_family(k):
+    """ex47's fibre over t1..tk in degree 2, twisted by D w4 = w1*w2*t1^3 + t1^9."""
+    base = "".join(f"gen t{i} 2\n" for i in range(1, k + 1))
+    text = (
+        f"[fibration scale-{k}]\n[base]\n{base}[fiber]\n"
+        "gen u 2\ngen w1 3\ngen w2 9\ngen w3 11\ngen w4 17\nd w3 = u^6\n"
+        "[total]\nD w3 = u^6\nD w4 = w1*w2*t1^3 + t1^9\n"
+    )
+    return parse_document(text)[0]
+
+
 def test_window_verdicts_match_full_cohomology():
     # the window reads only (fd, fd + window]; recompute every verdict from
     # the full cohomology in degrees 0..fd + window
     rng = random.Random(41)
-    models = fixture_models()
+    models = fixture_models() + [scaling_family(1), scaling_family(2)]
     models += [random_fibration(rng) for _ in range(12)] + [random_space(rng) for _ in range(6)]
     for m in models:
         total = total_of(m)
@@ -319,14 +330,27 @@ def test_window_verdicts_match_full_cohomology():
             assert finiteness_window(m, window)[:2] == (want, fd), (m.name, window)
             if degree_two_base(m):
                 top = None if want else max(n for n, dim in dims.items() if dim)
-                assert toral_certificate(m, window).top_nonzero == top, (m.name, window)
+                cert = toral_certificate(m, window)
+                assert cert.top_nonzero == top, (m.name, window)
+                if top is not None:
+                    # refuted exactly when a top class has a base-only monomial
+                    base_only = any(
+                        mono.exponents and all(m.is_base_index(i) for i, _ in mono.exponents)
+                        for rep in coh[top][1]
+                        for mono in rep.terms
+                    )
+                    verdict = "refuted-at-bound" if base_only else "inconclusive"
+                    assert cert.verdict == verdict, (m.name, window)
 
 
 def test_finiteness_window_reads_only_its_window(monkeypatch):
-    bases, slices, diffs = [], [], []
+    bases, slices, diffs, kernels, read, built = [], [], [], [], [], []
     real_basis, real_slice, real_d = (
         rht.model.basis_in_degree, rht.model.HomologySlice, rht.model.Cochains.d
     )
+    real_kernel = rht.linalg.Echelon.kernel
+    real_reps = rht.linalg.HomologySlice.representatives
+    real_homology = rht.model.Cochains.homology
 
     def counting_basis(gens, n):
         bases.append(n)
@@ -340,9 +364,32 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
         diffs.append((n, real_d(self, n)))
         return diffs[-1][1]
 
+    def counting_kernel(self):
+        kernels.append(self)
+        return real_kernel(self)
+
+    def reading_reps(h):
+        read.append(h)
+        return real_reps.fget(h)
+
+    def recording_homology(self, n):
+        built.append((n, real_homology(self, n)))
+        return built[-1][1]
+
     monkeypatch.setattr(rht.model, "basis_in_degree", counting_basis)
     monkeypatch.setattr(rht.model, "HomologySlice", counting_slice)
     monkeypatch.setattr(rht.model.Cochains, "d", counting_d)
+    monkeypatch.setattr(rht.linalg.Echelon, "kernel", counting_kernel)
+    monkeypatch.setattr(rht.linalg.HomologySlice, "representatives", property(reading_reps))
+    monkeypatch.setattr(rht.model.Cochains, "homology", recording_homology)
+    # the verdicts need only dimensions: no kernel, no representative
+    for m in fixture_models():
+        try:
+            finiteness_window(m, 6)
+            classify(total_of(m), 6)
+        except BoundExceeded:
+            pass  # wedge.smf: its window passes its bound
+        assert not kernels and not read, m.name
     models = [m for m in fixture_models() if degree_two_base(m)]
     assert len(models) >= 5
     for m in models:
@@ -355,6 +402,12 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
             assert min(bases) >= fd, (m.name, window, sorted(set(bases)))
             assert degrees and min(degrees) > fd and max(degrees) <= fd + window
             assert not finite or degrees == list(range(fd + 1, fd + window + 1))
+            # the certificate reads representatives in its top nonzero degree only
+            read.clear()
+            built.clear()
+            top = toral_certificate(m, window).top_nonzero
+            degrees = {n for n, h in built if any(h is r for r in read)}
+            assert degrees == (set() if top is None else {top}), (m.name, window)
 
 
 def test_each_degree_basis_is_built_once_per_call(monkeypatch):
@@ -395,9 +448,9 @@ def test_invariant_checks_survive_optimize_flag():
         "from rht.errors import NotAComplex\n"
         "from rht.invariants import _image_on_cycles\n"
         "from rht.linalg import RatMatrix\n"
-        "one = RatMatrix.identity(1)\n"
+        "one = RatMatrix.from_rows([[1]])\n"
         "try:\n"
-        "    _image_on_cycles(one, RatMatrix.zero(0, 1), one, ('x*',))\n"
+        "    _image_on_cycles(one, RatMatrix(0, [{}]), one, ('x*',))\n"
         "except NotAComplex:\n"
         "    print('NotAComplex')\n"
     )

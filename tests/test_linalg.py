@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rht import Echelon, HomologySlice, RatMatrix, Subspace
@@ -35,7 +35,12 @@ def sparse(row):
 
 
 def row_echelon(m):
-    return Echelon(m.cols, m.sparse_lines(0))
+    return Echelon(m.cols, m.row_lines())
+
+
+def apply_dense(m, x):
+    """M x for a dense vector x, as a dense vector."""
+    return dense(m.apply(sparse(x)), m.rows)
 
 
 # ----------------------------------------------------------------------
@@ -44,12 +49,20 @@ def row_echelon(m):
 
 def test_matrix_basics():
     m = RatMatrix.from_rows([[1, 2], [3, 4]])
-    assert m.get(1, 0) == 3
-    assert m.sparse_lines(1)[0] == {0: 1, 1: 3}
-    assert m.apply([1, 1]) == (Fraction(3), Fraction(7))
-    assert (m @ RatMatrix.identity(2)) == m
-    assert RatMatrix.zero(2, 2).is_zero()
-    assert RatMatrix.zero(2, 3).sparse_lines(0) == [{}, {}]
+    assert m.columns[0] == {0: 1, 1: 3}
+    assert m.apply({0: 1, 1: 1}) == {0: Fraction(3), 1: Fraction(7)}
+    assert (m @ RatMatrix.from_rows([[1, 0], [0, 1]])) == m
+    assert RatMatrix(2, [{}, {}]).is_zero()
+    assert RatMatrix(2, [{}, {}, {}]).row_lines() == [{}, {}]
+    # entries are exact and nonzero, and must lie inside the matrix
+    assert RatMatrix(2, [{0: 1, 1: 0}]).columns == [{0: Fraction(1)}]
+    assert all(type(x) is Fraction for x in RatMatrix(1, [{0: 1}]).columns[0].values())
+    with pytest.raises(IndexError):
+        RatMatrix(2, [{2: 1}])
+    with pytest.raises(ValueError):
+        m.apply({2: 1})
+    with pytest.raises(ValueError):
+        RatMatrix.from_rows([[1, 2], [3]])
 
 
 def test_matmul_against_dense():
@@ -75,14 +88,14 @@ def test_rank_nullity(m):
     rank = row_echelon(m).rank
     assert len(row_echelon(m).kernel()) == m.cols - rank
     # the column space has the same rank
-    assert Echelon(m.rows, m.sparse_lines(1)).rank == rank
+    assert Echelon(m.rows, m.columns).rank == rank
 
 
 @given(matrices())
 @settings(max_examples=100)
 def test_kernel_vectors_annihilated(m):
     for v in row_echelon(m).kernel():
-        assert all(x == 0 for x in m.apply(dense(v, m.cols)))
+        assert all(x == 0 for x in apply_dense(m, dense(v, m.cols)))
 
 
 @given(matrices(), st.data())
@@ -92,16 +105,30 @@ def test_solve_consistency(m, data):
     x = data.draw(
         st.lists(entries, min_size=m.cols, max_size=m.cols)
     )
-    b = sparse(m.apply(x))
-    columns = Echelon(m.rows, m.sparse_lines(1))
+    b = sparse(apply_dense(m, x))
+    columns = Echelon(m.rows, m.columns)
     assert columns.reduce(b) == {}
     assert not columns.add(b)
 
 
 def test_solve_inconsistent():
     m = RatMatrix.from_rows([[1, 0], [1, 0]])
-    columns = Echelon(m.rows, m.sparse_lines(1))
+    columns = Echelon(m.rows, m.columns)
     assert columns.reduce({0: 1, 1: 2}) == {1: 1}
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 4), entries.filter(bool)), max_size=5))
+@example([{0: 2, 1: 1}])  # its row once read {0: 1.0, 1: 0.5}
+@example([{0: 1, 1: 1}, {0: 1, 1: 2, 2: 3}])  # its second row reduces to {1: Fraction(1), 2: 3}
+@settings(max_examples=100)
+def test_echelon_is_exact_on_integer_input(vectors):
+    # int entries must not turn into floats: 0.5 even compares equal to
+    # Fraction(1, 2), so check the types themselves
+    e = Echelon(5, vectors)
+    exact = Echelon(5, [{c: Fraction(x) for c, x in v.items()} for v in vectors])
+    assert all(type(x) is Fraction for row in e.rows.values() for x in row.values())
+    assert all(type(x) is Fraction for v in e.kernel() for x in v.values())
+    assert e.rows == exact.rows and e.kernel() == exact.kernel()
 
 
 # ----------------------------------------------------------------------
@@ -181,9 +208,9 @@ def test_homology_rejects_non_complex():
 
 def test_homology_of_exact_and_trivial():
     # 0 -> Q -> Q -> 0 with the identity in the middle is exact
-    ident = RatMatrix.identity(1)
-    zero_out = RatMatrix.zero(0, 1)
-    zero_in = RatMatrix.zero(1, 0)
+    ident = RatMatrix.from_rows([[1]])
+    zero_out = RatMatrix(0, [{}])
+    zero_in = RatMatrix(1, [])
     assert HomologySlice(ident, zero_out).dim == 0
     assert HomologySlice(zero_in, zero_out).dim == 1
 
@@ -191,23 +218,27 @@ def test_homology_of_exact_and_trivial():
 def test_homology_coords():
     # complex Q^2 --0--> Q^2 --0--> Q^2 with one boundary direction
     d_in = RatMatrix.from_rows([[1, 0], [0, 0]])
-    d_out = RatMatrix.zero(2, 2)
+    d_out = RatMatrix(2, [{}, {}])
     h = HomologySlice(d_in, d_out)
     assert h.dim == 1
-    assert h.coords([5, 7]) == (7,)
-    assert h.coords([3, 0]) == (0,)
+    assert h.coords({0: 5, 1: 7}) == {0: 7}
+    assert h.coords({0: 3}) == {}
     with pytest.raises(ValueError):
-        HomologySlice(RatMatrix.zero(2, 0), RatMatrix.identity(2)).coords([1, 0])
+        h.coords({2: 1})  # outside the chain degree
+    with pytest.raises(ValueError):
+        HomologySlice(RatMatrix(2, []), RatMatrix.from_rows([[1, 0], [0, 1]])).coords({0: 1})
+    with pytest.raises(ValueError):
+        HomologySlice(RatMatrix(3, []), d_out)  # degree mismatch
 
 
 def test_homology_euler_characteristic():
     # for any two-step complex, dim H = dim ker - rank d_in
     d_in = RatMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
-    d_out = RatMatrix.zero(1, 2)
+    d_out = RatMatrix(1, [{}, {}])
     h = HomologySlice(d_in, d_out)
-    assert h.dim == len(row_echelon(d_out).kernel()) - row_echelon(d_in).rank
+    assert h.dim == len(row_echelon(d_out).kernel()) - Echelon(2, d_in.columns).rank
     for rep in h.representatives:
-        assert all(v == 0 for v in d_out.apply(rep))
+        assert d_out.apply(rep) == {}
 
 
 # ----------------------------------------------------------------------
@@ -274,15 +305,15 @@ def complexes(draw, max_dim=5):
         d_in_cols.append(
             [sum((c * z[i] for c, z in zip(coeffs, cycles)), Fraction(0)) for i in range(n)]
         )
-    d_out = RatMatrix(m, n, {(r, c): v for r, row in enumerate(d_out_rows) for c, v in enumerate(row)})
-    d_in = RatMatrix(n, k, {(r, c): v for c, col in enumerate(d_in_cols) for r, v in enumerate(col)})
+    d_out = RatMatrix(m, [{r: row[c] for r, row in enumerate(d_out_rows)} for c in range(n)])
+    d_in = RatMatrix(n, [sparse(col) for col in d_in_cols])
     return d_in, d_out, d_in_cols, d_out_rows
 
 
 @given(matrices(), st.randoms(use_true_random=False))
 @settings(max_examples=150)
 def test_echelon_matches_dense_oracle(m, rnd):
-    rows = m.sparse_lines(0)
+    rows = m.row_lines()
     e = Echelon(m.cols, rows)
     dense_rows = [dense(r, m.cols) for r in rows]
     oracle = oracle_rref(dense_rows, m.cols)
@@ -301,4 +332,4 @@ def test_homology_slice_matches_dense_oracle(cx):
     h = HomologySlice(d_in, d_out)
     dim, reps = oracle_homology(d_in_cols, d_out_rows, d_in.rows)
     assert h.dim == dim
-    assert h.representatives == tuple(reps)
+    assert tuple(dense(rep, d_in.rows) for rep in h.representatives) == tuple(reps)

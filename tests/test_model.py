@@ -286,7 +286,7 @@ def test_differential_matrices_match_oracle(seed):
         for n in range(2 * max(g.degree for g in gens)):
             matrix, target = cx.d(n), cx.basis(n + 1)
             for j, mono in enumerate(cx.basis(n)):
-                got = {target[r]: v for (r, c), v in matrix.entries.items() if c == j}
+                got = {target[r]: v for r, v in matrix.columns[j].items()}
                 want = oracle_operator(gens, values, 1, AlgElement.monomial(gens, mono))
                 assert got == want, (m.name, n, mono.format(gens))
 
