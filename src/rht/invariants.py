@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from .algebra import AlgElement
+from .algebra import AlgElement, GenSet, basis_in_degree
 from .derivations import (
     ABSOLUTE,
     IDEAL,
@@ -22,7 +22,7 @@ from .derivations import (
     Derivation,
     dual_frame,
 )
-from .errors import BaseNotDegreeTwo, NotAComplex
+from .errors import BaseNotDegreeTwo, CombinatorialBlowup, NotAComplex
 from .linalg import Echelon, HomologySlice, RatMatrix, Subspace, _dense
 from .model import Cochains, RelativeModel, SullivanModel, formal_dimension_estimate
 from .poset import poset_of_subspaces
@@ -250,9 +250,9 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
         )
         report.chain_level_ok = report.chain_level_ok and ok
 
-    conn: dict[int, RatMatrix] = {}
+    conn: dict[int, tuple[RatMatrix, int]] = {}  # n -> (connecting map, its rank)
 
-    def connecting(n: int) -> RatMatrix:
+    def connecting(n: int) -> tuple[RatMatrix, int]:
         """H_n(absolute) -> H_{n-1}(ideal) via lift, boundary, pull back."""
         if n not in conn:
             lifted = rel.boundary(n) @ ab.map_to(rel, n)
@@ -261,33 +261,29 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
             if any(left.apply(rep) for rep in H[(ABSOLUTE, n)].representatives):
                 raise NotAComplex("boundary of a lifted cycle left the ideal")
             to_ideal = rel.map_to(ideal, n - 1)
-            conn[n] = _induced(to_ideal @ lifted, H[(ABSOLUTE, n)], H[(IDEAL, n - 1)])
+            delta = _induced(to_ideal @ lifted, H[(ABSOLUTE, n)], H[(IDEAL, n - 1)])
+            conn[n] = delta, _rank(delta)
         return conn[n]
 
     for n in degrees:
         i_star = _induced(inc[n], H[(IDEAL, n)], H[(RELATIVE, n)])
         j_star = _induced(res[n], H[(RELATIVE, n)], H[(ABSOLUTE, n)])
+        rk_i, rk_j = _rank(i_star), _rank(j_star)
         # node H_n(relative): image(i) = kernel(j)
         dim_r = H[(RELATIVE, n)].dim
-        exact_r = (j_star @ i_star).is_zero() and _rank(i_star) + _rank(j_star) == dim_r
-        report.nodes.append(
-            LesNodeReport(f"H_{n}(relative)", dim_r, _rank(i_star), _rank(j_star), exact_r)
-        )
+        exact_r = (j_star @ i_star).is_zero() and rk_i + rk_j == dim_r
+        report.nodes.append(LesNodeReport(f"H_{n}(relative)", dim_r, rk_i, rk_j, exact_r))
         # node H_n(ideal): image(connecting from n+1) = kernel(i)
-        d_in = connecting(n + 1)
+        d_in, rk_in = connecting(n + 1)
         dim_i = H[(IDEAL, n)].dim
-        exact_i = (i_star @ d_in).is_zero() and _rank(d_in) + _rank(i_star) == dim_i
-        report.nodes.append(
-            LesNodeReport(f"H_{n}(ideal)", dim_i, _rank(d_in), _rank(i_star), exact_i)
-        )
+        exact_i = (i_star @ d_in).is_zero() and rk_in + rk_i == dim_i
+        report.nodes.append(LesNodeReport(f"H_{n}(ideal)", dim_i, rk_in, rk_i, exact_i))
         # node H_n(absolute): image(j) = kernel(connecting to n-1)
         if n >= 2:
-            d_out = connecting(n)
+            d_out, rk_out = connecting(n)
             dim_a = H[(ABSOLUTE, n)].dim
-            exact_a = (d_out @ j_star).is_zero() and _rank(j_star) + _rank(d_out) == dim_a
-            report.nodes.append(
-                LesNodeReport(f"H_{n}(absolute)", dim_a, _rank(j_star), _rank(d_out), exact_a)
-            )
+            exact_a = (d_out @ j_star).is_zero() and rk_j + rk_out == dim_a
+            report.nodes.append(LesNodeReport(f"H_{n}(absolute)", dim_a, rk_j, rk_out, exact_a))
     return report
 
 
@@ -303,13 +299,69 @@ class ToralCertificate:
     top_nonzero: Optional[int] = None
 
 
+def _pure_quotient_vanishes(m: SullivanModel, fd: int, window: int) -> bool:
+    """True when Lambda Q/(d_s P) is zero from some degree on: then H(m) is finite.
+
+    Q are the even generators, P the odd ones, and d_s p is the part of dp
+    lying in Lambda Q.  Graded by word length in P, d is d_s (which lowers it
+    by one) plus terms that raise it, so H(Lambda V, d_s) is the first page of
+    a convergent spectral sequence for H(Lambda V, d).  That page is Koszul
+    homology over Lambda Q: finitely generated and killed by the ideal
+    (d_s P), so finite when the quotient is (Halperin, Trans. AMS 230, 1977;
+    Felix-Halperin-Thomas, GTM 205, section 32).  A finite H vanishes above
+    the formal dimension, which fd bounds (a contractible pair only raises
+    it), so the window would agree.  The quotient is zero in every degree
+    >= N once it is zero in every even degree of [N, N + s), s the largest
+    even degree: peeling generators off a longer monomial lands it in that
+    run.  The run never passes fd + window.  False means undecided, also when
+    a degree is too large to build.
+    """
+    even = [g for g in m.gens if not g.is_odd]
+    if not even:
+        return True  # Lambda V is finite-dimensional
+    q = GenSet((g.name, g.degree) for g in even)
+    to_q = {g.index: i for i, g in enumerate(even)}
+    relations = []  # (degree, terms over q) of each nonzero d_s p
+    for p in (g for g in m.gens if g.is_odd):
+        pure = [
+            (tuple((to_q[i], e) for i, e in t), c)
+            for t, c in m.images.get(p.index, ())
+            if all(i in to_q for i, _ in t)
+        ]
+        if pure:
+            relations.append((p.degree + 1, pure))
+    s = max(g.degree for g in even)
+    start = min(fd + 1, fd + window - s + 1)
+    lo = max(start, 0)  # negative degrees are empty
+    try:
+        for n in range(lo + lo % 2, start + s, 2):
+            index = {mono.exponents: i for i, mono in enumerate(basis_in_degree(q, n))}
+            ideal = Echelon(len(index))
+            for r, pure in relations:
+                for mono in basis_in_degree(q, n - r) if n >= r else ():
+                    vec = {}  # mono times d_s p; distinct terms give distinct products
+                    for t, c in pure:
+                        e = dict(mono.exponents)
+                        for i, x in t:
+                            e[i] = e.get(i, 0) + x
+                        vec[index[tuple(sorted(e.items()))]] = c
+                    ideal.add(vec)
+            if ideal.rank < len(index):
+                return False
+    except CombinatorialBlowup:
+        return False
+    return True
+
+
 def finiteness_window(
     model: ModelLike, window: int = 6
 ) -> tuple[bool, Optional[int], Cochains]:
-    """Bounded finiteness test: does H vanish on (fd, fd + window]?
+    """Finiteness test: does H vanish on (fd, fd + window]?
 
-    Returns (verdict, fd, the Cochains it read).  It reads H only in the
-    window, up to its first nonzero degree; callers read more from it.
+    Returns (verdict, fd, the Cochains it read).  A True verdict is exact
+    when the associated pure quotient certifies H finite; the Cochains is
+    then unread.  Otherwise the window decides: it reads H only in the
+    window, up to its first nonzero degree, and callers read more from it.
     """
     # the range must hold at least one degree, or every model passes vacuously
     if window < 1:
@@ -320,6 +372,8 @@ def finiteness_window(
     if fd is None:
         return False, None, cx
     total.check_bound(fd + window)
+    if _pure_quotient_vanishes(total, fd, window):
+        return True, fd, cx
     finite = all(cx.homology(n).dim == 0 for n in range(fd + 1, fd + window + 1))
     return finite, fd, cx
 

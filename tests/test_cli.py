@@ -254,6 +254,23 @@ def test_finiteness_gate_failure_exits_two(capsys):
 # bad input ends in a one-line message, never a traceback
 
 
+def test_wide_window_is_certified_by_the_pure_quotient():
+    # a window of 1000 past fd = 38 would eliminate cochains in 1000 degrees;
+    # the pure quotient certifies ex47 exactly from a few low degrees
+    code, out, err = subprocess_cli("toral-check", fx("ex47.smf"), "--window", "1000", "--json",
+                                    timeout=15)
+    assert code == 0, err
+    decoder, docs, pos = json.JSONDecoder(), [], 0
+    while out[pos:].strip():  # one JSON document per fibration
+        doc, pos = decoder.raw_decode(out, out.index("{", pos))
+        docs.append(doc)
+    assert len(docs) == 3
+    assert all(d["verdict"] == "certified" and d["finite_through"] == 1038 for d in docs)
+    code, out, err = subprocess_cli("depth", fx("ex47.smf"), "--window", "1000",
+                                    "--require-finite", timeout=15)
+    assert code == 0, err
+
+
 @pytest.mark.parametrize(
     "flag",
     [["--require-finite"], ["--window", "3"], ["--coeffs", "x"]],

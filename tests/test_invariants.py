@@ -10,12 +10,14 @@ from pathlib import Path
 import pytest
 
 import rht
+import rht.invariants
 import rht.linalg
 import rht.model
 
 from rht import (
     ABSOLUTE,
     RELATIVE,
+    Cochains,
     GenSet,
     Monomial,
     RelativeModel,
@@ -38,7 +40,7 @@ from rht import (
 from rht.catalog import Catalog
 from rht.derivations import ComplexSlice, DerComplex
 from rht.errors import BaseNotDegreeTwo, BoundExceeded, FiberMismatch, NotFiniteAtBound
-from rht.invariants import top_shift
+from rht.invariants import _pure_quotient_vanishes, top_shift
 from rht.model import formal_dimension_estimate
 
 from conftest import FIXTURES, load, random_fibration, random_space
@@ -253,6 +255,24 @@ def test_each_slice_is_built_once_per_call(ex47, monkeypatch):
             assert built and not repeats, (f.name, name, repeats)
 
 
+def test_les_check_ranks_each_map_once(ex47, monkeypatch):
+    ranked = []
+    real_rank = rht.invariants._rank
+
+    def recording_rank(matrix):
+        ranked.append(matrix)
+        return real_rank(matrix)
+
+    monkeypatch.setattr(rht.invariants, "_rank", recording_rank)
+    for f in ex47.values():
+        ranked.clear()
+        report = les_check(f, range(1, top_shift(f) + 1))
+        assert report.exact and ranked, f.name
+        # the list keeps every matrix alive, so equal ids mean one object
+        repeats = {k for k in Counter(map(id, ranked)).values() if k > 1}
+        assert not repeats, f.name
+
+
 # ----------------------------------------------------------------------
 # toral certificates and finiteness
 
@@ -343,11 +363,80 @@ def test_window_verdicts_match_full_cohomology():
                     assert cert.verdict == verdict, (m.name, window)
 
 
+# models the pure quotient must leave to the window.  In the non-minimal
+# even-pair models, x4 and dx = y5 form a contractible pair: H is finite, but
+# the quotient Q[x] is not.  In odd-term, dp = x*a*c has no term in Lambda Q,
+# so d_s p = 0, every x^k survives and H is infinite.
+UNDECIDED = """
+[space even-pair]
+gen x 4
+gen y 5
+d x = y
+[space even-pair-times-s2]
+gen a 2
+gen b 3
+gen x 4
+gen y 5
+d b = a^2
+d x = y
+[space odd-term]
+gen x 2
+gen a 3
+gen c 3
+gen p 7
+d p = x*a*c
+"""
+UNDECIDED_VERDICTS = {"even-pair": True, "even-pair-times-s2": True, "odd-term": False}
+
+
+def pure_soundness_inputs():
+    rng = random.Random(9)
+    models = fixture_models() + [scaling_family(1), scaling_family(2)]
+    models += parse_document(UNDECIDED)
+    models += [random_space(rng) for _ in range(100)] + [random_fibration(rng) for _ in range(100)]
+    return models
+
+
+def test_pure_quotient_certificate_is_sound():
+    # whenever the pure quotient certifies, H vanishes well past the window,
+    # and finiteness_window says what the window alone says
+    certified = undecided = 0
+    for m in pure_soundness_inputs():
+        total = total_of(m)
+        fd = formal_dimension_estimate(total.gens)
+        if fd is None:
+            continue
+        windows = [w for w in (1, 3, 6) if total.bound is None or fd + w <= total.bound]
+        pure = [w for w in windows if _pure_quotient_vanishes(total, fd, w)]
+        if pure:
+            top = fd + max(pure) + 6
+            dims = {n: dim for n, (dim, _) in cohomology(total, top).items()}
+            for w in pure:
+                assert not any(dims[n] for n in range(fd + 1, fd + w + 7)), (m.name, w)
+        for w in windows:
+            cx = Cochains(total)
+            want = all(cx.homology(n).dim == 0 for n in range(fd + 1, fd + w + 1))
+            assert finiteness_window(m, w)[:2] == (want, fd), (m.name, w)
+        certified += len(pure)
+        undecided += len(windows) - len(pure)
+    assert certified > 100 and undecided > 100
+
+
+def test_pure_quotient_leaves_undecided_models_to_the_window():
+    for m in parse_document(UNDECIDED):
+        fd = formal_dimension_estimate(m.gens)
+        for window in (1, 3, 6):
+            assert not _pure_quotient_vanishes(m, fd, window), (m.name, window)
+            verdict = UNDECIDED_VERDICTS[m.name]
+            assert finiteness_window(m, window)[:2] == (verdict, fd), (m.name, window)
+
+
 def test_finiteness_window_reads_only_its_window(monkeypatch):
-    bases, slices, diffs, kernels, read, built = [], [], [], [], [], []
+    bases, pure_bases, slices, diffs, kernels, read, built = [], [], [], [], [], [], []
     real_basis, real_slice, real_d = (
         rht.model.basis_in_degree, rht.model.HomologySlice, rht.model.Cochains.d
     )
+    real_pure_basis = rht.invariants.basis_in_degree
     real_kernel = rht.linalg.Echelon.kernel
     real_reps = rht.linalg.HomologySlice.representatives
     real_homology = rht.model.Cochains.homology
@@ -355,6 +444,10 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
     def counting_basis(gens, n):
         bases.append(n)
         return real_basis(gens, n)
+
+    def counting_pure_basis(gens, n):
+        pure_bases.append(n)
+        return real_pure_basis(gens, n)
 
     def counting_slice(d_in, d_out):
         slices.append(d_out)
@@ -377,6 +470,7 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
         return built[-1][1]
 
     monkeypatch.setattr(rht.model, "basis_in_degree", counting_basis)
+    monkeypatch.setattr(rht.invariants, "basis_in_degree", counting_pure_basis)
     monkeypatch.setattr(rht.model, "HomologySlice", counting_slice)
     monkeypatch.setattr(rht.model.Cochains, "d", counting_d)
     monkeypatch.setattr(rht.linalg.Echelon, "kernel", counting_kernel)
@@ -392,22 +486,33 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
         assert not kernels and not read, m.name
     models = [m for m in fixture_models() if degree_two_base(m)]
     assert len(models) >= 5
+    by_window = Counter()  # (decided by the window, verdict) -> calls
     for m in models:
         for window in (1, 6):
-            for seen in (bases, slices, diffs):
+            for seen in (bases, pure_bases, slices, diffs):
                 seen.clear()
             finite, fd, _ = finiteness_window(m, window)
-            # the slice at degree n is built from d(n - 1) and d(n)
-            degrees = [next(n for n, d in diffs if d is d_out) for d_out in slices]
-            assert min(bases) >= fd, (m.name, window, sorted(set(bases)))
-            assert degrees and min(degrees) > fd and max(degrees) <= fd + window
-            assert not finite or degrees == list(range(fd + 1, fd + window + 1))
+            pure = _pure_quotient_vanishes(total_of(m), fd, window)
+            by_window[(not pure, finite)] += 1
+            # the pure quotient reads no degree above the window
+            assert max(pure_bases, default=fd) <= fd + window, (m.name, window)
+            if pure:
+                # an exact certificate: no cochain is built at all
+                assert finite and not slices and not bases, (m.name, window)
+            else:
+                # the slice at degree n is built from d(n - 1) and d(n)
+                degrees = [next(n for n, d in diffs if d is d_out) for d_out in slices]
+                assert min(bases) >= fd, (m.name, window, sorted(set(bases)))
+                assert degrees and min(degrees) > fd and max(degrees) <= fd + window
+                assert not finite or degrees == list(range(fd + 1, fd + window + 1))
             # the certificate reads representatives in its top nonzero degree only
             read.clear()
             built.clear()
             top = toral_certificate(m, window).top_nonzero
             degrees = {n for n, h in built if any(h is r for r in read)}
             assert degrees == (set() if top is None else {top}), (m.name, window)
+    # both paths and both window verdicts are exercised
+    assert by_window[(False, True)] and by_window[(True, True)] and by_window[(True, False)]
 
 
 def test_each_degree_basis_is_built_once_per_call(monkeypatch):
