@@ -345,7 +345,8 @@ def basis_in_degree(gens: GenSet, n: int) -> list[Monomial]:
         if reach[remaining]:
             rec(i + 1, remaining, acc)
 
-    rec(0, n, [])
+    if counts[0][n]:  # also keeps the walk off gens[0] when there are none
+        rec(0, n, [])
     return out
 
 

@@ -130,10 +130,7 @@ def _cmd_validate(args) -> int:
     status = 0
     for path in args.files:
         try:
-            models = parse_document(_read(path))
-            for m in models:
-                target = m.total if isinstance(m, RelativeModel) else m
-                target.validate()
+            models = parse_document(_read(path))  # parsing validates every model
             print(f"{path}: OK ({len(models)} model(s))")
         except (RhtError, OSError) as exc:
             print(f"{path}: {type(exc).__name__}: {exc}")
@@ -144,9 +141,7 @@ def _cmd_validate(args) -> int:
 def _cmd_homotopy(args) -> int:
     for m in _load_models(args.files):
         space = m.fiber if isinstance(m, RelativeModel) else m
-        top = args.max_degree
-        if top is None:
-            top = max(g.degree for g in space.gens)
+        top = top_shift(m) if args.max_degree is None else args.max_degree
         rows = {}
         for n in range(2, top + 1):
             names = [g.name for g in space.gens if g.degree == n]
@@ -228,6 +223,8 @@ def _cmd_les_check(args) -> int:
     status = 0
     for f in _fibrations(_load_models(args.files)):
         degrees = _parse_degrees(args.degrees, (1, top_shift(f)))
+        if not degrees:
+            raise RhtError(f"{f.name or 'fibration'} has no fiber generators: pass --degrees")
         report = les_check(f, list(degrees))
         if args.json:
             doc = {

@@ -88,8 +88,8 @@ class ComplexSlice:
 class DerComplex:
     """One scope of the derivation complex of a model, for one call.
 
-    Each slice and each boundary is built at most once, on first use, and
-    lives only as long as this object: a caller that needs several of them
+    Each slice, boundary and homology is built at most once, on first use,
+    and lives only as long as this object: a caller that needs several of them
     builds one DerComplex and drops it when it is done.  The monomials of
     the slices come from one Cochains of the value model; two scopes over
     the same total model can share one by passing it as ``cochains``.
@@ -116,6 +116,7 @@ class DerComplex:
         self.cochains = cochains
         self._slices: dict[int, ComplexSlice] = {}
         self._boundaries: dict[int, RatMatrix] = {}
+        self._h: dict[int, HomologySlice] = {}
 
     def slice(self, n: int) -> ComplexSlice:
         """All pairs (w, monomial) with |w| - |monomial| = n, filtered by scope."""
@@ -167,7 +168,9 @@ class DerComplex:
 
     def homology(self, n: int) -> HomologySlice:
         """H_n, from the boundaries into and out of the shift-n slice."""
-        return HomologySlice(self.boundary(n + 1), self.boundary(n))
+        if n not in self._h:
+            self._h[n] = HomologySlice(self.boundary(n + 1), self.boundary(n))
+        return self._h[n]
 
     def map_to(self, other: "DerComplex", n: int) -> RatMatrix:
         """Slice n into other's slice n, each pair to the same pair or to zero.

@@ -36,7 +36,7 @@ def _fiber_of(m: ModelLike) -> SullivanModel:
 
 def top_shift(m: ModelLike) -> int:
     """Largest shift with a possibly nonzero slice: the top generator degree."""
-    return max(g.degree for g in _fiber_of(m).gens)
+    return max((g.degree for g in _fiber_of(m).gens), default=0)
 
 
 # ----------------------------------------------------------------------
@@ -218,6 +218,17 @@ def _rank(m: RatMatrix) -> int:
     return Echelon(m.rows, m.columns).rank
 
 
+def _ranked(m: RatMatrix) -> tuple[RatMatrix, int]:
+    return m, _rank(m)
+
+
+def _exact_at(node: str, h: HomologySlice, into: tuple, out: tuple) -> LesNodeReport:
+    """image(into) = kernel(out) at h: out . into = 0 and rk into + rk out = dim h."""
+    (a, rk_in), (b, rk_out) = into, out
+    exact = (b @ a).is_zero() and rk_in + rk_out == h.dim
+    return LesNodeReport(node, h.dim, rk_in, rk_out, exact)
+
+
 def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     """Verify exactness of the ideal -> relative -> absolute homology sequence.
 
@@ -234,10 +245,8 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     rel, ab = DerComplex(f, RELATIVE), DerComplex(f, ABSOLUTE)
     ideal = DerComplex(f, IDEAL, rel.cochains)  # both scopes read f.total
     report = LesReport()
-    H = {}  # (scope, n) -> HomologySlice
-    for n in range(max(1, lo - 1), hi + 2):
-        for cx in (ideal, rel, ab):
-            H[(cx.scope, n)] = cx.homology(n)
+    # the deepest slices read, first: a bound overrun is reported from them
+    ideal.homology(max(1, lo - 1))
     # chain-level short exactness per degree
     inc, res = {}, {}
     for n in range(max(0, lo - 1), hi + 2):
@@ -258,32 +267,20 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
             lifted = rel.boundary(n) @ ab.map_to(rel, n)
             # the restriction kills exactly the ideal pairs
             left = res[n - 1] @ lifted
-            if any(left.apply(rep) for rep in H[(ABSOLUTE, n)].representatives):
+            if any(left.apply(rep) for rep in ab.homology(n).representatives):
                 raise NotAComplex("boundary of a lifted cycle left the ideal")
             to_ideal = rel.map_to(ideal, n - 1)
-            delta = _induced(to_ideal @ lifted, H[(ABSOLUTE, n)], H[(IDEAL, n - 1)])
-            conn[n] = delta, _rank(delta)
+            conn[n] = _ranked(_induced(to_ideal @ lifted, ab.homology(n), ideal.homology(n - 1)))
         return conn[n]
 
     for n in degrees:
-        i_star = _induced(inc[n], H[(IDEAL, n)], H[(RELATIVE, n)])
-        j_star = _induced(res[n], H[(RELATIVE, n)], H[(ABSOLUTE, n)])
-        rk_i, rk_j = _rank(i_star), _rank(j_star)
-        # node H_n(relative): image(i) = kernel(j)
-        dim_r = H[(RELATIVE, n)].dim
-        exact_r = (j_star @ i_star).is_zero() and rk_i + rk_j == dim_r
-        report.nodes.append(LesNodeReport(f"H_{n}(relative)", dim_r, rk_i, rk_j, exact_r))
-        # node H_n(ideal): image(connecting from n+1) = kernel(i)
-        d_in, rk_in = connecting(n + 1)
-        dim_i = H[(IDEAL, n)].dim
-        exact_i = (i_star @ d_in).is_zero() and rk_in + rk_i == dim_i
-        report.nodes.append(LesNodeReport(f"H_{n}(ideal)", dim_i, rk_in, rk_i, exact_i))
-        # node H_n(absolute): image(j) = kernel(connecting to n-1)
+        h_ideal, h_rel, h_abs = ideal.homology(n), rel.homology(n), ab.homology(n)
+        i_star = _ranked(_induced(inc[n], h_ideal, h_rel))
+        j_star = _ranked(_induced(res[n], h_rel, h_abs))
+        report.nodes.append(_exact_at(f"H_{n}(relative)", h_rel, i_star, j_star))
+        report.nodes.append(_exact_at(f"H_{n}(ideal)", h_ideal, connecting(n + 1), i_star))
         if n >= 2:
-            d_out, rk_out = connecting(n)
-            dim_a = H[(ABSOLUTE, n)].dim
-            exact_a = (d_out @ j_star).is_zero() and rk_j + rk_out == dim_a
-            report.nodes.append(LesNodeReport(f"H_{n}(absolute)", dim_a, rk_j, rk_out, exact_a))
+            report.nodes.append(_exact_at(f"H_{n}(absolute)", h_abs, j_star, connecting(n)))
     return report
 
 
@@ -398,8 +395,9 @@ def toral_certificate(f: RelativeModel, window: int = 6) -> ToralCertificate:
     if finite:
         return ToralCertificate(r, top, "certified")
     # nonvanishing persists: refute (at this bound) when the top classes are
-    # base-polynomial multiples, the signature of surviving t-powers
-    top_nonzero = max(n for n in range(fd + 1, top + 1) if cx.homology(n).dim)
+    # base-polynomial multiples, the signature of surviving t-powers; the
+    # scan runs down from the top and stops at the first nonzero degree
+    top_nonzero = next(n for n in range(top, fd, -1) if cx.homology(n).dim)
     basis = cx.basis(top_nonzero)
     for rep in cx.homology(top_nonzero).representatives:
         for mono in (basis[j] for j in rep):

@@ -55,7 +55,6 @@ class SullivanModel:
         diff: Optional[dict[str, AlgElement]] = None,
         bound: Optional[int] = None,
         name: Optional[str] = None,
-        validate: bool = True,
     ):
         self.gens = gens
         self.diff: dict[str, AlgElement] = {}
@@ -69,8 +68,7 @@ class SullivanModel:
             gens.get(n).index: v for n, v in self.diff.items()
         }
         self.images = monomial_images(gens, self._diff_by_index)
-        if validate:
-            self.validate()
+        self.validate()
 
     # --- differential -------------------------------------------------
 
@@ -184,15 +182,12 @@ class RelativeModel:
             if val.gens != total_gens:
                 val = _reexpress(val, total_gens)
             tdiff[gname] = val
-        self.total = SullivanModel(
-            total_gens, tdiff, bound=bound, name=name, validate=False
-        )
         # fiber differential = base-killing projection of D
-        proj_diff: dict[str, AlgElement] = {}
-        for g in fiber_gens:
-            pv = self.project_fiber_named(fiber_gens, self.total.diff_of(g.name))
-            if not pv.is_zero():
-                proj_diff[g.name] = pv
+        proj_diff = {
+            g.name: self.project_fiber_named(fiber_gens, tdiff[g.name])
+            for g in fiber_gens
+            if g.name in tdiff
+        }
         if fiber_diff is not None:
             for g in fiber_gens:
                 declared = fiber_diff.get(g.name, AlgElement.zero(fiber_gens))
@@ -202,14 +197,13 @@ class RelativeModel:
                         "the base-killing projection of D"
                     )
         try:
-            self.fiber = SullivanModel(
-                fiber_gens, proj_diff, bound=bound, name=name, validate=True
-            )
+            self.fiber = SullivanModel(fiber_gens, proj_diff, bound=bound, name=name)
         except NotClosed as exc:
             raise BaseDiffViolated(
                 f"projected fiber differential does not square to zero: {exc}"
             ) from exc
-        self.total.validate()  # degree homogeneity and D.D = 0
+        # last, so that a fiber violation is reported before the total's
+        self.total = SullivanModel(total_gens, tdiff, bound=bound, name=name)
 
     @property
     def bound(self) -> Optional[int]:
@@ -365,11 +359,15 @@ def cohomology(
 
 
 def formal_dimension_estimate(gens: GenSet) -> Optional[int]:
-    """Elliptic-space formula: sum of odd degrees minus sum of (even - 1)."""
+    """Elliptic-space formula: sum of odd degrees minus sum of (even - 1).
+
+    0 is the formal dimension of a rationally contractible model; a negative
+    estimate means no elliptic model has these degrees.
+    """
     est = sum(g.degree for g in gens if g.is_odd) - sum(
         g.degree - 1 for g in gens if not g.is_odd
     )
-    return est if est > 0 else None
+    return est if est >= 0 else None
 
 
 # ----------------------------------------------------------------------

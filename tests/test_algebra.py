@@ -203,6 +203,8 @@ def test_oversized_basis_is_refused_before_it_is_built():
 
 def test_basis_degree_zero_is_unit():
     assert basis_in_degree(GENS, 0) == [UNIT]
+    # a point: the unit in degree 0 and nothing above it
+    assert basis_in_degree(GenSet([]), 0) == [UNIT] and basis_in_degree(GenSet([]), 1) == []
     with pytest.raises(ValueError):
         basis_in_degree(GENS, -1)
 

@@ -11,7 +11,9 @@ import pytest
 
 import rht
 import rht.catalog
+from rht import classify, finiteness_window, parse_model
 from rht.cli import main
+from rht.model import formal_dimension_estimate
 
 from conftest import FIXTURES
 
@@ -317,6 +319,54 @@ def test_bad_input_exits_one_without_traceback(argv, tmp_path):
     assert code == 1
     assert "Traceback" not in err
     assert len((err or out).strip().splitlines()) == 1
+
+
+# a point, as a space and as the fibre of a fibration, and the contractible
+# pair (y3, x4, dy = x): valid models whose cohomology is Q in degree 0
+POINT_MODELS = {
+    "point": "[space point]\n",
+    "point-fibre": "[fibration point-fibre]\n[base]\ngen t 2\n[fiber]\n[total]\n",
+}
+CONTRACTIBLE_PAIR = "[space pair]\ngen y 3\ngen x 4\nd y = x\n"
+SUBCOMMANDS = (
+    "validate", "homotopy", "cohomology", "der-homology", "gottlieb", "fibre-gottlieb",
+    "connecting", "les-check", "toral-check", "depth", "poset", "enumerate",
+)
+POINT_RUNS = [*SUBCOMMANDS, "cohomology --max-degree 3", "les-check --degrees 1..3"]
+# what each model cannot answer, in one line: no fibration, no default
+# degree range, a polynomial base with no --max-degree, not two spaces
+POINT_REFUSALS = {
+    "point": {"fibre-gottlieb", "connecting", "les-check", "les-check --degrees 1..3",
+              "toral-check", "depth", "poset", "enumerate"},
+    "point-fibre": {"cohomology", "les-check", "enumerate"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_MODELS))
+def test_models_without_generators_exit_without_traceback(name, tmp_path):
+    path = tmp_path / f"{name}.smf"
+    path.write_text(POINT_MODELS[name])
+    for line in POINT_RUNS:
+        cmd, *flags = line.split()
+        code, out, err = subprocess_cli(cmd, str(path), *flags)
+        assert "Traceback" not in err, (line, err)
+        assert code == (1 if line in POINT_REFUSALS[name] else 0), (line, code, err)
+        if code:
+            assert len(err.strip().splitlines()) == 1, (line, err)
+
+
+def test_contractible_models_have_formal_dimension_zero(capsys, tmp_path):
+    # H = Q: the formal dimension is 0, so the window certifies and
+    # cohomology has a default range
+    for text in (POINT_MODELS["point"], CONTRACTIBLE_PAIR):
+        m = parse_model(text)
+        assert formal_dimension_estimate(m.gens) == 0, m.name
+        assert finiteness_window(m, 6)[:2] == (True, 0), m.name
+        assert classify(m).elliptic_at_bound, m.name
+        path = tmp_path / f"{m.name}.smf"
+        path.write_text(text)
+        code, out, err = run(capsys, "cohomology", str(path))
+        assert (code, out, err) == (0, f"model {m.name}\n  n=0  dim 1  1\n", "")
 
 
 def test_closed_stdout_exits_141_quietly():

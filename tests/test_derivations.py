@@ -217,6 +217,14 @@ def test_boundary_squares_to_zero_on_fixtures(su5, su5_bundle, ex44, ex47, wedge
                 assert prod.is_zero(), (m, scope, n)
 
 
+def test_homology_is_built_once_per_complex(su5_bundle, ex44):
+    for m in (su5_bundle, ex44):
+        for scope in scopes_of(m):
+            cx = DerComplex(m, scope)
+            for n in range(1, top_of(m) + 1):
+                assert cx.homology(n) is cx.homology(n), (m, scope, n)
+
+
 def test_restriction_is_chain_map(su5_bundle, ex44, ex47):
     for f in [su5_bundle, ex44] + list(ex47.values()):
         relative, absolute = DerComplex(f, RELATIVE), DerComplex(f, ABSOLUTE)

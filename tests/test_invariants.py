@@ -23,6 +23,7 @@ from rht import (
     RelativeModel,
     SullivanModel,
     Subspace,
+    basis_in_degree,
     classify,
     cohomology,
     connecting_image,
@@ -389,18 +390,45 @@ d p = x*a*c
 UNDECIDED_VERDICTS = {"even-pair": True, "even-pair-times-s2": True, "odd-term": False}
 
 
+def cocycle_family(rng, count):
+    """Spaces whose odd-generator terms in dp decide what d_s keeps.
+
+    Cocycles x (even) and a (odd) have d = 0; each odd p has dp a random sum
+    of products of at least two cocycles, in one even degree, some purely
+    even and some with odd factors.  So d vanishes on every dp (closed) and
+    every term is decomposable (minimal).
+    """
+    models = []
+    for k in range(count):
+        cocycles = [(f"x{j}", rng.choice((2, 4))) for j in range(rng.randint(1, 2))]
+        cocycles += [(f"a{j}", rng.choice((3, 5))) for j in range(2)]
+        gens = GenSet(cocycles)
+        lines = [f"[space cocycle-{k}]"] + [f"gen {name} {deg}" for name, deg in cocycles]
+        for j in range(rng.randint(1, 2)):
+            words = []
+            while not words:
+                deg = rng.choice((4, 6, 8, 10))
+                words = [m for m in basis_in_degree(gens, deg) if sum(e for _, e in m.exponents) > 1]
+            terms = rng.sample(words, rng.randint(1, min(3, len(words))))
+            dp = " + ".join(f"{rng.choice((1, 2, -1, -3))}*{m.format(gens)}" for m in terms)
+            lines += [f"gen p{j} {deg - 1}", f"d p{j} = {dp}"]
+        models += parse_document("\n".join(lines) + "\n")
+    return models
+
+
 def pure_soundness_inputs():
     rng = random.Random(9)
     models = fixture_models() + [scaling_family(1), scaling_family(2)]
     models += parse_document(UNDECIDED)
     models += [random_space(rng) for _ in range(100)] + [random_fibration(rng) for _ in range(100)]
-    return models
+    return models + cocycle_family(random.Random(5), 40)
 
 
 def test_pure_quotient_certificate_is_sound():
     # whenever the pure quotient certifies, H vanishes well past the window,
     # and finiteness_window says what the window alone says
     certified = undecided = 0
+    odd_terms = Counter()  # (a dp has odd-factor terms, its model certified) -> models
     for m in pure_soundness_inputs():
         total = total_of(m)
         fd = formal_dimension_estimate(total.gens)
@@ -419,7 +447,12 @@ def test_pure_quotient_certificate_is_sound():
             assert finiteness_window(m, w)[:2] == (want, fd), (m.name, w)
         certified += len(pure)
         undecided += len(windows) - len(pure)
+        if m.name.startswith("cocycle-"):
+            odd = any(m.gens[i].is_odd for dp in m.images.values() for t, _ in dp for i, _ in t)
+            odd_terms[(odd, bool(pure))] += 1
     assert certified > 100 and undecided > 100
+    # the cocycle family certifies and leaves undecided models with odd-factor terms
+    assert odd_terms[(True, True)] >= 5 and odd_terms[(True, False)] >= 5, odd_terms
 
 
 def test_pure_quotient_leaves_undecided_models_to_the_window():
@@ -513,6 +546,37 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
             assert degrees == (set() if top is None else {top}), (m.name, window)
     # both paths and both window verdicts are exercised
     assert by_window[(False, True)] and by_window[(True, True)] and by_window[(True, False)]
+
+
+def test_toral_scan_reads_down_from_the_top(su4_fixtures, monkeypatch):
+    # top_nonzero is the highest nonzero degree of the window: the scan runs
+    # down from fd + window and builds nothing below the degree it stops at
+    # that the finiteness window has not built already
+    calls, built = [], []  # degrees of the open Cochains.homology calls, of each new slice
+    real_homology, real_slice = rht.model.Cochains.homology, rht.model.HomologySlice
+
+    def recording_homology(self, n):
+        calls.append(n)
+        try:
+            return real_homology(self, n)
+        finally:
+            calls.pop()
+
+    def counting_slice(d_in, d_out):
+        built.append(calls[-1])
+        return real_slice(d_in, d_out)
+
+    monkeypatch.setattr(rht.model.Cochains, "homology", recording_homology)
+    monkeypatch.setattr(rht.model, "HomologySlice", counting_slice)
+    for m, window in ((scaling_family(2), 6), (su4_fixtures["su4-trivial"], 8)):
+        built.clear()
+        finiteness_window(m, window)
+        by_window = set(built)
+        built.clear()
+        cert = toral_certificate(m, window)
+        assert cert.top_nonzero is not None, m.name
+        below = {n for n in built if n < cert.top_nonzero} - by_window
+        assert not below, (m.name, sorted(below))
 
 
 def test_each_degree_basis_is_built_once_per_call(monkeypatch):

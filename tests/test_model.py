@@ -57,6 +57,9 @@ def test_differential_closure_checked():
     # d y = a*x forces d(d y) = a * d(x) = a^3 != 0
     with pytest.raises(NotClosed):
         SullivanModel(gens, {"x": a * a, "y": a * x})
+    # the constructor is the one validation: no option skips it
+    with pytest.raises(TypeError):
+        SullivanModel(gens, {"x": a * a, "y": a * x}, validate=False)
 
 
 def test_unknown_generator_in_diff():
@@ -141,6 +144,25 @@ D x = u*t
 """
     # D(D x) = D(u)*t = t^3 != 0
     with pytest.raises(NotClosed):
+        parse_fibration(text)
+
+
+def test_relative_reports_the_fiber_before_the_total():
+    text = """
+[fibration bad]
+[base]
+gen t 2
+[fiber]
+gen u 2
+gen a 3
+gen x 4
+[total]
+D a = u^2
+D x = u*a
+"""
+    # d(d x) = u^3 != 0 in the fiber and D(D x) = u^3 in the total: the
+    # fiber's violation is the one reported
+    with pytest.raises(BaseDiffViolated, match="projected fiber differential"):
         parse_fibration(text)
 
 
