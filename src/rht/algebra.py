@@ -22,6 +22,10 @@ from .errors import (
 
 MIXED = object()  # sentinel returned by AlgElement.degree() for inhomogeneous elements
 
+# Largest degree basis any computation may build; above it the count alone
+# is reported.  The largest basis of any fixture or benchmark has 331.
+MAX_BASIS = 50_000
+
 
 @dataclass(frozen=True)
 class Generator:
@@ -33,6 +37,12 @@ class Generator:
         if self.degree < 2:
             raise NotSimplyConnected(
                 f"generator {self.name} has degree {self.degree} < 2"
+            )
+        if self.degree > MAX_BASIS:
+            # counting a basis in this degree alone takes a table longer than
+            # the largest basis admitted
+            raise CombinatorialBlowup(
+                f"generator {self.name} has degree {self.degree}, more than {MAX_BASIS}"
             )
 
     @property
@@ -301,11 +311,6 @@ class AlgElement:
 def augment(a: AlgElement) -> Fraction:
     """Coefficient of the unit monomial (the degree-0 projection)."""
     return a.coefficient(UNIT)
-
-
-# Largest degree basis any computation may build; above it the count alone
-# is reported.  The largest basis of any fixture or benchmark has 331.
-MAX_BASIS = 50_000
 
 
 def basis_in_degree(gens: GenSet, n: int) -> list[Monomial]:

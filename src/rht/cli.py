@@ -11,6 +11,7 @@ the reader of stdout goes away.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .catalog import Catalog, enumerate_fibrations
-from .derivations import ABSOLUTE, RELATIVE
+from .derivations import ABSOLUTE, RELATIVE, DerComplex
 from .errors import (
     AmbientMismatch,
     BoundExceeded,
@@ -30,9 +31,9 @@ from .errors import (
     RhtError,
 )
 from .invariants import (
+    _der_homology,
     connecting_images,
     depth_of_subspaces,
-    der_homology,
     fibre_gottlieb,
     gottlieb,
     les_check,
@@ -173,9 +174,10 @@ def _cmd_der_homology(args) -> int:
     for m in _load_models(args.files):
         scope = RELATIVE if isinstance(m, RelativeModel) else ABSOLUTE
         degrees = _parse_degrees(args.degrees, (1, top_shift(m)))
+        cx = DerComplex(m, scope)  # one complex for every degree of this model
         rows = {}
         for n in degrees:
-            h = der_homology(m, n, scope)
+            h = _der_homology(cx, n)
             labels = []
             for theta in h.derivations():
                 parts = [
@@ -341,6 +343,7 @@ def _cmd_enumerate(args) -> int:
 # dispatch
 
 
+@functools.cache  # built on the first call, not at import; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rht",

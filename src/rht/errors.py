@@ -72,4 +72,4 @@ class BaseNotDegreeTwo(RhtError):
 
 
 class CombinatorialBlowup(RhtError):
-    """Fibration enumeration would exceed the configured candidate cap."""
+    """A degree basis or a fibration enumeration would exceed its size cap."""

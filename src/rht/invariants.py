@@ -65,7 +65,11 @@ def der_homology(m: ModelLike, n: int, scope: str = ABSOLUTE) -> DerHomology:
     """H_n of the chosen derivation complex, with representative cycles."""
     if n < 1:
         raise ValueError("derivation homology is computed for n >= 1")
-    cx = DerComplex(m, scope)
+    return _der_homology(DerComplex(m, scope), n)
+
+
+def _der_homology(cx: DerComplex, n: int) -> DerHomology:
+    """H_n of one complex; a caller reading several degrees keeps one complex."""
     h = cx.homology(n)
     return DerHomology(h.dim, cx.slice(n), h.representatives)
 

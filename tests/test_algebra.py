@@ -201,6 +201,13 @@ def test_oversized_basis_is_refused_before_it_is_built():
         basis_in_degree(six, 60)
 
 
+def test_generator_degree_above_the_basis_cap_is_refused():
+    # counting any basis in such a degree takes a table longer than MAX_BASIS
+    assert Generator("x", MAX_BASIS, 0).degree == MAX_BASIS
+    with pytest.raises(CombinatorialBlowup, match=f"degree {MAX_BASIS + 1}, more than"):
+        GenSet([("t", 2), ("x", MAX_BASIS + 1)])
+
+
 def test_basis_degree_zero_is_unit():
     assert basis_in_degree(GENS, 0) == [UNIT]
     # a point: the unit in degree 0 and nothing above it

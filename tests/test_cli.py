@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output shapes, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,8 +12,20 @@ import pytest
 
 import rht
 import rht.catalog
-from rht import classify, finiteness_window, parse_model
+import rht.cli
+from rht import (
+    ABSOLUTE,
+    RELATIVE,
+    RelativeModel,
+    classify,
+    der_homology,
+    finiteness_window,
+    parse_document,
+    parse_model,
+)
 from rht.cli import main
+from rht.derivations import ComplexSlice
+from rht.invariants import top_shift
 from rht.model import formal_dimension_estimate
 
 from conftest import FIXTURES
@@ -39,6 +52,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def json_docs(text):
+    """The JSON documents a report prints, one per model."""
+    decoder, docs, pos = json.JSONDecoder(), [], 0
+    while text[pos:].strip():
+        doc, pos = decoder.raw_decode(text, text.index("{", pos))
+        docs.append(doc)
+    return docs
 
 
 # ----------------------------------------------------------------------
@@ -262,10 +284,7 @@ def test_wide_window_is_certified_by_the_pure_quotient():
     code, out, err = subprocess_cli("toral-check", fx("ex47.smf"), "--window", "1000", "--json",
                                     timeout=15)
     assert code == 0, err
-    decoder, docs, pos = json.JSONDecoder(), [], 0
-    while out[pos:].strip():  # one JSON document per fibration
-        doc, pos = decoder.raw_decode(out, out.index("{", pos))
-        docs.append(doc)
+    docs = json_docs(out)
     assert len(docs) == 3
     assert all(d["verdict"] == "certified" and d["finite_through"] == 1038 for d in docs)
     code, out, err = subprocess_cli("depth", fx("ex47.smf"), "--window", "1000",
@@ -398,3 +417,131 @@ def test_cli_imports_only_the_standard_library():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+# a generator degree so large that no basis in it can even be counted: it is
+# refused where the model is read, in one line, by every subcommand
+HUGE_DEGREE_MODELS = {
+    "huge-space": "[space huge]\ngen x 99999999999999999999\n",
+    "huge-fibre": "[fibration huge]\n[base]\ngen t 2\n[fiber]\ngen x 99999999999999999999\n"
+                  "[total]\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_DEGREE_MODELS))
+def test_huge_generator_degree_exits_without_traceback(name, tmp_path):
+    path = tmp_path / f"{name}.smf"
+    path.write_text(HUGE_DEGREE_MODELS[name])
+    for cmd in SUBCOMMANDS:
+        code, out, err = subprocess_cli(cmd, str(path), timeout=10)
+        assert "Traceback" not in err, (cmd, err)
+        # validate reports each file on stdout; the rest stop at the read
+        assert code == (1 if cmd == "validate" else 2), (cmd, code, err)
+        message = (out if cmd == "validate" else err).strip().splitlines()
+        assert len(message) == 1 and "CombinatorialBlowup: generator x has degree" in message[0]
+
+
+# ----------------------------------------------------------------------
+# one parser per process, one derivation complex per der-homology model
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    main(["homotopy", fx("su5.smf")])  # builds the parser if no test has yet
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (
+        ["homotopy", fx("su5.smf")],
+        ["der-homology", fx("su5.smf"), "--degrees", "2"],
+        ["toral-check", fx("su4-torus.smf"), "--window", "3"],
+        ["validate", fx("su5.smf")],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert built == []
+
+
+def exit_and_output(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help and usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_calls_are_identical(capsys):
+    runs = [
+        ["--help"],
+        *([cmd, "--help"] for cmd in SUBCOMMANDS),
+        ["frobnicate", fx("su5.smf")],
+        ["gottlieb"],
+        ["toral-check", fx("su4-torus.smf"), "--window", "x"],
+    ]
+    for argv in runs:
+        first = exit_and_output(capsys, argv)
+        assert first[0] in (0, 2) and (first[1] or first[2]), argv
+        assert exit_and_output(capsys, argv) == first, argv
+    # nothing of one call's arguments reaches the next
+    torus = fx("su4-torus.smf")
+    code, out, _ = exit_and_output(capsys, ["toral-check", torus, "--window", "3", "--json"])
+    assert code == 0 and json.loads(out)["window"] == 3
+    code, out, _ = exit_and_output(capsys, ["toral-check", torus, "--json"])
+    assert code == 0 and json.loads(out)["window"] == 6
+
+
+def test_der_homology_builds_each_slice_once_per_model(capsys, monkeypatch):
+    built = []
+    real_init = ComplexSlice.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append((self.scope, self.degree))
+
+    real_report = rht.cli._report_degrees
+    per_model = []
+
+    def report(args, model_name, rows, bound=None):
+        per_model.append((model_name, Counter(built)))
+        built.clear()
+        return real_report(args, model_name, rows, bound)
+
+    monkeypatch.setattr(ComplexSlice, "__init__", counting_init)
+    monkeypatch.setattr(rht.cli, "_report_degrees", report)
+    code, _, _ = run(capsys, "der-homology", fx("ex47.smf"), "--degrees", "1..12")
+    assert code == 0 and len(per_model) == 3
+    for name, counts in per_model:
+        repeats = {key: k for key, k in counts.items() if k > 1}
+        assert counts and not repeats, (name, repeats)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(FIXTURES.glob("*.smf")) if p.name != "bad-degree.smf"],
+    ids=lambda p: p.stem,
+)
+def test_der_homology_report_matches_per_degree_calls(capsys, path):
+    code, out, _ = run(capsys, "der-homology", str(path), "--json")
+    assert code == 0
+    models = parse_document(path.read_text())
+    docs = json_docs(out)
+    assert len(docs) == len(models)
+    for m, doc in zip(models, docs):
+        scope = RELATIVE if isinstance(m, RelativeModel) else ABSOLUTE
+        want = {}
+        for n in range(1, top_shift(m) + 1):
+            h = der_homology(m, n, scope)
+            labels = [
+                " + ".join(
+                    f"({theta.gens[i].name}, {val.format()})"
+                    for i, val in sorted(theta.values.items())
+                )
+                for theta in h.derivations()
+            ]
+            want[str(n)] = {"dim": h.dim, "basis": labels}
+        assert doc["degrees"] == want, m.name
