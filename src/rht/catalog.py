@@ -7,11 +7,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import AlgElement, GenSet, Monomial, basis_in_degree
+from .algebra import AlgElement, Monomial, basis_in_degree
 from .errors import CombinatorialBlowup, DuplicateId, FiberMismatch, NotClosed, NotFiniteAtBound
-from .invariants import fibre_gottlieb, finiteness_window
+from .invariants import DEFAULT_WINDOW, fibre_gottlieb, finiteness_window
 from .linalg import Subspace
-from .model import RelativeModel, SullivanModel, _reexpress
+from .model import RelativeModel, SullivanModel, trivial_fibration
+
+# Most candidate differentials an enumeration may try; above it the count
+# alone is reported.
+MAX_CANDIDATES = 10**6
 
 
 @dataclass
@@ -37,7 +41,7 @@ class Catalog:
         """fibre_gottlieb total subspace per entry."""
         return {key: fibre_gottlieb(entry).total() for key, entry in self.entries}
 
-    def check_finite(self, window: int = 6) -> None:
+    def check_finite(self, window: int = DEFAULT_WINDOW) -> None:
         """Raise NotFiniteAtBound naming every entry that fails the finiteness window."""
         _, offenders = _split_finite(self.entries, window)
         if offenders:
@@ -63,46 +67,39 @@ def enumerate_fibrations(
     base: SullivanModel,
     coeff_set: Sequence = (0, 1),
     require_finite: bool = False,
-    window: int = 6,
-    cap: int = 10**6,
+    window: int = DEFAULT_WINDOW,
 ) -> Catalog:
     """All relative models D(w) = d(w) + sum c_m m over the given coefficients.
 
-    Candidate monomials m have degree |w| + 1 and contain at least one base
-    generator (base exponents are thereby forced by degree); assignments with
-    D.D != 0 are discarded, and the finiteness gate is applied on request.
+    Each candidate twists the trivial fibration: the monomials m have degree
+    |w| + 1 and contain at least one base generator (base exponents are
+    thereby forced by degree); assignments with D.D != 0 are discarded, and
+    the finiteness gate is applied on request.
     """
-    combined = GenSet(
-        [(g.name, g.degree) for g in base.gens] + [(g.name, g.degree) for g in fiber.gens]
-    )
-    n_base = len(base.gens)
-    slots: list[tuple[str, Monomial]] = []
-    for w in fiber.gens:
-        for mono in basis_in_degree(combined, w.degree + 1):
-            if any(i < n_base for i, _ in mono.exponents):
-                slots.append((w.name, mono))
-    coeffs = sorted({Fraction(c) for c in coeff_set}, key=lambda c: (c != 0, c))
-    if 0 not in [c for c in coeffs]:
-        coeffs = [Fraction(0)] + coeffs
+    trivial = trivial_fibration(fiber, base)
+    combined = trivial.total.gens
+    untwisted = {name: trivial.total.diff[name] for name in fiber.diff}
+    slots: list[tuple[str, Monomial]] = [
+        (w.name, mono)
+        for w in fiber.gens
+        for mono in basis_in_degree(combined, w.degree + 1)
+        if trivial.monomial_has_base(mono)
+    ]
+    # zero first: the first candidate is the trivial fibration
+    coeffs = sorted({Fraction(0), *map(Fraction, coeff_set)}, key=lambda c: (c != 0, c))
     total = len(coeffs) ** len(slots)
-    if total > cap:
+    if total > MAX_CANDIDATES:
         raise CombinatorialBlowup(
-            f"{total} candidate differentials exceed the cap of {cap}"
+            f"{total} candidate differentials exceed the cap of {MAX_CANDIDATES}"
         )
     entries: list[tuple[str, RelativeModel]] = []
     for assignment in itertools.product(coeffs, repeat=len(slots)):
-        total_diff: dict[str, AlgElement] = {
-            g.name: _reexpress(fiber.diff[g.name], combined) for g in fiber.gens
-            if g.name in fiber.diff
-        }
+        total_diff = dict(untwisted)
         added: list[str] = []
         for (wname, mono), c in zip(slots, assignment):
-            if not c:
-                continue
-            term = AlgElement.monomial(combined, mono, c)
-            total_diff[wname] = total_diff.get(wname, AlgElement.zero(combined)) + term
-        for (wname, mono), c in zip(slots, assignment):
             if c:
+                term = AlgElement.monomial(combined, mono, c)
+                total_diff[wname] = total_diff.get(wname, AlgElement.zero(combined)) + term
                 coeff = "" if c == 1 else f"{c}*"
                 added.append(f"D{wname}+={coeff}{mono.format(combined)}")
         key = "; ".join(added) if added else "trivial"

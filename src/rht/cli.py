@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .catalog import Catalog, enumerate_fibrations
 from .derivations import ABSOLUTE, RELATIVE, DerComplex
@@ -31,6 +31,7 @@ from .errors import (
     RhtError,
 )
 from .invariants import (
+    DEFAULT_WINDOW,
     _der_homology,
     connecting_images,
     depth_of_subspaces,
@@ -41,6 +42,7 @@ from .invariants import (
     toral_certificate,
 )
 from .model import (
+    ModelLike,
     RelativeModel,
     SullivanModel,
     cohomology,
@@ -48,8 +50,6 @@ from .model import (
     parse_document,
 )
 from .poset import poset_of_subspaces, render
-
-ModelLike = Union[SullivanModel, RelativeModel]
 
 COMPUTATION_ERRORS = (
     BoundExceeded,
@@ -141,7 +141,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_homotopy(args) -> int:
     for m in _load_models(args.files):
-        space = m.fiber if isinstance(m, RelativeModel) else m
+        space = m.fiber
         top = top_shift(m) if args.max_degree is None else args.max_degree
         rows = {}
         for n in range(2, top + 1):
@@ -154,7 +154,7 @@ def _cmd_homotopy(args) -> int:
 
 def _cmd_cohomology(args) -> int:
     for m in _load_models(args.files):
-        total = m.total if isinstance(m, RelativeModel) else m
+        total = m.total
         top = args.max_degree
         if top is None:
             top = total.bound if total.bound is not None else formal_dimension_estimate(total.gens)
@@ -354,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     options = {
         "--degrees": dict(help="degree range a..b or a single degree"),
         "--max-degree": dict(type=int, help="top degree to compute"),
-        "--window": dict(type=int, default=6, help="finiteness window size"),
+        "--window": dict(type=int, default=DEFAULT_WINDOW, help="finiteness window size"),
         "--coeffs": dict(default="0,1", help="enumeration coefficients"),
         "--require-finite": dict(
             action="store_true",

@@ -17,18 +17,16 @@ when a shift-n derivation passes a factor x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import AlgElement, GenSet, Generator, Monomial, apply_to_monomial, leibniz_apply
 from .errors import GeneratorSetMismatch
 from .linalg import HomologySlice, RatMatrix
-from .model import Cochains, RelativeModel, SullivanModel
+from .model import Cochains, ModelLike, RelativeModel, SullivanModel
 
 ABSOLUTE = "absolute"
 RELATIVE = "relative"
 IDEAL = "ideal"
-
-ModelLike = Union[SullivanModel, RelativeModel]
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,8 @@ class DerComplex:
     """
 
     def __init__(self, m: ModelLike, scope: str = ABSOLUTE, cochains: Optional[Cochains] = None):
-        fiber = m.fiber if isinstance(m, RelativeModel) else m
         if scope == ABSOLUTE:
-            self.model, self._keep = fiber, None
+            self.model, self._keep = m.fiber, None
         elif scope in (RELATIVE, IDEAL):
             if not isinstance(m, RelativeModel):
                 raise ValueError(f"{scope} scope needs a RelativeModel")
@@ -108,7 +105,7 @@ class DerComplex:
             raise ValueError(f"unknown scope {scope!r}")
         self.source = m
         self.scope = scope
-        self.domain = fiber.gens
+        self.domain = m.fiber.gens
         if cochains is None:
             cochains = Cochains(self.model)
         elif cochains.model is not self.model:

@@ -10,7 +10,7 @@ chains of realized subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .algebra import AlgElement, GenSet, basis_in_degree
 from .derivations import (
@@ -24,19 +24,16 @@ from .derivations import (
 )
 from .errors import BaseNotDegreeTwo, CombinatorialBlowup, NotAComplex
 from .linalg import Echelon, HomologySlice, RatMatrix, Subspace, _dense
-from .model import Cochains, RelativeModel, SullivanModel, formal_dimension_estimate
+from .model import Cochains, ModelLike, RelativeModel, SullivanModel, formal_dimension_estimate
 from .poset import poset_of_subspaces
 
-ModelLike = Union[SullivanModel, RelativeModel]
-
-
-def _fiber_of(m: ModelLike) -> SullivanModel:
-    return m.fiber if isinstance(m, RelativeModel) else m
+# the finiteness window every caller uses unless told otherwise
+DEFAULT_WINDOW = 6
 
 
 def top_shift(m: ModelLike) -> int:
     """Largest shift with a possibly nonzero slice: the top generator degree."""
-    return max((g.degree for g in _fiber_of(m).gens), default=0)
+    return max((g.degree for g in m.fiber.gens), default=0)
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +143,7 @@ def fibre_gottlieb(f: RelativeModel, max_degree: Optional[int] = None) -> Gottli
 def _evaluation_images(
     cx: DerComplex, max_degree: Optional[int], provenance: str
 ) -> GottliebResult:
-    fiber = _fiber_of(cx.source)
+    fiber = cx.source.fiber
     top = max_degree if max_degree is not None else top_shift(fiber)
     per: dict[int, Subspace] = {}
     for n in range(1, top + 1):
@@ -355,7 +352,7 @@ def _pure_quotient_vanishes(m: SullivanModel, fd: int, window: int) -> bool:
 
 
 def finiteness_window(
-    model: ModelLike, window: int = 6
+    model: ModelLike, window: int = DEFAULT_WINDOW
 ) -> tuple[bool, Optional[int], Cochains]:
     """Finiteness test: does H vanish on (fd, fd + window]?
 
@@ -367,7 +364,7 @@ def finiteness_window(
     # the range must hold at least one degree, or every model passes vacuously
     if window < 1:
         raise ValueError(f"the finiteness window must be at least 1, got {window}")
-    total = model.total if isinstance(model, RelativeModel) else model
+    total = model.total
     cx = Cochains(total)
     fd = formal_dimension_estimate(total.gens)
     if fd is None:
@@ -379,7 +376,7 @@ def finiteness_window(
     return finite, fd, cx
 
 
-def toral_certificate(f: RelativeModel, window: int = 6) -> ToralCertificate:
+def toral_certificate(f: RelativeModel, window: int = DEFAULT_WINDOW) -> ToralCertificate:
     """Bounded certificate that the fiber admits an almost-free torus action.
 
     Needs every base generator in degree 2 and D congruent to d modulo the
@@ -418,10 +415,10 @@ class ClassificationReport:
     elliptic_at_bound: bool
     f0_candidate: bool
     cohomology_dims: dict[int, int] = field(default_factory=dict)
-    window: int = 6
+    window: int = DEFAULT_WINDOW
 
 
-def classify(model: SullivanModel, window: int = 6) -> ClassificationReport:
+def classify(model: SullivanModel, window: int = DEFAULT_WINDOW) -> ClassificationReport:
     """Homotopy Euler characteristic, purity and the bounded finiteness test."""
     elliptic, fd, cx = finiteness_window(model, window)
     n_even = sum(1 for g in model.gens if not g.is_odd)

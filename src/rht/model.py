@@ -70,6 +70,9 @@ class SullivanModel:
         self.images = monomial_images(gens, self._diff_by_index)
         self.validate()
 
+    # a space is its own fibre and total, as a RelativeModel has both
+    fiber = total = property(lambda self: self)
+
     # --- differential -------------------------------------------------
 
     def diff_of(self, name: str) -> AlgElement:
@@ -91,10 +94,11 @@ class SullivanModel:
                     f"d({gname}) must be homogeneous of degree {g.degree + 1}, "
                     f"got degree {deg if deg is not MIXED else 'mixed'}"
                 )
-        for g in self.gens:
-            dd = self.d(self.diff_of(g.name))
-            if not dd.is_zero():
-                raise NotClosed(f"d(d({g.name})) = {dd.format()} != 0")
+        for g in self.gens:  # declaration order: the first failure is reported
+            if g.name in self.diff:
+                dd = self.d(self.diff[g.name])
+                if not dd.is_zero():
+                    raise NotClosed(f"d(d({g.name})) = {dd.format()} != 0")
 
     @property
     def is_minimal(self) -> bool:
@@ -160,19 +164,14 @@ class RelativeModel:
         self.base = base
         self.name = name
         self.base_size = len(base.gens)
-        combined = [(g.name, g.degree) for g in base.gens] + [
-            (g.name, g.degree) for g in fiber_gens
-        ]
-        total_gens = GenSet(combined)
+        total_gens = _fibration_gens(base.gens, fiber_gens)
         if bound is None:
             bound = base.bound
         elif base.bound is not None:
             bound = min(bound, base.bound)
-        self._total_gens = total_gens
-        # total differential: base generators keep the base differential
-        tdiff: dict[str, AlgElement] = {
-            n: self.embed_base(v) for n, v in base.diff.items()
-        }
+        # total differential: base generators keep the base differential,
+        # unchanged because they lead the total set
+        tdiff = {n: AlgElement(total_gens, v.terms) for n, v in base.diff.items()}
         for gname, val in total_diff.items():
             if gname in base.gens.by_name:
                 raise BaseDiffViolated(
@@ -184,7 +183,7 @@ class RelativeModel:
             tdiff[gname] = val
         # fiber differential = base-killing projection of D
         proj_diff = {
-            g.name: self.project_fiber_named(fiber_gens, tdiff[g.name])
+            g.name: AlgElement(fiber_gens, self._fiber_terms(tdiff[g.name]))
             for g in fiber_gens
             if g.name in tdiff
         }
@@ -213,7 +212,7 @@ class RelativeModel:
 
     def embed_base(self, el: AlgElement) -> AlgElement:
         # base generators occupy the leading indices of the total set
-        return AlgElement(self._total_gens, {m: c for m, c in el.terms.items()})
+        return AlgElement(self.total.gens, el.terms)
 
     def total_monomial(self, m: Monomial) -> Monomial:
         """A fiber monomial in the total generator set."""
@@ -227,20 +226,17 @@ class RelativeModel:
 
     def embed_fiber(self, el: AlgElement) -> AlgElement:
         return AlgElement(
-            self._total_gens, {self.total_monomial(m): c for m, c in el.terms.items()}
+            self.total.gens, {self.total_monomial(m): c for m, c in el.terms.items()}
         )
 
     def project_fiber(self, el: AlgElement) -> AlgElement:
         """p_V: kill every monomial containing a base generator."""
-        return self.project_fiber_named(self.fiber.gens, el)
+        return AlgElement(self.fiber.gens, self._fiber_terms(el))
 
-    def project_fiber_named(self, fiber_gens: GenSet, el: AlgElement) -> AlgElement:
-        out = {}
-        for m, c in el.terms.items():
-            fm = self.fiber_monomial(m)
-            if fm is not None:
-                out[fm] = c
-        return AlgElement(fiber_gens, out)
+    def _fiber_terms(self, el: AlgElement) -> dict[Monomial, Fraction]:
+        """The terms of p_V(el), in fiber monomials."""
+        terms = ((self.fiber_monomial(m), c) for m, c in el.terms.items())
+        return {m: c for m, c in terms if m is not None}
 
     def is_base_index(self, i: int) -> bool:
         return i < self.base_size
@@ -276,6 +272,10 @@ class RelativeModel:
         return f"RelativeModel(base={self.base.gens!r}, fiber={self.fiber.gens!r})"
 
 
+# a space, or a fibration; each answers .fiber and .total
+ModelLike = Union[SullivanModel, RelativeModel]
+
+
 def trivial_fibration(
     fiber: SullivanModel, base: SullivanModel, name: Optional[str] = None
 ) -> RelativeModel:
@@ -283,6 +283,11 @@ def trivial_fibration(
     return RelativeModel(
         base, fiber.gens, fiber.diff, fiber_diff=fiber.diff, name=name, bound=fiber.bound
     )
+
+
+def _fibration_gens(base: GenSet, fiber: GenSet) -> GenSet:
+    """The total's generator set: the base generators, then the fiber's."""
+    return GenSet([(g.name, g.degree) for g in (*base, *fiber)])
 
 
 def _reexpress(el: AlgElement, target: GenSet) -> AlgElement:
@@ -341,11 +346,9 @@ class Cochains:
         return self._h[n]
 
 
-def cohomology(
-    model: Union[SullivanModel, RelativeModel], max_degree: int
-) -> dict[int, tuple[int, list[AlgElement]]]:
+def cohomology(model: ModelLike, max_degree: int) -> dict[int, tuple[int, list[AlgElement]]]:
     """H^n of the (total) algebra for n = 0..max_degree, with representatives."""
-    m = model.total if isinstance(model, RelativeModel) else model
+    m = model.total
     m.check_bound(max_degree)
     cx = Cochains(m)
     for n in range(max_degree + 2):
@@ -550,10 +553,10 @@ def _build_space(sec: _Section) -> SullivanModel:
     return SullivanModel(gens, diff, bound=sec.bound, name=sec.name)
 
 
-def parse_document(text: str) -> list[Union[SullivanModel, RelativeModel]]:
+def parse_document(text: str) -> list[ModelLike]:
     """Parse a model file; returns the models in order of appearance."""
     sections = _split_sections(text)
-    out: list[Union[SullivanModel, RelativeModel]] = []
+    out: list[ModelLike] = []
     i = 0
     while i < len(sections):
         sec = sections[i]
@@ -588,10 +591,7 @@ def parse_document(text: str) -> list[Union[SullivanModel, RelativeModel]]:
                         raise ModelSyntaxError("fiber sections use 'd' lines", lineno)
                     fiber_gens.get(name)
                     fiber_diff[name] = parse_expression(expr, fiber_gens, lineno)
-            combined = GenSet(
-                [(g.name, g.degree) for g in base.gens]
-                + [(g.name, g.degree) for g in fiber_gens]
-            )
+            combined = _fibration_gens(base.gens, fiber_gens)
             total_diff = {}
             for op, name, expr, lineno in parts["total"].dlines:
                 if op != "D":

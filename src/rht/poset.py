@@ -45,10 +45,6 @@ class Poset:
 
         return max((path(i) for i in below), key=len, default=[])
 
-    def longest_chain(self) -> int:
-        """Number of edges on a longest path; -1 for an empty poset."""
-        return len(self.longest_path()) - 1
-
 
 def poset_of_subspaces(realized: dict[str, Subspace]) -> Poset:
     """Deduplicate realized subspaces and take the transitive reduction."""

@@ -136,11 +136,11 @@ def test_04_well_ordered_chain_poset(ex47):
     with timed(5.0):
         assert fibre_gottlieb(ex47["first"]).basis_labels() == ["w3*", "w4*"]
         assert fibre_gottlieb(ex47["second"]).basis_labels() == ["w4*"]
-        cat = Catalog(ex47["first"].fiber, list(ex47.items()))
-        p = poset_of_subspaces(cat.realized_subspaces())
+        realized = Catalog(ex47["first"].fiber, list(ex47.items())).realized_subspaces()
+        p = poset_of_subspaces(realized)
         assert [node.dim for node in p.nodes] == [4, 2, 1]
         assert p.edges == [(0, 1), (1, 2)]
-        assert p.longest_chain() == 2
+        assert depth_of_subspaces(realized).depth == 2
 
 
 # ----------------------------------------------------------------------

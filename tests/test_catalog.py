@@ -2,6 +2,7 @@
 
 import pytest
 
+import rht.catalog
 from rht import (
     Catalog,
     GenSet,
@@ -121,9 +122,10 @@ D x = u^2
         entry.total.validate()
 
 
-def test_enumeration_cap():
-    with pytest.raises(CombinatorialBlowup):
-        enumerate_fibrations(odd_fiber(3, 5, 9, 17), qt_base(), cap=10)
+def test_enumeration_cap(monkeypatch):
+    monkeypatch.setattr(rht.catalog, "MAX_CANDIDATES", 10)
+    with pytest.raises(CombinatorialBlowup, match="exceed the cap of 10"):
+        enumerate_fibrations(odd_fiber(3, 5, 9, 17), qt_base())
 
 
 def test_enumeration_widened_coefficients():

@@ -28,6 +28,8 @@ from rht.derivations import ComplexSlice
 from rht.invariants import top_shift
 from rht.model import formal_dimension_estimate
 
+from cli_snapshot import differences, sweep
+from cli_snapshot import load as load_snapshot
 from conftest import FIXTURES
 
 
@@ -545,3 +547,18 @@ def test_der_homology_report_matches_per_degree_calls(capsys, path):
             ]
             want[str(n)] = {"dim": h.dim, "basis": labels}
         assert doc["degrees"] == want, m.name
+
+
+def test_cli_matches_snapshot():
+    # every call of tests/cli_snapshot.py, byte for byte; regenerate with
+    # `python tests/cli_snapshot.py --write` only for an intended output change
+    assert differences(load_snapshot(), sweep()) == []
+
+
+def test_cli_snapshot_names_each_differing_call():
+    expected = load_snapshot()[:2]
+    actual = [dict(entry) for entry in expected]
+    actual[1]["exit"] = 99
+    assert differences(expected, expected) == []
+    assert differences(expected, actual) == [f"{' '.join(expected[1]['argv'])}: exit differs"]
+    assert differences(expected, actual[:1]) == ["the sweep's calls differ from the snapshot's"]

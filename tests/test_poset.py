@@ -3,7 +3,7 @@
 import json
 import random
 
-from rht import Poset, Subspace, poset_of_subspaces, render
+from rht import Poset, Subspace, depth_of_subspaces, poset_of_subspaces, render
 
 FRAME = ("a*", "b*", "c*", "d*")
 
@@ -45,7 +45,7 @@ def test_chain_poset():
     p = poset_of_subspaces(chain_family())
     assert [node.dim for node in p.nodes] == [3, 2, 1]
     assert p.edges == [(0, 1), (1, 2)]
-    assert p.longest_chain() == 2
+    assert depth_of_subspaces(chain_family()).depth == 2
 
 
 def test_diamond_poset_dedupes_and_reduces():
@@ -55,7 +55,7 @@ def test_diamond_poset_dedupes_and_reduces():
     assert sorted(bottom.witnesses) == ["bot", "bot-again"]
     # no edge skips the middle layer
     assert (0, p.nodes.index(bottom)) not in p.edges
-    assert p.longest_chain() == 2
+    assert depth_of_subspaces(diamond_family()).depth == 2
 
 
 def edge_closure(edges):
@@ -86,10 +86,10 @@ def test_poset_invariant_under_permutation():
 
 
 def test_empty_and_singleton():
-    assert poset_of_subspaces({}).longest_chain() == -1
+    assert depth_of_subspaces({}).depth == -1
     single = poset_of_subspaces({"x": span([1, 0, 0, 0])})
     assert len(single.nodes) == 1 and single.edges == []
-    assert single.longest_chain() == 0
+    assert depth_of_subspaces({"x": span([1, 0, 0, 0])}).depth == 0
 
 
 def test_render_dot():
