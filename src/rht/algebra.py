@@ -51,7 +51,11 @@ class Generator:
 
 
 class GenSet:
-    """An ordered set of generators; declaration order is the canonical order."""
+    """An ordered set of generators; declaration order is the canonical order.
+
+    A GenSet never changes, so it keeps each degree basis it has built for
+    every model and element over it.
+    """
 
     def __init__(self, gens: Iterable[tuple[str, int]]):
         self.gens: tuple[Generator, ...] = tuple(
@@ -62,6 +66,13 @@ class GenSet:
             if g.name in self.by_name:
                 raise DuplicateGenerator(f"generator {g.name} declared twice")
             self.by_name[g.name] = g
+        self._bases: dict[int, list[Monomial]] = {}
+
+    def basis(self, n: int) -> list[Monomial]:
+        """basis_in_degree(self, n), built on first use; callers must not change it."""
+        if n not in self._bases:
+            self._bases[n] = basis_in_degree(self, n)
+        return self._bases[n]
 
     def __len__(self) -> int:
         return len(self.gens)
@@ -79,6 +90,8 @@ class GenSet:
             raise UnknownGenerator(f"unknown generator {name!r}") from None
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, GenSet):
             return NotImplemented
         return [(g.name, g.degree) for g in self.gens] == [
@@ -420,9 +433,13 @@ def leibniz_apply(
     Works for differentials (parity 1, degree +1) and for derivations of
     shift n (parity n % 2, degree -n) alike.
     """
+    return apply_images(gens, monomial_images(gens, values), parity, element)
+
+
+def apply_images(gens: GenSet, images: Mapping, parity: int, element: AlgElement) -> AlgElement:
+    """leibniz_apply with the generator images already in monomial_images form."""
     if element.gens != gens:
         raise GeneratorSetMismatch("element over a different generator set")
-    images = monomial_images(gens, values)
     out: dict[Monomial, Fraction] = {}
     for mono, coeff in element.terms.items():
         for m, c in apply_to_monomial(gens, images, parity, mono).items():

@@ -30,9 +30,8 @@ from .algebra import (
     AlgElement,
     GenSet,
     Monomial,
+    apply_images,
     apply_to_monomial,
-    basis_in_degree,
-    leibniz_apply,
     monomial_images,
 )
 from .errors import (
@@ -64,10 +63,9 @@ class SullivanModel:
                 self.diff[gname] = val
         self.bound = bound
         self.name = name
-        self._diff_by_index = {
-            gens.get(n).index: v for n, v in self.diff.items()
-        }
-        self.images = monomial_images(gens, self._diff_by_index)
+        self.images = monomial_images(
+            gens, {gens.get(n).index: v for n, v in self.diff.items()}
+        )
         self.validate()
 
     # a space is its own fibre and total, as a RelativeModel has both
@@ -81,7 +79,7 @@ class SullivanModel:
 
     def d(self, element: AlgElement) -> AlgElement:
         """Apply the differential (degree +1 derivation) to any element."""
-        return leibniz_apply(self.gens, self._diff_by_index, 1, element)
+        return apply_images(self.gens, self.images, 1, element)
 
     # --- validation ---------------------------------------------------
 
@@ -165,6 +163,11 @@ class RelativeModel:
         self.name = name
         self.base_size = len(base.gens)
         total_gens = _fibration_gens(base.gens, fiber_gens)
+        # D given over an equal generator set lends it to the total, so that
+        # fibrations built over one set share it and its degree bases
+        total_gens = next(
+            (v.gens for v in total_diff.values() if v.gens == total_gens), total_gens
+        )
         if bound is None:
             bound = base.bound
         elif base.bound is not None:
@@ -312,20 +315,19 @@ def _reexpress(el: AlgElement, target: GenSet) -> AlgElement:
 class Cochains:
     """The cochain complex (Lambda V, d) of one model, for one call.
 
-    Each degree's basis, differential and cohomology is built at most once,
-    on first use, and lives only as long as this object.
+    Each degree's differential and cohomology is built at most once, on first
+    use, and lives only as long as this object.  The degree bases belong to
+    the model's GenSet, which every model over it shares.
     """
 
     def __init__(self, m: SullivanModel):
         self.model = m
-        self._bases: dict[int, list[Monomial]] = {-1: []}  # d(-1) is the zero map into H^0
         self._d: dict[int, RatMatrix] = {}
         self._h: dict[int, HomologySlice] = {}
 
     def basis(self, n: int) -> list[Monomial]:
-        if n not in self._bases:
-            self._bases[n] = basis_in_degree(self.model.gens, n)
-        return self._bases[n]
+        # d(-1) is the zero map into H^0
+        return self.model.gens.basis(n) if n >= 0 else []
 
     def d(self, n: int) -> RatMatrix:
         """Matrix of d from the degree-n basis to the degree-(n+1) basis."""

@@ -38,8 +38,9 @@ FIBERS = ("tests/fixtures/fiber-3-3-3-3.smf", "tests/fixtures/fiber-3-5-9-17.smf
 def calls() -> list[list[str]]:
     """Every subcommand in text and --json on every file (validate has no
     --json), toral-check at three windows, depth and poset with
-    --require-finite at windows 1 and 6, and both enumerations over
-    base-qt.smf with and without --require-finite."""
+    --require-finite at windows 1 and 6, both enumerations over base-qt.smf
+    with and without --require-finite, and the enumerations with non-unit
+    coefficients: 0,1,-1 on fiber-3-5-9-17 in --json, 0,2 on both fibres."""
     out = []
     for path in FILES:
         out.append(["validate", path])
@@ -55,6 +56,9 @@ def calls() -> list[list[str]]:
         for gate in ([], ["--require-finite"]):
             for fmt in ([], ["--json"]):
                 out.append(["enumerate", fiber, "tests/fixtures/base-qt.smf", *gate, *fmt])
+    out.append(["enumerate", FIBERS[1], "tests/fixtures/base-qt.smf", "--coeffs", "0,1,-1", "--json"])
+    for fiber in FIBERS:
+        out.append(["enumerate", fiber, "tests/fixtures/base-qt.smf", "--coeffs", "0,2"])
     return out
 
 

@@ -201,6 +201,18 @@ def test_oversized_basis_is_refused_before_it_is_built():
         basis_in_degree(six, 60)
 
 
+def test_genset_builds_each_degree_basis_once():
+    gens = GenSet([(g.name, g.degree) for g in GENS])
+    first = gens.basis(9)
+    assert first == basis_in_degree(GENS, 9) and gens.basis(9) is first
+    assert gens == GENS and gens == gens
+    # a refused basis stays refused: nothing is kept for it
+    six = GenSet([(f"x{i}", 2) for i in range(6)])
+    for _ in range(2):
+        with pytest.raises(CombinatorialBlowup):
+            six.basis(60)
+
+
 def test_generator_degree_above_the_basis_cap_is_refused():
     # counting any basis in such a degree takes a table longer than MAX_BASIS
     assert Generator("x", MAX_BASIS, 0).degree == MAX_BASIS

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rht.algebra
+import rht.model
 from rht import (
     AlgElement,
     Cochains,
@@ -94,6 +96,31 @@ def test_d_extends_by_leibniz():
     assert m.d(x) == u * u
 
 
+def test_d_applies_the_images_built_with_the_model(monkeypatch):
+    # each model turns its differential into generator images once; d, and
+    # so validation, applies them without building them again
+    images, models = [], []
+    real_images, real_init = rht.algebra.monomial_images, SullivanModel.__init__
+
+    def counting_images(gens, values):
+        images.append(gens)
+        return real_images(gens, values)
+
+    def counting_init(self, *args, **kwargs):
+        models.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rht.algebra, "monomial_images", counting_images)
+    monkeypatch.setattr(rht.model, "monomial_images", counting_images)
+    monkeypatch.setattr(SullivanModel, "__init__", counting_init)
+    fibrations = load("ex47.smf") + load("su5-bundle.smf")
+    for f in fibrations:
+        for w in f.fiber.gens:
+            assert f.total.d(f.total.diff_of(w.name)).is_zero()
+    assert len(models) == 3 * len(fibrations)  # base, fiber and total of each
+    assert len(images) == len(models)
+
+
 # ----------------------------------------------------------------------
 # relative models
 
@@ -164,6 +191,21 @@ D x = u*a
     # fiber's violation is the one reported
     with pytest.raises(BaseDiffViolated, match="projected fiber differential"):
         parse_fibration(text)
+
+
+def test_total_shares_the_generator_set_of_its_differential(ex44, su5):
+    # D given over the base-then-fiber generator set lends that set to the
+    # total: the parser's [total] section and every twist of one trivial
+    # fibration share it, and with it its degree bases
+    assert ex44.total.diff and all(v.gens is ex44.total.gens for v in ex44.total.diff.values())
+    base = SullivanModel(GenSet([("t", 2)]), {})
+    gens = trivial_fibration(su5, base).total.gens
+    t = AlgElement.gen(gens, "t")
+    twisted = RelativeModel(base, su5.gens, {"v1": t * t})
+    assert twisted.total.gens is gens
+    # with no D over that layout, the total gets a set of its own
+    fiber_only = RelativeModel(base, su5.gens, {})
+    assert fiber_only.total.gens == gens and fiber_only.total.gens is not gens
 
 
 def test_trivial_fibration_structure(su5):
