@@ -67,12 +67,23 @@ class GenSet:
                 raise DuplicateGenerator(f"generator {g.name} declared twice")
             self.by_name[g.name] = g
         self._bases: dict[int, list[Monomial]] = {}
+        self._even: Optional[GenSet] = None
 
     def basis(self, n: int) -> list[Monomial]:
         """basis_in_degree(self, n), built on first use; callers must not change it."""
         if n not in self._bases:
             self._bases[n] = basis_in_degree(self, n)
         return self._bases[n]
+
+    def even(self) -> "GenSet":
+        """The even generators, in order, as a set of their own, built on first use.
+
+        It keeps its degree bases like any set, so the models over this one
+        share them (the pure quotient reads them).
+        """
+        if self._even is None:
+            self._even = GenSet((g.name, g.degree) for g in self.gens if not g.is_odd)
+        return self._even
 
     def __len__(self) -> int:
         return len(self.gens)

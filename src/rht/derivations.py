@@ -11,7 +11,8 @@ Three chain complexes, all indexed by the degree shift n >= 1:
 A slice at shift n is spanned by pairs (w, m): the derivation sending the
 generator w to the monomial m and every other generator to zero.  The
 boundary is delta(s) = d.s - (-1)^n s.d, with the Koszul sign (-1)^(n|x|)
-when a shift-n derivation passes a factor x.
+when a shift-n derivation passes a factor x; ``DerComplex.bracket`` builds
+it, and the bracket with any other degree +1 derivation, the same way.
 """
 
 from __future__ import annotations
@@ -136,32 +137,51 @@ class DerComplex:
         return self._slices[n]
 
     def boundary(self, n: int) -> RatMatrix:
-        """delta from the shift-n slice to the shift-(n-1) slice, in basis coordinates."""
-        if n in self._boundaries:
-            return self._boundaries[n]
+        """delta = [d, -] from the shift-n slice to the shift-(n-1) slice, in basis coordinates."""
+        if n not in self._boundaries:
+            self._boundaries[n] = self.bracket(n, self.model.images)
+        return self._boundaries[n]
+
+    def bracket(self, n: int, images: Mapping) -> RatMatrix:
+        """[E, -] from the shift-n slice to the shift-(n-1) slice.
+
+        E is a degree +1 derivation of the value algebra, given by its
+        generator images in ``monomial_images`` form; [E, s] = E.s - (-1)^n s.E.
+        The bracket is linear in E: E = d gives the boundary, and a model
+        twisted by sum_s c_s theta_s has boundary delta + sum_s c_s [theta_s, -].
+        A domain generator that E sends to zero adds nothing to the column
+        of a pair on another generator, so it is skipped.
+        """
         if n < 1:
             raise ValueError("boundary starts at shift 1")
         src = self.slice(n)
         tgt = self.slice(n - 1)
-        model, gens = self.model, self.model.gens
+        gens = self.model.gens
         tgt_index = tgt.index()
         sign = -1 if n % 2 == 0 else 1  # -(-1)^n
-        gen_diffs = [(gens.get(g.name).index, model.diff_of(g.name).terms) for g in self.domain]
+        gen_images = []
+        for g in self.domain:
+            i = gens.get(g.name).index
+            gen_images.append((i, [(Monomial(t), c) for t, c in images.get(i, ())]))
         columns = []
         for w, mono in src.pairs:
             theta = {w.index: ((mono.exponents, 1),)}
             col = {}
-            for gi, dg in gen_diffs:
-                val = apply_to_monomial(gens, model.images, 1, mono) if gi == w.index else {}
-                for term, c in dg.items():
+            for gi, image in gen_images:
+                if gi == w.index:
+                    val = apply_to_monomial(gens, images, 1, mono)
+                elif image:
+                    val = {}
+                else:
+                    continue
+                for term, c in image:
                     for mm, v in apply_to_monomial(gens, theta, n, term).items():
                         val[mm] = val.get(mm, 0) + sign * c * v
                 for mm, c in val.items():
                     if c:
                         col[tgt_index[(gi, mm)]] = c
             columns.append(col)
-        self._boundaries[n] = RatMatrix(tgt.dim, columns)
-        return self._boundaries[n]
+        return RatMatrix(tgt.dim, columns)
 
     def homology(self, n: int) -> HomologySlice:
         """H_n, from the boundaries into and out of the shift-n slice."""

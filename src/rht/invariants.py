@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .algebra import AlgElement, GenSet, basis_in_degree
+from .algebra import AlgElement
 from .derivations import (
     ABSOLUTE,
     IDEAL,
@@ -317,7 +317,7 @@ def _pure_quotient_vanishes(m: SullivanModel, fd: int, window: int) -> bool:
     even = [g for g in m.gens if not g.is_odd]
     if not even:
         return True  # Lambda V is finite-dimensional
-    q = GenSet((g.name, g.degree) for g in even)
+    q = m.gens.even()
     to_q = {g.index: i for i, g in enumerate(even)}
     relations = []  # (degree, terms over q) of each nonzero d_s p
     for p in (g for g in m.gens if g.is_odd):
@@ -333,10 +333,10 @@ def _pure_quotient_vanishes(m: SullivanModel, fd: int, window: int) -> bool:
     lo = max(start, 0)  # negative degrees are empty
     try:
         for n in range(lo + lo % 2, start + s, 2):
-            index = {mono.exponents: i for i, mono in enumerate(basis_in_degree(q, n))}
+            index = {mono.exponents: i for i, mono in enumerate(q.basis(n))}
             ideal = Echelon(len(index))
             for r, pure in relations:
-                for mono in basis_in_degree(q, n - r) if n >= r else ():
+                for mono in q.basis(n - r) if n >= r else ():
                     vec = {}  # mono times d_s p; distinct terms give distinct products
                     for t, c in pure:
                         e = dict(mono.exponents)

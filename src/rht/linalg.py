@@ -43,7 +43,8 @@ class RatMatrix:
         self.rows = rows
         self.columns: list[Sparse] = []
         for column in columns:
-            col = {r: Fraction(v) for r, v in column.items() if v}
+            # Fraction entries are stored as they are; others are converted
+            col = {r: v if type(v) is Fraction else Fraction(v) for r, v in column.items() if v}
             if col and not (0 <= min(col) and max(col) < rows):
                 raise IndexError("entry outside matrix dimensions")
             self.columns.append(col)

@@ -9,6 +9,7 @@ import pytest
 
 import rht.algebra
 import rht.catalog
+import rht.derivations
 import rht.model
 from rht import (
     AlgElement,
@@ -19,10 +20,19 @@ from rht import (
     SullivanModel,
     basis_in_degree,
     enumerate_fibrations,
+    fibre_gottlieb,
     parse_fibration,
     poset_of_subspaces,
 )
-from rht.errors import CombinatorialBlowup, FiberMismatch, NotClosed, NotFiniteAtBound
+from rht.errors import (
+    BoundExceeded,
+    CombinatorialBlowup,
+    FiberMismatch,
+    NotAComplex,
+    NotClosed,
+    NotFiniteAtBound,
+    RhtError,
+)
 from rht.model import trivial_fibration
 
 from conftest import load, random_space
@@ -158,18 +168,24 @@ def test_enumeration_widened_coefficients():
 COEFF_SETS = ((0, 1), (0, 1, -1), (0, 2), (0, Fraction(1, 2)))
 
 
+def enumeration_slots(fiber, base):
+    """The slots (name of w, m) an enumeration over this base twists."""
+    trivial = trivial_fibration(fiber, base)
+    return [
+        (w.name, mono)
+        for w in fiber.gens
+        for mono in basis_in_degree(trivial.total.gens, w.degree + 1)
+        if trivial.monomial_has_base(mono)
+    ]
+
+
 def brute_force(fiber, base, coeff_set, most=300):
     """The enumeration by construction: every candidate is built as a
     RelativeModel, and NotClosed rejects it.  Returns (entries, number of
     candidates), or None when there are more than ``most`` candidates."""
     trivial = trivial_fibration(fiber, base)
     combined = trivial.total.gens
-    slots = [
-        (w.name, mono)
-        for w in fiber.gens
-        for mono in basis_in_degree(combined, w.degree + 1)
-        if trivial.monomial_has_base(mono)
-    ]
+    slots = enumeration_slots(fiber, base)
     coeffs = sorted({Fraction(0), *map(Fraction, coeff_set)}, key=lambda c: (c != 0, c))
     if len(coeffs) ** len(slots) > most:
         return None
@@ -248,3 +264,149 @@ def test_enumeration_builds_only_closed_candidates(monkeypatch):
     gens = cat.entries[0][1].total.gens
     per_degree = Counter(n for g, n in bases if g == gens)
     assert per_degree and max(per_degree.values()) == 1, per_degree
+
+
+# ----------------------------------------------------------------------
+# realized subspaces from one twisted complex per base
+
+
+def assert_realized_matches_oracle(cat):
+    """realized_subspaces() is fibre_gottlieb(entry).total() for every entry;
+    returns the number of distinct subspaces."""
+    want = {key: fibre_gottlieb(entry).total() for key, entry in cat.entries}
+    got = cat.realized_subspaces()
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key], key
+    return len(set(want.values()))
+
+
+def test_realized_subspaces_match_fibre_gottlieb():
+    rng = random.Random(14)
+    spaces = [random_space(rng, 4, 8) for _ in range(60)]
+    fibers = [load("fiber-3-5-9-17.smf")[0]]
+    fibers += [f for f in spaces if f.diff][:6] + [f for f in spaces if not f.diff][:6]
+    ran, varied = Counter(), 0
+    for fiber in fibers:
+        for base in (qt_base(), s2_base()):
+            for coeff_set in ((0, 1), (0, 1, -1), (0, Fraction(1, 2))):
+                coeffs = len(set(coeff_set))
+                if coeffs ** len(enumeration_slots(fiber, base)) > 300:
+                    continue
+                cat = enumerate_fibrations(fiber, base, coeff_set)
+                varied += assert_realized_matches_oracle(cat) > 1
+                ran[base.name, coeff_set] += 1
+    # every base and coefficient set ran on several fibers, and many
+    # catalogs realize more than one subspace
+    assert len(ran) == 6 and min(ran.values()) >= 3, ran
+    assert varied >= 10, varied
+    # file catalogs, each over one base
+    for name in ("ex47.smf", "wedge.smf"):
+        fibs = load(name)
+        assert assert_realized_matches_oracle(Catalog(fibs[0].fiber, [(f.name, f) for f in fibs])) == 3
+    # a catalog mixing two bases, their entries interleaved
+    fiber = odd_fiber(3, 5, 7, 9)
+    over_qt = [(f"qt {key}", f) for key, f in enumerate_fibrations(fiber, qt_base(), (0, 1, -1)).entries]
+    over_s2 = [(f"s2 {key}", f) for key, f in enumerate_fibrations(fiber, s2_base()).entries]
+    mixed = [kv for pair in itertools.zip_longest(over_qt, over_s2) for kv in pair if kv]
+    assert len(over_qt) > 50 and len(over_s2) > 20
+    assert assert_realized_matches_oracle(Catalog(fiber, mixed)) > 1
+
+
+def test_realized_subspaces_raise_what_fibre_gottlieb_raises():
+    def outcome(call):
+        try:
+            return call()
+        except RhtError as exc:
+            return type(exc), str(exc)
+
+    def oracle(cat):
+        return {key: fibre_gottlieb(entry).total() for key, entry in cat.entries}
+
+    # a non-minimal fibre: evaluation does not kill the boundaries
+    gens = GenSet([("y", 3), ("x", 4)])
+    fiber = SullivanModel(gens, {"y": AlgElement.gen(gens, "x")}, name="pair")
+    catalogs = [enumerate_fibrations(fiber, qt_base())]
+    # equal bases under two bounds: the entries form two groups, and the
+    # slices of the bounded one pass its bound
+    text = """
+[fibration NAME]
+[base]
+gen t 2
+bound BOUND
+[fiber]
+gen w1 3
+gen w2 11
+[total]
+D w2 = t^6
+"""
+    low, high = (
+        parse_fibration(text.replace("NAME", name).replace("BOUND", bound))
+        for name, bound in (("low", "8"), ("high", "30"))
+    )
+    for entries in ([high], [high, low], [low, high]):
+        catalogs.append(Catalog(low.fiber, [(f.name, f) for f in entries]))
+    kinds = []
+    for cat in catalogs:
+        got = outcome(cat.realized_subspaces)
+        assert got == outcome(lambda: oracle(cat))
+        kinds.append(got[0] if isinstance(got, tuple) else type(got))
+    assert kinds == [NotAComplex, dict, BoundExceeded, BoundExceeded]
+
+
+def test_realized_subspaces_build_each_part_once(monkeypatch):
+    # ungated fiber-3-5-9-17 over qt: one complex for its one base, each
+    # bracket [E, -] built once, and each image once per distinct pair of
+    # boundaries (the parent built 58 complexes and 232 images)
+    fiber, base = load("fiber-3-5-9-17.smf")[0], qt_base()
+    cat = enumerate_fibrations(fiber, base)
+    complexes, brackets, images = [], Counter(), []
+    real_init, real_bracket = rht.derivations.DerComplex.__init__, rht.derivations.DerComplex.bracket
+    real_image = rht.catalog._image_on_cycles
+
+    def counting_init(self, *args, **kwargs):
+        complexes.append(self)
+        real_init(self, *args, **kwargs)
+
+    def counting_bracket(self, n, images):
+        brackets[id(self), n, tuple(sorted(images.items()))] += 1
+        return real_bracket(self, n, images)
+
+    def canonical(m):
+        return m.rows, tuple(tuple(sorted(col.items())) for col in m.columns)
+
+    def counting_image(eval_matrix, d_out, d_in, frame):
+        images.append((tuple(frame), canonical(d_out), canonical(d_in)))
+        return real_image(eval_matrix, d_out, d_in, frame)
+
+    monkeypatch.setattr(rht.derivations.DerComplex, "__init__", counting_init)
+    monkeypatch.setattr(rht.derivations.DerComplex, "bracket", counting_bracket)
+    monkeypatch.setattr(rht.catalog, "_image_on_cycles", counting_image)
+    subspaces = cat.realized_subspaces()
+    assert len(subspaces) == len(cat.entries) == 58
+    assert len(complexes) == 1
+    assert brackets and max(brackets.values()) == 1, brackets.most_common(3)
+    assert len(images) == len(set(images)) <= 68, len(images)
+
+
+def test_pure_quotient_bases_are_built_once_per_enumeration(monkeypatch):
+    # gated fiber-3-5-9-17 over qt: every candidate's total shares one
+    # GenSet, and so one pure quotient set and each of its bases (the
+    # parent built a quotient set per candidate and 145 bases for 25)
+    fiber, base = load("fiber-3-5-9-17.smf")[0], qt_base()
+    built = []
+    real_basis = rht.algebra.basis_in_degree
+
+    def counting_basis(gens, n):
+        built.append((gens, n))
+        return real_basis(gens, n)
+
+    monkeypatch.setattr(rht.algebra, "basis_in_degree", counting_basis)
+    cat = enumerate_fibrations(fiber, base, require_finite=True)
+    quotient = cat.entries[0][1].total.gens.even()
+    pure = Counter(n for gens, n in built if gens is quotient)
+    assert pure and max(pure.values()) == 1, pure
+    # no other set of even generators had a basis built
+    others = {id(g) for g, _ in built if g is not quotient and all(not x.is_odd for x in g)}
+    assert not others
+    assert Counter((id(g), n) for g, n in built).most_common(1)[0][1] == 1

@@ -469,7 +469,8 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
     real_basis, real_slice, real_d = (
         rht.model.Cochains.basis, rht.model.HomologySlice, rht.model.Cochains.d
     )
-    real_pure_basis = rht.invariants.basis_in_degree
+    real_even, real_gens_basis = rht.algebra.GenSet.even, rht.algebra.GenSet.basis
+    quotients = []  # the generator sets of the pure quotients read
     real_kernel = rht.linalg.Echelon.kernel
     real_reps = rht.linalg.HomologySlice.representatives
     real_homology = rht.model.Cochains.homology
@@ -479,9 +480,15 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
         bases.append(n)
         return real_basis(self, n)
 
+    def recording_even(gens):
+        quotients.append(real_even(gens))
+        return quotients[-1]
+
+    # a pure quotient reads its bases from its own GenSet, which may have them
     def counting_pure_basis(gens, n):
-        pure_bases.append(n)
-        return real_pure_basis(gens, n)
+        if any(gens is q for q in quotients):
+            pure_bases.append(n)
+        return real_gens_basis(gens, n)
 
     def counting_slice(d_in, d_out):
         slices.append(d_out)
@@ -504,7 +511,8 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
         return built[-1][1]
 
     monkeypatch.setattr(rht.model.Cochains, "basis", counting_basis)
-    monkeypatch.setattr(rht.invariants, "basis_in_degree", counting_pure_basis)
+    monkeypatch.setattr(rht.algebra.GenSet, "even", recording_even)
+    monkeypatch.setattr(rht.algebra.GenSet, "basis", counting_pure_basis)
     monkeypatch.setattr(rht.model, "HomologySlice", counting_slice)
     monkeypatch.setattr(rht.model.Cochains, "d", counting_d)
     monkeypatch.setattr(rht.linalg.Echelon, "kernel", counting_kernel)

@@ -65,6 +65,20 @@ def test_matrix_basics():
         RatMatrix.from_rows([[1, 2], [3]])
 
 
+def test_matrix_stores_fraction_entries():
+    half, kept = Fraction(1, 2), Fraction(2, 3)
+    # int, Fraction and mixed columns: every stored entry is a Fraction
+    for columns in ([{0: 1, 1: -2}], [{0: half}, {1: kept}], [{0: 3, 1: half}, {1: Fraction(4)}, {}]):
+        m = RatMatrix(2, columns)
+        assert all(type(x) is Fraction for col in m.columns for x in col.values())
+        assert m.columns == [{r: Fraction(x) for r, x in col.items()} for col in columns]
+    # a Fraction entry is stored as it is, not copied
+    assert RatMatrix(1, [{0: kept}]).columns[0][0] is kept
+    for column in ({2: kept}, {-1: 1}, {0: 1, 5: half}):
+        with pytest.raises(IndexError):
+            RatMatrix(2, [column])
+
+
 def test_matmul_against_dense():
     a = RatMatrix.from_rows([[1, 2, 0], [0, -1, 3]])
     b = RatMatrix.from_rows([[2, 0], [1, 1], [0, 4]])
