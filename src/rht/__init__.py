@@ -5,9 +5,7 @@ from .algebra import (
     GenSet,
     Generator,
     Monomial,
-    augment,
     basis_in_degree,
-    normalize_product,
 )
 from .catalog import Catalog, enumerate_fibrations
 from .derivations import (

@@ -67,6 +67,7 @@ class GenSet:
                 raise DuplicateGenerator(f"generator {g.name} declared twice")
             self.by_name[g.name] = g
         self._bases: dict[int, list[Monomial]] = {}
+        self._counts: list[list[int]] = [[]]  # see counts
         self._even: Optional[GenSet] = None
 
     def basis(self, n: int) -> list[Monomial]:
@@ -74,6 +75,25 @@ class GenSet:
         if n not in self._bases:
             self._bases[n] = basis_in_degree(self, n)
         return self._bases[n]
+
+    def counts(self, n: int) -> list[list[int]]:
+        """counts[i][r]: the monomials of degree r in gens[i:], for every r <= n at least.
+
+        One table serves every degree; a degree past its end rebuilds it at
+        twice the length, so building it stays linear in the largest degree.
+        """
+        if len(self._counts[0]) <= n:
+            size = max(n + 1, 2 * len(self._counts[0]))
+            rows = [[1] + [0] * (size - 1)]
+            for g in reversed(self.gens):
+                prev, row = rows[-1], rows[-1][:]
+                src = prev if g.is_odd else row
+                for r in range(g.degree, size):
+                    row[r] += src[r - g.degree]
+                rows.append(row)
+            rows.reverse()
+            self._counts = rows
+        return self._counts
 
     def even(self) -> "GenSet":
         """The even generators, in order, as a set of their own, built on first use.
@@ -193,16 +213,6 @@ def normalize_word(gens: GenSet, factors: Sequence[tuple[int, int]]):
     sign = -1 if inv % 2 else 1
     mono = Monomial(tuple(sorted(total.items())))
     return sign, mono
-
-
-def normalize_product(gens: GenSet, factors: Sequence[tuple[Generator, int]]):
-    """Public form of normalize_word taking (Generator, exponent) pairs."""
-    idx_factors = []
-    for g, e in factors:
-        if gens.by_name.get(g.name) is not g:
-            raise UnknownGenerator(f"generator {g.name!r} is not in this set")
-        idx_factors.append((g.index, e))
-    return normalize_word(gens, idx_factors)
 
 
 class AlgElement:
@@ -332,33 +342,23 @@ class AlgElement:
         return text.replace("+ -", "- ")
 
 
-def augment(a: AlgElement) -> Fraction:
-    """Coefficient of the unit monomial (the degree-0 projection)."""
-    return a.coefficient(UNIT)
-
-
 def basis_in_degree(gens: GenSet, n: int) -> list[Monomial]:
     """All normal-form monomials of total degree n, in graded-lex order.
 
-    Exponents are walked from high to low, which is that order.  A count of
-    the monomials each suffix of generators reaches in each degree sizes the
-    basis first and then prunes every dead branch.
+    Exponents are walked from high to low, which is that order.  The set's
+    count of the monomials each suffix of generators reaches in each degree
+    (GenSet.counts) sizes the basis first and then prunes every dead branch.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    counts = [[1] + [0] * n]  # counts[k - i][r]: monomials of degree r in gens[i:]
-    for g in reversed(gens.gens):
-        prev, row = counts[-1], counts[-1][:]
-        src = prev if g.is_odd else row
-        for r in range(g.degree, n + 1):
-            row[r] += src[r - g.degree]
-        counts.append(row)
-    counts.reverse()
+    counts = gens.counts(n)
     if counts[0][n] > MAX_BASIS:
         raise CombinatorialBlowup(
             f"degree {n} has {counts[0][n]} monomials, more than {MAX_BASIS}"
         )
     out: list[Monomial] = []
+    if not counts[0][n]:  # nothing to walk, also when the set has no generators
+        return out
 
     def rec(i: int, remaining: int, acc: list[tuple[int, int]]):
         if remaining == 0:
@@ -374,8 +374,7 @@ def basis_in_degree(gens: GenSet, n: int) -> list[Monomial]:
         if reach[remaining]:
             rec(i + 1, remaining, acc)
 
-    if counts[0][n]:  # also keeps the walk off gens[0] when there are none
-        rec(0, n, [])
+    rec(0, n, [])
     return out
 
 

@@ -2,21 +2,16 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import AlgElement, Generator, Monomial, apply_images
+from .algebra import AlgElement, Monomial, apply_images
 from .derivations import RELATIVE, DerComplex, dual_frame
 from .errors import CombinatorialBlowup, DuplicateId, FiberMismatch, NotFiniteAtBound
-from .invariants import (
-    DEFAULT_WINDOW,
-    GottliebResult,
-    _image_on_cycles,
-    finiteness_window,
-    top_shift,
-)
+from .invariants import DEFAULT_WINDOW, GottliebResult, finiteness_window, top_shift
+from .invariants import _image_on_cycles
 from .linalg import RatMatrix, Subspace
 from .model import RelativeModel, SullivanModel, trivial_fibration
 
@@ -31,6 +26,8 @@ class Catalog:
 
     fiber: SullivanModel
     entries: list[tuple[str, RelativeModel]] = field(default_factory=list)
+    # set by an enumeration: its twist, which holds its entries' coefficients
+    _twist: Optional[_Twist] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -38,136 +35,156 @@ class Catalog:
             if key in seen:
                 raise DuplicateId(f"duplicate catalog id {key!r}")
             seen.add(key)
-            if (
-                entry.fiber.gens != self.fiber.gens
-                or entry.fiber.diff != self.fiber.diff
-            ):
+            if entry.fiber.gens != self.fiber.gens or entry.fiber.diff != self.fiber.diff:
                 raise FiberMismatch(f"catalog entry {key!r} has a different fiber")
 
     def realized_subspaces(self) -> dict[str, Subspace]:
-        """fibre_gottlieb(entry).total() per entry, from one twisted complex per base.
+        """fibre_gottlieb(entry).total() per entry, from one twist (_Twist) per base.
 
-        The entries over one base are read as twists of one trivial
-        fibration (_Twists).  They are visited in catalog order, and each
-        group builds what an entry needs in the order fibre_gottlieb would,
-        so an error is raised by the entry whose fibre_gottlieb raises first.
-        """
-        groups: list[_Twists] = []
-        out = {}
+        Every entry's coefficients are read first, then each subspace in catalog order,
+        built in fibre_gottlieb's order: an error comes from the entry whose fibre_gottlieb
+        raises first."""
+        groups = [] if self._twist is None else [self._twist]
+        read = []
         for key, entry in self.entries:
             group = next((g for g in groups if g.holds(entry)), None)
             if group is None:
-                group = _Twists(entry)
-                groups.append(group)
-            out[key] = group.realized(entry)
-        return out
+                groups.append(group := _Twist(entry, []))
+            read.append((key, group, group.coefficients(entry)))
+        return {key: group.realized(c) for key, group, c in read}
 
     def check_finite(self, window: int = DEFAULT_WINDOW) -> None:
         """Raise NotFiniteAtBound naming every entry that fails the finiteness window."""
         _, offenders = _split_finite(self.entries, window)
         if offenders:
-            raise NotFiniteAtBound(
-                "total spaces failed the finiteness gate: " + ", ".join(offenders)
-            )
+            names = ", ".join(offenders)
+            raise NotFiniteAtBound(f"total spaces failed the finiteness gate: {names}")
 
 
-class _Twists:
-    """The entries over one base as twists of the trivial fibration T, for one call.
+class _Twist:
+    """The fibrations over one base and bound as twists of the trivial fibration T.
 
-    An entry's D is d_T plus the terms of its D(w) that contain a base
-    generator: D = d_T + sum_s c_s theta_s, theta_s sending the slot's fibre
-    generator w_s to its monomial m_s.  The boundary is linear in D, so at
-    shift n it is delta_T^n + sum_s c_s B_s^n with B_s^n = [theta_s, -].
-    The slices and the evaluation depend only on the generators, so the
-    relative complex of the group's first entry gives T's; delta_T^n and each
-    B_s^n are built from it once, on first use.  The image at shift n
-    depends only on the terms c_s theta_s whose B_s^n or B_s^(n+1) is
-    nonzero, so it is computed once per shift and such terms.  A group also
-    shares the bound, which the slices check.
+    D = d_T + sum_s c_s theta_s over a table of slots s, theta_s sending the
+    fibre generator w_s to a monomial m_s with a base generator.  D.D is
+    quadratic in the c_s (closed finds its zeros); the boundary is linear,
+    delta_T^n + sum_s c_s B_s^n with B_s^n = [theta_s, -] built once each, so
+    realized computes the image at shift n once per distinct live c_s.
     """
 
-    def __init__(self, entry):
-        self.cx = DerComplex(entry, RELATIVE)
-        self.base, self.bound, self.fiber = entry.base, entry.bound, entry.fiber
-        self.untwisted, _ = _split_twist(entry)  # d_T, in monomial_images form
-        self._deltas: dict[int, RatMatrix] = {}  # n -> delta_T^n
-        self._parts: dict[tuple, Optional[RatMatrix]] = {}  # (slot, n) -> B_s^n, None if zero
-        self._images: dict[tuple, Subspace] = {}  # (n, live terms at n, at n + 1) -> image
+    def __init__(self, model: RelativeModel, slots: list[tuple[int, tuple]]):
+        self.model, self.bound, self.fiber = model, model.bound, model.fiber
+        self.base = (model.base.gens, model.base.diff)
+        self.untwisted, _ = _split_twist(model)  # d_T, in monomial_images form
+        self.slots = {slot: s for s, slot in enumerate(slots)}  # (index of w, exponents of m) -> s
+        self.vectors: dict[int, tuple] = {}  # id(entry) -> (entry, {s: c_s}), from enumeration
+        shifts = range(1, top_shift(self.fiber) + 1)
+        self.frames = [(n, f) for n in shifts if (f := dual_frame(self.fiber, n))]
+        self._boundaries: dict = {}  # (n, live c_s) -> boundary, (n, None) -> delta_T^n
+        self._parts: dict[int, list] = {}  # n -> [(s, B_s^n)] over the nonzero B_s^n
+        self._images: dict[tuple, Subspace] = {}  # (n, live c_s at n, at n + 1) -> image
+        self._totals: dict[tuple, Subspace] = {}  # the images, one per frame -> their sum
+
+    @cached_property
+    def cx(self) -> DerComplex:
+        """T's relative derivation complex: any twist's slices and evaluation."""
+        return DerComplex(self.model, RELATIVE)
 
     def holds(self, entry) -> bool:
-        """True when the entry twists this group's T: same base and bound."""
-        return (
-            entry.bound == self.bound
-            and entry.base.gens == self.base.gens
-            and entry.base.diff == self.base.diff
-        )
+        """True when the entry twists this T: same base and bound."""
+        return entry.bound == self.bound and (entry.base.gens, entry.base.diff) == self.base
 
-    def _part(self, slot: tuple, n: int) -> Optional[RatMatrix]:
-        """B_s^n, None when it is zero."""
-        if (slot, n) not in self._parts:
-            i, exponents = slot
-            part = self.cx.bracket(n, {i: ((exponents, 1),)})
-            self._parts[slot, n] = None if part.is_zero() else part
-        return self._parts[slot, n]
+    def coefficients(self, entry) -> dict:
+        """The entry's nonzero c_s as {s: c_s}; a slot new to the table is appended."""
+        known = self.vectors.get(id(entry), (None, None))
+        if known[0] is entry:
+            return known[1]
+        twist = _split_twist(entry)[1]
+        return {self.slots.setdefault(slot, len(self.slots)): c for slot, c in twist}
 
-    def _live(self, n: int, twist: list) -> tuple:
-        """The terms of the twist whose B_s^n is nonzero."""
-        return tuple((s, c) for s, c in twist if self._part(s, n) is not None)
+    def _parts_at(self, n: int) -> list:
+        """[(s, B_s^n)] over the slots whose B_s^n is nonzero."""
+        if n not in self._parts:
+            parts = [(s, self.cx.bracket(n, {i: ((m, 1),)})) for (i, m), s in self.slots.items()]
+            self._parts[n] = [(s, part) for s, part in parts if not part.is_zero()]
+        return self._parts[n]
 
     def _boundary(self, n: int, live: tuple) -> RatMatrix:
-        """delta_T^n + sum c_s B_s^n over the live terms."""
-        if n not in self._deltas:
-            self._deltas[n] = self.cx.bracket(n, self.untwisted)
-        return _twisted(self._deltas[n], [(self._part(s, n), c) for s, c in live])
+        """delta_T^n + sum c_s B_s^n column by column, live holding the c_s of _parts_at(n)."""
+        if (n, live) not in self._boundaries:
+            if (n, None) not in self._boundaries:
+                self._boundaries[n, None] = self.cx.bracket(n, self.untwisted)
+            delta = self._boundaries[n, None]
+            columns = [dict(col) for col in delta.columns]
+            for (_, part), c in zip(self._parts[n], live):
+                for acc, col in zip(columns, part.columns if c else ()):
+                    for r, v in col.items():
+                        acc[r] = acc.get(r, 0) + c * v
+            self._boundaries[n, live] = RatMatrix(delta.rows, columns)
+        return self._boundaries[n, live]
 
-    def realized(self, entry) -> Subspace:
-        """fibre_gottlieb(entry).total(), with entry one of this group's twists."""
-        twist = sorted(_split_twist(entry)[1])  # equal twists, equal keys
+    def realized(self, c: dict) -> Subspace:
+        """fibre_gottlieb(entry).total() of the twist whose coefficients are c."""
         per = {}
-        for n in range(1, top_shift(self.fiber) + 1):
-            frame = dual_frame(self.fiber, n)
-            if not frame:
-                continue
-            key = (n, self._live(n, twist), self._live(n + 1, twist))
+        for n, frame in self.frames:
+            key = (n, *(tuple(c.get(s, 0) for s, _ in self._parts_at(k)) for k in (n, n + 1)))
             if key not in self._images:
                 d_out, d_in = self._boundary(n, key[1]), self._boundary(n + 1, key[2])
                 self._images[key] = _image_on_cycles(self.cx.evaluation(n), d_out, d_in, frame)
             per[n] = self._images[key]
-        return GottliebResult(self.fiber, per, "catalog").total()
+        images = tuple(map(id, per.values()))
+        if images not in self._totals:
+            self._totals[images] = GottliebResult(self.fiber, per, "catalog").total()
+        return self._totals[images]
+
+    def closed(self, coeffs: list[Fraction]) -> list[tuple]:
+        """The vectors over coeffs with D.D = 0, in itertools.product order (T only):
+        searched slot by slot (_visit), in ints when all coefficients and pieces are."""
+        pieces, self.complete, size = _square_terms(self.model.total, list(self.slots))
+        values = [*coeffs, *(v for per in pieces for *_, piece in per for _, v in piece)]
+        num = int if all(v.denominator == 1 for v in values) else Fraction
+        self.pieces = [[(s, t, [(k, num(v)) for k, v in p]) for s, t, p in per] for per in pieces]
+        self.coeffs = [num(c) for c in coeffs]
+        self.vector, self.acc, self.found = [0] * len(self.slots), [0] * size, []
+        _visit(self, 0)
+        return self.found
+
+
+def _visit(twist: _Twist, u: int) -> None:
+    """One node of the closure search: slots before u are assigned, and each
+    coordinate of D.D that they complete is zero.  Tries each coefficient at u."""
+    vector, acc = twist.vector, twist.acc
+    if u == len(vector):
+        twist.found.append(tuple(vector))
+        return
+    for c in twist.coeffs:
+        vector[u] = c
+        added = []
+        if c:  # with c_u = 0 no piece of slot u adds anything
+            for s, t, piece in twist.pieces[u]:
+                f = c if t is None else vector[s] * vector[t]
+                if f:
+                    added += [(k, f * v) for k, v in piece]
+            for k, v in added:
+                acc[k] += v
+        if not any(acc[k] for k in twist.complete[u]):
+            _visit(twist, u + 1)
+        for k, v in added:
+            acc[k] -= v
 
 
 def _split_twist(entry) -> tuple[dict, list]:
-    """(d_T, slot terms) of an entry's D.
-
-    d_T is D without the terms of D(w) that contain a base generator, in
-    monomial_images form; the slot terms are those, as ((index of w,
-    exponents of m), coefficient).
-    """
+    """(d_T, slot terms) of an entry's D: D without the terms of D(w) that
+    contain a base generator, in monomial_images form, and those terms as
+    ((index of w, exponents of m), coefficient)."""
     untwisted, twist = {}, []
     for i, terms in entry.total.images.items():
         if not entry.is_base_index(i):
-            kept = []
-            for exponents, c in terms:
-                if any(entry.is_base_index(j) for j, _ in exponents):
-                    twist.append(((i, exponents), c))
-                else:
-                    kept.append((exponents, c))
-            terms = tuple(kept)
+            based = [any(entry.is_base_index(j) for j, _ in e) for e, _ in terms]
+            twist += [((i, e), c) for (e, c), b in zip(terms, based) if b]
+            terms = tuple(t for t, b in zip(terms, based) if not b)
         if terms:
             untwisted[i] = terms
     return untwisted, twist
-
-
-def _twisted(delta: RatMatrix, parts: list[tuple[RatMatrix, Fraction]]) -> RatMatrix:
-    """delta + sum c * part, column by column."""
-    if not parts:
-        return delta
-    columns = [dict(col) for col in delta.columns]
-    for part, c in parts:
-        for acc, col in zip(columns, part.columns):
-            for r, v in col.items():
-                acc[r] = acc.get(r, 0) + c * v
-    return RatMatrix(delta.rows, columns)
 
 
 def _split_finite(entries, window: int):
@@ -192,20 +209,14 @@ def enumerate_fibrations(
     """All relative models D(w) = d(w) + sum c_m m over the given coefficients.
 
     Each candidate twists the trivial fibration: the monomials m have degree
-    |w| + 1 and contain at least one base generator (base exponents are
-    thereby forced by degree); assignments with D.D != 0 are discarded, and
-    the finiteness gate is applied on request.  D.D is decided from terms
-    computed once per slot (_square_terms), so only the closed candidates
-    are built, all over the trivial fibration's generator set.
+    |w| + 1 and contain at least one base generator.  Only the assignments
+    with D.D = 0 (_Twist.closed) are built, all over the trivial fibration's
+    generator set, and the finiteness gate is applied on request.
     """
     trivial = trivial_fibration(fiber, base)
     combined = trivial.total.gens
-    slots: list[tuple[Generator, Monomial]] = [
-        (combined.get(w.name), mono)
-        for w in fiber.gens
-        for mono in combined.basis(w.degree + 1)
-        if trivial.monomial_has_base(mono)
-    ]
+    slots = [(combined.get(w.name), mono) for w in fiber.gens
+             for mono in combined.basis(w.degree + 1) if trivial.monomial_has_base(mono)]
     # zero first: the first candidate is the trivial fibration
     coeffs = sorted({Fraction(0), *map(Fraction, coeff_set)}, key=lambda c: (c != 0, c))
     total = len(coeffs) ** len(slots)
@@ -213,21 +224,14 @@ def enumerate_fibrations(
         raise CombinatorialBlowup(
             f"{total} candidate differentials exceed the cap of {MAX_CANDIDATES}"
         )
-    linear, quadratic = _square_terms(trivial.total, slots)
+    twist = _Twist(trivial, [(w.index, mono.exponents) for w, mono in slots])
     texts = [mono.format(combined) for _, mono in slots]
     untwisted = {w.name: trivial.total.diff_of(w.name).terms for w in fiber.gens}
     entries: list[tuple[str, RelativeModel]] = []
-    for assignment in itertools.product(coeffs, repeat=len(slots)):
-        square: dict[tuple[int, Monomial], Fraction] = {}
-        for s, terms in linear:
-            _add_scaled(square, terms, assignment[s])
-        for s, t, terms in quadratic:
-            _add_scaled(square, terms, assignment[s] * assignment[t])
-        if any(square.values()):
-            continue
+    for vector in twist.closed(coeffs):
         total_diff = {name: dict(terms) for name, terms in untwisted.items()}
         added: list[str] = []
-        for (w, mono), text, c in zip(slots, texts, assignment):
+        for (w, mono), text, c in zip(slots, texts, vector):
             if c:
                 # a slot monomial contains a base generator, no term of d(w) does
                 total_diff[w.name][mono] = c
@@ -235,59 +239,55 @@ def enumerate_fibrations(
                 added.append(f"D{w.name}+={coeff}{text}")
         key = "; ".join(added) if added else "trivial"
         # the constructor validates again: its D.D = 0 check stays the authority
-        entry = RelativeModel(
-            base,
-            fiber.gens,
-            {name: AlgElement(combined, terms) for name, terms in total_diff.items()},
-            fiber_diff=dict(fiber.diff),
-            name=key,
-            bound=fiber.bound,
-        )
+        diff = {name: AlgElement(combined, terms) for name, terms in total_diff.items()}
+        entry = RelativeModel(base, fiber.gens, diff, fiber_diff=dict(fiber.diff), name=key,
+                              bound=fiber.bound)
         entries.append((key, entry))
+        twist.vectors[id(entry)] = (entry, {s: c for s, c in enumerate(vector) if c})
     if require_finite:
         entries, _ = _split_finite(entries, window)
-    return Catalog(fiber, entries)
+        twist.vectors = {id(entry): twist.vectors[id(entry)] for _, entry in entries}
+    catalog = Catalog(fiber, entries)
+    catalog._twist = twist
+    return catalog
 
 
-def _square_terms(total: SullivanModel, slots: list[tuple[Generator, Monomial]]):
-    """D.D of a candidate as a quadratic form in its slot coefficients c_s.
+def _square_terms(total: SullivanModel, slots: list[tuple[int, tuple]]):
+    """D.D of a twist D = d + sum c_s theta_s of T as a quadratic form in the c_s.
 
-    With theta_s the derivation sending the slot's generator w_s to its
-    monomial m_s, a candidate is D = d + sum c_s theta_s, so on a generator
-    w of the total (d.d = 0, and theta_s kills every base element)
+    On a generator w of the total (d.d = 0, and theta_s kills the base)
 
         D.D(w) = sum_s c_s (theta_s(dw) + [w_s = w] d(m_s))
                + sum_{s, t: w_t = w} c_s c_t theta_s(m_t).
 
-    Returns the nonzero pieces as lists of ((index of w, monomial), coeff):
-    [(s, linear piece of s)] and [(s, t, theta_s(m_t) at w_t)].
-    """
+    Returns (pieces, complete, number of coordinates of D.D).  pieces[u] lists
+    (u, None, linear piece of u) and (s, t, theta_s(m_t) at w_t) with max(s, t) = u,
+    each nonzero, as [(coordinate, coefficient)]; complete[u] lists the
+    coordinates no piece of a later slot reaches."""
     gens = total.gens
     diffs = [(gens.get(name).index, dw) for name, dw in total.diff.items()]
-    monos = [AlgElement.monomial(gens, m) for _, m in slots]
-    linear, quadratic = [], []
+    monos = [AlgElement.monomial(gens, Monomial(m)) for _, m in slots]
+    coords: dict[tuple[int, Monomial], int] = {}
+    last: dict[int, int] = {}  # coordinate -> last slot that reaches it
+    pieces: list[list] = [[] for _ in slots]
+
+    def file(s: int, t: Optional[int], terms: dict) -> None:
+        u = s if t is None else max(s, t)
+        piece = [(coords.setdefault(key, len(coords)), c) for key, c in terms.items() if c]
+        last.update((k, max(last.get(k, u), u)) for k, _ in piece)
+        if piece:
+            pieces[u].append((s, t, piece))
+
     for s, (w, m) in enumerate(slots):
-        theta = {w.index: ((m.exponents, 1),)}
-        piece: dict[tuple[int, Monomial], Fraction] = {}
-        for i, dw in diffs:
-            _add_scaled(piece, _keyed(i, apply_images(gens, theta, 1, dw)), 1)
-        _add_scaled(piece, _keyed(w.index, total.d(monos[s])), 1)
-        if any(piece.values()):
-            linear.append((s, [(k, c) for k, c in piece.items() if c]))
+        theta = {w: ((m, 1),)}
+        linear: dict[tuple[int, Monomial], Fraction] = {}
+        images = [(i, apply_images(gens, theta, 1, dw)) for i, dw in diffs]
+        for i, image in [*images, (w, total.d(monos[s]))]:
+            for mono, c in image.terms.items():
+                linear[i, mono] = linear.get((i, mono), 0) + c
+        file(s, None, linear)
         for t, (wt, _) in enumerate(slots):
-            image = _keyed(wt.index, apply_images(gens, theta, 1, monos[t]))
-            if image:
-                quadratic.append((s, t, image))
-    return linear, quadratic
-
-
-def _keyed(i: int, el: AlgElement) -> list[tuple[tuple[int, Monomial], Fraction]]:
-    """The terms of el as the value of generator i."""
-    return [((i, m), c) for m, c in el.terms.items()]
-
-
-def _add_scaled(acc: dict, terms, c) -> None:
-    """acc += c * terms, for terms given as (key, coefficient) pairs."""
-    if c:
-        for key, v in terms:
-            acc[key] = acc.get(key, 0) + c * v
+            image = apply_images(gens, theta, 1, monos[t]).terms
+            file(s, t, {(wt, mono): c for mono, c in image.items()})
+    complete = [[k for k, after in last.items() if after == u] for u in range(len(slots))]
+    return pieces, complete, len(coords)

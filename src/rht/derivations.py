@@ -87,11 +87,12 @@ class ComplexSlice:
 class DerComplex:
     """One scope of the derivation complex of a model, for one call.
 
-    Each slice, boundary and homology is built at most once, on first use,
-    and lives only as long as this object: a caller that needs several of them
-    builds one DerComplex and drops it when it is done.  The monomials of
-    the slices come from one Cochains of the value model; two scopes over
-    the same total model can share one by passing it as ``cochains``.
+    Each slice, boundary, evaluation and homology is built at most once, on
+    first use, and lives only as long as this object: a caller that needs
+    several of them builds one DerComplex and drops it when it is done.  The
+    monomials of the slices come from one Cochains of the value model; two
+    scopes over the same total model can share one by passing it as
+    ``cochains``.
     """
 
     def __init__(self, m: ModelLike, scope: str = ABSOLUTE, cochains: Optional[Cochains] = None):
@@ -114,6 +115,7 @@ class DerComplex:
         self.cochains = cochains
         self._slices: dict[int, ComplexSlice] = {}
         self._boundaries: dict[int, RatMatrix] = {}
+        self._evaluations: dict[int, RatMatrix] = {}
         self._h: dict[int, HomologySlice] = {}
 
     def slice(self, n: int) -> ComplexSlice:
@@ -209,10 +211,12 @@ class DerComplex:
         Rows are indexed by the dual basis of the degree-n generators of the
         domain, in declaration order.
         """
-        duals = [g.name for g in self.domain if g.degree == n]
-        return relabel(
-            self.slice(n).pairs, duals, lambda p: p[0].name if p[1].is_unit else None
-        )
+        if n not in self._evaluations:
+            duals = [g.name for g in self.domain if g.degree == n]
+            self._evaluations[n] = relabel(
+                self.slice(n).pairs, duals, lambda p: p[0].name if p[1].is_unit else None
+            )
+        return self._evaluations[n]
 
 
 def relabel(src: Sequence, tgt: Sequence, key: Callable) -> RatMatrix:

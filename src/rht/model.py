@@ -213,10 +213,6 @@ class RelativeModel:
 
     # --- moving elements between the three algebras -------------------
 
-    def embed_base(self, el: AlgElement) -> AlgElement:
-        # base generators occupy the leading indices of the total set
-        return AlgElement(self.total.gens, el.terms)
-
     def total_monomial(self, m: Monomial) -> Monomial:
         """A fiber monomial in the total generator set."""
         return Monomial(tuple((i + self.base_size, e) for i, e in m.exponents))
@@ -226,15 +222,6 @@ class RelativeModel:
         if self.monomial_has_base(m):
             return None
         return Monomial(tuple((i - self.base_size, e) for i, e in m.exponents))
-
-    def embed_fiber(self, el: AlgElement) -> AlgElement:
-        return AlgElement(
-            self.total.gens, {self.total_monomial(m): c for m, c in el.terms.items()}
-        )
-
-    def project_fiber(self, el: AlgElement) -> AlgElement:
-        """p_V: kill every monomial containing a base generator."""
-        return AlgElement(self.fiber.gens, self._fiber_terms(el))
 
     def _fiber_terms(self, el: AlgElement) -> dict[Monomial, Fraction]:
         """The terms of p_V(el), in fiber monomials."""

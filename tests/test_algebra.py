@@ -13,9 +13,7 @@ from rht import (
     GenSet,
     Generator,
     Monomial,
-    augment,
     basis_in_degree,
-    normalize_product,
 )
 from rht.algebra import (
     MAX_BASIS,
@@ -102,18 +100,6 @@ def test_odd_anticommute_even_commute():
     assert c * c != AlgElement.zero(GENS)
 
 
-def test_normalize_product_wrong_set():
-    other = GenSet([("a", 3)])
-    with pytest.raises(UnknownGenerator):
-        normalize_product(GENS, [(other[0], 1)])
-
-
-def test_normalize_product_agrees_with_word():
-    sign, mono = normalize_product(GENS, [(GENS[1], 1), (GENS[0], 1)])
-    assert sign == -1
-    assert mono == Monomial(((0, 1), (1, 1)))
-
-
 # ----------------------------------------------------------------------
 # element arithmetic
 
@@ -159,8 +145,9 @@ def test_degree_and_augment():
     mixed = x + AlgElement.gen(GENS, "c")
     assert mixed.degree() is MIXED
     assert AlgElement.zero(GENS).degree() is None
-    assert augment(AlgElement.unit(GENS, 5) + x) == 5
-    assert augment(x) == 0
+    # the augmentation: the coefficient of the unit
+    assert (AlgElement.unit(GENS, 5) + x).coefficient(UNIT) == 5
+    assert x.coefficient(UNIT) == 0
 
 
 def test_format_round_trips_signs():

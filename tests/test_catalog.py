@@ -266,6 +266,40 @@ def test_enumeration_builds_only_closed_candidates(monkeypatch):
     assert per_degree and max(per_degree.values()) == 1, per_degree
 
 
+def test_closure_search_matches_brute_force_where_it_prunes():
+    # with {0, 1, -1} most of the 3^8 assignments are cut off before their
+    # last slot; the closed ones still come out as the construction keeps them
+    fiber, base = load("fiber-3-5-9-17.smf")[0], qt_base()
+    want, candidates = brute_force(fiber, base, (0, 1, -1), most=7000)
+    got = enumerate_fibrations(fiber, base, (0, 1, -1)).entries
+    assert candidates == 3**8 and len(want) == 513
+    assert [k for k, _ in got] == [k for k, _ in want]
+    for (key, a), (_, b) in zip(got, want):
+        assert a.serialize() == b.serialize(), key
+
+
+def test_closure_search_visits_few_nodes(monkeypatch):
+    fiber, base = load("fiber-3-5-9-17.smf")[0], qt_base()
+    visits, real_visit = [], rht.catalog._visit
+
+    def counting_visit(twist, u):
+        visits.append((twist, u))
+        real_visit(twist, u)
+
+    monkeypatch.setattr(rht.catalog, "_visit", counting_visit)
+    for coeff_set, most, closed in (((0, 1), 266, 58), ((0, 1, -1), 2568, 513)):
+        visits.clear()
+        assert len(enumerate_fibrations(fiber, base, coeff_set).entries) == closed
+        # 2^8 and 3^8 assignments; each closed one is a leaf past the 8 slots
+        assert len(visits) <= most, (coeff_set, len(visits))
+        assert sum(u == 8 for _, u in visits) == closed
+    # integral coefficients and pieces are summed in ints, others in Fractions
+    for coeff_set, kind in (((0, 2), int), ((0, Fraction(1, 2)), Fraction)):
+        visits.clear()
+        enumerate_fibrations(fiber, base, coeff_set)
+        assert {type(c) for c in visits[0][0].coeffs} == {kind}, coeff_set
+
+
 # ----------------------------------------------------------------------
 # realized subspaces from one twisted complex per base
 

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -54,6 +55,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_within(capsys, seconds, *argv):
+    """run() that fails the test when main takes longer than ``seconds``.
+
+    Like any exception escaping main, the failure is not caught by main.
+    """
+    def overtime(signum, frame):
+        pytest.fail(f"{' '.join(argv)} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overtime)
+    signal.alarm(seconds)
+    try:
+        return run(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def json_docs(text):
@@ -361,15 +379,22 @@ POINT_REFUSALS = {
               "toral-check", "depth", "poset", "enumerate"},
     "point-fibre": {"cohomology", "les-check", "enumerate"},
 }
+# the sweeps below run every subcommand through main in this process, where
+# any exception escaping main fails the test; this one also runs in a fresh
+# interpreter, where an exception would print a traceback
+IN_A_REAL_PROCESS = "enumerate"
 
 
 @pytest.mark.parametrize("name", sorted(POINT_MODELS))
-def test_models_without_generators_exit_without_traceback(name, tmp_path):
+def test_models_without_generators_exit_without_traceback(name, tmp_path, capsys):
     path = tmp_path / f"{name}.smf"
     path.write_text(POINT_MODELS[name])
-    for line in POINT_RUNS:
+    for line, real in [*((line, False) for line in POINT_RUNS), (IN_A_REAL_PROCESS, True)]:
         cmd, *flags = line.split()
-        code, out, err = subprocess_cli(cmd, str(path), *flags)
+        if real:
+            code, out, err = subprocess_cli(cmd, str(path), *flags, timeout=10)
+        else:
+            code, out, err = run_within(capsys, 10, cmd, str(path), *flags)
         assert "Traceback" not in err, (line, err)
         assert code == (1 if line in POINT_REFUSALS[name] else 0), (line, code, err)
         if code:
@@ -431,16 +456,31 @@ HUGE_DEGREE_MODELS = {
 
 
 @pytest.mark.parametrize("name", sorted(HUGE_DEGREE_MODELS))
-def test_huge_generator_degree_exits_without_traceback(name, tmp_path):
+def test_huge_generator_degree_exits_without_traceback(name, tmp_path, capsys):
     path = tmp_path / f"{name}.smf"
     path.write_text(HUGE_DEGREE_MODELS[name])
-    for cmd in SUBCOMMANDS:
-        code, out, err = subprocess_cli(cmd, str(path), timeout=10)
+    for cmd, real in [*((cmd, False) for cmd in SUBCOMMANDS), (IN_A_REAL_PROCESS, True)]:
+        if real:
+            code, out, err = subprocess_cli(cmd, str(path), timeout=10)
+        else:
+            code, out, err = run_within(capsys, 10, cmd, str(path))
         assert "Traceback" not in err, (cmd, err)
         # validate reports each file on stdout; the rest stop at the read
         assert code == (1 if cmd == "validate" else 2), (cmd, code, err)
         message = (out if cmd == "validate" else err).strip().splitlines()
         assert len(message) == 1 and "CombinatorialBlowup: generator x has degree" in message[0]
+
+
+def test_der_homology_near_the_degree_cap_is_bounded(tmp_path):
+    # one generator just under MAX_BASIS: every shift reads its degree basis
+    # from one count table of the generator set, not a table of its own
+    path = tmp_path / "near.smf"
+    path.write_text("[space near]\ngen x 49999\n")
+    code, out, err = subprocess_cli("der-homology", str(path), timeout=10)
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert header == "model near" and len(rows) == 49_999
+    assert [row for row in rows if not row.endswith("dim 0")] == ["  n=49999  dim 1  (x, 1)"]
 
 
 # ----------------------------------------------------------------------

@@ -218,14 +218,16 @@ def test_trivial_fibration_structure(su5):
 
 
 def test_embed_and_project(su5_bundle):
+    # total_monomial embeds a fiber monomial, fiber_monomial is p_V on a total one
     f = su5_bundle
-    v1_f = AlgElement.gen(f.fiber.gens, "v1")
-    t1_b = AlgElement.gen(f.base.gens, "t1")
-    up = f.embed_fiber(v1_f)
-    assert up.degree() == 3
-    assert f.project_fiber(up) == v1_f
-    assert f.project_fiber(f.embed_base(t1_b)).is_zero()
-    assert f.monomial_has_base(next(iter(f.embed_base(t1_b).terms)))
+    v1 = Monomial(((f.fiber.gens.get("v1").index, 1),))
+    up = f.total_monomial(v1)
+    assert up.degree(f.total.gens) == 3 and up.format(f.total.gens) == "v1"
+    assert f.fiber_monomial(up) == v1 and not f.monomial_has_base(up)
+    # base generators lead the total set
+    t1 = Monomial(((f.base.gens.get("t1").index, 1),))
+    assert t1.format(f.total.gens) == "t1"
+    assert f.monomial_has_base(t1) and f.fiber_monomial(t1) is None
 
 
 # ----------------------------------------------------------------------
