@@ -81,6 +81,7 @@ class GenSet:
 
         One table serves every degree; a degree past its end rebuilds it at
         twice the length, so building it stays linear in the largest degree.
+        Callers must not change it.
         """
         if len(self._counts[0]) <= n:
             size = max(n + 1, 2 * len(self._counts[0]))
