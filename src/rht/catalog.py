@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import AlgElement, Monomial, apply_images
+from .algebra import AlgElement, Generator, Monomial, apply_images
 from .derivations import RELATIVE, DerComplex, dual_frame
 from .errors import CombinatorialBlowup, DuplicateId, FiberMismatch, NotFiniteAtBound
-from .invariants import DEFAULT_WINDOW, GottliebResult, finiteness_window, top_shift
-from .invariants import _image_on_cycles
+from .invariants import (
+    DEFAULT_WINDOW,
+    GottliebResult,
+    _image_on_cycles,
+    finiteness_window,
+    top_shift,
+)
 from .linalg import RatMatrix, Subspace
 from .model import RelativeModel, SullivanModel, trivial_fibration
 
@@ -26,8 +30,6 @@ class Catalog:
 
     fiber: SullivanModel
     entries: list[tuple[str, RelativeModel]] = field(default_factory=list)
-    # set by an enumeration: its twist, which holds its entries' coefficients
-    _twist: Optional[_Twist] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -35,16 +37,20 @@ class Catalog:
             if key in seen:
                 raise DuplicateId(f"duplicate catalog id {key!r}")
             seen.add(key)
-            if entry.fiber.gens != self.fiber.gens or entry.fiber.diff != self.fiber.diff:
+            if (
+                entry.fiber.gens != self.fiber.gens
+                or entry.fiber.diff != self.fiber.diff
+            ):
                 raise FiberMismatch(f"catalog entry {key!r} has a different fiber")
 
     def realized_subspaces(self) -> dict[str, Subspace]:
         """fibre_gottlieb(entry).total() per entry, from one twist (_Twist) per base.
 
-        Every entry's coefficients are read first, then each subspace in catalog order,
-        built in fibre_gottlieb's order: an error comes from the entry whose fibre_gottlieb
-        raises first."""
-        groups = [] if self._twist is None else [self._twist]
+        Every entry's coefficients are read off its D first, so each group's slot
+        table is whole; then each subspace in catalog order, built in
+        fibre_gottlieb's order: an error comes from the entry whose
+        fibre_gottlieb raises first."""
+        groups: list[_Twist] = []
         read = []
         for key, entry in self.entries:
             group = next((g for g in groups if g.holds(entry)), None)
@@ -57,8 +63,9 @@ class Catalog:
         """Raise NotFiniteAtBound naming every entry that fails the finiteness window."""
         _, offenders = _split_finite(self.entries, window)
         if offenders:
-            names = ", ".join(offenders)
-            raise NotFiniteAtBound(f"total spaces failed the finiteness gate: {names}")
+            raise NotFiniteAtBound(
+                "total spaces failed the finiteness gate: " + ", ".join(offenders)
+            )
 
 
 class _Twist:
@@ -72,11 +79,11 @@ class _Twist:
     """
 
     def __init__(self, model: RelativeModel, slots: list[tuple[int, tuple]]):
-        self.model, self.bound, self.fiber = model, model.bound, model.fiber
-        self.base = (model.base.gens, model.base.diff)
+        self.model = model
+        self.base, self.bound, self.fiber = model.base, model.bound, model.fiber
+        self.cx = DerComplex(model, RELATIVE)  # T's: any twist's slices and evaluation
         self.untwisted, _ = _split_twist(model)  # d_T, in monomial_images form
         self.slots = {slot: s for s, slot in enumerate(slots)}  # (index of w, exponents of m) -> s
-        self.vectors: dict[int, tuple] = {}  # id(entry) -> (entry, {s: c_s}), from enumeration
         shifts = range(1, top_shift(self.fiber) + 1)
         self.frames = [(n, f) for n in shifts if (f := dual_frame(self.fiber, n))]
         self._boundaries: dict = {}  # (n, live c_s) -> boundary, (n, None) -> delta_T^n
@@ -84,22 +91,22 @@ class _Twist:
         self._images: dict[tuple, Subspace] = {}  # (n, live c_s at n, at n + 1) -> image
         self._totals: dict[tuple, Subspace] = {}  # the images, one per frame -> their sum
 
-    @cached_property
-    def cx(self) -> DerComplex:
-        """T's relative derivation complex: any twist's slices and evaluation."""
-        return DerComplex(self.model, RELATIVE)
-
     def holds(self, entry) -> bool:
-        """True when the entry twists this T: same base and bound."""
-        return entry.bound == self.bound and (entry.base.gens, entry.base.diff) == self.base
+        """True when the entry twists this group's T: same base and bound."""
+        return (
+            entry.bound == self.bound
+            and entry.base.gens == self.base.gens
+            and entry.base.diff == self.base.diff
+        )
 
     def coefficients(self, entry) -> dict:
-        """The entry's nonzero c_s as {s: c_s}; a slot new to the table is appended."""
-        known = self.vectors.get(id(entry), (None, None))
-        if known[0] is entry:
-            return known[1]
-        twist = _split_twist(entry)[1]
-        return {self.slots.setdefault(slot, len(self.slots)): c for slot, c in twist}
+        """The entry's nonzero c_s as {s: c_s}, integral ones as ints (they key the
+        images, and hash faster); a slot new to the table is appended."""
+        _, twist = _split_twist(entry)
+        return {
+            self.slots.setdefault(slot, len(self.slots)): int(c) if c.denominator == 1 else c
+            for slot, c in twist
+        }
 
     def _parts_at(self, n: int) -> list:
         """[(s, B_s^n)] over the slots whose B_s^n is nonzero."""
@@ -137,51 +144,78 @@ class _Twist:
         return self._totals[images]
 
     def closed(self, coeffs: list[Fraction]) -> list[tuple]:
-        """The vectors over coeffs with D.D = 0, in itertools.product order (T only):
-        searched slot by slot (_visit), in ints when all coefficients and pieces are."""
-        pieces, self.complete, size = _square_terms(self.model.total, list(self.slots))
+        """The vectors over coeffs with D.D = 0, in itertools.product order (T only).
+
+        Depth first: slot u takes each coefficient in turn (_visit), the search
+        goes on to slot u + 1 while every coordinate of D.D completed so far is
+        zero, and backs up once slot u has tried them all.  The sums are ints
+        when all coefficients and pieces are integral, Fractions otherwise."""
+        if not self.slots:
+            return [()]
+        pieces, complete, size = _square_terms(self.model.total, list(self.slots))
         values = [*coeffs, *(v for per in pieces for *_, piece in per for _, v in piece)]
         num = int if all(v.denominator == 1 for v in values) else Fraction
-        self.pieces = [[(s, t, [(k, num(v)) for k, v in p]) for s, t, p in per] for per in pieces]
-        self.coeffs = [num(c) for c in coeffs]
-        self.vector, self.acc, self.found = [0] * len(self.slots), [0] * size, []
-        _visit(self, 0)
-        return self.found
+        pieces = [[(s, t, [(k, num(v)) for k, v in p]) for s, t, p in per] for per in pieces]
+        coeffs, vector, found = [num(c) for c in coeffs], [0] * len(pieces), []
+        search = (pieces, complete, vector, acc := [0] * size)
+        left = [iter(coeffs)]  # per assigned slot and the next one: coefficients not tried
+        added: list[list] = []  # per assigned slot: the terms its coefficient added
+        while left:
+            u = len(left) - 1
+            if len(added) > u:  # undo slot u's last coefficient
+                for k, v in added.pop():
+                    acc[k] -= v
+            c = next(left[u], None)
+            if c is None:
+                left.pop()
+            elif (terms := _visit(search, u, c)) is not None:
+                added.append(terms)
+                if u + 1 < len(pieces):
+                    left.append(iter(coeffs))
+                else:
+                    found.append(tuple(vector))
+        return found
 
 
-def _visit(twist: _Twist, u: int) -> None:
-    """One node of the closure search: slots before u are assigned, and each
-    coordinate of D.D that they complete is zero.  Tries each coefficient at u."""
-    vector, acc = twist.vector, twist.acc
-    if u == len(vector):
-        twist.found.append(tuple(vector))
-        return
-    for c in twist.coeffs:
-        vector[u] = c
-        added = []
-        if c:  # with c_u = 0 no piece of slot u adds anything
-            for s, t, piece in twist.pieces[u]:
-                f = c if t is None else vector[s] * vector[t]
-                if f:
-                    added += [(k, f * v) for k, v in piece]
-            for k, v in added:
-                acc[k] += v
-        if not any(acc[k] for k in twist.complete[u]):
-            _visit(twist, u + 1)
+def _visit(search: tuple, u: int, c) -> Optional[list]:
+    """One node of the closure search: slots before u are assigned, and every
+    coordinate of D.D they complete is zero.  Sets slot u to c and adds its
+    pieces to the sums; returns the terms added, or None (sums restored) when a
+    coordinate slot u completes is not zero."""
+    pieces, complete, vector, acc = search
+    vector[u] = c
+    added = []
+    if c:  # with c_u = 0 no piece of slot u adds anything
+        for s, t, piece in pieces[u]:
+            f = c if t is None else vector[s] * vector[t]
+            if f:
+                added += [(k, f * v) for k, v in piece]
         for k, v in added:
-            acc[k] -= v
+            acc[k] += v
+    if not any(acc[k] for k in complete[u]):
+        return added
+    for k, v in added:
+        acc[k] -= v
+    return None
 
 
 def _split_twist(entry) -> tuple[dict, list]:
-    """(d_T, slot terms) of an entry's D: D without the terms of D(w) that
-    contain a base generator, in monomial_images form, and those terms as
-    ((index of w, exponents of m), coefficient)."""
+    """(d_T, slot terms) of an entry's D.
+
+    d_T is D without the terms of D(w) that contain a base generator, in
+    monomial_images form; the slot terms are those, as ((index of w,
+    exponents of m), coefficient).
+    """
     untwisted, twist = {}, []
     for i, terms in entry.total.images.items():
         if not entry.is_base_index(i):
-            based = [any(entry.is_base_index(j) for j, _ in e) for e, _ in terms]
-            twist += [((i, e), c) for (e, c), b in zip(terms, based) if b]
-            terms = tuple(t for t, b in zip(terms, based) if not b)
+            kept = []
+            for exponents, c in terms:
+                if any(entry.is_base_index(j) for j, _ in exponents):
+                    twist.append(((i, exponents), c))
+                else:
+                    kept.append((exponents, c))
+            terms = tuple(kept)
         if terms:
             untwisted[i] = terms
     return untwisted, twist
@@ -209,14 +243,20 @@ def enumerate_fibrations(
     """All relative models D(w) = d(w) + sum c_m m over the given coefficients.
 
     Each candidate twists the trivial fibration: the monomials m have degree
-    |w| + 1 and contain at least one base generator.  Only the assignments
-    with D.D = 0 (_Twist.closed) are built, all over the trivial fibration's
-    generator set, and the finiteness gate is applied on request.
+    |w| + 1 and contain at least one base generator (base exponents are
+    thereby forced by degree); assignments with D.D != 0 are discarded, and
+    the finiteness gate is applied on request.  D.D is decided slot by slot
+    from terms computed once per slot (_Twist.closed), so only the closed
+    candidates are built, all over the trivial fibration's generator set.
     """
     trivial = trivial_fibration(fiber, base)
     combined = trivial.total.gens
-    slots = [(combined.get(w.name), mono) for w in fiber.gens
-             for mono in combined.basis(w.degree + 1) if trivial.monomial_has_base(mono)]
+    slots: list[tuple[Generator, Monomial]] = [
+        (combined.get(w.name), mono)
+        for w in fiber.gens
+        for mono in combined.basis(w.degree + 1)
+        if trivial.monomial_has_base(mono)
+    ]
     # zero first: the first candidate is the trivial fibration
     coeffs = sorted({Fraction(0), *map(Fraction, coeff_set)}, key=lambda c: (c != 0, c))
     total = len(coeffs) ** len(slots)
@@ -239,23 +279,26 @@ def enumerate_fibrations(
                 added.append(f"D{w.name}+={coeff}{text}")
         key = "; ".join(added) if added else "trivial"
         # the constructor validates again: its D.D = 0 check stays the authority
-        diff = {name: AlgElement(combined, terms) for name, terms in total_diff.items()}
-        entry = RelativeModel(base, fiber.gens, diff, fiber_diff=dict(fiber.diff), name=key,
-                              bound=fiber.bound)
+        entry = RelativeModel(
+            base,
+            fiber.gens,
+            {name: AlgElement(combined, terms) for name, terms in total_diff.items()},
+            fiber_diff=dict(fiber.diff),
+            name=key,
+            bound=fiber.bound,
+        )
         entries.append((key, entry))
-        twist.vectors[id(entry)] = (entry, {s: c for s, c in enumerate(vector) if c})
     if require_finite:
         entries, _ = _split_finite(entries, window)
-        twist.vectors = {id(entry): twist.vectors[id(entry)] for _, entry in entries}
-    catalog = Catalog(fiber, entries)
-    catalog._twist = twist
-    return catalog
+    return Catalog(fiber, entries)
 
 
 def _square_terms(total: SullivanModel, slots: list[tuple[int, tuple]]):
-    """D.D of a twist D = d + sum c_s theta_s of T as a quadratic form in the c_s.
+    """D.D of a candidate as a quadratic form in its slot coefficients c_s.
 
-    On a generator w of the total (d.d = 0, and theta_s kills the base)
+    With theta_s the derivation sending the slot's generator w_s to its
+    monomial m_s, a candidate is D = d + sum c_s theta_s, so on a generator
+    w of the total (d.d = 0, and theta_s kills every base element)
 
         D.D(w) = sum_s c_s (theta_s(dw) + [w_s = w] d(m_s))
                + sum_{s, t: w_t = w} c_s c_t theta_s(m_t).
@@ -270,6 +313,10 @@ def _square_terms(total: SullivanModel, slots: list[tuple[int, tuple]]):
     coords: dict[tuple[int, Monomial], int] = {}
     last: dict[int, int] = {}  # coordinate -> last slot that reaches it
     pieces: list[list] = [[] for _ in slots]
+    holding: dict[int, list[int]] = {}  # generator index -> the slots t with it in m_t
+    for t, (_, m) in enumerate(slots):
+        for j, _ in m:
+            holding.setdefault(j, []).append(t)
 
     def file(s: int, t: Optional[int], terms: dict) -> None:
         u = s if t is None else max(s, t)
@@ -286,8 +333,10 @@ def _square_terms(total: SullivanModel, slots: list[tuple[int, tuple]]):
             for mono, c in image.terms.items():
                 linear[i, mono] = linear.get((i, mono), 0) + c
         file(s, None, linear)
-        for t, (wt, _) in enumerate(slots):
+        for t in holding.get(w, ()):  # theta_s(m_t) = 0 unless w_s divides m_t
             image = apply_images(gens, theta, 1, monos[t]).terms
-            file(s, t, {(wt, mono): c for mono, c in image.items()})
-    complete = [[k for k, after in last.items() if after == u] for u in range(len(slots))]
+            file(s, t, {(slots[t][0], mono): c for mono, c in image.items()})
+    complete: list[list] = [[] for _ in slots]
+    for k, u in last.items():
+        complete[u].append(k)
     return pieces, complete, len(coords)

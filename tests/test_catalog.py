@@ -282,22 +282,25 @@ def test_closure_search_visits_few_nodes(monkeypatch):
     fiber, base = load("fiber-3-5-9-17.smf")[0], qt_base()
     visits, real_visit = [], rht.catalog._visit
 
-    def counting_visit(twist, u):
-        visits.append((twist, u))
-        real_visit(twist, u)
+    def counting_visit(search, u, c):
+        added = real_visit(search, u, c)
+        visits.append((u, c, added is not None))
+        return added
 
     monkeypatch.setattr(rht.catalog, "_visit", counting_visit)
-    for coeff_set, most, closed in (((0, 1), 266, 58), ((0, 1, -1), 2568, 513)):
+    # 2^8 and 3^8 assignments: each slot is tried once per coefficient below
+    # every node the search keeps, and nothing more
+    for coeff_set, nodes, closed in (((0, 1), 266, 58), ((0, 1, -1), 2568, 513)):
         visits.clear()
         assert len(enumerate_fibrations(fiber, base, coeff_set).entries) == closed
-        # 2^8 and 3^8 assignments; each closed one is a leaf past the 8 slots
-        assert len(visits) <= most, (coeff_set, len(visits))
-        assert sum(u == 8 for _, u in visits) == closed
+        assert len(visits) == nodes, (coeff_set, len(visits))
+        # each closed candidate is a kept node at the last of the 8 slots
+        assert sum(u == 7 and kept for u, _, kept in visits) == closed
     # integral coefficients and pieces are summed in ints, others in Fractions
     for coeff_set, kind in (((0, 2), int), ((0, Fraction(1, 2)), Fraction)):
         visits.clear()
         enumerate_fibrations(fiber, base, coeff_set)
-        assert {type(c) for c in visits[0][0].coeffs} == {kind}, coeff_set
+        assert {type(c) for _, c, _ in visits} == {kind}, coeff_set
 
 
 # ----------------------------------------------------------------------

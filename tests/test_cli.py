@@ -266,6 +266,20 @@ def test_enumerate_needs_two_spaces(capsys):
     assert "exactly two" in err
 
 
+def test_enumerate_searches_more_slots_than_the_recursion_limit(capsys, tmp_path):
+    # D(x) may take any of the 1,771 monomials of degree 42 in a, b, c, t
+    # that contain t; with the one coefficient 0 the candidate cap never
+    # binds, and the search keeps the trivial fibration without recursing
+    path = tmp_path / "wide.smf"
+    path.write_text("[space wide]\ngen a 2\ngen b 2\ngen c 2\ngen x 41\n")
+    assert sys.getrecursionlimit() < 1771
+    code, out, err = run_within(
+        capsys, 10, "enumerate", str(path), fx("base-qt.smf"), "--coeffs", "0", "--json"
+    )
+    assert (code, err) == (0, "1 fibration(s) kept\n")
+    assert [node["witnesses"] for node in json.loads(out)["nodes"]] == [["trivial"]]
+
+
 # ----------------------------------------------------------------------
 # computation errors exit with status 2
 
