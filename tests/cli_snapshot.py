@@ -33,6 +33,10 @@ SUBCOMMANDS = (
     "connecting", "les-check", "toral-check", "depth", "poset", "enumerate",
 )
 FIBERS = ("tests/fixtures/fiber-3-3-3-3.smf", "tests/fixtures/fiber-3-5-9-17.smf")
+# one file per way a model file can be misread, and one valid rational model
+PARSE_FILES = sorted(
+    p.relative_to(ROOT).as_posix() for p in (ROOT / "tests" / "fixtures" / "parse").glob("*.smf")
+)
 
 
 def calls() -> list[list[str]]:
@@ -40,7 +44,8 @@ def calls() -> list[list[str]]:
     --json), toral-check at three windows, depth and poset with
     --require-finite at windows 1 and 6, both enumerations over base-qt.smf
     with and without --require-finite, and the enumerations with non-unit
-    coefficients: 0,1,-1 on fiber-3-5-9-17 in --json, 0,2 on both fibres."""
+    coefficients: 0,1,-1 on fiber-3-5-9-17 in --json, 0,2 on both fibres;
+    last, validate and cohomology through degree 5 on every parse file."""
     out = []
     for path in FILES:
         out.append(["validate", path])
@@ -59,6 +64,8 @@ def calls() -> list[list[str]]:
     out.append(["enumerate", FIBERS[1], "tests/fixtures/base-qt.smf", "--coeffs", "0,1,-1", "--json"])
     for fiber in FIBERS:
         out.append(["enumerate", fiber, "tests/fixtures/base-qt.smf", "--coeffs", "0,2"])
+    for path in PARSE_FILES:
+        out += [["validate", path], ["cohomology", path, "--max-degree", "5"]]
     return out
 
 
