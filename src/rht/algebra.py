@@ -348,7 +348,8 @@ def basis_in_degree(gens: GenSet, n: int) -> list[Monomial]:
 
     Exponents are walked from high to low, which is that order.  The set's
     count of the monomials each suffix of generators reaches in each degree
-    (GenSet.counts) sizes the basis first and then prunes every dead branch.
+    (GenSet.counts) sizes the basis first, prunes every dead branch and ends
+    each generator's exponent loop once it has produced its share.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -366,8 +367,12 @@ def basis_in_degree(gens: GenSet, n: int) -> list[Monomial]:
             out.append(Monomial(tuple(acc)))
             return
         g, reach = gens[i], counts[i + 1]
+        # the walk over positive exponents of g stops once it has all their monomials
+        done = len(out) + counts[i][remaining] - reach[remaining]
         top = remaining // g.degree
         for e in range(min(top, 1) if g.is_odd else top, 0, -1):
+            if len(out) == done:
+                break
             if reach[remaining - e * g.degree]:
                 acc.append((i, e))
                 rec(i + 1, remaining - e * g.degree, acc)

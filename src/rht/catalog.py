@@ -55,7 +55,7 @@ class Catalog:
         for key, entry in self.entries:
             group = next((g for g in groups if g.holds(entry)), None)
             if group is None:
-                groups.append(group := _Twist(entry, []))
+                groups.append(group := _Twist(entry))
             read.append((key, group, group.coefficients(entry)))
         return {key: group.realized(c) for key, group, c in read}
 
@@ -72,23 +72,22 @@ class _Twist:
     """The fibrations over one base and bound as twists of the trivial fibration T.
 
     D = d_T + sum_s c_s theta_s over a table of slots s, theta_s sending the
-    fibre generator w_s to a monomial m_s with a base generator.  D.D is
-    quadratic in the c_s (closed finds its zeros); the boundary is linear,
-    delta_T^n + sum_s c_s B_s^n with B_s^n = [theta_s, -] built once each, so
-    realized computes the image at shift n once per distinct live c_s.
+    fibre generator w_s to a monomial m_s with a base generator.  The
+    boundary is linear, delta_T^n + sum_s c_s B_s^n with B_s^n = [theta_s, -]
+    built once each, so realized computes the image at shift n once per
+    distinct live c_s.  The slot table grows as entries are read.
     """
 
-    def __init__(self, model: RelativeModel, slots: list[tuple[int, tuple]]):
-        self.model = model
+    def __init__(self, model: RelativeModel):
         self.base, self.bound, self.fiber = model.base, model.bound, model.fiber
         self.cx = DerComplex(model, RELATIVE)  # T's: any twist's slices and evaluation
         self.untwisted, _ = _split_twist(model)  # d_T, in monomial_images form
-        self.slots = {slot: s for s, slot in enumerate(slots)}  # (index of w, exponents of m) -> s
+        self.slots: dict[tuple, int] = {}  # (index of w, exponents of m) -> s
         shifts = range(1, top_shift(self.fiber) + 1)
         self.frames = [(n, f) for n in shifts if (f := dual_frame(self.fiber, n))]
         self._boundaries: dict = {}  # (n, live c_s) -> boundary, (n, None) -> delta_T^n
         self._parts: dict[int, list] = {}  # n -> [(s, B_s^n)] over the nonzero B_s^n
-        self._images: dict[tuple, Subspace] = {}  # (n, live c_s at n, at n + 1) -> image
+        self._images: dict[tuple, Subspace] = {}  # (n, live c_s at n) -> image
         self._totals: dict[tuple, Subspace] = {}  # the images, one per frame -> their sum
 
     def holds(self, entry) -> bool:
@@ -115,11 +114,12 @@ class _Twist:
             self._parts[n] = [(s, part) for s, part in parts if not part.is_zero()]
         return self._parts[n]
 
-    def _boundary(self, n: int, live: tuple) -> RatMatrix:
-        """delta_T^n + sum c_s B_s^n column by column, live holding the c_s of _parts_at(n)."""
+    def _boundary(self, n: int, live: Optional[tuple] = None) -> RatMatrix:
+        """delta_T^n + sum c_s B_s^n column by column, live holding the c_s of
+        _parts_at(n); delta_T^n itself when live is None."""
+        if (n, None) not in self._boundaries:
+            self._boundaries[n, None] = self.cx.bracket(n, self.untwisted)
         if (n, live) not in self._boundaries:
-            if (n, None) not in self._boundaries:
-                self._boundaries[n, None] = self.cx.bracket(n, self.untwisted)
             delta = self._boundaries[n, None]
             columns = [dict(col) for col in delta.columns]
             for (_, part), c in zip(self._parts[n], live):
@@ -130,51 +130,57 @@ class _Twist:
         return self._boundaries[n, live]
 
     def realized(self, c: dict) -> Subspace:
-        """fibre_gottlieb(entry).total() of the twist whose coefficients are c."""
+        """fibre_gottlieb(entry).total() of the twist whose coefficients are c.
+
+        Evaluation kills every B_s^{n+1}, whose values lie in the base ideal,
+        so the image at shift n reads only the c_s of _parts_at(n) and checks
+        evaluation against delta_T^{n+1}."""
         per = {}
         for n, frame in self.frames:
-            key = (n, *(tuple(c.get(s, 0) for s, _ in self._parts_at(k)) for k in (n, n + 1)))
+            key = (n, tuple(c.get(s, 0) for s, _ in self._parts_at(n)))
             if key not in self._images:
-                d_out, d_in = self._boundary(n, key[1]), self._boundary(n + 1, key[2])
+                d_out, d_in = self._boundary(*key), self._boundary(n + 1)
                 self._images[key] = _image_on_cycles(self.cx.evaluation(n), d_out, d_in, frame)
             per[n] = self._images[key]
         images = tuple(map(id, per.values()))
         if images not in self._totals:
-            self._totals[images] = GottliebResult(self.fiber, per, "catalog").total()
+            self._totals[images] = GottliebResult(self.fiber, per).total()
         return self._totals[images]
 
-    def closed(self, coeffs: list[Fraction]) -> list[tuple]:
-        """The vectors over coeffs with D.D = 0, in itertools.product order (T only).
 
-        Depth first: slot u takes each coefficient in turn (_visit), the search
-        goes on to slot u + 1 while every coordinate of D.D completed so far is
-        zero, and backs up once slot u has tried them all.  The sums are ints
-        when all coefficients and pieces are integral, Fractions otherwise."""
-        if not self.slots:
-            return [()]
-        pieces, complete, size = _square_terms(self.model.total, list(self.slots))
-        values = [*coeffs, *(v for per in pieces for *_, piece in per for _, v in piece)]
-        num = int if all(v.denominator == 1 for v in values) else Fraction
-        pieces = [[(s, t, [(k, num(v)) for k, v in p]) for s, t, p in per] for per in pieces]
-        coeffs, vector, found = [num(c) for c in coeffs], [0] * len(pieces), []
-        search = (pieces, complete, vector, acc := [0] * size)
-        left = [iter(coeffs)]  # per assigned slot and the next one: coefficients not tried
-        added: list[list] = []  # per assigned slot: the terms its coefficient added
-        while left:
-            u = len(left) - 1
-            if len(added) > u:  # undo slot u's last coefficient
-                for k, v in added.pop():
-                    acc[k] -= v
-            c = next(left[u], None)
-            if c is None:
-                left.pop()
-            elif (terms := _visit(search, u, c)) is not None:
-                added.append(terms)
-                if u + 1 < len(pieces):
-                    left.append(iter(coeffs))
-                else:
-                    found.append(tuple(vector))
-        return found
+def _closed(total: SullivanModel, slots: list[tuple[int, tuple]], coeffs: list) -> list[tuple]:
+    """The vectors c over coeffs, one coefficient per slot, for which
+    total's d + sum_s c_s theta_s squares to zero, in itertools.product order.
+
+    Depth first: slot u takes each coefficient in turn (_visit), the search
+    goes on to slot u + 1 while every coordinate of D.D completed so far is
+    zero, and backs up once slot u has tried them all.  The sums are ints
+    when all coefficients and pieces are integral, Fractions otherwise."""
+    if not slots:
+        return [()]
+    pieces, complete, size = _square_terms(total, slots)
+    values = [*coeffs, *(v for per in pieces for *_, piece in per for _, v in piece)]
+    num = int if all(v.denominator == 1 for v in values) else Fraction
+    pieces = [[(s, t, [(k, num(v)) for k, v in p]) for s, t, p in per] for per in pieces]
+    coeffs, vector, found = [num(c) for c in coeffs], [0] * len(pieces), []
+    search = (pieces, complete, vector, acc := [0] * size)
+    left = [iter(coeffs)]  # per assigned slot and the next one: coefficients not tried
+    added: list[list] = []  # per assigned slot: the terms its coefficient added
+    while left:
+        u = len(left) - 1
+        if len(added) > u:  # undo slot u's last coefficient
+            for k, v in added.pop():
+                acc[k] -= v
+        c = next(left[u], None)
+        if c is None:
+            left.pop()
+        elif (terms := _visit(search, u, c)) is not None:
+            added.append(terms)
+            if u + 1 < len(pieces):
+                left.append(iter(coeffs))
+            else:
+                found.append(tuple(vector))
+    return found
 
 
 def _visit(search: tuple, u: int, c) -> Optional[list]:
@@ -246,7 +252,7 @@ def enumerate_fibrations(
     |w| + 1 and contain at least one base generator (base exponents are
     thereby forced by degree); assignments with D.D != 0 are discarded, and
     the finiteness gate is applied on request.  D.D is decided slot by slot
-    from terms computed once per slot (_Twist.closed), so only the closed
+    from terms computed once per slot (_closed), so only the closed
     candidates are built, all over the trivial fibration's generator set.
     """
     trivial = trivial_fibration(fiber, base)
@@ -264,11 +270,10 @@ def enumerate_fibrations(
         raise CombinatorialBlowup(
             f"{total} candidate differentials exceed the cap of {MAX_CANDIDATES}"
         )
-    twist = _Twist(trivial, [(w.index, mono.exponents) for w, mono in slots])
     texts = [mono.format(combined) for _, mono in slots]
     untwisted = {w.name: trivial.total.diff_of(w.name).terms for w in fiber.gens}
     entries: list[tuple[str, RelativeModel]] = []
-    for vector in twist.closed(coeffs):
+    for vector in _closed(trivial.total, [(w.index, mono.exponents) for w, mono in slots], coeffs):
         total_diff = {name: dict(terms) for name, terms in untwisted.items()}
         added: list[str] = []
         for (w, mono), text, c in zip(slots, texts, vector):

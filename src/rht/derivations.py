@@ -18,12 +18,12 @@ it, and the bracket with any other degree +1 derivation, the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .algebra import AlgElement, GenSet, Generator, Monomial, apply_to_monomial, leibniz_apply
 from .errors import GeneratorSetMismatch
 from .linalg import HomologySlice, RatMatrix
-from .model import Cochains, ModelLike, RelativeModel, SullivanModel
+from .model import ModelLike, RelativeModel, SullivanModel
 
 ABSOLUTE = "absolute"
 RELATIVE = "relative"
@@ -90,12 +90,11 @@ class DerComplex:
     Each slice, boundary, evaluation and homology is built at most once, on
     first use, and lives only as long as this object: a caller that needs
     several of them builds one DerComplex and drops it when it is done.  The
-    monomials of the slices come from one Cochains of the value model; two
-    scopes over the same total model can share one by passing it as
-    ``cochains``.
+    monomials of the slices are the degree bases of the value model's
+    GenSet, which every complex over that set shares.
     """
 
-    def __init__(self, m: ModelLike, scope: str = ABSOLUTE, cochains: Optional[Cochains] = None):
+    def __init__(self, m: ModelLike, scope: str = ABSOLUTE):
         if scope == ABSOLUTE:
             self.model, self._keep = m.fiber, None
         elif scope in (RELATIVE, IDEAL):
@@ -108,11 +107,6 @@ class DerComplex:
         self.source = m
         self.scope = scope
         self.domain = m.fiber.gens
-        if cochains is None:
-            cochains = Cochains(self.model)
-        elif cochains.model is not self.model:
-            raise ValueError("cochains of a different model")
-        self.cochains = cochains
         self._slices: dict[int, ComplexSlice] = {}
         self._boundaries: dict[int, RatMatrix] = {}
         self._evaluations: dict[int, RatMatrix] = {}
@@ -132,7 +126,7 @@ class DerComplex:
             if deg < 0:
                 continue
             self.model.check_bound(deg)
-            for mono in self.cochains.basis(deg):
+            for mono in gens.basis(deg):
                 if self._keep is None or self._keep(mono):
                     pairs.append((w, mono))
         self._slices[n] = ComplexSlice(n, self.scope, tuple(pairs), gens, self.domain)

@@ -81,7 +81,6 @@ class GottliebResult:
 
     fiber: SullivanModel
     per_degree: dict[int, Subspace]
-    provenance: str  # "absolute" or a fibration id
 
     def degree(self, n: int) -> Subspace:
         if n in self.per_degree:
@@ -128,7 +127,7 @@ def _image_on_cycles(
 
 def gottlieb(m: ModelLike, max_degree: Optional[int] = None) -> GottliebResult:
     """Image of evaluation on absolute derivation homology, per degree."""
-    return _evaluation_images(DerComplex(m, ABSOLUTE), max_degree, "absolute")
+    return _evaluation_images(DerComplex(m, ABSOLUTE), max_degree)
 
 
 def fibre_gottlieb(f: RelativeModel, max_degree: Optional[int] = None) -> GottliebResult:
@@ -137,12 +136,10 @@ def fibre_gottlieb(f: RelativeModel, max_degree: Optional[int] = None) -> Gottli
     The restriction keeps each pair (w, 1) and evaluation keeps only those,
     so the composite is evaluation on the relative slice itself.
     """
-    return _evaluation_images(DerComplex(f, RELATIVE), max_degree, f.name or "fibration")
+    return _evaluation_images(DerComplex(f, RELATIVE), max_degree)
 
 
-def _evaluation_images(
-    cx: DerComplex, max_degree: Optional[int], provenance: str
-) -> GottliebResult:
+def _evaluation_images(cx: DerComplex, max_degree: Optional[int]) -> GottliebResult:
     fiber = cx.source.fiber
     top = max_degree if max_degree is not None else top_shift(fiber)
     per: dict[int, Subspace] = {}
@@ -150,7 +147,7 @@ def _evaluation_images(
         frame = dual_frame(fiber, n)
         if frame:
             per[n] = _image_on_cycles(cx.evaluation(n), cx.boundary(n), cx.boundary(n + 1), frame)
-    return GottliebResult(fiber, per, provenance)
+    return GottliebResult(fiber, per)
 
 
 def connecting_image(f: RelativeModel, n: int) -> Subspace:
@@ -243,8 +240,7 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     lo, hi = degrees[0], degrees[-1]
     if lo < 1:
         raise ValueError("les_check needs degrees >= 1")
-    rel, ab = DerComplex(f, RELATIVE), DerComplex(f, ABSOLUTE)
-    ideal = DerComplex(f, IDEAL, rel.cochains)  # both scopes read f.total
+    rel, ab, ideal = DerComplex(f, RELATIVE), DerComplex(f, ABSOLUTE), DerComplex(f, IDEAL)
     report = LesReport()
     # the deepest slices read, first: a bound overrun is reported from them
     ideal.homology(max(1, lo - 1))

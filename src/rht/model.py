@@ -7,10 +7,14 @@ A model file is line oriented, UTF-8, with '#' comments:
     d NAME = EXPR            # omitted => 0
     bound N                  # optional validity bound
 
-    [fibration NAME]
+    [fibration NAME]         # bound N here or in [fiber], not both
     [base]   ... gen/d/bound lines ...
-    [fiber]  ... gen/d lines (d lines optional) ...
+    [fiber]  ... gen/d/bound lines (d lines optional) ...
     [total]  D NAME = EXPR   # for fiber generators only
+
+A section takes only the line kinds listed for it (_LINE_KINDS), at most one
+d or D line per generator and at most one bound; anything else is a
+ModelSyntaxError naming the line.
 
 EXPR is a sum of terms; a term is an optional rational coefficient times
 '*'-joined powers of generator names (e.g. ``w1*w2*t^3 + 2/3*t^9``).  Section
@@ -133,14 +137,7 @@ class SullivanModel:
     # --- serialization ------------------------------------------------
 
     def serialize(self) -> str:
-        lines = [f"[space {_format_name(self.name or 'model')}]"]
-        for g in self.gens:
-            lines.append(f"gen {g.name} {g.degree}")
-        for g in self.gens:
-            if g.name in self.diff:
-                lines.append(f"d {g.name} = {self.diff[g.name].format()}")
-        if self.bound is not None:
-            lines.append(f"bound {self.bound}")
+        lines = [f"[space {_format_name(self.name or 'model')}]", *_section_lines(self, self.bound)]
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
@@ -235,23 +232,15 @@ class RelativeModel:
         return any(i < self.base_size for i, _ in m.exponents)
 
     def serialize(self) -> str:
-        lines = [f"[fibration {_format_name(self.name or 'fibration')}]", "[base]"]
-        for g in self.base.gens:
-            lines.append(f"gen {g.name} {g.degree}")
-        for g in self.base.gens:
-            if g.name in self.base.diff:
-                lines.append(f"d {g.name} = {self.base.diff[g.name].format()}")
-        if self.base.bound is not None:
-            lines.append(f"bound {self.base.bound}")
-        lines.append("[fiber]")
-        for g in self.fiber.gens:
-            lines.append(f"gen {g.name} {g.degree}")
-        for g in self.fiber.gens:
-            if g.name in self.fiber.diff:
-                lines.append(f"d {g.name} = {self.fiber.diff[g.name].format()}")
-        if self.bound != self.base.bound:
-            lines.append(f"bound {self.bound}")
-        lines.append("[total]")
+        lines = [
+            f"[fibration {_format_name(self.name or 'fibration')}]",
+            "[base]",
+            *_section_lines(self.base, self.base.bound),
+            "[fiber]",
+            # the base's bound caps the fibration's; a lower one is written here
+            *_section_lines(self.fiber, self.bound if self.bound != self.base.bound else None),
+            "[total]",
+        ]
         for g in self.fiber.gens:
             dv = self.total.diff_of(g.name)
             if not dv.is_zero():
@@ -273,6 +262,13 @@ def trivial_fibration(
     return RelativeModel(
         base, fiber.gens, fiber.diff, fiber_diff=fiber.diff, name=name, bound=fiber.bound
     )
+
+
+def _section_lines(m: SullivanModel, bound: Optional[int]) -> list[str]:
+    """The gen, d and bound lines of a [space], [base] or [fiber] section."""
+    lines = [f"gen {g.name} {g.degree}" for g in m.gens]
+    lines += [f"d {g.name} = {m.diff[g.name].format()}" for g in m.gens if g.name in m.diff]
+    return lines + ([] if bound is None else [f"bound {bound}"])
 
 
 def _fibration_gens(base: GenSet, fiber: GenSet) -> GenSet:
@@ -471,14 +467,65 @@ def parse_expression(
     return total
 
 
+# the line kinds each section takes; a fibration's bound goes in its
+# header or in its [fiber], once
+_LINE_KINDS = {
+    "space": ("gen", "d", "bound"),
+    "base": ("gen", "d", "bound"),
+    "fiber": ("gen", "d", "bound"),
+    "fibration": ("bound",),
+    "total": ("D",),
+}
+
+
 @dataclass
 class _Section:
     kind: str  # space | fibration | base | fiber | total
     name: Optional[str]
     line: int
-    gens: list[tuple[str, int, int]] = field(default_factory=list)  # name, degree, line
-    dlines: list[tuple[str, str, str, int]] = field(default_factory=list)  # op, name, expr, line
+    gens: list[tuple[str, int]] = field(default_factory=list)  # name, degree
+    dlines: dict[str, tuple[str, int]] = field(default_factory=dict)  # name -> expr, line
     bound: Optional[int] = None
+    parts: dict[str, _Section] = field(default_factory=dict)  # a fibration's sections
+
+    def read(self, code: str, lineno: int, top: _Section) -> None:
+        """File one line of this section; top is the [space] or [fibration] holding it."""
+        parts = code.split()
+        kind = parts[0]
+        if kind not in ("gen", "d", "D", "bound"):
+            raise ModelSyntaxError(f"unrecognized line {code!r}", lineno)
+        if kind not in _LINE_KINDS[self.kind]:
+            raise ModelSyntaxError(f"a [{self.kind}] section takes no '{kind}' line", lineno)
+        if kind == "gen":
+            if len(parts) != 3 or not parts[2].isdigit():
+                raise ModelSyntaxError("expected 'gen NAME DEGREE'", lineno)
+            self.gens.append((parts[1], int(parts[2])))
+        elif kind == "bound":
+            if len(parts) != 2 or not parts[1].isdigit():
+                raise ModelSyntaxError("expected 'bound N'", lineno)
+            owner = top if self.kind == "fiber" else self
+            if owner.bound is not None:
+                raise ModelSyntaxError(f"a second 'bound' line for one {owner.kind}", lineno)
+            owner.bound = int(parts[1])
+        else:
+            m = re.fullmatch(r"[dD]\s+([A-Za-z_][A-Za-z0-9_']*)\s*=\s*(.+)", code)
+            if not m:
+                raise ModelSyntaxError(f"expected '{kind} NAME = EXPR'", lineno)
+            if m.group(1) in self.dlines:
+                raise ModelSyntaxError(f"a second '{kind}' line for {m.group(1)}", lineno)
+            self.dlines[m.group(1)] = (m.group(2), lineno)
+
+    def diff(self, gens: GenSet) -> dict[str, AlgElement]:
+        """The section's d or D lines, parsed over gens."""
+        out = {}
+        for name, (expr, lineno) in self.dlines.items():
+            gens.get(name)  # raises UnknownGenerator
+            out[name] = parse_expression(expr, gens, lineno)
+        return out
+
+    def space(self, name: Optional[str] = None) -> SullivanModel:
+        gens = GenSet(self.gens)
+        return SullivanModel(gens, self.diff(gens), bound=self.bound, name=name)
 
 
 _HEADER_RE = re.compile(
@@ -494,6 +541,8 @@ def _format_name(name: str) -> str:
 
 
 def _split_sections(text: str) -> list[_Section]:
+    """The [space] and [fibration] sections, in order; a fibration holds the
+    [base], [fiber] and [total] sections that follow its header."""
     sections: list[_Section] = []
     current: Optional[_Section] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -504,103 +553,45 @@ def _split_sections(text: str) -> list[_Section]:
             m = _HEADER_RE.fullmatch(code)
             if not m:
                 raise ModelSyntaxError(f"bad section header {code!r}", lineno)
-            kind, name = m.group(1), m.group(2) or m.group(3) or None
-            current = _Section(kind, name, lineno)
-            sections.append(current)
+            current = _Section(m.group(1), m.group(2) or m.group(3) or None, lineno)
+            if current.kind in ("space", "fibration"):
+                sections.append(current)
+            elif not sections or sections[-1].kind != "fibration":
+                raise ModelSyntaxError(f"[{current.kind}] section outside a fibration", lineno)
+            elif current.kind in sections[-1].parts:
+                raise ModelSyntaxError(f"duplicate [{current.kind}] section", lineno)
+            else:
+                sections[-1].parts[current.kind] = current
             continue
         if current is None:
             # headerless file: implicit [space]
             current = _Section("space", None, lineno)
             sections.append(current)
-        parts = code.split()
-        if parts[0] == "gen":
-            if len(parts) != 3 or not parts[2].isdigit():
-                raise ModelSyntaxError("expected 'gen NAME DEGREE'", lineno)
-            current.gens.append((parts[1], int(parts[2]), lineno))
-        elif parts[0] == "bound":
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ModelSyntaxError("expected 'bound N'", lineno)
-            current.bound = int(parts[1])
-        elif parts[0] in ("d", "D"):
-            m = re.fullmatch(r"[dD]\s+([A-Za-z_][A-Za-z0-9_']*)\s*=\s*(.+)", code)
-            if not m:
-                raise ModelSyntaxError(f"expected '{parts[0]} NAME = EXPR'", lineno)
-            current.dlines.append((parts[0], m.group(1), m.group(2), lineno))
-        else:
-            raise ModelSyntaxError(f"unrecognized line {code!r}", lineno)
+        current.read(code, lineno, sections[-1])
     return sections
-
-
-def _build_space(sec: _Section) -> SullivanModel:
-    gens = GenSet([(n, d) for n, d, _ in sec.gens])
-    diff = {}
-    for op, name, expr, lineno in sec.dlines:
-        if op != "d":
-            raise ModelSyntaxError("'D' lines belong in a [total] section", lineno)
-        gens.get(name)
-        diff[name] = parse_expression(expr, gens, lineno)
-    return SullivanModel(gens, diff, bound=sec.bound, name=sec.name)
 
 
 def parse_document(text: str) -> list[ModelLike]:
     """Parse a model file; returns the models in order of appearance."""
-    sections = _split_sections(text)
     out: list[ModelLike] = []
-    i = 0
-    while i < len(sections):
-        sec = sections[i]
+    for sec in _split_sections(text):
         if sec.kind == "space":
-            out.append(_build_space(sec))
-            i += 1
-        elif sec.kind == "fibration":
-            parts: dict[str, _Section] = {}
-            j = i + 1
-            while j < len(sections) and sections[j].kind in ("base", "fiber", "total"):
-                if sections[j].kind in parts:
-                    raise ModelSyntaxError(
-                        f"duplicate [{sections[j].kind}] section", sections[j].line
-                    )
-                parts[sections[j].kind] = sections[j]
-                j += 1
-            for needed in ("base", "fiber", "total"):
-                if needed not in parts:
-                    raise ModelSyntaxError(
-                        f"fibration {sec.name!r} is missing a [{needed}] section",
-                        sec.line,
-                    )
-            base = _build_space(parts["base"])
-            base.name = None
-            fsec = parts["fiber"]
-            fiber_gens = GenSet([(n, d) for n, d, _ in fsec.gens])
-            fiber_diff: Optional[dict[str, AlgElement]] = None
-            if fsec.dlines:
-                fiber_diff = {}
-                for op, name, expr, lineno in fsec.dlines:
-                    if op != "d":
-                        raise ModelSyntaxError("fiber sections use 'd' lines", lineno)
-                    fiber_gens.get(name)
-                    fiber_diff[name] = parse_expression(expr, fiber_gens, lineno)
-            combined = _fibration_gens(base.gens, fiber_gens)
-            total_diff = {}
-            for op, name, expr, lineno in parts["total"].dlines:
-                if op != "D":
-                    raise ModelSyntaxError("total sections use 'D' lines", lineno)
-                total_diff[name] = parse_expression(expr, combined, lineno)
-            out.append(
-                RelativeModel(
-                    base,
-                    fiber_gens,
-                    total_diff,
-                    fiber_diff=fiber_diff,
-                    name=sec.name,
-                    bound=fsec.bound if fsec.bound is not None else sec.bound,
+            out.append(sec.space(sec.name))
+            continue
+        for needed in ("base", "fiber", "total"):
+            if needed not in sec.parts:
+                raise ModelSyntaxError(
+                    f"fibration {sec.name!r} is missing a [{needed}] section", sec.line
                 )
+        base, fsec = sec.parts["base"].space(), sec.parts["fiber"]
+        fiber_gens = GenSet(fsec.gens)
+        fiber_diff = fsec.diff(fiber_gens) if fsec.dlines else None
+        total_diff = sec.parts["total"].diff(_fibration_gens(base.gens, fiber_gens))
+        out.append(
+            RelativeModel(
+                base, fiber_gens, total_diff, fiber_diff=fiber_diff, name=sec.name, bound=sec.bound
             )
-            i = j
-        else:
-            raise ModelSyntaxError(
-                f"[{sec.kind}] section outside a fibration", sec.line
-            )
+        )
     return out
 
 

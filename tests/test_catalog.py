@@ -391,6 +391,35 @@ D w2 = t^6
     assert kinds == [NotAComplex, dict, BoundExceeded, BoundExceeded]
 
 
+def test_evaluation_kills_every_twist_bracket():
+    # realized_subspaces keys the image at shift n by the c_s at n alone and
+    # checks evaluation against delta_T^{n+1}, for evaluation(n) kills every
+    # B_s^{n+1} = [theta_s, -]: its values lie in the base ideal
+    base = load("base-qt.smf")[0]
+    catalogs = [  # the benchmark's enumerations E1, E2 and E3
+        enumerate_fibrations(load(name)[0], base, (0, 1), require_finite=gate)
+        for name, gate in (
+            ("fiber-3-5-9-17.smf", True), ("fiber-3-3-3-3.smf", True), ("fiber-3-5-9-17.smf", False)
+        )
+    ]
+    for name in ("ex47.smf", "wedge.smf"):
+        fibs = load(name)
+        catalogs.append(Catalog(fibs[0].fiber, [(f.name, f) for f in fibs]))
+    checked = Counter()
+    for i, cat in enumerate(catalogs):
+        twist = rht.catalog._Twist(cat.entries[0][1])
+        for _, entry in cat.entries:
+            assert twist.holds(entry)
+            twist.coefficients(entry)
+        for n, _ in twist.frames:
+            for _, part in twist._parts_at(n + 1):
+                assert (twist.cx.evaluation(n) @ part).is_zero(), (i, n)
+                checked[i] += 1
+    # E2's fibre has one degree, and wedge's brackets vanish one shift above
+    # each of its frames: only E1, E3 and ex47 have brackets to check
+    assert sorted(checked) == [0, 2, 3], checked
+
+
 def test_realized_subspaces_build_each_part_once(monkeypatch):
     # ungated fiber-3-5-9-17 over qt: one complex for its one base, each
     # bracket [E, -] built once, and each image once per distinct pair of

@@ -26,6 +26,7 @@ from rht import (
 )
 from rht.cli import main
 from rht.derivations import ComplexSlice
+from rht.errors import ModelSyntaxError
 from rht.invariants import top_shift
 from rht.model import formal_dimension_estimate
 
@@ -460,6 +461,44 @@ def test_cli_imports_only_the_standard_library():
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+# a line the reader once dropped, or let a later line override, and the line
+# number it is now refused at
+MISREAD_LINES = {
+    "dup-d-line.smf": 6,
+    "dup-D-line.smf": 10,
+    "dup-bound.smf": 5,
+    "header-and-fiber-bound.smf": 8,
+    "gen-in-header.smf": 3,
+    "d-in-header.smf": 3,
+    "gen-in-total.smf": 8,
+    "bound-in-total.smf": 9,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISREAD_LINES))
+def test_repeated_or_misplaced_lines_are_refused(name, capsys, tmp_path):
+    path = FIXTURES / "parse" / name
+    line = MISREAD_LINES[name]
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_document(path.read_text())
+    assert err.value.line == line
+    code, out, err_text = run(capsys, "cohomology", str(path))
+    assert (code, out) == (1, "")
+    assert err_text.splitlines() == [f"ModelSyntaxError: {err.value}"]
+    assert f"(line {line})" in err_text
+    if name == "dup-D-line.smf":
+        # either D line alone is a valid fibration, and the two disagree
+        verdicts = []
+        for dropped in (line, line - 1):
+            kept = path.read_text().splitlines()
+            del kept[dropped - 1]
+            one = tmp_path / f"without-{dropped}.smf"
+            one.write_text("\n".join(kept) + "\n")
+            code, out, _ = run(capsys, "toral-check", str(one), "--json")
+            verdicts.append((code, json.loads(out)["verdict"]))
+        assert verdicts == [(0, "certified"), (0, "refuted-at-bound")]
+
+
 # a generator degree so large that no basis in it can even be counted: it is
 # refused where the model is read, in one line, by every subcommand
 HUGE_DEGREE_MODELS = {
@@ -486,15 +525,25 @@ def test_huge_generator_degree_exits_without_traceback(name, tmp_path, capsys):
 
 
 def test_der_homology_near_the_degree_cap_is_bounded(tmp_path):
-    # one generator just under MAX_BASIS: every shift reads its degree basis
-    # from one count table of the generator set, not a table of its own
-    path = tmp_path / "near.smf"
-    path.write_text("[space near]\ngen x 49999\n")
-    code, out, err = subprocess_cli("der-homology", str(path), timeout=10)
-    assert (code, err) == (0, "")
-    header, *rows = out.splitlines()
-    assert header == "model near" and len(rows) == 49_999
-    assert [row for row in rows if not row.endswith("dim 0")] == ["  n=49999  dim 1  (x, 1)"]
+    # a generator just under MAX_BASIS: every shift reads its degree basis
+    # from one count table of the generator set, not a table of its own, and
+    # with a second generator each walk over the exponents of a stops once
+    # it has the one monomial a^k or a^k*x the table counts
+    powers = {0: "1", 1: "a"}
+    two = {49999 - 2 * k: f"(x, {powers.get(k, f'a^{k}')})" for k in range(25_000)}
+    two[2] = "(a, 1)"
+    for gens, timeout, nonzero in (
+        ("gen x 49999\n", 10, {49999: "(x, 1)"}),
+        ("gen a 2\ngen x 49999\n", 15, two),
+    ):
+        path = tmp_path / "near.smf"
+        path.write_text("[space near]\n" + gens)
+        code, out, err = subprocess_cli("der-homology", str(path), timeout=timeout)
+        assert (code, err) == (0, "")
+        header, *rows = out.splitlines()
+        assert header == "model near" and len(rows) == 49_999
+        want = [f"  n={n}  dim 1  {label}" for n, label in sorted(nonzero.items())]
+        assert [row for row in rows if not row.endswith("dim 0")] == want
 
 
 # ----------------------------------------------------------------------

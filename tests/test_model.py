@@ -311,6 +311,15 @@ def test_fibration_bound_survives_parse_and_serialize(bound):
     assert parse_fibration(f.serialize()).bound == bound
 
 
+def test_fibration_bound_in_its_header_or_its_fiber():
+    # the two places give the same fibration, which serializes its bound in [fiber]
+    body = "[base]\ngen t 2\n[fiber]\ngen x 3\n{fiber}[total]\nD x = t^2\n"
+    in_header = parse_fibration("[fibration b]\nbound 7\n" + body.format(fiber=""))
+    in_fiber = parse_fibration("[fibration b]\n" + body.format(fiber="bound 7\n"))
+    assert in_header.bound == in_fiber.bound == 7
+    assert in_header.serialize() == in_fiber.serialize()
+
+
 # ----------------------------------------------------------------------
 # cohomology and classification
 
