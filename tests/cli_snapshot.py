@@ -33,6 +33,8 @@ SUBCOMMANDS = (
     "connecting", "les-check", "toral-check", "depth", "poset", "enumerate",
 )
 FIBERS = ("tests/fixtures/fiber-3-3-3-3.smf", "tests/fixtures/fiber-3-5-9-17.smf")
+# a catalog over two bases whose qt group starts with a twisted entry
+SU4 = tuple(f"tests/fixtures/su4-{name}.smf" for name in ("circle", "torus", "trivial"))
 # one file per way a model file can be misread, and one valid rational model
 PARSE_FILES = sorted(
     p.relative_to(ROOT).as_posix() for p in (ROOT / "tests" / "fixtures" / "parse").glob("*.smf")
@@ -45,7 +47,8 @@ def calls() -> list[list[str]]:
     --require-finite at windows 1 and 6, both enumerations over base-qt.smf
     with and without --require-finite, and the enumerations with non-unit
     coefficients: 0,1,-1 on fiber-3-5-9-17 in --json, 0,2 on both fibres;
-    last, validate and cohomology through degree 5 on every parse file."""
+    then validate and cohomology through degree 5 on every parse file; last,
+    depth and poset over the su4 files in both orders."""
     out = []
     for path in FILES:
         out.append(["validate", path])
@@ -66,6 +69,8 @@ def calls() -> list[list[str]]:
         out.append(["enumerate", fiber, "tests/fixtures/base-qt.smf", "--coeffs", "0,2"])
     for path in PARSE_FILES:
         out += [["validate", path], ["cohomology", path, "--max-degree", "5"]]
+    for files in (SU4, SU4[::-1]):
+        out += [[cmd, *files, *fmt] for cmd in ("depth", "poset") for fmt in ([], ["--json"])]
     return out
 
 
