@@ -46,18 +46,16 @@ class Catalog:
     def realized_subspaces(self) -> dict[str, Subspace]:
         """fibre_gottlieb(entry).total() per entry, from one twist (_Twist) per base.
 
-        Every entry's coefficients are read off its D first, so each group's slot
-        table is whole; then each subspace in catalog order, built in
-        fibre_gottlieb's order: an error comes from the entry whose
-        fibre_gottlieb raises first."""
+        One pass in catalog order, each subspace built in fibre_gottlieb's
+        order: an error comes from the entry whose fibre_gottlieb raises first."""
         groups: list[_Twist] = []
-        read = []
+        out = {}
         for key, entry in self.entries:
             group = next((g for g in groups if g.holds(entry)), None)
             if group is None:
                 groups.append(group := _Twist(entry))
-            read.append((key, group, group.coefficients(entry)))
-        return {key: group.realized(c) for key, group, c in read}
+            out[key] = group.realized(entry)
+        return out
 
     def check_finite(self, window: int = DEFAULT_WINDOW) -> None:
         """Raise NotFiniteAtBound naming every entry that fails the finiteness window."""
@@ -69,77 +67,66 @@ class Catalog:
 
 
 class _Twist:
-    """The fibrations over one base and bound as twists of the trivial fibration T.
+    """The fibrations over one base and bound as twists of the group's first entry F.
 
-    D = d_T + sum_s c_s theta_s over a table of slots s, theta_s sending the
-    fibre generator w_s to a monomial m_s with a base generator.  The
-    boundary is linear, delta_T^n + sum_s c_s B_s^n with B_s^n = [theta_s, -]
-    built once each, so realized computes the image at shift n once per
-    distinct live c_s.  The slot table grows as entries are read.
+    An entry E has D_E = D_F + sum_s (c_s(E) - c_s(F)) theta_s, where c_s is
+    the coefficient of slot s, theta_s sending the fibre generator w_s to a
+    monomial m_s with a base generator.  The boundary is linear in D, so at
+    shift n it is delta_F^n, from F's relative DerComplex, plus each nonzero
+    difference times B_s^n = [theta_s, -]; each B_s^n is built once, and
+    realized computes the image at shift n once per distinct such terms.
     """
 
     def __init__(self, model: RelativeModel):
         self.base, self.bound, self.fiber = model.base, model.bound, model.fiber
-        self.cx = DerComplex(model, RELATIVE)  # T's: any twist's slices and evaluation
-        self.untwisted, _ = _split_twist(model)  # d_T, in monomial_images form
-        self.slots: dict[tuple, int] = {}  # (index of w, exponents of m) -> s
+        self.cx = DerComplex(model, RELATIVE)  # F's: slices, delta_F and evaluation
+        self.first = _split_twist(model)  # {s: c_s(F)}
         shifts = range(1, top_shift(self.fiber) + 1)
         self.frames = [(n, f) for n in shifts if (f := dual_frame(self.fiber, n))]
-        self._boundaries: dict = {}  # (n, live c_s) -> boundary, (n, None) -> delta_T^n
-        self._parts: dict[int, list] = {}  # n -> [(s, B_s^n)] over the nonzero B_s^n
-        self._images: dict[tuple, Subspace] = {}  # (n, live c_s at n) -> image
+        self._brackets: dict = {}  # (n, s) -> B_s^n, None when zero
+        self._images: dict[tuple, Subspace] = {}  # (n, nonzero terms at n) -> image
         self._totals: dict[tuple, Subspace] = {}  # the images, one per frame -> their sum
 
     def holds(self, entry) -> bool:
-        """True when the entry twists this group's T: same base and bound."""
+        """True when the entry twists this group's F: same base and bound."""
         return (
             entry.bound == self.bound
             and entry.base.gens == self.base.gens
             and entry.base.diff == self.base.diff
         )
 
-    def coefficients(self, entry) -> dict:
-        """The entry's nonzero c_s as {s: c_s}, integral ones as ints (they key the
-        images, and hash faster); a slot new to the table is appended."""
-        _, twist = _split_twist(entry)
-        return {
-            self.slots.setdefault(slot, len(self.slots)): int(c) if c.denominator == 1 else c
-            for slot, c in twist
-        }
+    def _bracket(self, n: int, s: tuple) -> Optional[RatMatrix]:
+        """B_s^n, or None when it is zero.  When D_F is theta_s alone, B_s^n is
+        delta_F^n, so it is read from F's DerComplex, not built again."""
+        if (n, s) not in self._brackets:
+            theta = {s[0]: ((s[1], 1),)}
+            same = theta == self.cx.model.images
+            part = self.cx.boundary(n) if same else self.cx.bracket(n, theta)
+            self._brackets[n, s] = None if part.is_zero() else part
+        return self._brackets[n, s]
 
-    def _parts_at(self, n: int) -> list:
-        """[(s, B_s^n)] over the slots whose B_s^n is nonzero."""
-        if n not in self._parts:
-            parts = [(s, self.cx.bracket(n, {i: ((m, 1),)})) for (i, m), s in self.slots.items()]
-            self._parts[n] = [(s, part) for s, part in parts if not part.is_zero()]
-        return self._parts[n]
-
-    def _boundary(self, n: int, live: Optional[tuple] = None) -> RatMatrix:
-        """delta_T^n + sum c_s B_s^n column by column, live holding the c_s of
-        _parts_at(n); delta_T^n itself when live is None."""
-        if (n, None) not in self._boundaries:
-            self._boundaries[n, None] = self.cx.bracket(n, self.untwisted)
-        if (n, live) not in self._boundaries:
-            delta = self._boundaries[n, None]
-            columns = [dict(col) for col in delta.columns]
-            for (_, part), c in zip(self._parts[n], live):
-                for acc, col in zip(columns, part.columns if c else ()):
-                    for r, v in col.items():
-                        acc[r] = acc.get(r, 0) + c * v
-            self._boundaries[n, live] = RatMatrix(delta.rows, columns)
-        return self._boundaries[n, live]
-
-    def realized(self, c: dict) -> Subspace:
-        """fibre_gottlieb(entry).total() of the twist whose coefficients are c.
+    def realized(self, entry) -> Subspace:
+        """fibre_gottlieb(entry).total() for an entry this group holds.
 
         Evaluation kills every B_s^{n+1}, whose values lie in the base ideal,
-        so the image at shift n reads only the c_s of _parts_at(n) and checks
-        evaluation against delta_T^{n+1}."""
+        so the image at shift n reads only the terms whose B_s^n is nonzero
+        and checks evaluation against delta_F^{n+1}."""
+        c = _split_twist(entry)
+        for s, f in self.first.items():
+            c[s] = c.get(s, 0) - f
+        diffs = sorted((s, d) for s, d in c.items() if d)
         per = {}
         for n, frame in self.frames:
-            key = (n, tuple(c.get(s, 0) for s, _ in self._parts_at(n)))
+            key = (n, tuple((s, d) for s, d in diffs if self._bracket(n, s)))
             if key not in self._images:
-                d_out, d_in = self._boundary(*key), self._boundary(n + 1)
+                delta = self.cx.boundary(n)
+                columns = [dict(col) for col in delta.columns]
+                for s, d in key[1]:
+                    for acc, col in zip(columns, self._brackets[n, s].columns):
+                        for r, v in col.items():
+                            acc[r] = acc.get(r, 0) + d * v
+                d_out = RatMatrix(delta.rows, columns)
+                d_in = self.cx.boundary(n + 1)
                 self._images[key] = _image_on_cycles(self.cx.evaluation(n), d_out, d_in, frame)
             per[n] = self._images[key]
         images = tuple(map(id, per.values()))
@@ -205,26 +192,17 @@ def _visit(search: tuple, u: int, c) -> Optional[list]:
     return None
 
 
-def _split_twist(entry) -> tuple[dict, list]:
-    """(d_T, slot terms) of an entry's D.
-
-    d_T is D without the terms of D(w) that contain a base generator, in
-    monomial_images form; the slot terms are those, as ((index of w,
-    exponents of m), coefficient).
-    """
-    untwisted, twist = {}, []
-    for i, terms in entry.total.images.items():
-        if not entry.is_base_index(i):
-            kept = []
-            for exponents, c in terms:
-                if any(entry.is_base_index(j) for j, _ in exponents):
-                    twist.append(((i, exponents), c))
-                else:
-                    kept.append((exponents, c))
-            terms = tuple(kept)
-        if terms:
-            untwisted[i] = terms
-    return untwisted, twist
+def _split_twist(entry) -> dict:
+    """The slot terms of an entry's D: the terms of D(w) that contain a base
+    generator, as {(index of w, exponents of m): coefficient}, integral ones
+    as ints (they key the images, and hash faster)."""
+    return {
+        (i, exponents): int(c) if c.denominator == 1 else c
+        for i, terms in entry.total.images.items()
+        if not entry.is_base_index(i)
+        for exponents, c in terms
+        if any(entry.is_base_index(j) for j, _ in exponents)
+    }
 
 
 def _split_finite(entries, window: int):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .algebra import AlgElement
+from .algebra import AlgElement, Monomial
 from .derivations import (
     ABSOLUTE,
     IDEAL,
@@ -160,18 +160,9 @@ def connecting_image(f: RelativeModel, n: int) -> Subspace:
     fiber_gens_n = [g for g in f.fiber.gens if g.degree == n]
     vectors = []
     for v in f.base.gens:
-        if v.degree != n + 1:
-            continue
-        total_v = f.total.gens.get(v.name)
-        row = []
-        for w in fiber_gens_n:
-            dw = f.total.diff_of(w.name)
-            coeff = 0
-            for mono, c in dw.terms.items():
-                if mono.exponents == ((total_v.index, 1),):
-                    coeff = c
-            row.append(coeff)
-        vectors.append(row)
+        if v.degree == n + 1:
+            linear = Monomial(((f.total.gens.get(v.name).index, 1),))
+            vectors.append([f.total.diff_of(w.name).coefficient(linear) for w in fiber_gens_n])
     return Subspace(frame, vectors)
 
 

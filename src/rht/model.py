@@ -365,9 +365,12 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?
 
 
 def parse_expression(
-    text: str, gens: GenSet, line: Optional[int] = None
+    text: str, gens: GenSet, line: Optional[int] = None, column: int = 1
 ) -> AlgElement:
-    """Parse a sum-of-terms expression over the given generator set."""
+    """Parse a sum-of-terms expression over the given generator set.
+
+    column is where text starts in its line, so that an error names the
+    column of the line."""
     tokens: list[tuple[str, str, int]] = []  # (kind, value, column)
     pos = 0
     while pos < len(text):
@@ -375,20 +378,20 @@ def parse_expression(
         if mm is None or mm.end() == pos:
             if text[pos:].strip():
                 raise ModelSyntaxError(
-                    f"unexpected character {text[pos]!r}", line, pos + 1
+                    f"unexpected character {text[pos]!r}", line, column + pos
                 )
             break
         if mm.group("num"):
-            tokens.append(("num", mm.group("num"), mm.start("num") + 1))
+            tokens.append(("num", mm.group("num"), column + mm.start("num")))
         elif mm.group("name"):
-            tokens.append(("name", mm.group("name"), mm.start("name") + 1))
+            tokens.append(("name", mm.group("name"), column + mm.start("name")))
         else:
-            tokens.append(("op", mm.group("op"), mm.start("op") + 1))
+            tokens.append(("op", mm.group("op"), column + mm.start("op")))
         pos = mm.end()
     idx = 0
 
     def peek():
-        return tokens[idx] if idx < len(tokens) else ("end", "", len(text) + 1)
+        return tokens[idx] if idx < len(tokens) else ("end", "", column + len(text))
 
     def take():
         nonlocal idx
@@ -484,12 +487,14 @@ class _Section:
     name: Optional[str]
     line: int
     gens: list[tuple[str, int]] = field(default_factory=list)  # name, degree
-    dlines: dict[str, tuple[str, int]] = field(default_factory=dict)  # name -> expr, line
+    # name -> expression, line, column of the expression
+    dlines: dict[str, tuple[str, int, int]] = field(default_factory=dict)
     bound: Optional[int] = None
     parts: dict[str, _Section] = field(default_factory=dict)  # a fibration's sections
 
-    def read(self, code: str, lineno: int, top: _Section) -> None:
-        """File one line of this section; top is the [space] or [fibration] holding it."""
+    def read(self, code: str, lineno: int, column: int, top: _Section) -> None:
+        """File one line of this section, code starting at column; top is the
+        [space] or [fibration] holding it."""
         parts = code.split()
         kind = parts[0]
         if kind not in ("gen", "d", "D", "bound"):
@@ -499,6 +504,10 @@ class _Section:
         if kind == "gen":
             if len(parts) != 3 or not parts[2].isdigit():
                 raise ModelSyntaxError("expected 'gen NAME DEGREE'", lineno)
+            # a fibration's base and fibre generators share one namespace
+            declared = (name for sec in top.parts.values() or [self] for name, _ in sec.gens)
+            if parts[1] in declared:
+                raise ModelSyntaxError(f"generator {parts[1]} declared twice", lineno)
             self.gens.append((parts[1], int(parts[2])))
         elif kind == "bound":
             if len(parts) != 2 or not parts[1].isdigit():
@@ -513,14 +522,17 @@ class _Section:
                 raise ModelSyntaxError(f"expected '{kind} NAME = EXPR'", lineno)
             if m.group(1) in self.dlines:
                 raise ModelSyntaxError(f"a second '{kind}' line for {m.group(1)}", lineno)
-            self.dlines[m.group(1)] = (m.group(2), lineno)
+            self.dlines[m.group(1)] = (m.group(2), lineno, column + m.start(2))
 
     def diff(self, gens: GenSet) -> dict[str, AlgElement]:
         """The section's d or D lines, parsed over gens."""
         out = {}
-        for name, (expr, lineno) in self.dlines.items():
-            gens.get(name)  # raises UnknownGenerator
-            out[name] = parse_expression(expr, gens, lineno)
+        for name, (expr, lineno, column) in self.dlines.items():
+            try:
+                gens.get(name)
+            except UnknownGenerator:
+                raise ModelSyntaxError(f"unknown generator {name!r}", lineno) from None
+            out[name] = parse_expression(expr, gens, lineno, column)
         return out
 
     def space(self, name: Optional[str] = None) -> SullivanModel:
@@ -567,7 +579,7 @@ def _split_sections(text: str) -> list[_Section]:
             # headerless file: implicit [space]
             current = _Section("space", None, lineno)
             sections.append(current)
-        current.read(code, lineno, sections[-1])
+        current.read(code, lineno, len(raw) - len(raw.lstrip()) + 1, sections[-1])
     return sections
 
 

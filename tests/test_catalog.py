@@ -308,14 +308,27 @@ def test_closure_search_visits_few_nodes(monkeypatch):
 
 
 def assert_realized_matches_oracle(cat):
-    """realized_subspaces() is fibre_gottlieb(entry).total() for every entry;
+    """realized_subspaces() is fibre_gottlieb(entry).total() for every entry,
+    also with the entries reversed, so that another entry comes first;
     returns the number of distinct subspaces."""
     want = {key: fibre_gottlieb(entry).total() for key, entry in cat.entries}
-    got = cat.realized_subspaces()
-    assert list(got) == list(want)
-    for key in want:
-        assert got[key] == want[key], key
+    for entries in (cat.entries, cat.entries[::-1]):
+        got = Catalog(cat.fiber, entries).realized_subspaces()
+        assert list(got) == [key for key, _ in entries]
+        for key in want:
+            assert got[key] == want[key], key
     return len(set(want.values()))
+
+
+def benchmark_enumerations():
+    """The benchmark's enumerations over qt: E1 and E2 gated, E3 not."""
+    base = load("base-qt.smf")[0]
+    return [
+        enumerate_fibrations(load(name)[0], base, (0, 1), require_finite=gate)
+        for name, gate in (
+            ("fiber-3-5-9-17.smf", True), ("fiber-3-3-3-3.smf", True), ("fiber-3-5-9-17.smf", False)
+        )
+    ]
 
 
 def test_realized_subspaces_match_fibre_gottlieb():
@@ -348,6 +361,10 @@ def test_realized_subspaces_match_fibre_gottlieb():
     mixed = [kv for pair in itertools.zip_longest(over_qt, over_s2) for kv in pair if kv]
     assert len(over_qt) > 50 and len(over_s2) > 20
     assert assert_realized_matches_oracle(Catalog(fiber, mixed)) > 1
+    # the gated enumerations, whose first entry is a twist, not the trivial fibration
+    for cat in benchmark_enumerations()[:2]:
+        assert cat.entries[0][0] != "trivial"
+        assert_realized_matches_oracle(cat)
 
 
 def test_realized_subspaces_raise_what_fibre_gottlieb_raises():
@@ -392,40 +409,37 @@ D w2 = t^6
 
 
 def test_evaluation_kills_every_twist_bracket():
-    # realized_subspaces keys the image at shift n by the c_s at n alone and
-    # checks evaluation against delta_T^{n+1}, for evaluation(n) kills every
-    # B_s^{n+1} = [theta_s, -]: its values lie in the base ideal
-    base = load("base-qt.smf")[0]
-    catalogs = [  # the benchmark's enumerations E1, E2 and E3
-        enumerate_fibrations(load(name)[0], base, (0, 1), require_finite=gate)
-        for name, gate in (
-            ("fiber-3-5-9-17.smf", True), ("fiber-3-3-3-3.smf", True), ("fiber-3-5-9-17.smf", False)
-        )
-    ]
+    # realized_subspaces keys the image at shift n by the terms at n alone and
+    # checks evaluation against delta_F^{n+1} of the group's first entry F, for
+    # evaluation(n) kills every B_s^{n+1} = [theta_s, -]: its values lie in the
+    # base ideal
+    catalogs = benchmark_enumerations()
     for name in ("ex47.smf", "wedge.smf"):
         fibs = load(name)
         catalogs.append(Catalog(fibs[0].fiber, [(f.name, f) for f in fibs]))
     checked = Counter()
     for i, cat in enumerate(catalogs):
         twist = rht.catalog._Twist(cat.entries[0][1])
+        slots = set()
         for _, entry in cat.entries:
             assert twist.holds(entry)
-            twist.coefficients(entry)
+            slots.update(rht.catalog._split_twist(entry))
         for n, _ in twist.frames:
-            for _, part in twist._parts_at(n + 1):
-                assert (twist.cx.evaluation(n) @ part).is_zero(), (i, n)
-                checked[i] += 1
+            for s in slots:
+                if (part := twist._bracket(n + 1, s)) is not None:
+                    assert (twist.cx.evaluation(n) @ part).is_zero(), (i, n)
+                    checked[i] += 1
     # E2's fibre has one degree, and wedge's brackets vanish one shift above
     # each of its frames: only E1, E3 and ex47 have brackets to check
     assert sorted(checked) == [0, 2, 3], checked
 
 
 def test_realized_subspaces_build_each_part_once(monkeypatch):
-    # ungated fiber-3-5-9-17 over qt: one complex for its one base, each
-    # bracket [E, -] built once, and each image once per distinct pair of
-    # boundaries (the parent built 58 complexes and 232 images)
-    fiber, base = load("fiber-3-5-9-17.smf")[0], qt_base()
-    cat = enumerate_fibrations(fiber, base)
+    # fiber-3-5-9-17 over qt, ungated (first entry trivial) and gated (first
+    # entry twisted): one complex for its one base, each bracket [E, -] built
+    # once, and each image once per distinct pair of boundaries (before
+    # _Twist, the ungated one built 58 complexes and 232 images)
+    ungated, gated = (benchmark_enumerations()[i] for i in (2, 0))
     complexes, brackets, images = [], Counter(), []
     real_init, real_bracket = rht.derivations.DerComplex.__init__, rht.derivations.DerComplex.bracket
     real_image = rht.catalog._image_on_cycles
@@ -448,11 +462,14 @@ def test_realized_subspaces_build_each_part_once(monkeypatch):
     monkeypatch.setattr(rht.derivations.DerComplex, "__init__", counting_init)
     monkeypatch.setattr(rht.derivations.DerComplex, "bracket", counting_bracket)
     monkeypatch.setattr(rht.catalog, "_image_on_cycles", counting_image)
-    subspaces = cat.realized_subspaces()
-    assert len(subspaces) == len(cat.entries) == 58
-    assert len(complexes) == 1
-    assert brackets and max(brackets.values()) == 1, brackets.most_common(3)
-    assert len(images) == len(set(images)) <= 68, len(images)
+    for cat, size in ((ungated, 58), (gated, 42)):
+        for counted in (complexes, brackets, images):
+            counted.clear()
+        subspaces = cat.realized_subspaces()
+        assert len(subspaces) == len(cat.entries) == size
+        assert len(complexes) == 1
+        assert brackets and max(brackets.values()) == 1, brackets.most_common(3)
+        assert len(images) == len(set(images)) <= 68, len(images)
 
 
 def test_pure_quotient_bases_are_built_once_per_enumeration(monkeypatch):

@@ -499,6 +499,39 @@ def test_repeated_or_misplaced_lines_are_refused(name, capsys, tmp_path):
         assert verdicts == [(0, "certified"), (0, "refuted-at-bound")]
 
 
+# an error the generator set raises, with the line the reader now names and
+# the message it keeps
+UNLOCATED_ERRORS = {
+    "undeclared-d.smf": (4, "unknown generator 'y'"),
+    "dup-gen.smf": (4, "generator x declared twice"),
+    "base-fiber-clash.smf": (7, "generator t declared twice"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNLOCATED_ERRORS))
+def test_generator_errors_name_their_line(name, capsys):
+    path = FIXTURES / "parse" / name
+    line, message = UNLOCATED_ERRORS[name]
+    code, out, err = run(capsys, "gottlieb", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"ModelSyntaxError: {message} (line {line})"]
+
+
+@pytest.mark.parametrize(
+    "text, line, column",
+    [
+        pytest.param((FIXTURES / "parse" / f"{name}.smf").read_text(), 5, 9, id=name)
+        for name in ("unknown-generator", "zero-denominator", "zero-exponent")
+    ]
+    + [pytest.param("[space indented]\ngen a 2\ngen x 3\n  d x = a*b\n", 4, 11, id="indented")],
+)
+def test_expression_errors_count_columns_from_the_line_start(text, line, column):
+    # the offending token is b, the denominator 0, the exponent 0 and b
+    with pytest.raises(ModelSyntaxError) as err:
+        parse_document(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 # a generator degree so large that no basis in it can even be counted: it is
 # refused where the model is read, in one line, by every subcommand
 HUGE_DEGREE_MODELS = {
