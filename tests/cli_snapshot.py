@@ -47,8 +47,10 @@ def calls() -> list[list[str]]:
     --require-finite at windows 1 and 6, both enumerations over base-qt.smf
     with and without --require-finite, and the enumerations with non-unit
     coefficients: 0,1,-1 on fiber-3-5-9-17 in --json, 0,2 on both fibres;
-    then validate and cohomology through degree 5 on every parse file; last,
-    depth and poset over the su4 files in both orders."""
+    then validate and cohomology through degree 5 on every parse file;
+    depth and poset over the su4 files in both orders; last, the per-degree
+    reports homotopy, gottlieb and fibre-gottlieb with --max-degree 7 and 40
+    on every file."""
     out = []
     for path in FILES:
         out.append(["validate", path])
@@ -71,6 +73,12 @@ def calls() -> list[list[str]]:
         out += [["validate", path], ["cohomology", path, "--max-degree", "5"]]
     for files in (SU4, SU4[::-1]):
         out += [[cmd, *files, *fmt] for cmd in ("depth", "poset") for fmt in ([], ["--json"])]
+    for path in FILES:
+        out += [
+            [cmd, path, "--max-degree", top]
+            for cmd in ("homotopy", "gottlieb", "fibre-gottlieb")
+            for top in ("7", "40")
+        ]
     return out
 
 
