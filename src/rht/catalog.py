@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import AlgElement, Generator, Monomial, apply_images
-from .derivations import RELATIVE, DerComplex, dual_frame
+from .derivations import RELATIVE, DerComplex, dual_frame, frame_degrees
 from .errors import CombinatorialBlowup, DuplicateId, FiberMismatch, NotFiniteAtBound
 from .invariants import (
     DEFAULT_WINDOW,
@@ -81,8 +81,8 @@ class _Twist:
         self.base, self.bound, self.fiber = model.base, model.bound, model.fiber
         self.cx = DerComplex(model, RELATIVE)  # F's: slices, delta_F and evaluation
         self.first = _split_twist(model)  # {s: c_s(F)}
-        shifts = range(1, top_shift(self.fiber) + 1)
-        self.frames = [(n, f) for n in shifts if (f := dual_frame(self.fiber, n))]
+        shifts = frame_degrees(self.fiber, top_shift(self.fiber))
+        self.frames = [(n, dual_frame(self.fiber, n)) for n in shifts]
         self._brackets: dict = {}  # (n, s) -> B_s^n, None when zero
         self._images: dict[tuple, Subspace] = {}  # (n, nonzero terms at n) -> image
         self._totals: dict[tuple, Subspace] = {}  # the images, one per frame -> their sum

@@ -15,12 +15,13 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .catalog import Catalog, enumerate_fibrations
-from .derivations import ABSOLUTE, RELATIVE, DerComplex
+from .derivations import ABSOLUTE, RELATIVE, DerComplex, frame_degrees
 from .errors import (
     AmbientMismatch,
     BoundExceeded,
@@ -106,21 +107,26 @@ def _parse_coeffs(spec: str) -> list[Fraction]:
         raise RhtError(f"--coeffs expects comma-separated rationals, got {spec!r}") from None
 
 
+def _emit(args, doc, lines) -> None:
+    """Print one report: doc as indented JSON under --json, else the text lines."""
+    print(json.dumps(doc, indent=2) if args.json else "\n".join(lines))
+
+
 def _report_degrees(args, model_name, rows, bound=None):
     """rows: degree -> (dim, basis labels).  Text table or JSON document."""
-    if args.json:
-        degrees = {
-            str(n): {"dim": dim, "basis": list(basis)}
-            for n, (dim, basis) in sorted(rows.items())
-        }
-        # "window" is part of the pinned schema; no per-degree report has one
-        doc = {"model": model_name, "degrees": degrees, "bound": bound, "window": None}
-        print(json.dumps(doc, indent=2, default=str))
-        return
-    print(f"model {model_name}")
-    for n, (dim, basis) in sorted(rows.items()):
-        suffix = "  " + ", ".join(basis) if basis else ""
-        print(f"  n={n}  dim {dim}{suffix}")
+    rows = sorted(rows.items())
+    degrees = {str(n): {"dim": dim, "basis": list(basis)} for n, (dim, basis) in rows}
+    # "window" is part of the pinned schema; no per-degree report has one
+    doc = {"model": model_name, "degrees": degrees, "bound": bound, "window": None}
+    lines = [f"model {model_name}"]
+    for n, (dim, basis) in rows:
+        lines.append(f"  n={n}  dim {dim}" + ("  " + ", ".join(basis) if basis else ""))
+    _emit(args, doc, lines)
+
+
+def _subspace_rows(per_degree) -> dict[int, tuple[int, list[str]]]:
+    """The report rows of per-degree subspaces of Hom(W^n, Q)."""
+    return {n: (sub.dim, sub.basis_labels()) for n, sub in per_degree.items()}
 
 
 # ----------------------------------------------------------------------
@@ -144,10 +150,9 @@ def _cmd_homotopy(args) -> int:
         space = m.fiber
         top = top_shift(m) if args.max_degree is None else args.max_degree
         rows = {}
-        for n in range(2, top + 1):
+        for n in frame_degrees(space, top):
             names = [g.name for g in space.gens if g.degree == n]
-            if names:
-                rows[n] = (len(names), names)
+            rows[n] = (len(names), names)
         _report_degrees(args, space.name or "model", rows, bound=space.bound)
     return 0
 
@@ -190,34 +195,23 @@ def _cmd_der_homology(args) -> int:
     return 0
 
 
-def _gottlieb_rows(result) -> dict[int, tuple[int, list[str]]]:
-    return {
-        n: (sub.dim, sub.basis_labels())
-        for n, sub in sorted(result.per_degree.items())
-    }
-
-
 def _cmd_gottlieb(args) -> int:
     for m in _load_models(args.files):
         result = gottlieb(m, args.max_degree)
-        _report_degrees(args, m.name or "model", _gottlieb_rows(result))
+        _report_degrees(args, m.name or "model", _subspace_rows(result.per_degree))
     return 0
 
 
 def _cmd_fibre_gottlieb(args) -> int:
     for f in _fibrations(_load_models(args.files)):
         result = fibre_gottlieb(f, args.max_degree)
-        _report_degrees(args, f.name or "fibration", _gottlieb_rows(result))
+        _report_degrees(args, f.name or "fibration", _subspace_rows(result.per_degree))
     return 0
 
 
 def _cmd_connecting(args) -> int:
     for f in _fibrations(_load_models(args.files)):
-        rows = {
-            n: (sub.dim, sub.basis_labels())
-            for n, sub in sorted(connecting_images(f).items())
-        }
-        _report_degrees(args, f.name or "fibration", rows)
+        _report_degrees(args, f.name or "fibration", _subspace_rows(connecting_images(f)))
     return 0
 
 
@@ -228,31 +222,19 @@ def _cmd_les_check(args) -> int:
         if not degrees:
             raise RhtError(f"{f.name or 'fibration'} has no fiber generators: pass --degrees")
         report = les_check(f, list(degrees))
-        if args.json:
-            doc = {
-                "model": f.name or "fibration",
-                "chain_level_ok": report.chain_level_ok,
-                "exact": report.exact,
-                "nodes": [
-                    {
-                        "node": nd.node,
-                        "dim": nd.dim,
-                        "rank_in": nd.rank_in,
-                        "rank_out": nd.rank_out,
-                        "exact": nd.exact,
-                    }
-                    for nd in report.nodes
-                ],
-            }
-            print(json.dumps(doc, indent=2))
-        else:
-            print(f"model {f.name or 'fibration'}")
-            for nd in report.nodes:
-                flag = "ok" if nd.exact else "FAIL"
-                print(
-                    f"  {nd.node}: dim {nd.dim}, in {nd.rank_in}, out {nd.rank_out}  [{flag}]"
-                )
-            print("  exact" if report.exact else "  NOT exact")
+        name = f.name or "fibration"
+        doc = {
+            "model": name,
+            "chain_level_ok": report.chain_level_ok,
+            "exact": report.exact,
+            "nodes": [asdict(nd) for nd in report.nodes],
+        }
+        lines = [f"model {name}"]
+        for nd in report.nodes:
+            flag = "ok" if nd.exact else "FAIL"
+            lines.append(f"  {nd.node}: dim {nd.dim}, in {nd.rank_in}, out {nd.rank_out}  [{flag}]")
+        lines.append("  exact" if report.exact else "  NOT exact")
+        _emit(args, doc, lines)
         if not report.exact:
             status = 1
     return status
@@ -261,26 +243,19 @@ def _cmd_les_check(args) -> int:
 def _cmd_toral_check(args) -> int:
     for f in _fibrations(_load_models(args.files)):
         cert = toral_certificate(f, args.window)
-        if args.json:
-            doc = {
-                "model": f.name or "fibration",
-                "r": cert.r,
-                "verdict": cert.verdict,
-                "finite_through": cert.finite_through,
-                "top_nonzero": cert.top_nonzero,
-                "window": args.window,
-            }
-            print(json.dumps(doc, indent=2))
-        else:
-            extra = (
-                f", top nonzero degree {cert.top_nonzero}"
-                if cert.top_nonzero is not None
-                else ""
-            )
-            print(
-                f"{f.name or 'fibration'}: r={cert.r} {cert.verdict}"
-                f" (checked through degree {cert.finite_through}{extra})"
-            )
+        name = f.name or "fibration"
+        # by hand: the pinned key order is not the certificate's field order
+        doc = {
+            "model": name,
+            "r": cert.r,
+            "verdict": cert.verdict,
+            "finite_through": cert.finite_through,
+            "top_nonzero": cert.top_nonzero,
+            "window": args.window,
+        }
+        extra = "" if cert.top_nonzero is None else f", top nonzero degree {cert.top_nonzero}"
+        text = f"{name}: r={cert.r} {cert.verdict} (checked through degree {cert.finite_through}"
+        _emit(args, doc, [f"{text}{extra})"])
     return 0
 
 
@@ -297,22 +272,14 @@ def _catalog_from_files(args) -> Catalog:
 
 def _cmd_depth(args) -> int:
     result = depth_of_subspaces(_catalog_from_files(args).realized_subspaces())
-    if args.json:
-        doc = {"depth": result.depth, "witness": result.witness}
-        print(json.dumps(doc, indent=2))
-    else:
-        chain = " > ".join(result.witness)
-        print(f"depth {result.depth}  ({chain})")
+    _emit(args, asdict(result), [f"depth {result.depth}  ({' > '.join(result.witness)})"])
     return 0
 
 
 def _emit_poset(args, poset) -> None:
     if args.dot:
         Path(args.dot).write_text(render(poset, "dot"))
-    if args.json:
-        print(render(poset, "json"), end="")
-    else:
-        print(render(poset, "text"), end="")
+    print(render(poset, "json" if args.json else "text"), end="")
 
 
 def _cmd_poset(args) -> int:

@@ -226,3 +226,8 @@ def relabel(src: Sequence, tgt: Sequence, key: Callable) -> RatMatrix:
 def dual_frame(model: SullivanModel, n: int) -> tuple[str, ...]:
     """Labels of Hom(W^n, Q): one starred label per degree-n generator."""
     return tuple(f"{g.name}*" for g in model.gens if g.degree == n)
+
+
+def frame_degrees(model: SullivanModel, top: int) -> list[int]:
+    """The degrees n <= top with a nonempty dual_frame, ascending."""
+    return sorted({g.degree for g in model.gens if g.degree <= top})

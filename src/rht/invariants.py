@@ -21,6 +21,7 @@ from .derivations import (
     DerComplex,
     Derivation,
     dual_frame,
+    frame_degrees,
 )
 from .errors import BaseNotDegreeTwo, CombinatorialBlowup, NotAComplex
 from .linalg import Echelon, HomologySlice, RatMatrix, Subspace, _dense
@@ -143,10 +144,9 @@ def _evaluation_images(cx: DerComplex, max_degree: Optional[int]) -> GottliebRes
     fiber = cx.source.fiber
     top = max_degree if max_degree is not None else top_shift(fiber)
     per: dict[int, Subspace] = {}
-    for n in range(1, top + 1):
+    for n in frame_degrees(fiber, top):
         frame = dual_frame(fiber, n)
-        if frame:
-            per[n] = _image_on_cycles(cx.evaluation(n), cx.boundary(n), cx.boundary(n + 1), frame)
+        per[n] = _image_on_cycles(cx.evaluation(n), cx.boundary(n), cx.boundary(n + 1), frame)
     return GottliebResult(fiber, per)
 
 
@@ -167,11 +167,7 @@ def connecting_image(f: RelativeModel, n: int) -> Subspace:
 
 
 def connecting_images(f: RelativeModel) -> dict[int, Subspace]:
-    out = {}
-    for n in range(1, top_shift(f) + 1):
-        if dual_frame(f.fiber, n):
-            out[n] = connecting_image(f, n)
-    return out
+    return {n: connecting_image(f, n) for n in frame_degrees(f.fiber, top_shift(f))}
 
 
 # ----------------------------------------------------------------------

@@ -361,7 +361,10 @@ def formal_dimension_estimate(gens: GenSet) -> Optional[int]:
 # ----------------------------------------------------------------------
 # parser
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<op>[-+*/^()]))")
+# any other non-space character is a "bad" token, so that an error names it
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
+)
 
 
 def parse_expression(
@@ -372,22 +375,11 @@ def parse_expression(
     column is where text starts in its line, so that an error names the
     column of the line."""
     tokens: list[tuple[str, str, int]] = []  # (kind, value, column)
-    pos = 0
-    while pos < len(text):
-        mm = _TOKEN_RE.match(text, pos)
-        if mm is None or mm.end() == pos:
-            if text[pos:].strip():
-                raise ModelSyntaxError(
-                    f"unexpected character {text[pos]!r}", line, column + pos
-                )
-            break
-        if mm.group("num"):
-            tokens.append(("num", mm.group("num"), column + mm.start("num")))
-        elif mm.group("name"):
-            tokens.append(("name", mm.group("name"), column + mm.start("name")))
-        else:
-            tokens.append(("op", mm.group("op"), column + mm.start("op")))
-        pos = mm.end()
+    for mm in _TOKEN_RE.finditer(text):
+        kind, col = mm.lastgroup, column + mm.start(mm.lastgroup)
+        if kind == "bad":
+            raise ModelSyntaxError(f"unexpected character {mm[kind]!r}", line, col)
+        tokens.append((kind, mm[kind], col))
     idx = 0
 
     def peek():
@@ -599,6 +591,11 @@ def parse_document(text: str) -> list[ModelLike]:
         fiber_gens = GenSet(fsec.gens)
         fiber_diff = fsec.diff(fiber_gens) if fsec.dlines else None
         total_diff = sec.parts["total"].diff(_fibration_gens(base.gens, fiber_gens))
+        for name, (_, lineno, _) in sec.parts["total"].dlines.items():
+            if name in base.gens.by_name:
+                raise ModelSyntaxError(
+                    f"total differential may only be given on fiber generators, not {name}", lineno
+                )
         out.append(
             RelativeModel(
                 base, fiber_gens, total_diff, fiber_diff=fiber_diff, name=sec.name, bound=sec.bound

@@ -27,7 +27,7 @@ from rht import (
 from rht.cli import main
 from rht.derivations import ComplexSlice
 from rht.errors import ModelSyntaxError
-from rht.invariants import top_shift
+from rht.invariants import LesNodeReport, LesReport, top_shift
 from rht.model import formal_dimension_estimate
 
 from cli_snapshot import differences, sweep
@@ -179,6 +179,16 @@ def test_max_degree_zero_is_honoured(capsys):
         assert (code, out) == (0, "model su5\n")
 
 
+def test_huge_max_degree_visits_only_generator_degrees(capsys):
+    # a row per degree that carries a generator, so a top far above the
+    # generators costs nothing and prints the table without the option
+    for cmd, name in (("homotopy", "su5.smf"), ("gottlieb", "su5.smf"),
+                      ("fibre-gottlieb", "ex47.smf")):
+        want = run(capsys, cmd, fx(name))
+        assert want[0] == 0
+        assert run_within(capsys, 10, cmd, fx(name), "--max-degree", "100000000") == want
+
+
 def test_connecting_report(capsys):
     code, out, _ = run(capsys, "connecting", fx("su5-bundle.smf"))
     assert code == 0
@@ -188,6 +198,35 @@ def test_connecting_report(capsys):
 def test_les_check_exit_zero(capsys):
     code, out, _ = run(capsys, "les-check", fx("su5-bundle.smf"), "--degrees", "2..4")
     assert code == 0 and "exact" in out
+
+
+def test_les_check_reports_a_sequence_that_is_not_exact(capsys, monkeypatch):
+    # no fixture has a non-exact sequence: the first of ex47's three
+    # fibrations gets one node whose ranks do not add up to its dimension
+    def fake_les_check(f, degrees):
+        out = 0 if f.name == "tpower" else 1
+        return LesReport([LesNodeReport("H_2(relative)", 2, 1, out, bool(out))])
+
+    monkeypatch.setattr(rht.cli, "les_check", fake_les_check)
+    code, out, err = run(capsys, "les-check", fx("ex47.smf"), "--degrees", "2")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "model tpower", "  H_2(relative): dim 2, in 1, out 0  [FAIL]", "  NOT exact",
+        "model first", "  H_2(relative): dim 2, in 1, out 1  [ok]", "  exact",
+        "model second", "  H_2(relative): dim 2, in 1, out 1  [ok]", "  exact",
+    ]
+    code, out, err = run(capsys, "les-check", fx("ex47.smf"), "--degrees", "2", "--json")
+    assert (code, err) == (1, "")
+    docs = json_docs(out)
+    assert [(doc["model"], doc["exact"]) for doc in docs] == [
+        ("tpower", False), ("first", True), ("second", True)
+    ]
+    assert list(docs[0]) == ["model", "chain_level_ok", "exact", "nodes"]
+    assert docs[0]["chain_level_ok"] is True
+    assert [list(node.items()) for node in docs[0]["nodes"]] == [
+        [("node", "H_2(relative)"), ("dim", 2), ("rank_in", 1), ("rank_out", 0),
+         ("exact", False)]
+    ]
 
 
 def test_toral_check(capsys):
@@ -505,6 +544,7 @@ UNLOCATED_ERRORS = {
     "undeclared-d.smf": (4, "unknown generator 'y'"),
     "dup-gen.smf": (4, "generator x declared twice"),
     "base-fiber-clash.smf": (7, "generator t declared twice"),
+    "base-d-in-total.smf": (7, "total differential may only be given on fiber generators, not t"),
 }
 
 
@@ -523,10 +563,16 @@ def test_generator_errors_name_their_line(name, capsys):
         pytest.param((FIXTURES / "parse" / f"{name}.smf").read_text(), 5, 9, id=name)
         for name in ("unknown-generator", "zero-denominator", "zero-exponent")
     ]
-    + [pytest.param("[space indented]\ngen a 2\ngen x 3\n  d x = a*b\n", 4, 11, id="indented")],
+    + [pytest.param("[space indented]\ngen a 2\ngen x 3\n  d x = a*b\n", 4, 11, id="indented")]
+    + [
+        pytest.param(
+            (FIXTURES / "parse" / "unexpected-character.smf").read_text(), 4, 9,
+            id="unexpected-character",
+        )
+    ],
 )
 def test_expression_errors_count_columns_from_the_line_start(text, line, column):
-    # the offending token is b, the denominator 0, the exponent 0 and b
+    # the offending token is b, the denominator 0, the exponent 0, b and $
     with pytest.raises(ModelSyntaxError) as err:
         parse_document(text)
     assert (err.value.line, err.value.column) == (line, column)
