@@ -50,7 +50,7 @@ def calls() -> list[list[str]]:
     then validate and cohomology through degree 5 on every parse file;
     depth and poset over the su4 files in both orders; last, the per-degree
     reports homotopy, gottlieb and fibre-gottlieb with --max-degree 7 and 40
-    on every file."""
+    on every file, and cohomology with --max-degree 40 on every file."""
     out = []
     for path in FILES:
         out.append(["validate", path])
@@ -79,6 +79,7 @@ def calls() -> list[list[str]]:
             for cmd in ("homotopy", "gottlieb", "fibre-gottlieb")
             for top in ("7", "40")
         ]
+    out += [["cohomology", path, "--max-degree", "40"] for path in FILES]
     return out
 
 
