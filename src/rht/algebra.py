@@ -385,9 +385,12 @@ def basis_in_degree(gens: GenSet, n: int) -> list[Monomial]:
 
 
 def monomial_images(gens: GenSet, values: Mapping[int, AlgElement]) -> dict:
-    """Nonzero generator images for apply_to_monomial: index -> ((exponents, coeff), ...)."""
+    """Nonzero generator images for apply_to_monomial: index -> ((exponents, coeff), ...).
+
+    An integral coefficient is an int, any other its Fraction, so the matrices
+    built from integral differentials hold ints."""
     return {
-        i: tuple((m.exponents, c) for m, c in v.terms.items())
+        i: tuple((m.exponents, int(c) if c.denominator == 1 else c) for m, c in v.terms.items())
         for i, v in values.items()
         if v.terms
     }
@@ -395,7 +398,7 @@ def monomial_images(gens: GenSet, values: Mapping[int, AlgElement]) -> dict:
 
 def apply_to_monomial(
     gens: GenSet, images: Mapping, parity: int, mono: Monomial
-) -> dict[Monomial, Fraction]:
+) -> dict[Monomial, Rational]:
     """The graded-Leibniz operator with these generator images, on one monomial.
 
     For each factor g^e with an image, one g is removed and the exponents of
@@ -404,7 +407,7 @@ def apply_to_monomial(
     the rest lying strictly between g and an odd generator of the term; the
     term is zero when one of its odd generators is already in the rest.
     """
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Rational] = {}
     exps = mono.exponents
     odd_prefix = 0
     for g, e in exps:

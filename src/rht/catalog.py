@@ -194,10 +194,10 @@ def _visit(search: tuple, u: int, c) -> Optional[list]:
 
 def _split_twist(entry) -> dict:
     """The slot terms of an entry's D: the terms of D(w) that contain a base
-    generator, as {(index of w, exponents of m): coefficient}, integral ones
-    as ints (they key the images, and hash faster)."""
+    generator, as {(index of w, exponents of m): coefficient}, with integral
+    ones as ints as the images hold them (they key the images, and hash faster)."""
     return {
-        (i, exponents): int(c) if c.denominator == 1 else c
+        (i, exponents): c
         for i, terms in entry.total.images.items()
         if not entry.is_base_index(i)
         for exponents, c in terms

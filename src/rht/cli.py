@@ -34,6 +34,7 @@ from .errors import (
 from .invariants import (
     DEFAULT_WINDOW,
     _der_homology,
+    _pure_quotient_vanishes,
     connecting_images,
     depth_of_subspaces,
     fibre_gottlieb,
@@ -160,11 +161,15 @@ def _cmd_homotopy(args) -> int:
 def _cmd_cohomology(args) -> int:
     for m in _load_models(args.files):
         total = m.total
+        fd = formal_dimension_estimate(total.gens)
         top = args.max_degree
         if top is None:
-            top = total.bound if total.bound is not None else formal_dimension_estimate(total.gens)
+            top = total.bound if total.bound is not None else fd
         if top is None:
             raise RhtError("need --max-degree for a model with no bound and even generators")
+        total.check_bound(top)
+        if fd is not None and fd < top and _pure_quotient_vanishes(total, fd, top - fd):
+            top = fd  # H is finite, so zero above fd: only nonzero rows are printed
         coh = cohomology(m, top)
         rows = {
             n: (dim, [rep.format() for rep in reps])

@@ -1,33 +1,54 @@
 """Exact rational linear algebra: one sparse echelon, subspaces, homology.
 
-Everything is over Q with fractions.Fraction; no floating point.  All
-elimination goes through ``Echelon``, which keeps a fully reduced row-echelon
-basis of a span.  That basis depends only on the span, so subspaces are
-canonical and equality of subspaces is plain equality of the stored rows.
+Everything is over Q and exact; no floating point.  An entry is an int or a
+fractions.Fraction.  It stays an int until it meets a Fraction: one given as
+input, or the inverse of a pivot other than 1 and -1, the only division here.
+Other rationals are converted to Fraction as they come in, and inexact
+numbers are refused.  All elimination goes through ``Echelon``, which keeps a
+fully reduced row-echelon basis of a span.  That basis depends only on the
+span, so subspaces are canonical and equality of subspaces is plain equality
+of the stored rows (an integral Fraction equals and hashes like its int).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from numbers import Rational
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import AmbientMismatch, NotAComplex
 
-Vector = tuple[Fraction, ...]
-Sparse = dict[int, Fraction]  # column -> nonzero entry
+Number = Union[int, Fraction]
+Vector = tuple[Number, ...]
+Sparse = dict[int, Number]  # column -> nonzero entry
 
-_ZERO = Fraction(0)
+_EXACT = (int, Fraction)
 _ONE = Fraction(1)
 
 
+def _exact_sparse(items: Iterable[tuple[int, object]]) -> Sparse:
+    """The nonzero entries of (index, value) pairs.  int and Fraction values
+    are kept as they are, other rationals become Fractions, and anything
+    inexact (float, Decimal, str) raises TypeError."""
+    out: Sparse = {}
+    for i, v in items:
+        if type(v) not in _EXACT:
+            if not isinstance(v, Rational):
+                raise TypeError(f"entries must be exact rationals, got {type(v).__name__} {v!r}")
+            v = Fraction(v)
+        if v:
+            out[i] = v
+    return out
+
+
 def _dense(v: Sparse, n: int) -> Vector:
-    return tuple(v.get(i, _ZERO) for i in range(n))
+    return tuple(v.get(i, 0) for i in range(n))
 
 
-def _subtract(v: Sparse, f: Fraction, row: Sparse) -> None:
+def _subtract(v: Sparse, f: Number, row: Sparse) -> None:
     """v -= f * row in place, dropping entries that cancel."""
     for c, x in row.items():
-        y = v.get(c, _ZERO) - f * x
+        y = v.get(c, 0) - f * x
         if y:
             v[c] = y
         else:
@@ -43,8 +64,7 @@ class RatMatrix:
         self.rows = rows
         self.columns: list[Sparse] = []
         for column in columns:
-            # Fraction entries are stored as they are; others are converted
-            col = {r: v if type(v) is Fraction else Fraction(v) for r, v in column.items() if v}
+            col = _exact_sparse(column.items())
             if col and not (0 <= min(col) and max(col) < rows):
                 raise IndexError("entry outside matrix dimensions")
             self.columns.append(col)
@@ -68,14 +88,14 @@ class RatMatrix:
     def is_zero(self) -> bool:
         return not any(self.columns)
 
-    def apply(self, v: Mapping[int, Fraction]) -> Sparse:
+    def apply(self, v: Mapping[int, Number]) -> Sparse:
         """The product with a sparse column vector, as a sparse vector."""
         out: Sparse = {}
         for c, x in v.items():
             if not 0 <= c < self.cols:
                 raise ValueError("vector index outside the matrix columns")
             for r, a in self.columns[c].items():
-                out[r] = out.get(r, _ZERO) + a * x
+                out[r] = out.get(r, 0) + a * x
         return {r: y for r, y in out.items() if y}
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
@@ -128,10 +148,11 @@ class Echelon:
         if not r:
             return False
         p = min(r)
-        # int input is scaled too, so every stored entry is an exact Fraction
-        if r[p] != 1 or not all(type(x) is Fraction for x in r.values()):
-            inv = _ONE / r[p]
-            r = {c: x * inv for c, x in r.items()}
+        pivot = r[p]
+        if pivot != 1:
+            # scaling by -1 keeps an int row int; any other pivot is inverted as a Fraction
+            scale = -1 if pivot == -1 else _ONE / pivot
+            r = {c: x * scale for c, x in r.items()}
         for row in self.rows.values():
             f = row.get(p)
             if f:
@@ -142,7 +163,7 @@ class Echelon:
     def kernel(self) -> list[Sparse]:
         """Basis of {x : row . x = 0 for every row}, one vector per free column."""
         free: dict[int, Sparse] = {
-            f: {f: _ONE} for f in range(self.n) if f not in self.rows
+            f: {f: 1} for f in range(self.n) if f not in self.rows
         }
         for p, row in self.rows.items():
             for c, x in row.items():
@@ -177,7 +198,7 @@ class Subspace:
     def _in_frame(self, v: Sequence) -> Sparse:
         if len(v) != len(self.ambient):
             raise AmbientMismatch("vector length does not match ambient frame")
-        return {i: Fraction(x) for i, x in enumerate(v) if x}
+        return _exact_sparse(enumerate(v))
 
     def reduce(self, v: Sequence) -> Vector:
         """Reduce a vector modulo this subspace (eliminate its pivots)."""
@@ -247,7 +268,7 @@ class HomologySlice:
         rows = self._representatives().rows
         return [rows[p] for p in sorted(rows)]
 
-    def coords(self, cycle: Mapping[int, Fraction]) -> Sparse:
+    def coords(self, cycle: Mapping[int, Number]) -> Sparse:
         """Class of a cycle in the representative basis, keyed by index."""
         if any(not 0 <= c < self._boundaries.n for c in cycle):
             raise ValueError("vector index outside the chain degree")

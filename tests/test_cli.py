@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import rht
+import rht.algebra
 import rht.catalog
 import rht.cli
 from rht import (
@@ -187,6 +188,32 @@ def test_huge_max_degree_visits_only_generator_degrees(capsys):
         want = run(capsys, cmd, fx(name))
         assert want[0] == 0
         assert run_within(capsys, 10, cmd, fx(name), "--max-degree", "100000000") == want
+
+
+def test_cohomology_stops_at_the_formal_dimension(capsys, monkeypatch):
+    # su5's pure quotient is zero, so H is finite and zero above fd = 24:
+    # no basis past fd + 1, the target of d from degree fd, is built
+    built = []
+    real = rht.algebra.basis_in_degree
+
+    def recording(gens, n):
+        built.append(n)
+        return real(gens, n)
+
+    monkeypatch.setattr(rht.algebra, "basis_in_degree", recording)
+    code, out, _ = run(capsys, "cohomology", fx("su5.smf"), "--max-degree", "1000")
+    fd = formal_dimension_estimate(parse_model(Path(fx("su5.smf")).read_text()).gens)
+    assert code == 0 and "n=24  dim 1" in out
+    assert built and max(built) <= fd + 1
+
+
+def test_huge_max_degree_cohomology_prints_the_finite_table(capsys):
+    want = run(capsys, "cohomology", fx("su5.smf"))
+    assert want[0] == 0
+    assert run_within(capsys, 10, "cohomology", fx("su5.smf"), "--max-degree", "100000000") == want
+    # the bound is checked at the requested degree, not at the stop
+    code, _, err = run(capsys, "cohomology", fx("wedge.smf"), "--max-degree", "40")
+    assert code == 2 and err.startswith("BoundExceeded")
 
 
 def test_connecting_report(capsys):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 from collections import Counter
+from fractions import Fraction
 import sys
 from pathlib import Path
 
@@ -639,6 +640,62 @@ def test_invariant_checks_survive_optimize_flag():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "NotAComplex"
+
+
+# ----------------------------------------------------------------------
+# number types: integral data stays int
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every RatMatrix and Echelon constructed while the test runs."""
+    made = []
+    for cls in (rht.linalg.RatMatrix, rht.linalg.Echelon):
+        def record(self, *args, _init=cls.__init__):
+            _init(self, *args)
+            made.append(self)
+
+        monkeypatch.setattr(cls, "__init__", record)
+    return made
+
+
+def entry_types(objects):
+    """The types of the entries of matrices (by column) and echelons (by row)."""
+    return {
+        type(x)
+        for obj in objects
+        for line in (obj.columns if isinstance(obj, rht.linalg.RatMatrix) else obj.rows.values())
+        for x in line.values()
+    }
+
+
+def test_integral_models_eliminate_in_ints(built, ex47, monkeypatch):
+    # cp3's d matrices, its homology echelons and the pure quotient's hold no
+    # Fraction: every pivot they meet is 1 or -1
+    cp3 = parse_document(CP3.read_text())[0]
+    assert toral_certificate(cp3, 6).verdict == "refuted-at-bound"
+    assert built and entry_types(built) == {int}
+    # ex47's elimination meets other pivots, but its boundaries stay int
+    boundaries = []
+    bracket = DerComplex.bracket
+
+    def recording(self, n, images):
+        boundaries.append(bracket(self, n, images))
+        return boundaries[-1]
+
+    monkeypatch.setattr(DerComplex, "bracket", recording)
+    for f in ex47.values():
+        boundaries.clear()
+        les_check(f, range(1, top_shift(f) + 1))
+        assert boundaries and entry_types(boundaries) == {int}, f.name
+
+
+def test_rational_coefficients_reach_the_matrices(built):
+    # D x = 2/3*t^2: the pure quotient's relation is a Fraction, and so is
+    # its scaled echelon row
+    f = load("parse/rational-coefficient.smf")[0]
+    assert toral_certificate(f, 6).verdict == "certified"
+    assert Fraction in entry_types(built)
 
 
 # ----------------------------------------------------------------------

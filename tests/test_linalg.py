@@ -1,5 +1,6 @@
 """Exact rational linear algebra: the echelon kernel, subspaces, homology."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,14 @@ from hypothesis import strategies as st
 from rht import Echelon, HomologySlice, RatMatrix, Subspace
 from rht.errors import AmbientMismatch, NotAComplex
 
-entries = st.integers(-4, 4)
+integers = st.integers(-4, 4)
+# ints and Fractions mixed, so elimination meets non-unit and fractional pivots
+entries = st.one_of(integers, st.fractions(-4, 4, max_denominator=3))
+
+
+def exact(values):
+    """True when every value is an int or a Fraction: never a float."""
+    return all(type(x) in (int, Fraction) for x in values)
 
 
 @st.composite
@@ -56,7 +64,7 @@ def test_matrix_basics():
     assert RatMatrix(2, [{}, {}, {}]).row_lines() == [{}, {}]
     # entries are exact and nonzero, and must lie inside the matrix
     assert RatMatrix(2, [{0: 1, 1: 0}]).columns == [{0: Fraction(1)}]
-    assert all(type(x) is Fraction for x in RatMatrix(1, [{0: 1}]).columns[0].values())
+    assert all(exact(col.values()) for col in RatMatrix(1, [{0: 1}, {0: Fraction(1, 2)}]).columns)
     with pytest.raises(IndexError):
         RatMatrix(2, [{2: 1}])
     with pytest.raises(ValueError):
@@ -67,16 +75,38 @@ def test_matrix_basics():
 
 def test_matrix_stores_fraction_entries():
     half, kept = Fraction(1, 2), Fraction(2, 3)
-    # int, Fraction and mixed columns: every stored entry is a Fraction
+    # int, Fraction and mixed columns: every entry is stored as it is given,
+    # an int or a Fraction, and equals the all-Fraction matrix
     for columns in ([{0: 1, 1: -2}], [{0: half}, {1: kept}], [{0: 3, 1: half}, {1: Fraction(4)}, {}]):
         m = RatMatrix(2, columns)
-        assert all(type(x) is Fraction for col in m.columns for x in col.values())
+        assert all(exact(col.values()) for col in m.columns)
+        assert [list(map(type, col.values())) for col in m.columns] == [
+            list(map(type, col.values())) for col in columns
+        ]
         assert m.columns == [{r: Fraction(x) for r, x in col.items()} for col in columns]
     # a Fraction entry is stored as it is, not copied
     assert RatMatrix(1, [{0: kept}]).columns[0][0] is kept
     for column in ({2: kept}, {-1: 1}, {0: 1, 5: half}):
         with pytest.raises(IndexError):
             RatMatrix(2, [column])
+
+
+@pytest.mark.parametrize("value", [0.5, 0.0, "1", Decimal("0.1")])
+def test_inexact_entries_are_refused(value):
+    # Fraction(0.1) would store 3602879701896397/36028797018963968; a zero
+    # float is refused too, not dropped as a zero entry
+    with pytest.raises(TypeError):
+        RatMatrix(1, [{0: value}])
+    with pytest.raises(TypeError):
+        Subspace(("x", "y"), [[1, value]])
+    with pytest.raises(TypeError):
+        Subspace.full(("x", "y")).contains([value, 0])
+
+
+def test_other_rationals_become_fractions():
+    # bool is a numbers.Rational, but by type neither int nor Fraction
+    assert [type(x) for x in RatMatrix(1, [{0: True}]).columns[0].values()] == [Fraction]
+    assert Subspace(("x", "y"), [[True, 0]]) == Subspace(("x", "y"), [[1, 0]])
 
 
 def test_matmul_against_dense():
@@ -131,18 +161,19 @@ def test_solve_inconsistent():
     assert columns.reduce({0: 1, 1: 2}) == {1: 1}
 
 
-@given(st.lists(st.dictionaries(st.integers(0, 4), entries.filter(bool)), max_size=5))
+@given(st.lists(st.dictionaries(st.integers(0, 4), integers.filter(bool)), max_size=5))
 @example([{0: 2, 1: 1}])  # its row once read {0: 1.0, 1: 0.5}
-@example([{0: 1, 1: 1}, {0: 1, 1: 2, 2: 3}])  # its second row reduces to {1: Fraction(1), 2: 3}
+@example([{0: 1, 1: 1}, {0: 1, 1: 2, 2: 3}])  # its second row reduces to {1: 1, 2: 3}, pivot 1
 @settings(max_examples=100)
 def test_echelon_is_exact_on_integer_input(vectors):
     # int entries must not turn into floats: 0.5 even compares equal to
-    # Fraction(1, 2), so check the types themselves
+    # Fraction(1, 2), so check the types themselves; an int stays an int
+    # until a pivot other than 1 and -1 is inverted
     e = Echelon(5, vectors)
-    exact = Echelon(5, [{c: Fraction(x) for c, x in v.items()} for v in vectors])
-    assert all(type(x) is Fraction for row in e.rows.values() for x in row.values())
-    assert all(type(x) is Fraction for v in e.kernel() for x in v.values())
-    assert e.rows == exact.rows and e.kernel() == exact.kernel()
+    fractions = Echelon(5, [{c: Fraction(x) for c, x in v.items()} for v in vectors])
+    assert all(exact(row.values()) for row in e.rows.values())
+    assert all(exact(v.values()) for v in e.kernel())
+    assert e.rows == fractions.rows and e.kernel() == fractions.kernel()
 
 
 # ----------------------------------------------------------------------
