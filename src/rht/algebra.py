@@ -4,6 +4,10 @@ Elements live in Lambda(g_1, ..., g_k) where each generator carries a degree
 >= 2.  Odd-degree generators anticommute (so they square to zero), even-degree
 generators commute freely.  Monomials are kept in a normal form sorted by
 generator declaration index, with the Koszul sign accumulated on the way.
+Degree bases are built from per-GenSet lists of exponent tuples over each
+suffix of the generators, kept for the set's life; matrices and the Leibniz
+kernel work on those tuples, and a Monomial is made only for an element or
+a printed basis.
 """
 
 from __future__ import annotations
@@ -53,8 +57,12 @@ class Generator:
 class GenSet:
     """An ordered set of generators; declaration order is the canonical order.
 
-    A GenSet never changes, so it keeps each degree basis it has built for
-    every model and element over it.
+    A GenSet never changes, so it keeps for every model and element over it
+    each degree basis it has built, the count table of every degree basis
+    (counts) and the suffix lists the bases are built from (suffix).  The
+    lists hold exponent tuples, which the bases' monomials share, so they
+    cost a list slot per monomial and a tuple per monomial over a proper
+    suffix.
     """
 
     def __init__(self, gens: Iterable[tuple[str, int]]):
@@ -68,6 +76,7 @@ class GenSet:
             self.by_name[g.name] = g
         self._bases: dict[int, list[Monomial]] = {}
         self._counts: list[list[int]] = [[]]  # see counts
+        self._suffix: list[dict[int, list[tuple]]] = [{0: [()]} for _ in range(len(self.gens) + 1)]
         self._even: Optional[GenSet] = None
 
     def basis(self, n: int) -> list[Monomial]:
@@ -95,6 +104,39 @@ class GenSet:
             rows.reverse()
             self._counts = rows
         return self._counts
+
+    def size(self, n: int) -> int:
+        """The number of monomials of degree n; CombinatorialBlowup above MAX_BASIS."""
+        size = self.counts(n)[0][n]
+        if size > MAX_BASIS:
+            raise CombinatorialBlowup(f"degree {n} has {size} monomials, more than {MAX_BASIS}")
+        return size
+
+    def suffix(self, i: int, m: int) -> list[tuple]:
+        """The exponent tuples of the monomials of degree m over gens[i:], in graded-lex order.
+
+        It is ((i, e),) + t for each exponent e of gens[i] from high to low
+        and each t in suffix(i + 1, m - e*|gens[i]|), then suffix(i + 1, m),
+        built on first use from lists kept per (i, m).  Only lists the count
+        table finds nonempty are read, and the loop over e ends once it has
+        the counts[i][m] - counts[i + 1][m] tuples with a positive e, so a
+        basis costs its own length times the generators.  The count table
+        must reach m; callers must not change the list.
+        """
+        lists = self._suffix[i]
+        if m not in lists:
+            g, reach = self.gens[i], self._counts[i + 1]
+            out, share = [], self._counts[i][m] - reach[m]
+            for e in range(min(m // g.degree, 1) if g.is_odd else m // g.degree, 0, -1):
+                if len(out) == share:
+                    break
+                if reach[m - e * g.degree]:
+                    head = ((i, e),)
+                    out += [head + t for t in self.suffix(i + 1, m - e * g.degree)]
+            if reach[m]:
+                out += self.suffix(i + 1, m)
+            lists[m] = out
+        return lists[m]
 
     def even(self) -> "GenSet":
         """The even generators, in order, as a set of their own, built on first use.
@@ -346,42 +388,15 @@ class AlgElement:
 def basis_in_degree(gens: GenSet, n: int) -> list[Monomial]:
     """All normal-form monomials of total degree n, in graded-lex order.
 
-    Exponents are walked from high to low, which is that order.  The set's
-    count of the monomials each suffix of generators reaches in each degree
-    (GenSet.counts) sizes the basis first, prunes every dead branch and ends
-    each generator's exponent loop once it has produced its share.
+    The monomials are those of the set's suffix list (GenSet.suffix) for all
+    its generators in degree n; the count table refuses an oversized degree
+    before any list is built.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    counts = gens.counts(n)
-    if counts[0][n] > MAX_BASIS:
-        raise CombinatorialBlowup(
-            f"degree {n} has {counts[0][n]} monomials, more than {MAX_BASIS}"
-        )
-    out: list[Monomial] = []
-    if not counts[0][n]:  # nothing to walk, also when the set has no generators
-        return out
-
-    def rec(i: int, remaining: int, acc: list[tuple[int, int]]):
-        if remaining == 0:
-            out.append(Monomial(tuple(acc)))
-            return
-        g, reach = gens[i], counts[i + 1]
-        # the walk over positive exponents of g stops once it has all their monomials
-        done = len(out) + counts[i][remaining] - reach[remaining]
-        top = remaining // g.degree
-        for e in range(min(top, 1) if g.is_odd else top, 0, -1):
-            if len(out) == done:
-                break
-            if reach[remaining - e * g.degree]:
-                acc.append((i, e))
-                rec(i + 1, remaining - e * g.degree, acc)
-                acc.pop()
-        if reach[remaining]:
-            rec(i + 1, remaining, acc)
-
-    rec(0, n, [])
-    return out
+    if not gens.size(n):  # nothing to build, also when the set has no generators
+        return []
+    return [Monomial(t) for t in gens.suffix(0, n)]
 
 
 def monomial_images(gens: GenSet, values: Mapping[int, AlgElement]) -> dict:
@@ -407,8 +422,12 @@ def apply_to_monomial(
     the rest lying strictly between g and an odd generator of the term; the
     term is zero when one of its odd generators is already in the rest.
     """
-    out: dict[Monomial, Rational] = {}
-    exps = mono.exponents
+    return {Monomial(t): c for t, c in _leibniz(gens, images, parity, mono.exponents).items()}
+
+
+def _leibniz(gens: GenSet, images: Mapping, parity: int, exps: tuple) -> dict[tuple, Rational]:
+    """apply_to_monomial on exponent tuples, in and out; the matrices index by them."""
+    out: dict[tuple, Rational] = {}
     odd_prefix = 0
     for g, e in exps:
         image = images.get(g)
@@ -432,10 +451,10 @@ def apply_to_monomial(
                                 sign = -sign
                     new[x] = new.get(x, 0) + ex
                 else:
-                    key = Monomial(tuple(sorted(new.items())))
+                    key = tuple(sorted(new.items()))
                     out[key] = out.get(key, 0) + sign * c
         odd_prefix ^= e * gens.gens[g].degree % 2
-    return {m: c for m, c in out.items() if c}
+    return {t: c for t, c in out.items() if c}
 
 
 def leibniz_apply(
@@ -459,8 +478,8 @@ def apply_images(gens: GenSet, images: Mapping, parity: int, element: AlgElement
     """leibniz_apply with the generator images already in monomial_images form."""
     if element.gens != gens:
         raise GeneratorSetMismatch("element over a different generator set")
-    out: dict[Monomial, Fraction] = {}
+    out: dict[tuple, Fraction] = {}
     for mono, coeff in element.terms.items():
-        for m, c in apply_to_monomial(gens, images, parity, mono).items():
-            out[m] = out.get(m, 0) + coeff * c
-    return AlgElement(gens, out)
+        for t, c in _leibniz(gens, images, parity, mono.exponents).items():
+            out[t] = out.get(t, 0) + coeff * c
+    return AlgElement(gens, {Monomial(t): c for t, c in out.items()})

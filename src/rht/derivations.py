@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .algebra import AlgElement, GenSet, Generator, Monomial, apply_to_monomial, leibniz_apply
+from .algebra import AlgElement, GenSet, Generator, Monomial, _leibniz, leibniz_apply
 from .errors import GeneratorSetMismatch
 from .linalg import HomologySlice, RatMatrix
 from .model import ModelLike, RelativeModel, SullivanModel
@@ -153,25 +153,25 @@ class DerComplex:
         src = self.slice(n)
         tgt = self.slice(n - 1)
         gens = self.model.gens
-        tgt_index = tgt.index()
+        tgt_index = {(g.index, m.exponents): i for i, (g, m) in enumerate(tgt.pairs)}
         sign = -1 if n % 2 == 0 else 1  # -(-1)^n
         gen_images = []
         for g in self.domain:
             i = gens.get(g.name).index
-            gen_images.append((i, [(Monomial(t), c) for t, c in images.get(i, ())]))
+            gen_images.append((i, images.get(i, ())))
         columns = []
         for w, mono in src.pairs:
             theta = {w.index: ((mono.exponents, 1),)}
             col = {}
             for gi, image in gen_images:
                 if gi == w.index:
-                    val = apply_to_monomial(gens, images, 1, mono)
+                    val = _leibniz(gens, images, 1, mono.exponents)
                 elif image:
                     val = {}
                 else:
                     continue
                 for term, c in image:
-                    for mm, v in apply_to_monomial(gens, theta, n, term).items():
+                    for mm, v in _leibniz(gens, theta, n, term).items():
                         val[mm] = val.get(mm, 0) + sign * c * v
                 for mm, c in val.items():
                     if c:

@@ -34,8 +34,8 @@ from .algebra import (
     AlgElement,
     GenSet,
     Monomial,
+    _leibniz,
     apply_images,
-    apply_to_monomial,
     monomial_images,
 )
 from .errors import (
@@ -316,9 +316,9 @@ class Cochains:
         """Matrix of d from the degree-n basis to the degree-(n+1) basis."""
         if n not in self._d:
             m, src = self.model, self.basis(n)
-            tgt_index = {mono: i for i, mono in enumerate(self.basis(n + 1))}
+            tgt_index = {mono.exponents: i for i, mono in enumerate(self.basis(n + 1))}
             columns = [
-                {tgt_index[t]: c for t, c in apply_to_monomial(m.gens, m.images, 1, mono).items()}
+                {tgt_index[t]: c for t, c in _leibniz(m.gens, m.images, 1, mono.exponents).items()}
                 for mono in src
             ]
             self._d[n] = RatMatrix(len(tgt_index), columns)
@@ -335,9 +335,9 @@ def cohomology(model: ModelLike, max_degree: int) -> dict[int, tuple[int, list[A
     """H^n of the (total) algebra for n = 0..max_degree, with representatives."""
     m = model.total
     m.check_bound(max_degree)
-    cx = Cochains(m)
     for n in range(max_degree + 2):
-        cx.basis(n)  # an oversized basis is refused before any elimination
+        m.gens.size(n)  # an oversized basis is refused before any is built
+    cx = Cochains(m)
     out = {}
     for n in range(max_degree + 1):
         h, basis = cx.homology(n), cx.basis(n)

@@ -180,6 +180,21 @@ def test_basis_in_degree_matches_brute_force(n):
     assert basis_in_degree(GENS, n) == want
 
 
+gensets = st.lists(st.integers(2, 9), max_size=6).map(
+    lambda degrees: GenSet((f"g{i}", d) for i, d in enumerate(degrees))
+)
+
+
+@given(gensets, st.lists(st.integers(0, 16), min_size=1, max_size=6, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_basis_in_degree_matches_brute_force_on_random_sets(gens, degrees):
+    # degrees in random order on one set: a degree reads the suffix lists an
+    # earlier one built, also after a longer degree has rebuilt the count table
+    for n in degrees:
+        want = sorted(brute_force_basis(gens, n), key=lambda m: m.sort_key(gens))
+        assert basis_in_degree(gens, n) == want
+
+
 def test_oversized_basis_is_refused_before_it_is_built():
     # six degree-2 generators have C(35, 5) = 324,632 monomials in degree 60
     six = GenSet([(f"x{i}", 2) for i in range(6)])

@@ -216,6 +216,26 @@ def test_huge_max_degree_cohomology_prints_the_finite_table(capsys):
     assert code == 2 and err.startswith("BoundExceeded")
 
 
+def test_oversized_cohomology_is_refused_before_any_basis_is_built(capsys, monkeypatch):
+    # cp3's degree 88 is the first past MAX_BASIS; the count table says so
+    # before a basis of the total space is built (the pure quotient's check
+    # reads the even generators, a set of their own)
+    cp3 = str(Path(__file__).parent.parent / "perfbench" / "cp3.smf")
+    total = len(parse_document(Path(cp3).read_text())[0].total.gens)
+    built = []
+    real = rht.algebra.basis_in_degree
+
+    def recording(gens, n):
+        built.append((len(gens), n))
+        return real(gens, n)
+
+    monkeypatch.setattr(rht.algebra, "basis_in_degree", recording)
+    code, out, err = run_within(capsys, 10, "cohomology", cp3, "--max-degree", "100000")
+    assert (code, out) == (2, "")
+    assert err.startswith("CombinatorialBlowup: degree 88 has 50696 monomials, more than 50000")
+    assert [n for size, n in built if size == total] == []
+
+
 def test_connecting_report(capsys):
     code, out, _ = run(capsys, "connecting", fx("su5-bundle.smf"))
     assert code == 0
