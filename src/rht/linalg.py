@@ -5,14 +5,16 @@ fractions.Fraction.  It stays an int until it meets a Fraction: one given as
 input, or the inverse of a pivot other than 1 and -1, the only division here.
 Other rationals are converted to Fraction as they come in, and inexact
 numbers are refused.  All elimination goes through ``Echelon``, which keeps a
-fully reduced row-echelon basis of a span.  That basis depends only on the
-span, so subspaces are canonical and equality of subspaces is plain equality
-of the stored rows (an integral Fraction equals and hashes like its int).
+row-echelon basis of a span: plain echelon on add, reduced on first read.
+The reduced basis depends only on the span, so subspaces are canonical and
+equality of subspaces is plain equality of the rows (an integral Fraction
+equals and hashes like its int).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from numbers import Rational
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -22,7 +24,7 @@ Number = Union[int, Fraction]
 Vector = tuple[Number, ...]
 Sparse = dict[int, Number]  # column -> nonzero entry
 
-_EXACT = (int, Fraction)
+_EXACT = frozenset((int, Fraction))
 _ONE = Fraction(1)
 
 
@@ -114,24 +116,44 @@ class RatMatrix:
 
 
 class Echelon:
-    """Fully reduced row-echelon basis of a span inside Q^n, kept sparse.
+    """Row-echelon basis of a span inside Q^n, kept sparse: plain echelon on
+    add, reduced on first read.
 
-    ``rows`` maps each pivot column to its row: the row is 1 at its pivot,
-    zero left of it, and zero at every other pivot.  Such a basis is unique
-    for its span, whatever vectors were added and in whatever order.
+    ``add`` stores each new row scaled to 1 at its pivot and zero left of it,
+    and nothing more.  ``rows`` back-substitutes the stored rows once, on its
+    first read after an add whose pivot lies right of an older one, into the
+    fully reduced basis: each row is also zero at every other pivot.  That
+    basis is unique for its span, whatever vectors were added and in
+    whatever order.  ``rank`` reads no row.  Vectors are sparse, with
+    nonzero entries; a stored row with an inexact entry raises TypeError.
     """
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "_rows", "_clean")
 
     def __init__(self, n: int, vectors: Iterable[Sparse] = ()):
         self.n = n
-        self.rows: dict[int, Sparse] = {}
+        self._rows: dict[int, Sparse] = {}
+        self._clean = True
         for v in vectors:
             self.add(v)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> dict[int, Sparse]:
+        """The fully reduced basis: each pivot column mapped to its row."""
+        rows = self._rows
+        if not self._clean:
+            # from the highest pivot down, every row to the right is already
+            # zero at the other pivots, so one pass clears this row's
+            for p in sorted(rows, reverse=True):
+                row = rows[p]
+                for q in [c for c in row if c != p and c in rows]:
+                    _subtract(row, row[q], rows[q])
+            self._clean = True
+        return rows
 
     def reduce(self, v: Sparse) -> Sparse:
         """Remainder of v modulo the span; it is zero on every pivot column."""
@@ -144,20 +166,43 @@ class Echelon:
 
     def add(self, v: Sparse) -> bool:
         """Extend the span by v; False when v already lies in it."""
-        r = self.reduce(v)
-        if not r:
+        v = dict(v)
+        rows = self._rows
+        # a stored row may be nonzero at a larger pivot, so the pivots are
+        # cleared in ascending order and each one a subtraction brings in is
+        # queued
+        heap = [c for c in v if c in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            f = v.get(p)
+            if not f:
+                continue
+            for c, x in rows[p].items():
+                y = v.get(c, 0) - f * x
+                if y:
+                    if c not in v and c in rows:
+                        heappush(heap, c)
+                    v[c] = y
+                else:
+                    del v[c]
+        if not v:
             return False
-        p = min(r)
-        pivot = r[p]
+        p = min(v)
+        pivot = v[p]
         if pivot != 1:
             # scaling by -1 keeps an int row int; any other pivot is inverted as a Fraction
             scale = -1 if pivot == -1 else _ONE / pivot
-            r = {c: x * scale for c, x in r.items()}
-        for row in self.rows.values():
-            f = row.get(p)
-            if f:
-                _subtract(row, f, r)
-        self.rows[p] = r
+            v = {c: x * scale for c, x in v.items()}
+        if not _EXACT.issuperset(map(type, v.values())):
+            # checked once per stored row: an inexact entry that survives
+            # elimination reaches the row
+            v = _exact_sparse(v.items())
+        if self._clean and rows and min(rows) < p:
+            # an older row with a smaller pivot may hold column p; one with a
+            # larger pivot is zero there, and v is zero at every other pivot
+            self._clean = False
+        rows[p] = v
         return True
 
     def kernel(self) -> list[Sparse]:
@@ -248,7 +293,7 @@ class HomologySlice:
         if d_in.rows != d_out.cols:
             raise ValueError("chain degree mismatch between d_in and d_out")
         # the rank formula below needs im(d_in) inside ker(d_out)
-        if not (d_out @ d_in).is_zero():
+        if any(map(d_out.apply, d_in.columns)):
             raise NotAComplex("d_out . d_in != 0")
         n = d_in.rows
         self._boundaries = Echelon(n, d_in.columns)

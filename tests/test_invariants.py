@@ -313,15 +313,34 @@ def test_finiteness_window(su4_fixtures):
     assert not finite
 
 
-def scaling_family(k):
-    """ex47's fibre over t1..tk in degree 2, twisted by D w4 = w1*w2*t1^3 + t1^9."""
+def scaling_family(k, connected=False):
+    """ex47's fibre over t1..tk in degree 2, twisted by D w4 = w1*w2*t1^3 + t1^9.
+
+    The connected variant adds + t2^9 + ... + tk^9 to D w4.
+    """
     base = "".join(f"gen t{i} 2\n" for i in range(1, k + 1))
+    more = "".join(f" + t{i}^9" for i in range(2, k + 1)) if connected else ""
     text = (
         f"[fibration scale-{k}]\n[base]\n{base}[fiber]\n"
         "gen u 2\ngen w1 3\ngen w2 9\ngen w3 11\ngen w4 17\nd w3 = u^6\n"
-        "[total]\nD w3 = u^6\nD w4 = w1*w2*t1^3 + t1^9\n"
+        f"[total]\nD w3 = u^6\nD w4 = w1*w2*t1^3 + t1^9{more}\n"
     )
     return parse_document(text)[0]
+
+
+def test_scaling_family_k3_is_refuted_at_bound():
+    # its window reaches cochain degrees of thousands of dimensions, against
+    # the hypothesis matrices of at most five in test_linalg
+    cert = toral_certificate(scaling_family(3), 6)
+    assert (cert.verdict, cert.top_nonzero) == ("refuted-at-bound", 42)
+
+
+def test_connected_scaling_family_k3_cohomology_above_fd():
+    # C^37..C^42 have 2,842 to 4,537 dimensions
+    total = scaling_family(3, connected=True).total
+    cx = rht.model.Cochains(total)
+    assert formal_dimension_estimate(total.gens) == 36
+    assert [cx.homology(n).dim for n in range(37, 43)] == [1080, 1134, 1188, 1242, 1296, 1350]
 
 
 def test_window_verdicts_match_full_cohomology():

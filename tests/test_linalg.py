@@ -378,3 +378,67 @@ def test_homology_slice_matches_dense_oracle(cx):
     dim, reps = oracle_homology(d_in_cols, d_out_rows, d_in.rows)
     assert h.dim == dim
     assert tuple(dense(rep, d_in.rows) for rep in h.representatives) == tuple(reps)
+
+
+def oracle_remainder(v, oracle, n):
+    """v reduced modulo the span of fully reduced dense rows."""
+    z = [Fraction(x) for x in dense(v, n)]
+    for row in oracle:
+        p = next(c for c in range(n) if row[c])
+        z = [a - z[p] * b for a, b in zip(z, row)]
+    return tuple(z)
+
+
+@st.composite
+def echelon_scripts(draw):
+    """A dimension n and a list of (operation, vector) steps; reads ignore the vector."""
+    n = draw(st.integers(1, 6))
+    vector = st.dictionaries(st.integers(0, n - 1), entries.filter(bool))
+    operation = st.sampled_from(["add", "reduce", "rows", "rank", "kernel"])
+    return n, draw(st.lists(st.tuples(operation, vector), max_size=16))
+
+
+@given(echelon_scripts())
+# the older row {0: 1, 1: 1} holds the new pivot 1, and no larger pivot exists
+@example((2, [("add", {0: 1, 1: 1}), ("rows", {}), ("add", {1: 1}), ("rows", {})]))
+@settings(max_examples=200)
+def test_echelon_interleaved_reads_match_fresh_oracle(script):
+    # adds and reads in any order: every read must see the fully reduced
+    # basis of everything added so far, however many adds came since the last
+    n, steps = script
+    e = Echelon(n)
+    added = []
+    for op, v in steps:
+        oracle = oracle_rref(added, n)
+        if op == "add":
+            assert e.add(v) == (len(oracle_rref(added + [dense(v, n)], n)) > len(oracle))
+            added.append(dense(v, n))
+        elif op == "reduce":
+            assert dense(e.reduce(v), n) == oracle_remainder(v, oracle, n)
+        elif op == "rows":
+            assert sorted(e.rows) == [next(c for c in range(n) if row[c]) for row in oracle]
+            assert tuple(dense(e.rows[p], n) for p in sorted(e.rows)) == tuple(oracle)
+            assert all(exact(row.values()) for row in e.rows.values())
+        elif op == "rank":
+            assert e.rank == len(oracle)
+        else:
+            assert [dense(k, n) for k in e.kernel()] == [tuple(k) for k in oracle_kernel(added, n)]
+
+
+@pytest.mark.parametrize(
+    "vectors", [[{0: 2.0, 1: 1.0}], [{0: 1, 1: 1}, {0: 1, 1: 0.5}], [{0: 1, 1: "1"}], [{0: Decimal(2)}]]
+)
+def test_echelon_refuses_inexact_entries(vectors):
+    # an inexact entry that reaches a stored row is refused, as RatMatrix and
+    # Subspace refuse it; the first once read {0: {0: 1.0, 1: 0.5}}
+    with pytest.raises(TypeError):
+        Echelon(2, vectors)
+
+
+def test_echelon_checks_entries_where_a_row_is_stored():
+    # a vector that elimination clears entirely stores nothing and is not
+    # refused; any other rational in a stored row becomes a Fraction
+    e = Echelon(2, [{0: 1, 1: 1}])
+    assert not e.add({0: 1.0, 1: 1.0})
+    assert e.rows == {0: {0: 1, 1: 1}}
+    assert [type(x) for x in Echelon(1, [{0: True}]).rows[0].values()] == [Fraction]
