@@ -18,7 +18,7 @@ it, and the bracket with any other degree +1 derivation, the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .algebra import AlgElement, GenSet, Generator, Monomial, _leibniz, leibniz_apply
 from .errors import GeneratorSetMismatch
@@ -71,8 +71,9 @@ class ComplexSlice:
     def dim(self) -> int:
         return len(self.pairs)
 
-    def index(self) -> dict[tuple[int, Monomial], int]:
-        return {(g.index, m): i for i, (g, m) in enumerate(self.pairs)}
+    def index(self) -> dict[tuple[int, tuple], int]:
+        """Position of each pair, keyed by (generator index, exponent tuple)."""
+        return {(g.index, m.exponents): i for i, (g, m) in enumerate(self.pairs)}
 
     def derivation(self, i: int) -> Derivation:
         g, m = self.pairs[i]
@@ -153,7 +154,7 @@ class DerComplex:
         src = self.slice(n)
         tgt = self.slice(n - 1)
         gens = self.model.gens
-        tgt_index = {(g.index, m.exponents): i for i, (g, m) in enumerate(tgt.pairs)}
+        tgt_index = tgt.index()
         sign = -1 if n % 2 == 0 else 1  # -(-1)^n
         gen_images = []
         for g in self.domain:
@@ -185,19 +186,24 @@ class DerComplex:
             self._h[n] = HomologySlice(self.boundary(n + 1), self.boundary(n))
         return self._h[n]
 
-    def map_to(self, other: "DerComplex", n: int) -> RatMatrix:
-        """Slice n into other's slice n, each pair to the same pair or to zero.
+    def positions(self, other: "DerComplex", n: int) -> list[Optional[int]]:
+        """Where each pair of slice n lands in other's slice n: its index, or None.
 
         Between the scopes of one fibration this is the inclusion (ideal to
         relative), the restriction p_V (relative to absolute), its section
         (absolute to relative) and the projection onto the ideal pairs.
         """
-        src, tgt = self.slice(n).pairs, other.slice(n).pairs
+        index = other.slice(n).index()
+        pairs = self.slice(n).pairs
         if self.model is other.model:
-            return relabel(src, tgt, lambda p: p)
+            return [index.get((w.index, m.exponents)) for w, m in pairs]
         f, gens = self.source, other.model.gens
-        mono = f.fiber_monomial if other.scope == ABSOLUTE else f.total_monomial
-        return relabel(src, tgt, lambda p: (gens.get(p[0].name), mono(p[1])))
+        move = f.fiber_exponents if other.scope == ABSOLUTE else f.total_exponents
+        return [index.get((gens.get(w.name).index, move(m.exponents))) for w, m in pairs]
+
+    def map_to(self, other: "DerComplex", n: int) -> RatMatrix:
+        """The 0/1 matrix of ``positions``: each pair to the same pair or to zero."""
+        return _zero_one(other.slice(n).dim, self.positions(other, n))
 
     def evaluation(self, n: int) -> RatMatrix:
         """Evaluation on generators: (w, 1) -> w*, every other pair -> 0.
@@ -206,21 +212,17 @@ class DerComplex:
         domain, in declaration order.
         """
         if n not in self._evaluations:
-            duals = [g.name for g in self.domain if g.degree == n]
-            self._evaluations[n] = relabel(
-                self.slice(n).pairs, duals, lambda p: p[0].name if p[1].is_unit else None
+            duals = {g.name: i for i, g in enumerate(g for g in self.domain if g.degree == n)}
+            pairs = self.slice(n).pairs
+            self._evaluations[n] = _zero_one(
+                len(duals), (duals.get(w.name) if m.is_unit else None for w, m in pairs)
             )
         return self._evaluations[n]
 
 
-def relabel(src: Sequence, tgt: Sequence, key: Callable) -> RatMatrix:
-    """The 0/1 matrix sending src[j] to tgt[i] where key(src[j]) == tgt[i].
-
-    An element whose key is not in tgt goes to zero.
-    """
-    index = {t: i for i, t in enumerate(tgt)}
-    keys = (index.get(key(s)) for s in src)
-    return RatMatrix(len(tgt), ({} if i is None else {i: 1} for i in keys))
+def _zero_one(rows: int, positions: Iterable[Optional[int]]) -> RatMatrix:
+    """The 0/1 matrix sending column j to row positions[j], or to zero on None."""
+    return RatMatrix(rows, ({} if i is None else {i: 1} for i in positions))
 
 
 def dual_frame(model: SullivanModel, n: int) -> tuple[str, ...]:

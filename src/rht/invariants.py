@@ -10,7 +10,7 @@ chains of realized subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import AlgElement, Monomial
 from .derivations import (
@@ -24,7 +24,7 @@ from .derivations import (
     frame_degrees,
 )
 from .errors import BaseNotDegreeTwo, CombinatorialBlowup, NotAComplex
-from .linalg import Echelon, HomologySlice, RatMatrix, Subspace, _dense
+from .linalg import Echelon, HomologySlice, Number, RatMatrix, Subspace, _dense
 from .model import Cochains, ModelLike, RelativeModel, SullivanModel, formal_dimension_estimate
 from .poset import poset_of_subspaces
 
@@ -193,18 +193,26 @@ class LesReport:
         return self.chain_level_ok and all(nd.exact for nd in self.nodes)
 
 
-def _induced(map_matrix: RatMatrix, h_src: HomologySlice, h_tgt: HomologySlice) -> RatMatrix:
-    return RatMatrix(
-        h_tgt.dim, [h_tgt.coords(map_matrix.apply(rep)) for rep in h_src.representatives]
-    )
+def _moved(v: Mapping[int, Number], positions: Sequence[Optional[int]]) -> dict:
+    """v re-indexed by positions; an entry whose position is None is dropped."""
+    return {positions[i]: c for i, c in v.items() if positions[i] is not None}
+
+
+def _inverse(positions: Sequence[Optional[int]], dim: int) -> list[Optional[int]]:
+    """The inverse of a map read as positions: for each of dim target pairs, the
+    source pair that lands on it, or None."""
+    back = {i: j for j, i in enumerate(positions) if i is not None}
+    return [back.get(i) for i in range(dim)]
+
+
+def _induced(cycles: Iterable[Mapping], h: HomologySlice) -> tuple[RatMatrix, int]:
+    """The map sending the k-th source class to the class of the k-th cycle, and its rank."""
+    m = RatMatrix(h.dim, map(h.coords, cycles))
+    return m, _rank(m)
 
 
 def _rank(m: RatMatrix) -> int:
     return Echelon(m.rows, m.columns).rank
-
-
-def _ranked(m: RatMatrix) -> tuple[RatMatrix, int]:
-    return m, _rank(m)
 
 
 def _exact_at(node: str, h: HomologySlice, into: tuple, out: tuple) -> LesNodeReport:
@@ -220,6 +228,8 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     Checks the degreewise short exact sequence of slices and, at every
     homology node inside the requested range, that the image of the incoming
     map equals the kernel of the outgoing one (composite zero + ranks add up).
+    Each chain map sends a pair to one pair or to zero, so it is read as
+    ``positions`` and the induced maps re-index representatives.
     """
     degrees = sorted(degrees)
     if not degrees:
@@ -231,15 +241,18 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     report = LesReport()
     # the deepest slices read, first: a bound overrun is reported from them
     ideal.homology(max(1, lo - 1))
-    # chain-level short exactness per degree
+    # chain-level short exactness per degree: the inclusion and the
+    # restriction partition the relative pairs, and the restriction is a
+    # bijection onto the absolute pairs
     inc, res = {}, {}
     for n in range(max(0, lo - 1), hi + 2):
-        inc[n] = ideal.map_to(rel, n)
-        res[n] = rel.map_to(ab, n)
+        inc[n] = ideal.positions(rel, n)
+        res[n] = rel.positions(ab, n)
+        kept = [j for j, a in enumerate(res[n]) if a is not None]
         ok = (
-            (res[n] @ inc[n]).is_zero()
-            and _rank(res[n]) == ab.slice(n).dim
-            and ideal.slice(n).dim + ab.slice(n).dim == rel.slice(n).dim
+            None not in inc[n]
+            and sorted(inc[n] + kept) == list(range(rel.slice(n).dim))
+            and sorted(res[n][j] for j in kept) == list(range(ab.slice(n).dim))
         )
         report.chain_level_ok = report.chain_level_ok and ok
 
@@ -248,19 +261,20 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     def connecting(n: int) -> tuple[RatMatrix, int]:
         """H_n(absolute) -> H_{n-1}(ideal) via lift, boundary, pull back."""
         if n not in conn:
-            lifted = rel.boundary(n) @ ab.map_to(rel, n)
+            section = _inverse(res[n], ab.slice(n).dim)
+            d = rel.boundary(n)
+            bounds = [d.apply(_moved(rep, section)) for rep in ab.homology(n).representatives]
             # the restriction kills exactly the ideal pairs
-            left = res[n - 1] @ lifted
-            if any(left.apply(rep) for rep in ab.homology(n).representatives):
+            if any(res[n - 1][j] is not None for b in bounds for j in b):
                 raise NotAComplex("boundary of a lifted cycle left the ideal")
-            to_ideal = rel.map_to(ideal, n - 1)
-            conn[n] = _ranked(_induced(to_ideal @ lifted, ab.homology(n), ideal.homology(n - 1)))
+            to_ideal = _inverse(inc[n - 1], rel.slice(n - 1).dim)
+            conn[n] = _induced((_moved(b, to_ideal) for b in bounds), ideal.homology(n - 1))
         return conn[n]
 
     for n in degrees:
         h_ideal, h_rel, h_abs = ideal.homology(n), rel.homology(n), ab.homology(n)
-        i_star = _ranked(_induced(inc[n], h_ideal, h_rel))
-        j_star = _ranked(_induced(res[n], h_rel, h_abs))
+        i_star = _induced((_moved(r, inc[n]) for r in h_ideal.representatives), h_rel)
+        j_star = _induced((_moved(r, res[n]) for r in h_rel.representatives), h_abs)
         report.nodes.append(_exact_at(f"H_{n}(relative)", h_rel, i_star, j_star))
         report.nodes.append(_exact_at(f"H_{n}(ideal)", h_ideal, connecting(n + 1), i_star))
         if n >= 2:

@@ -124,8 +124,9 @@ class Echelon:
     first read after an add whose pivot lies right of an older one, into the
     fully reduced basis: each row is also zero at every other pivot.  That
     basis is unique for its span, whatever vectors were added and in
-    whatever order.  ``rank`` reads no row.  Vectors are sparse, with
-    nonzero entries; a stored row with an inexact entry raises TypeError.
+    whatever order.  ``rank`` reads no row.  Vectors are sparse; an explicit
+    zero entry is dropped, and a stored row with an inexact entry raises
+    TypeError.
     """
 
     __slots__ = ("n", "_rows", "_clean")
@@ -186,6 +187,11 @@ class Echelon:
                     v[c] = y
                 else:
                     del v[c]
+        if v and not (all(v.values()) and _EXACT.issuperset(map(type, v.values()))):
+            # checked once per vector that survives elimination: an explicit
+            # zero is dropped before the pivot is picked, an inexact entry
+            # raises
+            v = _exact_sparse(v.items())
         if not v:
             return False
         p = min(v)
@@ -194,10 +200,6 @@ class Echelon:
             # scaling by -1 keeps an int row int; any other pivot is inverted as a Fraction
             scale = -1 if pivot == -1 else _ONE / pivot
             v = {c: x * scale for c, x in v.items()}
-        if not _EXACT.issuperset(map(type, v.values())):
-            # checked once per stored row: an inexact entry that survives
-            # elimination reaches the row
-            v = _exact_sparse(v.items())
         if self._clean and rows and min(rows) < p:
             # an older row with a smaller pivot may hold column p; one with a
             # larger pivot is zero there, and v is zero at every other pivot

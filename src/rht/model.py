@@ -210,20 +210,20 @@ class RelativeModel:
 
     # --- moving elements between the three algebras -------------------
 
-    def total_monomial(self, m: Monomial) -> Monomial:
-        """A fiber monomial in the total generator set."""
-        return Monomial(tuple((i + self.base_size, e) for i, e in m.exponents))
+    def total_exponents(self, e: tuple) -> tuple:
+        """A fiber monomial's exponent tuple in the total generator set."""
+        return tuple((i + self.base_size, x) for i, x in e)
 
-    def fiber_monomial(self, m: Monomial) -> Optional[Monomial]:
-        """p_V on one total monomial: None when it contains a base generator."""
-        if self.monomial_has_base(m):
-            return None
-        return Monomial(tuple((i - self.base_size, e) for i, e in m.exponents))
+    def fiber_exponents(self, e: tuple) -> Optional[tuple]:
+        """p_V on one total exponent tuple: None when it holds a base generator."""
+        k = self.base_size
+        # sorted by generator index, and the base generators lead
+        return None if e and e[0][0] < k else tuple((i - k, x) for i, x in e)
 
     def _fiber_terms(self, el: AlgElement) -> dict[Monomial, Fraction]:
         """The terms of p_V(el), in fiber monomials."""
-        terms = ((self.fiber_monomial(m), c) for m, c in el.terms.items())
-        return {m: c for m, c in terms if m is not None}
+        terms = ((self.fiber_exponents(m.exponents), c) for m, c in el.terms.items())
+        return {Monomial(e): c for e, c in terms if e is not None}
 
     def is_base_index(self, i: int) -> bool:
         return i < self.base_size

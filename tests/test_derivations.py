@@ -180,7 +180,7 @@ def oracle_boundary_column(cx, n, j):
             value[m] = value.get(m, 0) - (-1) ** n * c
         for m, c in value.items():
             if c:
-                column[cx.slice(n - 1).index()[(gv.index, m)]] = c
+                column[cx.slice(n - 1).index()[(gv.index, m.exponents)]] = c
     return column
 
 

@@ -11,16 +11,20 @@ from pathlib import Path
 import pytest
 
 import rht
+import rht.cli
 import rht.invariants
 import rht.linalg
 import rht.model
 
 from rht import (
     ABSOLUTE,
+    IDEAL,
     RELATIVE,
     Cochains,
     GenSet,
+    HomologySlice,
     Monomial,
+    RatMatrix,
     RelativeModel,
     SullivanModel,
     Subspace,
@@ -41,7 +45,13 @@ from rht import (
 )
 from rht.catalog import Catalog
 from rht.derivations import ComplexSlice, DerComplex
-from rht.errors import BaseNotDegreeTwo, BoundExceeded, FiberMismatch, NotFiniteAtBound
+from rht.errors import (
+    BaseNotDegreeTwo,
+    BoundExceeded,
+    FiberMismatch,
+    NotAComplex,
+    NotFiniteAtBound,
+)
 from rht.invariants import _pure_quotient_vanishes, top_shift
 from rht.model import formal_dimension_estimate
 
@@ -88,7 +98,7 @@ def pair_vector(m, n, scope, gen_name, mono_factors):
     basis = DerComplex(m, scope).slice(n)
     gens = basis.value_gens
     mono = Monomial(tuple((gens.get(g).index, e) for g, e in mono_factors))
-    return {basis.index()[(gens.get(gen_name).index, mono)]: 1}
+    return {basis.index()[(gens.get(gen_name).index, mono.exponents)]: 1}
 
 
 def test_absolute_der_homology_dims(su5):
@@ -273,6 +283,74 @@ def test_les_check_ranks_each_map_once(ex47, monkeypatch):
         # the list keeps every matrix alive, so equal ids mean one object
         repeats = {k for k in Counter(map(id, ranked)).values() if k > 1}
         assert not repeats, f.name
+
+
+def test_les_check_catches_a_misplaced_pair(ex47, monkeypatch, capsys):
+    # with nodes in degrees 2..3 the slices of degrees 1..4 are read, and the
+    # inclusion of ideal slice 4 only by the chain-level check; one of its
+    # pairs lands where another one does
+    real_positions = DerComplex.positions
+
+    def misplacing(self, other, n):
+        pos = real_positions(self, other, n)
+        if self.scope == IDEAL and n == 4:
+            pos[0] = pos[1]
+        return pos
+
+    monkeypatch.setattr(DerComplex, "positions", misplacing)
+    for f in ex47.values():
+        report = les_check(f, [2, 3])
+        assert not report.chain_level_ok and all(nd.exact for nd in report.nodes), f.name
+    code = rht.cli.main(["les-check", str(FIXTURES / "ex47.smf"), "--degrees", "2..3"])
+    out = capsys.readouterr().out
+    assert code == 1 and out.count("NOT exact") == 3
+
+
+def test_les_check_catches_a_boundary_that_leaves_the_ideal(su5_bundle, monkeypatch):
+    # nodes in degree 2 lift the 3-classes of the absolute complex through
+    # the relative d_3; an entry planted in d_3 on a pair that the restriction
+    # keeps takes one lift out of the ideal.  The planted row is a relative
+    # 2-cycle, so d_2 . d_3 stays zero.
+    f = su5_bundle
+    rel, ab = DerComplex(f, RELATIVE), DerComplex(f, ABSOLUTE)
+    lifted = rel.positions(ab, 3).index(min(ab.homology(3).representatives[0]))
+    kept = rel.positions(ab, 2)
+    row = next(r for r, a in enumerate(kept) if a is not None and not rel.boundary(2).columns[r])
+    real_boundary = DerComplex.boundary
+
+    def planted(self, n):
+        d = real_boundary(self, n)
+        if self.scope == RELATIVE and n == 3:
+            d = RatMatrix(d.rows, d.columns)
+            d.columns[lifted][row] = d.columns[lifted].get(row, 0) + 1
+        return d
+
+    monkeypatch.setattr(DerComplex, "boundary", planted)
+    with pytest.raises(NotAComplex, match="left the ideal"):
+        les_check(f, [2])
+
+
+def test_les_check_multiplies_only_homology_sized_maps(ex47, su5_bundle, monkeypatch):
+    # the chain maps are read as positions, so no product has an operand of
+    # a slice's size; out . in at each node is a product of induced maps
+    dims, operands = set(), []
+    real_init, real_matmul = HomologySlice.__init__, RatMatrix.__matmul__
+
+    def recording_init(self, d_in, d_out):
+        real_init(self, d_in, d_out)
+        dims.add(self.dim)
+
+    def recording_matmul(self, other):
+        operands.append((self.rows, self.cols, other.rows, other.cols))
+        return real_matmul(self, other)
+
+    monkeypatch.setattr(HomologySlice, "__init__", recording_init)
+    monkeypatch.setattr(RatMatrix, "__matmul__", recording_matmul)
+    for f in [*ex47.values(), su5_bundle]:
+        dims.clear()
+        operands.clear()
+        assert les_check(f, range(1, top_shift(f) + 1)).exact, f.name
+        assert operands and {k for shape in operands for k in shape} <= dims, f.name
 
 
 # ----------------------------------------------------------------------

@@ -442,3 +442,17 @@ def test_echelon_checks_entries_where_a_row_is_stored():
     assert not e.add({0: 1.0, 1: 1.0})
     assert e.rows == {0: {0: 1, 1: 1}}
     assert [type(x) for x in Echelon(1, [{0: True}]).rows[0].values()] == [Fraction]
+
+
+def test_echelon_drops_explicit_zero_entries():
+    # a zero entry is no pivot: RatMatrix and Subspace drop it too
+    e = Echelon(2, [{0: 0, 1: 1}])
+    assert (e.rank, e.rows) == (1, {1: {1: 1}})
+    e = Echelon(1, [{0: 0}])
+    assert (e.rank, e.rows) == (0, {})
+    assert Echelon(2, [{0: Fraction(0), 1: 2}]).rows == {1: {1: 1}}
+    # a zero left by a pivot that elimination skips is dropped as well
+    e = Echelon(3, [{0: 1, 2: 1}])
+    assert e.add({0: 0, 1: 3}) and e.rows == {0: {0: 1, 2: 1}, 1: {1: 1}}
+    with pytest.raises(TypeError):
+        Echelon(1, [{0: 0.0}])

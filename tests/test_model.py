@@ -218,16 +218,16 @@ def test_trivial_fibration_structure(su5):
 
 
 def test_embed_and_project(su5_bundle):
-    # total_monomial embeds a fiber monomial, fiber_monomial is p_V on a total one
+    # total_exponents embeds a fiber monomial, fiber_exponents is p_V on a total one
     f = su5_bundle
-    v1 = Monomial(((f.fiber.gens.get("v1").index, 1),))
-    up = f.total_monomial(v1)
+    v1 = ((f.fiber.gens.get("v1").index, 1),)
+    up = Monomial(f.total_exponents(v1))
     assert up.degree(f.total.gens) == 3 and up.format(f.total.gens) == "v1"
-    assert f.fiber_monomial(up) == v1 and not f.monomial_has_base(up)
+    assert f.fiber_exponents(up.exponents) == v1 and not f.monomial_has_base(up)
     # base generators lead the total set
     t1 = Monomial(((f.base.gens.get("t1").index, 1),))
     assert t1.format(f.total.gens) == "t1"
-    assert f.monomial_has_base(t1) and f.fiber_monomial(t1) is None
+    assert f.monomial_has_base(t1) and f.fiber_exponents(t1.exponents) is None
 
 
 # ----------------------------------------------------------------------
