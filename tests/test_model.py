@@ -243,6 +243,20 @@ def test_parse_expression_terms():
         AlgElement.gen(gens, "w1") * AlgElement.gen(gens, "w2") * AlgElement.gen(gens, "t")
     )
     assert el == w1w2t + Fraction(-1, 3) * t5
+    w1, w2, t = (AlgElement.gen(gens, n) for n in ("w1", "w2", "t"))
+    cases = {
+        "w2*t*w1": -(w1 * w2 * t),  # odd factors reordered: a Koszul sign
+        "w1*t*w1": AlgElement.zero(gens),  # an odd generator twice
+        "2 t": 2 * t,  # a factor right after a coefficient, no '*'
+        "2/3 t^2": Fraction(2, 3) * t * t,
+        "--t + -+-t - - -t": t,  # repeated signs
+        "3": AlgElement.unit(gens, 3),  # a bare coefficient
+        "-2/4": AlgElement.unit(gens, Fraction(-1, 2)),
+        "t^2 - 1/2*t*t - 1/2 t^2": AlgElement.zero(gens),  # terms that cancel
+        "w1*w2 + w2*w1": AlgElement.zero(gens),
+    }
+    for text, want in cases.items():
+        assert parse_expression(text, gens) == want, text
 
 
 def test_power_is_parsed_by_exponent():
