@@ -12,6 +12,7 @@ a printed basis.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -226,6 +227,13 @@ UNIT = Monomial(())
 Rational = Union[int, Fraction]
 
 
+def _exact(c) -> Fraction:
+    """c as a Fraction; by linalg's rule, an inexact number (float, Decimal, str) raises TypeError."""
+    if type(c) not in (int, Fraction) and not isinstance(c, numbers.Rational):
+        raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__} {c!r}")
+    return Fraction(c)
+
+
 def normalize_word(gens: GenSet, factors: Sequence[tuple[int, int]]):
     """Sort a sequence of (generator index, exponent) factors into normal form.
 
@@ -268,7 +276,7 @@ class AlgElement:
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     clean[m] = c
         self.terms = clean
@@ -281,7 +289,7 @@ class AlgElement:
 
     @staticmethod
     def unit(gens: GenSet, coeff: Rational = 1) -> "AlgElement":
-        return AlgElement(gens, {UNIT: Fraction(coeff)})
+        return AlgElement(gens, {UNIT: coeff})
 
     @staticmethod
     def gen(gens: GenSet, name: str) -> "AlgElement":
@@ -290,7 +298,7 @@ class AlgElement:
 
     @staticmethod
     def monomial(gens: GenSet, mono: Monomial, coeff: Rational = 1) -> "AlgElement":
-        return AlgElement(gens, {mono: Fraction(coeff)})
+        return AlgElement(gens, {mono: coeff})
 
     # --- structure ----------------------------------------------------
 
@@ -333,7 +341,7 @@ class AlgElement:
         return AlgElement(self.gens, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c: Rational) -> "AlgElement":
-        c = Fraction(c)
+        c = _exact(c)
         return AlgElement(self.gens, {m: c * v for m, v in self.terms.items()})
 
     def __rmul__(self, c):
@@ -400,7 +408,7 @@ def basis_in_degree(gens: GenSet, n: int) -> list[Monomial]:
 
 
 def monomial_images(gens: GenSet, values: Mapping[int, AlgElement]) -> dict:
-    """Nonzero generator images for apply_to_monomial: index -> ((exponents, coeff), ...).
+    """Nonzero generator images for apply_images: index -> ((exponents, coeff), ...).
 
     An integral coefficient is an int, any other its Fraction, so the matrices
     built from integral differentials hold ints."""
@@ -411,10 +419,9 @@ def monomial_images(gens: GenSet, values: Mapping[int, AlgElement]) -> dict:
     }
 
 
-def apply_to_monomial(
-    gens: GenSet, images: Mapping, parity: int, mono: Monomial
-) -> dict[Monomial, Rational]:
-    """The graded-Leibniz operator with these generator images, on one monomial.
+def _leibniz(gens: GenSet, images: Mapping, parity: int, exps: tuple) -> dict[tuple, Rational]:
+    """apply_images on one monomial's exponent tuple, with the output keyed by
+    exponent tuples, as the matrices index.
 
     For each factor g^e with an image, one g is removed and the exponents of
     each image term are added to the rest.  The Koszul sign is
@@ -422,11 +429,6 @@ def apply_to_monomial(
     the rest lying strictly between g and an odd generator of the term; the
     term is zero when one of its odd generators is already in the rest.
     """
-    return {Monomial(t): c for t, c in _leibniz(gens, images, parity, mono.exponents).items()}
-
-
-def _leibniz(gens: GenSet, images: Mapping, parity: int, exps: tuple) -> dict[tuple, Rational]:
-    """apply_to_monomial on exponent tuples, in and out; the matrices index by them."""
     out: dict[tuple, Rational] = {}
     odd_prefix = 0
     for g, e in exps:
@@ -457,25 +459,11 @@ def _leibniz(gens: GenSet, images: Mapping, parity: int, exps: tuple) -> dict[tu
     return {t: c for t, c in out.items() if c}
 
 
-def leibniz_apply(
-    gens: GenSet,
-    values: Mapping[int, AlgElement],
-    parity: int,
-    element: AlgElement,
-) -> AlgElement:
-    """Extend generator values to the algebra by the graded Leibniz rule.
-
-    ``values`` maps generator indices to their images; generators not in the
-    map go to zero.  ``parity`` is the parity of the operator's degree: the
-    sign picked up when the operator passes a factor x is (-1)^(parity*|x|).
-    Works for differentials (parity 1, degree +1) and for derivations of
-    shift n (parity n % 2, degree -n) alike.
-    """
-    return apply_images(gens, monomial_images(gens, values), parity, element)
-
-
 def apply_images(gens: GenSet, images: Mapping, parity: int, element: AlgElement) -> AlgElement:
-    """leibniz_apply with the generator images already in monomial_images form."""
+    """Extend generator images (monomial_images form) to the algebra by the graded
+    Leibniz rule; a generator without an image goes to zero.  parity is that of
+    the operator's degree: passing a factor x costs (-1)^(parity*|x|), so one rule
+    serves differentials (parity 1) and derivations of shift n (parity n % 2)."""
     if element.gens != gens:
         raise GeneratorSetMismatch("element over a different generator set")
     out: dict[tuple, Fraction] = {}

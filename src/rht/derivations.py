@@ -18,10 +18,10 @@ it, and the bracket with any other degree +1 derivation, the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .algebra import AlgElement, GenSet, Generator, Monomial, _leibniz, leibniz_apply
-from .errors import GeneratorSetMismatch
+from .algebra import AlgElement, GenSet, Generator, Monomial, _leibniz, apply_images, monomial_images
 from .linalg import HomologySlice, RatMatrix
 from .model import ModelLike, RelativeModel, SullivanModel
 
@@ -52,9 +52,7 @@ class Derivation:
 
 def apply_derivation(theta: Derivation, a: AlgElement) -> AlgElement:
     """Leibniz extension of the derivation to an arbitrary element."""
-    if a.gens != theta.gens:
-        raise GeneratorSetMismatch("element over a different generator set")
-    return leibniz_apply(theta.gens, theta.values, theta.shift, a)
+    return apply_images(theta.gens, monomial_images(theta.gens, theta.values), theta.shift, a)
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,10 @@ class ComplexSlice:
     def dim(self) -> int:
         return len(self.pairs)
 
+    @cached_property
     def index(self) -> dict[tuple[int, tuple], int]:
-        """Position of each pair, keyed by (generator index, exponent tuple)."""
+        """Position of each pair, keyed by (generator index, exponent tuple);
+        built on first use, callers must not change it."""
         return {(g.index, m.exponents): i for i, (g, m) in enumerate(self.pairs)}
 
     def derivation(self, i: int) -> Derivation:
@@ -154,7 +154,7 @@ class DerComplex:
         src = self.slice(n)
         tgt = self.slice(n - 1)
         gens = self.model.gens
-        tgt_index = tgt.index()
+        tgt_index = tgt.index
         sign = -1 if n % 2 == 0 else 1  # -(-1)^n
         gen_images = []
         for g in self.domain:
@@ -193,7 +193,7 @@ class DerComplex:
         relative), the restriction p_V (relative to absolute), its section
         (absolute to relative) and the projection onto the ideal pairs.
         """
-        index = other.slice(n).index()
+        index = other.slice(n).index
         pairs = self.slice(n).pairs
         if self.model is other.model:
             return [index.get((w.index, m.exponents)) for w, m in pairs]

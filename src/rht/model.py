@@ -37,6 +37,7 @@ from .algebra import (
     _leibniz,
     apply_images,
     monomial_images,
+    normalize_word,
 )
 from .errors import (
     BaseDiffViolated,
@@ -159,12 +160,16 @@ class RelativeModel:
         self.base = base
         self.name = name
         self.base_size = len(base.gens)
-        total_gens = _fibration_gens(base.gens, fiber_gens)
-        # D given over an equal generator set lends it to the total, so that
-        # fibrations built over one set share it and its degree bases
+        # the base generators, then the fiber's; D given over a set of this
+        # layout lends it to the total, so that fibrations built over one set
+        # share it and its degree bases
+        layout = [(g.name, g.degree) for g in (*base.gens, *fiber_gens)]
         total_gens = next(
-            (v.gens for v in total_diff.values() if v.gens == total_gens), total_gens
+            (v.gens for v in total_diff.values() if [(g.name, g.degree) for g in v.gens] == layout),
+            None,
         )
+        if total_gens is None:
+            total_gens = GenSet(layout)
         if bound is None:
             bound = base.bound
         elif base.bound is not None:
@@ -271,11 +276,6 @@ def _section_lines(m: SullivanModel, bound: Optional[int]) -> list[str]:
     return lines + ([] if bound is None else [f"bound {bound}"])
 
 
-def _fibration_gens(base: GenSet, fiber: GenSet) -> GenSet:
-    """The total's generator set: the base generators, then the fiber's."""
-    return GenSet([(g.name, g.degree) for g in (*base, *fiber)])
-
-
 def _reexpress(el: AlgElement, target: GenSet) -> AlgElement:
     """Map an element into a generator set containing the same names."""
     out = {}
@@ -372,6 +372,8 @@ def parse_expression(
 ) -> AlgElement:
     """Parse a sum-of-terms expression over the given generator set.
 
+    Each term is read as a signed coefficient and a list of (generator index,
+    exponent) factors, which normalize_word brings to normal form once.
     column is where text starts in its line, so that an error names the
     column of the line."""
     tokens: list[tuple[str, str, int]] = []  # (kind, value, column)
@@ -380,86 +382,63 @@ def parse_expression(
         if kind == "bad":
             raise ModelSyntaxError(f"unexpected character {mm[kind]!r}", line, col)
         tokens.append((kind, mm[kind], col))
-    idx = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else ("end", "", column + len(text))
-
-    def take():
-        nonlocal idx
-        tok = peek()
-        idx += 1
-        return tok
-
-    def fail(msg, col):
-        raise ModelSyntaxError(msg, line, col)
-
-    def parse_rational(sign: int) -> Fraction:
-        kind, value, col = take()
-        assert kind == "num"
-        num = int(value)
-        if peek()[:2] == ("op", "/"):
-            take()
-            k2, v2, c2 = take()
-            if k2 != "num" or int(v2) == 0:
-                fail("expected a positive integer denominator", c2)
-            return Fraction(sign * num, int(v2))
-        return Fraction(sign * num)
-
-    def parse_factor() -> AlgElement:
-        kind, value, col = take()
-        if kind != "name":
-            fail(f"expected a generator name, got {value!r}", col)
-        try:
-            g = gens.get(value)
-        except UnknownGenerator:
-            fail(f"unknown generator {value!r}", col)
-        exp = 1
-        if peek()[:2] == ("op", "^"):
-            take()
-            k2, v2, c2 = take()
-            if k2 != "num" or int(v2) < 1:
-                fail("expected a positive integer exponent", c2)
-            exp = int(v2)
-        if g.is_odd and exp > 1:
-            return AlgElement.zero(gens)
-        return AlgElement.monomial(gens, Monomial(((g.index, exp),)))
-
-    def parse_term() -> AlgElement:
-        sign = 1
-        while peek()[:2] in (("op", "+"), ("op", "-")):
-            if take()[1] == "-":
-                sign = -sign
-        coeff = Fraction(sign)
-        have_factor = False
-        if peek()[0] == "num":
-            coeff = parse_rational(sign)
-            if peek()[:2] == ("op", "*"):
-                take()
-                have_factor = True
-            elif peek()[0] == "name":
-                have_factor = True
-        elif peek()[0] == "name":
-            have_factor = True
-        else:
-            fail(f"expected a term, got {peek()[1]!r}", peek()[2])
-        result = AlgElement.unit(gens, coeff)
-        if have_factor:
-            result = result * parse_factor()
-            while peek()[:2] == ("op", "*"):
-                take()
-                result = result * parse_factor()
-        return result
-
     if not tokens:
         raise ModelSyntaxError("empty expression", line)
-    total = parse_term()
-    while peek()[:2] in (("op", "+"), ("op", "-")):
-        # leave the sign for parse_term to consume
-        total = total + parse_term()
-    if peek()[0] != "end":
-        fail(f"unexpected token {peek()[1]!r}", peek()[2])
-    return total
+    tokens.append(("end", "", column + len(text)))
+    terms: dict[Monomial, Fraction] = {}
+    i = 0
+    while True:
+        # a term: signs, then a coefficient, '*'-joined factors, or both
+        sign = 1
+        while tokens[i][1] in ("+", "-"):
+            sign = -sign if tokens[i][1] == "-" else sign
+            i += 1
+        coeff, factors = Fraction(sign), []
+        kind, value, col = tokens[i]
+        if kind == "num":
+            coeff *= int(value)
+            if tokens[i + 1][1] == "/":
+                kind, value, col = tokens[i + 2]
+                if kind != "num" or int(value) == 0:
+                    raise ModelSyntaxError("expected a positive integer denominator", line, col)
+                coeff /= int(value)
+                i += 2
+            i += 1
+            more = tokens[i][0] == "name" or tokens[i][1] == "*"
+            if tokens[i][1] == "*":
+                i += 1
+        elif kind == "name":
+            more = True
+        else:
+            raise ModelSyntaxError(f"expected a term, got {value!r}", line, col)
+        while more:
+            kind, value, col = tokens[i]
+            if kind != "name":
+                raise ModelSyntaxError(f"expected a generator name, got {value!r}", line, col)
+            if value not in gens.by_name:
+                raise ModelSyntaxError(f"unknown generator {value!r}", line, col)
+            exp = 1
+            if tokens[i + 1][1] == "^":
+                kind, digits, col = tokens[i + 2]
+                if kind != "num" or int(digits) < 1:
+                    raise ModelSyntaxError("expected a positive integer exponent", line, col)
+                exp, i = int(digits), i + 2
+            factors.append((gens.by_name[value].index, exp))
+            more = tokens[i + 1][1] == "*"
+            i += 2 if more else 1
+        norm = normalize_word(gens, factors)  # None: an odd generator twice
+        if norm is not None:
+            koszul, mono = norm
+            c = terms.get(mono, 0) + koszul * coeff
+            if c:
+                terms[mono] = c
+            else:
+                terms.pop(mono, None)  # so a later term on mono comes last, as in a sum
+        if tokens[i][1] not in ("+", "-"):
+            break
+    if tokens[i][0] != "end":
+        raise ModelSyntaxError(f"unexpected token {tokens[i][1]!r}", line, tokens[i][2])
+    return AlgElement(gens, terms)
 
 
 # the line kinds each section takes; a fibration's bound goes in its
@@ -590,7 +569,7 @@ def parse_document(text: str) -> list[ModelLike]:
         base, fsec = sec.parts["base"].space(), sec.parts["fiber"]
         fiber_gens = GenSet(fsec.gens)
         fiber_diff = fsec.diff(fiber_gens) if fsec.dlines else None
-        total_diff = sec.parts["total"].diff(_fibration_gens(base.gens, fiber_gens))
+        total_diff = sec.parts["total"].diff(GenSet(sec.parts["base"].gens + fsec.gens))
         for name, (_, lineno, _) in sec.parts["total"].dlines.items():
             if name in base.gens.by_name:
                 raise ModelSyntaxError(

@@ -111,7 +111,7 @@ def oracle_mul(gens: GenSet, a: dict, b: dict) -> dict:
 
 
 def oracle_operator(gens: GenSet, values: dict, parity: int, element: AlgElement) -> dict:
-    """Dense word-by-word Leibniz expansion, independent of leibniz_apply.
+    """Dense word-by-word Leibniz expansion, independent of apply_images.
 
     values maps generator index -> {Monomial: coeff}; parity is the operator
     degree parity.  Returns a {Monomial: coeff} dict.

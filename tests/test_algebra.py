@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,7 @@ from rht.algebra import (
     MAX_BASIS,
     MIXED,
     UNIT,
-    apply_to_monomial,
-    leibniz_apply,
+    apply_images,
     monomial_images,
     normalize_word,
 )
@@ -156,6 +156,30 @@ def test_format_round_trips_signs():
     assert y.format() == "1/3 - 2*a*b"
 
 
+class _Half(Fraction):
+    """A numbers.Rational that is neither an int nor a Fraction itself."""
+
+
+ENTRY_POINTS = {
+    "init": lambda c: AlgElement(GENS, {Monomial(((2, 1),)): c}),
+    "unit": lambda c: AlgElement.unit(GENS, c),
+    "monomial": lambda c: AlgElement.monomial(GENS, Monomial(((2, 1),)), c),
+    "scale": lambda c: AlgElement.gen(GENS, "c").scale(c),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_coefficients_are_exact_rationals(entry):
+    # linalg's rule: int and Fraction pass, any other rational becomes a
+    # Fraction, and an inexact number is refused rather than stored
+    make = ENTRY_POINTS[entry]
+    assert make(2) == make(Fraction(4, 2)) == make(True) + make(_Half(1))
+    assert all(type(c) is Fraction for c in make(_Half(1, 2)).terms.values())
+    for inexact in (0.1, Decimal("0.1"), "1/3"):
+        with pytest.raises(TypeError):
+            make(inexact)
+
+
 # ----------------------------------------------------------------------
 # bases
 
@@ -242,7 +266,7 @@ def test_leibniz_matches_dense_oracle(x, parity, data):
         if data.draw(st.booleans()):
             val = data.draw(elements(max_terms=2))
             values[g.index] = val
-    got = leibniz_apply(GENS, values, parity, x)
+    got = apply_images(GENS, monomial_images(GENS, values), parity, x)
     oracle = oracle_operator(GENS, {i: as_dict(v) for i, v in values.items()}, parity, x)
     assert as_dict(got) == oracle
 
@@ -262,8 +286,9 @@ def test_kernel_matches_dense_oracle_on_every_monomial(parity):
         images = monomial_images(GENS, values)
         dense = {i: as_dict(v) for i, v in values.items()}
         for mono in monomials:
-            got = apply_to_monomial(GENS, images, parity, mono)
-            want = oracle_operator(GENS, dense, parity, AlgElement.monomial(GENS, mono))
+            element = AlgElement.monomial(GENS, mono)
+            got = as_dict(apply_images(GENS, images, parity, element))
+            want = oracle_operator(GENS, dense, parity, element)
             assert got == want, (mono.format(GENS), values)
 
 
@@ -272,8 +297,7 @@ def test_leibniz_on_product_rule():
     values = {GENS.get("a").index: AlgElement.unit(GENS)}  # a -> 1, shift 3
     x = AlgElement.gen(GENS, "a")
     y = AlgElement.gen(GENS, "b") * AlgElement.gen(GENS, "c")
-    lhs = leibniz_apply(GENS, values, 1, x * y)
-    rhs = leibniz_apply(GENS, values, 1, x) * y + (-1) ** 3 * (
-        x * leibniz_apply(GENS, values, 1, y)
-    )
+    images = monomial_images(GENS, values)
+    lhs = apply_images(GENS, images, 1, x * y)
+    rhs = apply_images(GENS, images, 1, x) * y + (-1) ** 3 * (x * apply_images(GENS, images, 1, y))
     assert lhs == rhs

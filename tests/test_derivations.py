@@ -180,7 +180,7 @@ def oracle_boundary_column(cx, n, j):
             value[m] = value.get(m, 0) - (-1) ** n * c
         for m, c in value.items():
             if c:
-                column[cx.slice(n - 1).index()[(gv.index, m.exponents)]] = c
+                column[cx.slice(n - 1).index[(gv.index, m.exponents)]] = c
     return column
 
 
@@ -223,6 +223,18 @@ def test_homology_is_built_once_per_complex(su5_bundle, ex44):
             cx = DerComplex(m, scope)
             for n in range(1, top_of(m) + 1):
                 assert cx.homology(n) is cx.homology(n), (m, scope, n)
+
+
+def test_slice_index_is_built_once_per_slice(su5_bundle):
+    # bracket indexes the target slice and positions reads the same dict
+    relative, ideal = DerComplex(su5_bundle, RELATIVE), DerComplex(su5_bundle, IDEAL)
+    for n in range(1, top_of(su5_bundle)):
+        target = relative.slice(n)
+        relative.boundary(n + 1)
+        index = target.index
+        ideal.positions(relative, n)
+        assert target.index is index, n
+        assert index == {(w.index, m.exponents): i for i, (w, m) in enumerate(target.pairs)}
 
 
 def test_restriction_is_chain_map(su5_bundle, ex44, ex47):

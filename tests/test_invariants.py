@@ -98,7 +98,7 @@ def pair_vector(m, n, scope, gen_name, mono_factors):
     basis = DerComplex(m, scope).slice(n)
     gens = basis.value_gens
     mono = Monomial(tuple((gens.get(g).index, e) for g, e in mono_factors))
-    return {basis.index()[(gens.get(gen_name).index, mono.exponents)]: 1}
+    return {basis.index[(gens.get(gen_name).index, mono.exponents)]: 1}
 
 
 def test_absolute_der_homology_dims(su5):
