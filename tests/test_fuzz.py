@@ -86,8 +86,9 @@ def run(argv: list[str]) -> tuple[object, str]:
 def test_mutated_files_end_in_a_message(tmp_path):
     rng = random.Random(SEED)
     base = str(FIXTURES / "base-qt.smf")
-    problems, calls = [], 0
-    for fixture in sorted(FIXTURES.rglob("*.smf")):
+    fixtures = sorted(FIXTURES.rglob("*.smf"))
+    problems = []
+    for fixture in fixtures:
         text = fixture.read_text(encoding="utf-8")
         for k in range(MUTANTS_PER_FILE):
             path = tmp_path / f"{fixture.stem}-{k}.smf"
@@ -95,8 +96,7 @@ def test_mutated_files_end_in_a_message(tmp_path):
             cmd = rng.choice(SUBCOMMANDS)
             argv = [cmd, str(path), *([base] if cmd == "enumerate" else [])]
             code, err = run(argv)
-            calls += 1
             if code not in (0, 1, 2) or err.count("\n") > 1:
                 problems.append(f"{' '.join(argv)}: {code!r}, stderr {err!r}\n{path.read_text()}")
-    assert calls == MUTANTS_PER_FILE * len(list(FIXTURES.rglob("*.smf")))
+    calls = MUTANTS_PER_FILE * len(fixtures)
     assert not problems, f"{len(problems)} of {calls} calls:\n" + "\n".join(problems[:5])
