@@ -5,9 +5,10 @@ Elements live in Lambda(g_1, ..., g_k) where each generator carries a degree
 generators commute freely.  Monomials are kept in a normal form sorted by
 generator declaration index, with the Koszul sign accumulated on the way.
 Degree bases are built from per-GenSet lists of exponent tuples over each
-suffix of the generators, kept for the set's life; matrices and the Leibniz
-kernel work on those tuples, and a Monomial is made only for an element or
-a printed basis.
+suffix of the generators, kept for the set's life.  The Leibniz kernel and
+the matrices work on packed monomials, one int per monomial with a field
+per generator (_Packing), and a Monomial is made only for an element or a
+printed basis.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -30,6 +32,12 @@ MIXED = object()  # sentinel returned by AlgElement.degree() for inhomogeneous e
 # Largest degree basis any computation may build; above it the count alone
 # is reported.  The largest basis of any fixture or benchmark has 331.
 MAX_BASIS = 50_000
+
+# An even generator's exponent is a DIGIT-bit field of a packed monomial.
+# Packing refuses an exponent of 2^(DIGIT - 1) or more, so the sum of two
+# packed monomials never carries from one field into the next.  A degree
+# basis reaches such an exponent only in a degree past 2^DIGIT.
+DIGIT = 32
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,8 @@ class GenSet:
     (counts) and the suffix lists the bases are built from (suffix).  The
     lists hold exponent tuples, which the bases' monomials share, so they
     cost a list slot per monomial and a tuple per monomial over a proper
-    suffix.
+    suffix.  The layout of its packed monomials, and the packed degree
+    bases the Leibniz kernel reads (keys), are built on first use.
     """
 
     def __init__(self, gens: Iterable[tuple[str, int]]):
@@ -138,6 +147,23 @@ class GenSet:
                 out += self.suffix(i + 1, m)
             lists[m] = out
         return lists[m]
+
+    @cached_property
+    def _packing(self) -> "_Packing":
+        return _Packing(self)
+
+    def keys(self, n: int) -> list[int]:
+        """The packed monomials of basis(n), in its order, built on first use;
+        callers must not change the list."""
+        keys = self._packing.keys
+        if n not in keys:
+            keys[n] = _pack_basis(self, n)
+        return keys[n]
+
+    def pack(self, exponents: Iterable[tuple[int, int]]) -> int:
+        """The packed monomial of an exponent tuple; CombinatorialBlowup for an
+        exponent a field cannot hold."""
+        return self._packing.pack(exponents)
 
     def even(self) -> "GenSet":
         """The even generators, in order, as a set of their own, built on first use.
@@ -419,44 +445,169 @@ def monomial_images(gens: GenSet, values: Mapping[int, AlgElement]) -> dict:
     }
 
 
-def _leibniz(gens: GenSet, images: Mapping, parity: int, exps: tuple) -> dict[tuple, Rational]:
-    """apply_images on one monomial's exponent tuple, with the output keyed by
-    exponent tuples, as the matrices index.
+class _Packing:
+    """The packed monomials over one GenSet, and the masks the kernel reads.
 
-    For each factor g^e with an image, one g is removed and the exponents of
-    each image term are added to the rest.  The Koszul sign is
-    (-1)^(parity * |factors before g|) times (-1) for every odd generator of
-    the rest lying strictly between g and an odd generator of the term; the
-    term is zero when one of its odd generators is already in the rest.
+    A monomial is one int.  The exponent (0 or 1) of the j-th odd generator
+    is bit j; that of each even generator is a DIGIT-bit field above the odd
+    bits, in declaration order.  So a product is a sum, two monomials share
+    an odd generator when their odd bits AND to nonzero, and the odd
+    generators of a monomial in a set of positions are its bits under a
+    mask: below[i] holds those before gens[i].  keys keeps the packed
+    degree bases (GenSet.keys), and images each generator image compiled
+    (_Operator), by (generator, image, parity), since the models of one set,
+    such as the candidates of an enumeration, share most of their images.
     """
-    out: dict[tuple, Rational] = {}
-    odd_prefix = 0
-    for g, e in exps:
-        image = images.get(g)
-        if image:
-            rest = dict(exps)
-            if e > 1:
-                rest[g] = e - 1
+
+    __slots__ = ("gens", "shift", "field", "limit", "odd", "below", "keys", "images")
+
+    def __init__(self, gens: GenSet):
+        odd = [g.degree % 2 for g in gens.gens]
+        shift, below, field, j, at = [], [0], [], 0, odd.count(1)  # odd bits, then the fields
+        for o in odd:
+            if o:
+                shift.append(j)
+                field.append(1)
+                j += 1
             else:
-                del rest[g]
-            odd_rest = [i for i in rest if gens.gens[i].degree % 2]
-            scale = -e if parity % 2 and odd_prefix else e
-            for term, c in image:
-                new, sign = dict(rest), scale
-                for x, ex in term:
-                    if gens.gens[x].degree % 2:
-                        if x in rest:
-                            break
-                        lo, hi = (x, g) if x < g else (g, x)
-                        for i in odd_rest:
-                            if lo < i < hi:
-                                sign = -sign
-                    new[x] = new.get(x, 0) + ex
-                else:
-                    key = tuple(sorted(new.items()))
-                    out[key] = out.get(key, 0) + sign * c
-        odd_prefix ^= e * gens.gens[g].degree % 2
-    return {t: c for t, c in out.items() if c}
+                shift.append(at)
+                field.append((1 << DIGIT) - 1)
+                at += DIGIT
+            below.append((1 << j) - 1)
+        self.gens, self.shift, self.below, self.field, self.odd = gens, shift, below, field, below[-1]
+        self.limit = [f >> 1 or 1 for f in field]  # so a sum of two never carries
+        self.keys: dict[int, list[int]] = {}
+        self.images: dict[tuple, tuple] = {}
+
+    def pack(self, exponents: Iterable[tuple[int, int]]) -> int:
+        key, limit, shift = 0, self.limit, self.shift
+        for i, e in exponents:
+            if e > limit[i]:
+                raise CombinatorialBlowup(
+                    f"exponent {e} of {self.gens[i].name} is more than {limit[i]},"
+                    " the most a packed monomial holds"
+                )
+            key += e << shift[i]
+        return key
+
+    def unpack(self, key: int) -> tuple[tuple[int, int], ...]:
+        out = []
+        for i, s in enumerate(self.shift):
+            e = key >> s & self.field[i]
+            if e:
+                out.append((i, e))
+        return tuple(out)
+
+
+def _pack_basis(gens: GenSet, n: int) -> list[int]:
+    """The packed monomials of basis_in_degree(gens, n), in its order.
+
+    An exponent in degree n is at most n/2, so the degree alone decides
+    whether every field holds it."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    if not gens.size(n):
+        return []
+    if n >> DIGIT:
+        raise CombinatorialBlowup(f"degree {n} has exponents a packed monomial cannot hold")
+    shift = gens._packing.shift
+    out = []
+    for t in gens.suffix(0, n):
+        key = 0
+        for i, e in t:
+            key += e << shift[i]
+        out.append(key)
+    return out
+
+
+class _Operator:
+    """Generator images (monomial_images form) compiled for the Leibniz kernel,
+    for an operator of one parity.
+
+    entries is what _leibniz reads: one _image per generator with an image,
+    in index order.  terms keeps each image as packed terms ((key, coeff),
+    ...), and held the generators each image holds; DerComplex.bracket reads
+    both.
+    """
+
+    __slots__ = ("entries", "terms", "held")
+
+    def __init__(self, gens: GenSet, images: Mapping, parity: int):
+        self.terms, self.held, entries = {}, {}, []
+        for g in sorted(images):
+            if images[g]:  # so a set whose images are all zero builds no packing
+                memo, key = gens._packing.images, (g, images[g], parity % 2)
+                if key not in memo:
+                    terms = tuple([(gens.pack(t), c) for t, c in images[g]])
+                    held = frozenset(x for t, _ in images[g] for x, _ in t)
+                    memo[key] = terms, held, _image(gens, g, terms, parity)
+                self.terms[g], self.held[g], entry = memo[key]
+                entries.append(entry)
+        self.entries = tuple(entries)
+
+
+def _image(gens: GenSet, g: int, terms: Iterable[tuple[int, Rational]], parity: int) -> tuple:
+    """The packed image ((key, coeff), ...) of the generator g compiled for
+    _leibniz: (shift, field, unit, terms), each term (key, odd bits, sign
+    mask, coeff).
+
+    The sign mask is the XOR of the odd generators strictly between g and
+    each odd factor of the term and, for an odd operator, of those before g:
+    the Koszul sign of the term at a monomial is the parity of the odd
+    generators of the rest (the monomial less one g) under the mask.
+    """
+    p = gens._packing
+    below, through, odd = p.below[g], p.below[g + 1], p.odd
+    prefix = below if parity % 2 else 0
+    compiled = []
+    for key, c in terms:
+        mask, bits = prefix, key & odd
+        while bits:
+            low = bits & -bits  # an odd factor x: those strictly between x and g
+            mask ^= below ^ ((low << 1) - 1) if low & below else (low - 1) ^ through
+            bits ^= low
+        compiled.append((key, key & odd, mask, c))
+    return p.shift[g], p.field[g], 1 << p.shift[g], tuple(compiled)
+
+
+def _leibniz(images: tuple, key: int, out: dict, coeff: Rational = 1) -> dict:
+    """Add coeff times the image of the packed monomial key under compiled
+    images (_Operator.entries) to out, and return out.
+
+    For each generator g of the monomial with an image, one g comes off,
+    leaving rest, and each term of the image goes on: a term sharing an odd
+    generator with rest gives zero, any other adds rest + term times the
+    exponent of g and the Koszul sign under the term's mask.
+    """
+    for shift, field, unit, terms in images:
+        e = key >> shift & field
+        if e:
+            rest, e = key - unit, e * coeff
+            for tkey, odd, mask, c in terms:
+                if not rest & odd:
+                    k = rest + tkey
+                    out[k] = out.get(k, 0) + (-e * c if (rest & mask).bit_count() & 1 else e * c)
+    return out
+
+
+def _sum(images: tuple, terms: Iterable[tuple[int, Rational]]) -> dict[int, Rational]:
+    """The image of sum coeff*key over packed terms under compiled images,
+    without the terms that cancel."""
+    out: dict[int, Rational] = {}
+    for key, coeff in terms:
+        for k, c in _leibniz(images, key, {}).items():
+            if c:
+                out[k] = out.get(k, 0) + coeff * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _apply(gens: GenSet, op: _Operator, element: AlgElement) -> AlgElement:
+    """The image of an element under an operator, packed and unpacked at this boundary."""
+    if element.gens != gens:
+        raise GeneratorSetMismatch("element over a different generator set")
+    p = gens._packing
+    out = _sum(op.entries, [(p.pack(m.exponents), c) for m, c in element.terms.items()])
+    return AlgElement(gens, {Monomial(p.unpack(k)): c for k, c in out.items()})
 
 
 def apply_images(gens: GenSet, images: Mapping, parity: int, element: AlgElement) -> AlgElement:
@@ -464,10 +615,4 @@ def apply_images(gens: GenSet, images: Mapping, parity: int, element: AlgElement
     Leibniz rule; a generator without an image goes to zero.  parity is that of
     the operator's degree: passing a factor x costs (-1)^(parity*|x|), so one rule
     serves differentials (parity 1) and derivations of shift n (parity n % 2)."""
-    if element.gens != gens:
-        raise GeneratorSetMismatch("element over a different generator set")
-    out: dict[tuple, Fraction] = {}
-    for mono, coeff in element.terms.items():
-        for t, c in _leibniz(gens, images, parity, mono.exponents).items():
-            out[t] = out.get(t, 0) + coeff * c
-    return AlgElement(gens, {Monomial(t): c for t, c in out.items()})
+    return _apply(gens, _Operator(gens, images, parity), element)

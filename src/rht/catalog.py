@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import AlgElement, Generator, Monomial, apply_images
+from .algebra import AlgElement, Generator, Monomial, _apply, _Operator
 from .derivations import RELATIVE, DerComplex, dual_frame, frame_degrees
 from .errors import CombinatorialBlowup, DuplicateId, FiberMismatch, NotFiniteAtBound
 from .invariants import (
@@ -309,15 +309,15 @@ def _square_terms(total: SullivanModel, slots: list[tuple[int, tuple]]):
             pieces[u].append((s, t, piece))
 
     for s, (w, m) in enumerate(slots):
-        theta = {w: ((m, 1),)}
+        theta = _Operator(gens, {w: ((m, 1),)}, 1)  # once per slot, for every element
         linear: dict[tuple[int, Monomial], Fraction] = {}
-        images = [(i, apply_images(gens, theta, 1, dw)) for i, dw in diffs]
+        images = [(i, _apply(gens, theta, dw)) for i, dw in diffs]
         for i, image in [*images, (w, total.d(monos[s]))]:
             for mono, c in image.terms.items():
                 linear[i, mono] = linear.get((i, mono), 0) + c
         file(s, None, linear)
         for t in holding.get(w, ()):  # theta_s(m_t) = 0 unless w_s divides m_t
-            image = apply_images(gens, theta, 1, monos[t]).terms
+            image = _apply(gens, theta, monos[t]).terms
             file(s, t, {(slots[t][0], mono): c for mono, c in image.items()})
     complete: list[list] = [[] for _ in slots]
     for k, u in last.items():

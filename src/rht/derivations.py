@@ -21,7 +21,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .algebra import AlgElement, GenSet, Generator, Monomial, _leibniz, apply_images, monomial_images
+from .algebra import (
+    AlgElement,
+    GenSet,
+    Generator,
+    Monomial,
+    _image,
+    _leibniz,
+    _Operator,
+    apply_images,
+    monomial_images,
+)
 from .linalg import HomologySlice, RatMatrix
 from .model import ModelLike, RelativeModel, SullivanModel
 
@@ -64,16 +74,17 @@ class ComplexSlice:
     pairs: tuple[tuple[Generator, Monomial], ...]
     value_gens: GenSet
     domain_gens: GenSet
+    keys: tuple[tuple[int, int], ...]  # (generator index, packed monomial) of each pair
 
     @property
     def dim(self) -> int:
         return len(self.pairs)
 
     @cached_property
-    def index(self) -> dict[tuple[int, tuple], int]:
-        """Position of each pair, keyed by (generator index, exponent tuple);
-        built on first use, callers must not change it."""
-        return {(g.index, m.exponents): i for i, (g, m) in enumerate(self.pairs)}
+    def index(self) -> dict[tuple[int, int], int]:
+        """Position of each pair, keyed as in keys: (generator index, packed
+        monomial); built on first use, callers must not change it."""
+        return {k: i for i, k in enumerate(self.keys)}
 
     def derivation(self, i: int) -> Derivation:
         g, m = self.pairs[i]
@@ -112,6 +123,7 @@ class DerComplex:
         self._boundaries: dict[int, RatMatrix] = {}
         self._evaluations: dict[int, RatMatrix] = {}
         self._h: dict[int, HomologySlice] = {}
+        self._twists: dict[tuple, _Operator] = {}  # images of E -> E compiled
 
     def slice(self, n: int) -> ComplexSlice:
         """All pairs (w, monomial) with |w| - |monomial| = n, filtered by scope."""
@@ -120,17 +132,20 @@ class DerComplex:
         if n < 0:
             raise ValueError("derivation degree must be nonnegative")
         gens = self.model.gens
-        pairs = []
+        pairs, keys = [], []
         for g in self.domain:
             w = gens.get(g.name)
             deg = w.degree - n
             if deg < 0:
                 continue
             self.model.check_bound(deg)
-            for mono in gens.basis(deg):
+            for mono, key in zip(gens.basis(deg), gens.keys(deg)):
                 if self._keep is None or self._keep(mono):
                     pairs.append((w, mono))
-        self._slices[n] = ComplexSlice(n, self.scope, tuple(pairs), gens, self.domain)
+                    keys.append((w.index, key))
+        self._slices[n] = ComplexSlice(
+            n, self.scope, tuple(pairs), gens, self.domain, tuple(keys)
+        )
         return self._slices[n]
 
     def boundary(self, n: int) -> RatMatrix:
@@ -146,39 +161,43 @@ class DerComplex:
         generator images in ``monomial_images`` form; [E, s] = E.s - (-1)^n s.E.
         The bracket is linear in E: E = d gives the boundary, and a model
         twisted by sum_s c_s theta_s has boundary delta + sum_s c_s [theta_s, -].
-        A domain generator that E sends to zero adds nothing to the column
-        of a pair on another generator, so it is skipped.
+        The column of the pair (w, m) is E(m) at w and, at each domain
+        generator v whose E(v) holds w, the image of E(v) under the pair's
+        derivation; both go through the Leibniz kernel.
         """
         if n < 1:
             raise ValueError("boundary starts at shift 1")
         src = self.slice(n)
         tgt = self.slice(n - 1)
         gens = self.model.gens
-        tgt_index = tgt.index
+        op = self.model.operator if images is self.model.images else self._twist(images)
+        index = tgt.index
         sign = -1 if n % 2 == 0 else 1  # -(-1)^n
-        gen_images = []
+        gen_images = []  # (index, packed image under E, the generators in it)
         for g in self.domain:
             i = gens.get(g.name).index
-            gen_images.append((i, images.get(i, ())))
+            gen_images.append((i, op.terms.get(i, ()), op.held.get(i, ())))
         columns = []
-        for w, mono in src.pairs:
-            theta = {w.index: ((mono.exponents, 1),)}
-            col = {}
-            for gi, image in gen_images:
-                if gi == w.index:
-                    val = _leibniz(gens, images, 1, mono.exponents)
-                elif image:
-                    val = {}
-                else:
-                    continue
-                for term, c in image:
-                    for mm, v in _leibniz(gens, theta, n, term).items():
-                        val[mm] = val.get(mm, 0) + sign * c * v
-                for mm, c in val.items():
+        for w, key in src.keys:
+            theta, col = None, {}
+            for gi, image, held in gen_images:
+                val = {k: c for k, c in _leibniz(op.entries, key, {}).items() if c} if gi == w else {}
+                if w in held:  # else the pair's derivation kills E(gi)
+                    theta = theta or (_image(gens, w, ((key, 1),), n),)
+                    for term, c in image:
+                        _leibniz(theta, term, val, sign * c)
+                for k, c in val.items():
                     if c:
-                        col[tgt_index[(gi, mm)]] = c
+                        col[index[gi, k]] = c
             columns.append(col)
         return RatMatrix(tgt.dim, columns)
+
+    def _twist(self, images: Mapping) -> _Operator:
+        """Any E but the model's d, compiled once per complex, not once per shift."""
+        key = tuple(images.items())
+        if key not in self._twists:
+            self._twists[key] = _Operator(self.model.gens, images, 1)
+        return self._twists[key]
 
     def homology(self, n: int) -> HomologySlice:
         """H_n, from the boundaries into and out of the shift-n slice."""
@@ -193,13 +212,16 @@ class DerComplex:
         relative), the restriction p_V (relative to absolute), its section
         (absolute to relative) and the projection onto the ideal pairs.
         """
-        index = other.slice(n).index
-        pairs = self.slice(n).pairs
+        index, src = other.slice(n).index, self.slice(n)
         if self.model is other.model:
-            return [index.get((w.index, m.exponents)) for w, m in pairs]
+            return [index.get(k) for k in src.keys]
         f, gens = self.source, other.model.gens
         move = f.fiber_exponents if other.scope == ABSOLUTE else f.total_exponents
-        return [index.get((gens.get(w.name).index, move(m.exponents))) for w, m in pairs]
+        out = []
+        for w, m in src.pairs:
+            e = move(m.exponents)  # None: a base generator, which p_V kills
+            out.append(None if e is None else index.get((gens.get(w.name).index, gens.pack(e))))
+        return out
 
     def map_to(self, other: "DerComplex", n: int) -> RatMatrix:
         """The 0/1 matrix of ``positions``: each pair to the same pair or to zero."""

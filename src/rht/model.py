@@ -34,8 +34,10 @@ from .algebra import (
     AlgElement,
     GenSet,
     Monomial,
+    _apply,
+    _Operator,
+    _sum,
     _leibniz,
-    apply_images,
     monomial_images,
     normalize_word,
 )
@@ -84,7 +86,7 @@ class SullivanModel:
 
     def d(self, element: AlgElement) -> AlgElement:
         """Apply the differential (degree +1 derivation) to any element."""
-        return apply_images(self.gens, self.images, 1, element)
+        return _apply(self.gens, self.operator, element)
 
     # --- validation ---------------------------------------------------
 
@@ -97,11 +99,13 @@ class SullivanModel:
                     f"d({gname}) must be homogeneous of degree {g.degree + 1}, "
                     f"got degree {deg if deg is not MIXED else 'mixed'}"
                 )
+        # d compiled for the Leibniz kernel, once per model; only now, so a d
+        # line of the wrong degree is refused as such before anything is packed
+        self.operator = _Operator(self.gens, self.images, 1)
+        op = self.operator
         for g in self.gens:  # declaration order: the first failure is reported
-            if g.name in self.diff:
-                dd = self.d(self.diff[g.name])
-                if not dd.is_zero():
-                    raise NotClosed(f"d(d({g.name})) = {dd.format()} != 0")
+            if g.index in op.terms and _sum(op.entries, op.terms[g.index]):
+                raise NotClosed(f"d(d({g.name})) = {self.d(self.diff[g.name]).format()} != 0")
 
     @property
     def is_minimal(self) -> bool:
@@ -312,16 +316,20 @@ class Cochains:
         # d(-1) is the zero map into H^0
         return self.model.gens.basis(n) if n >= 0 else []
 
+    def keys(self, n: int) -> list[int]:
+        """The degree-n basis as packed monomials, in the same order; d reads only these."""
+        return self.model.gens.keys(n) if n >= 0 else []
+
     def d(self, n: int) -> RatMatrix:
         """Matrix of d from the degree-n basis to the degree-(n+1) basis."""
         if n not in self._d:
-            m, src = self.model, self.basis(n)
-            tgt_index = {mono.exponents: i for i, mono in enumerate(self.basis(n + 1))}
+            images = self.model.operator.entries
+            index = {k: i for i, k in enumerate(self.keys(n + 1))}
             columns = [
-                {tgt_index[t]: c for t, c in _leibniz(m.gens, m.images, 1, mono.exponents).items()}
-                for mono in src
+                {index[k]: c for k, c in _leibniz(images, key, {}).items() if c}
+                for key in self.keys(n)
             ]
-            self._d[n] = RatMatrix(len(tgt_index), columns)
+            self._d[n] = RatMatrix(len(index), columns)
         return self._d[n]
 
     def homology(self, n: int) -> HomologySlice:

@@ -92,7 +92,7 @@ def test_01_absolute_derivation_homology_table(su5):
                 mono = Monomial(
                     tuple((su5.gens.get(g).index, e) for g, e in factors)
                 )
-                idx = basis.index[(su5.gens.get(gen_name).index, mono.exponents)]
+                idx = basis.index[(su5.gens.get(gen_name).index, su5.gens.pack(mono.exponents))]
                 vec = {idx: 1}
                 assert delta.apply(vec) == {}
                 coords.append([h.coords(vec).get(i, 0) for i in range(h.dim)])

@@ -180,7 +180,7 @@ def oracle_boundary_column(cx, n, j):
             value[m] = value.get(m, 0) - (-1) ** n * c
         for m, c in value.items():
             if c:
-                column[cx.slice(n - 1).index[(gv.index, m.exponents)]] = c
+                column[cx.slice(n - 1).index[(gv.index, gens.pack(m.exponents))]] = c
     return column
 
 
@@ -234,7 +234,8 @@ def test_slice_index_is_built_once_per_slice(su5_bundle):
         index = target.index
         ideal.positions(relative, n)
         assert target.index is index, n
-        assert index == {(w.index, m.exponents): i for i, (w, m) in enumerate(target.pairs)}
+        pack = target.value_gens.pack
+        assert index == {(w.index, pack(m.exponents)): i for i, (w, m) in enumerate(target.pairs)}
 
 
 def test_restriction_is_chain_map(su5_bundle, ex44, ex47):

@@ -98,7 +98,7 @@ def pair_vector(m, n, scope, gen_name, mono_factors):
     basis = DerComplex(m, scope).slice(n)
     gens = basis.value_gens
     mono = Monomial(tuple((gens.get(g).index, e) for g, e in mono_factors))
-    return {basis.index[(gens.get(gen_name).index, mono.exponents)]: 1}
+    return {basis.index[(gens.get(gen_name).index, gens.pack(mono.exponents))]: 1}
 
 
 def test_absolute_der_homology_dims(su5):
@@ -564,8 +564,11 @@ def test_pure_quotient_leaves_undecided_models_to_the_window():
 
 def test_finiteness_window_reads_only_its_window(monkeypatch):
     bases, pure_bases, slices, diffs, kernels, read, built = [], [], [], [], [], [], []
-    real_basis, real_slice, real_d = (
-        rht.model.Cochains.basis, rht.model.HomologySlice, rht.model.Cochains.d
+    real_basis, real_keys, real_slice, real_d = (
+        rht.model.Cochains.basis,
+        rht.model.Cochains.keys,
+        rht.model.HomologySlice,
+        rht.model.Cochains.d,
     )
     real_even, real_gens_basis = rht.algebra.GenSet.even, rht.algebra.GenSet.basis
     quotients = []  # the generator sets of the pure quotients read
@@ -573,10 +576,15 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
     real_reps = rht.linalg.HomologySlice.representatives
     real_homology = rht.model.Cochains.homology
 
-    # bases read through Cochains, which its GenSet may have built already
+    # bases read through Cochains, which its GenSet may have built already:
+    # as monomials (basis) or, for d, as packed monomials (keys)
     def counting_basis(self, n):
         bases.append(n)
         return real_basis(self, n)
+
+    def counting_keys(self, n):
+        bases.append(n)
+        return real_keys(self, n)
 
     def recording_even(gens):
         quotients.append(real_even(gens))
@@ -609,6 +617,7 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
         return built[-1][1]
 
     monkeypatch.setattr(rht.model.Cochains, "basis", counting_basis)
+    monkeypatch.setattr(rht.model.Cochains, "keys", counting_keys)
     monkeypatch.setattr(rht.algebra.GenSet, "even", recording_even)
     monkeypatch.setattr(rht.algebra.GenSet, "basis", counting_pure_basis)
     monkeypatch.setattr(rht.model, "HomologySlice", counting_slice)
@@ -687,15 +696,22 @@ def test_toral_scan_reads_down_from_the_top(su4_fixtures, monkeypatch):
 
 
 def test_each_degree_basis_is_built_once_per_call(monkeypatch):
-    built = []
-    real_basis = rht.algebra.basis_in_degree
+    built, packed = [], []
+    real_basis, real_pack = rht.algebra.basis_in_degree, rht.algebra._pack_basis
 
     def counting_basis(gens, n):
         built.append((gens, n))
         return real_basis(gens, n)
 
-    # GenSet.basis builds the bases every Cochains reads
+    def counting_pack(gens, n):
+        packed.append((gens, n))
+        return real_pack(gens, n)
+
+    # GenSet.basis builds the bases every Cochains reads, and GenSet.keys
+    # their packed key lists, which Cochains.d and the slices read
     monkeypatch.setattr(rht.algebra, "basis_in_degree", counting_basis)
+    monkeypatch.setattr(rht.algebra, "_pack_basis", counting_pack)
+    keyed = set()  # the calls that built a key list
     for m in fixture_models():
         total = total_of(m)
         calls = {
@@ -710,12 +726,18 @@ def test_each_degree_basis_is_built_once_per_call(monkeypatch):
             calls["toral_certificate"] = lambda: toral_certificate(m)
         for name, call in calls.items():
             built.clear()
+            packed.clear()
             try:
                 call()
             except BoundExceeded:
                 pass  # wedge.smf: its window passes its bound
             repeats = {n: k for (_, n), k in Counter(built).items() if k > 1}
             assert not repeats, (m.name, name, repeats)
+            repeats = {n: k for (_, n), k in Counter(packed).items() if k > 1}
+            assert not repeats, (m.name, name, "keys", repeats)
+            keyed.update([name] if packed else [])
+    # the sets keep their lists, so a later call on the same model may build none
+    assert {"cohomology", "gottlieb"} <= keyed
 
 
 def test_invariant_checks_survive_optimize_flag():
