@@ -154,7 +154,8 @@ class GenSet:
 
     def keys(self, n: int) -> list[int]:
         """The packed monomials of basis(n), in its order, built on first use;
-        callers must not change the list."""
+        callers must not change the list.  Two monomials with no odd generator
+        in common multiply, up to the Koszul sign, to the sum of their keys."""
         keys = self._packing.keys
         if n not in keys:
             keys[n] = _pack_basis(self, n)
@@ -526,22 +527,20 @@ class _Operator:
 
     entries is what _leibniz reads: one _image per generator with an image,
     in index order.  terms keeps each image as packed terms ((key, coeff),
-    ...), and held the generators each image holds; DerComplex.bracket reads
-    both.
+    ...), which DerComplex.bracket reads.
     """
 
-    __slots__ = ("entries", "terms", "held")
+    __slots__ = ("entries", "terms")
 
     def __init__(self, gens: GenSet, images: Mapping, parity: int):
-        self.terms, self.held, entries = {}, {}, []
+        self.terms, entries = {}, []
         for g in sorted(images):
             if images[g]:  # so a set whose images are all zero builds no packing
-                memo, key = gens._packing.images, (g, images[g], parity % 2)
-                if key not in memo:
-                    terms = tuple([(gens.pack(t), c) for t, c in images[g]])
-                    held = frozenset(x for t, _ in images[g] for x, _ in t)
-                    memo[key] = terms, held, _image(gens, g, terms, parity)
-                self.terms[g], self.held[g], entry = memo[key]
+                p, key = gens._packing, (g, images[g], parity % 2)
+                if key not in p.images:
+                    terms = tuple([(p.pack(t), c) for t, c in images[g]])
+                    p.images[key] = terms, _image(gens, g, terms, parity)
+                self.terms[g], entry = p.images[key]
                 entries.append(entry)
         self.entries = tuple(entries)
 

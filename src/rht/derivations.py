@@ -123,7 +123,7 @@ class DerComplex:
         self._boundaries: dict[int, RatMatrix] = {}
         self._evaluations: dict[int, RatMatrix] = {}
         self._h: dict[int, HomologySlice] = {}
-        self._twists: dict[tuple, _Operator] = {}  # images of E -> E compiled
+        self._operators: dict = {}  # see _operator
 
     def slice(self, n: int) -> ComplexSlice:
         """All pairs (w, monomial) with |w| - |monomial| = n, filtered by scope."""
@@ -170,19 +170,24 @@ class DerComplex:
         src = self.slice(n)
         tgt = self.slice(n - 1)
         gens = self.model.gens
-        op = self.model.operator if images is self.model.images else self._twist(images)
+        op, held = self._operator(images)
         index = tgt.index
         sign = -1 if n % 2 == 0 else 1  # -(-1)^n
         gen_images = []  # (index, packed image under E, the generators in it)
         for g in self.domain:
             i = gens.get(g.name).index
-            gen_images.append((i, op.terms.get(i, ()), op.held.get(i, ())))
+            gen_images.append((i, op.terms.get(i, ()), held.get(i, ())))
         columns = []
         for w, key in src.keys:
             theta, col = None, {}
-            for gi, image, held in gen_images:
-                val = {k: c for k, c in _leibniz(op.entries, key, {}).items() if c} if gi == w else {}
-                if w in held:  # else the pair's derivation kills E(gi)
+            for gi, image, holds in gen_images:
+                if gi == w:
+                    val = {k: c for k, c in _leibniz(op.entries, key, {}).items() if c}
+                elif w in holds:
+                    val = {}
+                else:
+                    continue  # the pair's derivation kills E(gi)
+                if w in holds:
                     theta = theta or (_image(gens, w, ((key, 1),), n),)
                     for term, c in image:
                         _leibniz(theta, term, val, sign * c)
@@ -192,12 +197,16 @@ class DerComplex:
             columns.append(col)
         return RatMatrix(tgt.dim, columns)
 
-    def _twist(self, images: Mapping) -> _Operator:
-        """Any E but the model's d, compiled once per complex, not once per shift."""
-        key = tuple(images.items())
-        if key not in self._twists:
-            self._twists[key] = _Operator(self.model.gens, images, 1)
-        return self._twists[key]
+    def _operator(self, images: Mapping) -> tuple[_Operator, dict]:
+        """E compiled, and the generators each of its images holds, once per
+        complex and not once per shift; the model compiles its own d."""
+        key = None if images is self.model.images else tuple(images.items())
+        if key not in self._operators:
+            m = self.model
+            op = m.operator if key is None else _Operator(m.gens, images, 1)
+            held = {i: {x for t, _ in terms for x, _ in t} for i, terms in images.items()}
+            self._operators[key] = op, held
+        return self._operators[key]
 
     def homology(self, n: int) -> HomologySlice:
         """H_n, from the boundaries into and out of the shift-n slice."""

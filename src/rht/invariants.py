@@ -319,7 +319,7 @@ def _pure_quotient_vanishes(m: SullivanModel, fd: int, window: int) -> bool:
     relations = []  # (degree, terms over q) of each nonzero d_s p
     for p in (g for g in m.gens if g.is_odd):
         pure = [
-            (tuple((to_q[i], e) for i, e in t), c)
+            (q.pack((to_q[i], e) for i, e in t), c)
             for t, c in m.images.get(p.index, ())
             if all(i in to_q for i, _ in t)
         ]
@@ -330,17 +330,13 @@ def _pure_quotient_vanishes(m: SullivanModel, fd: int, window: int) -> bool:
     lo = max(start, 0)  # negative degrees are empty
     try:
         for n in range(lo + lo % 2, start + s, 2):
-            index = {mono.exponents: i for i, mono in enumerate(q.basis(n))}
+            index = {k: i for i, k in enumerate(q.keys(n))}
             ideal = Echelon(len(index))
             for r, pure in relations:
-                for mono in q.basis(n - r) if n >= r else ():
-                    vec = {}  # mono times d_s p; distinct terms give distinct products
-                    for t, c in pure:
-                        e = dict(mono.exponents)
-                        for i, x in t:
-                            e[i] = e.get(i, 0) + x
-                        vec[index[tuple(sorted(e.items()))]] = c
-                    ideal.add(vec)
+                for key in q.keys(n - r) if n >= r else ():
+                    # key times d_s p, a sum of packed monomials as q has no odd
+                    # generator; distinct terms give distinct products
+                    ideal.add({index[key + t]: c for t, c in pure})
             if ideal.rank < len(index):
                 return False
     except CombinatorialBlowup:

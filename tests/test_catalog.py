@@ -478,13 +478,18 @@ def test_pure_quotient_bases_are_built_once_per_enumeration(monkeypatch):
     # parent built a quotient set per candidate and 145 bases for 25)
     fiber, base = load("fiber-3-5-9-17.smf")[0], qt_base()
     built = []
-    real_basis = rht.algebra.basis_in_degree
+    real_basis, real_pack = rht.algebra.basis_in_degree, rht.algebra._pack_basis
 
     def counting_basis(gens, n):
         built.append((gens, n))
         return real_basis(gens, n)
 
+    def counting_pack(gens, n):  # the quotient reads its bases packed
+        built.append((gens, ("keys", n)))
+        return real_pack(gens, n)
+
     monkeypatch.setattr(rht.algebra, "basis_in_degree", counting_basis)
+    monkeypatch.setattr(rht.algebra, "_pack_basis", counting_pack)
     cat = enumerate_fibrations(fiber, base, require_finite=True)
     quotient = cat.entries[0][1].total.gens.even()
     pure = Counter(n for gens, n in built if gens is quotient)

@@ -571,6 +571,7 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
         rht.model.Cochains.d,
     )
     real_even, real_gens_basis = rht.algebra.GenSet.even, rht.algebra.GenSet.basis
+    real_gens_keys = rht.algebra.GenSet.keys
     quotients = []  # the generator sets of the pure quotients read
     real_kernel = rht.linalg.Echelon.kernel
     real_reps = rht.linalg.HomologySlice.representatives
@@ -590,11 +591,17 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
         quotients.append(real_even(gens))
         return quotients[-1]
 
-    # a pure quotient reads its bases from its own GenSet, which may have them
+    # a pure quotient reads its bases from its own GenSet, which may have them:
+    # as monomials (basis) or packed (keys)
     def counting_pure_basis(gens, n):
         if any(gens is q for q in quotients):
             pure_bases.append(n)
         return real_gens_basis(gens, n)
+
+    def counting_pure_keys(gens, n):
+        if any(gens is q for q in quotients):
+            pure_bases.append(n)
+        return real_gens_keys(gens, n)
 
     def counting_slice(d_in, d_out):
         slices.append(d_out)
@@ -620,6 +627,7 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
     monkeypatch.setattr(rht.model.Cochains, "keys", counting_keys)
     monkeypatch.setattr(rht.algebra.GenSet, "even", recording_even)
     monkeypatch.setattr(rht.algebra.GenSet, "basis", counting_pure_basis)
+    monkeypatch.setattr(rht.algebra.GenSet, "keys", counting_pure_keys)
     monkeypatch.setattr(rht.model, "HomologySlice", counting_slice)
     monkeypatch.setattr(rht.model.Cochains, "d", counting_d)
     monkeypatch.setattr(rht.linalg.Echelon, "kernel", counting_kernel)
