@@ -101,8 +101,7 @@ class SullivanModel:
                 )
         # d compiled for the Leibniz kernel, once per model; only now, so a d
         # line of the wrong degree is refused as such before anything is packed
-        self.operator = _Operator(self.gens, self.images, 1)
-        op = self.operator
+        op = self.operator = _Operator(self.gens, self.images, 1)
         for g in self.gens:  # declaration order: the first failure is reported
             if g.index in op.terms and _sum(op.entries, op.terms[g.index]):
                 raise NotClosed(f"d(d({g.name})) = {self.d(self.diff[g.name]).format()} != 0")
