@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 from .algebra import (
@@ -78,6 +79,12 @@ class SullivanModel:
     # a space is its own fibre and total, as a RelativeModel has both
     fiber = total = property(lambda self: self)
 
+    @cached_property
+    def operator(self) -> _Operator:
+        """d compiled for the Leibniz kernel, on first use (never before the
+        degree check), once per model."""
+        return _Operator(self.gens, self.images, 1)
+
     # --- differential -------------------------------------------------
 
     def diff_of(self, name: str) -> AlgElement:
@@ -99,12 +106,13 @@ class SullivanModel:
                     f"d({gname}) must be homogeneous of degree {g.degree + 1}, "
                     f"got degree {deg if deg is not MIXED else 'mixed'}"
                 )
-        # d compiled for the Leibniz kernel, once per model; only now, so a d
-        # line of the wrong degree is refused as such before anything is packed
-        op = self.operator = _Operator(self.gens, self.images, 1)
+        images = self.images
         for g in self.gens:  # declaration order: the first failure is reported
-            if g.index in op.terms and _sum(op.entries, op.terms[g.index]):
-                raise NotClosed(f"d(d({g.name})) = {self.d(self.diff[g.name]).format()} != 0")
+            # d(d(g)) is zero at once when no factor of a term of d(g) has an image
+            if any(x in images for t, _ in images.get(g.index, ()) for x, _ in t):
+                op = self.operator
+                if _sum(op.entries, op.terms[g.index]):
+                    raise NotClosed(f"d(d({g.name})) = {self.d(self.diff[g.name]).format()} != 0")
 
     @property
     def is_minimal(self) -> bool:
