@@ -455,12 +455,10 @@ class _Packing:
     an odd generator when their odd bits AND to nonzero, and the odd
     generators of a monomial in a set of positions are its bits under a
     mask: below[i] holds those before gens[i].  keys keeps the packed
-    degree bases (GenSet.keys), and images each generator image compiled
-    (_Operator), by (generator, image, parity), since the models of one set,
-    such as the candidates of an enumeration, share most of their images.
+    degree bases (GenSet.keys).
     """
 
-    __slots__ = ("gens", "shift", "field", "limit", "odd", "below", "keys", "images")
+    __slots__ = ("gens", "shift", "field", "limit", "odd", "below", "keys")
 
     def __init__(self, gens: GenSet):
         odd = [g.degree % 2 for g in gens.gens]
@@ -478,7 +476,6 @@ class _Packing:
         self.gens, self.shift, self.below, self.field, self.odd = gens, shift, below, field, below[-1]
         self.limit = [f >> 1 or 1 for f in field]  # so a sum of two never carries
         self.keys: dict[int, list[int]] = {}
-        self.images: dict[tuple, tuple] = {}
 
     def pack(self, exponents: Iterable[tuple[int, int]]) -> int:
         key, limit, shift = 0, self.limit, self.shift
@@ -527,21 +524,21 @@ class _Operator:
 
     entries is what _leibniz reads: one _image per generator with an image,
     in index order.  terms keeps each image as packed terms ((key, coeff),
-    ...), which DerComplex.bracket reads.
+    ...), and holds the generators its terms hold; DerComplex.bracket reads
+    both.  The owner keeps it: a model its d, a derivation complex its
+    twists, and apply_images compiles one per call.
     """
 
-    __slots__ = ("entries", "terms")
+    __slots__ = ("entries", "terms", "holds")
 
     def __init__(self, gens: GenSet, images: Mapping, parity: int):
-        self.terms, entries = {}, []
+        self.terms, self.holds, entries = {}, {}, []
         for g in sorted(images):
             if images[g]:  # so a set whose images are all zero builds no packing
-                p, key = gens._packing, (g, images[g], parity % 2)
-                if key not in p.images:
-                    terms = tuple([(p.pack(t), c) for t, c in images[g]])
-                    p.images[key] = terms, _image(gens, g, terms, parity)
-                self.terms[g], entry = p.images[key]
-                entries.append(entry)
+                pack = gens._packing.pack
+                self.terms[g] = terms = tuple([(pack(t), c) for t, c in images[g]])
+                self.holds[g] = frozenset([x for t, _ in images[g] for x, _ in t])
+                entries.append(_image(gens, g, terms, parity))
         self.entries = tuple(entries)
 
 

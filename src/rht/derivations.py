@@ -158,7 +158,8 @@ class DerComplex:
         """[E, -] from the shift-n slice to the shift-(n-1) slice.
 
         E is a degree +1 derivation of the value algebra, given by its
-        generator images in ``monomial_images`` form; [E, s] = E.s - (-1)^n s.E.
+        generator images in ``monomial_images`` form, which are hashable: the
+        complex keeps E compiled by them.  [E, s] = E.s - (-1)^n s.E.
         The bracket is linear in E: E = d gives the boundary, and a model
         twisted by sum_s c_s theta_s has boundary delta + sum_s c_s [theta_s, -].
         The column of the pair (w, m) is E(m) at w and, at each domain
@@ -170,13 +171,13 @@ class DerComplex:
         src = self.slice(n)
         tgt = self.slice(n - 1)
         gens = self.model.gens
-        op, held = self._operator(images)
+        op = self._operator(images)
         index = tgt.index
         sign = -1 if n % 2 == 0 else 1  # -(-1)^n
         gen_images = []  # (index, packed image under E, the generators in it)
         for g in self.domain:
             i = gens.get(g.name).index
-            gen_images.append((i, op.terms.get(i, ()), held.get(i, ())))
+            gen_images.append((i, op.terms.get(i, ()), op.holds.get(i, ())))
         columns = []
         for w, key in src.keys:
             theta, col = None, {}
@@ -197,15 +198,14 @@ class DerComplex:
             columns.append(col)
         return RatMatrix(tgt.dim, columns)
 
-    def _operator(self, images: Mapping) -> tuple[_Operator, dict]:
-        """E compiled, and the generators each of its images holds, once per
-        complex and not once per shift; the model compiles its own d."""
-        key = None if images is self.model.images else tuple(images.items())
+    def _operator(self, images: Mapping) -> _Operator:
+        """E compiled once per complex and not once per shift, keyed by its
+        images; the model compiles its own d."""
+        if images is self.model.images:
+            return self.model.operator
+        key = tuple(images.items())
         if key not in self._operators:
-            m = self.model
-            op = m.operator if key is None else _Operator(m.gens, images, 1)
-            held = {i: {x for t, _ in terms for x, _ in t} for i, terms in images.items()}
-            self._operators[key] = op, held
+            self._operators[key] = _Operator(self.model.gens, images, 1)
         return self._operators[key]
 
     def homology(self, n: int) -> HomologySlice:

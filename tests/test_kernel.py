@@ -201,6 +201,25 @@ def test_apply_images_matches_the_tuple_kernel(seed, parity):
     assert got.terms == oracle_apply(gens, images, parity, element)
 
 
+def test_apply_images_keeps_nothing_per_call():
+    # apply_images compiles its images for the one call: the generator set
+    # keeps only its packed layout, so many calls grow nothing, and images
+    # given as lists are read as tuples are
+    gens = GenSet([("x", 3), ("y", 3), ("t", 2)])
+    x, y, t = (gens.get(n).index for n in "xyt")
+    element = AlgElement(gens, {Monomial(((t, 2),)): 1, Monomial(((x, 1), (t, 1))): 3})
+    packing = gens._packing
+    layout = {name: repr(getattr(packing, name)) for name in type(packing).__slots__}
+    for coeff in (2, Fraction(2), Fraction(-3, 4), *range(-20, 0)):
+        images = {t: ((((x, 1),), coeff), (((y, 1),), 1))}
+        got = apply_images(gens, images, 1, element)
+        want = oracle_apply(gens, images, 1, element)
+        assert got.terms == want
+        listed = apply_images(gens, {t: [list(term) for term in images[t]]}, 1, element)
+        assert listed.terms == want
+    assert {name: repr(getattr(packing, name)) for name in type(packing).__slots__} == layout
+
+
 def test_an_exponent_no_field_holds_is_refused():
     # a packed even exponent holds less than 2^(DIGIT - 1), so that a sum of
     # two never carries; 2^40 is refused with a message, not wrapped
