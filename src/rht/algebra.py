@@ -4,11 +4,10 @@ Elements live in Lambda(g_1, ..., g_k) where each generator carries a degree
 >= 2.  Odd-degree generators anticommute (so they square to zero), even-degree
 generators commute freely.  Monomials are kept in a normal form sorted by
 generator declaration index, with the Koszul sign accumulated on the way.
-Degree bases are built from per-GenSet lists of exponent tuples over each
-suffix of the generators, kept for the set's life.  The Leibniz kernel and
-the matrices work on packed monomials, one int per monomial with a field
-per generator (_Packing), and a Monomial is made only for an element or a
-printed basis.
+Below the printers a monomial is one packed int, with a field per generator
+(_Packing): degree bases are born packed, from per-GenSet suffix lists kept
+for the set's life, and the Leibniz kernel and the matrices read them.  A
+Monomial is made only for an element, a printed basis or a test.
 """
 
 from __future__ import annotations
@@ -67,12 +66,11 @@ class GenSet:
     """An ordered set of generators; declaration order is the canonical order.
 
     A GenSet never changes, so it keeps for every model and element over it
-    each degree basis it has built, the count table of every degree basis
-    (counts) and the suffix lists the bases are built from (suffix).  The
-    lists hold exponent tuples, which the bases' monomials share, so they
-    cost a list slot per monomial and a tuple per monomial over a proper
-    suffix.  The layout of its packed monomials, and the packed degree
-    bases the Leibniz kernel reads (keys), are built on first use.
+    the count table of every degree basis (counts) and the suffix lists its
+    degree bases are built from (suffix).  The lists hold packed monomials,
+    one int each in the layout of _Packing, built on first use; a degree
+    basis is the list for all the generators (keys).  A Monomial is made from
+    a key only for output (unpack, basis).
     """
 
     def __init__(self, gens: Iterable[tuple[str, int]]):
@@ -84,16 +82,13 @@ class GenSet:
             if g.name in self.by_name:
                 raise DuplicateGenerator(f"generator {g.name} declared twice")
             self.by_name[g.name] = g
-        self._bases: dict[int, list[Monomial]] = {}
         self._counts: list[list[int]] = [[]]  # see counts
-        self._suffix: list[dict[int, list[tuple]]] = [{0: [()]} for _ in range(len(self.gens) + 1)]
+        self._suffix: list[dict[int, list[int]]] = [{0: [0]} for _ in range(len(self.gens) + 1)]
         self._even: Optional[GenSet] = None
 
     def basis(self, n: int) -> list[Monomial]:
-        """basis_in_degree(self, n), built on first use; callers must not change it."""
-        if n not in self._bases:
-            self._bases[n] = basis_in_degree(self, n)
-        return self._bases[n]
+        """basis_in_degree(self, n): keys(n) unpacked, for output and tests."""
+        return basis_in_degree(self, n)
 
     def counts(self, n: int) -> list[list[int]]:
         """counts[i][r]: the monomials of degree r in gens[i:], for every r <= n at least.
@@ -122,26 +117,27 @@ class GenSet:
             raise CombinatorialBlowup(f"degree {n} has {size} monomials, more than {MAX_BASIS}")
         return size
 
-    def suffix(self, i: int, m: int) -> list[tuple]:
-        """The exponent tuples of the monomials of degree m over gens[i:], in graded-lex order.
+    def suffix(self, i: int, m: int) -> list[int]:
+        """The packed monomials of degree m over gens[i:], in graded-lex order.
 
-        It is ((i, e),) + t for each exponent e of gens[i] from high to low
-        and each t in suffix(i + 1, m - e*|gens[i]|), then suffix(i + 1, m),
+        It is (e << shift[i]) + t for each exponent e of gens[i] from high to
+        low and each t in suffix(i + 1, m - e*|gens[i]|), then suffix(i + 1, m),
         built on first use from lists kept per (i, m).  Only lists the count
         table finds nonempty are read, and the loop over e ends once it has
-        the counts[i][m] - counts[i + 1][m] tuples with a positive e, so a
+        the counts[i][m] - counts[i + 1][m] keys with a positive e, so a
         basis costs its own length times the generators.  The count table
-        must reach m; callers must not change the list.
+        must reach m and every exponent must fit its field (keys checks
+        both); callers must not change the list.
         """
         lists = self._suffix[i]
         if m not in lists:
-            g, reach = self.gens[i], self._counts[i + 1]
+            g, reach, shift = self.gens[i], self._counts[i + 1], self._packing.shift[i]
             out, share = [], self._counts[i][m] - reach[m]
             for e in range(min(m // g.degree, 1) if g.is_odd else m // g.degree, 0, -1):
                 if len(out) == share:
                     break
                 if reach[m - e * g.degree]:
-                    head = ((i, e),)
+                    head = e << shift
                     out += [head + t for t in self.suffix(i + 1, m - e * g.degree)]
             if reach[m]:
                 out += self.suffix(i + 1, m)
@@ -153,23 +149,52 @@ class GenSet:
         return _Packing(self)
 
     def keys(self, n: int) -> list[int]:
-        """The packed monomials of basis(n), in its order, built on first use;
-        callers must not change the list.  Two monomials with no odd generator
-        in common multiply, up to the Koszul sign, to the sum of their keys."""
-        keys = self._packing.keys
-        if n not in keys:
-            keys[n] = _pack_basis(self, n)
-        return keys[n]
+        """The degree-n basis as packed monomials, suffix(0, n), built on first
+        use; callers must not change the list.  Two monomials with no odd
+        generator in common multiply, up to the Koszul sign, to the sum of
+        their keys.  An exponent in degree n is at most n/2, so the degree
+        alone decides whether every field holds it."""
+        if n in self._suffix[0]:
+            return self._suffix[0][n]
+        if n < 0:
+            raise ValueError("degree must be nonnegative")
+        if not self.size(n):  # nothing to build, also when the set has no generators
+            return self._suffix[0].setdefault(n, [])
+        if n >> DIGIT:
+            raise CombinatorialBlowup(f"degree {n} has exponents a packed monomial cannot hold")
+        return self.suffix(0, n)
 
     def pack(self, exponents: Iterable[tuple[int, int]]) -> int:
         """The packed monomial of an exponent tuple; CombinatorialBlowup for an
         exponent a field cannot hold."""
         return self._packing.pack(exponents)
 
+    def unpack(self, key: int) -> "Monomial":
+        """The Monomial of a packed monomial, for output."""
+        return Monomial(self._packing.unpack(key))
+
+    def mask(self, k: int) -> int:
+        """The bits of the fields of gens[:k]: a key holds one of them iff key & mask."""
+        p = self._packing
+        return sum(f << s for f, s in zip(p.field[:k], p.shift[:k]))
+
+    def move(self, keys: Iterable[int], other: "GenSet") -> list[Optional[int]]:
+        """Each key as a key of other, where one of the two sets is the other
+        less its first k generators (a fibre and its total space): None for a
+        key holding one of the k."""
+        big, k = max(self, other, key=len), abs(len(other) - len(self))
+        lead, odd = big._packing.below[k].bit_length(), big._packing.odd.bit_length()
+        tail, at = odd - lead, odd + DIGIT * (k - lead)  # the rest's odd bits, its first field
+        low = (1 << tail) - 1
+        if big is other:
+            return [(key & low) << lead | key >> tail << at for key in keys]
+        held = big.mask(k)
+        return [None if key & held else key >> lead & low | key >> at << tail for key in keys]
+
     def even(self) -> "GenSet":
         """The even generators, in order, as a set of their own, built on first use.
 
-        It keeps its degree bases like any set, so the models over this one
+        It keeps its key lists like any set, so the models over this one
         share them (the pure quotient reads them).
         """
         if self._even is None:
@@ -423,15 +448,11 @@ class AlgElement:
 def basis_in_degree(gens: GenSet, n: int) -> list[Monomial]:
     """All normal-form monomials of total degree n, in graded-lex order.
 
-    The monomials are those of the set's suffix list (GenSet.suffix) for all
-    its generators in degree n; the count table refuses an oversized degree
-    before any list is built.
+    The degree basis gens.keys(n), unpacked: for output and tests, as the
+    computations read the keys.  The count table refuses an oversized
+    degree before any list is built.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if not gens.size(n):  # nothing to build, also when the set has no generators
-        return []
-    return [Monomial(t) for t in gens.suffix(0, n)]
+    return [gens.unpack(k) for k in gens.keys(n)]
 
 
 def monomial_images(gens: GenSet, values: Mapping[int, AlgElement]) -> dict:
@@ -454,11 +475,10 @@ class _Packing:
     bits, in declaration order.  So a product is a sum, two monomials share
     an odd generator when their odd bits AND to nonzero, and the odd
     generators of a monomial in a set of positions are its bits under a
-    mask: below[i] holds those before gens[i].  keys keeps the packed
-    degree bases (GenSet.keys).
+    mask: below[i] holds those before gens[i].
     """
 
-    __slots__ = ("gens", "shift", "field", "limit", "odd", "below", "keys")
+    __slots__ = ("gens", "shift", "field", "limit", "odd", "below")
 
     def __init__(self, gens: GenSet):
         odd = [g.degree % 2 for g in gens.gens]
@@ -475,7 +495,6 @@ class _Packing:
             below.append((1 << j) - 1)
         self.gens, self.shift, self.below, self.field, self.odd = gens, shift, below, field, below[-1]
         self.limit = [f >> 1 or 1 for f in field]  # so a sum of two never carries
-        self.keys: dict[int, list[int]] = {}
 
     def pack(self, exponents: Iterable[tuple[int, int]]) -> int:
         key, limit, shift = 0, self.limit, self.shift
@@ -495,27 +514,6 @@ class _Packing:
             if e:
                 out.append((i, e))
         return tuple(out)
-
-
-def _pack_basis(gens: GenSet, n: int) -> list[int]:
-    """The packed monomials of basis_in_degree(gens, n), in its order.
-
-    An exponent in degree n is at most n/2, so the degree alone decides
-    whether every field holds it."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if not gens.size(n):
-        return []
-    if n >> DIGIT:
-        raise CombinatorialBlowup(f"degree {n} has exponents a packed monomial cannot hold")
-    shift = gens._packing.shift
-    out = []
-    for t in gens.suffix(0, n):
-        key = 0
-        for i, e in t:
-            key += e << shift[i]
-        out.append(key)
-    return out
 
 
 class _Operator:
@@ -601,9 +599,8 @@ def _apply(gens: GenSet, op: _Operator, element: AlgElement) -> AlgElement:
     """The image of an element under an operator, packed and unpacked at this boundary."""
     if element.gens != gens:
         raise GeneratorSetMismatch("element over a different generator set")
-    p = gens._packing
-    out = _sum(op.entries, [(p.pack(m.exponents), c) for m, c in element.terms.items()])
-    return AlgElement(gens, {Monomial(p.unpack(k)): c for k, c in out.items()})
+    out = _sum(op.entries, [(gens.pack(m.exponents), c) for m, c in element.terms.items()])
+    return AlgElement(gens, {gens.unpack(k): c for k, c in out.items()})
 
 
 def apply_images(gens: GenSet, images: Mapping, parity: int, element: AlgElement) -> AlgElement:

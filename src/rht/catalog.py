@@ -235,11 +235,12 @@ def enumerate_fibrations(
     """
     trivial = trivial_fibration(fiber, base)
     combined = trivial.total.gens
+    held = combined.mask(len(base.gens))  # a key & held holds a base generator
     slots: list[tuple[Generator, Monomial]] = [
-        (combined.get(w.name), mono)
+        (combined.get(w.name), combined.unpack(key))
         for w in fiber.gens
-        for mono in combined.basis(w.degree + 1)
-        if trivial.monomial_has_base(mono)
+        for key in combined.keys(w.degree + 1)
+        if key & held
     ]
     # zero first: the first candidate is the trivial fibration
     coeffs = sorted({Fraction(0), *map(Fraction, coeff_set)}, key=lambda c: (c != 0, c))

@@ -67,18 +67,22 @@ def apply_derivation(theta: Derivation, a: AlgElement) -> AlgElement:
 
 @dataclass(frozen=True)
 class ComplexSlice:
-    """Ordered basis of one degree of a derivation complex."""
+    """Ordered basis of one degree of a derivation complex, held packed.
+
+    keys holds each pair (w, m) as (index of w in value_gens, packed m); the
+    Generator and Monomial of each pair are made only for output (pairs,
+    derivation, labels).
+    """
 
     degree: int
     scope: str
-    pairs: tuple[tuple[Generator, Monomial], ...]
     value_gens: GenSet
     domain_gens: GenSet
-    keys: tuple[tuple[int, int], ...]  # (generator index, packed monomial) of each pair
+    keys: tuple[tuple[int, int], ...]
 
     @property
     def dim(self) -> int:
-        return len(self.pairs)
+        return len(self.keys)
 
     @cached_property
     def index(self) -> dict[tuple[int, int], int]:
@@ -86,8 +90,17 @@ class ComplexSlice:
         monomial); built on first use, callers must not change it."""
         return {k: i for i, k in enumerate(self.keys)}
 
+    @cached_property
+    def pairs(self) -> tuple[tuple[Generator, Monomial], ...]:
+        """The pairs unpacked, for output and tests; built on first use."""
+        return tuple(self.pair(i) for i in range(self.dim))
+
+    def pair(self, i: int) -> tuple[Generator, Monomial]:
+        w, key = self.keys[i]
+        return self.value_gens[w], self.value_gens.unpack(key)
+
     def derivation(self, i: int) -> Derivation:
-        g, m = self.pairs[i]
+        g, m = self.pair(i)
         return Derivation(
             self.value_gens, self.degree, {g.index: AlgElement.monomial(self.value_gens, m)}
         )
@@ -102,8 +115,8 @@ class DerComplex:
     Each slice, boundary, evaluation and homology is built at most once, on
     first use, and lives only as long as this object: a caller that needs
     several of them builds one DerComplex and drops it when it is done.  The
-    monomials of the slices are the degree bases of the value model's
-    GenSet, which every complex over that set shares.
+    slices hold the packed degree bases (GenSet.keys) of the value model's
+    GenSet, which every complex over that set shares, and no Monomial.
     """
 
     def __init__(self, m: ModelLike, scope: str = ABSOLUTE):
@@ -113,7 +126,8 @@ class DerComplex:
             if not isinstance(m, RelativeModel):
                 raise ValueError(f"{scope} scope needs a RelativeModel")
             self.model = m.total
-            self._keep = m.monomial_has_base if scope == IDEAL else None
+            # the ideal pairs: a monomial holding a base generator
+            self._keep = m.total.gens.mask(m.base_size) if scope == IDEAL else None
         else:
             raise ValueError(f"unknown scope {scope!r}")
         self.source = m
@@ -131,21 +145,15 @@ class DerComplex:
             return self._slices[n]
         if n < 0:
             raise ValueError("derivation degree must be nonnegative")
-        gens = self.model.gens
-        pairs, keys = [], []
+        gens, keep, keys = self.model.gens, self._keep, []
         for g in self.domain:
             w = gens.get(g.name)
             deg = w.degree - n
             if deg < 0:
                 continue
             self.model.check_bound(deg)
-            for mono, key in zip(gens.basis(deg), gens.keys(deg)):
-                if self._keep is None or self._keep(mono):
-                    pairs.append((w, mono))
-                    keys.append((w.index, key))
-        self._slices[n] = ComplexSlice(
-            n, self.scope, tuple(pairs), gens, self.domain, tuple(keys)
-        )
+            keys += [(w.index, k) for k in gens.keys(deg) if keep is None or k & keep]
+        self._slices[n] = ComplexSlice(n, self.scope, gens, self.domain, tuple(keys))
         return self._slices[n]
 
     def boundary(self, n: int) -> RatMatrix:
@@ -224,13 +232,12 @@ class DerComplex:
         index, src = other.slice(n).index, self.slice(n)
         if self.model is other.model:
             return [index.get(k) for k in src.keys]
-        f, gens = self.source, other.model.gens
-        move = f.fiber_exponents if other.scope == ABSOLUTE else f.total_exponents
-        out = []
-        for w, m in src.pairs:
-            e = move(m.exponents)  # None: a base generator, which p_V kills
-            out.append(None if e is None else index.get((gens.get(w.name).index, gens.pack(e))))
-        return out
+        gens, to = self.model.gens, other.model.gens
+        shift = len(to) - len(gens)  # the base generators lead the total set
+        moved = gens.move([k for _, k in src.keys], to)  # None: a base generator, which p_V kills
+        return [
+            None if k is None else index.get((w + shift, k)) for (w, _), k in zip(src.keys, moved)
+        ]
 
     def map_to(self, other: "DerComplex", n: int) -> RatMatrix:
         """The 0/1 matrix of ``positions``: each pair to the same pair or to zero."""
@@ -244,9 +251,9 @@ class DerComplex:
         """
         if n not in self._evaluations:
             duals = {g.name: i for i, g in enumerate(g for g in self.domain if g.degree == n)}
-            pairs = self.slice(n).pairs
+            gens, keys = self.model.gens, self.slice(n).keys
             self._evaluations[n] = _zero_one(
-                len(duals), (duals.get(w.name) if m.is_unit else None for w, m in pairs)
+                len(duals), (duals.get(gens[w].name) if k == 0 else None for w, k in keys)
             )
         return self._evaluations[n]
 

@@ -52,7 +52,7 @@ class DerHomology:
         for vec in self.representatives:
             terms: dict[int, dict] = {}  # generator index -> the monomial terms of its value
             for i, c in sorted(vec.items()):
-                g, mono = self.slice.pairs[i]
+                g, mono = self.slice.pair(i)
                 terms.setdefault(g.index, {})[mono] = c
             values = {i: AlgElement(gens, t) for i, t in terms.items()}
             out.append(Derivation(gens, self.slice.degree, values))
@@ -392,10 +392,10 @@ def toral_certificate(f: RelativeModel, window: int = DEFAULT_WINDOW) -> ToralCe
     # base-polynomial multiples, the signature of surviving t-powers; the
     # scan runs down from the top and stops at the first nonzero degree
     top_nonzero = next(n for n in range(top, fd, -1) if cx.homology(n).dim)
-    basis = cx.basis(top_nonzero)
+    keys, base = cx.keys(top_nonzero), f.total.gens.mask(r)
     for rep in cx.homology(top_nonzero).representatives:
-        for mono in (basis[j] for j in rep):
-            if mono.exponents and all(f.is_base_index(i) for i, _ in mono.exponents):
+        for key in (keys[j] for j in rep):
+            if key and key & base == key:  # a monomial in base generators alone
                 return ToralCertificate(r, top, "refuted-at-bound", top_nonzero)
     return ToralCertificate(r, top, "inconclusive", top_nonzero)
 

@@ -226,10 +226,6 @@ class RelativeModel:
 
     # --- moving elements between the three algebras -------------------
 
-    def total_exponents(self, e: tuple) -> tuple:
-        """A fiber monomial's exponent tuple in the total generator set."""
-        return tuple((i + self.base_size, x) for i, x in e)
-
     def fiber_exponents(self, e: tuple) -> Optional[tuple]:
         """p_V on one total exponent tuple: None when it holds a base generator."""
         k = self.base_size
@@ -243,9 +239,6 @@ class RelativeModel:
 
     def is_base_index(self, i: int) -> bool:
         return i < self.base_size
-
-    def monomial_has_base(self, m: Monomial) -> bool:
-        return any(i < self.base_size for i, _ in m.exponents)
 
     def serialize(self) -> str:
         lines = [
@@ -310,8 +303,9 @@ class Cochains:
     """The cochain complex (Lambda V, d) of one model, for one call.
 
     Each degree's differential and cohomology is built at most once, on first
-    use, and lives only as long as this object.  The degree bases belong to
-    the model's GenSet, which every model over it shares.
+    use, and lives only as long as this object.  The degree bases are the
+    packed key lists of the model's GenSet, which every model over it
+    shares; a caller unpacks only the monomials it prints.
     """
 
     def __init__(self, m: SullivanModel):
@@ -319,12 +313,8 @@ class Cochains:
         self._d: dict[int, RatMatrix] = {}
         self._h: dict[int, HomologySlice] = {}
 
-    def basis(self, n: int) -> list[Monomial]:
-        # d(-1) is the zero map into H^0
-        return self.model.gens.basis(n) if n >= 0 else []
-
     def keys(self, n: int) -> list[int]:
-        """The degree-n basis as packed monomials, in the same order; d reads only these."""
+        """The degree-n basis as packed monomials; d(-1) is the zero map into H^0."""
         return self.model.gens.keys(n) if n >= 0 else []
 
     def d(self, n: int) -> RatMatrix:
@@ -355,8 +345,11 @@ def cohomology(model: ModelLike, max_degree: int) -> dict[int, tuple[int, list[A
     cx = Cochains(m)
     out = {}
     for n in range(max_degree + 1):
-        h, basis = cx.homology(n), cx.basis(n)
-        reps = [AlgElement(m.gens, {basis[i]: c for i, c in rep.items()}) for rep in h.representatives]
+        h, keys = cx.homology(n), cx.keys(n)
+        reps = [
+            AlgElement(m.gens, {m.gens.unpack(keys[i]): c for i, c in rep.items()})
+            for rep in h.representatives
+        ]
         out[n] = (h.dim, reps)
     return out
 

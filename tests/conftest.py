@@ -57,6 +57,24 @@ def wedge():
     return {f.name: f for f in load("wedge.smf")}
 
 
+@pytest.fixture
+def built_key_lists(monkeypatch):
+    """(GenSet, degree) of each nonempty degree basis GenSet.keys builds while
+    the test runs: a list it returns for the first time.  A degree built
+    twice shows twice, as the set keeps each list it built."""
+    built, seen, real = [], {}, GenSet.keys
+
+    def recording(gens, n):
+        keys = real(gens, n)
+        if keys and id(keys) not in seen:
+            seen[id(keys)] = keys  # kept, so that no later list reuses its id
+            built.append((gens, n))
+        return keys
+
+    monkeypatch.setattr(GenSet, "keys", recording)
+    return built
+
+
 @pytest.fixture(scope="session")
 def su4_fixtures():
     return {

@@ -219,6 +219,34 @@ def test_basis_in_degree_matches_brute_force_on_random_sets(gens, degrees):
         assert basis_in_degree(gens, n) == want
 
 
+@given(
+    st.lists(st.integers(2, 9), min_size=1, max_size=4),
+    st.lists(st.integers(2, 9), max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_keys_move_between_a_fibre_and_its_total(base, fibre):
+    # a base of odd and even generators in any order leads the total set, as
+    # in a fibration; moving a key is the exponent-tuple route, packed
+    k = len(base)
+    small = [(f"f{i}", d) for i, d in enumerate(fibre)]
+    total = GenSet([(f"b{i}", d) for i, d in enumerate(base)] + small)
+    small = GenSet(small)
+    held = total.mask(k)
+    for n in range(17):
+        keys = small.keys(n)
+        up = small.move(keys, total)
+        want = [total.pack((i + k, e) for i, e in small.unpack(key).exponents) for key in keys]
+        assert up == want
+        assert total.move(up, small) == keys and not any(key & held for key in up)
+        keys = total.keys(n)
+        for key, down in zip(keys, total.move(keys, small)):
+            exponents = total.unpack(key).exponents
+            if any(i < k for i, _ in exponents):
+                assert down is None and key & held
+            else:
+                assert down == small.pack((i - k, e) for i, e in exponents) and not key & held
+
+
 def test_oversized_basis_is_refused_before_it_is_built():
     # six degree-2 generators have C(35, 5) = 324,632 monomials in degree 60
     six = GenSet([(f"x{i}", 2) for i in range(6)])
@@ -229,14 +257,14 @@ def test_oversized_basis_is_refused_before_it_is_built():
 
 def test_genset_builds_each_degree_basis_once():
     gens = GenSet([(g.name, g.degree) for g in GENS])
-    first = gens.basis(9)
-    assert first == basis_in_degree(GENS, 9) and gens.basis(9) is first
+    first = gens.keys(9)
+    assert [gens.unpack(k) for k in first] == basis_in_degree(GENS, 9) and gens.keys(9) is first
     assert gens == GENS and gens == gens
     # a refused basis stays refused: nothing is kept for it
     six = GenSet([(f"x{i}", 2) for i in range(6)])
     for _ in range(2):
         with pytest.raises(CombinatorialBlowup):
-            six.basis(60)
+            six.keys(60)
 
 
 def test_generator_degree_above_the_basis_cap_is_refused():

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-import rht.algebra
 import rht.catalog
 import rht.derivations
 import rht.model
@@ -175,7 +174,7 @@ def enumeration_slots(fiber, base):
         (w.name, mono)
         for w in fiber.gens
         for mono in basis_in_degree(trivial.total.gens, w.degree + 1)
-        if trivial.monomial_has_base(mono)
+        if any(trivial.is_base_index(i) for i, _ in mono.exponents)
     ]
 
 
@@ -238,22 +237,18 @@ def test_enumeration_matches_brute_force():
     assert rejected > 4000
 
 
-def test_enumeration_builds_only_closed_candidates(monkeypatch):
+def test_enumeration_builds_only_closed_candidates(monkeypatch, built_key_lists):
     fiber, base = load("fiber-3-5-9-17.smf")[0], qt_base()
     closed = len(enumerate_fibrations(fiber, base).entries)
-    built, bases = [], []
-    real_init, real_basis = rht.model.RelativeModel.__init__, rht.algebra.basis_in_degree
+    built, bases = [], built_key_lists
+    bases.clear()  # count the gated enumeration's key lists alone
+    real_init = rht.model.RelativeModel.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(self)
         real_init(self, *args, **kwargs)
 
-    def counting_basis(gens, n):
-        bases.append((gens, n))
-        return real_basis(gens, n)
-
     monkeypatch.setattr(rht.model.RelativeModel, "__init__", counting_init)
-    monkeypatch.setattr(rht.algebra, "basis_in_degree", counting_basis)
     cat = enumerate_fibrations(fiber, base, require_finite=True)
     cat.realized_subspaces()
     # the trivial fibration, then each closed candidate once
@@ -472,24 +467,12 @@ def test_realized_subspaces_build_each_part_once(monkeypatch):
         assert len(images) == len(set(images)) <= 68, len(images)
 
 
-def test_pure_quotient_bases_are_built_once_per_enumeration(monkeypatch):
+def test_pure_quotient_bases_are_built_once_per_enumeration(built_key_lists):
     # gated fiber-3-5-9-17 over qt: every candidate's total shares one
-    # GenSet, and so one pure quotient set and each of its bases (the
-    # parent built a quotient set per candidate and 145 bases for 25)
+    # GenSet, and so one pure quotient set and each of its key lists (a
+    # quotient set per candidate once built 145 bases for 25)
     fiber, base = load("fiber-3-5-9-17.smf")[0], qt_base()
-    built = []
-    real_basis, real_pack = rht.algebra.basis_in_degree, rht.algebra._pack_basis
-
-    def counting_basis(gens, n):
-        built.append((gens, n))
-        return real_basis(gens, n)
-
-    def counting_pack(gens, n):  # the quotient reads its bases packed
-        built.append((gens, ("keys", n)))
-        return real_pack(gens, n)
-
-    monkeypatch.setattr(rht.algebra, "basis_in_degree", counting_basis)
-    monkeypatch.setattr(rht.algebra, "_pack_basis", counting_pack)
+    built = built_key_lists
     cat = enumerate_fibrations(fiber, base, require_finite=True)
     quotient = cat.entries[0][1].total.gens.even()
     pure = Counter(n for gens, n in built if gens is quotient)

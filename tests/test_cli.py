@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import rht
-import rht.algebra
 import rht.catalog
 import rht.cli
 from rht import (
@@ -192,15 +191,16 @@ def test_huge_max_degree_visits_only_generator_degrees(capsys):
 
 def test_cohomology_stops_at_the_formal_dimension(capsys, monkeypatch):
     # su5's pure quotient is zero, so H is finite and zero above fd = 24:
-    # no basis past fd + 1, the target of d from degree fd, is built
+    # no basis past fd + 1, the target of d from degree fd, is read, not
+    # even an empty one
     built = []
-    real = rht.algebra.basis_in_degree
+    real = rht.GenSet.keys
 
     def recording(gens, n):
         built.append(n)
         return real(gens, n)
 
-    monkeypatch.setattr(rht.algebra, "basis_in_degree", recording)
+    monkeypatch.setattr(rht.GenSet, "keys", recording)
     code, out, _ = run(capsys, "cohomology", fx("su5.smf"), "--max-degree", "1000")
     fd = formal_dimension_estimate(parse_model(Path(fx("su5.smf")).read_text()).gens)
     assert code == 0 and "n=24  dim 1" in out
@@ -216,24 +216,16 @@ def test_huge_max_degree_cohomology_prints_the_finite_table(capsys):
     assert code == 2 and err.startswith("BoundExceeded")
 
 
-def test_oversized_cohomology_is_refused_before_any_basis_is_built(capsys, monkeypatch):
+def test_oversized_cohomology_is_refused_before_any_basis_is_built(capsys, built_key_lists):
     # cp3's degree 88 is the first past MAX_BASIS; the count table says so
     # before a basis of the total space is built (the pure quotient's check
     # reads the even generators, a set of their own)
     cp3 = str(Path(__file__).parent.parent / "perfbench" / "cp3.smf")
     total = len(parse_document(Path(cp3).read_text())[0].total.gens)
-    built = []
-    real = rht.algebra.basis_in_degree
-
-    def recording(gens, n):
-        built.append((len(gens), n))
-        return real(gens, n)
-
-    monkeypatch.setattr(rht.algebra, "basis_in_degree", recording)
     code, out, err = run_within(capsys, 10, "cohomology", cp3, "--max-degree", "100000")
     assert (code, out) == (2, "")
     assert err.startswith("CombinatorialBlowup: degree 88 has 50696 monomials, more than 50000")
-    assert [n for size, n in built if size == total] == []
+    assert [n for gens, n in built_key_lists if len(gens) == total] == []
 
 
 def test_connecting_report(capsys):

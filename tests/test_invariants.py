@@ -564,25 +564,18 @@ def test_pure_quotient_leaves_undecided_models_to_the_window():
 
 def test_finiteness_window_reads_only_its_window(monkeypatch):
     bases, pure_bases, slices, diffs, kernels, read, built = [], [], [], [], [], [], []
-    real_basis, real_keys, real_slice, real_d = (
-        rht.model.Cochains.basis,
+    real_keys, real_slice, real_d = (
         rht.model.Cochains.keys,
         rht.model.HomologySlice,
         rht.model.Cochains.d,
     )
-    real_even, real_gens_basis = rht.algebra.GenSet.even, rht.algebra.GenSet.basis
-    real_gens_keys = rht.algebra.GenSet.keys
+    real_even, real_gens_keys = rht.algebra.GenSet.even, rht.algebra.GenSet.keys
     quotients = []  # the generator sets of the pure quotients read
     real_kernel = rht.linalg.Echelon.kernel
     real_reps = rht.linalg.HomologySlice.representatives
     real_homology = rht.model.Cochains.homology
 
-    # bases read through Cochains, which its GenSet may have built already:
-    # as monomials (basis) or, for d, as packed monomials (keys)
-    def counting_basis(self, n):
-        bases.append(n)
-        return real_basis(self, n)
-
+    # bases read through Cochains, which its GenSet may have built already
     def counting_keys(self, n):
         bases.append(n)
         return real_keys(self, n)
@@ -591,13 +584,7 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
         quotients.append(real_even(gens))
         return quotients[-1]
 
-    # a pure quotient reads its bases from its own GenSet, which may have them:
-    # as monomials (basis) or packed (keys)
-    def counting_pure_basis(gens, n):
-        if any(gens is q for q in quotients):
-            pure_bases.append(n)
-        return real_gens_basis(gens, n)
-
+    # a pure quotient reads its bases from its own GenSet, which may have them
     def counting_pure_keys(gens, n):
         if any(gens is q for q in quotients):
             pure_bases.append(n)
@@ -623,10 +610,8 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
         built.append((n, real_homology(self, n)))
         return built[-1][1]
 
-    monkeypatch.setattr(rht.model.Cochains, "basis", counting_basis)
     monkeypatch.setattr(rht.model.Cochains, "keys", counting_keys)
     monkeypatch.setattr(rht.algebra.GenSet, "even", recording_even)
-    monkeypatch.setattr(rht.algebra.GenSet, "basis", counting_pure_basis)
     monkeypatch.setattr(rht.algebra.GenSet, "keys", counting_pure_keys)
     monkeypatch.setattr(rht.model, "HomologySlice", counting_slice)
     monkeypatch.setattr(rht.model.Cochains, "d", counting_d)
@@ -703,22 +688,10 @@ def test_toral_scan_reads_down_from_the_top(su4_fixtures, monkeypatch):
         assert not below, (m.name, sorted(below))
 
 
-def test_each_degree_basis_is_built_once_per_call(monkeypatch):
-    built, packed = [], []
-    real_basis, real_pack = rht.algebra.basis_in_degree, rht.algebra._pack_basis
-
-    def counting_basis(gens, n):
-        built.append((gens, n))
-        return real_basis(gens, n)
-
-    def counting_pack(gens, n):
-        packed.append((gens, n))
-        return real_pack(gens, n)
-
-    # GenSet.basis builds the bases every Cochains reads, and GenSet.keys
-    # their packed key lists, which Cochains.d and the slices read
-    monkeypatch.setattr(rht.algebra, "basis_in_degree", counting_basis)
-    monkeypatch.setattr(rht.algebra, "_pack_basis", counting_pack)
+def test_each_degree_basis_is_built_once_per_call(built_key_lists):
+    # GenSet.keys builds the key lists every Cochains, slice and pure
+    # quotient reads
+    built = built_key_lists
     keyed = set()  # the calls that built a key list
     for m in fixture_models():
         total = total_of(m)
@@ -734,16 +707,13 @@ def test_each_degree_basis_is_built_once_per_call(monkeypatch):
             calls["toral_certificate"] = lambda: toral_certificate(m)
         for name, call in calls.items():
             built.clear()
-            packed.clear()
             try:
                 call()
             except BoundExceeded:
                 pass  # wedge.smf: its window passes its bound
             repeats = {n: k for (_, n), k in Counter(built).items() if k > 1}
             assert not repeats, (m.name, name, repeats)
-            repeats = {n: k for (_, n), k in Counter(packed).items() if k > 1}
-            assert not repeats, (m.name, name, "keys", repeats)
-            keyed.update([name] if packed else [])
+            keyed.update([name] if built else [])
     # the sets keep their lists, so a later call on the same model may build none
     assert {"cohomology", "gottlieb"} <= keyed
 

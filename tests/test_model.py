@@ -218,16 +218,21 @@ def test_trivial_fibration_structure(su5):
 
 
 def test_embed_and_project(su5_bundle):
-    # total_exponents embeds a fiber monomial, fiber_exponents is p_V on a total one
+    # GenSet.move embeds a fiber key in the total set and is p_V on a total
+    # one; fiber_exponents is p_V on a total exponent tuple
     f = su5_bundle
-    v1 = ((f.fiber.gens.get("v1").index, 1),)
-    up = Monomial(f.total_exponents(v1))
-    assert up.degree(f.total.gens) == 3 and up.format(f.total.gens) == "v1"
-    assert f.fiber_exponents(up.exponents) == v1 and not f.monomial_has_base(up)
+    fiber, total = f.fiber.gens, f.total.gens
+    v1 = ((fiber.get("v1").index, 1),)
+    [up] = fiber.move([fiber.pack(v1)], total)
+    assert total.unpack(up).degree(total) == 3 and total.unpack(up).format(total) == "v1"
+    assert total.move([up], fiber) == [fiber.pack(v1)] and not up & total.mask(f.base_size)
+    assert f.fiber_exponents(total.unpack(up).exponents) == v1
     # base generators lead the total set
     t1 = Monomial(((f.base.gens.get("t1").index, 1),))
-    assert t1.format(f.total.gens) == "t1"
-    assert f.monomial_has_base(t1) and f.fiber_exponents(t1.exponents) is None
+    assert t1.format(total) == "t1" and total.unpack(total.pack(t1.exponents)) == t1
+    assert total.pack(t1.exponents) & total.mask(f.base_size)
+    assert total.move([total.pack(t1.exponents)], fiber) == [None]
+    assert f.fiber_exponents(t1.exponents) is None
 
 
 # ----------------------------------------------------------------------
@@ -373,8 +378,8 @@ def test_differential_matrices_match_oracle(seed):
         values = {gens.get(name).index: as_dict(v) for name, v in m.diff.items()}
         cx = Cochains(m)
         for n in range(2 * max(g.degree for g in gens)):
-            matrix, target = cx.d(n), cx.basis(n + 1)
-            for j, mono in enumerate(cx.basis(n)):
+            matrix, target = cx.d(n), gens.basis(n + 1)
+            for j, mono in enumerate(gens.basis(n)):
                 got = {target[r]: v for r, v in matrix.columns[j].items()}
                 want = oracle_operator(gens, values, 1, AlgElement.monomial(gens, mono))
                 assert got == want, (m.name, n, mono.format(gens))
