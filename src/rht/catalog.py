@@ -6,15 +6,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import AlgElement, Generator, Monomial, _apply, _Operator
+from .algebra import AlgElement, Monomial, _apply, _exact, _Operator
 from .derivations import RELATIVE, DerComplex, dual_frame, frame_degrees
 from .errors import CombinatorialBlowup, DuplicateId, FiberMismatch, NotFiniteAtBound
 from .invariants import (
-    DEFAULT_WINDOW,
-    GottliebResult,
-    _image_on_cycles,
-    finiteness_window,
-    top_shift,
+    DEFAULT_WINDOW, GottliebResult, _image_on_cycles, finiteness_window, top_shift
 )
 from .linalg import RatMatrix, Subspace
 from .model import RelativeModel, SullivanModel, trivial_fibration
@@ -24,50 +20,90 @@ from .model import RelativeModel, SullivanModel, trivial_fibration
 MAX_CANDIDATES = 10**6
 
 
-@dataclass
 class Catalog:
-    """A family of fibrations sharing one fiber model."""
+    """A family of fibrations sharing one fiber model.
 
-    fiber: SullivanModel
-    entries: list[tuple[str, RelativeModel]] = field(default_factory=list)
+    Given entries are checked at once.  An enumerated catalog holds each
+    fibration as its vector of slot coefficients over the trivial fibration
+    (_Family), and builds the RelativeModels of entries on first read."""
 
-    def __post_init__(self):
+    def __init__(self, fiber: SullivanModel, entries: Sequence = (), family: Optional[_Family] = None):
+        self.fiber, self._family = fiber, family
+        self._entries = None if family else list(entries)
         seen = set()
-        for key, entry in self.entries:
+        for key, entry in self._entries or ():
             if key in seen:
                 raise DuplicateId(f"duplicate catalog id {key!r}")
             seen.add(key)
-            if (
-                entry.fiber.gens != self.fiber.gens
-                or entry.fiber.diff != self.fiber.diff
-            ):
+            if entry.fiber.gens != self.fiber.gens or entry.fiber.diff != self.fiber.diff:
                 raise FiberMismatch(f"catalog entry {key!r} has a different fiber")
+
+    def __len__(self) -> int:
+        return len(self._family.vectors if self._entries is None else self._entries)
+
+    @property
+    def entries(self) -> list[tuple[str, RelativeModel]]:
+        """The (id, fibration) pairs in catalog order."""
+        if self._entries is None:
+            self._entries = [(key, self._family.entry(key, c)) for key, c in self._family.vectors]
+        return self._entries
 
     def realized_subspaces(self) -> dict[str, Subspace]:
         """fibre_gottlieb(entry).total() per entry, from one twist (_Twist) per base.
 
         One pass in catalog order, each subspace built in fibre_gottlieb's
-        order: an error comes from the entry whose fibre_gottlieb raises first."""
+        order: an error comes from the entry whose fibre_gottlieb raises first.
+        An enumerated entry is read as the trivial fibration and its vector of
+        slot coefficients, a given one as itself and its slot terms."""
+        if (f := self._family) is None:
+            twists = ((key, e, _split_twist(e)) for key, e in self.entries)
+        else:
+            twists = ((key, f.trivial, {s: v for s, v in zip(f.slots, c) if v}) for key, c in f.vectors)
         groups: list[_Twist] = []
         out = {}
-        for key, entry in self.entries:
-            group = next((g for g in groups if g.holds(entry)), None)
+        for key, model, c in twists:
+            group = next((g for g in groups if g.holds(model)), None)
             if group is None:
-                groups.append(group := _Twist(entry))
-            out[key] = group.realized(entry)
+                groups.append(group := _Twist(model))
+            out[key] = group.realized(c)
         return out
 
     def check_finite(self, window: int = DEFAULT_WINDOW) -> None:
         """Raise NotFiniteAtBound naming every entry that fails the finiteness window."""
-        _, offenders = _split_finite(self.entries, window)
+        offenders = [key for key, entry in self.entries if not finiteness_window(entry, window)[0]]
         if offenders:
-            raise NotFiniteAtBound(
-                "total spaces failed the finiteness gate: " + ", ".join(offenders)
-            )
+            raise NotFiniteAtBound("total spaces failed the finiteness gate: " + ", ".join(offenders))
+
+
+@dataclass
+class _Family:
+    """Twists of the trivial fibration T, each a vector c of slot coefficients:
+    D(w) = D_T(w) + sum of c_s m_s over the slots s = (index of w_s, exponents of
+    m_s) with w_s = w.  Each m_s holds a base generator, so each twist's fibre is T's."""
+
+    trivial: RelativeModel
+    slots: list[tuple[int, tuple]]
+    terms: list[tuple[str, Monomial]]  # per slot: the name of w_s, m_s
+    vectors: list[tuple[str, tuple]] = field(default_factory=list)  # (id, c)
+
+    def diff(self, c: tuple) -> dict[str, AlgElement]:
+        """D of twist c on every generator of the total space."""
+        total = self.trivial.total
+        terms: dict[str, dict] = {}
+        for (name, mono), v in zip(self.terms, c):
+            if v:  # no term of D_T(w) holds a base generator
+                terms.setdefault(name, dict(total.diff_of(name).terms))[mono] = v
+        return {**total.diff, **{name: AlgElement(total.gens, t) for name, t in terms.items()}}
+
+    def entry(self, key: str, c: tuple) -> RelativeModel:
+        t = self.trivial
+        diff = {name: v for name, v in self.diff(c).items() if name in t.fiber.gens.by_name}
+        return RelativeModel(t.base, t.fiber.gens, diff, dict(t.fiber.diff), name=key, bound=t.bound)
 
 
 class _Twist:
-    """The fibrations over one base and bound as twists of the group's first entry F.
+    """The fibrations over one base and bound as twists of one of them, F: the
+    trivial fibration for an enumerated catalog, else the group's first entry.
 
     An entry E has D_E = D_F + sum_s (c_s(E) - c_s(F)) theta_s, where c_s is
     the coefficient of slot s, theta_s sending the fibre generator w_s to a
@@ -96,25 +132,21 @@ class _Twist:
         )
 
     def _bracket(self, n: int, s: tuple) -> Optional[RatMatrix]:
-        """B_s^n, or None when it is zero.  When D_F is theta_s alone, B_s^n is
-        delta_F^n, so it is read from F's DerComplex, not built again."""
+        """B_s^n, or None when it is zero."""
         if (n, s) not in self._brackets:
-            theta = {s[0]: ((s[1], 1),)}
-            same = theta == self.cx.model.images
-            part = self.cx.boundary(n) if same else self.cx.bracket(n, theta)
+            part = self.cx.bracket(n, {s[0]: ((s[1], 1),)})
             self._brackets[n, s] = None if part.is_zero() else part
         return self._brackets[n, s]
 
-    def realized(self, entry) -> Subspace:
-        """fibre_gottlieb(entry).total() for an entry this group holds.
+    def realized(self, c: dict) -> Subspace:
+        """fibre_gottlieb(E).total() for an entry E this group holds, from its
+        slot coefficients c = {s: c_s(E)}.
 
         Evaluation kills every B_s^{n+1}, whose values lie in the base ideal,
         so the image at shift n reads only the terms whose B_s^n is nonzero
         and checks evaluation against delta_F^{n+1}."""
-        c = _split_twist(entry)
-        for s, f in self.first.items():
-            c[s] = c.get(s, 0) - f
-        diffs = sorted((s, d) for s, d in c.items() if d)
+        first = self.first
+        diffs = sorted((s, d) for s in {*c, *first} if (d := c.get(s, 0) - first.get(s, 0)))
         per = {}
         for n, frame in self.frames:
             key = (n, tuple((s, d) for s, d in diffs if self._bracket(n, s)))
@@ -193,9 +225,8 @@ def _visit(search: tuple, u: int, c) -> Optional[list]:
 
 
 def _split_twist(entry) -> dict:
-    """The slot terms of an entry's D: the terms of D(w) that contain a base
-    generator, as {(index of w, exponents of m): coefficient}, with integral
-    ones as ints as the images hold them (they key the images, and hash faster)."""
+    """A given entry's slot coefficients: the terms of D(w) holding a base generator, as
+    {(index of w, exponents of m): coefficient}, integral ones ints as the images hold them."""
     return {
         (i, exponents): c
         for i, terms in entry.total.images.items()
@@ -203,18 +234,6 @@ def _split_twist(entry) -> dict:
         for exponents, c in terms
         if any(entry.is_base_index(j) for j, _ in exponents)
     }
-
-
-def _split_finite(entries, window: int):
-    """(entries whose total space passes finiteness_window, ids of the rest)."""
-    kept, offenders = [], []
-    for key, entry in entries:
-        finite, _, _ = finiteness_window(entry, window)
-        if finite:
-            kept.append((key, entry))
-        else:
-            offenders.append(key)
-    return kept, offenders
 
 
 def enumerate_fibrations(
@@ -230,51 +249,32 @@ def enumerate_fibrations(
     |w| + 1 and contain at least one base generator (base exponents are
     thereby forced by degree); assignments with D.D != 0 are discarded, and
     the finiteness gate is applied on request.  D.D is decided slot by slot
-    from terms computed once per slot (_closed), so only the closed
-    candidates are built, all over the trivial fibration's generator set.
+    from terms computed once per slot (_closed).  A closed candidate stays
+    its coefficient vector: only its total space is built, whose constructor
+    checks D.D = 0 again, and the gate reads that.  Coefficients are exact:
+    ints, Fractions or rational strings; a float raises TypeError.
     """
     trivial = trivial_fibration(fiber, base)
     combined = trivial.total.gens
     held = combined.mask(len(base.gens))  # a key & held holds a base generator
-    slots: list[tuple[Generator, Monomial]] = [
-        (combined.get(w.name), combined.unpack(key))
-        for w in fiber.gens
-        for key in combined.keys(w.degree + 1)
-        if key & held
-    ]
+    terms = [(w.name, combined.unpack(key))
+             for w in fiber.gens for key in combined.keys(w.degree + 1) if key & held]
     # zero first: the first candidate is the trivial fibration
-    coeffs = sorted({Fraction(0), *map(Fraction, coeff_set)}, key=lambda c: (c != 0, c))
-    total = len(coeffs) ** len(slots)
-    if total > MAX_CANDIDATES:
-        raise CombinatorialBlowup(
-            f"{total} candidate differentials exceed the cap of {MAX_CANDIDATES}"
-        )
-    texts = [mono.format(combined) for _, mono in slots]
-    untwisted = {w.name: trivial.total.diff_of(w.name).terms for w in fiber.gens}
-    entries: list[tuple[str, RelativeModel]] = []
-    for vector in _closed(trivial.total, [(w.index, mono.exponents) for w, mono in slots], coeffs):
-        total_diff = {name: dict(terms) for name, terms in untwisted.items()}
-        added: list[str] = []
-        for (w, mono), text, c in zip(slots, texts, vector):
-            if c:
-                # a slot monomial contains a base generator, no term of d(w) does
-                total_diff[w.name][mono] = c
-                coeff = "" if c == 1 else f"{c}*"
-                added.append(f"D{w.name}+={coeff}{text}")
-        key = "; ".join(added) if added else "trivial"
-        # the constructor validates again: its D.D = 0 check stays the authority
-        entry = RelativeModel(
-            base,
-            fiber.gens,
-            {name: AlgElement(combined, terms) for name, terms in total_diff.items()},
-            fiber_diff=dict(fiber.diff),
-            name=key,
-            bound=fiber.bound,
-        )
-        entries.append((key, entry))
-    if require_finite:
-        entries, _ = _split_finite(entries, window)
-    return Catalog(fiber, entries)
+    exact = (Fraction(c) if isinstance(c, str) else _exact(c) for c in coeff_set)
+    coeffs = sorted({Fraction(0), *exact}, key=lambda c: (c != 0, c))
+    size = len(coeffs) ** len(terms)
+    if size > MAX_CANDIDATES:
+        raise CombinatorialBlowup(f"{size} candidate differentials exceed the cap of {MAX_CANDIDATES}")
+    family = _Family(trivial, [(combined.get(w).index, m.exponents) for w, m in terms], terms)
+    texts = [(w, m.format(combined)) for w, m in terms]
+    for vector in _closed(trivial.total, family.slots, coeffs):
+        added = [f"D{w}+={'' if c == 1 else f'{c}*'}{text}" for (w, text), c in zip(texts, vector) if c]
+        key = "; ".join(added) or "trivial"
+        # the total's constructor checks D.D = 0 again: it stays the authority
+        total = SullivanModel(combined, family.diff(vector), bound=trivial.bound, name=key)
+        if not require_finite or finiteness_window(total, window)[0]:
+            family.vectors.append((key, vector))
+    return Catalog(fiber, family=family)
 
 
 def _square_terms(total: SullivanModel, slots: list[tuple[int, tuple]]):

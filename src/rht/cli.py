@@ -103,9 +103,12 @@ def _parse_degrees(spec: Optional[str], default: tuple[int, int]) -> range:
 
 def _parse_coeffs(spec: str) -> list[Fraction]:
     try:
-        return [Fraction(tok.strip()) for tok in spec.split(",") if tok.strip()]
+        coeffs = [Fraction(tok.strip()) for tok in spec.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError):
-        raise RhtError(f"--coeffs expects comma-separated rationals, got {spec!r}") from None
+        coeffs = []  # refused below, as is a list of no coefficient ("" or ",,")
+    if not coeffs:
+        raise RhtError(f"--coeffs expects comma-separated rationals, got {spec!r}")
+    return coeffs
 
 
 def _emit(args, doc, lines) -> None:
@@ -266,10 +269,7 @@ def _cmd_toral_check(args) -> int:
 
 def _catalog_from_files(args) -> Catalog:
     fibs = _fibrations(_load_models(args.files))
-    entries = []
-    for i, f in enumerate(fibs):
-        entries.append((f.name or f"fibration-{i}", f))
-    cat = Catalog(fibs[0].fiber, entries)
+    cat = Catalog(fibs[0].fiber, [(f.name or f"fibration-{i}", f) for i, f in enumerate(fibs)])
     if args.require_finite:
         cat.check_finite(args.window)
     return cat
@@ -306,7 +306,7 @@ def _cmd_enumerate(args) -> int:
         require_finite=args.require_finite,
         window=args.window,
     )
-    print(f"{len(cat.entries)} fibration(s) kept", file=sys.stderr)
+    print(f"{len(cat)} fibration(s) kept", file=sys.stderr)
     _emit_poset(args, poset_of_subspaces(cat.realized_subspaces()))
     return 0
 

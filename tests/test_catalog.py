@@ -3,6 +3,7 @@
 import itertools
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from rht import (
     basis_in_degree,
     enumerate_fibrations,
     fibre_gottlieb,
+    finiteness_window,
     parse_fibration,
     poset_of_subspaces,
 )
@@ -155,6 +157,20 @@ def test_enumeration_cap(monkeypatch):
         enumerate_fibrations(odd_fiber(3, 5, 9, 17), qt_base())
 
 
+def test_enumeration_refuses_inexact_coefficients():
+    # a float 0.1 would twist by 3602879701896397/36028797018963968*t^2
+    fiber, base = load("fiber-3-3-3-3.smf")[0], load("base-qt.smf")[0]
+    for bad in (0.1, 1.0, Decimal("0.5")):
+        with pytest.raises(TypeError, match="exact rationals"):
+            enumerate_fibrations(fiber, base, coeff_set=[bad])
+    # ints, Fractions and exact rational strings stay accepted
+    want = [key for key, _ in enumerate_fibrations(fiber, base, [Fraction(1, 2)]).entries]
+    assert want[1] == "Dw4+=1/2*t^2"
+    for exact in (["1/2"], ["0.5"], [0, Fraction(1, 2)]):
+        assert [key for key, _ in enumerate_fibrations(fiber, base, exact).entries] == want
+    assert len(enumerate_fibrations(fiber, base, [2])) == len(want)
+
+
 def test_enumeration_widened_coefficients():
     cat = enumerate_fibrations(
         odd_fiber(3, 3, 3, 3), qt_base(), coeff_set=(0, 1, -1), require_finite=True
@@ -251,14 +267,39 @@ def test_enumeration_builds_only_closed_candidates(monkeypatch, built_key_lists)
     monkeypatch.setattr(rht.model.RelativeModel, "__init__", counting_init)
     cat = enumerate_fibrations(fiber, base, require_finite=True)
     cat.realized_subspaces()
-    # the trivial fibration, then each closed candidate once
-    assert len(built) == 1 + closed and 0 < len(cat.entries) < closed < 2**8
+    # the trivial fibration alone: a closed candidate stays its vector
+    assert len(built) == 1 and 0 < len(cat) < closed < 2**8
+    # the first read of entries builds each kept entry once
+    assert cat.entries is cat.entries and len(built) == 1 + len(cat)
     # every entry shares one generator set, and so each of its degree bases
     totals = {id(entry.total.gens) for _, entry in cat.entries}
     assert len(totals) == 1
     gens = cat.entries[0][1].total.gens
     per_degree = Counter(n for g, n in bases if g == gens)
     assert per_degree and max(per_degree.values()) == 1, per_degree
+
+
+def test_enumerated_entries_match_brute_force_once_read():
+    # the benchmark's fibres over qt, gated and not: an enumerated catalog
+    # keeps vectors, realizes them as the oracle does, and its entries are,
+    # once read, the RelativeModels the construction keeps
+    base = load("base-qt.smf")[0]
+    for name in ("fiber-3-5-9-17.smf", "fiber-3-3-3-3.smf"):
+        fiber = load(name)[0]
+        want, _ = brute_force(fiber, base, (0, 1))
+        finite = [(key, entry) for key, entry in want if finiteness_window(entry)[0]]
+        assert 0 < len(finite) <= len(want)
+        for gate, kept in ((False, want), (True, finite)):
+            cat = enumerate_fibrations(fiber, base, (0, 1), require_finite=gate)
+            assert len(cat) == len(kept) and cat._entries is None
+            realized = cat.realized_subspaces()
+            assert realized == {key: fibre_gottlieb(entry).total() for key, entry in kept}
+            got = cat.entries
+            assert got is cat.entries and [k for k, _ in got] == [k for k, _ in kept]
+            for (key, a), (_, b) in zip(got, kept):
+                assert isinstance(a, RelativeModel) and a.serialize() == b.serialize(), key
+                assert a.fiber.gens == fiber.gens and a.fiber.diff == fiber.diff, key
+            assert cat.realized_subspaces() == realized
 
 
 def test_closure_search_matches_brute_force_where_it_prunes():
@@ -304,12 +345,12 @@ def test_closure_search_visits_few_nodes(monkeypatch):
 
 def assert_realized_matches_oracle(cat):
     """realized_subspaces() is fibre_gottlieb(entry).total() for every entry,
-    also with the entries reversed, so that another entry comes first;
-    returns the number of distinct subspaces."""
+    of the catalog and of a catalog of its entries, also reversed, so that
+    another entry comes first; returns the number of distinct subspaces."""
     want = {key: fibre_gottlieb(entry).total() for key, entry in cat.entries}
-    for entries in (cat.entries, cat.entries[::-1]):
-        got = Catalog(cat.fiber, entries).realized_subspaces()
-        assert list(got) == [key for key, _ in entries]
+    for c in (cat, Catalog(cat.fiber, cat.entries), Catalog(cat.fiber, cat.entries[::-1])):
+        got = c.realized_subspaces()
+        assert list(got) == [key for key, _ in c.entries]
         for key in want:
             assert got[key] == want[key], key
     return len(set(want.values()))

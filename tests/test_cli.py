@@ -14,6 +14,7 @@ import pytest
 import rht
 import rht.catalog
 import rht.cli
+import rht.model
 from rht import (
     ABSOLUTE,
     RELATIVE,
@@ -317,6 +318,33 @@ def test_enumerate_single_node(capsys):
     assert len(doc["nodes"]) == 1 and doc["nodes"][0]["dim"] == 4
 
 
+def test_enumerate_builds_no_relative_model_per_candidate(capsys, monkeypatch):
+    # E1 of the benchmark: each of the 58 closed candidates stays a vector
+    # of slot coefficients; only its total space is built, whose constructor
+    # checks D.D = 0, and the 42 finite ones are realized without an entry
+    relative, totals = [], Counter()
+    real_relative, real_space = RelativeModel.__init__, rht.model.SullivanModel.__init__
+
+    def counting_relative(self, *args, **kwargs):
+        relative.append(self)
+        real_relative(self, *args, **kwargs)
+
+    def counting_space(self, gens, *args, **kwargs):
+        totals[len(gens)] += 1
+        real_space(self, gens, *args, **kwargs)
+
+    monkeypatch.setattr(RelativeModel, "__init__", counting_relative)
+    monkeypatch.setattr(rht.model.SullivanModel, "__init__", counting_space)
+    code, _, err = run(
+        capsys, "enumerate", fx("fiber-3-5-9-17.smf"), fx("base-qt.smf"),
+        "--coeffs", "0,1", "--json", "--require-finite",
+    )
+    assert (code, err) == (0, "42 fibration(s) kept\n")
+    assert len(relative) <= 1  # the trivial fibration's own
+    # the trivial fibration's total, then one per closed candidate
+    assert totals[5] == 1 + 58, totals
+
+
 def test_enumerate_windows_each_model_once(capsys, monkeypatch):
     calls = Counter()
     real = rht.catalog.finiteness_window
@@ -424,6 +452,8 @@ def test_subcommand_refuses_flags_it_does_not_read(capsys, flag):
         ["les-check", fx("ex44.smf"), "--degrees", "abc"],
         ["der-homology", fx("su5.smf"), "--degrees", "0..2"],
         ["enumerate", fx("fiber-3-3-3-3.smf"), fx("base-qt.smf"), "--coeffs", "1/0"],
+        ["enumerate", fx("fiber-3-3-3-3.smf"), fx("base-qt.smf"), "--coeffs", ""],
+        ["enumerate", fx("fiber-3-3-3-3.smf"), fx("base-qt.smf"), "--coeffs", ",,"],
         ["validate", "NOT-UTF8"],
         ["gottlieb", "NOT-UTF8"],
         ["cohomology", fx("su5.smf"), "--max-degree", "-1"],
@@ -436,6 +466,8 @@ def test_subcommand_refuses_flags_it_does_not_read(capsys, flag):
         "degrees-not-a-number",
         "degrees-below-one",
         "coeffs-zero-denominator",
+        "coeffs-empty",
+        "coeffs-only-commas",
         "validate-not-utf8",
         "gottlieb-not-utf8",
         "max-degree-negative",
