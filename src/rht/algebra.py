@@ -95,8 +95,11 @@ class GenSet:
 
         One table serves every degree; a degree past its end rebuilds it at
         twice the length, so building it stays linear in the largest degree.
-        Callers must not change it.
+        Callers must not change it.  A degree of 2^DIGIT or more is refused
+        before any table is built: no packed monomial holds its exponents.
         """
+        if n >> DIGIT:
+            raise CombinatorialBlowup(f"degree {n} has exponents a packed monomial cannot hold")
         if len(self._counts[0]) <= n:
             size = max(n + 1, 2 * len(self._counts[0]))
             rows = [[1] + [0] * (size - 1)]
@@ -153,15 +156,14 @@ class GenSet:
         use; callers must not change the list.  Two monomials with no odd
         generator in common multiply, up to the Koszul sign, to the sum of
         their keys.  An exponent in degree n is at most n/2, so the degree
-        alone decides whether every field holds it."""
+        alone decides whether every field holds it: counts refuses one of
+        2^DIGIT or more."""
         if n in self._suffix[0]:
             return self._suffix[0][n]
         if n < 0:
             raise ValueError("degree must be nonnegative")
         if not self.size(n):  # nothing to build, also when the set has no generators
             return self._suffix[0].setdefault(n, [])
-        if n >> DIGIT:
-            raise CombinatorialBlowup(f"degree {n} has exponents a packed monomial cannot hold")
         return self.suffix(0, n)
 
     def pack(self, exponents: Iterable[tuple[int, int]]) -> int:

@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -235,7 +234,7 @@ def _cmd_les_check(args) -> int:
             "model": name,
             "chain_level_ok": report.chain_level_ok,
             "exact": report.exact,
-            "nodes": [asdict(nd) for nd in report.nodes],
+            "nodes": [vars(nd) for nd in report.nodes],
         }
         lines = [f"model {name}"]
         for nd in report.nodes:
@@ -277,7 +276,7 @@ def _catalog_from_files(args) -> Catalog:
 
 def _cmd_depth(args) -> int:
     result = depth_of_subspaces(_catalog_from_files(args).realized_subspaces())
-    _emit(args, asdict(result), [f"depth {result.depth}  ({' > '.join(result.witness)})"])
+    _emit(args, vars(result), [f"depth {result.depth}  ({' > '.join(result.witness)})"])
     return 0
 
 
@@ -315,7 +314,76 @@ def _cmd_enumerate(args) -> int:
 # dispatch
 
 
-@functools.cache  # built on the first call, not at import; parse_args keeps no state
+_OPTIONS = {
+    "--degrees": dict(help="degree range a..b or a single degree"),
+    "--max-degree": dict(type=int, help="top degree to compute"),
+    "--window": dict(type=int, default=DEFAULT_WINDOW, help="finiteness window size"),
+    "--coeffs": dict(default="0,1", help="enumeration coefficients"),
+    "--require-finite": dict(
+        action="store_true",
+        help="drop or reject entries failing the finiteness window check",
+    ),
+    "--dot": dict(help="write the Hasse diagram to this DOT file"),
+    "--json": dict(action="store_true", help="emit JSON instead of text"),
+}
+
+# name -> (handler, help, flags), in the order rht --help lists them
+_COMMANDS = {
+    "validate": (_cmd_validate, "parse and check model files", ()),
+    "homotopy": (_cmd_homotopy, "rational homotopy ranks from generator degrees",
+                 ("--max-degree", "--json")),
+    "cohomology": (_cmd_cohomology, "cohomology of the (total) algebra",
+                   ("--max-degree", "--json")),
+    "der-homology": (_cmd_der_homology, "derivation complex homology", ("--degrees", "--json")),
+    "gottlieb": (_cmd_gottlieb, "rationalized Gottlieb group", ("--max-degree", "--json")),
+    "fibre-gottlieb": (_cmd_fibre_gottlieb, "fibre-restricted Gottlieb group",
+                       ("--max-degree", "--json")),
+    "connecting": (_cmd_connecting, "connecting image inside the Gottlieb group", ("--json",)),
+    "les-check": (_cmd_les_check, "ideal/relative/absolute exactness check",
+                  ("--degrees", "--json")),
+    "toral-check": (_cmd_toral_check, "bounded almost-free torus certificate",
+                    ("--window", "--json")),
+    "depth": (_cmd_depth, "depth of realized subspaces of a catalog",
+              ("--window", "--require-finite", "--json")),
+    "poset": (_cmd_poset, "inclusion poset of realized subspaces",
+              ("--window", "--require-finite", "--dot", "--json")),
+    "enumerate": (_cmd_enumerate, "enumerate fibrations of a fiber over a base",
+                  ("--window", "--coeffs", "--require-finite", "--dot", "--json")),
+}
+
+
+def _fill(parser: argparse.ArgumentParser, name: str) -> None:
+    """Add command name's arguments and handler to parser."""
+    func, _, flags = _COMMANDS[name]
+    parser.add_argument("files", nargs="+", help="model files")
+    for flag in flags:
+        parser.add_argument(flag, **_OPTIONS[flag])
+    parser.set_defaults(func=func)
+
+
+class _Fallback(Exception):
+    """A command's own parser met help or a usage error: the full tree prints it."""
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, built like the full tree's subparser for it, so
+    it reads every argv the same way; it prints nothing itself."""
+
+    def print_help(self, file=None):
+        raise _Fallback
+
+    def error(self, message):
+        raise _Fallback
+
+
+@functools.cache  # built on a command's first call, not at import; parsing keeps no state
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    parser = _CommandParser(prog=f"rht {name}")
+    _fill(parser, name)
+    return parser
+
+
+@functools.cache  # built only for help and usage errors
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rht",
@@ -323,51 +391,31 @@ def _build_parser() -> argparse.ArgumentParser:
         "of Sullivan models over the rationals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    options = {
-        "--degrees": dict(help="degree range a..b or a single degree"),
-        "--max-degree": dict(type=int, help="top degree to compute"),
-        "--window": dict(type=int, default=DEFAULT_WINDOW, help="finiteness window size"),
-        "--coeffs": dict(default="0,1", help="enumeration coefficients"),
-        "--require-finite": dict(
-            action="store_true",
-            help="drop or reject entries failing the finiteness window check",
-        ),
-        "--dot": dict(help="write the Hasse diagram to this DOT file"),
-        "--json": dict(action="store_true", help="emit JSON instead of text"),
-    }
-
-    def add(name, func, help_text, *flags):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("files", nargs="+", help="model files")
-        for flag in flags:
-            p.add_argument(flag, **options[flag])
-        p.set_defaults(func=func)
-
-    add("validate", _cmd_validate, "parse and check model files")
-    add("homotopy", _cmd_homotopy, "rational homotopy ranks from generator degrees",
-        "--max-degree", "--json")
-    add("cohomology", _cmd_cohomology, "cohomology of the (total) algebra",
-        "--max-degree", "--json")
-    add("der-homology", _cmd_der_homology, "derivation complex homology", "--degrees", "--json")
-    add("gottlieb", _cmd_gottlieb, "rationalized Gottlieb group", "--max-degree", "--json")
-    add("fibre-gottlieb", _cmd_fibre_gottlieb, "fibre-restricted Gottlieb group",
-        "--max-degree", "--json")
-    add("connecting", _cmd_connecting, "connecting image inside the Gottlieb group", "--json")
-    add("les-check", _cmd_les_check, "ideal/relative/absolute exactness check",
-        "--degrees", "--json")
-    add("toral-check", _cmd_toral_check, "bounded almost-free torus certificate",
-        "--window", "--json")
-    add("depth", _cmd_depth, "depth of realized subspaces of a catalog",
-        "--window", "--require-finite", "--json")
-    add("poset", _cmd_poset, "inclusion poset of realized subspaces",
-        "--window", "--require-finite", "--dot", "--json")
-    add("enumerate", _cmd_enumerate, "enumerate fibrations of a fiber over a base",
-        "--window", "--coeffs", "--require-finite", "--dot", "--json")
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The arguments of one call, read by the called command's parser alone.
+
+    Anything else goes to the full tree: no command or an unknown one, help,
+    a usage error, or arguments the command leaves over.  So every help text
+    and usage error comes from _build_parser, and the namespace differs from
+    its own only in having no ``command``.
+    """
+    if argv and argv[0] in _COMMANDS:
+        try:
+            args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+            if not rest:
+                return args
+        except _Fallback:
+            pass
+    return _build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     window = getattr(args, "window", None)
     max_degree = getattr(args, "max_degree", None)
     try:

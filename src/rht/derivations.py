@@ -204,7 +204,7 @@ class DerComplex:
                     if c:
                         col[index[gi, k]] = c
             columns.append(col)
-        return RatMatrix(tgt.dim, columns)
+        return RatMatrix._trusted(tgt.dim, columns)
 
     def _operator(self, images: Mapping) -> _Operator:
         """E compiled once per complex and not once per shift, keyed by its
@@ -260,7 +260,7 @@ class DerComplex:
 
 def _zero_one(rows: int, positions: Iterable[Optional[int]]) -> RatMatrix:
     """The 0/1 matrix sending column j to row positions[j], or to zero on None."""
-    return RatMatrix(rows, ({} if i is None else {i: 1} for i in positions))
+    return RatMatrix._trusted(rows, [{} if i is None else {i: 1} for i in positions])
 
 
 def dual_frame(model: SullivanModel, n: int) -> tuple[str, ...]:

@@ -207,7 +207,7 @@ def _inverse(positions: Sequence[Optional[int]], dim: int) -> list[Optional[int]
 
 def _induced(cycles: Iterable[Mapping], h: HomologySlice) -> tuple[RatMatrix, int]:
     """The map sending the k-th source class to the class of the k-th cycle, and its rank."""
-    m = RatMatrix(h.dim, map(h.coords, cycles))
+    m = RatMatrix._trusted(h.dim, list(map(h.coords, cycles)))
     return m, _rank(m)
 
 

@@ -72,6 +72,15 @@ class RatMatrix:
             self.columns.append(col)
         self.cols = len(self.columns)
 
+    @classmethod
+    def _trusted(cls, rows: int, columns: list[Sparse]) -> "RatMatrix":
+        """A matrix that keeps the given columns as they are, with no copy and
+        no check: only for columns whose entries are exact, nonzero and in
+        0..rows-1 by construction."""
+        m = cls.__new__(cls)
+        m.rows, m.columns, m.cols = rows, columns, len(columns)
+        return m
+
     @staticmethod
     def from_rows(data: Sequence[Sequence]) -> "RatMatrix":
         cols = len(data[0]) if data else 0
@@ -103,7 +112,7 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        return RatMatrix(self.rows, map(self.apply, other.columns))
+        return RatMatrix._trusted(self.rows, list(map(self.apply, other.columns)))
 
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):

@@ -326,7 +326,7 @@ class Cochains:
                 {index[k]: c for k, c in _leibniz(images, key, {}).items() if c}
                 for key in self.keys(n)
             ]
-            self._d[n] = RatMatrix(len(index), columns)
+            self._d[n] = RatMatrix._trusted(len(index), columns)
         return self._d[n]
 
     def homology(self, n: int) -> HomologySlice:

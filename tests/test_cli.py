@@ -433,6 +433,22 @@ def test_wide_window_is_certified_by_the_pure_quotient():
     assert code == 0, err
 
 
+def test_a_window_past_any_packed_degree_is_refused_in_one_line(capsys):
+    # cp3's window reaches degree 10^11 + 10, whose exponents no packed
+    # monomial holds: refused before a count table that long is built.
+    # su4-circle's pure quotient certifies it without that degree
+    cp3 = str(Path(__file__).parent.parent / "perfbench" / "cp3.smf")
+    code, out, err = run(capsys, "toral-check", cp3, "--window", "99999999999")
+    assert (code, out) == (2, "")
+    assert err == (
+        "CombinatorialBlowup: degree 100000000010 has exponents a packed monomial cannot hold\n"
+    )
+    circle = fx("su4-circle.smf")
+    code, out, err = run(capsys, "toral-check", circle, "--window", "99999999999", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "certified"
+
+
 @pytest.mark.parametrize(
     "flag",
     [["--require-finite"], ["--window", "3"], ["--coeffs", "x"]],
@@ -701,7 +717,8 @@ def test_der_homology_near_the_degree_cap_is_bounded(tmp_path):
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
-    main(["homotopy", fx("su5.smf")])  # builds the parser if no test has yet
+    # a call that parses builds its command's parser, once per process, and
+    # never the full tree, which only help and usage errors need
     built = []
     real_init = argparse.ArgumentParser.__init__
 
@@ -710,15 +727,35 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for argv in (
-        ["homotopy", fx("su5.smf")],
-        ["der-homology", fx("su5.smf"), "--degrees", "2"],
-        ["toral-check", fx("su4-torus.smf"), "--window", "3"],
+    rht.cli._command_parser.cache_clear()
+    rht.cli._build_parser.cache_clear()
+    assert main(["toral-check", fx("su4-torus.smf"), "--window", "3"]) == 0
+    assert built == ["rht toral-check"]
+    calls = [
         ["validate", fx("su5.smf")],
-    ):
+        ["homotopy", fx("su5.smf")],
+        ["cohomology", fx("su5.smf"), "--max-degree", "6"],
+        ["der-homology", fx("su5.smf"), "--degrees", "2"],
+        ["gottlieb", fx("su5.smf")],
+        ["fibre-gottlieb", fx("su5-bundle.smf")],
+        ["connecting", fx("su5-bundle.smf")],
+        ["les-check", fx("su5-bundle.smf"), "--degrees", "2..4"],
+        ["toral-check", fx("su4-torus.smf")],
+        ["depth", fx("ex47.smf")],
+        ["poset", fx("ex47.smf")],
+        ["enumerate", fx("fiber-3-3-3-3.smf"), fx("base-qt.smf")],
+    ]
+    assert [argv[0] for argv in calls] == list(SUBCOMMANDS)
+    for argv in calls:
+        assert main(argv) == 0, argv
+    others = [f"rht {cmd}" for cmd in SUBCOMMANDS if cmd != "toral-check"]
+    assert built == ["rht toral-check", *others]
+    built.clear()
+    for argv in calls:
         assert main(argv) == 0, argv
     capsys.readouterr()
     assert built == []
+    assert rht.cli._build_parser.cache_info().currsize == 0
 
 
 def exit_and_output(capsys, argv):
@@ -748,6 +785,55 @@ def test_repeated_calls_are_identical(capsys):
     assert code == 0 and json.loads(out)["window"] == 3
     code, out, _ = exit_and_output(capsys, ["toral-check", torus, "--json"])
     assert code == 0 and json.loads(out)["window"] == 6
+
+
+def parsed_or_printed(capsys, parse, argv):
+    """What parse makes of argv: its namespace less ``command``, or the exit
+    code, stdout and stderr of the help or usage error it printed."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+    return {key: value for key, value in vars(args).items() if key != "command"}
+
+
+def test_help_and_usage_errors_match_the_full_parser(capsys):
+    # main parses a call with the called command's parser alone and leaves
+    # help and every usage error to the full tree: byte for byte what the
+    # full tree does, and the same arguments for a call that parses
+    torus, su5 = fx("su4-torus.smf"), fx("su5.smf")
+    runs = [
+        [],
+        ["--help"],
+        ["-h", "toral-check"],
+        *([cmd, "--help"] for cmd in SUBCOMMANDS),
+        ["frobnicate", su5],
+        ["gottlieb"],
+        ["toral-check", torus, "--window", "x"],
+        ["toral-check", torus, "--window"],
+        ["gottlieb", su5, "--window", "3"],
+        ["toral-check", torus, "--json=1"],
+        ["toral-check", torus, "--win", "3", "--js"],
+        ["toral-check", "--", torus],
+        ["--", "toral-check", torus],
+        # help and option-like strings where the full tree has -h and --help
+        ["toral-check", torus, "-hx"],
+        ["toral-check", torus, "--h"],
+        ["toral-check", "-h x"],
+        ["toral-check", "--window", "-h", torus],
+        ["toral-check", "--", "-h"],
+        ["toral-check", torus, "--window", "-5"],
+        ["enumerate", torus, torus, "--re"],
+        ["poset", torus, "--dot"],
+    ]
+    assert len(runs) == 32
+    for argv in runs:
+        got = parsed_or_printed(capsys, rht.cli._parse, argv)
+        assert got == parsed_or_printed(capsys, rht.cli._build_parser().parse_args, argv), argv
+        if not isinstance(got, dict):
+            # main itself prints what the full tree prints
+            assert exit_and_output(capsys, argv) == got, argv
 
 
 def test_der_homology_builds_each_slice_once_per_model(capsys, monkeypatch):

@@ -1,5 +1,8 @@
 """Exact rational linear algebra: the echelon kernel, subspaces, homology."""
 
+import random
+import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -7,8 +10,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rht import Echelon, HomologySlice, RatMatrix, Subspace
+from rht import (
+    Echelon,
+    HomologySlice,
+    RatMatrix,
+    RelativeModel,
+    Subspace,
+    cohomology,
+    connecting_images,
+    fibre_gottlieb,
+    gottlieb,
+    les_check,
+    toral_certificate,
+)
 from rht.errors import AmbientMismatch, NotAComplex
+from rht.invariants import top_shift
+
+from conftest import FIXTURES, load, random_fibration, random_space
 
 integers = st.integers(-4, 4)
 # ints and Fractions mixed, so elimination meets non-unit and fractional pivots
@@ -456,3 +474,42 @@ def test_echelon_drops_explicit_zero_entries():
     assert e.add({0: 0, 1: 3}) and e.rows == {0: {0: 1, 2: 1}, 1: {1: 1}}
     with pytest.raises(TypeError):
         Echelon(1, [{0: 0.0}])
+
+
+# ----------------------------------------------------------------------
+# columns kept as given
+
+
+def test_kept_columns_are_what_the_checking_constructor_stores(monkeypatch):
+    # RatMatrix._trusted keeps its columns with no copy and no check; each
+    # caller must hand it exact, nonzero entries inside the matrix, so every
+    # matrix it builds equals the public constructor's copy of its columns
+    built = []
+    real = RatMatrix._trusted.__func__
+
+    def recording(cls, rows, columns):
+        m = real(cls, rows, columns)
+        built.append((sys._getframe(1).f_code.co_name, m))
+        return m
+
+    monkeypatch.setattr(RatMatrix, "_trusted", classmethod(recording))
+    rng = random.Random(11)
+    fixtures = [p.name for p in sorted(FIXTURES.glob("*.smf")) if p.name != "bad-degree.smf"]
+    models = [m for name in fixtures for m in load(name)]
+    models += [random_space(rng, 5) for _ in range(15)]
+    models += [random_fibration(rng, 5) for _ in range(15)]
+    for m in models:
+        cohomology(m, min(12, m.total.bound or 12))
+        gottlieb(m)
+        if isinstance(m, RelativeModel):
+            fibre_gottlieb(m)
+            connecting_images(m)
+            les_check(m, range(1, top_shift(m) + 1))
+            if all(g.degree == 2 for g in m.base.gens):
+                toral_certificate(m, 4)
+    callers = Counter(name for name, _ in built)
+    assert set(callers) == {"d", "bracket", "_zero_one", "__matmul__", "_induced"}, callers
+    for name, m in built:
+        assert m.cols == len(m.columns), name
+        assert m == RatMatrix(m.rows, m.columns), name
+        assert all(exact(col.values()) for col in m.columns), name
