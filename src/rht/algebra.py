@@ -248,12 +248,6 @@ class Monomial:
     def is_unit(self) -> bool:
         return not self.exponents
 
-    def exponent_of(self, index: int) -> int:
-        for i, e in self.exponents:
-            if i == index:
-                return e
-        return 0
-
     def word(self) -> list[int]:
         """The monomial as a flat word of generator indices."""
         out = []
@@ -262,9 +256,9 @@ class Monomial:
         return out
 
     def sort_key(self, gens: GenSet) -> tuple:
-        # graded-lexicographic: degree first, then exponent vector, largest first
-        vec = tuple(self.exponent_of(i) for i in range(len(gens)))
-        return (self.degree(gens), tuple(-e for e in vec))
+        # graded-lexicographic: degree first, then exponent vector, largest first;
+        # within a degree the sparse pairs first differ where the dense vectors do
+        return (self.degree(gens), tuple((i, -e) for i, e in self.exponents))
 
     def format(self, gens: GenSet) -> str:
         if self.is_unit:

@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .algebra import AlgElement, Monomial, _apply, _exact, _Operator
+from .algebra import AlgElement, Monomial, _exact, _Operator, _sum
 from .derivations import RELATIVE, DerComplex, dual_frame, frame_degrees
 from .errors import CombinatorialBlowup, DuplicateId, FiberMismatch, NotFiniteAtBound
 from .invariants import (
     DEFAULT_WINDOW, GottliebResult, _image_on_cycles, finiteness_window, top_shift
 )
 from .linalg import RatMatrix, Subspace
-from .model import RelativeModel, SullivanModel, trivial_fibration
+from .model import RelativeModel, SullivanModel
 
 # Most candidate differentials an enumeration may try; above it the count
 # alone is reported.
@@ -23,13 +23,16 @@ MAX_CANDIDATES = 10**6
 class Catalog:
     """A family of fibrations sharing one fiber model.
 
-    Given entries are checked at once.  An enumerated catalog holds each
-    fibration as its vector of slot coefficients over the trivial fibration
-    (_Family), and builds the RelativeModels of entries on first read."""
+    Every entry is read one way: as its slot coefficients over the trivial
+    fibration of its base and bound (_Twist).  Given entries are checked and
+    grouped at once and kept as given; an enumerated catalog builds the
+    RelativeModels of its entries on first read."""
 
-    def __init__(self, fiber: SullivanModel, entries: Sequence = (), family: Optional[_Family] = None):
-        self.fiber, self._family = fiber, family
-        self._entries = None if family else list(entries)
+    def __init__(self, fiber: SullivanModel, entries: Sequence = (), twists: Optional[list] = None):
+        self.fiber = fiber
+        self._entries = None if twists is not None else list(entries)
+        self._twists = twists or []  # (id, _Twist, {slot: coefficient}) per entry
+        groups: list[_Twist] = []  # one per base and bound
         seen = set()
         for key, entry in self._entries or ():
             if key in seen:
@@ -37,36 +40,26 @@ class Catalog:
             seen.add(key)
             if entry.fiber.gens != self.fiber.gens or entry.fiber.diff != self.fiber.diff:
                 raise FiberMismatch(f"catalog entry {key!r} has a different fiber")
+            group = next((g for g in groups if g.holds(entry)), None)
+            if group is None:
+                groups.append(group := _Twist(self.fiber, entry.base, entry.bound))
+            self._twists.append((key, group, group.read(entry)))
 
     def __len__(self) -> int:
-        return len(self._family.vectors if self._entries is None else self._entries)
+        return len(self._twists)
 
     @property
     def entries(self) -> list[tuple[str, RelativeModel]]:
         """The (id, fibration) pairs in catalog order."""
         if self._entries is None:
-            self._entries = [(key, self._family.entry(key, c)) for key, c in self._family.vectors]
+            self._entries = [(key, twist.entry(key, c)) for key, twist, c in self._twists]
         return self._entries
 
     def realized_subspaces(self) -> dict[str, Subspace]:
-        """fibre_gottlieb(entry).total() per entry, from one twist (_Twist) per base.
-
-        One pass in catalog order, each subspace built in fibre_gottlieb's
-        order: an error comes from the entry whose fibre_gottlieb raises first.
-        An enumerated entry is read as the trivial fibration and its vector of
-        slot coefficients, a given one as itself and its slot terms."""
-        if (f := self._family) is None:
-            twists = ((key, e, _split_twist(e)) for key, e in self.entries)
-        else:
-            twists = ((key, f.trivial, {s: v for s, v in zip(f.slots, c) if v}) for key, c in f.vectors)
-        groups: list[_Twist] = []
-        out = {}
-        for key, model, c in twists:
-            group = next((g for g in groups if g.holds(model)), None)
-            if group is None:
-                groups.append(group := _Twist(model))
-            out[key] = group.realized(c)
-        return out
+        """fibre_gottlieb(entry).total() per entry, in catalog order, each built
+        in fibre_gottlieb's order: an error comes from the entry whose
+        fibre_gottlieb raises first."""
+        return {key: twist.realized(c) for key, twist, c in self._twists}
 
     def check_finite(self, window: int = DEFAULT_WINDOW) -> None:
         """Raise NotFiniteAtBound naming every entry that fails the finiteness window."""
@@ -75,61 +68,67 @@ class Catalog:
             raise NotFiniteAtBound("total spaces failed the finiteness gate: " + ", ".join(offenders))
 
 
-@dataclass
-class _Family:
-    """Twists of the trivial fibration T, each a vector c of slot coefficients:
-    D(w) = D_T(w) + sum of c_s m_s over the slots s = (index of w_s, exponents of
-    m_s) with w_s = w.  Each m_s holds a base generator, so each twist's fibre is T's."""
-
-    trivial: RelativeModel
-    slots: list[tuple[int, tuple]]
-    terms: list[tuple[str, Monomial]]  # per slot: the name of w_s, m_s
-    vectors: list[tuple[str, tuple]] = field(default_factory=list)  # (id, c)
-
-    def diff(self, c: tuple) -> dict[str, AlgElement]:
-        """D of twist c on every generator of the total space."""
-        total = self.trivial.total
-        terms: dict[str, dict] = {}
-        for (name, mono), v in zip(self.terms, c):
-            if v:  # no term of D_T(w) holds a base generator
-                terms.setdefault(name, dict(total.diff_of(name).terms))[mono] = v
-        return {**total.diff, **{name: AlgElement(total.gens, t) for name, t in terms.items()}}
-
-    def entry(self, key: str, c: tuple) -> RelativeModel:
-        t = self.trivial
-        diff = {name: v for name, v in self.diff(c).items() if name in t.fiber.gens.by_name}
-        return RelativeModel(t.base, t.fiber.gens, diff, dict(t.fiber.diff), name=key, bound=t.bound)
-
-
 class _Twist:
-    """The fibrations over one base and bound as twists of one of them, F: the
-    trivial fibration for an enumerated catalog, else the group's first entry.
+    """The fibrations with one fibre over one base and bound, each a twist of
+    their trivial fibration T by its slot coefficients c:
+    D(w) = D_T(w) + sum of c_s m_s over the slots s = (index of w_s, exponents
+    of m_s) with w_s = w.  Each m_s holds a base generator, so each twist's
+    fibre is T's.
 
-    An entry E has D_E = D_F + sum_s (c_s(E) - c_s(F)) theta_s, where c_s is
-    the coefficient of slot s, theta_s sending the fibre generator w_s to a
-    monomial m_s with a base generator.  The boundary is linear in D, so at
-    shift n it is delta_F^n, from F's relative DerComplex, plus each nonzero
-    difference times B_s^n = [theta_s, -]; each B_s^n is built once, and
-    realized computes the image at shift n once per distinct such terms.
+    The boundary is linear in D, so at shift n it is delta_T^n, from T's
+    relative DerComplex, plus each nonzero c_s times B_s^n = [theta_s, -],
+    theta_s sending w_s to m_s; each B_s^n is built once, and realized
+    computes the image at shift n once per distinct such terms.
     """
 
-    def __init__(self, model: RelativeModel):
-        self.base, self.bound, self.fiber = model.base, model.bound, model.fiber
-        self.cx = DerComplex(model, RELATIVE)  # F's: slices, delta_F and evaluation
-        self.first = _split_twist(model)  # {s: c_s(F)}
+    def __init__(self, fiber: SullivanModel, base: SullivanModel, bound: Optional[int]):
+        self.trivial = RelativeModel(base, fiber.gens, fiber.diff, bound=bound)
+        self.fiber = self.trivial.fiber
         shifts = frame_degrees(self.fiber, top_shift(self.fiber))
         self.frames = [(n, dual_frame(self.fiber, n)) for n in shifts]
         self._brackets: dict = {}  # (n, s) -> B_s^n, None when zero
         self._images: dict[tuple, Subspace] = {}  # (n, nonzero terms at n) -> image
         self._totals: dict[tuple, Subspace] = {}  # the images, one per frame -> their sum
 
-    def holds(self, entry) -> bool:
-        """True when the entry twists this group's F: same base and bound."""
+    @cached_property
+    def cx(self) -> DerComplex:
+        """T's relative complex: slices, delta_T and evaluation."""
+        return DerComplex(self.trivial, RELATIVE)
+
+    def holds(self, entry: RelativeModel) -> bool:
+        """True when the entry twists T: same base and bound."""
+        base = self.trivial.base
         return (
-            entry.bound == self.bound
-            and entry.base.gens == self.base.gens
-            and entry.base.diff == self.base.diff
+            entry.bound == self.trivial.bound
+            and entry.base.gens == base.gens
+            and entry.base.diff == base.diff
         )
+
+    def read(self, entry: RelativeModel) -> dict:
+        """A given entry's slot coefficients: the terms of D(w) holding a base generator, as
+        {(index of w, exponents of m): coefficient}, integral ones ints as the images hold them."""
+        k = self.trivial.base_size  # the base generators lead the exponents of a total monomial
+        return {
+            (i, exponents): c
+            for i, terms in entry.total.images.items()
+            if i >= k
+            for exponents, c in terms
+            if exponents[0][0] < k
+        }
+
+    def diff(self, c: dict) -> dict[str, AlgElement]:
+        """D of the twist by c on every generator of the total space."""
+        total = self.trivial.total
+        terms: dict[str, dict] = {}
+        for (i, exponents), v in c.items():  # no term of D_T(w) holds a base generator
+            name = total.gens[i].name
+            terms.setdefault(name, dict(total.diff_of(name).terms))[Monomial(exponents)] = v
+        return {**total.diff, **{name: AlgElement(total.gens, t) for name, t in terms.items()}}
+
+    def entry(self, key: str, c: dict) -> RelativeModel:
+        t = self.trivial
+        diff = {name: v for name, v in self.diff(c).items() if name in t.fiber.gens.by_name}
+        return RelativeModel(t.base, t.fiber.gens, diff, dict(t.fiber.diff), name=key, bound=t.bound)
 
     def _bracket(self, n: int, s: tuple) -> Optional[RatMatrix]:
         """B_s^n, or None when it is zero."""
@@ -139,24 +138,22 @@ class _Twist:
         return self._brackets[n, s]
 
     def realized(self, c: dict) -> Subspace:
-        """fibre_gottlieb(E).total() for an entry E this group holds, from its
-        slot coefficients c = {s: c_s(E)}.
+        """fibre_gottlieb(E).total() for the twist E by the slot coefficients c.
 
         Evaluation kills every B_s^{n+1}, whose values lie in the base ideal,
         so the image at shift n reads only the terms whose B_s^n is nonzero
-        and checks evaluation against delta_F^{n+1}."""
-        first = self.first
-        diffs = sorted((s, d) for s in {*c, *first} if (d := c.get(s, 0) - first.get(s, 0)))
+        and checks evaluation against delta_T^{n+1}."""
+        terms = sorted(c.items())
         per = {}
         for n, frame in self.frames:
-            key = (n, tuple((s, d) for s, d in diffs if self._bracket(n, s)))
+            key = (n, tuple((s, v) for s, v in terms if self._bracket(n, s)))
             if key not in self._images:
                 delta = self.cx.boundary(n)
                 columns = [dict(col) for col in delta.columns]
-                for s, d in key[1]:
+                for s, v in key[1]:
                     for acc, col in zip(columns, self._brackets[n, s].columns):
-                        for r, v in col.items():
-                            acc[r] = acc.get(r, 0) + d * v
+                        for r, x in col.items():
+                            acc[r] = acc.get(r, 0) + v * x
                 d_out = RatMatrix(delta.rows, columns)
                 d_in = self.cx.boundary(n + 1)
                 self._images[key] = _image_on_cycles(self.cx.evaluation(n), d_out, d_in, frame)
@@ -224,18 +221,6 @@ def _visit(search: tuple, u: int, c) -> Optional[list]:
     return None
 
 
-def _split_twist(entry) -> dict:
-    """A given entry's slot coefficients: the terms of D(w) holding a base generator, as
-    {(index of w, exponents of m): coefficient}, integral ones ints as the images hold them."""
-    return {
-        (i, exponents): c
-        for i, terms in entry.total.images.items()
-        if not entry.is_base_index(i)
-        for exponents, c in terms
-        if any(entry.is_base_index(j) for j, _ in exponents)
-    }
-
-
 def enumerate_fibrations(
     fiber: SullivanModel,
     base: SullivanModel,
@@ -254,10 +239,11 @@ def enumerate_fibrations(
     checks D.D = 0 again, and the gate reads that.  Coefficients are exact:
     ints, Fractions or rational strings; a float raises TypeError.
     """
-    trivial = trivial_fibration(fiber, base)
+    twist = _Twist(fiber, base, fiber.bound)
+    trivial = twist.trivial
     combined = trivial.total.gens
     held = combined.mask(len(base.gens))  # a key & held holds a base generator
-    terms = [(w.name, combined.unpack(key))
+    terms = [(combined.get(w.name), combined.unpack(key))
              for w in fiber.gens for key in combined.keys(w.degree + 1) if key & held]
     # zero first: the first candidate is the trivial fibration
     exact = (Fraction(c) if isinstance(c, str) else _exact(c) for c in coeff_set)
@@ -265,16 +251,18 @@ def enumerate_fibrations(
     size = len(coeffs) ** len(terms)
     if size > MAX_CANDIDATES:
         raise CombinatorialBlowup(f"{size} candidate differentials exceed the cap of {MAX_CANDIDATES}")
-    family = _Family(trivial, [(combined.get(w).index, m.exponents) for w, m in terms], terms)
-    texts = [(w, m.format(combined)) for w, m in terms]
-    for vector in _closed(trivial.total, family.slots, coeffs):
-        added = [f"D{w}+={'' if c == 1 else f'{c}*'}{text}" for (w, text), c in zip(texts, vector) if c]
+    slots = [(w.index, m.exponents) for w, m in terms]
+    texts = [(w.name, m.format(combined)) for w, m in terms]
+    kept = []
+    for vector in _closed(trivial.total, slots, coeffs):
+        c = {s: v for s, v in zip(slots, vector) if v}
+        added = [f"D{w}+={'' if v == 1 else f'{v}*'}{text}" for (w, text), v in zip(texts, vector) if v]
         key = "; ".join(added) or "trivial"
         # the total's constructor checks D.D = 0 again: it stays the authority
-        total = SullivanModel(combined, family.diff(vector), bound=trivial.bound, name=key)
+        total = SullivanModel(combined, twist.diff(c), bound=trivial.bound, name=key)
         if not require_finite or finiteness_window(total, window)[0]:
-            family.vectors.append((key, vector))
-    return Catalog(fiber, family=family)
+            kept.append((key, twist, c))
+    return Catalog(fiber, twists=kept)
 
 
 def _square_terms(total: SullivanModel, slots: list[tuple[int, tuple]]):
@@ -291,10 +279,9 @@ def _square_terms(total: SullivanModel, slots: list[tuple[int, tuple]]):
     (u, None, linear piece of u) and (s, t, theta_s(m_t) at w_t) with max(s, t) = u,
     each nonzero, as [(coordinate, coefficient)]; complete[u] lists the
     coordinates no piece of a later slot reaches."""
-    gens = total.gens
-    diffs = [(gens.get(name).index, dw) for name, dw in total.diff.items()]
-    monos = [AlgElement.monomial(gens, Monomial(m)) for _, m in slots]
-    coords: dict[tuple[int, Monomial], int] = {}
+    gens, d = total.gens, total.operator
+    keys = [gens.pack(m) for _, m in slots]
+    coords: dict[tuple[int, int], int] = {}  # (generator index, packed key) -> coordinate
     last: dict[int, int] = {}  # coordinate -> last slot that reaches it
     pieces: list[list] = [[] for _ in slots]
     holding: dict[int, list[int]] = {}  # generator index -> the slots t with it in m_t
@@ -310,16 +297,16 @@ def _square_terms(total: SullivanModel, slots: list[tuple[int, tuple]]):
             pieces[u].append((s, t, piece))
 
     for s, (w, m) in enumerate(slots):
-        theta = _Operator(gens, {w: ((m, 1),)}, 1)  # once per slot, for every element
-        linear: dict[tuple[int, Monomial], Fraction] = {}
-        images = [(i, _apply(gens, theta, dw)) for i, dw in diffs]
-        for i, image in [*images, (w, total.d(monos[s]))]:
-            for mono, c in image.terms.items():
-                linear[i, mono] = linear.get((i, mono), 0) + c
+        theta = _Operator(gens, {w: ((m, 1),)}, 1).entries  # once per slot, for every element
+        linear: dict = {}
+        images = [(i, _sum(theta, dw)) for i, dw in d.terms.items()]
+        for i, image in [*images, (w, _sum(d.entries, [(keys[s], 1)]))]:
+            for key, c in image.items():
+                linear[i, key] = linear.get((i, key), 0) + c
         file(s, None, linear)
         for t in holding.get(w, ()):  # theta_s(m_t) = 0 unless w_s divides m_t
-            image = _apply(gens, theta, monos[t]).terms
-            file(s, t, {(slots[t][0], mono): c for mono, c in image.items()})
+            image = _sum(theta, [(keys[t], 1)])
+            file(s, t, {(slots[t][0], key): c for key, c in image.items()})
     complete: list[list] = [[] for _ in slots]
     for k, u in last.items():
         complete[u].append(k)

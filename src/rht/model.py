@@ -237,9 +237,6 @@ class RelativeModel:
         terms = ((self.fiber_exponents(m.exponents), c) for m, c in el.terms.items())
         return {Monomial(e): c for e, c in terms if e is not None}
 
-    def is_base_index(self, i: int) -> bool:
-        return i < self.base_size
-
     def serialize(self) -> str:
         lines = [
             f"[fibration {_format_name(self.name or 'fibration')}]",

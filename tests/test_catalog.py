@@ -190,7 +190,7 @@ def enumeration_slots(fiber, base):
         (w.name, mono)
         for w in fiber.gens
         for mono in basis_in_degree(trivial.total.gens, w.degree + 1)
-        if any(trivial.is_base_index(i) for i, _ in mono.exponents)
+        if any(i < trivial.base_size for i, _ in mono.exponents)
     ]
 
 
@@ -403,6 +403,28 @@ def test_realized_subspaces_match_fibre_gottlieb():
         assert_realized_matches_oracle(cat)
 
 
+BOUNDED = """
+[fibration NAME]
+[base]
+gen t 2
+bound BOUND
+[fiber]
+gen w1 3
+gen w2 11
+[total]
+D w2 = t^6
+"""
+
+
+def low_and_high():
+    """One fibration over equal bases under two bounds; the slices of the
+    low one pass its bound."""
+    return [
+        parse_fibration(BOUNDED.replace("NAME", name).replace("BOUND", bound))
+        for name, bound in (("low", "8"), ("high", "30"))
+    ]
+
+
 def test_realized_subspaces_raise_what_fibre_gottlieb_raises():
     def outcome(call):
         try:
@@ -417,23 +439,8 @@ def test_realized_subspaces_raise_what_fibre_gottlieb_raises():
     gens = GenSet([("y", 3), ("x", 4)])
     fiber = SullivanModel(gens, {"y": AlgElement.gen(gens, "x")}, name="pair")
     catalogs = [enumerate_fibrations(fiber, qt_base())]
-    # equal bases under two bounds: the entries form two groups, and the
-    # slices of the bounded one pass its bound
-    text = """
-[fibration NAME]
-[base]
-gen t 2
-bound BOUND
-[fiber]
-gen w1 3
-gen w2 11
-[total]
-D w2 = t^6
-"""
-    low, high = (
-        parse_fibration(text.replace("NAME", name).replace("BOUND", bound))
-        for name, bound in (("low", "8"), ("high", "30"))
-    )
+    # equal bases under two bounds: the entries form two groups
+    low, high = low_and_high()
     for entries in ([high], [high, low], [low, high]):
         catalogs.append(Catalog(low.fiber, [(f.name, f) for f in entries]))
     kinds = []
@@ -446,20 +453,21 @@ D w2 = t^6
 
 def test_evaluation_kills_every_twist_bracket():
     # realized_subspaces keys the image at shift n by the terms at n alone and
-    # checks evaluation against delta_F^{n+1} of the group's first entry F, for
-    # evaluation(n) kills every B_s^{n+1} = [theta_s, -]: its values lie in the
-    # base ideal
+    # checks evaluation against delta_T^{n+1} of the trivial fibration T of the
+    # group, for evaluation(n) kills every B_s^{n+1} = [theta_s, -]: its values
+    # lie in the base ideal
     catalogs = benchmark_enumerations()
     for name in ("ex47.smf", "wedge.smf"):
         fibs = load(name)
         catalogs.append(Catalog(fibs[0].fiber, [(f.name, f) for f in fibs]))
     checked = Counter()
     for i, cat in enumerate(catalogs):
-        twist = rht.catalog._Twist(cat.entries[0][1])
+        first = cat.entries[0][1]
+        twist = rht.catalog._Twist(cat.fiber, first.base, first.bound)
         slots = set()
         for _, entry in cat.entries:
             assert twist.holds(entry)
-            slots.update(rht.catalog._split_twist(entry))
+            slots.update(twist.read(entry))
         for n, _ in twist.frames:
             for s in slots:
                 if (part := twist._bracket(n + 1, s)) is not None:
@@ -470,12 +478,21 @@ def test_evaluation_kills_every_twist_bracket():
     assert sorted(checked) == [0, 2, 3], checked
 
 
-def test_realized_subspaces_build_each_part_once(monkeypatch):
-    # fiber-3-5-9-17 over qt, ungated (first entry trivial) and gated (first
-    # entry twisted): one complex for its one base, each bracket [E, -] built
+def test_realized_subspaces_build_each_part_once(monkeypatch, su4_fixtures):
+    # fiber-3-5-9-17 over qt, ungated and gated, both read over the trivial
+    # fibration: one complex for its one base, each bracket [E, -] built
     # once, and each image once per distinct pair of boundaries (before
     # _Twist, the ungated one built 58 complexes and 232 images)
     ungated, gated = (benchmark_enumerations()[i] for i in (2, 0))
+    # given catalogs: one relative complex per distinct base and bound
+    given = []
+    for name in ("ex47.smf", "wedge.smf"):
+        fibs = load(name)
+        given.append((Catalog(fibs[0].fiber, [(f.name, f) for f in fibs]), 1))
+    su4 = list(su4_fixtures.items())  # circle and trivial over qt, torus over three t
+    given += [(Catalog(su4[0][1].fiber, entries), 2) for entries in (su4, su4[::-1])]
+    low, high = low_and_high()
+    bounded = Catalog(low.fiber, [("high", high), ("low", low)])
     complexes, brackets, images = [], Counter(), []
     real_init, real_bracket = rht.derivations.DerComplex.__init__, rht.derivations.DerComplex.bracket
     real_image = rht.catalog._image_on_cycles
@@ -506,6 +523,38 @@ def test_realized_subspaces_build_each_part_once(monkeypatch):
         assert len(complexes) == 1
         assert brackets and max(brackets.values()) == 1, brackets.most_common(3)
         assert len(images) == len(set(images)) <= 68, len(images)
+    for cat, groups in [*given, (bounded, 2)]:
+        for counted in (complexes, brackets, images):
+            counted.clear()
+        if cat is bounded:  # the high group first, then the low one raises
+            with pytest.raises(BoundExceeded):
+                cat.realized_subspaces()
+        else:
+            assert len(cat.realized_subspaces()) == len(cat)
+        assert len(complexes) == groups and {cx.scope for cx in complexes} == {rht.derivations.RELATIVE}
+        assert brackets and max(brackets.values()) == 1, brackets.most_common(3)
+
+
+def test_given_entries_read_back_the_enumerated_coefficients():
+    # a catalog of an enumeration's entries reads, per id, the slot
+    # coefficients the enumeration kept, over one trivial fibration
+    rng = random.Random(15)
+    spaces = [random_space(rng, 4, 8) for _ in range(60)]
+    catalogs = benchmark_enumerations()
+    for fiber in [f for f in spaces if f.diff][:6] + [f for f in spaces if not f.diff][:6]:
+        for base in (qt_base(), s2_base()):
+            if 3 ** len(enumeration_slots(fiber, base)) <= 300:
+                catalogs.append(enumerate_fibrations(fiber, base, (0, 1, -1)))
+    assert len(catalogs) >= 12
+    twisted = 0
+    for cat in catalogs:
+        kept = [(key, c) for key, _, c in cat._twists]
+        given = Catalog(cat.fiber, cat.entries)
+        assert [(key, c) for key, _, c in given._twists] == kept
+        assert len({id(twist) for _, twist, _ in given._twists}) == 1
+        twisted += sum(len(c) > 1 for _, c in kept)
+    # many entries twist more than one slot
+    assert twisted > 100, twisted
 
 
 def test_pure_quotient_bases_are_built_once_per_enumeration(built_key_lists):

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from rht import ABSOLUTE, IDEAL, RELATIVE, AlgElement, GenSet, Monomial, RelativeModel, SullivanModel
 from rht.algebra import DIGIT, apply_images, basis_in_degree, monomial_images
-from rht.catalog import _split_twist
 from rht.derivations import DerComplex
 from rht.errors import CombinatorialBlowup
 from rht.invariants import top_shift
@@ -136,8 +135,15 @@ def odd_heavy_space(rng: random.Random) -> SullivanModel:
 
 def twists(f: RelativeModel) -> list[dict]:
     """The images of each slot derivation theta_s of f, as a catalog brackets
-    with: the fibre generator w_s sent to a monomial with a base generator."""
-    return [{i: ((exponents, 1),)} for i, exponents in _split_twist(f)]
+    with: the fibre generator w_s sent to a monomial with a base generator,
+    one per such term of a D(w_s), read from D itself."""
+    gens, base = f.total.gens, set(f.base.gens.by_name)
+    return [
+        {gens.get(w.name).index: ((mono.exponents, 1),)}
+        for w in f.fiber.gens
+        for mono in f.total.diff_of(w.name).terms
+        if any(gens[i].name in base for i, _ in mono.exponents)
+    ]
 
 
 def check_model(m) -> int:
