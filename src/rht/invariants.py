@@ -314,17 +314,21 @@ def _pure_quotient_vanishes(m: SullivanModel, fd: int, window: int) -> bool:
     even = [g for g in m.gens if not g.is_odd]
     if not even:
         return True  # Lambda V is finite-dimensional
-    q = m.gens.even()
     to_q = {g.index: i for i, g in enumerate(even)}
-    relations = []  # (degree, terms over q) of each nonzero d_s p
+    pure_parts = []  # (degree, terms over Q's indices) of each nonzero d_s p
     for p in (g for g in m.gens if g.is_odd):
-        pure = [
-            (q.pack((to_q[i], e) for i, e in t), c)
-            for t, c in m.images.get(p.index, ())
-            if all(i in to_q for i, _ in t)
-        ]
+        pure = [(t, c) for t, c in m.images.get(p.index, ()) if all(i in to_q for i, _ in t)]
         if pure:
-            relations.append((p.degree + 1, pure))
+            pure_parts.append((p.degree + 1, pure))
+    if len(pure_parts) < len(even):
+        # Krull's height theorem: r relations leave the quotient a dimension
+        # of at least |Q| - r > 0, so it is infinite and no run is zero
+        return False
+    q = m.gens.even()
+    relations = [  # the same terms over q
+        (deg, [(q.pack((to_q[i], e) for i, e in t), c) for t, c in pure])
+        for deg, pure in pure_parts
+    ]
     s = max(g.degree for g in even)
     start = min(fd + 1, fd + window - s + 1)
     lo = max(start, 0)  # negative degrees are empty
@@ -354,6 +358,16 @@ def finiteness_window(
     then unread.  Otherwise the window decides: it reads H only in the
     window, up to its first nonzero degree, and callers read more from it.
     """
+    fd, pure, cx = _exact_part(model, window)
+    if fd is None or pure:
+        return pure, fd, cx
+    finite = all(cx.homology(n).dim == 0 for n in range(fd + 1, fd + window + 1))
+    return finite, fd, cx
+
+
+def _exact_part(model: ModelLike, window: int) -> tuple[Optional[int], bool, Cochains]:
+    """What a finiteness test knows before it reads H: (fd, whether the pure
+    quotient certifies H finite, an unread Cochains of the total)."""
     # the range must hold at least one degree, or every model passes vacuously
     if window < 1:
         raise ValueError(f"the finiteness window must be at least 1, got {window}")
@@ -361,12 +375,9 @@ def finiteness_window(
     cx = Cochains(total)
     fd = formal_dimension_estimate(total.gens)
     if fd is None:
-        return False, None, cx
+        return None, False, cx
     total.check_bound(fd + window)
-    if _pure_quotient_vanishes(total, fd, window):
-        return True, fd, cx
-    finite = all(cx.homology(n).dim == 0 for n in range(fd + 1, fd + window + 1))
-    return finite, fd, cx
+    return fd, _pure_quotient_vanishes(total, fd, window), cx
 
 
 def toral_certificate(f: RelativeModel, window: int = DEFAULT_WINDOW) -> ToralCertificate:
@@ -374,7 +385,7 @@ def toral_certificate(f: RelativeModel, window: int = DEFAULT_WINDOW) -> ToralCe
 
     Needs every base generator in degree 2 and D congruent to d modulo the
     base ideal (the latter is enforced by the RelativeModel invariants).
-    A window below 1 is rejected by finiteness_window: its range is empty.
+    A window below 1 is rejected as by finiteness_window: its range is empty.
     """
     for g in f.base.gens:
         if g.degree != 2:
@@ -382,22 +393,22 @@ def toral_certificate(f: RelativeModel, window: int = DEFAULT_WINDOW) -> ToralCe
                 f"base generator {g.name} has degree {g.degree}, expected 2"
             )
     r = len(f.base.gens)
-    finite, fd, cx = finiteness_window(f, window)
+    fd, pure, cx = _exact_part(f, window)
     if fd is None:
         return ToralCertificate(r, -1, "inconclusive")
     top = fd + window
-    if finite:
+    # one scan down from the top: its first nonzero degree is top_nonzero,
+    # and H vanishes on the window when it meets none
+    scan = () if pure else range(top, fd, -1)
+    top_nonzero = next((n for n in scan if cx.homology(n).dim), None)
+    if top_nonzero is None:
         return ToralCertificate(r, top, "certified")
     # nonvanishing persists: refute (at this bound) when the top classes are
-    # base-polynomial multiples, the signature of surviving t-powers; the
-    # scan runs down from the top and stops at the first nonzero degree
-    top_nonzero = next(n for n in range(top, fd, -1) if cx.homology(n).dim)
-    keys, base = cx.keys(top_nonzero), f.total.gens.mask(r)
-    for rep in cx.homology(top_nonzero).representatives:
-        for key in (keys[j] for j in rep):
-            if key and key & base == key:  # a monomial in base generators alone
-                return ToralCertificate(r, top, "refuted-at-bound", top_nonzero)
-    return ToralCertificate(r, top, "inconclusive", top_nonzero)
+    # base-polynomial multiples, the signature of surviving t-powers
+    base = f.total.gens.mask(r)
+    base_only = [j for j, key in enumerate(cx.keys(top_nonzero)) if key and key & base == key]
+    verdict = "refuted-at-bound" if cx.homology(top_nonzero).touches(base_only) else "inconclusive"
+    return ToralCertificate(r, top, verdict, top_nonzero)
 
 
 @dataclass

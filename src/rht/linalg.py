@@ -324,6 +324,25 @@ class HomologySlice:
         rows = self._representatives().rows
         return [rows[p] for p in sorted(rows)]
 
+    def touches(self, columns: Iterable[int]) -> bool:
+        """Whether some representative is nonzero in one of the columns.
+
+        Read from the two echelons, with no kernel and no representative.
+        The representatives span the cycles lying in W, the coordinates off
+        the boundary pivots (reducing by the boundaries B projects onto W
+        along B).  The functionals that vanish on that span are the rows of
+        d_out plus the e_p of the boundary pivots p, a direct sum since a row
+        of d_out kills B while e_p is 1 on the boundary row B_p and 0 on the
+        others.  So column j is nonzero on the span exactly when
+        e_j - sum_p B_p[j] e_p lies outside the row space of d_out.
+        """
+        bounds = self._boundaries.rows
+        phis = {j: {j: 1} for j in columns if j not in bounds}  # a pivot column is 0 on W
+        for p, row in bounds.items():  # column j of B, read in one pass
+            for j in phis.keys() & row.keys():
+                phis[j][p] = -row[j]
+        return any(map(self._rows_out.reduce, phis.values()))
+
     def coords(self, cycle: Mapping[int, Number]) -> Sparse:
         """Class of a cycle in the representative basis, keyed by index."""
         if any(not 0 <= c < self._boundaries.n for c in cycle):

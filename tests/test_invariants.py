@@ -426,6 +426,7 @@ def test_window_verdicts_match_full_cohomology():
     # the full cohomology in degrees 0..fd + window
     rng = random.Random(41)
     models = fixture_models() + [scaling_family(1), scaling_family(2)]
+    models.append(scaling_family(2, connected=True))
     models += [random_fibration(rng) for _ in range(12)] + [random_space(rng) for _ in range(6)]
     for m in models:
         total = total_of(m)
@@ -460,6 +461,40 @@ def test_window_verdicts_match_full_cohomology():
                     )
                     verdict = "refuted-at-bound" if base_only else "inconclusive"
                     assert cert.verdict == verdict, (m.name, window)
+
+
+def test_touches_reads_what_the_representatives_hold():
+    # every column one by one, as a sample can miss a column that only the
+    # boundary rows decide, and a few random sets of columns
+    rng = random.Random(31)
+    models = fixture_models() + [scaling_family(k) for k in (1, 2)]
+    models += [scaling_family(k, connected=True) for k in (1, 2)]
+    models += [random_space(rng) for _ in range(150)] + [random_fibration(rng) for _ in range(150)]
+    compared = Counter()  # (touched, a single column) -> comparisons
+    for m in models:
+        total = total_of(m)
+        fd = formal_dimension_estimate(total.gens)
+        top = min(30 if fd is None else fd + 6, 30 if total.bound is None else total.bound)
+        cx = Cochains(total)
+        for n in range(top + 1):
+            h = cx.homology(n)
+            if not h.dim:
+                continue
+            columns = range(len(cx.keys(n)))
+            touched = [h.touches([j]) for j in columns]  # before any representative is built
+            sets = [rng.sample(columns, rng.randint(1, len(columns))) for _ in range(3)]
+            touched_sets = [h.touches(s) for s in sets]
+            reps = h.representatives
+            for j in columns:
+                want = any(rep.get(j) for rep in reps)
+                assert touched[j] == want, (m.name, n, j)
+                compared[(want, True)] += 1
+            for s, got in zip(sets, touched_sets):
+                want = any(rep.get(j) for rep in reps for j in s)
+                assert got == want, (m.name, n, s)
+                compared[(want, False)] += 1
+    # touched and untouched, one column and several, all occur
+    assert sum(compared.values()) > 20000 and len(compared) == 4, compared
 
 
 # models the pure quotient must leave to the window.  In the non-minimal
@@ -562,8 +597,28 @@ def test_pure_quotient_leaves_undecided_models_to_the_window():
             assert finiteness_window(m, window)[:2] == (verdict, fd), (m.name, window)
 
 
+def test_krull_count_skips_the_pure_quotient_search(built_key_lists):
+    # fewer nonzero d_s p than even generators: Lambda Q/(d_s P) is infinite,
+    # so the search is skipped before it builds any key list of Lambda Q
+    models = parse_document(CP3.read_text()) + load("su4-trivial.smf")
+    models += [scaling_family(k) for k in (2, 3, 4)]
+    for m in models:
+        total = total_of(m)
+        gens, fd = total.gens, formal_dimension_estimate(total.gens)
+        even = [g for g in gens if not g.is_odd]
+        r = sum(
+            any(all(not gens[i].is_odd for i, _ in t) for t, _ in total.images.get(p.index, ()))
+            for p in gens
+            if p.is_odd
+        )
+        assert r < len(even), m.name
+        for window in (1, 6):
+            assert not _pure_quotient_vanishes(total, fd, window), (m.name, window)
+        assert not built_key_lists, (m.name, built_key_lists)
+
+
 def test_finiteness_window_reads_only_its_window(monkeypatch):
-    bases, pure_bases, slices, diffs, kernels, read, built = [], [], [], [], [], [], []
+    bases, pure_bases, slices, diffs, kernels, read = [], [], [], [], [], []
     real_keys, real_slice, real_d = (
         rht.model.Cochains.keys,
         rht.model.HomologySlice,
@@ -573,7 +628,6 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
     quotients = []  # the generator sets of the pure quotients read
     real_kernel = rht.linalg.Echelon.kernel
     real_reps = rht.linalg.HomologySlice.representatives
-    real_homology = rht.model.Cochains.homology
 
     # bases read through Cochains, which its GenSet may have built already
     def counting_keys(self, n):
@@ -606,10 +660,6 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
         read.append(h)
         return real_reps.fget(h)
 
-    def recording_homology(self, n):
-        built.append((n, real_homology(self, n)))
-        return built[-1][1]
-
     monkeypatch.setattr(rht.model.Cochains, "keys", counting_keys)
     monkeypatch.setattr(rht.algebra.GenSet, "even", recording_even)
     monkeypatch.setattr(rht.algebra.GenSet, "keys", counting_pure_keys)
@@ -617,7 +667,6 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
     monkeypatch.setattr(rht.model.Cochains, "d", counting_d)
     monkeypatch.setattr(rht.linalg.Echelon, "kernel", counting_kernel)
     monkeypatch.setattr(rht.linalg.HomologySlice, "representatives", property(reading_reps))
-    monkeypatch.setattr(rht.model.Cochains, "homology", recording_homology)
     # the verdicts need only dimensions: no kernel, no representative
     for m in fixture_models():
         try:
@@ -629,6 +678,7 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
     models = [m for m in fixture_models() if degree_two_base(m)]
     assert len(models) >= 5
     by_window = Counter()  # (decided by the window, verdict) -> calls
+    verdicts = Counter()  # certificate verdict -> calls
     for m in models:
         for window in (1, 6):
             for seen in (bases, pure_bases, slices, diffs):
@@ -647,20 +697,21 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
                 assert min(bases) >= fd, (m.name, window, sorted(set(bases)))
                 assert degrees and min(degrees) > fd and max(degrees) <= fd + window
                 assert not finite or degrees == list(range(fd + 1, fd + window + 1))
-            # the certificate reads representatives in its top nonzero degree only
+            # the certificate reads no representative and calls no kernel,
+            # also when it refutes from its top nonzero degree
             read.clear()
-            built.clear()
-            top = toral_certificate(m, window).top_nonzero
-            degrees = {n for n, h in built if any(h is r for r in read)}
-            assert degrees == (set() if top is None else {top}), (m.name, window)
-    # both paths and both window verdicts are exercised
+            kernels.clear()
+            verdicts[toral_certificate(m, window).verdict] += 1
+            assert not read and not kernels, (m.name, window)
+    # both paths and both window verdicts are exercised, and every certificate verdict
     assert by_window[(False, True)] and by_window[(True, True)] and by_window[(True, False)]
+    assert set(verdicts) == {"certified", "refuted-at-bound", "inconclusive"}, verdicts
 
 
 def test_toral_scan_reads_down_from_the_top(su4_fixtures, monkeypatch):
-    # top_nonzero is the highest nonzero degree of the window: the scan runs
-    # down from fd + window and builds nothing below the degree it stops at
-    # that the finiteness window has not built already
+    # top_nonzero is the highest nonzero degree of the window: the one scan
+    # runs down from fd + window, builds no slice below the degree it stops
+    # at and builds each degree at most once
     calls, built = [], []  # degrees of the open Cochains.homology calls, of each new slice
     real_homology, real_slice = rht.model.Cochains.homology, rht.model.HomologySlice
 
@@ -679,13 +730,10 @@ def test_toral_scan_reads_down_from_the_top(su4_fixtures, monkeypatch):
     monkeypatch.setattr(rht.model, "HomologySlice", counting_slice)
     for m, window in ((scaling_family(2), 6), (su4_fixtures["su4-trivial"], 8)):
         built.clear()
-        finiteness_window(m, window)
-        by_window = set(built)
-        built.clear()
         cert = toral_certificate(m, window)
         assert cert.top_nonzero is not None, m.name
-        below = {n for n in built if n < cert.top_nonzero} - by_window
-        assert not below, (m.name, sorted(below))
+        fd = cert.finite_through - window
+        assert built == list(range(fd + window, cert.top_nonzero - 1, -1)), (m.name, built)
 
 
 def test_each_degree_basis_is_built_once_per_call(built_key_lists):
