@@ -14,15 +14,11 @@ from .derivations import (
     RELATIVE,
     Derivation,
     DerComplex,
-    apply_derivation,
 )
 from .invariants import (
-    ClassificationReport,
     DepthResult,
     GottliebResult,
     ToralCertificate,
-    classify,
-    connecting_image,
     connecting_images,
     depth_of_subspaces,
     der_homology,

@@ -70,7 +70,7 @@ class GenSet:
     degree bases are built from (suffix).  The lists hold packed monomials,
     one int each in the layout of _Packing, built on first use; a degree
     basis is the list for all the generators (keys).  A Monomial is made from
-    a key only for output (unpack, basis).
+    a key only for output (unpack, basis_in_degree).
     """
 
     def __init__(self, gens: Iterable[tuple[str, int]]):
@@ -85,10 +85,6 @@ class GenSet:
         self._counts: list[list[int]] = [[]]  # see counts
         self._suffix: list[dict[int, list[int]]] = [{0: [0]} for _ in range(len(self.gens) + 1)]
         self._even: Optional[GenSet] = None
-
-    def basis(self, n: int) -> list[Monomial]:
-        """basis_in_degree(self, n): keys(n) unpacked, for output and tests."""
-        return basis_in_degree(self, n)
 
     def counts(self, n: int) -> list[list[int]]:
         """counts[i][r]: the monomials of degree r in gens[i:], for every r <= n at least.

@@ -32,10 +32,10 @@ from .errors import (
 )
 from .invariants import (
     DEFAULT_WINDOW,
-    _der_homology,
     _pure_quotient_vanishes,
     connecting_images,
     depth_of_subspaces,
+    der_homology,
     fibre_gottlieb,
     gottlieb,
     les_check,
@@ -189,7 +189,7 @@ def _cmd_der_homology(args) -> int:
         cx = DerComplex(m, scope)  # one complex for every degree of this model
         rows = {}
         for n in degrees:
-            h = _der_homology(cx, n)
+            h = der_homology(cx, n)
             labels = []
             for theta in h.derivations():
                 parts = [

@@ -57,12 +57,8 @@ class Derivation:
                 )
 
     def __call__(self, a: AlgElement) -> AlgElement:
-        return apply_derivation(self, a)
-
-
-def apply_derivation(theta: Derivation, a: AlgElement) -> AlgElement:
-    """Leibniz extension of the derivation to an arbitrary element."""
-    return apply_images(theta.gens, monomial_images(theta.gens, theta.values), theta.shift, a)
+        """Leibniz extension of the derivation to an arbitrary element."""
+        return apply_images(self.gens, monomial_images(self.gens, self.values), self.shift, a)
 
 
 @dataclass(frozen=True)
@@ -238,10 +234,6 @@ class DerComplex:
         return [
             None if k is None else index.get((w + shift, k)) for (w, _), k in zip(src.keys, moved)
         ]
-
-    def map_to(self, other: "DerComplex", n: int) -> RatMatrix:
-        """The 0/1 matrix of ``positions``: each pair to the same pair or to zero."""
-        return _zero_one(other.slice(n).dim, self.positions(other, n))
 
     def evaluation(self, n: int) -> RatMatrix:
         """Evaluation on generators: (w, 1) -> w*, every other pair -> 0.

@@ -3,8 +3,7 @@
 Everything here reduces to exact linear algebra: homology of the derivation
 complexes, images of evaluation/restriction maps inside the dual coordinate
 space Hom(W^n, Q), long-exact-sequence checks, bounded finiteness
-certificates for torus actions, classification of spaces, and depth of
-chains of realized subspaces.
+certificates for torus actions, and depth of chains of realized subspaces.
 """
 
 from __future__ import annotations
@@ -59,15 +58,11 @@ class DerHomology:
         return out
 
 
-def der_homology(m: ModelLike, n: int, scope: str = ABSOLUTE) -> DerHomology:
-    """H_n of the chosen derivation complex, with representative cycles."""
+def der_homology(cx: DerComplex, n: int) -> DerHomology:
+    """H_n of one derivation complex, with representative cycles; a caller
+    reading several degrees keeps one complex."""
     if n < 1:
         raise ValueError("derivation homology is computed for n >= 1")
-    return _der_homology(DerComplex(m, scope), n)
-
-
-def _der_homology(cx: DerComplex, n: int) -> DerHomology:
-    """H_n of one complex; a caller reading several degrees keeps one complex."""
     h = cx.homology(n)
     return DerHomology(h.dim, cx.slice(n), h.representatives)
 
@@ -150,24 +145,23 @@ def _evaluation_images(cx: DerComplex, max_degree: Optional[int]) -> GottliebRes
     return GottliebResult(fiber, per)
 
 
-def connecting_image(f: RelativeModel, n: int) -> Subspace:
-    """Dual image of the linear base-generator part of D in Hom(W^n, Q).
+def connecting_images(f: RelativeModel) -> dict[int, Subspace]:
+    """Per degree n, the dual image of the linear base-generator part of D in
+    Hom(W^n, Q).
 
     The linear part is the sum of length-one base-generator monomials in
     D(w); its transpose spans the rational image of the connecting map.
     """
-    frame = dual_frame(f.fiber, n)
-    fiber_gens_n = [g for g in f.fiber.gens if g.degree == n]
-    vectors = []
-    for v in f.base.gens:
-        if v.degree == n + 1:
-            linear = Monomial(((f.total.gens.get(v.name).index, 1),))
-            vectors.append([f.total.diff_of(w.name).coefficient(linear) for w in fiber_gens_n])
-    return Subspace(frame, vectors)
-
-
-def connecting_images(f: RelativeModel) -> dict[int, Subspace]:
-    return {n: connecting_image(f, n) for n in frame_degrees(f.fiber, top_shift(f))}
+    out = {}
+    for n in frame_degrees(f.fiber, top_shift(f)):
+        fiber_gens_n = [g for g in f.fiber.gens if g.degree == n]
+        vectors = []
+        for v in f.base.gens:
+            if v.degree == n + 1:
+                linear = Monomial(((f.total.gens.get(v.name).index, 1),))
+                vectors.append([f.total.diff_of(w.name).coefficient(linear) for w in fiber_gens_n])
+        out[n] = Subspace(dual_frame(f.fiber, n), vectors)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -225,13 +219,13 @@ def _exact_at(node: str, h: HomologySlice, into: tuple, out: tuple) -> LesNodeRe
 def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     """Verify exactness of the ideal -> relative -> absolute homology sequence.
 
-    Checks the degreewise short exact sequence of slices and, at every
-    homology node inside the requested range, that the image of the incoming
-    map equals the kernel of the outgoing one (composite zero + ranks add up).
+    Checks the degreewise short exact sequence of slices and, once at each
+    homology node of the given degrees, that the image of the incoming map
+    equals the kernel of the outgoing one (composite zero + ranks add up).
     Each chain map sends a pair to one pair or to zero, so it is read as
     ``positions`` and the induced maps re-index representatives.
     """
-    degrees = sorted(degrees)
+    degrees = sorted(set(degrees))
     if not degrees:
         raise ValueError("les_check needs at least one degree")
     lo, hi = degrees[0], degrees[-1]
@@ -283,7 +277,7 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
 
 
 # ----------------------------------------------------------------------
-# finiteness windows: toral-rank certificates and classification
+# finiteness windows and toral-rank certificates
 
 
 @dataclass
@@ -409,28 +403,6 @@ def toral_certificate(f: RelativeModel, window: int = DEFAULT_WINDOW) -> ToralCe
     base_only = [j for j, key in enumerate(cx.keys(top_nonzero)) if key and key & base == key]
     verdict = "refuted-at-bound" if cx.homology(top_nonzero).touches(base_only) else "inconclusive"
     return ToralCertificate(r, top, verdict, top_nonzero)
-
-
-@dataclass
-class ClassificationReport:
-    chi_pi: int
-    formal_dimension: Optional[int]
-    pure: bool
-    elliptic_at_bound: bool
-    f0_candidate: bool
-    cohomology_dims: dict[int, int] = field(default_factory=dict)
-    window: int = DEFAULT_WINDOW
-
-
-def classify(model: SullivanModel, window: int = DEFAULT_WINDOW) -> ClassificationReport:
-    """Homotopy Euler characteristic, purity and the bounded finiteness test."""
-    elliptic, fd, cx = finiteness_window(model, window)
-    n_even = sum(1 for g in model.gens if not g.is_odd)
-    chi_pi = n_even - (len(model.gens) - n_even)
-    pure = model.is_pure
-    dims = {} if fd is None else {n: cx.homology(n).dim for n in range(fd + window + 1)}
-    f0 = pure and chi_pi == 0 and elliptic
-    return ClassificationReport(chi_pi, fd, pure, elliptic, f0, dims, window)
 
 
 # ----------------------------------------------------------------------

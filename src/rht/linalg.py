@@ -242,11 +242,6 @@ class Subspace:
         self._echelon = Echelon(len(self.ambient), (self._in_frame(v) for v in vectors))
         self.rows: tuple[Vector, ...] = self._echelon.dense_rows()
 
-    @staticmethod
-    def full(ambient: Sequence[str]) -> "Subspace":
-        n = len(ambient)
-        return Subspace(ambient, [[1 if j == i else 0 for j in range(n)] for i in range(n)])
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -255,13 +250,6 @@ class Subspace:
         if len(v) != len(self.ambient):
             raise AmbientMismatch("vector length does not match ambient frame")
         return _exact_sparse(enumerate(v))
-
-    def reduce(self, v: Sequence) -> Vector:
-        """Reduce a vector modulo this subspace (eliminate its pivots)."""
-        return _dense(self._echelon.reduce(self._in_frame(v)), len(self.ambient))
-
-    def contains(self, v: Sequence) -> bool:
-        return not self._echelon.reduce(self._in_frame(v))
 
     def includes(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:

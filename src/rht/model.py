@@ -123,21 +123,6 @@ class SullivanModel:
                     return False
         return True
 
-    @property
-    def is_pure(self) -> bool:
-        """d vanishes on even generators and sends odd generators into the
-        polynomial algebra on the even ones."""
-        for gname, val in self.diff.items():
-            g = self.gens.get(gname)
-            if not g.is_odd:
-                if not val.is_zero():
-                    return False
-                continue
-            for mono in val.terms:
-                if any(self.gens[i].is_odd for i, _ in mono.exponents):
-                    return False
-        return True
-
     # --- degrees ------------------------------------------------------
 
     def check_bound(self, n: int):

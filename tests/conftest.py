@@ -18,6 +18,7 @@ from rht import (
     AlgElement,
     GenSet,
     Monomial,
+    RatMatrix,
     RelativeModel,
     SullivanModel,
     basis_in_degree,
@@ -157,6 +158,12 @@ def oracle_operator(gens: GenSet, values: dict, parity: int, element: AlgElement
 
 def as_dict(el: AlgElement) -> dict:
     return dict(el.terms)
+
+
+def map_to(cx, other, n: int) -> RatMatrix:
+    """The 0/1 matrix of cx.positions(other, n): each pair to the same pair or to zero."""
+    columns = [{} if i is None else {i: 1} for i in cx.positions(other, n)]
+    return RatMatrix(other.slice(n).dim, columns)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from rht.catalog import Catalog
 from rht.derivations import DerComplex
 from rht.errors import DegreeMismatch
 
-from conftest import random_fibration, random_space
+from conftest import map_to, random_fibration, random_space
 
 
 def timed(limit):
@@ -80,9 +80,9 @@ def test_01_absolute_derivation_homology_table(su5):
         9: [("v4", [])],
     }
     with timed(1.0):
-        dims = {n: der_homology(su5, n, ABSOLUTE).dim for n in range(1, 10)}
-        assert dims == {1: 1, 2: 3, 3: 1, 4: 2, 5: 1, 6: 1, 7: 1, 8: 0, 9: 1}
         cx = DerComplex(su5, ABSOLUTE)
+        dims = {n: der_homology(cx, n).dim for n in range(1, 10)}
+        assert dims == {1: 1, 2: 3, 3: 1, 4: 2, 5: 1, 6: 1, 7: 1, 8: 0, 9: 1}
         for n, pairs in listed.items():
             h = cx.homology(n)
             basis = cx.slice(n)
@@ -106,7 +106,8 @@ def test_01_absolute_derivation_homology_table(su5):
 
 def test_02_relative_derivation_homology_and_fibre_group(su5_bundle):
     with timed(1.0):
-        dims = {n: der_homology(su5_bundle, n, RELATIVE).dim for n in range(1, 10)}
+        relative = DerComplex(su5_bundle, RELATIVE)
+        dims = {n: der_homology(relative, n).dim for n in range(1, 10)}
         assert dims == {1: 0, 2: 1, 3: 1, 4: 0, 5: 1, 6: 0, 7: 1, 8: 0, 9: 1}
         fg = fibre_gottlieb(su5_bundle)
         assert fg.basis_labels() == ["v1*", "v2*", "v3*", "v4*"]
@@ -328,10 +329,10 @@ def battery_fibration(f):
             assert prod.is_zero()
     relative, absolute = DerComplex(f, RELATIVE), DerComplex(f, ABSOLUTE)
     for n in range(1, top):
-        lhs = relative.map_to(absolute, n) @ relative.boundary(n + 1)
-        rhs = absolute.boundary(n + 1) @ relative.map_to(absolute, n + 1)
+        lhs = map_to(relative, absolute, n) @ relative.boundary(n + 1)
+        rhs = absolute.boundary(n + 1) @ map_to(relative, absolute, n + 1)
         assert lhs == rhs
-        eval_res = absolute.evaluation(n) @ relative.map_to(absolute, n)
+        eval_res = absolute.evaluation(n) @ map_to(relative, absolute, n)
         assert (eval_res @ relative.boundary(n + 1)).is_zero()
     g = gottlieb(f)
     fg = fibre_gottlieb(f)

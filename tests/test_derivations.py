@@ -12,14 +12,13 @@ from rht import (
     RELATIVE,
     AlgElement,
     Derivation,
-    apply_derivation,
 )
 from rht.invariants import top_shift
 from rht.derivations import DerComplex, dual_frame
 from rht.linalg import RatMatrix
 from rht.errors import GeneratorSetMismatch
 
-from conftest import as_dict, load, oracle_operator, random_fibration, random_space
+from conftest import as_dict, load, map_to, oracle_operator, random_fibration, random_space
 
 
 def scopes_of(m):
@@ -103,7 +102,7 @@ def test_apply_derivation_matches_oracle(su5):
         element = AlgElement.zero(gens)
         for m in basis_in_degree(gens, deg):
             element = element + AlgElement.monomial(gens, m, rng.randint(-2, 2))
-        got = apply_derivation(theta, element)
+        got = theta(element)
         want = oracle_operator(
             gens,
             {i: as_dict(v) for i, v in theta.values.items()},
@@ -117,7 +116,7 @@ def test_apply_derivation_wrong_gens(su5, ex44):
     basis = DerComplex(su5, ABSOLUTE).slice(3)
     theta = basis.derivation(0)
     with pytest.raises(GeneratorSetMismatch):
-        apply_derivation(theta, AlgElement.unit(ex44.fiber.gens))
+        theta(AlgElement.unit(ex44.fiber.gens))
 
 
 # ----------------------------------------------------------------------
@@ -242,15 +241,15 @@ def test_restriction_is_chain_map(su5_bundle, ex44, ex47):
     for f in [su5_bundle, ex44] + list(ex47.values()):
         relative, absolute = DerComplex(f, RELATIVE), DerComplex(f, ABSOLUTE)
         for n in range(1, top_of(f)):
-            lhs = relative.map_to(absolute, n) @ relative.boundary(n + 1)
-            rhs = absolute.boundary(n + 1) @ relative.map_to(absolute, n + 1)
+            lhs = map_to(relative, absolute, n) @ relative.boundary(n + 1)
+            rhs = absolute.boundary(n + 1) @ map_to(relative, absolute, n + 1)
             assert lhs == rhs, (f.name, n)
 
 
 def test_inclusion_followed_by_restriction_is_zero(su5_bundle):
     ideal, relative, absolute = (DerComplex(su5_bundle, s) for s in (IDEAL, RELATIVE, ABSOLUTE))
     for n in range(0, top_of(su5_bundle) + 1):
-        prod = relative.map_to(absolute, n) @ ideal.map_to(relative, n)
+        prod = map_to(relative, absolute, n) @ map_to(ideal, relative, n)
         assert prod.is_zero()
 
 
@@ -266,10 +265,10 @@ def test_restriction_splits_the_section(su5_bundle, ex44, ex47, wedge):
     for f in fixture_and_random_fibrations(su5_bundle, ex44, ex47, wedge):
         absolute, relative = DerComplex(f, ABSOLUTE), DerComplex(f, RELATIVE)
         for n in range(0, top_of(f) + 1):
-            section = absolute.map_to(relative, n)
+            section = map_to(absolute, relative, n)
             dim = absolute.slice(n).dim
             identity = RatMatrix(dim, [{i: 1} for i in range(dim)])
-            assert relative.map_to(absolute, n) @ section == identity, (f.name, n)
+            assert map_to(relative, absolute, n) @ section == identity, (f.name, n)
             rel_labels = relative.slice(n).labels()
             lifted = {
                 c: rel_labels[r] for c, col in enumerate(section.columns) for r, v in col.items() if v == 1
@@ -282,7 +281,7 @@ def test_inclusion_image_is_the_base_pairs(su5_bundle, ex44, ex47, wedge):
         base = {g.name for g in f.base.gens}
         ideal, relative = DerComplex(f, IDEAL), DerComplex(f, RELATIVE)
         for n in range(0, top_of(f) + 1):
-            inc = ideal.map_to(relative, n)
+            inc = map_to(ideal, relative, n)
             rel = relative.slice(n)
             with_base = [
                 i
@@ -312,7 +311,7 @@ def test_augmentation_kills_boundaries(su5, su5_bundle):
         assert prod.is_zero()
     relative, absolute = DerComplex(su5_bundle, RELATIVE), DerComplex(su5_bundle, ABSOLUTE)
     for n in range(1, top_of(su5_bundle)):
-        eval_res = absolute.evaluation(n) @ relative.map_to(absolute, n)
+        eval_res = absolute.evaluation(n) @ map_to(relative, absolute, n)
         prod = eval_res @ relative.boundary(n + 1)
         assert prod.is_zero()
 

@@ -29,9 +29,7 @@ from rht import (
     SullivanModel,
     Subspace,
     basis_in_degree,
-    classify,
     cohomology,
-    connecting_image,
     connecting_images,
     depth_of_subspaces,
     der_homology,
@@ -102,7 +100,8 @@ def pair_vector(m, n, scope, gen_name, mono_factors):
 
 
 def test_absolute_der_homology_dims(su5):
-    dims = {n: der_homology(su5, n, ABSOLUTE).dim for n in range(1, 10)}
+    cx = DerComplex(su5, ABSOLUTE)
+    dims = {n: der_homology(cx, n).dim for n in range(1, 10)}
     assert dims == SU5_ABSOLUTE_DIMS
 
 
@@ -125,7 +124,8 @@ SU5_RELATIVE_DIMS = {1: 0, 2: 1, 3: 1, 4: 0, 5: 1, 6: 0, 7: 1, 8: 0, 9: 1}
 
 
 def test_relative_der_homology_dims(su5_bundle):
-    dims = {n: der_homology(su5_bundle, n, RELATIVE).dim for n in range(1, 10)}
+    cx = DerComplex(su5_bundle, RELATIVE)
+    dims = {n: der_homology(cx, n).dim for n in range(1, 10)}
     assert dims == SU5_RELATIVE_DIMS
 
 
@@ -202,10 +202,11 @@ def test_top_degree_equality(su5_bundle, ex44, ex47):
 
 def test_connecting_image_of_linear_part(su5_bundle):
     # D v1 = t1 and D v2 = t2 are linear, v3 and v4 are untouched
-    assert connecting_image(su5_bundle, 3).basis_labels() == ["v1*"]
-    assert connecting_image(su5_bundle, 5).basis_labels() == ["v2*"]
-    assert connecting_image(su5_bundle, 7).dim == 0
-    assert connecting_image(su5_bundle, 9).dim == 0
+    images = connecting_images(su5_bundle)
+    assert images[3].basis_labels() == ["v1*"]
+    assert images[5].basis_labels() == ["v2*"]
+    assert images[7].dim == 0
+    assert images[9].dim == 0
 
 
 def test_connecting_contained_in_fibre_gottlieb(su5_bundle, ex44, ex47):
@@ -243,6 +244,16 @@ def test_les_rejects_bad_degrees(su5_bundle):
         les_check(su5_bundle, [0, 1])
     with pytest.raises(ValueError, match="at least one degree"):
         les_check(su5_bundle, [])
+
+
+def test_les_reports_each_node_once(su5_bundle):
+    # a degree given twice names its nodes once, as when given once
+    def nodes(degrees):
+        return [vars(nd) for nd in les_check(su5_bundle, degrees).nodes]
+
+    assert nodes([2, 2]) == nodes([2])
+    assert [nd["node"] for nd in nodes([2, 2])] == ["H_2(relative)", "H_2(ideal)", "H_2(absolute)"]
+    assert nodes([3, 1, 3]) == nodes([1, 3])
 
 
 def test_each_slice_is_built_once_per_call(ex47, monkeypatch):
@@ -433,7 +444,6 @@ def test_window_verdicts_match_full_cohomology():
         fd = formal_dimension_estimate(total.gens)
         if fd is None:
             assert finiteness_window(m, 6)[:2] == (False, None), m.name
-            assert classify(total, 6).cohomology_dims == {}, m.name
             continue
         windows = [w for w in (1, 3, 6) if total.bound is None or fd + w <= total.bound]
         for window in {1, 3, 6} - set(windows):
@@ -442,8 +452,6 @@ def test_window_verdicts_match_full_cohomology():
         if not windows:
             continue
         coh = cohomology(total, fd + max(windows))
-        dims = {n: dim for n, (dim, _) in coh.items()}
-        assert classify(total, max(windows)).cohomology_dims == dims, m.name
         for window in windows:
             dims = {n: coh[n][0] for n in range(fd + window + 1)}
             want = not any(dims[n] for n in range(fd + 1, fd + window + 1))
@@ -671,7 +679,6 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
     for m in fixture_models():
         try:
             finiteness_window(m, 6)
-            classify(total_of(m), 6)
         except BoundExceeded:
             pass  # wedge.smf: its window passes its bound
         assert not kernels and not read, m.name
@@ -745,7 +752,7 @@ def test_each_degree_basis_is_built_once_per_call(built_key_lists):
         total = total_of(m)
         calls = {
             "cohomology": lambda: cohomology(m, total.bound or 12),
-            "classify": lambda: classify(total),
+            "finiteness_window": lambda: finiteness_window(m),
             "gottlieb": lambda: gottlieb(m),
         }
         if isinstance(m, RelativeModel):

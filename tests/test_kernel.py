@@ -82,10 +82,10 @@ def oracle_apply(gens, images, parity, element):
 def oracle_d(model, n):
     """The columns of Cochains.d(n), indexed by the printed degree bases."""
     gens = model.gens
-    index = {m.exponents: i for i, m in enumerate(gens.basis(n + 1))}
+    index = {m.exponents: i for i, m in enumerate(basis_in_degree(gens, n + 1))}
     return [
         {index[t]: c for t, c in tuple_leibniz(gens, model.images, 1, m.exponents).items()}
-        for m in (gens.basis(n) if n >= 0 else [])
+        for m in (basis_in_degree(gens, n) if n >= 0 else [])
     ]
 
 
