@@ -63,7 +63,7 @@ class Catalog:
 
     def check_finite(self, window: int = DEFAULT_WINDOW) -> None:
         """Raise NotFiniteAtBound naming every entry that fails the finiteness window."""
-        offenders = [key for key, entry in self.entries if not finiteness_window(entry, window)[0]]
+        offenders = [key for key, entry in self.entries if not finiteness_window(entry, window).finite]
         if offenders:
             raise NotFiniteAtBound("total spaces failed the finiteness gate: " + ", ".join(offenders))
 
@@ -260,7 +260,7 @@ def enumerate_fibrations(
         key = "; ".join(added) or "trivial"
         # the total's constructor checks D.D = 0 again: it stays the authority
         total = SullivanModel(combined, twist.diff(c), bound=trivial.bound, name=key)
-        if not require_finite or finiteness_window(total, window)[0]:
+        if not require_finite or finiteness_window(total, window).finite:
             kept.append((key, twist, c))
     return Catalog(fiber, twists=kept)
 

@@ -9,7 +9,7 @@ certificates for torus actions, and depth of chains of realized subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import AlgElement, Monomial
 from .derivations import (
@@ -342,26 +342,23 @@ def _pure_quotient_vanishes(m: SullivanModel, fd: int, window: int) -> bool:
     return True
 
 
-def finiteness_window(
-    model: ModelLike, window: int = DEFAULT_WINDOW
-) -> tuple[bool, Optional[int], Cochains]:
+class Finiteness(NamedTuple):
+    """One finiteness decision; ``[0]`` is the verdict, as perfbench's tracer reads it."""
+
+    finite: bool
+    fd: Optional[int]
+    cochains: Cochains  # of the total; unread when the pure quotient decided
+    top_nonzero: Optional[int]  # highest degree of the window where H is nonzero
+
+
+def finiteness_window(model: ModelLike, window: int = DEFAULT_WINDOW) -> Finiteness:
     """Finiteness test: does H vanish on (fd, fd + window]?
 
-    Returns (verdict, fd, the Cochains it read).  A True verdict is exact
-    when the associated pure quotient certifies H finite; the Cochains is
-    then unread.  Otherwise the window decides: it reads H only in the
-    window, up to its first nonzero degree, and callers read more from it.
+    A True verdict is exact when the associated pure quotient certifies H
+    finite; the Cochains is then unread.  Otherwise the window decides: one
+    scan reads H down from fd + window to its first nonzero degree, and
+    callers read more from the Cochains.
     """
-    fd, pure, cx = _exact_part(model, window)
-    if fd is None or pure:
-        return pure, fd, cx
-    finite = all(cx.homology(n).dim == 0 for n in range(fd + 1, fd + window + 1))
-    return finite, fd, cx
-
-
-def _exact_part(model: ModelLike, window: int) -> tuple[Optional[int], bool, Cochains]:
-    """What a finiteness test knows before it reads H: (fd, whether the pure
-    quotient certifies H finite, an unread Cochains of the total)."""
     # the range must hold at least one degree, or every model passes vacuously
     if window < 1:
         raise ValueError(f"the finiteness window must be at least 1, got {window}")
@@ -369,9 +366,12 @@ def _exact_part(model: ModelLike, window: int) -> tuple[Optional[int], bool, Coc
     cx = Cochains(total)
     fd = formal_dimension_estimate(total.gens)
     if fd is None:
-        return None, False, cx
+        return Finiteness(False, None, cx, None)
     total.check_bound(fd + window)
-    return fd, _pure_quotient_vanishes(total, fd, window), cx
+    if _pure_quotient_vanishes(total, fd, window):
+        return Finiteness(True, fd, cx, None)
+    top = next((n for n in range(fd + window, fd, -1) if cx.homology(n).dim), None)
+    return Finiteness(top is None, fd, cx, top)
 
 
 def toral_certificate(f: RelativeModel, window: int = DEFAULT_WINDOW) -> ToralCertificate:
@@ -379,7 +379,6 @@ def toral_certificate(f: RelativeModel, window: int = DEFAULT_WINDOW) -> ToralCe
 
     Needs every base generator in degree 2 and D congruent to d modulo the
     base ideal (the latter is enforced by the RelativeModel invariants).
-    A window below 1 is rejected as by finiteness_window: its range is empty.
     """
     for g in f.base.gens:
         if g.degree != 2:
@@ -387,22 +386,17 @@ def toral_certificate(f: RelativeModel, window: int = DEFAULT_WINDOW) -> ToralCe
                 f"base generator {g.name} has degree {g.degree}, expected 2"
             )
     r = len(f.base.gens)
-    fd, pure, cx = _exact_part(f, window)
+    finite, fd, cx, top_nonzero = finiteness_window(f, window)
     if fd is None:
         return ToralCertificate(r, -1, "inconclusive")
-    top = fd + window
-    # one scan down from the top: its first nonzero degree is top_nonzero,
-    # and H vanishes on the window when it meets none
-    scan = () if pure else range(top, fd, -1)
-    top_nonzero = next((n for n in scan if cx.homology(n).dim), None)
-    if top_nonzero is None:
-        return ToralCertificate(r, top, "certified")
+    if finite:
+        return ToralCertificate(r, fd + window, "certified")
     # nonvanishing persists: refute (at this bound) when the top classes are
     # base-polynomial multiples, the signature of surviving t-powers
     base = f.total.gens.mask(r)
     base_only = [j for j, key in enumerate(cx.keys(top_nonzero)) if key and key & base == key]
     verdict = "refuted-at-bound" if cx.homology(top_nonzero).touches(base_only) else "inconclusive"
-    return ToralCertificate(r, top, verdict, top_nonzero)
+    return ToralCertificate(r, fd + window, verdict, top_nonzero)
 
 
 # ----------------------------------------------------------------------

@@ -345,25 +345,29 @@ def test_enumerate_builds_no_relative_model_per_candidate(capsys, monkeypatch):
 
 
 def test_enumerate_windows_each_model_once(capsys, monkeypatch):
+    # every total is decided once, through the one finiteness decision that
+    # the catalog and the toral certificate both call
     calls = Counter()
-    real = rht.catalog.finiteness_window
+    real = rht.invariants.finiteness_window
 
     def counted(model, window=6):
         calls[model.name] += 1
         return real(model, window)
 
     monkeypatch.setattr(rht.catalog, "finiteness_window", counted)
-    code, _, err = run(
-        capsys,
-        "enumerate",
-        fx("fiber-3-3-3-3.smf"),
-        fx("base-qt.smf"),
-        "--require-finite",
-        "--json",
-    )
-    assert code == 0 and "15 fibration(s) kept" in err
-    assert len(calls) >= 15
-    assert set(calls.values()) == {1}
+    monkeypatch.setattr(rht.invariants, "finiteness_window", counted)
+    runs = [
+        (("enumerate", fx("fiber-3-3-3-3.smf"), fx("base-qt.smf"), "--require-finite"), 16),
+        (("enumerate", fx("fiber-3-5-9-17.smf"), fx("base-qt.smf"), "--coeffs", "0,1",
+          "--require-finite"), 58),
+        (("depth", fx("ex47.smf"), "--require-finite"), 3),
+        (("toral-check", fx("ex47.smf")), 3),
+    ]
+    for argv, decided in runs:
+        calls.clear()
+        code, _, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        assert len(calls) == decided and set(calls.values()) == {1}, (argv, calls)
 
 
 def test_enumerate_needs_two_spaces(capsys):

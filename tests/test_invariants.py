@@ -396,10 +396,11 @@ def test_window_below_one_is_rejected(su4_fixtures, window):
 
 
 def test_finiteness_window(su4_fixtures):
-    finite, fd, _ = finiteness_window(su4_fixtures["su4-circle"], 6)
-    assert finite and fd == 3 + 5 + 7 - 1
-    finite, _, _ = finiteness_window(su4_fixtures["su4-trivial"], 6)
-    assert not finite
+    circle = finiteness_window(su4_fixtures["su4-circle"], 6)
+    assert circle.finite and circle.fd == 3 + 5 + 7 - 1 and circle.top_nonzero is None
+    trivial = finiteness_window(su4_fixtures["su4-trivial"], 6)
+    assert not trivial.finite and trivial[0] is trivial.finite
+    assert trivial.fd < trivial.top_nonzero <= trivial.fd + 6
 
 
 def scaling_family(k, connected=False):
@@ -453,11 +454,12 @@ def test_window_verdicts_match_full_cohomology():
             continue
         coh = cohomology(total, fd + max(windows))
         for window in windows:
-            dims = {n: coh[n][0] for n in range(fd + window + 1)}
-            want = not any(dims[n] for n in range(fd + 1, fd + window + 1))
-            assert finiteness_window(m, window)[:2] == (want, fd), (m.name, window)
+            # the highest nonzero degree in the window, and the verdict it implies
+            top = max((n for n in range(fd + 1, fd + window + 1) if coh[n][0]), default=None)
+            decided = finiteness_window(m, window)
+            assert decided[:2] == (top is None, fd), (m.name, window)
+            assert decided.top_nonzero == top, (m.name, window)
             if degree_two_base(m):
-                top = None if want else max(n for n, dim in dims.items() if dim)
                 cert = toral_certificate(m, window)
                 assert cert.top_nonzero == top, (m.name, window)
                 if top is not None:
@@ -690,7 +692,7 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
         for window in (1, 6):
             for seen in (bases, pure_bases, slices, diffs):
                 seen.clear()
-            finite, fd, _ = finiteness_window(m, window)
+            finite, fd, _, _ = finiteness_window(m, window)
             pure = _pure_quotient_vanishes(total_of(m), fd, window)
             by_window[(not pure, finite)] += 1
             # the pure quotient reads no degree above the window
@@ -703,7 +705,8 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
                 degrees = [next(n for n, d in diffs if d is d_out) for d_out in slices]
                 assert min(bases) >= fd, (m.name, window, sorted(set(bases)))
                 assert degrees and min(degrees) > fd and max(degrees) <= fd + window
-                assert not finite or degrees == list(range(fd + 1, fd + window + 1))
+                # the one scan runs down the window, so a finite verdict reads all of it
+                assert not finite or degrees == list(range(fd + window, fd, -1))
             # the certificate reads no representative and calls no kernel,
             # also when it refutes from its top nonzero degree
             read.clear()
