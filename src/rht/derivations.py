@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .algebra import (
     AlgElement,
@@ -108,7 +108,7 @@ class ComplexSlice:
 class DerComplex:
     """One scope of the derivation complex of a model, for one call.
 
-    Each slice, boundary, evaluation and homology is built at most once, on
+    Each slice, boundary and homology is built at most once, on
     first use, and lives only as long as this object: a caller that needs
     several of them builds one DerComplex and drops it when it is done.  The
     slices hold the packed degree bases (GenSet.keys) of the value model's
@@ -131,7 +131,6 @@ class DerComplex:
         self.domain = m.fiber.gens
         self._slices: dict[int, ComplexSlice] = {}
         self._boundaries: dict[int, RatMatrix] = {}
-        self._evaluations: dict[int, RatMatrix] = {}
         self._h: dict[int, HomologySlice] = {}
         self._operators: dict = {}  # see _operator
 
@@ -235,24 +234,12 @@ class DerComplex:
             None if k is None else index.get((w + shift, k)) for (w, _), k in zip(src.keys, moved)
         ]
 
-    def evaluation(self, n: int) -> RatMatrix:
-        """Evaluation on generators: (w, 1) -> w*, every other pair -> 0.
-
-        Rows are indexed by the dual basis of the degree-n generators of the
-        domain, in declaration order.
-        """
-        if n not in self._evaluations:
-            duals = {g.name: i for i, g in enumerate(g for g in self.domain if g.degree == n)}
-            gens, keys = self.model.gens, self.slice(n).keys
-            self._evaluations[n] = _zero_one(
-                len(duals), (duals.get(gens[w].name) if k == 0 else None for w, k in keys)
-            )
-        return self._evaluations[n]
-
-
-def _zero_one(rows: int, positions: Iterable[Optional[int]]) -> RatMatrix:
-    """The 0/1 matrix sending column j to row positions[j], or to zero on None."""
-    return RatMatrix._trusted(rows, [{} if i is None else {i: 1} for i in positions])
+    def evaluation(self, n: int) -> list[Optional[int]]:
+        """Evaluation on generators, as positions into dual_frame(fiber, n):
+        the pair (w, 1) goes to w*, every other pair to None."""
+        duals = {g.name: i for i, g in enumerate(g for g in self.domain if g.degree == n)}
+        gens = self.model.gens
+        return [duals[gens[w].name] if k == 0 else None for w, k in self.slice(n).keys]
 
 
 def dual_frame(model: SullivanModel, n: int) -> tuple[str, ...]:

@@ -104,21 +104,27 @@ class GottliebResult:
         return self.total().basis_labels()
 
 
+def _moved(v: Mapping[int, Number], positions: Sequence[Optional[int]]) -> dict:
+    """v re-indexed by positions; an entry whose position is None is dropped."""
+    return {positions[i]: c for i, c in v.items() if positions[i] is not None}
+
+
 def _image_on_cycles(
-    eval_matrix: RatMatrix,
+    evaluation: Sequence[Optional[int]],
     d_out: RatMatrix,
     d_in: RatMatrix,
     frame: Sequence[str],
 ) -> Subspace:
-    """Image under evaluation of the cycles of d_out.
+    """Image under evaluation, read as positions into frame, of the cycles of d_out.
 
-    The evaluation must kill the boundaries d_in, otherwise the image on
-    cycles is not well defined on homology; checked on every run.
+    The evaluation must kill the boundaries d_in, that is no entry of d_in
+    may sit at a pair it keeps, otherwise the image on cycles is not well
+    defined on homology; checked on every run.
     """
-    if not (eval_matrix @ d_in).is_zero():
+    if any(evaluation[r] is not None for col in d_in.columns for r in col):
         raise NotAComplex("evaluation does not kill boundaries")
     cycles = Echelon(d_out.cols, d_out.row_lines()).kernel()
-    return Subspace(frame, [_dense(eval_matrix.apply(z), eval_matrix.rows) for z in cycles])
+    return Subspace(frame, [_dense(_moved(z, evaluation), len(frame)) for z in cycles])
 
 
 def gottlieb(m: ModelLike, max_degree: Optional[int] = None) -> GottliebResult:
@@ -187,18 +193,6 @@ class LesReport:
         return self.chain_level_ok and all(nd.exact for nd in self.nodes)
 
 
-def _moved(v: Mapping[int, Number], positions: Sequence[Optional[int]]) -> dict:
-    """v re-indexed by positions; an entry whose position is None is dropped."""
-    return {positions[i]: c for i, c in v.items() if positions[i] is not None}
-
-
-def _inverse(positions: Sequence[Optional[int]], dim: int) -> list[Optional[int]]:
-    """The inverse of a map read as positions: for each of dim target pairs, the
-    source pair that lands on it, or None."""
-    back = {i: j for j, i in enumerate(positions) if i is not None}
-    return [back.get(i) for i in range(dim)]
-
-
 def _induced(cycles: Iterable[Mapping], h: HomologySlice) -> tuple[RatMatrix, int]:
     """The map sending the k-th source class to the class of the k-th cycle, and its rank."""
     m = RatMatrix._trusted(h.dim, list(map(h.coords, cycles)))
@@ -255,13 +249,13 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     def connecting(n: int) -> tuple[RatMatrix, int]:
         """H_n(absolute) -> H_{n-1}(ideal) via lift, boundary, pull back."""
         if n not in conn:
-            section = _inverse(res[n], ab.slice(n).dim)
+            section = ab.positions(rel, n)
             d = rel.boundary(n)
             bounds = [d.apply(_moved(rep, section)) for rep in ab.homology(n).representatives]
             # the restriction kills exactly the ideal pairs
             if any(res[n - 1][j] is not None for b in bounds for j in b):
                 raise NotAComplex("boundary of a lifted cycle left the ideal")
-            to_ideal = _inverse(inc[n - 1], rel.slice(n - 1).dim)
+            to_ideal = rel.positions(ideal, n - 1)
             conn[n] = _induced((_moved(b, to_ideal) for b in bounds), ideal.homology(n - 1))
         return conn[n]
 

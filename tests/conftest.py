@@ -24,6 +24,7 @@ from rht import (
     basis_in_degree,
     parse_document,
 )
+from rht.derivations import dual_frame
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -160,10 +161,19 @@ def as_dict(el: AlgElement) -> dict:
     return dict(el.terms)
 
 
+def zero_one(positions, rows: int) -> RatMatrix:
+    """The 0/1 matrix sending column j to row positions[j], or to zero on None."""
+    return RatMatrix(rows, [{} if i is None else {i: 1} for i in positions])
+
+
 def map_to(cx, other, n: int) -> RatMatrix:
     """The 0/1 matrix of cx.positions(other, n): each pair to the same pair or to zero."""
-    columns = [{} if i is None else {i: 1} for i in cx.positions(other, n)]
-    return RatMatrix(other.slice(n).dim, columns)
+    return zero_one(cx.positions(other, n), other.slice(n).dim)
+
+
+def evaluation_matrix(cx, n: int) -> RatMatrix:
+    """The 0/1 matrix of cx.evaluation(n), its rows indexed by dual_frame(fiber, n)."""
+    return zero_one(cx.evaluation(n), len(dual_frame(cx.source.fiber, n)))
 
 
 # ----------------------------------------------------------------------
@@ -244,3 +254,32 @@ def random_fibration(rng: random.Random, max_gens: int = 4, max_degree: int = 9)
         fiber_diff=dict(fiber.diff),
         name=f"{fiber.name}-twist",
     )
+
+
+def random_pure_elliptic(rng: random.Random) -> SullivanModel:
+    """A pure minimal model that is elliptic when its pure quotient is finite.
+
+    Even generators q_i of degree 2 or 4 are cocycles; odd p_i has
+    dp_i = q_i^{a_i}, a_i >= 2, plus random terms of Lambda Q of word length
+    >= 2; zero to two extra odd generators have d in the same terms, or zero.
+    """
+    k = rng.randint(1, 3)  # even generators
+    even = [rng.choice([2, 4]) for _ in range(k)]
+    powers = [rng.randint(2, 3) for _ in range(k)]
+    extra = [rng.choice([3, 5, 7]) for _ in range(rng.randint(0, 2))]
+    gens = GenSet(
+        [(f"q{i}", d) for i, d in enumerate(even)]
+        + [(f"p{i}", d * a - 1) for i, (d, a) in enumerate(zip(even, powers))]
+        + [(f"e{i}", d) for i, d in enumerate(extra)]
+    )
+    diff = {}
+    for g in gens[k:]:
+        lead = Monomial(((g.index - k, powers[g.index - k]),)) if g.index < 2 * k else None
+        value = AlgElement.zero(gens) if lead is None else AlgElement.monomial(gens, lead)
+        for m in basis_in_degree(gens, g.degree + 1):
+            if m != lead and len(m.word()) >= 2 and all(i < k for i, _ in m.exponents):
+                c = rng.choice([0, 0, 1, -1, 2])
+                if c:
+                    value = value + AlgElement.monomial(gens, m, c)
+        diff[g.name] = value
+    return SullivanModel(gens, diff, name=f"pure-{rng.getrandbits(24):06x}")

@@ -34,7 +34,7 @@ from rht.catalog import Catalog
 from rht.derivations import DerComplex
 from rht.errors import DegreeMismatch
 
-from conftest import map_to, random_fibration, random_space
+from conftest import evaluation_matrix, map_to, random_fibration, random_space
 
 
 def timed(limit):
@@ -319,7 +319,7 @@ def battery_space(m):
     for n in range(1, top):
         delta_next = cx.boundary(n + 1)
         assert (cx.boundary(n) @ delta_next).is_zero()
-        assert (cx.evaluation(n) @ delta_next).is_zero()
+        assert (evaluation_matrix(cx, n) @ delta_next).is_zero()
 def battery_fibration(f):
     top = top_of(f)
     for scope in (ABSOLUTE, RELATIVE, IDEAL):
@@ -332,7 +332,7 @@ def battery_fibration(f):
         lhs = map_to(relative, absolute, n) @ relative.boundary(n + 1)
         rhs = absolute.boundary(n + 1) @ map_to(relative, absolute, n + 1)
         assert lhs == rhs
-        eval_res = absolute.evaluation(n) @ map_to(relative, absolute, n)
+        eval_res = evaluation_matrix(absolute, n) @ map_to(relative, absolute, n)
         assert (eval_res @ relative.boundary(n + 1)).is_zero()
     g = gottlieb(f)
     fg = fibre_gottlieb(f)

@@ -36,7 +36,7 @@ from rht.errors import (
 )
 from rht.model import trivial_fibration
 
-from conftest import load, random_space
+from conftest import evaluation_matrix, load, random_space
 
 
 def qt_base():
@@ -471,7 +471,7 @@ def test_evaluation_kills_every_twist_bracket():
         for n, _ in twist.frames:
             for s in slots:
                 if (part := twist._bracket(n + 1, s)) is not None:
-                    assert (twist.cx.evaluation(n) @ part).is_zero(), (i, n)
+                    assert (evaluation_matrix(twist.cx, n) @ part).is_zero(), (i, n)
                     checked[i] += 1
     # E2's fibre has one degree, and wedge's brackets vanish one shift above
     # each of its frames: only E1, E3 and ex47 have brackets to check

@@ -18,7 +18,15 @@ from rht.derivations import DerComplex, dual_frame
 from rht.linalg import RatMatrix
 from rht.errors import GeneratorSetMismatch
 
-from conftest import as_dict, load, map_to, oracle_operator, random_fibration, random_space
+from conftest import (
+    as_dict,
+    evaluation_matrix,
+    load,
+    map_to,
+    oracle_operator,
+    random_fibration,
+    random_space,
+)
 
 
 def scopes_of(m):
@@ -292,6 +300,11 @@ def test_inclusion_image_is_the_base_pairs(su5_bundle, ex44, ex47, wedge):
             assert set(entries.values()) <= {1}
             assert sorted(c for _, c in entries) == list(range(inc.cols))
             assert sorted(r for r, _ in entries) == with_base, (f.name, n)
+            # the projection onto the ideal pairs sends each one back to its
+            # inclusion preimage and every other relative pair to None
+            preimage = {r: c for r, c in entries}  # relative row -> the ideal pair landing on it
+            want = [preimage.get(r) for r in range(rel.dim)]
+            assert relative.positions(ideal, n) == want, (f.name, n)
 
 
 def test_augmentation_picks_unit_pairs(su5):
@@ -299,19 +312,21 @@ def test_augmentation_picks_unit_pairs(su5):
     aug = cx.evaluation(7)
     basis = cx.slice(7)
     assert dual_frame(su5, 7) == ("v3*",)
-    assert aug.rows == 1 and aug.cols == basis.dim
+    assert isinstance(aug, list) and len(aug) == basis.dim
+    # the one unit pair (v3, 1) goes to v3*, every other pair to zero
     unit_cols = [j for j, (w, m) in enumerate(basis.pairs) if m.is_unit]
-    assert [aug.columns[j].get(0, 0) for j in unit_cols] == [1]
+    assert [j for j, i in enumerate(aug) if i is not None] == unit_cols
+    assert [aug[j] for j in unit_cols] == [0]
 
 
 def test_augmentation_kills_boundaries(su5, su5_bundle):
     cx = DerComplex(su5, ABSOLUTE)
     for n in range(1, top_of(su5)):
-        prod = cx.evaluation(n) @ cx.boundary(n + 1)
+        prod = evaluation_matrix(cx, n) @ cx.boundary(n + 1)
         assert prod.is_zero()
     relative, absolute = DerComplex(su5_bundle, RELATIVE), DerComplex(su5_bundle, ABSOLUTE)
     for n in range(1, top_of(su5_bundle)):
-        eval_res = absolute.evaluation(n) @ map_to(relative, absolute, n)
+        eval_res = evaluation_matrix(absolute, n) @ map_to(relative, absolute, n)
         prod = eval_res @ relative.boundary(n + 1)
         assert prod.is_zero()
 

@@ -777,15 +777,16 @@ def test_each_degree_basis_is_built_once_per_call(built_key_lists):
 
 
 def test_invariant_checks_survive_optimize_flag():
-    # an evaluation that does not kill boundaries is not a chain map; the
-    # check must raise even when python -O strips assert statements
+    # on the contractible pair (y3, x4, dy = x) evaluation does not kill the
+    # boundaries, so it is not a chain map; the check must raise even when
+    # python -O strips assert statements
     code = (
+        "from rht import AlgElement, GenSet, SullivanModel, gottlieb\n"
         "from rht.errors import NotAComplex\n"
-        "from rht.invariants import _image_on_cycles\n"
-        "from rht.linalg import RatMatrix\n"
-        "one = RatMatrix.from_rows([[1]])\n"
+        "gens = GenSet([('y', 3), ('x', 4)])\n"
+        "pair = SullivanModel(gens, {'y': AlgElement.gen(gens, 'x')}, name='pair')\n"
         "try:\n"
-        "    _image_on_cycles(one, RatMatrix(0, [{}]), one, ('x*',))\n"
+        "    gottlieb(pair)\n"
         "except NotAComplex:\n"
         "    print('NotAComplex')\n"
     )
