@@ -239,6 +239,31 @@ def test_les_check_exit_zero(capsys):
     assert code == 0 and "exact" in out
 
 
+BOUNDED_FIBRATION = """\
+[fibration bounded]
+[base]
+gen t 2
+bound 4
+[fiber]
+gen x 3
+gen y 8
+[total]
+D y = t^3*x
+"""
+
+
+@pytest.mark.parametrize("degrees, overrun", [("2", 6), ("3", 5)])
+def test_les_check_names_the_first_degree_past_the_bound(capsys, tmp_path, degrees, overrun):
+    # the deepest slices are read first: nodes in degree k read the slices
+    # of shifts k - 1 and k, and the first pair past the bound is y's value
+    # in degree 8 - k
+    path = tmp_path / "bounded.smf"
+    path.write_text(BOUNDED_FIBRATION)
+    code, out, err = run(capsys, "les-check", str(path), "--degrees", degrees)
+    assert (code, out) == (2, "")
+    assert err == f"BoundExceeded: degree {overrun} exceeds the model's validity bound 4\n"
+
+
 def test_les_check_reports_a_sequence_that_is_not_exact(capsys, monkeypatch):
     # no fixture has a non-exact sequence: the first of ex47's three
     # fibrations gets one node whose ranks do not add up to its dimension
