@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .algebra import (
     AlgElement,
@@ -32,6 +32,7 @@ from .algebra import (
     apply_images,
     monomial_images,
 )
+from .errors import NotAComplex
 from .linalg import HomologySlice, RatMatrix
 from .model import ModelLike, RelativeModel, SullivanModel
 
@@ -124,6 +125,7 @@ class DerComplex:
             self.model = m.total
             # the ideal pairs: a monomial holding a base generator
             self._keep = m.total.gens.mask(m.base_size) if scope == IDEAL else None
+            self.relative = DerComplex(m, RELATIVE) if scope == IDEAL else None
         else:
             raise ValueError(f"unknown scope {scope!r}")
         self.source = m
@@ -133,6 +135,7 @@ class DerComplex:
         self._boundaries: dict[int, RatMatrix] = {}
         self._h: dict[int, HomologySlice] = {}
         self._operators: dict = {}  # see _operator
+        self._inclusions: dict[int, tuple[list, list]] = {}  # see inclusion
 
     def slice(self, n: int) -> ComplexSlice:
         """All pairs (w, monomial) with |w| - |monomial| = n, filtered by scope."""
@@ -154,7 +157,10 @@ class DerComplex:
     def boundary(self, n: int) -> RatMatrix:
         """delta = [d, -] from the shift-n slice to the shift-(n-1) slice, in basis coordinates."""
         if n not in self._boundaries:
-            self._boundaries[n] = self.bracket(n, self.model.images)
+            if self.scope == IDEAL:
+                self._boundaries[n] = self._cut(n, self.relative.boundary(n))
+            else:
+                self._boundaries[n] = self.bracket(n, self.model.images)
         return self._boundaries[n]
 
     def bracket(self, n: int, images: Mapping) -> RatMatrix:
@@ -171,6 +177,8 @@ class DerComplex:
         """
         if n < 1:
             raise ValueError("boundary starts at shift 1")
+        if self.scope == IDEAL:
+            return self._cut(n, self.relative.bracket(n, images))
         src = self.slice(n)
         tgt = self.slice(n - 1)
         gens = self.model.gens
@@ -201,6 +209,22 @@ class DerComplex:
             columns.append(col)
         return RatMatrix._trusted(tgt.dim, columns)
 
+    def _cut(self, n: int, d: RatMatrix) -> RatMatrix:
+        """A relative map from shift n to shift n-1 at the ideal pairs: its
+        columns there, rows read back through the inclusion's inverse."""
+        back = self.inclusion(n - 1)[1]
+        columns = [{back[r]: c for r, c in d.columns[j].items()} for j in self.inclusion(n)[0]]
+        if any(None in col for col in columns):
+            raise NotAComplex(f"a bracket on shift {n} leaves the ideal")
+        return RatMatrix._trusted(self.slice(n - 1).dim, columns)
+
+    def inclusion(self, n: int) -> tuple[list[int], list[Optional[int]]]:
+        """positions(relative, n) of the ideal complex, and its inverse, built once."""
+        if n not in self._inclusions:
+            inc = self.positions(self.relative, n)
+            self._inclusions[n] = inc, _inverse(inc, self.relative.slice(n).dim)
+        return self._inclusions[n]
+
     def _operator(self, images: Mapping) -> _Operator:
         """E compiled once per complex and not once per shift, keyed by its
         images; the model compiles its own d."""
@@ -221,8 +245,8 @@ class DerComplex:
         """Where each pair of slice n lands in other's slice n: its index, or None.
 
         Between the scopes of one fibration this is the inclusion (ideal to
-        relative), the restriction p_V (relative to absolute), its section
-        (absolute to relative) and the projection onto the ideal pairs.
+        relative), the restriction p_V (relative to absolute) and its section
+        (absolute to relative); _inverse turns one into its converse.
         """
         index, src = other.slice(n).index, self.slice(n)
         if self.model is other.model:
@@ -240,6 +264,13 @@ class DerComplex:
         duals = {g.name: i for i, g in enumerate(g for g in self.domain if g.degree == n)}
         gens = self.model.gens
         return [duals[gens[w].name] if k == 0 else None for w, k in self.slice(n).keys]
+
+
+def _inverse(positions: Sequence[Optional[int]], dim: int) -> list[Optional[int]]:
+    """The converse of a map read as positions: for each of dim target pairs,
+    the source pair that lands on it, or None."""
+    back = {i: j for j, i in enumerate(positions) if i is not None}
+    return [back.get(i) for i in range(dim)]
 
 
 def dual_frame(model: SullivanModel, n: int) -> tuple[str, ...]:

@@ -19,6 +19,7 @@ from .derivations import (
     ComplexSlice,
     DerComplex,
     Derivation,
+    _inverse,
     dual_frame,
     frame_degrees,
 )
@@ -200,7 +201,7 @@ def _induced(cycles: Iterable[Mapping], h: HomologySlice) -> tuple[RatMatrix, in
 
 
 def _rank(m: RatMatrix) -> int:
-    return Echelon(m.rows, m.columns).rank
+    return Echelon(m.rows, filter(None, m.columns)).rank
 
 
 def _exact_at(node: str, h: HomologySlice, into: tuple, out: tuple) -> LesNodeReport:
@@ -217,7 +218,8 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     homology node of the given degrees, that the image of the incoming map
     equals the kernel of the outgoing one (composite zero + ranks add up).
     Each chain map sends a pair to one pair or to zero, so it is read as
-    ``positions`` and the induced maps re-index representatives.
+    ``positions``, its converse as their inverse, and the induced maps
+    re-index representatives.
     """
     degrees = sorted(set(degrees))
     if not degrees:
@@ -225,7 +227,8 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     lo, hi = degrees[0], degrees[-1]
     if lo < 1:
         raise ValueError("les_check needs degrees >= 1")
-    rel, ab, ideal = DerComplex(f, RELATIVE), DerComplex(f, ABSOLUTE), DerComplex(f, IDEAL)
+    ideal, ab = DerComplex(f, IDEAL), DerComplex(f, ABSOLUTE)
+    rel = ideal.relative  # one relative complex serves both scopes
     report = LesReport()
     # the deepest slices read, first: a bound overrun is reported from them
     ideal.homology(max(1, lo - 1))
@@ -234,7 +237,7 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     # bijection onto the absolute pairs
     inc, res = {}, {}
     for n in range(max(0, lo - 1), hi + 2):
-        inc[n] = ideal.positions(rel, n)
+        inc[n] = ideal.inclusion(n)[0]
         res[n] = rel.positions(ab, n)
         kept = [j for j, a in enumerate(res[n]) if a is not None]
         ok = (
@@ -249,13 +252,13 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     def connecting(n: int) -> tuple[RatMatrix, int]:
         """H_n(absolute) -> H_{n-1}(ideal) via lift, boundary, pull back."""
         if n not in conn:
-            section = ab.positions(rel, n)
+            section = _inverse(res[n], ab.slice(n).dim)
             d = rel.boundary(n)
             bounds = [d.apply(_moved(rep, section)) for rep in ab.homology(n).representatives]
             # the restriction kills exactly the ideal pairs
             if any(res[n - 1][j] is not None for b in bounds for j in b):
                 raise NotAComplex("boundary of a lifted cycle left the ideal")
-            to_ideal = rel.positions(ideal, n - 1)
+            to_ideal = ideal.inclusion(n - 1)[1]
             conn[n] = _induced((_moved(b, to_ideal) for b in bounds), ideal.homology(n - 1))
         return conn[n]
 

@@ -286,31 +286,34 @@ class HomologySlice:
     of ker(d_out)/im(d_in).
     """
 
-    __slots__ = ("dim", "_boundaries", "_rows_out", "_reps")
+    __slots__ = ("dim", "_boundaries", "_rows_out", "_reps", "_classes")
 
     def __init__(self, d_in: RatMatrix, d_out: RatMatrix):
         if d_in.rows != d_out.cols:
             raise ValueError("chain degree mismatch between d_in and d_out")
+        columns = list(filter(None, d_in.columns))  # a zero vector is no work to eliminate
         # the rank formula below needs im(d_in) inside ker(d_out)
-        if any(map(d_out.apply, d_in.columns)):
+        if any(map(d_out.apply, columns)):
             raise NotAComplex("d_out . d_in != 0")
         n = d_in.rows
-        self._boundaries = Echelon(n, d_in.columns)
-        self._rows_out = Echelon(n, d_out.row_lines())
+        self._boundaries = Echelon(n, columns)
+        self._rows_out = Echelon(n, filter(None, d_out.row_lines()))
         self.dim = n - self._rows_out.rank - self._boundaries.rank
         self._reps: Optional[Echelon] = None
 
     def _representatives(self) -> Echelon:
         if self._reps is None:
-            cycles = self._rows_out.kernel()
-            self._reps = Echelon(self._boundaries.n, map(self._boundaries.reduce, cycles))
+            cycles = map(self._boundaries.reduce, self._rows_out.kernel())
+            self._reps = Echelon(self._boundaries.n, filter(None, cycles))
+            # pivot -> class index, read by coords
+            self._classes = {p: i for i, p in enumerate(sorted(self._reps.rows))}
         return self._reps
 
     @property
     def representatives(self) -> list[Sparse]:
         """A representative cycle of each basis class, in pivot order."""
         rows = self._representatives().rows
-        return [rows[p] for p in sorted(rows)]
+        return [rows[p] for p in self._classes]
 
     def touches(self, columns: Iterable[int]) -> bool:
         """Whether some representative is nonzero in one of the columns.
@@ -340,4 +343,4 @@ class HomologySlice:
         if reps.reduce(r):
             raise ValueError("vector is not a cycle modulo boundaries of this slice")
         # the representatives are 1 at their own pivot and 0 at the others
-        return {i: r[p] for i, p in enumerate(sorted(reps.rows)) if p in r}
+        return {i: r[p] for p, i in self._classes.items() if p in r}

@@ -496,8 +496,7 @@ class _Section:
             out[name] = parse_expression(expr, gens, lineno, column)
         return out
 
-    def space(self, name: Optional[str] = None) -> SullivanModel:
-        gens = GenSet(self.gens)
+    def space(self, gens: GenSet, name: Optional[str] = None) -> SullivanModel:
         return SullivanModel(gens, self.diff(gens), bound=self.bound, name=name)
 
 
@@ -546,20 +545,30 @@ def _split_sections(text: str) -> list[_Section]:
 
 def parse_document(text: str) -> list[ModelLike]:
     """Parse a model file; returns the models in order of appearance."""
+    sets: dict[tuple, GenSet] = {}  # one per generator layout: its models share its degree bases
+
+    def gen_set(layout: list[tuple[str, int]]) -> GenSet:
+        if tuple(layout) not in sets:
+            sets[tuple(layout)] = GenSet(layout)
+        return sets[tuple(layout)]
+
     out: list[ModelLike] = []
     for sec in _split_sections(text):
         if sec.kind == "space":
-            out.append(sec.space(sec.name))
+            out.append(sec.space(gen_set(sec.gens), sec.name))
             continue
         for needed in ("base", "fiber", "total"):
             if needed not in sec.parts:
                 raise ModelSyntaxError(
                     f"fibration {sec.name!r} is missing a [{needed}] section", sec.line
                 )
-        base, fsec = sec.parts["base"].space(), sec.parts["fiber"]
-        fiber_gens = GenSet(fsec.gens)
+        bsec, fsec = sec.parts["base"], sec.parts["fiber"]
+        base, fiber_gens = bsec.space(gen_set(bsec.gens)), gen_set(fsec.gens)
         fiber_diff = fsec.diff(fiber_gens) if fsec.dlines else None
-        total_diff = sec.parts["total"].diff(GenSet(sec.parts["base"].gens + fsec.gens))
+        total_gens = gen_set(bsec.gens + fsec.gens)
+        # an empty [total] lends the total its set all the same, by a zero D
+        zero = {name: AlgElement.zero(total_gens) for name, _ in fsec.gens[:1]}
+        total_diff = sec.parts["total"].diff(total_gens) or zero
         for name, (_, lineno, _) in sec.parts["total"].dlines.items():
             if name in base.gens.by_name:
                 raise ModelSyntaxError(

@@ -43,6 +43,7 @@ from rht import (
 )
 from rht.catalog import Catalog
 from rht.derivations import ComplexSlice, DerComplex
+from rht.linalg import Echelon
 from rht.errors import (
     BaseNotDegreeTwo,
     BoundExceeded,
@@ -339,6 +340,65 @@ def test_les_check_catches_a_boundary_that_leaves_the_ideal(su5_bundle, monkeypa
     monkeypatch.setattr(DerComplex, "boundary", planted)
     with pytest.raises(NotAComplex, match="left the ideal"):
         les_check(f, [2])
+
+
+def test_les_check_does_each_piece_of_work_once(ex47, monkeypatch):
+    # the ideal's boundaries are cut from the relative ones, each map between
+    # two scopes and its converse come from one list per degree, and no
+    # zero vector is eliminated
+    brackets, lists, added = [], [], []
+    real_bracket, real_positions, real_add = DerComplex.bracket, DerComplex.positions, Echelon.add
+
+    def recording_bracket(self, n, images):
+        brackets.append(self.scope)
+        return real_bracket(self, n, images)
+
+    def recording_positions(self, other, n):
+        lists.append((frozenset((self.scope, other.scope)), n))
+        return real_positions(self, other, n)
+
+    def recording_add(self, v):
+        added.append(bool(v))
+        return real_add(self, v)
+
+    monkeypatch.setattr(DerComplex, "bracket", recording_bracket)
+    monkeypatch.setattr(DerComplex, "positions", recording_positions)
+    monkeypatch.setattr(Echelon, "add", recording_add)
+    for f in ex47.values():
+        brackets.clear(), lists.clear(), added.clear()
+        assert les_check(f, range(1, top_shift(f) + 1)).exact, f.name
+        assert set(brackets) == {RELATIVE, ABSOLUTE}, f.name
+        repeats = {key: k for key, k in Counter(lists).items() if k > 1}
+        assert lists and not repeats, (f.name, repeats)
+        assert added and all(added), (f.name, added.count(False))
+
+
+def test_a_column_leaving_the_ideal_is_not_a_complex(su5_bundle, monkeypatch, capsys):
+    # an operator sending t1 to v2 takes an ideal pair out of the ideal
+    with pytest.raises(NotAComplex, match="leaves the ideal"):
+        DerComplex(su5_bundle, IDEAL).bracket(1, {0: ((((3, 1),), 1),)})
+    # an entry planted in the relative d_2 on an ideal pair's column, at a
+    # pair the restriction keeps; nodes in degree 2 read the ideal d_2 first
+    rel = DerComplex(su5_bundle, RELATIVE)
+    kept = rel.positions(DerComplex(su5_bundle, ABSOLUTE), 1)
+    row = next(j for j, a in enumerate(kept) if a is not None)
+    column = DerComplex(su5_bundle, IDEAL).positions(rel, 2)[0]
+    real_boundary = DerComplex.boundary
+
+    def planted(self, n):
+        d = real_boundary(self, n)
+        if self.scope == RELATIVE and n == 2:
+            d = RatMatrix(d.rows, d.columns)
+            d.columns[column][row] = d.columns[column].get(row, 0) + 1
+        return d
+
+    monkeypatch.setattr(DerComplex, "boundary", planted)
+    with pytest.raises(NotAComplex, match="leaves the ideal"):
+        les_check(su5_bundle, [2])
+    code = rht.cli.main(["les-check", str(FIXTURES / "su5-bundle.smf"), "--degrees", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("NotAComplex: "), err
 
 
 def test_les_check_multiplies_only_homology_sized_maps(ex47, su5_bundle, monkeypatch):

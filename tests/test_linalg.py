@@ -496,7 +496,8 @@ def test_kept_columns_are_what_the_checking_constructor_stores(monkeypatch):
             if all(g.degree == 2 for g in m.base.gens):
                 toral_certificate(m, 4)
     callers = Counter(name for name, _ in built)
-    assert set(callers) == {"d", "bracket", "__matmul__", "_induced"}, callers
+    # _cut: the ideal complex's boundaries, read off the relative ones
+    assert set(callers) == {"d", "bracket", "_cut", "__matmul__", "_induced"}, callers
     for name, m in built:
         assert m.cols == len(m.columns), name
         assert m == RatMatrix(m.rows, m.columns), name

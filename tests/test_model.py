@@ -24,8 +24,10 @@ from rht import (
     parse_model,
     trivial_fibration,
 )
+from rht.catalog import Catalog
 from rht.errors import (
     BaseDiffViolated,
+    FiberMismatch,
     BoundExceeded,
     DegreeMismatch,
     ModelSyntaxError,
@@ -206,6 +208,31 @@ def test_total_shares_the_generator_set_of_its_differential(ex44, su5):
     # with no D over that layout, the total gets a set of its own
     fiber_only = RelativeModel(base, su5.gens, {})
     assert fiber_only.total.gens == gens and fiber_only.total.gens is not gens
+
+
+def test_parse_document_builds_one_generator_set_per_layout():
+    # the fibrations of one file share their fibre and total sets, and with
+    # them their degree bases; wedge.smf's p00 has an empty [total] section
+    for name in ("ex47.smf", "wedge.smf"):
+        first, *rest = load(name)
+        for f in rest:
+            assert f.fiber.gens is first.fiber.gens, (name, f.name)
+            assert f.total.gens is first.total.gens, (name, f.name)
+            assert f.total.diff == {} or all(v.gens is f.total.gens for v in f.total.diff.values())
+    # fibrations of two layouts get one set per layout
+    fibration = "[fibration {}]\n[base]\ngen t 2\n[fiber]\ngen x {}\n[total]\nD x = t^{}\n"
+    layouts = (("a", 3, 2), ("b", 5, 3), ("c", 3, 2))
+    a, b, c = parse_document("".join(fibration.format(*v) for v in layouts))
+    assert a.total.gens is c.total.gens and a.total.gens is not b.total.gens
+    assert a.fiber.gens is c.fiber.gens and a.fiber.gens is not b.fiber.gens
+    # a Catalog compares fibres by value: a fibre read from a file of its own
+    # has a set of its own, and the fibrations of ex47.smf still match it
+    ex47 = load("ex47.smf")
+    fiber = parse_model(ex47[0].fiber.serialize())
+    assert fiber.gens is not ex47[0].fiber.gens
+    assert len(Catalog(fiber, [(f.name, f) for f in ex47])) == 3
+    with pytest.raises(FiberMismatch):
+        Catalog(fiber, [("a", a)])
 
 
 def test_trivial_fibration_structure(su5):
