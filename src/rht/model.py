@@ -566,9 +566,9 @@ def parse_document(text: str) -> list[ModelLike]:
         base, fiber_gens = bsec.space(gen_set(bsec.gens)), gen_set(fsec.gens)
         fiber_diff = fsec.diff(fiber_gens) if fsec.dlines else None
         total_gens = gen_set(bsec.gens + fsec.gens)
-        # an empty [total] lends the total its set all the same, by a zero D
-        zero = {name: AlgElement.zero(total_gens) for name, _ in fsec.gens[:1]}
-        total_diff = sec.parts["total"].diff(total_gens) or zero
+        total_diff = sec.parts["total"].diff(total_gens)
+        if not total_diff and fsec.gens:  # an empty [total] lends the total its set by a zero D
+            total_diff = {fsec.gens[0][0]: AlgElement.zero(total_gens)}
         for name, (_, lineno, _) in sec.parts["total"].dlines.items():
             if name in base.gens.by_name:
                 raise ModelSyntaxError(
