@@ -210,8 +210,9 @@ class DerComplex:
         return RatMatrix._trusted(tgt.dim, columns)
 
     def _cut(self, n: int, d: RatMatrix) -> RatMatrix:
-        """A relative map from shift n to shift n-1 at the ideal pairs: its
-        columns there, rows read back through the inclusion's inverse."""
+        """The ideal complex's part of a relative map d from shift n to n-1:
+        d's columns at the ideal pairs, rows read back through the inverse
+        of the inclusion.  An entry outside the ideal raises NotAComplex."""
         back = self.inclusion(n - 1)[1]
         columns = [{back[r]: c for r, c in d.columns[j].items()} for j in self.inclusion(n)[0]]
         if any(None in col for col in columns):
