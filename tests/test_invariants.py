@@ -21,6 +21,7 @@ from rht import (
     IDEAL,
     RELATIVE,
     Cochains,
+    Echelon,
     GenSet,
     HomologySlice,
     Monomial,
@@ -43,7 +44,6 @@ from rht import (
 )
 from rht.catalog import Catalog
 from rht.derivations import ComplexSlice, DerComplex
-from rht.linalg import Echelon
 from rht.errors import (
     BaseNotDegreeTwo,
     BoundExceeded,
@@ -365,7 +365,8 @@ def test_les_check_does_each_piece_of_work_once(ex47, monkeypatch):
     monkeypatch.setattr(DerComplex, "positions", recording_positions)
     monkeypatch.setattr(Echelon, "add", recording_add)
     for f in ex47.values():
-        brackets.clear(), lists.clear(), added.clear()
+        for record in (brackets, lists, added):
+            record.clear()
         assert les_check(f, range(1, top_shift(f) + 1)).exact, f.name
         assert set(brackets) == {RELATIVE, ABSOLUTE}, f.name
         repeats = {key: k for key, k in Counter(lists).items() if k > 1}
