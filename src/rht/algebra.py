@@ -448,7 +448,7 @@ def basis_in_degree(gens: GenSet, n: int) -> list[Monomial]:
 
 
 def monomial_images(gens: GenSet, values: Mapping[int, AlgElement]) -> dict:
-    """Nonzero generator images for apply_images: index -> ((exponents, coeff), ...).
+    """Nonzero generator images for _Operator: index -> ((exponents, coeff), ...).
 
     An integral coefficient is an int, any other its Fraction, so the matrices
     built from integral differentials hold ints."""
@@ -516,7 +516,7 @@ class _Operator:
     in index order.  terms keeps each image as packed terms ((key, coeff),
     ...), and holds the generators its terms hold; DerComplex.bracket reads
     both.  The owner keeps it: a model its d, a derivation complex its
-    twists, and apply_images compiles one per call.
+    twists, and an enumeration's closure search one per slot.
     """
 
     __slots__ = ("entries", "terms", "holds")
@@ -594,10 +594,3 @@ def _apply(gens: GenSet, op: _Operator, element: AlgElement) -> AlgElement:
     out = _sum(op.entries, [(gens.pack(m.exponents), c) for m, c in element.terms.items()])
     return AlgElement(gens, {gens.unpack(k): c for k, c in out.items()})
 
-
-def apply_images(gens: GenSet, images: Mapping, parity: int, element: AlgElement) -> AlgElement:
-    """Extend generator images (monomial_images form) to the algebra by the graded
-    Leibniz rule; a generator without an image goes to zero.  parity is that of
-    the operator's degree: passing a factor x costs (-1)^(parity*|x|), so one rule
-    serves differentials (parity 1) and derivations of shift n (parity n % 2)."""
-    return _apply(gens, _Operator(gens, images, parity), element)

@@ -29,8 +29,6 @@ from .algebra import (
     _image,
     _leibniz,
     _Operator,
-    apply_images,
-    monomial_images,
 )
 from .errors import NotAComplex
 from .linalg import HomologySlice, RatMatrix
@@ -57,18 +55,13 @@ class Derivation:
                     f"value of {self.gens[i].name} must be homogeneous of degree {want}"
                 )
 
-    def __call__(self, a: AlgElement) -> AlgElement:
-        """Leibniz extension of the derivation to an arbitrary element."""
-        return apply_images(self.gens, monomial_images(self.gens, self.values), self.shift, a)
-
 
 @dataclass(frozen=True)
 class ComplexSlice:
     """Ordered basis of one degree of a derivation complex, held packed.
 
     keys holds each pair (w, m) as (index of w in value_gens, packed m); the
-    Generator and Monomial of each pair are made only for output (pairs,
-    derivation, labels).
+    Generator and Monomial of a pair are made only for output (pair).
     """
 
     degree: int
@@ -87,23 +80,9 @@ class ComplexSlice:
         monomial); built on first use, callers must not change it."""
         return {k: i for i, k in enumerate(self.keys)}
 
-    @cached_property
-    def pairs(self) -> tuple[tuple[Generator, Monomial], ...]:
-        """The pairs unpacked, for output and tests; built on first use."""
-        return tuple(self.pair(i) for i in range(self.dim))
-
     def pair(self, i: int) -> tuple[Generator, Monomial]:
         w, key = self.keys[i]
         return self.value_gens[w], self.value_gens.unpack(key)
-
-    def derivation(self, i: int) -> Derivation:
-        g, m = self.pair(i)
-        return Derivation(
-            self.value_gens, self.degree, {g.index: AlgElement.monomial(self.value_gens, m)}
-        )
-
-    def labels(self) -> list[str]:
-        return [f"({g.name}, {m.format(self.value_gens)})" for g, m in self.pairs]
 
 
 class DerComplex:

@@ -101,9 +101,6 @@ class GottliebResult:
                 vectors.append(vec)
         return Subspace(frame, vectors)
 
-    def basis_labels(self) -> list[str]:
-        return self.total().basis_labels()
-
 
 def _moved(v: Mapping[int, Number], positions: Sequence[Optional[int]]) -> dict:
     """v re-indexed by positions; an entry whose position is None is dropped."""
@@ -207,7 +204,7 @@ def _rank(m: RatMatrix) -> int:
 def _exact_at(node: str, h: HomologySlice, into: tuple, out: tuple) -> LesNodeReport:
     """image(into) = kernel(out) at h: out . into = 0 and rk into + rk out = dim h."""
     (a, rk_in), (b, rk_out) = into, out
-    exact = (b @ a).is_zero() and rk_in + rk_out == h.dim
+    exact = not any(map(b.apply, filter(None, a.columns))) and rk_in + rk_out == h.dim
     return LesNodeReport(node, h.dim, rk_in, rk_out, exact)
 
 

@@ -81,13 +81,6 @@ class RatMatrix:
         m.rows, m.columns, m.cols = rows, columns, len(columns)
         return m
 
-    @staticmethod
-    def from_rows(data: Sequence[Sequence]) -> "RatMatrix":
-        cols = len(data[0]) if data else 0
-        if any(len(row) != cols for row in data):
-            raise ValueError("ragged rows")
-        return RatMatrix(len(data), ({r: row[c] for r, row in enumerate(data)} for c in range(cols)))
-
     def row_lines(self) -> list[Sparse]:
         """The rows as sparse vectors."""
         out: list[Sparse] = [{} for _ in range(self.rows)]
@@ -108,16 +101,6 @@ class RatMatrix:
             for r, a in self.columns[c].items():
                 out[r] = out.get(r, 0) + a * x
         return {r: y for r, y in out.items() if y}
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        return RatMatrix._trusted(self.rows, list(map(self.apply, other.columns)))
-
-    def __eq__(self, other):
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return self.rows == other.rows and self.columns == other.columns
 
     def __repr__(self):
         nnz = sum(map(len, self.columns))

@@ -16,6 +16,7 @@ import pytest
 
 from rht import (
     AlgElement,
+    Derivation,
     GenSet,
     Monomial,
     RatMatrix,
@@ -24,6 +25,7 @@ from rht import (
     basis_in_degree,
     parse_document,
 )
+from rht.algebra import _apply, _Operator, monomial_images
 from rht.derivations import dual_frame
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -131,7 +133,7 @@ def oracle_mul(gens: GenSet, a: dict, b: dict) -> dict:
 
 
 def oracle_operator(gens: GenSet, values: dict, parity: int, element: AlgElement) -> dict:
-    """Dense word-by-word Leibniz expansion, independent of apply_images.
+    """Dense word-by-word Leibniz expansion, independent of the packed kernel.
 
     values maps generator index -> {Monomial: coeff}; parity is the operator
     degree parity.  Returns a {Monomial: coeff} dict.
@@ -159,6 +161,34 @@ def oracle_operator(gens: GenSet, values: dict, parity: int, element: AlgElement
 
 def as_dict(el: AlgElement) -> dict:
     return dict(el.terms)
+
+
+def derivation_of(slice_, i: int) -> Derivation:
+    """The derivation of the slice's i-th pair (w, m): w to m, every other generator to 0."""
+    g, m = slice_.pair(i)
+    return Derivation(slice_.value_gens, slice_.degree, {g.index: AlgElement.monomial(slice_.value_gens, m)})
+
+
+def apply_derivation(theta: Derivation, element: AlgElement) -> AlgElement:
+    """theta extended to element by the graded Leibniz rule, through the packed kernel."""
+    gens = theta.gens
+    return _apply(gens, _Operator(gens, monomial_images(gens, theta.values), theta.shift), element)
+
+
+def pairs(slice_) -> list:
+    """The slice's pairs (Generator, Monomial), in order."""
+    return [slice_.pair(i) for i in range(slice_.dim)]
+
+
+def labels(slice_) -> list[str]:
+    """'(w, m)' for each pair of the slice, in order."""
+    return [f"({g.name}, {m.format(slice_.value_gens)})" for g, m in pairs(slice_)]
+
+
+def product(a: RatMatrix, b: RatMatrix) -> list[dict]:
+    """The columns of the matrix product a.b: each column of b sent through a.apply."""
+    assert a.cols == b.rows, (a, b)
+    return [a.apply(col) for col in b.columns]
 
 
 def zero_one(positions, rows: int) -> RatMatrix:

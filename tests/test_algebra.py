@@ -20,7 +20,8 @@ from rht.algebra import (
     MAX_BASIS,
     MIXED,
     UNIT,
-    apply_images,
+    _apply,
+    _Operator,
     monomial_images,
     normalize_word,
 )
@@ -294,7 +295,7 @@ def test_leibniz_matches_dense_oracle(x, parity, data):
         if data.draw(st.booleans()):
             val = data.draw(elements(max_terms=2))
             values[g.index] = val
-    got = apply_images(GENS, monomial_images(GENS, values), parity, x)
+    got = _apply(GENS, _Operator(GENS, monomial_images(GENS, values), parity), x)
     oracle = oracle_operator(GENS, {i: as_dict(v) for i, v in values.items()}, parity, x)
     assert as_dict(got) == oracle
 
@@ -315,7 +316,7 @@ def test_kernel_matches_dense_oracle_on_every_monomial(parity):
         dense = {i: as_dict(v) for i, v in values.items()}
         for mono in monomials:
             element = AlgElement.monomial(GENS, mono)
-            got = as_dict(apply_images(GENS, images, parity, element))
+            got = as_dict(_apply(GENS, _Operator(GENS, images, parity), element))
             want = oracle_operator(GENS, dense, parity, element)
             assert got == want, (mono.format(GENS), values)
 
@@ -325,7 +326,7 @@ def test_leibniz_on_product_rule():
     values = {GENS.get("a").index: AlgElement.unit(GENS)}  # a -> 1, shift 3
     x = AlgElement.gen(GENS, "a")
     y = AlgElement.gen(GENS, "b") * AlgElement.gen(GENS, "c")
-    images = monomial_images(GENS, values)
-    lhs = apply_images(GENS, images, 1, x * y)
-    rhs = apply_images(GENS, images, 1, x) * y + (-1) ** 3 * (x * apply_images(GENS, images, 1, y))
+    op = _Operator(GENS, monomial_images(GENS, values), 1)
+    lhs = _apply(GENS, op, x * y)
+    rhs = _apply(GENS, op, x) * y + (-1) ** 3 * (x * _apply(GENS, op, y))
     assert lhs == rhs

@@ -15,15 +15,19 @@ from rht import (
 )
 from rht.invariants import top_shift
 from rht.derivations import DerComplex, dual_frame
-from rht.linalg import RatMatrix
 from rht.errors import GeneratorSetMismatch
 
 from conftest import (
+    apply_derivation,
     as_dict,
+    derivation_of,
     evaluation_matrix,
+    labels,
     load,
     map_to,
     oracle_operator,
+    pairs,
+    product,
     random_fibration,
     random_space,
 )
@@ -51,18 +55,18 @@ def test_absolute_slice_dims_by_hand(su5):
     # single monomial since all generators are odd
     cx = DerComplex(su5, ABSOLUTE)
     slice2 = cx.slice(2)
-    assert slice2.labels() == ["(v2, v1)", "(v3, v2)", "(v4, v3)"]
+    assert labels(slice2) == ["(v2, v1)", "(v3, v2)", "(v4, v3)"]
     # shift 9 only (v4, 1) survives
-    assert cx.slice(9).labels() == ["(v4, 1)"]
+    assert labels(cx.slice(9)) == ["(v4, 1)"]
     assert cx.slice(10).dim == 0
 
 
 def test_relative_slice_contains_base_valued_pairs(su5_bundle):
     rel = DerComplex(su5_bundle, RELATIVE).slice(1)
-    labels = rel.labels()
-    assert "(v2, t1)" in labels  # base-valued pair absent from the fiber slice
+    rel_labels = labels(rel)
+    assert "(v2, t1)" in rel_labels  # base-valued pair absent from the fiber slice
     absolute = DerComplex(su5_bundle, ABSOLUTE).slice(1)
-    assert all(lbl in labels for lbl in absolute.labels())
+    assert all(lbl in rel_labels for lbl in labels(absolute))
 
 
 def test_scope_dims_split(su5_bundle, ex44):
@@ -102,7 +106,7 @@ def test_apply_derivation_matches_oracle(su5):
         basis = cx.slice(n)
         if basis.dim == 0:
             continue
-        theta = basis.derivation(rng.randrange(basis.dim))
+        theta = derivation_of(basis, rng.randrange(basis.dim))
         # a random element of fixed degree
         from rht import basis_in_degree
 
@@ -110,7 +114,7 @@ def test_apply_derivation_matches_oracle(su5):
         element = AlgElement.zero(gens)
         for m in basis_in_degree(gens, deg):
             element = element + AlgElement.monomial(gens, m, rng.randint(-2, 2))
-        got = theta(element)
+        got = apply_derivation(theta, element)
         want = oracle_operator(
             gens,
             {i: as_dict(v) for i, v in theta.values.items()},
@@ -122,9 +126,9 @@ def test_apply_derivation_matches_oracle(su5):
 
 def test_apply_derivation_wrong_gens(su5, ex44):
     basis = DerComplex(su5, ABSOLUTE).slice(3)
-    theta = basis.derivation(0)
+    theta = derivation_of(basis, 0)
     with pytest.raises(GeneratorSetMismatch):
-        theta(AlgElement.unit(ex44.fiber.gens))
+        apply_derivation(theta, AlgElement.unit(ex44.fiber.gens))
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +149,7 @@ def check_boundary_against_definition(m, n, scope):
     domain = src.domain_gens
     sign = (-1) ** n
     for j in range(src.dim):
-        theta = src.derivation(j)
+        theta = derivation_of(src, j)
         col = [matrix.columns[j].get(r, 0) for r in range(matrix.rows)]
         out = Derivation(
             tgt.value_gens,
@@ -155,9 +159,9 @@ def check_boundary_against_definition(m, n, scope):
         for g in domain:
             gv = model.gens.get(g.name)
             gen_el = AlgElement.gen(model.gens, gv.name)
-            lhs = out(gen_el)
-            rhs = model.d(theta(gen_el)) - sign * theta(model.d(gen_el))
-            assert lhs == rhs, (scope, n, src.labels()[j], g.name)
+            lhs = apply_derivation(out, gen_el)
+            rhs = model.d(apply_derivation(theta, gen_el)) - sign * apply_derivation(theta, model.d(gen_el))
+            assert lhs == rhs, (scope, n, labels(src)[j], g.name)
 
 
 def _values_from_coords(slice_, coords):
@@ -165,7 +169,7 @@ def _values_from_coords(slice_, coords):
     for i, c in enumerate(coords):
         if not c:
             continue
-        g, mono = slice_.pairs[i]
+        g, mono = slice_.pair(i)
         term = AlgElement.monomial(slice_.value_gens, mono, c)
         values[g.index] = values.get(g.index, AlgElement.zero(slice_.value_gens)) + term
     return values
@@ -173,7 +177,7 @@ def _values_from_coords(slice_, coords):
 
 def oracle_boundary_column(cx, n, j):
     """Column j of delta at shift n, assembled from oracle_operator alone."""
-    model, (w, mono) = cx.model, cx.slice(n).pairs[j]
+    model, (w, mono) = cx.model, cx.slice(n).pair(j)
     gens = model.gens
     d_values = {gens.get(name).index: as_dict(v) for name, v in model.diff.items()}
     theta = {w.index: {mono: 1}}
@@ -220,8 +224,7 @@ def test_boundary_squares_to_zero_on_fixtures(su5, su5_bundle, ex44, ex47, wedge
         for scope in scopes_of(m):
             cx = DerComplex(m, scope)
             for n in range(1, top_of(m)):
-                prod = cx.boundary(n) @ cx.boundary(n + 1)
-                assert prod.is_zero(), (m, scope, n)
+                assert not any(product(cx.boundary(n), cx.boundary(n + 1))), (m, scope, n)
 
 
 def test_homology_is_built_once_per_complex(su5_bundle, ex44):
@@ -242,23 +245,22 @@ def test_slice_index_is_built_once_per_slice(su5_bundle):
         ideal.positions(relative, n)
         assert target.index is index, n
         pack = target.value_gens.pack
-        assert index == {(w.index, pack(m.exponents)): i for i, (w, m) in enumerate(target.pairs)}
+        assert index == {(w.index, pack(m.exponents)): i for i, (w, m) in enumerate(pairs(target))}
 
 
 def test_restriction_is_chain_map(su5_bundle, ex44, ex47):
     for f in [su5_bundle, ex44] + list(ex47.values()):
         relative, absolute = DerComplex(f, RELATIVE), DerComplex(f, ABSOLUTE)
         for n in range(1, top_of(f)):
-            lhs = map_to(relative, absolute, n) @ relative.boundary(n + 1)
-            rhs = absolute.boundary(n + 1) @ map_to(relative, absolute, n + 1)
+            lhs = product(map_to(relative, absolute, n), relative.boundary(n + 1))
+            rhs = product(absolute.boundary(n + 1), map_to(relative, absolute, n + 1))
             assert lhs == rhs, (f.name, n)
 
 
 def test_inclusion_followed_by_restriction_is_zero(su5_bundle):
     ideal, relative, absolute = (DerComplex(su5_bundle, s) for s in (IDEAL, RELATIVE, ABSOLUTE))
     for n in range(0, top_of(su5_bundle) + 1):
-        prod = map_to(relative, absolute, n) @ map_to(ideal, relative, n)
-        assert prod.is_zero()
+        assert not any(product(map_to(relative, absolute, n), map_to(ideal, relative, n)))
 
 
 def fixture_and_random_fibrations(su5_bundle, ex44, ex47, wedge):
@@ -275,13 +277,13 @@ def test_restriction_splits_the_section(su5_bundle, ex44, ex47, wedge):
         for n in range(0, top_of(f) + 1):
             section = map_to(absolute, relative, n)
             dim = absolute.slice(n).dim
-            identity = RatMatrix(dim, [{i: 1} for i in range(dim)])
-            assert map_to(relative, absolute, n) @ section == identity, (f.name, n)
-            rel_labels = relative.slice(n).labels()
+            identity = [{i: 1} for i in range(dim)]
+            assert product(map_to(relative, absolute, n), section) == identity, (f.name, n)
+            rel_labels = labels(relative.slice(n))
             lifted = {
                 c: rel_labels[r] for c, col in enumerate(section.columns) for r, v in col.items() if v == 1
             }
-            assert lifted == dict(enumerate(absolute.slice(n).labels())), (f.name, n)
+            assert lifted == dict(enumerate(labels(absolute.slice(n)))), (f.name, n)
 
 
 def test_inclusion_image_is_the_base_pairs(su5_bundle, ex44, ex47, wedge):
@@ -293,7 +295,7 @@ def test_inclusion_image_is_the_base_pairs(su5_bundle, ex44, ex47, wedge):
             rel = relative.slice(n)
             with_base = [
                 i
-                for i, (_, m) in enumerate(rel.pairs)
+                for i, (_, m) in enumerate(pairs(rel))
                 if any(rel.value_gens[j].name in base for j, _ in m.exponents)
             ]
             entries = {(r, c): v for c, col in enumerate(inc.columns) for r, v in col.items()}
@@ -314,7 +316,7 @@ def test_augmentation_picks_unit_pairs(su5):
     assert dual_frame(su5, 7) == ("v3*",)
     assert isinstance(aug, list) and len(aug) == basis.dim
     # the one unit pair (v3, 1) goes to v3*, every other pair to zero
-    unit_cols = [j for j, (w, m) in enumerate(basis.pairs) if m.is_unit]
+    unit_cols = [j for j, (w, m) in enumerate(pairs(basis)) if m.is_unit]
     assert [j for j, i in enumerate(aug) if i is not None] == unit_cols
     assert [aug[j] for j in unit_cols] == [0]
 
@@ -322,13 +324,11 @@ def test_augmentation_picks_unit_pairs(su5):
 def test_augmentation_kills_boundaries(su5, su5_bundle):
     cx = DerComplex(su5, ABSOLUTE)
     for n in range(1, top_of(su5)):
-        prod = evaluation_matrix(cx, n) @ cx.boundary(n + 1)
-        assert prod.is_zero()
+        assert not any(product(evaluation_matrix(cx, n), cx.boundary(n + 1)))
     relative, absolute = DerComplex(su5_bundle, RELATIVE), DerComplex(su5_bundle, ABSOLUTE)
     for n in range(1, top_of(su5_bundle)):
-        eval_res = evaluation_matrix(absolute, n) @ map_to(relative, absolute, n)
-        prod = eval_res @ relative.boundary(n + 1)
-        assert prod.is_zero()
+        restricted = product(map_to(relative, absolute, n), relative.boundary(n + 1))
+        assert not any(map(evaluation_matrix(absolute, n).apply, restricted))
 
 
 def test_random_models_boundary_squares_to_zero():
@@ -337,11 +337,9 @@ def test_random_models_boundary_squares_to_zero():
         s = random_space(rng)
         cx = DerComplex(s)
         for n in range(1, top_of(s)):
-            prod = cx.boundary(n) @ cx.boundary(n + 1)
-            assert prod.is_zero()
+            assert not any(product(cx.boundary(n), cx.boundary(n + 1)))
         f = random_fibration(rng)
         for scope in (ABSOLUTE, RELATIVE, IDEAL):
             cx = DerComplex(f, scope)
             for n in range(1, top_of(f)):
-                prod = cx.boundary(n) @ cx.boundary(n + 1)
-                assert prod.is_zero()
+                assert not any(product(cx.boundary(n), cx.boundary(n + 1)))

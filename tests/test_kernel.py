@@ -3,7 +3,7 @@
 tuple_leibniz below is that kernel as it was, kept here only as the oracle:
 it takes and returns exponent tuples and reads its Koszul signs off a list
 of the odd generators of the rest.  Each caller of the packed kernel
-(Cochains.d, DerComplex.bracket, apply_images) is compared with the same
+(Cochains.d, DerComplex.bracket, algebra._apply) is compared with the same
 computation done by tuple_leibniz, column by column and with the same
 number types, over random spaces, spaces with mostly odd generators, random
 fibrations in all three scopes, and the twist images a catalog brackets
@@ -18,17 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rht import ABSOLUTE, IDEAL, RELATIVE, AlgElement, GenSet, Monomial, RelativeModel, SullivanModel
-from rht.algebra import DIGIT, apply_images, basis_in_degree, monomial_images
+from rht.algebra import DIGIT, _apply, _Operator, basis_in_degree, monomial_images
 from rht.derivations import DerComplex
 from rht.errors import CombinatorialBlowup
 from rht.invariants import top_shift
 from rht.model import Cochains, formal_dimension_estimate
 
-from conftest import load, random_fibration, random_space
+from conftest import load, pairs, random_fibration, random_space
 
 
 def tuple_leibniz(gens, images, parity, exps):
-    """apply_images on one monomial's exponent tuple, keyed by exponent tuples.
+    """_apply on one monomial's exponent tuple, keyed by exponent tuples.
 
     For each factor g^e with an image, one g is removed and the exponents of
     each image term are added to the rest.  The Koszul sign is
@@ -93,10 +93,10 @@ def oracle_bracket(cx, n, images):
     """The columns of cx.bracket(n, images): E(m) at w, plus each E(v)
     under the pair's derivation (w -> m), with the sign -(-1)^n."""
     src, tgt, gens = cx.slice(n), cx.slice(n - 1), cx.model.gens
-    index = {(w.index, m.exponents): i for i, (w, m) in enumerate(tgt.pairs)}
+    index = {(w.index, m.exponents): i for i, (w, m) in enumerate(pairs(tgt))}
     sign = -1 if n % 2 == 0 else 1
     columns = []
-    for w, mono in src.pairs:
+    for w, mono in pairs(src):
         theta = {w.index: ((mono.exponents, 1),)}
         col = {}
         for g in cx.domain:
@@ -203,14 +203,14 @@ def test_apply_images_matches_the_tuple_kernel(seed, parity):
     }
     images = monomial_images(gens, values)
     element = AlgElement(gens, {rng.choice(monomials): rng.randint(-3, 3) for _ in range(4)})
-    got = apply_images(gens, images, parity, element)
+    got = _apply(gens, _Operator(gens, images, parity), element)
     assert got.terms == oracle_apply(gens, images, parity, element)
 
 
 def test_apply_images_keeps_nothing_per_call():
-    # apply_images compiles its images for the one call: the generator set
-    # keeps only its packed layout, so many calls grow nothing, and images
-    # given as lists are read as tuples are
+    # an operator compiled for one call leaves the generator set nothing but
+    # its packed layout, so many calls grow nothing, and images given as
+    # lists are read as tuples are
     gens = GenSet([("x", 3), ("y", 3), ("t", 2)])
     x, y, t = (gens.get(n).index for n in "xyt")
     element = AlgElement(gens, {Monomial(((t, 2),)): 1, Monomial(((x, 1), (t, 1))): 3})
@@ -218,10 +218,10 @@ def test_apply_images_keeps_nothing_per_call():
     layout = {name: repr(getattr(packing, name)) for name in type(packing).__slots__}
     for coeff in (2, Fraction(2), Fraction(-3, 4), *range(-20, 0)):
         images = {t: ((((x, 1),), coeff), (((y, 1),), 1))}
-        got = apply_images(gens, images, 1, element)
+        got = _apply(gens, _Operator(gens, images, 1), element)
         want = oracle_apply(gens, images, 1, element)
         assert got.terms == want
-        listed = apply_images(gens, {t: [list(term) for term in images[t]]}, 1, element)
+        listed = _apply(gens, _Operator(gens, {t: [list(term) for term in images[t]]}, 1), element)
         assert listed.terms == want
     assert {name: repr(getattr(packing, name)) for name in type(packing).__slots__} == layout
 
@@ -235,11 +235,11 @@ def test_an_exponent_no_field_holds_is_refused():
     big = AlgElement(gens, {Monomial(((t, 2**40),)): 1})
     assert DIGIT <= 40
     with pytest.raises(CombinatorialBlowup, match=f"exponent {2**40} of t is more than"):
-        apply_images(gens, images, 0, big)
+        _apply(gens, _Operator(gens, images, 0), big)
     # the largest exponent a field holds gives the tuple kernel's answer
     most = (1 << DIGIT - 1) - 1
     element = AlgElement(gens, {Monomial(((t, most),)): 1})
-    got = apply_images(gens, images, 0, element)
+    got = _apply(gens, _Operator(gens, images, 0), element)
     assert got.terms == oracle_apply(gens, images, 0, element)
     with pytest.raises(CombinatorialBlowup):
-        apply_images(gens, images, 0, AlgElement(gens, {Monomial(((t, most + 1),)): 1}))
+        _apply(gens, _Operator(gens, images, 0), AlgElement(gens, {Monomial(((t, most + 1),)): 1}))

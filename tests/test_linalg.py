@@ -49,7 +49,12 @@ def matrices(draw, max_dim=5):
             max_size=rows,
         )
     )
-    return RatMatrix.from_rows(data)
+    return from_rows(data)
+
+
+def from_rows(data):
+    """The matrix of dense rows, built from its columns."""
+    return RatMatrix(len(data), [{r: row[c] for r, row in enumerate(data)} for c in range(len(data[0]))])
 
 
 def dense(v, n):
@@ -74,10 +79,9 @@ def apply_dense(m, x):
 
 
 def test_matrix_basics():
-    m = RatMatrix.from_rows([[1, 2], [3, 4]])
+    m = from_rows([[1, 2], [3, 4]])
     assert m.columns[0] == {0: 1, 1: 3}
     assert m.apply({0: 1, 1: 1}) == {0: Fraction(3), 1: Fraction(7)}
-    assert (m @ RatMatrix.from_rows([[1, 0], [0, 1]])) == m
     assert RatMatrix(2, [{}, {}]).is_zero()
     assert RatMatrix(2, [{}, {}, {}]).row_lines() == [{}, {}]
     # entries are exact and nonzero, and must lie inside the matrix
@@ -87,8 +91,6 @@ def test_matrix_basics():
         RatMatrix(2, [{2: 1}])
     with pytest.raises(ValueError):
         m.apply({2: 1})
-    with pytest.raises(ValueError):
-        RatMatrix.from_rows([[1, 2], [3]])
 
 
 def test_matrix_stores_fraction_entries():
@@ -123,12 +125,6 @@ def test_other_rationals_become_fractions():
     # bool is a numbers.Rational, but by type neither int nor Fraction
     assert [type(x) for x in RatMatrix(1, [{0: True}]).columns[0].values()] == [Fraction]
     assert Subspace(("x", "y"), [[True, 0]]) == Subspace(("x", "y"), [[1, 0]])
-
-
-def test_matmul_against_dense():
-    a = RatMatrix.from_rows([[1, 2, 0], [0, -1, 3]])
-    b = RatMatrix.from_rows([[2, 0], [1, 1], [0, 4]])
-    assert (a @ b) == RatMatrix.from_rows([[4, 2], [-1, 11]])
 
 
 @given(matrices())
@@ -172,7 +168,7 @@ def test_solve_consistency(m, data):
 
 
 def test_solve_inconsistent():
-    m = RatMatrix.from_rows([[1, 0], [1, 0]])
+    m = from_rows([[1, 0], [1, 0]])
     columns = Echelon(m.rows, m.columns)
     assert columns.reduce({0: 1, 1: 2}) == {1: 1}
 
@@ -251,15 +247,15 @@ def test_sum_and_intersection_dimensions(u, v):
 
 
 def test_homology_rejects_non_complex():
-    d_in = RatMatrix.from_rows([[1], [0]])
-    d_out = RatMatrix.from_rows([[1, 0]])
+    d_in = from_rows([[1], [0]])
+    d_out = from_rows([[1, 0]])
     with pytest.raises(NotAComplex):
         HomologySlice(d_in, d_out)
 
 
 def test_homology_of_exact_and_trivial():
     # 0 -> Q -> Q -> 0 with the identity in the middle is exact
-    ident = RatMatrix.from_rows([[1]])
+    ident = from_rows([[1]])
     zero_out = RatMatrix(0, [{}])
     zero_in = RatMatrix(1, [])
     assert HomologySlice(ident, zero_out).dim == 0
@@ -268,7 +264,7 @@ def test_homology_of_exact_and_trivial():
 
 def test_homology_coords():
     # complex Q^2 --0--> Q^2 --0--> Q^2 with one boundary direction
-    d_in = RatMatrix.from_rows([[1, 0], [0, 0]])
+    d_in = from_rows([[1, 0], [0, 0]])
     d_out = RatMatrix(2, [{}, {}])
     h = HomologySlice(d_in, d_out)
     assert h.dim == 1
@@ -277,14 +273,14 @@ def test_homology_coords():
     with pytest.raises(ValueError):
         h.coords({2: 1})  # outside the chain degree
     with pytest.raises(ValueError):
-        HomologySlice(RatMatrix(2, []), RatMatrix.from_rows([[1, 0], [0, 1]])).coords({0: 1})
+        HomologySlice(RatMatrix(2, []), from_rows([[1, 0], [0, 1]])).coords({0: 1})
     with pytest.raises(ValueError):
         HomologySlice(RatMatrix(3, []), d_out)  # degree mismatch
 
 
 def test_homology_euler_characteristic():
     # for any two-step complex, dim H = dim ker - rank d_in
-    d_in = RatMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
+    d_in = from_rows([[1, 2, 3], [2, 4, 6]])
     d_out = RatMatrix(1, [{}, {}])
     h = HomologySlice(d_in, d_out)
     assert h.dim == len(row_echelon(d_out).kernel()) - Echelon(2, d_in.columns).rank
@@ -497,8 +493,9 @@ def test_kept_columns_are_what_the_checking_constructor_stores(monkeypatch):
                 toral_certificate(m, 4)
     callers = Counter(name for name, _ in built)
     # _cut: the ideal complex's boundaries, read off the relative ones
-    assert set(callers) == {"d", "bracket", "_cut", "__matmul__", "_induced"}, callers
+    assert set(callers) == {"d", "bracket", "_cut", "_induced"}, callers
     for name, m in built:
         assert m.cols == len(m.columns), name
-        assert m == RatMatrix(m.rows, m.columns), name
+        copy = RatMatrix(m.rows, m.columns)
+        assert (m.rows, m.columns) == (copy.rows, copy.columns), name
         assert all(exact(col.values()) for col in m.columns), name

@@ -54,4 +54,4 @@ def test_readme_library_examples_run(monkeypatch):
     for block in blocks:
         want += re.findall(r"^print\(.*\)\s+# (.+)$", block, re.M)
         exec(compile(block, "README.md", "exec"), namespace)
-    assert printed == want == ["{7: 1}", "['w4*']", "2"]
+    assert printed == want == ["{7: 1}", "['w4*']", "True", "{3: 2, 7: 1}", "2"]
