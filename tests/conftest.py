@@ -165,8 +165,8 @@ def as_dict(el: AlgElement) -> dict:
 
 def derivation_of(slice_, i: int) -> Derivation:
     """The derivation of the slice's i-th pair (w, m): w to m, every other generator to 0."""
-    g, m = slice_.pair(i)
-    return Derivation(slice_.value_gens, slice_.degree, {g.index: AlgElement.monomial(slice_.value_gens, m)})
+    (g, m), gens = slice_.pair(i), slice_.value_gens
+    return Derivation(gens, slice_.degree, {g.index: AlgElement.monomial(gens, m)})
 
 
 def apply_derivation(theta: Derivation, element: AlgElement) -> AlgElement:

@@ -160,7 +160,8 @@ def check_boundary_against_definition(m, n, scope):
             gv = model.gens.get(g.name)
             gen_el = AlgElement.gen(model.gens, gv.name)
             lhs = apply_derivation(out, gen_el)
-            rhs = model.d(apply_derivation(theta, gen_el)) - sign * apply_derivation(theta, model.d(gen_el))
+            rhs = model.d(apply_derivation(theta, gen_el))
+            rhs = rhs - sign * apply_derivation(theta, model.d(gen_el))
             assert lhs == rhs, (scope, n, labels(src)[j], g.name)
 
 

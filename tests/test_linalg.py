@@ -54,7 +54,8 @@ def matrices(draw, max_dim=5):
 
 def from_rows(data):
     """The matrix of dense rows, built from its columns."""
-    return RatMatrix(len(data), [{r: row[c] for r, row in enumerate(data)} for c in range(len(data[0]))])
+    columns = range(len(data[0]))
+    return RatMatrix(len(data), [{r: row[c] for r, row in enumerate(data)} for c in columns])
 
 
 def dense(v, n):
