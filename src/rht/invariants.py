@@ -24,7 +24,7 @@ from .derivations import (
     frame_degrees,
 )
 from .errors import BaseNotDegreeTwo, CombinatorialBlowup, NotAComplex
-from .linalg import Echelon, HomologySlice, Number, RatMatrix, Subspace, _dense
+from .linalg import Echelon, HomologySlice, Number, RatMatrix, Subspace
 from .model import Cochains, ModelLike, RelativeModel, SullivanModel, formal_dimension_estimate
 from .poset import poset_of_subspaces
 
@@ -90,15 +90,12 @@ class GottliebResult:
     def total(self) -> Subspace:
         """Direct sum over degrees inside the full dual frame Hom(W, Q)."""
         frame = tuple(f"{g.name}*" for g in self.fiber.gens)
-        pos = {f"{g.name}*": i for i, g in enumerate(self.fiber.gens)}
+        pos = {label: i for i, label in enumerate(frame)}
         vectors = []
         for n in sorted(self.per_degree):
             sub = self.per_degree[n]
-            for row in sub.rows:
-                vec = [0] * len(frame)
-                for label, c in zip(sub.ambient, row):
-                    vec[pos[label]] = c
-                vectors.append(vec)
+            to_frame = [pos[label] for label in sub.ambient]
+            vectors += (_moved(row, to_frame) for row in sub._echelon.rows.values())
         return Subspace(frame, vectors)
 
 
@@ -117,12 +114,19 @@ def _image_on_cycles(
 
     The evaluation must kill the boundaries d_in, that is no entry of d_in
     may sit at a pair it keeps, otherwise the image on cycles is not well
-    defined on homology; checked on every run.
+    defined on homology; checked on every run.  The image is the kernel of
+    the functionals on the frame that vanish on it: read through evaluation,
+    the row space of d_out zero on every dropped pair.  One echelon of d_out,
+    each kept pair j moved to column d_out.cols + evaluation[j], holds them
+    as its rows pivoted on a kept pair.
     """
     if any(evaluation[r] is not None for col in d_in.columns for r in col):
         raise NotAComplex("evaluation does not kill boundaries")
-    cycles = Echelon(d_out.cols, d_out.row_lines()).kernel()
-    return Subspace(frame, [_dense(_moved(z, evaluation), len(frame)) for z in cycles])
+    cols = d_out.cols
+    index = [j if e is None else cols + e for j, e in enumerate(evaluation)]
+    rows = Echelon(cols + len(frame), (_moved(r, index) for r in d_out.row_lines() if r)).rows
+    vanishing = ({c - cols: x for c, x in row.items()} for p, row in rows.items() if p >= cols)
+    return Subspace(frame, Echelon(len(frame), vanishing).kernel())
 
 
 def gottlieb(m: ModelLike, max_degree: Optional[int] = None) -> GottliebResult:
@@ -158,12 +162,12 @@ def connecting_images(f: RelativeModel) -> dict[int, Subspace]:
     """
     out = {}
     for n in frame_degrees(f.fiber, top_shift(f)):
-        fiber_gens_n = [g for g in f.fiber.gens if g.degree == n]
+        diffs = list(enumerate(f.total.diff_of(g.name) for g in f.fiber.gens if g.degree == n))
         vectors = []
         for v in f.base.gens:
             if v.degree == n + 1:
                 linear = Monomial(((f.total.gens.get(v.name).index, 1),))
-                vectors.append([f.total.diff_of(w.name).coefficient(linear) for w in fiber_gens_n])
+                vectors.append({j: d.coefficient(linear) for j, d in diffs})
         out[n] = Subspace(dual_frame(f.fiber, n), vectors)
     return out
 

@@ -43,10 +43,6 @@ def _exact_sparse(items: Iterable[tuple[int, object]]) -> Sparse:
     return out
 
 
-def _dense(v: Sparse, n: int) -> Vector:
-    return tuple(v.get(i, 0) for i in range(n))
-
-
 def _subtract(v: Sparse, f: Number, row: Sparse) -> None:
     """v -= f * row in place, dropping entries that cancel."""
     for c, x in row.items():
@@ -210,29 +206,28 @@ class Echelon:
                     free[c][p] = -x
         return list(free.values())
 
-    def dense_rows(self) -> tuple[Vector, ...]:
-        """The basis as dense vectors, ordered by pivot column."""
-        return tuple(_dense(self.rows[p], self.n) for p in sorted(self.rows))
-
 
 class Subspace:
-    """A subspace of a labeled coordinate space, stored as an RREF basis."""
+    """A subspace of a labeled coordinate space, spanned by sparse vectors
+    {index: value}; ``rows``, its RREF basis as dense vectors, is its key."""
 
     __slots__ = ("ambient", "rows", "_echelon")
 
-    def __init__(self, ambient: Sequence[str], vectors: Iterable[Sequence] = ()):
+    def __init__(self, ambient: Sequence[str], vectors: Iterable[Mapping[int, object]] = ()):
         self.ambient: tuple[str, ...] = tuple(ambient)
-        self._echelon = Echelon(len(self.ambient), (self._in_frame(v) for v in vectors))
-        self.rows: tuple[Vector, ...] = self._echelon.dense_rows()
+        n = len(self.ambient)
+        self._echelon = Echelon(n, filter(None, map(self._in_frame, vectors)))
+        rows = [self._echelon.rows[p] for p in sorted(self._echelon.rows)]
+        self.rows: tuple[Vector, ...] = tuple(tuple(r.get(i, 0) for i in range(n)) for r in rows)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _in_frame(self, v: Sequence) -> Sparse:
-        if len(v) != len(self.ambient):
-            raise AmbientMismatch("vector length does not match ambient frame")
-        return _exact_sparse(enumerate(v))
+    def _in_frame(self, v: Mapping[int, object]) -> Sparse:
+        if any(not 0 <= i < len(self.ambient) for i in v):
+            raise AmbientMismatch("vector index outside the ambient frame")
+        return _exact_sparse(v.items())
 
     def includes(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:

@@ -17,10 +17,12 @@ import pytest
 from rht import (
     AlgElement,
     Derivation,
+    Echelon,
     GenSet,
     Monomial,
     RatMatrix,
     RelativeModel,
+    Subspace,
     SullivanModel,
     basis_in_degree,
     parse_document,
@@ -189,6 +191,14 @@ def product(a: RatMatrix, b: RatMatrix) -> list[dict]:
     """The columns of the matrix product a.b: each column of b sent through a.apply."""
     assert a.cols == b.rows, (a, b)
     return [a.apply(col) for col in b.columns]
+
+
+def image_by_projection(evaluation, d_out: RatMatrix, frame) -> Subspace:
+    """The reference image of the cycles of d_out under evaluation: a kernel
+    vector per free column of d_out, each moved through evaluation."""
+    cycles = Echelon(d_out.cols, d_out.row_lines()).kernel()
+    moved = [{evaluation[j]: c for j, c in z.items() if evaluation[j] is not None} for z in cycles]
+    return Subspace(frame, moved)
 
 
 def zero_one(positions, rows: int) -> RatMatrix:

@@ -95,7 +95,7 @@ def test_01_absolute_derivation_homology_table(su5):
                 idx = basis.index[(su5.gens.get(gen_name).index, su5.gens.pack(mono.exponents))]
                 vec = {idx: 1}
                 assert delta.apply(vec) == {}
-                coords.append([h.coords(vec).get(i, 0) for i in range(h.dim)])
+                coords.append(h.coords(vec))
             span = Subspace([f"h{i}" for i in range(h.dim)], coords)
             assert span.dim == h.dim == len(pairs)
 
@@ -277,9 +277,7 @@ def test_08_depth(wedge):
     frame = ("w1*", "w2*", "w3*", "w4*", "w5*")
 
     def span(*labels):
-        return Subspace(
-            frame, [[1 if f == lbl + "*" else 0 for f in frame] for lbl in labels]
-        )
+        return Subspace(frame, [{frame.index(lbl + "*"): 1} for lbl in labels])
 
     family_a = {
         "all": span("w1", "w2", "w3", "w4", "w5"),

@@ -36,7 +36,7 @@ from rht.errors import (
 )
 from rht.model import trivial_fibration
 
-from conftest import evaluation_matrix, load, product, random_space
+from conftest import evaluation_matrix, image_by_projection, load, product, random_space
 
 
 def qt_base():
@@ -533,6 +533,23 @@ def test_realized_subspaces_build_each_part_once(monkeypatch, su4_fixtures):
             assert len(cat.realized_subspaces()) == len(cat)
         assert len(complexes) == groups and {cx.scope for cx in complexes} == {rht.derivations.RELATIVE}
         assert brackets and max(brackets.values()) == 1, brackets.most_common(3)
+
+
+def test_enumerated_images_match_kernel_then_project(monkeypatch):
+    # every image the benchmark's enumerations compute equals the reference,
+    # a kernel vector of d_out per free column moved through evaluation
+    real_image, checked = rht.catalog._image_on_cycles, []
+
+    def checked_image(evaluation, d_out, d_in, frame):
+        image = real_image(evaluation, d_out, d_in, frame)
+        assert image == image_by_projection(evaluation, d_out, frame), (frame, d_out)
+        checked.append(image.dim)
+        return image
+
+    monkeypatch.setattr(rht.catalog, "_image_on_cycles", checked_image)
+    for cat in benchmark_enumerations():
+        assert len(cat.realized_subspaces()) == len(cat.entries)
+    assert len(checked) >= 50 and any(checked) and not all(checked), checked
 
 
 def test_given_entries_read_back_the_enumerated_coefficients():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import rht
+import rht.catalog
 import rht.cli
 import rht.invariants
 import rht.linalg
@@ -34,16 +35,18 @@ from rht import (
     connecting_images,
     depth_of_subspaces,
     der_homology,
+    enumerate_fibrations,
     fibre_gottlieb,
     finiteness_window,
     gottlieb,
     les_check,
     parse_document,
+    parse_model,
     toral_certificate,
     trivial_fibration,
 )
 from rht.catalog import Catalog
-from rht.derivations import ComplexSlice, DerComplex
+from rht.derivations import ComplexSlice, DerComplex, dual_frame
 from rht.errors import (
     BaseNotDegreeTwo,
     BoundExceeded,
@@ -54,9 +57,19 @@ from rht.errors import (
 from rht.invariants import _pure_quotient_vanishes, top_shift
 from rht.model import formal_dimension_estimate
 
-from conftest import FIXTURES, load, random_fibration, random_space
+from conftest import (
+    FIXTURES,
+    image_by_projection,
+    load,
+    random_fibration,
+    random_pure_elliptic,
+    random_space,
+)
 
 CP3 = Path(__file__).parent.parent / "perfbench" / "cp3.smf"
+
+# random fibrations the inclusion and product tests read at seed 11
+INCLUSION_DRAWS = 40
 
 
 def fixture_models():
@@ -116,7 +129,7 @@ def test_absolute_der_homology_representatives(su5):
         for gen_name, mono_factors in listed:
             vec = pair_vector(su5, n, ABSOLUTE, gen_name, mono_factors)
             assert delta.apply(vec) == {}, (n, gen_name)
-            coords.append([h.coords(vec).get(i, 0) for i in range(h.dim)])
+            coords.append(h.coords(vec))
         span = Subspace([f"h{i}" for i in range(h.dim)], coords)
         assert span.dim == h.dim == len(listed)
 
@@ -182,13 +195,46 @@ def test_gottlieb_even_degrees_vanish_on_elliptic_fixtures(su5, ex44, ex47):
 
 
 def test_trivial_fibration_gottlieb_equality(su5, ex44):
-    base = SullivanModel(GenSet([("t", 2)]), {})
-    for m in (su5, ex44.fiber):
-        triv = trivial_fibration(m, base)
-        fg = fibre_gottlieb(triv)
-        g = gottlieb(m)
-        for n in set(fg.per_degree) | set(g.per_degree):
-            assert fg.degree(n) == g.degree(n), n
+    # over Q[t] and over CP^2's model, on the fixtures and on the fibres of
+    # random fibrations, whose generators g0... are named apart from the base's
+    bases = [
+        parse_model("[space qt]\ngen t 2"),
+        parse_model("[space cp2]\ngen t 2\ngen u 5\nd u = t^3"),
+    ]
+    rng = random.Random(11)
+    fibres = [su5, ex44.fiber] + [random_fibration(rng).fiber for _ in range(INCLUSION_DRAWS)]
+    checked = 0
+    for base in bases:
+        for m in fibres:
+            fg = fibre_gottlieb(trivial_fibration(m, base))
+            g = gottlieb(m)
+            for n in set(fg.per_degree) | set(g.per_degree):
+                assert fg.degree(n) == g.degree(n), (base.name, m.serialize(), n)
+                checked += 1
+    assert checked >= 200, checked
+
+
+def test_images_match_kernel_then_project():
+    # the image read off one echelon of d_out equals the reference, a kernel
+    # vector of d_out per free column moved through evaluation, in the
+    # absolute and the relative scope, on every fixture and on random models
+    rng = random.Random(3)
+    models = fixture_models() + [random_pure_elliptic(rng) for _ in range(20)]
+    models += [random_space(rng) for _ in range(30)] + [random_fibration(rng) for _ in range(30)]
+    checked = 0
+    for m in models:
+        scopes = [(gottlieb, ABSOLUTE)]
+        if isinstance(m, RelativeModel):
+            scopes.append((fibre_gottlieb, RELATIVE))
+        for invariant, scope in scopes:
+            cx = DerComplex(m, scope)
+            for n, image in invariant(m).per_degree.items():
+                frame = dual_frame(m.fiber, n)
+                assert image == image_by_projection(cx.evaluation(n), cx.boundary(n), frame), (
+                    m.serialize(), scope, n
+                )
+                checked += 1
+    assert checked >= 300, checked
 
 
 def test_top_degree_equality(su5_bundle, ex44, ex47):
@@ -218,11 +264,17 @@ def test_connecting_contained_in_fibre_gottlieb(su5_bundle, ex44, ex47):
 
 
 def test_fibre_gottlieb_contained_in_gottlieb(su5_bundle, ex44, ex47):
-    for f in [su5_bundle, ex44] + list(ex47.values()):
+    # G^xi_*(X) lies in G_*(X) for every fibration, random ones too
+    rng = random.Random(11)
+    fibrations = [random_fibration(rng) for _ in range(INCLUSION_DRAWS)]
+    checked = 0
+    for f in [su5_bundle, ex44] + list(ex47.values()) + fibrations:
         g = gottlieb(f)
         fg = fibre_gottlieb(f)
         for n in fg.per_degree:
-            assert g.degree(n).includes(fg.degree(n)), (f.name, n)
+            assert g.degree(n).includes(fg.degree(n)), (f.serialize(), n)
+            checked += 1
+    assert checked >= 100, checked
 
 
 # ----------------------------------------------------------------------
@@ -372,6 +424,43 @@ def test_les_check_does_each_piece_of_work_once(ex47, monkeypatch):
         repeats = {key: k for key, k in Counter(lists).items() if k > 1}
         assert lists and not repeats, (f.name, repeats)
         assert added and all(added), (f.name, added.count(False))
+
+
+def test_images_eliminate_no_empty_vector(monkeypatch):
+    # each evaluation image is the kernel of one echelon on its frame, and no
+    # elimination is handed an empty vector: gottlieb and fibre_gottlieb on
+    # every fixture, and the 3-5-9-17 enumerations over qt, gated and not
+    added, kernels, frames = [], [], []
+    real_add, real_kernel, real_image = Echelon.add, Echelon.kernel, rht.invariants._image_on_cycles
+
+    def recording_add(self, v):
+        added.append(bool(v))
+        return real_add(self, v)
+
+    def recording_kernel(self):
+        if frames:
+            kernels.append((self.n, frames[-1]))
+        return real_kernel(self)
+
+    def recording_image(evaluation, d_out, d_in, frame):
+        frames.append(len(frame))
+        image = real_image(evaluation, d_out, d_in, frame)
+        frames.pop()
+        return image
+
+    monkeypatch.setattr(Echelon, "add", recording_add)
+    monkeypatch.setattr(Echelon, "kernel", recording_kernel)
+    monkeypatch.setattr(rht.invariants, "_image_on_cycles", recording_image)
+    monkeypatch.setattr(rht.catalog, "_image_on_cycles", recording_image)
+    for m in fixture_models():
+        gottlieb(m)
+        if isinstance(m, RelativeModel):
+            fibre_gottlieb(m)
+    fiber, base = load("fiber-3-5-9-17.smf")[0], load("base-qt.smf")[0]
+    for gate in (True, False):
+        enumerate_fibrations(fiber, base, (0, 1), require_finite=gate).realized_subspaces()
+    assert kernels and all(n == width for n, width in kernels), Counter(kernels).most_common(3)
+    assert added and all(added), (len(added), added.count(False))
 
 
 def test_a_column_leaving_the_ideal_is_not_a_complex(su5_bundle, monkeypatch, capsys):
@@ -924,9 +1013,7 @@ def test_depth_of_subspace_families():
     frame = ("w1*", "w2*", "w3*", "w4*", "w5*")
 
     def span(*labels):
-        return Subspace(
-            frame, [[1 if f == lbl + "*" else 0 for f in frame] for lbl in labels]
-        )
+        return Subspace(frame, [{frame.index(lbl + "*"): 1} for lbl in labels])
 
     family_a = {
         "all": span("w1", "w2", "w3", "w4", "w5"),
@@ -953,11 +1040,11 @@ def test_depth_of_subspace_families():
 def test_depth_edge_cases():
     frame = ("x*",)
     assert depth_of_subspaces({}).depth == -1
-    single = depth_of_subspaces({"only": Subspace(frame, [[1]])})
+    single = depth_of_subspaces({"only": Subspace(frame, [{0: 1}])})
     assert single.depth == 0 and single.witness == ["only"]
     # duplicates collapse to one node
     dup = depth_of_subspaces(
-        {"a": Subspace(frame, [[1]]), "b": Subspace(frame, [[2]])}
+        {"a": Subspace(frame, [{0: 1}]), "b": Subspace(frame, [{0: 2}])}
     )
     assert dup.depth == 0
 

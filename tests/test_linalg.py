@@ -62,6 +62,11 @@ def dense(v, n):
     return tuple(v.get(i, 0) for i in range(n))
 
 
+def dense_rows(e):
+    """An echelon's reduced basis as dense vectors, ordered by pivot column."""
+    return tuple(dense(e.rows[p], e.n) for p in sorted(e.rows))
+
+
 def sparse(row):
     return {i: x for i, x in enumerate(row) if x}
 
@@ -119,13 +124,13 @@ def test_inexact_entries_are_refused(value):
     with pytest.raises(TypeError):
         RatMatrix(1, [{0: value}])
     with pytest.raises(TypeError):
-        Subspace(("x", "y"), [[1, value]])
+        Subspace(("x", "y"), [{0: 1, 1: value}])
 
 
 def test_other_rationals_become_fractions():
     # bool is a numbers.Rational, but by type neither int nor Fraction
     assert [type(x) for x in RatMatrix(1, [{0: True}]).columns[0].values()] == [Fraction]
-    assert Subspace(("x", "y"), [[True, 0]]) == Subspace(("x", "y"), [[1, 0]])
+    assert Subspace(("x", "y"), [{0: True}]) == Subspace(("x", "y"), [{0: 1}])
 
 
 @given(matrices())
@@ -133,7 +138,7 @@ def test_other_rationals_become_fractions():
 def test_rref_idempotent_and_pivots(m):
     e = row_echelon(m)
     again = Echelon(m.cols, e.rows.values())
-    assert again.dense_rows() == e.dense_rows() and again.rank == e.rank
+    assert dense_rows(again) == dense_rows(e) and again.rank == e.rank
     for p, row in e.rows.items():
         assert row[p] == 1 and min(row) == p
         assert all(p not in other for q, other in e.rows.items() if q != p)
@@ -204,28 +209,30 @@ def subspaces(draw):
             st.lists(entries, min_size=4, max_size=4), min_size=count, max_size=count
         )
     )
-    return Subspace(FRAME, vecs)
+    return Subspace(FRAME, map(sparse, vecs))
 
 
 def test_subspace_canonical_equality():
-    a = Subspace(FRAME, [[1, 1, 0, 0], [0, 2, 0, 0]])
-    b = Subspace(FRAME, [[0, 1, 0, 0], [3, 0, 0, 0]])
+    a = Subspace(FRAME, [{0: 1, 1: 1}, {1: 2}])
+    b = Subspace(FRAME, [{1: 1}, {0: 3}])
     assert a == b and hash(a) == hash(b)
     assert a.basis_labels() == ["x0", "x1"]
 
 
 def test_subspace_membership():
-    s = Subspace(FRAME, [[1, 0, 1, 0]])
-    assert s.includes(Subspace(FRAME, [[2, 0, 2, 0]]))
-    assert not s.includes(Subspace(FRAME, [[1, 0, 0, 0]]))
-    full = Subspace(FRAME, [[int(i == j) for j in range(4)] for i in range(4)])
+    s = Subspace(FRAME, [{0: 1, 2: 1}])
+    assert s.includes(Subspace(FRAME, [{0: 2, 2: 2}]))
+    assert not s.includes(Subspace(FRAME, [{0: 1}]))
+    full = Subspace(FRAME, [{i: 1} for i in range(4)])
     assert full.includes(s)
     assert not s.includes(full)
 
 
 def test_ambient_mismatch():
-    with pytest.raises(AmbientMismatch):
-        Subspace(FRAME, [[1, 0]])
+    # a sparse vector's indices lie in 0..len(ambient)-1
+    for vector in ({4: 1}, {-1: 1}, {0: 1, 4: 0}):
+        with pytest.raises(AmbientMismatch):
+            Subspace(FRAME, [vector])
     with pytest.raises(AmbientMismatch):
         Subspace(FRAME).includes(Subspace(("y0",)))
 
@@ -233,11 +240,11 @@ def test_ambient_mismatch():
 @given(subspaces(), subspaces())
 @settings(max_examples=100)
 def test_sum_and_intersection_dimensions(u, v):
-    s = Subspace(FRAME, u.rows + v.rows)
+    s = Subspace(FRAME, map(sparse, u.rows + v.rows))
     # U cap V is the annihilator of ker U + ker V, for the standard form on Q^4
     ker_u = Echelon(4, map(sparse, u.rows)).kernel()
     ker_v = Echelon(4, map(sparse, v.rows)).kernel()
-    i = Subspace(FRAME, [dense(w, 4) for w in Echelon(4, ker_u + ker_v).kernel()])
+    i = Subspace(FRAME, Echelon(4, ker_u + ker_v).kernel())
     assert s.includes(u) and s.includes(v)
     assert u.includes(i) and v.includes(i)
     assert s.dim + i.dim == u.dim + v.dim
@@ -363,14 +370,14 @@ def complexes(draw, max_dim=5):
 def test_echelon_matches_dense_oracle(m, rnd):
     rows = m.row_lines()
     e = Echelon(m.cols, rows)
-    dense_rows = [dense(r, m.cols) for r in rows]
-    oracle = oracle_rref(dense_rows, m.cols)
-    assert e.dense_rows() == tuple(oracle)
+    lines = [dense(r, m.cols) for r in rows]
+    oracle = oracle_rref(lines, m.cols)
+    assert dense_rows(e) == tuple(oracle)
     assert e.rank == len(oracle)
-    assert len(e.kernel()) == len(oracle_kernel(dense_rows, m.cols)) == m.cols - e.rank
+    assert len(e.kernel()) == len(oracle_kernel(lines, m.cols)) == m.cols - e.rank
     # the rows depend only on the span, not on the order of insertion
     rnd.shuffle(rows)
-    assert Echelon(m.cols, rows).dense_rows() == e.dense_rows()
+    assert dense_rows(Echelon(m.cols, rows)) == dense_rows(e)
 
 
 @given(complexes())

@@ -2,7 +2,7 @@
 
 import random
 
-from rht import GenSet, SullivanModel, gottlieb
+from rht import GenSet, SullivanModel, gottlieb, parse_model
 from rht.invariants import _pure_quotient_vanishes
 from rht.model import formal_dimension_estimate
 
@@ -35,3 +35,23 @@ def test_felix_halperin_even_gottlieb_groups_vanish():
     free = SullivanModel(gens, {})
     assert not _pure_quotient_vanishes(free, formal_dimension_estimate(gens), 2)
     assert gottlieb(free).dims() == {2: 1, 3: 1}
+
+
+def test_classical_gottlieb_groups():
+    # the classical rational values: G_* = pi_* when d = 0, G_*(S^2n) is
+    # pi_{4n-1} alone and G_*(CP^n) is pi_{2n+1} alone; models written inline
+    free = parse_model("[space free]\ngen a 2\ngen b 3\ngen c 4\ngen e 5")
+    assert gottlieb(free).dims() == {2: 1, 3: 1, 4: 1, 5: 1}
+    for n in range(1, 5):
+        sphere = parse_model(f"[space s{2 * n}]\ngen x {2 * n}\ngen y {4 * n - 1}\nd y = x^2")
+        assert gottlieb(sphere).dims() == {4 * n - 1: 1}, n
+        projective = parse_model(f"[space cp{n}]\ngen x 2\ngen y {2 * n + 1}\nd y = x^{n + 1}")
+        assert gottlieb(projective).dims() == {2 * n + 1: 1}, n
+    # a space given twice, the second time with u replaced by u - yz, whose d
+    # squares to zero only under the Koszul signs: y*, z* and w* are Gottlieb,
+    # x* is not (a derivation sending x to 1 sends dy = x^2 to 2x) and u* is
+    # not (one sending u to 1 sends dw to -x, and w has no degree-1 value)
+    gens = "gen x 2\ngen y 3\ngen z 3\ngen u 6\ngen w 7\nd y = x^2\n"
+    split = parse_model(f"[space a]\n{gens}d w = -x^4 - x*u")
+    twisted = parse_model(f"[space b]\n{gens}d u = -x^2*z\nd w = -x^4 - x*y*z - x*u")
+    assert gottlieb(split).dims() == gottlieb(twisted).dims() == {3: 2, 7: 1}

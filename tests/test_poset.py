@@ -14,19 +14,19 @@ def span(*rows):
 
 def chain_family():
     return {
-        "top": span([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]),
-        "mid": span([0, 1, 0, 0], [0, 0, 1, 0]),
-        "bot": span([0, 0, 1, 0]),
+        "top": span({0: 1}, {1: 1}, {2: 1}),
+        "mid": span({1: 1}, {2: 1}),
+        "bot": span({2: 1}),
     }
 
 
 def diamond_family():
     return {
-        "top": span([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]),
-        "left": span([1, 0, 0, 0], [0, 1, 0, 0]),
-        "right": span([0, 1, 0, 0], [0, 0, 1, 0]),
-        "bot": span([0, 1, 0, 0]),
-        "bot-again": span([0, 2, 0, 0]),
+        "top": span({0: 1}, {1: 1}, {2: 1}),
+        "left": span({0: 1}, {1: 1}),
+        "right": span({1: 1}, {2: 1}),
+        "bot": span({1: 1}),
+        "bot-again": span({1: 2}),
     }
 
 
@@ -87,9 +87,9 @@ def test_poset_invariant_under_permutation():
 
 def test_empty_and_singleton():
     assert depth_of_subspaces({}).depth == -1
-    single = poset_of_subspaces({"x": span([1, 0, 0, 0])})
+    single = poset_of_subspaces({"x": span({0: 1})})
     assert len(single.nodes) == 1 and single.edges == []
-    assert depth_of_subspaces({"x": span([1, 0, 0, 0])}).depth == 0
+    assert depth_of_subspaces({"x": span({0: 1})}).depth == 0
 
 
 def test_render_dot():
