@@ -195,23 +195,6 @@ class LesReport:
         return self.chain_level_ok and all(nd.exact for nd in self.nodes)
 
 
-def _induced(cycles: Iterable[Mapping], h: HomologySlice) -> tuple[RatMatrix, int]:
-    """The map sending the k-th source class to the class of the k-th cycle, and its rank."""
-    m = RatMatrix._trusted(h.dim, list(map(h.coords, cycles)))
-    return m, _rank(m)
-
-
-def _rank(m: RatMatrix) -> int:
-    return Echelon(m.rows, filter(None, m.columns)).rank
-
-
-def _exact_at(node: str, h: HomologySlice, into: tuple, out: tuple) -> LesNodeReport:
-    """image(into) = kernel(out) at h: out . into = 0 and rk into + rk out = dim h."""
-    (a, rk_in), (b, rk_out) = into, out
-    exact = not any(map(b.apply, filter(None, a.columns))) and rk_in + rk_out == h.dim
-    return LesNodeReport(node, h.dim, rk_in, rk_out, exact)
-
-
 def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     """Verify exactness of the ideal -> relative -> absolute homology sequence.
 
@@ -219,8 +202,10 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     homology node of the given degrees, that the image of the incoming map
     equals the kernel of the outgoing one (composite zero + ranks add up).
     Each chain map sends a pair to one pair or to zero, so it is read as
-    ``positions``, its converse as their inverse, and the induced maps
-    re-index representatives.
+    ``positions`` and its converse as their inverse.  An induced map's rank
+    is the rank of the classes of its images of the source cycles, and
+    out . in = 0 when out sends the rows of in's image echelon to zero
+    classes; no representative, coordinate or induced matrix is built.
     """
     degrees = sorted(set(degrees))
     if not degrees:
@@ -236,10 +221,11 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     # chain-level short exactness per degree: the inclusion and the
     # restriction partition the relative pairs, and the restriction is a
     # bijection onto the absolute pairs
-    inc, res = {}, {}
+    inc, res, sections = {}, {}, {}
     for n in range(max(0, lo - 1), hi + 2):
         inc[n] = ideal.inclusion(n)[0]
         res[n] = rel.positions(ab, n)
+        sections[n] = _inverse(res[n], ab.slice(n).dim)
         kept = [j for j, a in enumerate(res[n]) if a is not None]
         ok = (
             None not in inc[n]
@@ -248,29 +234,43 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
         )
         report.chain_level_ok = report.chain_level_ok and ok
 
-    conn: dict[int, tuple[RatMatrix, int]] = {}  # n -> (connecting map, its rank)
+    def connecting(n: int, z: Mapping[int, Number]) -> dict:
+        """H_n(absolute) -> H_{n-1}(ideal) on a cycle: lift, boundary, pull back."""
+        b = rel.boundary(n).apply(_moved(z, sections[n]))
+        # the restriction kills exactly the ideal pairs
+        if any(res[n - 1][j] is not None for j in b):
+            raise NotAComplex("boundary of a lifted cycle left the ideal")
+        return _moved(b, ideal.inclusion(n - 1)[1])
 
-    def connecting(n: int) -> tuple[RatMatrix, int]:
-        """H_n(absolute) -> H_{n-1}(ideal) via lift, boundary, pull back."""
-        if n not in conn:
-            section = _inverse(res[n], ab.slice(n).dim)
-            d = rel.boundary(n)
-            bounds = [d.apply(_moved(rep, section)) for rep in ab.homology(n).representatives]
-            # the restriction kills exactly the ideal pairs
-            if any(res[n - 1][j] is not None for b in bounds for j in b):
-                raise NotAComplex("boundary of a lifted cycle left the ideal")
-            to_ideal = ideal.inclusion(n - 1)[1]
-            conn[n] = _induced((_moved(b, to_ideal) for b in bounds), ideal.homology(n - 1))
-        return conn[n]
+    # each map of the sequence: its source, its target, the shift it lowers
+    # and its chain map on one vector
+    maps = {
+        "inclusion": (ideal, rel, 0, lambda n, v: _moved(v, inc[n])),
+        "restriction": (rel, ab, 0, lambda n, v: _moved(v, res[n])),
+        "connecting": (ab, ideal, 1, connecting),
+    }
+    images: dict[tuple[str, int], Echelon] = {}  # (map, shift) -> classes of its image
+
+    def classes(name: str, n: int, vectors: Iterable[Mapping[int, Number]]) -> Echelon:
+        """The classes of the vectors sent out of shift n by the named map."""
+        _, target, down, move = maps[name]
+        h = target.homology(n - down)
+        return h.classes((move(n, v) for v in vectors), f"H_{n - down}({target.scope})")
+
+    def node(label: str, h: HomologySlice, into: tuple[str, int], out: tuple[str, int]):
+        for key in (into, out):
+            if key not in images:
+                images[key] = classes(*key, maps[key[0]][0].homology(key[1]).cycles)
+        a, b = images[into], images[out]
+        zero = not a.rank or not classes(*out, a.rows.values()).rank  # out . in = 0
+        exact = zero and a.rank + b.rank == h.dim
+        report.nodes.append(LesNodeReport(label, h.dim, a.rank, b.rank, exact))
 
     for n in degrees:
-        h_ideal, h_rel, h_abs = ideal.homology(n), rel.homology(n), ab.homology(n)
-        i_star = _induced((_moved(r, inc[n]) for r in h_ideal.representatives), h_rel)
-        j_star = _induced((_moved(r, res[n]) for r in h_rel.representatives), h_abs)
-        report.nodes.append(_exact_at(f"H_{n}(relative)", h_rel, i_star, j_star))
-        report.nodes.append(_exact_at(f"H_{n}(ideal)", h_ideal, connecting(n + 1), i_star))
+        node(f"H_{n}(relative)", rel.homology(n), ("inclusion", n), ("restriction", n))
+        node(f"H_{n}(ideal)", ideal.homology(n), ("connecting", n + 1), ("inclusion", n))
         if n >= 2:
-            report.nodes.append(_exact_at(f"H_{n}(absolute)", h_abs, j_star, connecting(n)))
+            node(f"H_{n}(absolute)", ab.homology(n), ("restriction", n), ("connecting", n))
     return report
 
 

@@ -225,6 +225,8 @@ class Subspace:
         return len(self.rows)
 
     def _in_frame(self, v: Mapping[int, object]) -> Sparse:
+        if not isinstance(v, Mapping):
+            raise TypeError(f"a vector must be a mapping {{index: value}}, got {type(v).__name__}")
         if any(not 0 <= i < len(self.ambient) for i in v):
             raise AmbientMismatch("vector index outside the ambient frame")
         return _exact_sparse(v.items())
@@ -255,16 +257,17 @@ class Subspace:
 
 
 class HomologySlice:
-    """Homology at one spot of a chain complex, with quotient coordinates.
+    """Homology at one spot of a chain complex.
 
     Built from d_in: C_{n+1} -> C_n and d_out: C_n -> C_{n-1}.  Its
-    dimension is dim C_n - rk d_out - rk d_in.  The representatives are built
-    on first use: the reduced echelon basis of the cycles reduced modulo the
-    boundaries, as sparse vectors in pivot order.  Their classes form a basis
-    of ker(d_out)/im(d_in).
+    dimension is dim C_n - rk d_out - rk d_in.  The cycles and the
+    representatives are built on first use.  The representatives are the
+    reduced echelon basis of the cycles reduced modulo the boundaries, as
+    sparse vectors in pivot order; their classes form a basis of
+    ker(d_out)/im(d_in).
     """
 
-    __slots__ = ("dim", "_boundaries", "_rows_out", "_reps", "_classes")
+    __slots__ = ("dim", "_d_out", "_boundaries", "_rows_out", "_cycles", "_reps")
 
     def __init__(self, d_in: RatMatrix, d_out: RatMatrix):
         if d_in.rows != d_out.cols:
@@ -274,24 +277,42 @@ class HomologySlice:
         if any(map(d_out.apply, columns)):
             raise NotAComplex("d_out . d_in != 0")
         n = d_in.rows
+        self._d_out = d_out
         self._boundaries = Echelon(n, columns)
         self._rows_out = Echelon(n, filter(None, d_out.row_lines()))
         self.dim = n - self._rows_out.rank - self._boundaries.rank
+        self._cycles: Optional[list[Sparse]] = None
         self._reps: Optional[Echelon] = None
 
-    def _representatives(self) -> Echelon:
-        if self._reps is None:
-            cycles = map(self._boundaries.reduce, self._rows_out.kernel())
-            self._reps = Echelon(self._boundaries.n, filter(None, cycles))
-            # pivot -> class index, read by coords
-            self._classes = {p: i for i, p in enumerate(sorted(self._reps.rows))}
-        return self._reps
+    @property
+    def cycles(self) -> list[Sparse]:
+        """A basis of ker(d_out), one vector per free column of its row echelon."""
+        if self._cycles is None:
+            self._cycles = self._rows_out.kernel()
+        return self._cycles
 
     @property
     def representatives(self) -> list[Sparse]:
         """A representative cycle of each basis class, in pivot order."""
-        rows = self._representatives().rows
-        return [rows[p] for p in self._classes]
+        if self._reps is None:
+            # a kernel built here is not kept: only cycles keeps one
+            reduced = map(self._boundaries.reduce, self._cycles or self._rows_out.kernel())
+            self._reps = Echelon(self._boundaries.n, filter(None, reduced))
+        rows = self._reps.rows
+        return [rows[p] for p in sorted(rows)]
+
+    def classes(self, vectors: Iterable[Mapping[int, Number]], where: str) -> Echelon:
+        """The echelon of the vectors' remainders modulo the boundaries: its
+        rank is the dimension of the span of their classes.  A vector that is
+        not a cycle raises NotAComplex, which names where it was sent."""
+        out = Echelon(self._boundaries.n)
+        for v in vectors:
+            if self._d_out.apply(v):
+                raise NotAComplex(f"a vector sent to {where} is not a cycle")
+            r = self._boundaries.reduce(v)
+            if r:
+                out.add(r)
+        return out
 
     def touches(self, columns: Iterable[int]) -> bool:
         """Whether some representative is nonzero in one of the columns.
@@ -311,14 +332,3 @@ class HomologySlice:
             for j in phis.keys() & row.keys():
                 phis[j][p] = -row[j]
         return any(map(self._rows_out.reduce, phis.values()))
-
-    def coords(self, cycle: Mapping[int, Number]) -> Sparse:
-        """Class of a cycle in the representative basis, keyed by index."""
-        if any(not 0 <= c < self._boundaries.n for c in cycle):
-            raise ValueError("vector index outside the chain degree")
-        reps = self._representatives()
-        r = self._boundaries.reduce(cycle)
-        if reps.reduce(r):
-            raise ValueError("vector is not a cycle modulo boundaries of this slice")
-        # the representatives are 1 at their own pivot and 0 at the others
-        return {i: r[p] for p, i in self._classes.items() if p in r}

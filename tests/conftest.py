@@ -28,7 +28,8 @@ from rht import (
     parse_document,
 )
 from rht.algebra import _apply, _Operator, monomial_images
-from rht.derivations import dual_frame
+from rht.derivations import ABSOLUTE, IDEAL, DerComplex, _inverse, dual_frame
+from rht.invariants import LesNodeReport, LesReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -199,6 +200,70 @@ def image_by_projection(evaluation, d_out: RatMatrix, frame) -> Subspace:
     cycles = Echelon(d_out.cols, d_out.row_lines()).kernel()
     moved = [{evaluation[j]: c for j, c in z.items() if evaluation[j] is not None} for z in cycles]
     return Subspace(frame, moved)
+
+
+def class_coordinates(h, cycle) -> dict:
+    """The class of a cycle in the basis of h.representatives, keyed by class
+    index: the cycle modulo the boundaries, read at the representatives'
+    pivots, must leave nothing once those multiples are taken off."""
+    reps = h.representatives
+    r = h._boundaries.reduce(cycle)
+    # each representative is 1 at its own pivot and 0 at the others
+    coords = {i: r[min(rep)] for i, rep in enumerate(reps) if min(rep) in r}
+    for i, c in coords.items():
+        for j, x in reps[i].items():
+            r[j] = r.get(j, 0) - c * x
+    assert not any(r.values()), "not a cycle modulo boundaries"
+    return coords
+
+
+def les_by_coordinates(f: RelativeModel, degrees) -> LesReport:
+    """The reference les_check: each induced map is the matrix of the class
+    coordinates of its images of the source representatives, its rank is
+    that matrix's, and out . in is the product of two such matrices."""
+    degrees = sorted(set(degrees))
+    lo, hi = degrees[0], degrees[-1]
+    ideal, ab = DerComplex(f, IDEAL), DerComplex(f, ABSOLUTE)
+    rel = ideal.relative
+    report = LesReport()
+    inc, res = {}, {}
+    for n in range(max(0, lo - 1), hi + 2):
+        inc[n], res[n] = ideal.positions(rel, n), rel.positions(ab, n)
+        kept = [j for j, a in enumerate(res[n]) if a is not None]
+        report.chain_level_ok = report.chain_level_ok and (
+            None not in inc[n]
+            and sorted(inc[n] + kept) == list(range(rel.slice(n).dim))
+            and sorted(res[n][j] for j in kept) == list(range(ab.slice(n).dim))
+        )
+
+    def moved(v, positions):
+        return {positions[i]: c for i, c in v.items() if positions[i] is not None}
+
+    def induced(cycles, h):
+        m = RatMatrix(h.dim, [class_coordinates(h, z) for z in cycles])
+        return m, Echelon(m.rows, m.columns).rank
+
+    def connecting(n):
+        section = _inverse(res[n], ab.slice(n).dim)
+        bounds = [rel.boundary(n).apply(moved(z, section)) for z in ab.homology(n).representatives]
+        assert not any(res[n - 1][j] is not None for b in bounds for j in b)
+        to_ideal = _inverse(inc[n - 1], rel.slice(n - 1).dim)
+        return induced((moved(b, to_ideal) for b in bounds), ideal.homology(n - 1))
+
+    def exact_at(node, h, into, out):
+        (a, rk_in), (b, rk_out) = into, out
+        exact = not any(product(b, a)) and rk_in + rk_out == h.dim
+        return LesNodeReport(node, h.dim, rk_in, rk_out, exact)
+
+    for n in degrees:
+        h_ideal, h_rel, h_abs = ideal.homology(n), rel.homology(n), ab.homology(n)
+        i_star = induced((moved(z, inc[n]) for z in h_ideal.representatives), h_rel)
+        j_star = induced((moved(z, res[n]) for z in h_rel.representatives), h_abs)
+        report.nodes.append(exact_at(f"H_{n}(relative)", h_rel, i_star, j_star))
+        report.nodes.append(exact_at(f"H_{n}(ideal)", h_ideal, connecting(n + 1), i_star))
+        if n >= 2:
+            report.nodes.append(exact_at(f"H_{n}(absolute)", h_abs, j_star, connecting(n)))
+    return report
 
 
 def zero_one(positions, rows: int) -> RatMatrix:

@@ -60,6 +60,7 @@ from rht.model import formal_dimension_estimate
 from conftest import (
     FIXTURES,
     image_by_projection,
+    les_by_coordinates,
     load,
     random_fibration,
     random_pure_elliptic,
@@ -125,13 +126,12 @@ def test_absolute_der_homology_representatives(su5):
     for n, listed in SU5_ABSOLUTE_REPS.items():
         h = cx.homology(n)
         delta = cx.boundary(n)
-        coords = []
+        vectors = []
         for gen_name, mono_factors in listed:
             vec = pair_vector(su5, n, ABSOLUTE, gen_name, mono_factors)
             assert delta.apply(vec) == {}, (n, gen_name)
-            coords.append(h.coords(vec))
-        span = Subspace([f"h{i}" for i in range(h.dim)], coords)
-        assert span.dim == h.dim == len(listed)
+            vectors.append(vec)
+        assert h.classes(vectors, f"H_{n}").rank == h.dim == len(listed)
 
 
 SU5_RELATIVE_DIMS = {1: 0, 2: 1, 3: 1, 4: 0, 5: 1, 6: 0, 7: 1, 8: 0, 9: 1}
@@ -148,11 +148,11 @@ def test_relative_surviving_classes(su5_bundle):
     cx = DerComplex(su5_bundle, RELATIVE)
     h2 = cx.homology(2)
     vec = pair_vector(su5_bundle, 2, RELATIVE, "v4", [("v3", 1)])
-    assert h2.coords(vec) != {}
+    assert h2.classes([vec], "H_2").rank == 1
     for n, gen_name in ((3, "v1"), (5, "v2"), (7, "v3"), (9, "v4")):
         h = cx.homology(n)
         assert h.dim == 1
-        assert h.coords(pair_vector(su5_bundle, n, RELATIVE, gen_name, [])) != {}
+        assert h.classes([pair_vector(su5_bundle, n, RELATIVE, gen_name, [])], f"H_{n}").rank == 1
 
 
 # ----------------------------------------------------------------------
@@ -332,21 +332,72 @@ def test_each_slice_is_built_once_per_call(ex47, monkeypatch):
 
 
 def test_les_check_ranks_each_map_once(ex47, monkeypatch):
-    ranked = []
-    real_rank = rht.invariants._rank
+    # each homology slice is the source of one map and the target of one:
+    # its cycles are read once, for the image of the map out of it, and it
+    # takes at most two classes calls, that image of the map into it and
+    # the composite at the node before it, which a zero image skips
+    read, sent = [], []
+    real_cycles, real_classes = HomologySlice.cycles, HomologySlice.classes
 
-    def recording_rank(matrix):
-        ranked.append(matrix)
-        return real_rank(matrix)
+    def recording_cycles(self):
+        read.append(self)
+        return real_cycles.fget(self)
 
-    monkeypatch.setattr(rht.invariants, "_rank", recording_rank)
+    def recording_classes(self, vectors, where):
+        sent.append(self)
+        return real_classes(self, vectors, where)
+
+    monkeypatch.setattr(HomologySlice, "cycles", property(recording_cycles))
+    monkeypatch.setattr(HomologySlice, "classes", recording_classes)
     for f in ex47.values():
-        ranked.clear()
+        read.clear()
+        sent.clear()
         report = les_check(f, range(1, top_shift(f) + 1))
-        assert report.exact and ranked, f.name
-        # the list keeps every matrix alive, so equal ids mean one object
-        repeats = {k for k in Counter(map(id, ranked)).values() if k > 1}
-        assert not repeats, f.name
+        assert report.exact and read, f.name
+        # the lists keep every slice alive, so equal ids mean one object
+        assert max(Counter(map(id, read)).values()) == 1, f.name
+        assert max(Counter(map(id, sent)).values()) == 2, f.name
+        assert len(sent) == len(read) + sum(nd.rank_in > 0 for nd in report.nodes), f.name
+
+
+def test_les_check_matches_the_coordinate_reference(monkeypatch):
+    # the nodes equal those of the coordinate path: representatives, class
+    # coordinates, an induced matrix per map, its rank and out . in as a
+    # product; on every fixture fibration, random draws and the benchmark's
+    # random family at two seeds
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import randfib
+
+    rng = random.Random(38)
+    fibrations = [m for m in fixture_models() if isinstance(m, RelativeModel)]
+    fibrations += [random_fibration(rng, 5) for _ in range(40)]
+    for seed in (1, 7):
+        fibrations += randfib.random_family(rht, seed, 15, 5, 11)
+    for f in fibrations:
+        degrees = range(1, top_shift(f) + 1)
+        assert les_check(f, degrees) == les_by_coordinates(f, degrees), f.serialize()
+
+
+def test_les_check_names_the_node_of_an_image_that_is_no_cycle(ex47, monkeypatch, capsys):
+    # a restriction that swaps two kept pairs of slice 2 is still a bijection
+    # onto the absolute pairs, but sends a relative cycle to a chain that is
+    # no cycle; the CLI prints one line and exits 2
+    real_positions = DerComplex.positions
+
+    def swapping(self, other, n):
+        pos = real_positions(self, other, n)
+        if (self.scope, other.scope, n) == (RELATIVE, ABSOLUTE, 2):
+            i, j = [k for k, a in enumerate(pos) if a is not None][:2]
+            pos[i], pos[j] = pos[j], pos[i]
+        return pos
+
+    monkeypatch.setattr(DerComplex, "positions", swapping)
+    with pytest.raises(NotAComplex, match=r"^a vector sent to H_2\(absolute\) is not a cycle$"):
+        les_check(ex47["tpower"], [2])
+    code = rht.cli.main(["les-check", str(FIXTURES / "ex47.smf"), "--degrees", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "NotAComplex: a vector sent to H_2(absolute) is not a cycle\n"
 
 
 def test_les_check_catches_a_misplaced_pair(ex47, monkeypatch, capsys):
@@ -492,27 +543,34 @@ def test_a_column_leaving_the_ideal_is_not_a_complex(su5_bundle, monkeypatch, ca
 
 
 def test_les_check_multiplies_only_homology_sized_maps(ex47, su5_bundle, monkeypatch):
-    # the chain maps are read as positions, so no product has an operand of
-    # a slice's size; out . in at each node is a product of induced maps
-    dims, operands = set(), []
-    real_init, real_exact_at = HomologySlice.__init__, rht.invariants._exact_at
+    # no representative is built; an image maps each cycle of its source
+    # once, and a composite only the rows of the incoming map's image
+    # echelon, rank_in vectors, however large the slice
+    read, sent = [], []
+    real_cycles, real_classes = HomologySlice.cycles, HomologySlice.classes
 
-    def recording_init(self, d_in, d_out):
-        real_init(self, d_in, d_out)
-        dims.add(self.dim)
+    def recording_cycles(self):
+        cycles = real_cycles.fget(self)
+        read.append(len(cycles))
+        return cycles
 
-    def recording_exact_at(node, h, into, out):
-        (a, _), (b, _) = into, out
-        operands.append((b.rows, b.cols, a.rows, a.cols))
-        return real_exact_at(node, h, into, out)
+    def recording_classes(self, vectors, where):
+        vectors = list(vectors)
+        sent.append(len(vectors))
+        return real_classes(self, vectors, where)
 
-    monkeypatch.setattr(HomologySlice, "__init__", recording_init)
-    monkeypatch.setattr(rht.invariants, "_exact_at", recording_exact_at)
+    def no_representatives(self):
+        raise AssertionError("les_check built representatives")
+
+    monkeypatch.setattr(HomologySlice, "cycles", property(recording_cycles))
+    monkeypatch.setattr(HomologySlice, "classes", recording_classes)
+    monkeypatch.setattr(HomologySlice, "representatives", property(no_representatives))
     for f in [*ex47.values(), su5_bundle]:
-        dims.clear()
-        operands.clear()
-        assert les_check(f, range(1, top_shift(f) + 1)).exact, f.name
-        assert operands and {k for shape in operands for k in shape} <= dims, f.name
+        read.clear()
+        sent.clear()
+        report = les_check(f, range(1, top_shift(f) + 1))
+        assert report.exact, f.name
+        assert sum(sent) == sum(read) + sum(nd.rank_in for nd in report.nodes), f.name
 
 
 # ----------------------------------------------------------------------

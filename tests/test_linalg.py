@@ -228,6 +228,13 @@ def test_subspace_membership():
     assert not s.includes(full)
 
 
+def test_subspace_refuses_a_dense_vector():
+    # the vectors are sparse {index: value}; a list or tuple names the cause
+    for ambient, vector in ((("x", "y"), [1, 0]), (("x",), [3]), (("x",), (3,))):
+        with pytest.raises(TypeError, match=r"mapping \{index: value\}, got (list|tuple)"):
+            Subspace(ambient, [vector])
+
+
 def test_ambient_mismatch():
     # a sparse vector's indices lie in 0..len(ambient)-1
     for vector in ({4: 1}, {-1: 1}, {0: 1, 4: 0}):
@@ -270,18 +277,20 @@ def test_homology_of_exact_and_trivial():
     assert HomologySlice(zero_in, zero_out).dim == 1
 
 
-def test_homology_coords():
+def test_homology_classes():
     # complex Q^2 --0--> Q^2 --0--> Q^2 with one boundary direction
     d_in = from_rows([[1, 0], [0, 0]])
     d_out = RatMatrix(2, [{}, {}])
     h = HomologySlice(d_in, d_out)
-    assert h.dim == 1
-    assert h.coords({0: 5, 1: 7}) == {0: 7}
-    assert h.coords({0: 3}) == {}
+    assert h.dim == 1 and h.cycles == [{0: 1}, {1: 1}]
+    # the remainder of (5, 7) modulo the boundary e_0 is 7 e_1, stored scaled to 1
+    assert h.classes([{0: 5, 1: 7}], "H").rows == {1: {1: 1}}
+    assert h.classes([{0: 3}, {}], "H").rank == 0
+    assert h.classes([{1: 2}, {0: 1, 1: -3}], "H").rank == 1
     with pytest.raises(ValueError):
-        h.coords({2: 1})  # outside the chain degree
-    with pytest.raises(ValueError):
-        HomologySlice(RatMatrix(2, []), from_rows([[1, 0], [0, 1]])).coords({0: 1})
+        h.classes([{2: 1}], "H")  # outside the chain degree
+    with pytest.raises(NotAComplex, match="sent to H_4 is not a cycle"):
+        HomologySlice(RatMatrix(2, []), from_rows([[1, 0], [0, 1]])).classes([{0: 1}], "H_4")
     with pytest.raises(ValueError):
         HomologySlice(RatMatrix(3, []), d_out)  # degree mismatch
 
@@ -500,8 +509,9 @@ def test_kept_columns_are_what_the_checking_constructor_stores(monkeypatch):
             if all(g.degree == 2 for g in m.base.gens):
                 toral_certificate(m, 4)
     callers = Counter(name for name, _ in built)
-    # _cut: the ideal complex's boundaries, read off the relative ones
-    assert set(callers) == {"d", "bracket", "_cut", "_induced"}, callers
+    # _cut: the ideal complex's boundaries, read off the relative ones;
+    # les_check builds no matrix of its own
+    assert set(callers) == {"d", "bracket", "_cut"}, callers
     for name, m in built:
         assert m.cols == len(m.columns), name
         copy = RatMatrix(m.rows, m.columns)
