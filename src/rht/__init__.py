@@ -8,20 +8,13 @@ from .algebra import (
     basis_in_degree,
 )
 from .catalog import Catalog, enumerate_fibrations
-from .derivations import (
-    ABSOLUTE,
-    IDEAL,
-    RELATIVE,
-    Derivation,
-    DerComplex,
-)
+from .derivations import ABSOLUTE, IDEAL, RELATIVE, DerComplex
 from .invariants import (
     DepthResult,
     GottliebResult,
     ToralCertificate,
     connecting_images,
     depth_of_subspaces,
-    der_homology,
     fibre_gottlieb,
     finiteness_window,
     gottlieb,

@@ -358,13 +358,6 @@ class AlgElement:
             return MIXED
         return degs.pop()
 
-    def is_homogeneous_of(self, n: int) -> bool:
-        d = self.degree()
-        return d is None or d == n
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
     def _check(self, other: "AlgElement"):
         if self.gens != other.gens:
             raise GeneratorSetMismatch("elements over different generator sets")
@@ -419,22 +412,28 @@ class AlgElement:
         return f"AlgElement({self.format()})"
 
     def format(self) -> str:
-        if not self.terms:
-            return "0"
         items = sorted(self.terms.items(), key=lambda mc: mc[0].sort_key(self.gens))
-        parts = []
-        for m, c in items:
-            mono = m.format(self.gens)
-            if m.is_unit:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+        return _format_sum(self.gens, items)
+
+
+def _format_sum(gens: GenSet, terms: Iterable[tuple[Monomial, Rational]]) -> str:
+    """The text of a sum from its nonzero (monomial, coefficient) terms, in
+    the order given; "0" when there is none.  Every sum the package prints
+    is written here: elements, model files and the representatives of
+    cohomology and derivation homology, which give their terms in basis
+    order, the sort_key order within a degree."""
+    parts = []
+    for m, c in terms:
+        mono = m.format(gens)
+        if m.is_unit:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 def basis_in_degree(gens: GenSet, n: int) -> list[Monomial]:

@@ -35,7 +35,6 @@ from .invariants import (
     _pure_quotient_vanishes,
     connecting_images,
     depth_of_subspaces,
-    der_homology,
     fibre_gottlieb,
     gottlieb,
     les_check,
@@ -172,12 +171,7 @@ def _cmd_cohomology(args) -> int:
         total.check_bound(top)
         if fd is not None and fd < top and _pure_quotient_vanishes(total, fd, top - fd):
             top = fd  # H is finite, so zero above fd: only nonzero rows are printed
-        coh = cohomology(m, top)
-        rows = {
-            n: (dim, [rep.format() for rep in reps])
-            for n, (dim, reps) in coh.items()
-            if dim
-        }
+        rows = {n: (dim, reps) for n, (dim, reps) in cohomology(m, top).items() if dim}
         _report_degrees(args, m.name or "model", rows, bound=total.bound)
     return 0
 
@@ -189,15 +183,8 @@ def _cmd_der_homology(args) -> int:
         cx = DerComplex(m, scope)  # one complex for every degree of this model
         rows = {}
         for n in degrees:
-            h = der_homology(cx, n)
-            labels = []
-            for theta in h.derivations():
-                parts = [
-                    f"({theta.gens[i].name}, {val.format()})"
-                    for i, val in sorted(theta.values.items())
-                ]
-                labels.append(" + ".join(parts))
-            rows[n] = (h.dim, labels)
+            h, basis = cx.homology(n), cx.slice(n)
+            rows[n] = (h.dim, [basis.format(rep) for rep in h.representatives])
         _report_degrees(args, m.name or "model", rows)
     return 0
 
@@ -434,7 +421,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except COMPUTATION_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (RhtError, OSError) as exc:
+    except (RhtError, OSError, UnicodeEncodeError) as exc:  # the last: stdout cannot encode a name
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

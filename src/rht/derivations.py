@@ -21,17 +21,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .algebra import (
-    AlgElement,
-    GenSet,
-    Generator,
-    Monomial,
-    _image,
-    _leibniz,
-    _Operator,
-)
+from .algebra import GenSet, _format_sum, _image, _leibniz, _Operator
 from .errors import NotAComplex
-from .linalg import HomologySlice, RatMatrix
+from .linalg import HomologySlice, Number, RatMatrix
 from .model import ModelLike, RelativeModel, SullivanModel
 
 ABSOLUTE = "absolute"
@@ -40,28 +32,11 @@ IDEAL = "ideal"
 
 
 @dataclass(frozen=True)
-class Derivation:
-    """A finitely supported derivation, homogeneous of negative degree -shift."""
-
-    gens: GenSet  # the value algebra
-    shift: int
-    values: Mapping[int, AlgElement]  # generator index -> value
-
-    def __post_init__(self):
-        for i, val in self.values.items():
-            want = self.gens[i].degree - self.shift
-            if not val.is_homogeneous_of(want):
-                raise ValueError(
-                    f"value of {self.gens[i].name} must be homogeneous of degree {want}"
-                )
-
-
-@dataclass(frozen=True)
 class ComplexSlice:
     """Ordered basis of one degree of a derivation complex, held packed.
 
-    keys holds each pair (w, m) as (index of w in value_gens, packed m); the
-    Generator and Monomial of a pair are made only for output (pair).
+    keys holds each pair (w, m) as (index of w in value_gens, packed m); a
+    monomial is unpacked only to print it (format).
     """
 
     degree: int
@@ -80,9 +55,14 @@ class ComplexSlice:
         monomial); built on first use, callers must not change it."""
         return {k: i for i, k in enumerate(self.keys)}
 
-    def pair(self, i: int) -> tuple[Generator, Monomial]:
-        w, key = self.keys[i]
-        return self.value_gens[w], self.value_gens.unpack(key)
+    def format(self, vector: Mapping[int, Number]) -> str:
+        """The text of a sparse vector of the slice: "(w, value)" for each
+        generator w it holds, "+"-joined, in basis order."""
+        gens, values = self.value_gens, {}
+        for i in sorted(vector):  # the basis takes the generators w in order
+            w, key = self.keys[i]
+            values.setdefault(w, []).append((gens.unpack(key), vector[i]))
+        return " + ".join(f"({gens[w].name}, {_format_sum(gens, t)})" for w, t in values.items())
 
 
 class DerComplex:
@@ -92,7 +72,8 @@ class DerComplex:
     first use, and lives only as long as this object: a caller that needs
     several of them builds one DerComplex and drops it when it is done.  The
     slices hold the packed degree bases (GenSet.keys) of the value model's
-    GenSet, which every complex over that set shares, and no Monomial.
+    GenSet, which every complex over that set shares; a key is unpacked only
+    to print it (ComplexSlice.format).
     """
 
     def __init__(self, m: ModelLike, scope: str = ABSOLUTE):

@@ -11,18 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .algebra import AlgElement, Monomial
-from .derivations import (
-    ABSOLUTE,
-    IDEAL,
-    RELATIVE,
-    ComplexSlice,
-    DerComplex,
-    Derivation,
-    _inverse,
-    dual_frame,
-    frame_degrees,
-)
+from .derivations import ABSOLUTE, IDEAL, RELATIVE, DerComplex, _inverse, dual_frame, frame_degrees
 from .errors import BaseNotDegreeTwo, CombinatorialBlowup, NotAComplex
 from .linalg import Echelon, HomologySlice, Number, RatMatrix, Subspace
 from .model import Cochains, ModelLike, RelativeModel, SullivanModel, formal_dimension_estimate
@@ -35,37 +24,6 @@ DEFAULT_WINDOW = 6
 def top_shift(m: ModelLike) -> int:
     """Largest shift with a possibly nonzero slice: the top generator degree."""
     return max((g.degree for g in m.fiber.gens), default=0)
-
-
-# ----------------------------------------------------------------------
-# derivation homology
-
-
-@dataclass
-class DerHomology:
-    dim: int
-    slice: ComplexSlice
-    representatives: list[dict]  # sparse coordinate vectors in the slice basis
-
-    def derivations(self) -> list[Derivation]:
-        gens, out = self.slice.value_gens, []
-        for vec in self.representatives:
-            terms: dict[int, dict] = {}  # generator index -> the monomial terms of its value
-            for i, c in sorted(vec.items()):
-                g, mono = self.slice.pair(i)
-                terms.setdefault(g.index, {})[mono] = c
-            values = {i: AlgElement(gens, t) for i, t in terms.items()}
-            out.append(Derivation(gens, self.slice.degree, values))
-        return out
-
-
-def der_homology(cx: DerComplex, n: int) -> DerHomology:
-    """H_n of one derivation complex, with representative cycles; a caller
-    reading several degrees keeps one complex."""
-    if n < 1:
-        raise ValueError("derivation homology is computed for n >= 1")
-    h = cx.homology(n)
-    return DerHomology(h.dim, cx.slice(n), h.representatives)
 
 
 # ----------------------------------------------------------------------
@@ -160,14 +118,14 @@ def connecting_images(f: RelativeModel) -> dict[int, Subspace]:
     The linear part is the sum of length-one base-generator monomials in
     D(w); its transpose spans the rational image of the connecting map.
     """
-    out = {}
+    out, images, k = {}, f.total.images, f.base_size  # the base generators lead the total
     for n in frame_degrees(f.fiber, top_shift(f)):
-        diffs = list(enumerate(f.total.diff_of(g.name) for g in f.fiber.gens if g.degree == n))
-        vectors = []
-        for v in f.base.gens:
-            if v.degree == n + 1:
-                linear = Monomial(((f.total.gens.get(v.name).index, 1),))
-                vectors.append({j: d.coefficient(linear) for j, d in diffs})
+        diffs = [images.get(k + g.index, ()) for g in f.fiber.gens if g.degree == n]
+        vectors = [
+            {j: c for j, image in enumerate(diffs) for t, c in image if t == ((v.index, 1),)}
+            for v in f.base.gens
+            if v.degree == n + 1
+        ]
         out[n] = Subspace(dual_frame(f.fiber, n), vectors)
     return out
 

@@ -36,6 +36,7 @@ from .algebra import (
     GenSet,
     Monomial,
     _apply,
+    _format_sum,
     _Operator,
     _sum,
     _leibniz,
@@ -318,8 +319,9 @@ class Cochains:
         return self._h[n]
 
 
-def cohomology(model: ModelLike, max_degree: int) -> dict[int, tuple[int, list[AlgElement]]]:
-    """H^n of the (total) algebra for n = 0..max_degree, with representatives."""
+def cohomology(model: ModelLike, max_degree: int) -> dict[int, tuple[int, list[str]]]:
+    """H^n of the (total) algebra for n = 0..max_degree: its dimension and
+    the text of a representative cocycle of each basis class."""
     m = model.total
     m.check_bound(max_degree)
     for n in range(max_degree + 2):
@@ -328,8 +330,9 @@ def cohomology(model: ModelLike, max_degree: int) -> dict[int, tuple[int, list[A
     out = {}
     for n in range(max_degree + 1):
         h, keys = cx.homology(n), cx.keys(n)
+        # basis order is sort_key order within a degree
         reps = [
-            AlgElement(m.gens, {m.gens.unpack(keys[i]): c for i, c in rep.items()})
+            _format_sum(m.gens, [(m.gens.unpack(keys[i]), rep[i]) for i in sorted(rep)])
             for rep in h.representatives
         ]
         out[n] = (h.dim, reps)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from rht import (
     AlgElement,
-    Derivation,
     Echelon,
     GenSet,
     Monomial,
@@ -166,10 +166,47 @@ def as_dict(el: AlgElement) -> dict:
     return dict(el.terms)
 
 
+class Derivation(NamedTuple):
+    """A finitely supported derivation of the algebra over gens, of degree -shift."""
+
+    gens: GenSet  # the value algebra
+    shift: int
+    values: dict  # generator index -> AlgElement
+
+
+def pair(slice_, i: int) -> tuple:
+    """The slice's i-th pair (Generator, Monomial)."""
+    w, key = slice_.keys[i]
+    return slice_.value_gens[w], slice_.value_gens.unpack(key)
+
+
 def derivation_of(slice_, i: int) -> Derivation:
     """The derivation of the slice's i-th pair (w, m): w to m, every other generator to 0."""
-    (g, m), gens = slice_.pair(i), slice_.value_gens
-    return Derivation(gens, slice_.degree, {g.index: AlgElement.monomial(gens, m)})
+    return vector_derivation(slice_, {i: 1})
+
+
+def vector_derivation(slice_, vector) -> Derivation:
+    """The derivation of a sparse vector of the slice: the value of each
+    generator w is the sum of c*m over its pairs (w, m) with coefficient c."""
+    gens, values = slice_.value_gens, {}
+    for i, c in vector.items():
+        g, mono = pair(slice_, i)
+        term = AlgElement.monomial(gens, mono, c)
+        values[g.index] = values.get(g.index, AlgElement.zero(gens)) + term
+    return Derivation(gens, slice_.degree, values)
+
+
+def derivation_text(slice_, vector) -> str:
+    """The reference text of a slice vector: "(w, value)" per generator,
+    each value an AlgElement's format, in generator order."""
+    theta = vector_derivation(slice_, vector)
+    parts = (f"({theta.gens[i].name}, {v.format()})" for i, v in sorted(theta.values.items()))
+    return " + ".join(parts)
+
+
+def cochain_text(gens: GenSet, keys, vector) -> str:
+    """The reference text of a cochain vector over the key list keys: an AlgElement's format."""
+    return AlgElement(gens, {gens.unpack(keys[i]): c for i, c in vector.items()}).format()
 
 
 def apply_derivation(theta: Derivation, element: AlgElement) -> AlgElement:
@@ -180,7 +217,7 @@ def apply_derivation(theta: Derivation, element: AlgElement) -> AlgElement:
 
 def pairs(slice_) -> list:
     """The slice's pairs (Generator, Monomial), in order."""
-    return [slice_.pair(i) for i in range(slice_.dim)]
+    return [pair(slice_, i) for i in range(slice_.dim)]
 
 
 def labels(slice_) -> list[str]:

@@ -20,7 +20,6 @@ from rht import (
     Subspace,
     connecting_images,
     depth_of_subspaces,
-    der_homology,
     enumerate_fibrations,
     fibre_gottlieb,
     gottlieb,
@@ -81,7 +80,7 @@ def test_01_absolute_derivation_homology_table(su5):
     }
     with timed(1.0):
         cx = DerComplex(su5, ABSOLUTE)
-        dims = {n: der_homology(cx, n).dim for n in range(1, 10)}
+        dims = {n: cx.homology(n).dim for n in range(1, 10)}
         assert dims == {1: 1, 2: 3, 3: 1, 4: 2, 5: 1, 6: 1, 7: 1, 8: 0, 9: 1}
         for n, pairs in listed.items():
             h = cx.homology(n)
@@ -106,7 +105,7 @@ def test_01_absolute_derivation_homology_table(su5):
 def test_02_relative_derivation_homology_and_fibre_group(su5_bundle):
     with timed(1.0):
         relative = DerComplex(su5_bundle, RELATIVE)
-        dims = {n: der_homology(relative, n).dim for n in range(1, 10)}
+        dims = {n: relative.homology(n).dim for n in range(1, 10)}
         assert dims == {1: 0, 2: 1, 3: 1, 4: 0, 5: 1, 6: 0, 7: 1, 8: 0, 9: 1}
         fg = fibre_gottlieb(su5_bundle)
         assert fg.total().basis_labels() == ["v1*", "v2*", "v3*", "v4*"]

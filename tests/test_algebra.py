@@ -147,8 +147,8 @@ def test_degree_and_augment():
     assert mixed.degree() is MIXED
     assert AlgElement.zero(GENS).degree() is None
     # the augmentation: the coefficient of the unit
-    assert (AlgElement.unit(GENS, 5) + x).coefficient(UNIT) == 5
-    assert x.coefficient(UNIT) == 0
+    assert (AlgElement.unit(GENS, 5) + x).terms.get(UNIT, 0) == 5
+    assert x.terms.get(UNIT, 0) == 0
 
 
 def test_format_round_trips_signs():

@@ -19,7 +19,6 @@ from rht import (
     ABSOLUTE,
     RELATIVE,
     RelativeModel,
-    der_homology,
     finiteness_window,
     parse_document,
     parse_model,
@@ -32,16 +31,17 @@ from rht.model import formal_dimension_estimate
 
 from cli_snapshot import differences, sweep
 from cli_snapshot import load as load_snapshot
-from conftest import FIXTURES
+from conftest import FIXTURES, derivation_text
 
 
 def fx(name):
     return str(FIXTURES / name)
 
 
-def subprocess_cli(*argv, timeout=None):
-    """Run the CLI in a fresh interpreter; returns (code, stdout, stderr)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(rht.__file__).parent.parent))
+def subprocess_cli(*argv, timeout=None, **env):
+    """Run the CLI in a fresh interpreter, env added to its environment;
+    returns (code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rht.__file__).parent.parent), **env)
     done = subprocess.run(
         [sys.executable, "-m", "rht.cli", *argv],
         capture_output=True,
@@ -504,6 +504,7 @@ def test_subcommand_refuses_flags_it_does_not_read(capsys, flag):
         ["toral-check", fx("su4-trivial.smf"), "--window", "0"],
         ["toral-check", fx("su4-trivial.smf"), "--window", "-2"],
         ["depth", fx("ex47.smf"), fx("ex47.smf")],
+        ["poset", "NOT-ASCII-NAME"],
     ],
     ids=[
         "degrees-reversed",
@@ -518,12 +519,18 @@ def test_subcommand_refuses_flags_it_does_not_read(capsys, flag):
         "window-zero",
         "window-negative",
         "duplicate-catalog-id",
+        "name-stdout-cannot-encode",
     ],
 )
 def test_bad_input_exits_one_without_traceback(argv, tmp_path):
     bad = tmp_path / "latin1.smf"
     bad.write_bytes("[space caf\xe9]\ngen v 3\n".encode("latin-1"))
-    code, out, err = subprocess_cli(*(str(bad) if a == "NOT-UTF8" else a for a in argv))
+    # a valid file whose first fibration's name an ASCII stdout cannot print
+    named = tmp_path / "named.smf"
+    text = (FIXTURES / "ex47.smf").read_text(encoding="utf-8")
+    named.write_text(text.replace("[fibration tpower]", '[fibration "tp\xf6wer"]'), "utf-8")
+    files = {"NOT-UTF8": str(bad), "NOT-ASCII-NAME": str(named)}
+    code, out, err = subprocess_cli(*(files.get(a, a) for a in argv), PYTHONIOENCODING="ascii")
     assert code == 1
     assert "Traceback" not in err
     assert len((err or out).strip().splitlines()) == 1
@@ -903,14 +910,9 @@ def test_der_homology_report_matches_per_degree_calls(capsys, path):
         scope = RELATIVE if isinstance(m, RelativeModel) else ABSOLUTE
         want = {}
         for n in range(1, top_shift(m) + 1):
-            h = der_homology(DerComplex(m, scope), n)  # a fresh complex per degree
-            labels = [
-                " + ".join(
-                    f"({theta.gens[i].name}, {val.format()})"
-                    for i, val in sorted(theta.values.items())
-                )
-                for theta in h.derivations()
-            ]
+            cx = DerComplex(m, scope)  # a fresh complex per degree
+            h, basis = cx.homology(n), cx.slice(n)
+            labels = [derivation_text(basis, rep) for rep in h.representatives]
             want[str(n)] = {"dim": h.dim, "basis": labels}
         assert doc["degrees"] == want, m.name
 

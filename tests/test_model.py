@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from rht import (
     trivial_fibration,
 )
 from rht.catalog import Catalog
+from rht.derivations import ABSOLUTE, IDEAL, RELATIVE, DerComplex
 from rht.errors import (
     BaseDiffViolated,
     FiberMismatch,
@@ -34,9 +36,19 @@ from rht.errors import (
     NotClosed,
     UnknownGenerator,
 )
+from rht.invariants import top_shift
+from rht.linalg import HomologySlice
 from rht.model import formal_dimension_estimate, parse_expression
 
-from conftest import as_dict, load, oracle_operator, random_fibration, random_space
+from conftest import (
+    as_dict,
+    cochain_text,
+    derivation_text,
+    load,
+    oracle_operator,
+    random_fibration,
+    random_space,
+)
 
 
 # ----------------------------------------------------------------------
@@ -413,12 +425,61 @@ def test_differential_matrices_match_oracle(seed):
 
 
 def test_cohomology_representatives_are_cocycles(su4_fixtures):
+    # each printed representative reads back as a cocycle of its degree
     f = su4_fixtures["su4-circle"]
     coh = cohomology(f, 14)
     for n, (dim, reps) in coh.items():
         assert len(reps) == dim
         for rep in reps:
-            assert f.total.d(rep).is_zero()
+            element = parse_expression(rep, f.total.gens)
+            assert element.degree() == n and f.total.d(element).is_zero()
+
+
+# coefficients a printed representative may carry, whatever the fixtures hold
+PLANTED = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4))
+
+
+def planted_vector(rng: random.Random, dim: int, held=()) -> dict:
+    """A sparse vector of up to five of dim entries, and every index in held,
+    with PLANTED coefficients, in a shuffled insertion order."""
+    indices = list({*rng.sample(range(dim), rng.randint(1, min(dim, 5))), *held})
+    rng.shuffle(indices)
+    return {i: rng.choice(PLANTED) for i in indices}
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_printers_match_element_format(seed):
+    # the slice printer and cohomology's strings are AlgElement.format of
+    # the same vectors: the real representatives, and planted vectors with
+    # fractional, negative and unit-monomial coefficients
+    rng = random.Random(seed)
+    for m in (random_space(rng), random_fibration(rng)):
+        scopes = (ABSOLUTE, RELATIVE, IDEAL) if isinstance(m, RelativeModel) else (ABSOLUTE,)
+        for scope in scopes:
+            cx = DerComplex(m, scope)
+            for n in range(1, top_shift(m) + 1):
+                basis = cx.slice(n)
+                if not basis.dim:
+                    continue
+                units = [i for i, (_, key) in enumerate(basis.keys) if key == 0]
+                planted = [planted_vector(rng, basis.dim, units) for _ in range(3)]
+                for v in cx.homology(n).representatives + planted:
+                    assert basis.format(v) == derivation_text(basis, v), (m.name, scope, n)
+        read = []  # the vectors cohomology prints, one list per degree in order
+        real = HomologySlice.representatives
+
+        def representatives(h):
+            dim = h._boundaries.n  # C^n; C^0 holds only the unit
+            read.append(real.fget(h) + [planted_vector(rng, dim) for _ in range(2 if dim else 0)])
+            return read[-1]
+
+        total = m.total
+        with mock.patch.object(HomologySlice, "representatives", property(representatives)):
+            coh = cohomology(m, min(12, total.bound or 12))
+        for n, (dim, reps) in coh.items():
+            keys = total.gens.keys(n)
+            assert reps == [cochain_text(total.gens, keys, v) for v in read[n]], (m.name, n)
 
 
 def test_formal_dimension_estimate():

@@ -14,9 +14,9 @@ PUBLIC = {
     "ABSOLUTE", "IDEAL", "RELATIVE",
     "AlgElement", "GenSet", "Generator", "Monomial", "basis_in_degree",
     "Catalog", "enumerate_fibrations",
-    "DerComplex", "Derivation",
+    "DerComplex",
     "DepthResult", "GottliebResult", "ToralCertificate",
-    "connecting_images", "depth_of_subspaces", "der_homology", "fibre_gottlieb",
+    "connecting_images", "depth_of_subspaces", "fibre_gottlieb",
     "finiteness_window", "gottlieb", "les_check", "toral_certificate",
     "Echelon", "HomologySlice", "RatMatrix", "Subspace",
     "Cochains", "RelativeModel", "SullivanModel", "cohomology",
