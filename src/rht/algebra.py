@@ -173,8 +173,7 @@ class GenSet:
 
     def mask(self, k: int) -> int:
         """The bits of the fields of gens[:k]: a key holds one of them iff key & mask."""
-        p = self._packing
-        return sum(f << s for f, s in zip(p.field[:k], p.shift[:k]))
+        return sum(self._packing.bits[:k])
 
     def move(self, keys: Iterable[int], other: "GenSet") -> list[Optional[int]]:
         """Each key as a key of other, where one of the two sets is the other
@@ -193,7 +192,10 @@ class GenSet:
         """The even generators, in order, as a set of their own, built on first use.
 
         It keeps its key lists like any set, so the models over this one
-        share them (the pure quotient reads them).
+        share them (the pure quotient reads them).  A key of this set with no
+        odd generator, shifted right by the number of odd generators, is the
+        same monomial's key in the even set: both lay the even fields out
+        alike, above the odd bits (_Packing).
         """
         if self._even is None:
             self._even = GenSet((g.name, g.degree) for g in self.gens if not g.is_odd)
@@ -446,18 +448,6 @@ def basis_in_degree(gens: GenSet, n: int) -> list[Monomial]:
     return [gens.unpack(k) for k in gens.keys(n)]
 
 
-def monomial_images(gens: GenSet, values: Mapping[int, AlgElement]) -> dict:
-    """Nonzero generator images for _Operator: index -> ((exponents, coeff), ...).
-
-    An integral coefficient is an int, any other its Fraction, so the matrices
-    built from integral differentials hold ints."""
-    return {
-        i: tuple((m.exponents, int(c) if c.denominator == 1 else c) for m, c in v.terms.items())
-        for i, v in values.items()
-        if v.terms
-    }
-
-
 class _Packing:
     """The packed monomials over one GenSet, and the masks the kernel reads.
 
@@ -466,10 +456,11 @@ class _Packing:
     bits, in declaration order.  So a product is a sum, two monomials share
     an odd generator when their odd bits AND to nonzero, and the odd
     generators of a monomial in a set of positions are its bits under a
-    mask: below[i] holds those before gens[i].
+    mask: below[i] holds those before gens[i].  bits[i] is the field of
+    gens[i] in place: a key holds gens[i] iff key & bits[i].
     """
 
-    __slots__ = ("gens", "shift", "field", "limit", "odd", "below")
+    __slots__ = ("gens", "shift", "field", "limit", "odd", "below", "bits")
 
     def __init__(self, gens: GenSet):
         odd = [g.degree % 2 for g in gens.gens]
@@ -486,6 +477,7 @@ class _Packing:
             below.append((1 << j) - 1)
         self.gens, self.shift, self.below, self.field, self.odd = gens, shift, below, field, below[-1]
         self.limit = [f >> 1 or 1 for f in field]  # so a sum of two never carries
+        self.bits = [f << s for f, s in zip(field, shift)]
 
     def pack(self, exponents: Iterable[tuple[int, int]]) -> int:
         key, limit, shift = 0, self.limit, self.shift
@@ -507,57 +499,37 @@ class _Packing:
         return tuple(out)
 
 
-class _Operator:
-    """Generator images (monomial_images form) compiled for the Leibniz kernel,
-    for an operator of one parity.
-
-    entries is what _leibniz reads: one _image per generator with an image,
-    in index order.  terms keeps each image as packed terms ((key, coeff),
-    ...), and holds the generators its terms hold; DerComplex.bracket reads
-    both.  The owner keeps it: a model its d, a derivation complex its
-    twists, and an enumeration's closure search one per slot.
-    """
-
-    __slots__ = ("entries", "terms", "holds")
-
-    def __init__(self, gens: GenSet, images: Mapping, parity: int):
-        self.terms, self.holds, entries = {}, {}, []
-        for g in sorted(images):
-            if images[g]:  # so a set whose images are all zero builds no packing
-                pack = gens._packing.pack
-                self.terms[g] = terms = tuple([(pack(t), c) for t, c in images[g]])
-                self.holds[g] = frozenset([x for t, _ in images[g] for x, _ in t])
-                entries.append(_image(gens, g, terms, parity))
-        self.entries = tuple(entries)
-
-
-def _image(gens: GenSet, g: int, terms: Iterable[tuple[int, Rational]], parity: int) -> tuple:
-    """The packed image ((key, coeff), ...) of the generator g compiled for
-    _leibniz: (shift, field, unit, terms), each term (key, odd bits, sign
-    mask, coeff).
+def _compile(gens: GenSet, images: Mapping[int, Sequence], parity: int) -> tuple:
+    """Generator images {g: ((key, coeff), ...)}, the packed form of
+    SullivanModel.images, compiled for _leibniz as an operator of one
+    parity: for each g with a nonzero image, in index order, (shift, field,
+    unit, terms), each term (key, odd bits, sign mask, coeff).
 
     The sign mask is the XOR of the odd generators strictly between g and
     each odd factor of the term and, for an odd operator, of those before g:
     the Koszul sign of the term at a monomial is the parity of the odd
     generators of the rest (the monomial less one g) under the mask.
     """
-    p = gens._packing
-    below, through, odd = p.below[g], p.below[g + 1], p.odd
-    prefix = below if parity % 2 else 0
-    compiled = []
-    for key, c in terms:
-        mask, bits = prefix, key & odd
-        while bits:
-            low = bits & -bits  # an odd factor x: those strictly between x and g
-            mask ^= below ^ ((low << 1) - 1) if low & below else (low - 1) ^ through
-            bits ^= low
-        compiled.append((key, key & odd, mask, c))
-    return p.shift[g], p.field[g], 1 << p.shift[g], tuple(compiled)
+    p, out = gens._packing, []
+    for g in sorted(images):
+        below, through, odd = p.below[g], p.below[g + 1], p.odd
+        prefix = below if parity % 2 else 0
+        compiled = []
+        for key, c in images[g]:
+            mask, bits = prefix, key & odd
+            while bits:
+                low = bits & -bits  # an odd factor x: those strictly between x and g
+                mask ^= below ^ ((low << 1) - 1) if low & below else (low - 1) ^ through
+                bits ^= low
+            compiled.append((key, key & odd, mask, c))
+        if compiled:
+            out.append((p.shift[g], p.field[g], 1 << p.shift[g], tuple(compiled)))
+    return tuple(out)
 
 
 def _leibniz(images: tuple, key: int, out: dict, coeff: Rational = 1) -> dict:
     """Add coeff times the image of the packed monomial key under compiled
-    images (_Operator.entries) to out, and return out.
+    images (_compile) to out, and return out.
 
     For each generator g of the monomial with an image, one g comes off,
     leaving rest, and each term of the image goes on: a term sharing an odd
@@ -584,12 +556,3 @@ def _sum(images: tuple, terms: Iterable[tuple[int, Rational]]) -> dict[int, Rati
             if c:
                 out[k] = out.get(k, 0) + coeff * c
     return {k: c for k, c in out.items() if c}
-
-
-def _apply(gens: GenSet, op: _Operator, element: AlgElement) -> AlgElement:
-    """The image of an element under an operator, packed and unpacked at this boundary."""
-    if element.gens != gens:
-        raise GeneratorSetMismatch("element over a different generator set")
-    out = _sum(op.entries, [(gens.pack(m.exponents), c) for m, c in element.terms.items()])
-    return AlgElement(gens, {gens.unpack(k): c for k, c in out.items()})
-

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .algebra import AlgElement, Monomial, _exact, _Operator, _sum
+from .algebra import AlgElement, _compile, _exact, _sum
 from .derivations import RELATIVE, DerComplex, dual_frame, frame_degrees
 from .errors import CombinatorialBlowup, DuplicateId, FiberMismatch, NotFiniteAtBound
 from .invariants import (
@@ -71,8 +71,8 @@ class Catalog:
 class _Twist:
     """The fibrations with one fibre over one base and bound, each a twist of
     their trivial fibration T by its slot coefficients c:
-    D(w) = D_T(w) + sum of c_s m_s over the slots s = (index of w_s, exponents
-    of m_s) with w_s = w.  Each m_s holds a base generator, so each twist's
+    D(w) = D_T(w) + sum of c_s m_s over the slots s = (index of w_s, packed
+    m_s) with w_s = w.  Each m_s holds a base generator, so each twist's
     fibre is T's.
 
     The boundary is linear in D, so at shift n it is delta_T^n, from T's
@@ -89,6 +89,7 @@ class _Twist:
         self._brackets: dict = {}  # (n, s) -> B_s^n, None when zero
         self._images: dict[tuple, Subspace] = {}  # (n, nonzero terms at n) -> image
         self._totals: dict[tuple, Subspace] = {}  # the images, one per frame -> their sum
+        self._monomials: dict = {}  # packed m_s -> m_s, unpacked once per twist for diff
 
     @cached_property
     def cx(self) -> DerComplex:
@@ -106,23 +107,27 @@ class _Twist:
 
     def read(self, entry: RelativeModel) -> dict:
         """A given entry's slot coefficients: the terms of D(w) holding a base generator, as
-        {(index of w, exponents of m): coefficient}, integral ones ints as the images hold them."""
-        k = self.trivial.base_size  # the base generators lead the exponents of a total monomial
+        {(index of w, packed m): coefficient}, integral ones ints as the images hold them.
+        The entry's total has T's layout, so its keys are T's."""
+        k = self.trivial.base_size  # the base generators lead the total
+        held = self.trivial.total.gens.mask(k)
         return {
-            (i, exponents): c
+            (i, key): c
             for i, terms in entry.total.images.items()
             if i >= k
-            for exponents, c in terms
-            if exponents[0][0] < k
+            for key, c in terms
+            if key & held
         }
 
     def diff(self, c: dict) -> dict[str, AlgElement]:
         """D of the twist by c on every generator of the total space."""
-        total = self.trivial.total
+        total, known = self.trivial.total, self._monomials
         terms: dict[str, dict] = {}
-        for (i, exponents), v in c.items():  # no term of D_T(w) holds a base generator
+        for (i, key), v in c.items():  # no term of D_T(w) holds a base generator
+            if key not in known:
+                known[key] = total.gens.unpack(key)
             name = total.gens[i].name
-            terms.setdefault(name, dict(total.diff_of(name).terms))[Monomial(exponents)] = v
+            terms.setdefault(name, dict(total.diff_of(name).terms))[known[key]] = v
         return {**total.diff, **{name: AlgElement(total.gens, t) for name, t in terms.items()}}
 
     def entry(self, key: str, c: dict) -> RelativeModel:
@@ -164,7 +169,7 @@ class _Twist:
         return self._totals[images]
 
 
-def _closed(total: SullivanModel, slots: list[tuple[int, tuple]], coeffs: list) -> list[tuple]:
+def _closed(total: SullivanModel, slots: list[tuple[int, int]], coeffs: list) -> list[tuple]:
     """The vectors c over coeffs, one coefficient per slot, for which
     total's d + sum_s c_s theta_s squares to zero, in itertools.product order.
 
@@ -243,16 +248,15 @@ def enumerate_fibrations(
     trivial = twist.trivial
     combined = trivial.total.gens
     held = combined.mask(len(base.gens))  # a key & held holds a base generator
-    terms = [(combined.get(w.name), combined.unpack(key))
+    slots = [(combined.get(w.name).index, key)
              for w in fiber.gens for key in combined.keys(w.degree + 1) if key & held]
     # zero first: the first candidate is the trivial fibration
     exact = (Fraction(c) if isinstance(c, str) else _exact(c) for c in coeff_set)
     coeffs = sorted({Fraction(0), *exact}, key=lambda c: (c != 0, c))
-    size = len(coeffs) ** len(terms)
+    size = len(coeffs) ** len(slots)
     if size > MAX_CANDIDATES:
         raise CombinatorialBlowup(f"{size} candidate differentials exceed the cap of {MAX_CANDIDATES}")
-    slots = [(w.index, m.exponents) for w, m in terms]
-    texts = [(w.name, m.format(combined)) for w, m in terms]
+    texts = [(combined[w].name, combined.unpack(key).format(combined)) for w, key in slots]
     kept = []
     for vector in _closed(trivial.total, slots, coeffs):
         c = {s: v for s, v in zip(slots, vector) if v}
@@ -265,7 +269,7 @@ def enumerate_fibrations(
     return Catalog(fiber, twists=kept)
 
 
-def _square_terms(total: SullivanModel, slots: list[tuple[int, tuple]]):
+def _square_terms(total: SullivanModel, slots: list[tuple[int, int]]):
     """D.D of a candidate as a quadratic form in its slot coefficients c_s.
 
     With theta_s the derivation sending the slot's generator w_s to its
@@ -279,15 +283,10 @@ def _square_terms(total: SullivanModel, slots: list[tuple[int, tuple]]):
     (u, None, linear piece of u) and (s, t, theta_s(m_t) at w_t) with max(s, t) = u,
     each nonzero, as [(coordinate, coefficient)]; complete[u] lists the
     coordinates no piece of a later slot reaches."""
-    gens, d = total.gens, total.operator
-    keys = [gens.pack(m) for _, m in slots]
+    gens, bits = total.gens, total.gens._packing.bits
     coords: dict[tuple[int, int], int] = {}  # (generator index, packed key) -> coordinate
     last: dict[int, int] = {}  # coordinate -> last slot that reaches it
     pieces: list[list] = [[] for _ in slots]
-    holding: dict[int, list[int]] = {}  # generator index -> the slots t with it in m_t
-    for t, (_, m) in enumerate(slots):
-        for j, _ in m:
-            holding.setdefault(j, []).append(t)
 
     def file(s: int, t: Optional[int], terms: dict) -> None:
         u = s if t is None else max(s, t)
@@ -297,16 +296,17 @@ def _square_terms(total: SullivanModel, slots: list[tuple[int, tuple]]):
             pieces[u].append((s, t, piece))
 
     for s, (w, m) in enumerate(slots):
-        theta = _Operator(gens, {w: ((m, 1),)}, 1).entries  # once per slot, for every element
+        theta = _compile(gens, {w: ((m, 1),)}, 1)  # once per slot, for every element
         linear: dict = {}
-        images = [(i, _sum(theta, dw)) for i, dw in d.terms.items()]
-        for i, image in [*images, (w, _sum(d.entries, [(keys[s], 1)]))]:
+        images = [(i, _sum(theta, dw)) for i, dw in total.images.items()]
+        for i, image in [*images, (w, _sum(total.operator, [(m, 1)]))]:
             for key, c in image.items():
                 linear[i, key] = linear.get((i, key), 0) + c
         file(s, None, linear)
-        for t in holding.get(w, ()):  # theta_s(m_t) = 0 unless w_s divides m_t
-            image = _sum(theta, [(keys[t], 1)])
-            file(s, t, {(slots[t][0], key): c for key, c in image.items()})
+        for t, (v, mt) in enumerate(slots):
+            if mt & bits[w]:  # theta_s(m_t) = 0 unless w_s divides m_t
+                image = _sum(theta, [(mt, 1)])
+                file(s, t, {(v, key): c for key, c in image.items()})
     complete: list[list] = [[] for _ in slots]
     for k, u in last.items():
         complete[u].append(k)

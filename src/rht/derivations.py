@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .algebra import GenSet, _format_sum, _image, _leibniz, _Operator
+from .algebra import GenSet, _compile, _format_sum, _leibniz
 from .errors import NotAComplex
 from .linalg import HomologySlice, Number, RatMatrix
 from .model import ModelLike, RelativeModel, SullivanModel
@@ -127,8 +127,9 @@ class DerComplex:
         """[E, -] from the shift-n slice to the shift-(n-1) slice.
 
         E is a degree +1 derivation of the value algebra, given by its
-        generator images in ``monomial_images`` form, which are hashable: the
-        complex keeps E compiled by them.  [E, s] = E.s - (-1)^n s.E.
+        generator images in the packed form of SullivanModel.images, which
+        are hashable: the complex keeps E compiled by them.
+        [E, s] = E.s - (-1)^n s.E.
         The bracket is linear in E: E = d gives the boundary, and a model
         twisted by sum_s c_s theta_s has boundary delta + sum_s c_s [theta_s, -].
         The column of the pair (w, m) is E(m) at w and, at each domain
@@ -142,25 +143,25 @@ class DerComplex:
         src = self.slice(n)
         tgt = self.slice(n - 1)
         gens = self.model.gens
-        op = self._operator(images)
-        index = tgt.index
+        entries, holds = self._operator(images)
+        bits, index = gens._packing.bits, tgt.index
         sign = -1 if n % 2 == 0 else 1  # -(-1)^n
-        gen_images = []  # (index, packed image under E, the generators in it)
+        gen_images = []  # (index, packed image under E, the OR of its keys)
         for g in self.domain:
             i = gens.get(g.name).index
-            gen_images.append((i, op.terms.get(i, ()), op.holds.get(i, ())))
+            gen_images.append((i, images.get(i, ()), holds.get(i, 0)))
         columns = []
         for w, key in src.keys:
-            theta, col = None, {}
-            for gi, image, holds in gen_images:
+            theta, col, field = None, {}, bits[w]
+            for gi, image, held in gen_images:
                 if gi == w:
-                    val = {k: c for k, c in _leibniz(op.entries, key, {}).items() if c}
-                elif w in holds:
+                    val = {k: c for k, c in _leibniz(entries, key, {}).items() if c}
+                elif held & field:
                     val = {}
                 else:
                     continue  # the pair's derivation kills E(gi)
-                if w in holds:
-                    theta = theta or (_image(gens, w, ((key, 1),), n),)
+                if held & field:
+                    theta = theta or _compile(gens, {w: ((key, 1),)}, n)
                     for term, c in image:
                         _leibniz(theta, term, val, sign * c)
                 for k, c in val.items():
@@ -186,14 +187,19 @@ class DerComplex:
             self._inclusions[n] = inc, _inverse(inc, self.relative.slice(n).dim)
         return self._inclusions[n]
 
-    def _operator(self, images: Mapping) -> _Operator:
+    def _operator(self, images: Mapping) -> tuple[tuple, dict[int, int]]:
         """E compiled once per complex and not once per shift, keyed by its
-        images; the model compiles its own d."""
-        if images is self.model.images:
-            return self.model.operator
+        images: its _leibniz entries and, per image, the OR of its keys,
+        which holds w's field bits iff a term holds w."""
         key = tuple(images.items())
         if key not in self._operators:
-            self._operators[key] = _Operator(self.model.gens, images, 1)
+            own = images is self.model.images  # d, compiled once per model
+            entries = self.model.operator if own else _compile(self.model.gens, images, 1)
+            holds = {}
+            for i, terms in images.items():
+                for k, _ in terms:
+                    holds[i] = holds.get(i, 0) | k
+            self._operators[key] = entries, holds
         return self._operators[key]
 
     def homology(self, n: int) -> HomologySlice:

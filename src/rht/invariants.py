@@ -121,10 +121,9 @@ def connecting_images(f: RelativeModel) -> dict[int, Subspace]:
     out, images, k = {}, f.total.images, f.base_size  # the base generators lead the total
     for n in frame_degrees(f.fiber, top_shift(f)):
         diffs = [images.get(k + g.index, ()) for g in f.fiber.gens if g.degree == n]
+        units = [f.total.gens.pack(((v.index, 1),)) for v in f.base.gens if v.degree == n + 1]
         vectors = [
-            {j: c for j, image in enumerate(diffs) for t, c in image if t == ((v.index, 1),)}
-            for v in f.base.gens
-            if v.degree == n + 1
+            {j: c for j, image in enumerate(diffs) for t, c in image if t == u} for u in units
         ]
         out[n] = Subspace(dual_frame(f.fiber, n), vectors)
     return out
@@ -264,21 +263,17 @@ def _pure_quotient_vanishes(m: SullivanModel, fd: int, window: int) -> bool:
     even = [g for g in m.gens if not g.is_odd]
     if not even:
         return True  # Lambda V is finite-dimensional
-    to_q = {g.index: i for i, g in enumerate(even)}
-    pure_parts = []  # (degree, terms over Q's indices) of each nonzero d_s p
+    odd = len(m.gens) - len(even)  # a key's low bits, one per odd generator
+    relations = []  # (degree, terms over gens.even()) of each nonzero d_s p
     for p in (g for g in m.gens if g.is_odd):
-        pure = [(t, c) for t, c in m.images.get(p.index, ()) if all(i in to_q for i, _ in t)]
+        pure = [(t >> odd, c) for t, c in m.images.get(p.index, ()) if not t & ((1 << odd) - 1)]
         if pure:
-            pure_parts.append((p.degree + 1, pure))
-    if len(pure_parts) < len(even):
+            relations.append((p.degree + 1, pure))
+    if len(relations) < len(even):
         # Krull's height theorem: r relations leave the quotient a dimension
         # of at least |Q| - r > 0, so it is infinite and no run is zero
         return False
     q = m.gens.even()
-    relations = [  # the same terms over q
-        (deg, [(q.pack((to_q[i], e) for i, e in t), c) for t, c in pure])
-        for deg, pure in pure_parts
-    ]
     s = max(g.degree for g in even)
     start = min(fd + 1, fd + window - s + 1)
     lo = max(start, 0)  # negative degrees are empty

@@ -113,8 +113,8 @@ class Echelon:
     fully reduced basis: each row is also zero at every other pivot.  That
     basis is unique for its span, whatever vectors were added and in
     whatever order.  ``rank`` reads no row.  Vectors are sparse; an explicit
-    zero entry is dropped, and a stored row with an inexact entry raises
-    TypeError.
+    zero entry is dropped, a stored row with an inexact entry raises
+    TypeError, and one with an entry outside columns 0..n-1 IndexError.
     """
 
     __slots__ = ("n", "_rows", "_clean")
@@ -183,6 +183,10 @@ class Echelon:
         if not v:
             return False
         p = min(v)
+        if p < 0 or max(v) >= self.n:
+            # no stored row holds such a column, so elimination never clears it:
+            # checked once per stored row
+            raise IndexError(f"entry outside the {self.n} columns")
         pivot = v[p]
         if pivot != 1:
             # scaling by -1 keeps an int row int; any other pivot is inverted as a Fraction

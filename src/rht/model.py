@@ -35,18 +35,17 @@ from .algebra import (
     AlgElement,
     GenSet,
     Monomial,
-    _apply,
+    _compile,
     _format_sum,
-    _Operator,
     _sum,
     _leibniz,
-    monomial_images,
     normalize_word,
 )
 from .errors import (
     BaseDiffViolated,
     BoundExceeded,
     DegreeMismatch,
+    GeneratorSetMismatch,
     ModelSyntaxError,
     NotClosed,
     UnknownGenerator,
@@ -55,7 +54,10 @@ from .linalg import HomologySlice, RatMatrix
 
 
 class SullivanModel:
-    """A free graded-commutative algebra with a differential on generators."""
+    """A free graded-commutative algebra with a differential on generators.
+
+    diff keeps d as given, one element over gens per generator; the
+    computations read images, the same d as packed terms."""
 
     def __init__(
         self,
@@ -68,33 +70,41 @@ class SullivanModel:
         self.diff: dict[str, AlgElement] = {}
         for gname, val in (diff or {}).items():
             gens.get(gname)  # raises UnknownGenerator
+            if val.gens != gens:  # its exponents index its own set: over gens they name others
+                raise GeneratorSetMismatch(f"d({gname}) is given over {val.gens!r}, not {gens!r}")
             if not val.is_zero():
                 self.diff[gname] = val
         self.bound = bound
         self.name = name
-        self.images = monomial_images(
-            gens, {gens.get(n).index: v for n, v in self.diff.items()}
-        )
         self.validate()
 
     # a space is its own fibre and total, as a RelativeModel has both
     fiber = total = property(lambda self: self)
 
     @cached_property
-    def operator(self) -> _Operator:
-        """d compiled for the Leibniz kernel, on first use (never before the
-        degree check), once per model."""
-        return _Operator(self.gens, self.images, 1)
+    def images(self) -> dict[int, tuple]:
+        """d as packed terms: for each generator g with d(g) != 0, its index
+        -> ((key, coeff), ...), an integral coefficient an int, so that the
+        matrices of an integral d hold ints.  Built once, on first use, which
+        validate makes after the degree check."""
+        pack = self.gens.pack
+        return {
+            self.gens.by_name[gname].index: tuple(
+                (pack(m.exponents), int(c) if c.denominator == 1 else c) for m, c in v.terms.items()
+            )
+            for gname, v in self.diff.items()
+        }
+
+    @cached_property
+    def operator(self) -> tuple:
+        """d compiled for the Leibniz kernel (_compile), on first use, once per model."""
+        return _compile(self.gens, self.images, 1)
 
     # --- differential -------------------------------------------------
 
     def diff_of(self, name: str) -> AlgElement:
         self.gens.get(name)
         return self.diff.get(name, AlgElement.zero(self.gens))
-
-    def d(self, element: AlgElement) -> AlgElement:
-        """Apply the differential (degree +1 derivation) to any element."""
-        return _apply(self.gens, self.operator, element)
 
     # --- validation ---------------------------------------------------
 
@@ -107,13 +117,17 @@ class SullivanModel:
                     f"d({gname}) must be homogeneous of degree {g.degree + 1}, "
                     f"got degree {deg if deg is not MIXED else 'mixed'}"
                 )
-        images = self.images
-        for g in self.gens:  # declaration order: the first failure is reported
-            # d(d(g)) is zero at once when no factor of a term of d(g) has an image
-            if any(x in images for t, _ in images.get(g.index, ()) for x, _ in t):
-                op = self.operator
-                if _sum(op.entries, op.terms[g.index]):
-                    raise NotClosed(f"d(d({g.name})) = {self.d(self.diff[g.name]).format()} != 0")
+        images, gens = self.images, self.gens
+        held = sum(gens._packing.bits[i] for i in images)  # the fields of generators with images
+        for g in gens:  # declaration order: the first failure is reported
+            # d(d(g)) is zero at once when no term of d(g) holds a generator with an image
+            terms = images.get(g.index, ())
+            if any(key & held for key, _ in terms):
+                dd = _sum(self.operator, terms)
+                if dd:
+                    printed = [(gens.unpack(k), c) for k, c in dd.items()]
+                    printed.sort(key=lambda t: t[0].sort_key(gens))
+                    raise NotClosed(f"d(d({g.name})) = {_format_sum(gens, printed)} != 0")
 
     @property
     def is_minimal(self) -> bool:
@@ -303,7 +317,7 @@ class Cochains:
     def d(self, n: int) -> RatMatrix:
         """Matrix of d from the degree-n basis to the degree-(n+1) basis."""
         if n not in self._d:
-            images = self.model.operator.entries
+            images = self.model.operator
             index = {k: i for i, k in enumerate(self.keys(n + 1))}
             columns = [
                 {index[k]: c for k, c in _leibniz(images, key, {}).items() if c}

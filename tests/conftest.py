@@ -27,8 +27,9 @@ from rht import (
     basis_in_degree,
     parse_document,
 )
-from rht.algebra import _apply, _Operator, monomial_images
+from rht.algebra import _compile, _sum
 from rht.derivations import ABSOLUTE, IDEAL, DerComplex, _inverse, dual_frame
+from rht.errors import GeneratorSetMismatch, RhtError
 from rht.invariants import LesNodeReport, LesReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -36,6 +37,24 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def load(name: str):
     return parse_document((FIXTURES / name).read_text())
+
+
+def fixture_texts() -> list[str]:
+    """The text of each fixture file that parses, those of parse/ included."""
+    out = []
+    for path in sorted(FIXTURES.rglob("*.smf")):
+        try:
+            parse_document(path.read_text())
+        except RhtError:
+            continue
+        out.append(path.read_text())
+    return out
+
+
+def spaces_of(models) -> list[SullivanModel]:
+    """The SullivanModels of parsed models: each space, and each fibration's
+    base, fibre and total."""
+    return [s for m in models for s in ((m,) if isinstance(m, SullivanModel) else (m.base, m.fiber, m.total))]
 
 
 @pytest.fixture(scope="session")
@@ -209,10 +228,42 @@ def cochain_text(gens: GenSet, keys, vector) -> str:
     return AlgElement(gens, {gens.unpack(keys[i]): c for i, c in vector.items()}).format()
 
 
+def monomial_images(gens: GenSet, values: dict) -> dict:
+    """Generator images as exponent tuples: index -> ((exponents, coeff), ...)
+    for each nonzero value, an integral coefficient an int.  The reference
+    for SullivanModel.images, which holds the same terms packed."""
+    return {
+        i: tuple((m.exponents, int(c) if c.denominator == 1 else c) for m, c in v.terms.items())
+        for i, v in values.items()
+        if v.terms
+    }
+
+
+def packed(gens: GenSet, images: dict) -> dict:
+    """Images in monomial_images form as packed terms, the form the kernel reads."""
+    return {i: tuple((gens.pack(t), c) for t, c in terms) for i, terms in images.items()}
+
+
+def apply_images(gens: GenSet, images: dict, parity: int, element: AlgElement) -> AlgElement:
+    """The image of an element under packed generator images extended as a
+    derivation of the given parity, through the packed kernel: the element
+    is packed and the result unpacked here."""
+    if element.gens != gens:
+        raise GeneratorSetMismatch("element over a different generator set")
+    terms = [(gens.pack(m.exponents), c) for m, c in element.terms.items()]
+    out = _sum(_compile(gens, images, parity), terms)
+    return AlgElement(gens, {gens.unpack(k): c for k, c in out.items()})
+
+
+def differential(model: SullivanModel, element: AlgElement) -> AlgElement:
+    """The model's d applied to any element over its generators."""
+    return apply_images(model.gens, model.images, 1, element)
+
+
 def apply_derivation(theta: Derivation, element: AlgElement) -> AlgElement:
     """theta extended to element by the graded Leibniz rule, through the packed kernel."""
     gens = theta.gens
-    return _apply(gens, _Operator(gens, monomial_images(gens, theta.values), theta.shift), element)
+    return apply_images(gens, packed(gens, monomial_images(gens, theta.values)), theta.shift, element)
 
 
 def pairs(slice_) -> list:
@@ -425,3 +476,40 @@ def random_pure_elliptic(rng: random.Random) -> SullivanModel:
                     value = value + AlgElement.monomial(gens, m, c)
         diff[g.name] = value
     return SullivanModel(gens, diff, name=f"pure-{rng.getrandbits(24):06x}")
+
+
+# ----------------------------------------------------------------------
+# classical homogeneous spaces, written by formula (Greub, Halperin and
+# Vanstone, Connections, Curvature, and Cohomology III; Felix, Halperin and
+# Thomas, GTM 205): pure models with as many odd generators as even ones
+
+
+def grassmannian(k: int, n: int) -> SullivanModel:
+    """The Cartan model of Gr_k(C^n): even c_i in degree 2i for i <= k, odd
+    y_j in degree 2j - 1 for j = n-k+1..n, and d y_j the degree-2j part of
+    (1 + c_1 + ... + c_k)^(-1)."""
+    gens = GenSet(
+        [(f"c{i}", 2 * i) for i in range(1, k + 1)] + [(f"y{j}", 2 * j - 1) for j in range(n - k + 1, n + 1)]
+    )
+    inverse = [AlgElement.unit(gens)]  # its part in each degree 2m: s_m = -sum_i c_i s_(m-i)
+    for m in range(1, n + 1):
+        part = AlgElement.zero(gens)
+        for i in range(1, min(k, m) + 1):
+            part = part - AlgElement.gen(gens, f"c{i}") * inverse[m - i]
+        inverse.append(part)
+    return SullivanModel(gens, {f"y{j}": inverse[j] for j in range(n - k + 1, n + 1)}, name=f"Gr_{k}(C^{n})")
+
+
+def flag_manifold(n: int) -> SullivanModel:
+    """The Cartan model of Fl(n) = SU(n)/T^(n-1): even x_1..x_(n-1) in degree
+    2, odd y_i in degree 2i - 1 for i = 2..n, and d y_i the elementary
+    symmetric polynomial e_i(x_1, ..., x_(n-1), -x_1 - ... - x_(n-1))."""
+    gens = GenSet([(f"x{i}", 2) for i in range(1, n)] + [(f"y{i}", 2 * i - 1) for i in range(2, n + 1)])
+    xs = [AlgElement.gen(gens, f"x{i}") for i in range(1, n)]
+    last = AlgElement.zero(gens)
+    for x in xs:
+        last = last - x
+    e = [AlgElement.unit(gens)]  # e_0..e_j of the variables read so far
+    for v in [*xs, last]:
+        e = [e[0]] + [e[i] + v * e[i - 1] for i in range(1, len(e))] + [v * e[-1]]
+    return SullivanModel(gens, {f"y{i}": e[i] for i in range(2, n + 1)}, name=f"Fl({n})")

@@ -20,9 +20,6 @@ from rht.algebra import (
     MAX_BASIS,
     MIXED,
     UNIT,
-    _apply,
-    _Operator,
-    monomial_images,
     normalize_word,
 )
 from rht.errors import (
@@ -32,7 +29,16 @@ from rht.errors import (
     UnknownGenerator,
 )
 
-from conftest import as_dict, bubble_sign, oracle_mul, oracle_operator, word_to_monomial
+from conftest import (
+    apply_images,
+    as_dict,
+    bubble_sign,
+    monomial_images,
+    oracle_mul,
+    oracle_operator,
+    packed,
+    word_to_monomial,
+)
 
 GENS = GenSet([("a", 3), ("b", 5), ("c", 2), ("e", 4), ("f", 7)])
 
@@ -295,7 +301,7 @@ def test_leibniz_matches_dense_oracle(x, parity, data):
         if data.draw(st.booleans()):
             val = data.draw(elements(max_terms=2))
             values[g.index] = val
-    got = _apply(GENS, _Operator(GENS, monomial_images(GENS, values), parity), x)
+    got = apply_images(GENS, packed(GENS, monomial_images(GENS, values)), parity, x)
     oracle = oracle_operator(GENS, {i: as_dict(v) for i, v in values.items()}, parity, x)
     assert as_dict(got) == oracle
 
@@ -312,11 +318,11 @@ def test_kernel_matches_dense_oracle_on_every_monomial(parity):
             if rng.random() < 0.6:
                 terms = {rng.choice(monomials): rng.randint(-2, 2) for _ in range(3)}
                 values[g.index] = AlgElement(GENS, terms)
-        images = monomial_images(GENS, values)
+        images = packed(GENS, monomial_images(GENS, values))
         dense = {i: as_dict(v) for i, v in values.items()}
         for mono in monomials:
             element = AlgElement.monomial(GENS, mono)
-            got = as_dict(_apply(GENS, _Operator(GENS, images, parity), element))
+            got = as_dict(apply_images(GENS, images, parity, element))
             want = oracle_operator(GENS, dense, parity, element)
             assert got == want, (mono.format(GENS), values)
 
@@ -326,7 +332,7 @@ def test_leibniz_on_product_rule():
     values = {GENS.get("a").index: AlgElement.unit(GENS)}  # a -> 1, shift 3
     x = AlgElement.gen(GENS, "a")
     y = AlgElement.gen(GENS, "b") * AlgElement.gen(GENS, "c")
-    op = _Operator(GENS, monomial_images(GENS, values), 1)
-    lhs = _apply(GENS, op, x * y)
-    rhs = _apply(GENS, op, x) * y + (-1) ** 3 * (x * _apply(GENS, op, y))
+    images = packed(GENS, monomial_images(GENS, values))
+    lhs = apply_images(GENS, images, 1, x * y)
+    rhs = apply_images(GENS, images, 1, x) * y + (-1) ** 3 * (x * apply_images(GENS, images, 1, y))
     assert lhs == rhs

@@ -34,9 +34,19 @@ from rht.errors import (
     NotFiniteAtBound,
     RhtError,
 )
-from rht.model import trivial_fibration
+from rht.derivations import ABSOLUTE, IDEAL, RELATIVE, DerComplex
+from rht.invariants import top_shift
+from rht.model import parse_document, trivial_fibration
 
-from conftest import evaluation_matrix, image_by_projection, load, product, random_space
+from conftest import (
+    evaluation_matrix,
+    fixture_texts,
+    image_by_projection,
+    load,
+    product,
+    random_space,
+    spaces_of,
+)
 
 
 def qt_base():
@@ -365,6 +375,32 @@ def benchmark_enumerations():
             ("fiber-3-5-9-17.smf", True), ("fiber-3-3-3-3.smf", True), ("fiber-3-5-9-17.smf", False)
         )
     ]
+
+
+def test_validation_and_brackets_unpack_no_key(monkeypatch):
+    # the model packs d once and reads only keys after: no key is unpacked
+    # while every fixture and the totals of E1-E3 are validated, nor while
+    # every fixture's boundaries are bracketed in each scope
+    texts = fixture_texts()
+    totals = [entry.total for cat in benchmark_enumerations() for _, entry in cat.entries]
+    unpacked, real = [], GenSet.unpack
+
+    def counting(gens, key):
+        unpacked.append(key)
+        return real(gens, key)
+
+    monkeypatch.setattr(GenSet, "unpack", counting)
+    documents = [parse_document(text) for text in texts]
+    for t in totals:
+        SullivanModel(t.gens, t.diff, bound=t.bound, name=t.name)
+    brackets = 0
+    for m in (m for models in documents for m in models):
+        for scope in (ABSOLUTE, RELATIVE, IDEAL) if isinstance(m, RelativeModel) else (ABSOLUTE,):
+            cx = DerComplex(m, scope)
+            for n in range(1, top_shift(m) + 2):
+                brackets += cx.boundary(n).cols
+    assert len(totals) > 50 and len(spaces_of(m for models in documents for m in models)) > 30
+    assert brackets > 1000 and not unpacked
 
 
 def test_realized_subspaces_match_fibre_gottlieb():

@@ -516,7 +516,7 @@ def test_images_eliminate_no_empty_vector(monkeypatch):
 def test_a_column_leaving_the_ideal_is_not_a_complex(su5_bundle, monkeypatch, capsys):
     # an operator sending t1 to v2 takes an ideal pair out of the ideal
     with pytest.raises(NotAComplex, match="leaves the ideal"):
-        DerComplex(su5_bundle, IDEAL).bracket(1, {0: ((((3, 1),), 1),)})
+        DerComplex(su5_bundle, IDEAL).bracket(1, {0: ((su5_bundle.total.gens.pack(((3, 1),)), 1),)})
     # an entry planted in the relative d_2 on an ideal pair's column, at a
     # pair the restriction keeps; nodes in degree 2 read the ideal d_2 first
     rel = DerComplex(su5_bundle, RELATIVE)
@@ -799,7 +799,8 @@ def test_pure_quotient_certificate_is_sound():
         certified += len(pure)
         undecided += len(windows) - len(pure)
         if m.name.startswith("cocycle-"):
-            odd = any(m.gens[i].is_odd for dp in m.images.values() for t, _ in dp for i, _ in t)
+            factors = (m.gens.unpack(t).exponents for dp in m.images.values() for t, _ in dp)
+            odd = any(m.gens[i].is_odd for t in factors for i, _ in t)
             odd_terms[(odd, bool(pure))] += 1
     assert certified > 100 and undecided > 100
     # the cocycle family certifies and leaves undecided models with odd-factor terms
@@ -825,7 +826,10 @@ def test_krull_count_skips_the_pure_quotient_search(built_key_lists):
         gens, fd = total.gens, formal_dimension_estimate(total.gens)
         even = [g for g in gens if not g.is_odd]
         r = sum(
-            any(all(not gens[i].is_odd for i, _ in t) for t, _ in total.images.get(p.index, ()))
+            any(
+                all(not gens[i].is_odd for i, _ in gens.unpack(t).exponents)
+                for t, _ in total.images.get(p.index, ())
+            )
             for p in gens
             if p.is_odd
         )

@@ -3,7 +3,7 @@
 tuple_leibniz below is that kernel as it was, kept here only as the oracle:
 it takes and returns exponent tuples and reads its Koszul signs off a list
 of the odd generators of the rest.  Each caller of the packed kernel
-(Cochains.d, DerComplex.bracket, algebra._apply) is compared with the same
+(Cochains.d, DerComplex.bracket, conftest's apply_images) is compared with the same
 computation done by tuple_leibniz, column by column and with the same
 number types, over random spaces, spaces with mostly odd generators, random
 fibrations in all three scopes, and the twist images a catalog brackets
@@ -18,17 +18,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rht import ABSOLUTE, IDEAL, RELATIVE, AlgElement, GenSet, Monomial, RelativeModel, SullivanModel
-from rht.algebra import DIGIT, _apply, _Operator, basis_in_degree, monomial_images
+from rht.algebra import DIGIT, basis_in_degree
 from rht.derivations import DerComplex
 from rht.errors import CombinatorialBlowup
 from rht.invariants import top_shift
-from rht.model import Cochains, formal_dimension_estimate
+from rht.model import Cochains, formal_dimension_estimate, parse_document
 
-from conftest import load, pairs, random_fibration, random_space
+from conftest import (
+    apply_images,
+    fixture_texts,
+    load,
+    monomial_images,
+    packed,
+    pairs,
+    random_fibration,
+    random_pure_elliptic,
+    random_space,
+    spaces_of,
+)
 
 
 def tuple_leibniz(gens, images, parity, exps):
-    """_apply on one monomial's exponent tuple, keyed by exponent tuples.
+    """apply_images on one monomial's exponent tuple, with images in
+    monomial_images form, keyed by exponent tuples.
 
     For each factor g^e with an image, one g is removed and the exponents of
     each image term are added to the rest.  The Koszul sign is
@@ -79,19 +91,24 @@ def oracle_apply(gens, images, parity, element):
     return {Monomial(t): c for t, c in out.items() if c}
 
 
+def given_d(model):
+    """The model's d as given, in monomial_images form."""
+    return monomial_images(model.gens, {model.gens.get(name).index: v for name, v in model.diff.items()})
+
+
 def oracle_d(model, n):
     """The columns of Cochains.d(n), indexed by the printed degree bases."""
-    gens = model.gens
+    gens, images = model.gens, given_d(model)
     index = {m.exponents: i for i, m in enumerate(basis_in_degree(gens, n + 1))}
     return [
-        {index[t]: c for t, c in tuple_leibniz(gens, model.images, 1, m.exponents).items()}
+        {index[t]: c for t, c in tuple_leibniz(gens, images, 1, m.exponents).items()}
         for m in (basis_in_degree(gens, n) if n >= 0 else [])
     ]
 
 
 def oracle_bracket(cx, n, images):
-    """The columns of cx.bracket(n, images): E(m) at w, plus each E(v)
-    under the pair's derivation (w -> m), with the sign -(-1)^n."""
+    """The columns of cx.bracket(n, images packed): E(m) at w, plus each
+    E(v) under the pair's derivation (w -> m), with the sign -(-1)^n."""
     src, tgt, gens = cx.slice(n), cx.slice(n - 1), cx.model.gens
     index = {(w.index, m.exponents): i for i, (w, m) in enumerate(pairs(tgt))}
     sign = -1 if n % 2 == 0 else 1
@@ -134,9 +151,10 @@ def odd_heavy_space(rng: random.Random) -> SullivanModel:
 
 
 def twists(f: RelativeModel) -> list[dict]:
-    """The images of each slot derivation theta_s of f, as a catalog brackets
-    with: the fibre generator w_s sent to a monomial with a base generator,
-    one per such term of a D(w_s), read from D itself."""
+    """The images of each slot derivation theta_s of f in monomial_images
+    form, as a catalog brackets with them packed: the fibre generator w_s
+    sent to a monomial with a base generator, one per such term of a
+    D(w_s), read from D itself."""
     gens, base = f.total.gens, set(f.base.gens.by_name)
     return [
         {gens.get(w.name).index: ((mono.exponents, 1),)}
@@ -160,11 +178,14 @@ def check_model(m) -> int:
     scopes = (ABSOLUTE, RELATIVE, IDEAL) if isinstance(m, RelativeModel) else (ABSOLUTE,)
     for scope in scopes:
         der = DerComplex(m, scope)
-        operators = [der.model.images] + (twists(m) if scope == RELATIVE else [])
+        gens = der.model.gens
+        # d as the model holds it, so the complex reads its compiled d
+        operators = [(der.model.images, given_d(der.model))]
+        operators += [(packed(gens, t), t) for t in twists(m)] if scope == RELATIVE else []
         for n in range(1, top_shift(m) + 1):
-            for images in operators:
+            for images, reference in operators:
                 got = der.bracket(n, images).columns
-                want = oracle_bracket(der, n, images)
+                want = oracle_bracket(der, n, reference)
                 assert [typed(c) for c in got] == [typed(c) for c in want], (m.name, scope, n, images)
                 compared += len(got)
     return compared
@@ -203,7 +224,7 @@ def test_apply_images_matches_the_tuple_kernel(seed, parity):
     }
     images = monomial_images(gens, values)
     element = AlgElement(gens, {rng.choice(monomials): rng.randint(-3, 3) for _ in range(4)})
-    got = _apply(gens, _Operator(gens, images, parity), element)
+    got = apply_images(gens, packed(gens, images), parity, element)
     assert got.terms == oracle_apply(gens, images, parity, element)
 
 
@@ -218,10 +239,10 @@ def test_apply_images_keeps_nothing_per_call():
     layout = {name: repr(getattr(packing, name)) for name in type(packing).__slots__}
     for coeff in (2, Fraction(2), Fraction(-3, 4), *range(-20, 0)):
         images = {t: ((((x, 1),), coeff), (((y, 1),), 1))}
-        got = _apply(gens, _Operator(gens, images, 1), element)
+        got = apply_images(gens, packed(gens, images), 1, element)
         want = oracle_apply(gens, images, 1, element)
         assert got.terms == want
-        listed = _apply(gens, _Operator(gens, {t: [list(term) for term in images[t]]}, 1), element)
+        listed = apply_images(gens, {t: [list(term) for term in packed(gens, images)[t]]}, 1, element)
         assert listed.terms == want
     assert {name: repr(getattr(packing, name)) for name in type(packing).__slots__} == layout
 
@@ -235,11 +256,27 @@ def test_an_exponent_no_field_holds_is_refused():
     big = AlgElement(gens, {Monomial(((t, 2**40),)): 1})
     assert DIGIT <= 40
     with pytest.raises(CombinatorialBlowup, match=f"exponent {2**40} of t is more than"):
-        _apply(gens, _Operator(gens, images, 0), big)
+        apply_images(gens, packed(gens, images), 0, big)
     # the largest exponent a field holds gives the tuple kernel's answer
     most = (1 << DIGIT - 1) - 1
     element = AlgElement(gens, {Monomial(((t, most),)): 1})
-    got = _apply(gens, _Operator(gens, images, 0), element)
+    got = apply_images(gens, packed(gens, images), 0, element)
     assert got.terms == oracle_apply(gens, images, 0, element)
     with pytest.raises(CombinatorialBlowup):
-        _apply(gens, _Operator(gens, images, 0), AlgElement(gens, {Monomial(((t, most + 1),)): 1}))
+        apply_images(gens, packed(gens, images), 0, AlgElement(gens, {Monomial(((t, most + 1),)): 1}))
+
+
+def test_images_are_the_given_differential_packed():
+    # SullivanModel.images holds d as given, each term packed once, with the
+    # number type of its coefficient: on every fixture model and on random
+    # spaces, fibrations and pure models
+    models = [m for text in fixture_texts() for m in spaces_of(parse_document(text))]
+    rng = random.Random(41)
+    for _ in range(20):
+        models += [random_space(rng), random_pure_elliptic(rng), *spaces_of([random_fibration(rng)])]
+    assert sum(bool(m.images) for m in models) >= 50
+    for m in models:
+        want = packed(m.gens, given_d(m))
+        assert m.images == want, m.name
+        assert [typed(dict(t)) for t in m.images.values()] == [typed(dict(t)) for t in want.values()]
+

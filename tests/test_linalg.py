@@ -477,6 +477,20 @@ def test_echelon_drops_explicit_zero_entries():
         Echelon(1, [{0: 0.0}])
 
 
+def test_echelon_refuses_entries_outside_its_columns():
+    # as RatMatrix does: {5: 1} once gave rank 1 and two kernel vectors in
+    # Q^2, and {0: 1, 3: 2} a KeyError from kernel
+    for vectors in ([{5: 1}], [{0: 1, 3: 2}], [{-1: 1}], [{0: 1}, {0: 1, 1: 1, 2: 4}]):
+        with pytest.raises(IndexError):
+            Echelon(2, vectors)
+    # no stored row holds such a column, so the entry survives elimination
+    # and the row is refused; an explicit zero there is dropped first
+    e = Echelon(2, [{0: 1}])
+    with pytest.raises(IndexError):
+        e.add({0: 1, 2: 1})
+    assert not e.add({0: 2, 7: 0}) and e.rank == 1
+
+
 # ----------------------------------------------------------------------
 # columns kept as given
 

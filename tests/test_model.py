@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rht.algebra
-import rht.model
 from rht import (
     AlgElement,
     Cochains,
@@ -32,6 +30,7 @@ from rht.errors import (
     FiberMismatch,
     BoundExceeded,
     DegreeMismatch,
+    GeneratorSetMismatch,
     ModelSyntaxError,
     NotClosed,
     UnknownGenerator,
@@ -44,6 +43,7 @@ from conftest import (
     as_dict,
     cochain_text,
     derivation_text,
+    differential,
     load,
     oracle_operator,
     random_fibration,
@@ -84,6 +84,25 @@ def test_unknown_generator_in_diff():
         SullivanModel(gens, {"zz": AlgElement.zero(gens)})
 
 
+def test_a_differential_over_another_generator_set_is_refused():
+    # a value's exponents index its own set: over (w, x, y), x^2 built over
+    # (x, w, y) once read d y = w^2 while serialize printed x^2, and over
+    # (x, y), x^2 built over (y, x) was refused as an exponent of y
+    cases = (
+        ([("w", 2), ("x", 2), ("y", 3)], [("x", 2), ("w", 2), ("y", 3)]),
+        ([("x", 2), ("y", 3)], [("y", 3), ("x", 2)]),
+    )
+    for layout, other in cases:
+        gens, x = GenSet(layout), AlgElement.gen(GenSet(other), "x")
+        with pytest.raises(GeneratorSetMismatch, match=r"^d\(y\) is given over GenSet\("):
+            SullivanModel(gens, {"y": x * x})
+        # the same value over the model's own set is read as given
+        same = AlgElement.gen(gens, "x")
+        m = SullivanModel(gens, {"y": same * same})
+        assert parse_model(m.serialize()).serialize() == m.serialize()
+        assert m.images == {gens.get("y").index: ((gens.pack(((gens.get("x").index, 2),)), 1),)}
+
+
 def test_minimal_and_pure_flags():
     even_sphere = parse_model(
         "[space s4]\ngen u 4\ngen x 7\nd x = u^2\n"
@@ -106,33 +125,33 @@ def test_d_extends_by_leibniz():
     m = parse_model("[space s4]\ngen u 4\ngen x 7\nd x = u^2\n")
     u = AlgElement.gen(m.gens, "u")
     x = AlgElement.gen(m.gens, "x")
-    assert m.d(x * u) == u * u * u
-    assert m.d(x) == u * u
+    assert differential(m, x * u) == u * u * u
+    assert differential(m, x) == u * u
 
 
 def test_d_applies_the_images_built_with_the_model(monkeypatch):
-    # each model turns its differential into generator images once; d, and
-    # so validation, applies them without building them again
-    images, models = [], []
-    real_images, real_init = rht.algebra.monomial_images, SullivanModel.__init__
+    # each model packs its differential into images once, one key per term;
+    # validation applies them without packing again, and d of each D(w),
+    # applied through them, is zero
+    packs, models = [], []
+    real_pack, real_init = GenSet.pack, SullivanModel.__init__
 
-    def counting_images(gens, values):
-        images.append(gens)
-        return real_images(gens, values)
+    def counting_pack(gens, exponents):
+        packs.append(gens)
+        return real_pack(gens, exponents)
 
     def counting_init(self, *args, **kwargs):
         models.append(self)
         real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(rht.algebra, "monomial_images", counting_images)
-    monkeypatch.setattr(rht.model, "monomial_images", counting_images)
+    monkeypatch.setattr(GenSet, "pack", counting_pack)
     monkeypatch.setattr(SullivanModel, "__init__", counting_init)
     fibrations = load("ex47.smf") + load("su5-bundle.smf")
+    assert len(models) == 3 * len(fibrations)  # base, fiber and total of each
+    assert len(packs) == sum(len(v.terms) for m in models for v in m.diff.values()) > 0
     for f in fibrations:
         for w in f.fiber.gens:
-            assert f.total.d(f.total.diff_of(w.name)).is_zero()
-    assert len(models) == 3 * len(fibrations)  # base, fiber and total of each
-    assert len(images) == len(models)
+            assert differential(f.total, f.total.diff_of(w.name)).is_zero()
 
 
 # ----------------------------------------------------------------------
@@ -432,7 +451,7 @@ def test_cohomology_representatives_are_cocycles(su4_fixtures):
         assert len(reps) == dim
         for rep in reps:
             element = parse_expression(rep, f.total.gens)
-            assert element.degree() == n and f.total.d(element).is_zero()
+            assert element.degree() == n and differential(f.total, element).is_zero()
 
 
 # coefficients a printed representative may carry, whatever the fixtures hold

@@ -1,12 +1,53 @@
-"""Invariants that a published theorem fixes, on random models."""
+"""Invariants that a published theorem fixes, on random models and classical homogeneous spaces."""
 
+import math
 import random
 
 from rht import Cochains, GenSet, SullivanModel, gottlieb, parse_model
 from rht.invariants import _pure_quotient_vanishes
 from rht.model import formal_dimension_estimate
 
-from conftest import random_pure_elliptic
+from conftest import flag_manifold, grassmannian, random_pure_elliptic
+
+
+def cohomology_dims(m: SullivanModel, top: int) -> list[int]:
+    """dim H^n of m for n = 0..top."""
+    cx = Cochains(m)
+    return [cx.homology(n).dim for n in range(top + 1)]
+
+
+def gaussian_binomial(n: int, k: int) -> list[int]:
+    """The coefficients of [n choose k] in q, by [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    if k == 0 or k == n:
+        return [1]
+    low, high = gaussian_binomial(n - 1, k - 1), [0] * k + gaussian_binomial(n - 1, k)
+    return [a + b for a, b in zip(low + [0] * len(high), high)]
+
+
+def f0_series(m: SullivanModel, top: int) -> list[int]:
+    """The coefficients of t^0..t^top in prod(1 - t^(|p|+1)) / prod(1 - t^|q|),
+    over the odd generators p and the even ones q of m."""
+    series = [1] + [0] * top
+    for g in m.gens:
+        if g.is_odd:  # times 1 - t^(|p|+1)
+            d = g.degree + 1
+            series = [c - (series[i - d] if i >= d else 0) for i, c in enumerate(series)]
+        else:  # divided by 1 - t^|q|
+            for i in range(g.degree, top + 1):
+                series[i] += series[i - g.degree]
+    return series
+
+
+def certified_pure_models(seed: int, count: int = 60):
+    """The random pure minimal models of a seed that the pure quotient
+    certifies finite at window s, the largest even degree, with their fd."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = random_pure_elliptic(rng)
+        fd = formal_dimension_estimate(m.gens)
+        s = max(g.degree for g in m.gens if not g.is_odd)
+        if m.is_minimal and fd is not None and _pure_quotient_vanishes(m, fd, s):
+            yield m, fd
 
 
 def test_felix_halperin_even_gottlieb_groups_vanish():
@@ -16,14 +57,8 @@ def test_felix_halperin_even_gottlieb_groups_vanish():
     # largest even degree: a smaller one starts the scanned run of s degrees
     # at or below fd, where the quotient need not vanish yet (window 1
     # certifies no model with |P| = |Q|)
-    rng = random.Random(5)
     certified = balanced = 0
-    for _ in range(60):
-        m = random_pure_elliptic(rng)
-        fd = formal_dimension_estimate(m.gens)
-        s = max(g.degree for g in m.gens if not g.is_odd)
-        if not m.is_minimal or fd is None or not _pure_quotient_vanishes(m, fd, s):
-            continue
+    for m, fd in certified_pure_models(5):
         certified += 1
         balanced += sum(g.is_odd for g in m.gens) == sum(not g.is_odd for g in m.gens)
         even = {n: sub.dim for n, sub in gottlieb(m).per_degree.items() if n % 2 == 0}
@@ -44,14 +79,8 @@ def test_certified_cohomology_is_a_poincare_duality_algebra():
     # window s, where fd is the formal dimension of a minimal model.  Models
     # with more than 60 cochains in degree fd + 3 are left out for time: the
     # few of them at this seed take about 2 s of elimination
-    rng = random.Random(5)
     certified = balanced = 0
-    for _ in range(60):
-        m = random_pure_elliptic(rng)
-        fd = formal_dimension_estimate(m.gens)
-        s = max(g.degree for g in m.gens if not g.is_odd)
-        if not m.is_minimal or fd is None or not _pure_quotient_vanishes(m, fd, s):
-            continue
+    for m, fd in certified_pure_models(5):
         cx = Cochains(m)
         if len(cx.keys(fd + 3)) > 60:
             continue
@@ -81,3 +110,49 @@ def test_classical_gottlieb_groups():
     split = parse_model(f"[space a]\n{gens}d w = -x^4 - x*u")
     twisted = parse_model(f"[space b]\n{gens}d u = -x^2*z\nd w = -x^4 - x*y*z - x*u")
     assert gottlieb(split).dims() == gottlieb(twisted).dims() == {3: 2, 7: 1}
+
+
+def test_grassmannians_and_flag_manifolds_have_their_classical_cohomology():
+    # H(Gr_k(C^n)) has Poincare polynomial [n choose k] in t^2 and
+    # fd = 2k(n - k); H(Fl(n)) has dimension n! and fd = n(n - 1); read
+    # through fd + 2, where H must already be zero
+    for k in range(1, 4):
+        for n in range(k + 1, 8):
+            m = grassmannian(k, n)
+            fd = formal_dimension_estimate(m.gens)
+            assert fd == 2 * k * (n - k), m.name
+            want = [0] * (fd + 3)
+            for i, c in enumerate(gaussian_binomial(n, k)):
+                want[2 * i] = c
+            assert cohomology_dims(m, fd + 2) == want, m.name
+    for n in range(2, 6):
+        m = flag_manifold(n)
+        fd = formal_dimension_estimate(m.gens)
+        dims = cohomology_dims(m, fd + 2)
+        assert fd == n * (n - 1) and sum(dims) == math.factorial(n), (m.name, dims)
+        assert dims[0] == dims[fd] == 1 and not any(dims[fd + 1 :]) and not any(dims[1::2]), dims
+
+
+def test_f0_spaces_have_the_poincare_series_of_their_degrees():
+    # a pure model with |P| = |Q| whose H is finite is an F_0-space: H is
+    # Lambda Q/(dP), a complete intersection, with Poincare series
+    # prod(1 - t^(|p|+1)) / prod(1 - t^|q|), a polynomial of degree fd
+    # (Halperin, Trans. AMS 230, 1977).  Read through fd + 2 on the random
+    # pure models the pure quotient certifies and on the named families;
+    # models with more than 60 cochains in degree fd + 3 are left out for
+    # time, as in the finite-H oracle above
+    named = [grassmannian(k, n) for k in range(1, 4) for n in range(k + 1, 8)]
+    named += [flag_manifold(n) for n in range(2, 6)]
+    models = list(certified_pure_models(5))
+    models += [(m, formal_dimension_estimate(m.gens)) for m in named]
+    read = balanced = 0
+    for m, fd in models:
+        if sum(g.is_odd for g in m.gens) != sum(not g.is_odd for g in m.gens):
+            continue
+        balanced += 1
+        if len(Cochains(m).keys(fd + 3)) > 60:
+            continue
+        read += 1
+        assert cohomology_dims(m, fd + 2) == f0_series(m, fd + 2), m.serialize()
+    assert read >= 35 and balanced - read <= 3, (read, balanced)
+
