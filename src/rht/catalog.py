@@ -6,14 +6,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .algebra import AlgElement, _compile, _exact, _sum
+from .algebra import _compile, _exact, _sum
 from .derivations import RELATIVE, DerComplex, dual_frame, frame_degrees
 from .errors import CombinatorialBlowup, DuplicateId, FiberMismatch, NotFiniteAtBound
 from .invariants import (
     DEFAULT_WINDOW, GottliebResult, _image_on_cycles, finiteness_window, top_shift
 )
 from .linalg import RatMatrix, Subspace
-from .model import RelativeModel, SullivanModel
+from .model import RelativeModel, SullivanModel, _product, _relative
 
 # Most candidate differentials an enumeration may try; above it the count
 # alone is reported.
@@ -82,14 +82,13 @@ class _Twist:
     """
 
     def __init__(self, fiber: SullivanModel, base: SullivanModel, bound: Optional[int]):
-        self.trivial = RelativeModel(base, fiber.gens, fiber.diff, bound=bound)
+        self.trivial = _product(fiber, base, bound)
         self.fiber = self.trivial.fiber
         shifts = frame_degrees(self.fiber, top_shift(self.fiber))
         self.frames = [(n, dual_frame(self.fiber, n)) for n in shifts]
         self._brackets: dict = {}  # (n, s) -> B_s^n, None when zero
         self._images: dict[tuple, Subspace] = {}  # (n, nonzero terms at n) -> image
         self._totals: dict[tuple, Subspace] = {}  # the images, one per frame -> their sum
-        self._monomials: dict = {}  # packed m_s -> m_s, unpacked once per twist for diff
 
     @cached_property
     def cx(self) -> DerComplex:
@@ -98,12 +97,9 @@ class _Twist:
 
     def holds(self, entry: RelativeModel) -> bool:
         """True when the entry twists T: same base and bound."""
-        base = self.trivial.base
-        return (
-            entry.bound == self.trivial.bound
-            and entry.base.gens == base.gens
-            and entry.base.diff == base.diff
-        )
+        t = self.trivial
+        same_base = entry.base.gens == t.base.gens and entry.base.diff == t.base.diff
+        return entry.bound == t.bound and same_base
 
     def read(self, entry: RelativeModel) -> dict:
         """A given entry's slot coefficients: the terms of D(w) holding a base generator, as
@@ -119,21 +115,18 @@ class _Twist:
             if key & held
         }
 
-    def diff(self, c: dict) -> dict[str, AlgElement]:
-        """D of the twist by c on every generator of the total space."""
-        total, known = self.trivial.total, self._monomials
-        terms: dict[str, dict] = {}
-        for (i, key), v in c.items():  # no term of D_T(w) holds a base generator
-            if key not in known:
-                known[key] = total.gens.unpack(key)
-            name = total.gens[i].name
-            terms.setdefault(name, dict(total.diff_of(name).terms))[known[key]] = v
-        return {**total.diff, **{name: AlgElement(total.gens, t) for name, t in terms.items()}}
+    def total(self, c: dict, name: str) -> SullivanModel:
+        """The total space of the twist by c: T's images, each twisted
+        generator's slot terms after its own (no term of D_T(w) holds a base
+        generator), built packed, so only its D.D = 0 is checked again."""
+        t, images = self.trivial, dict(self.trivial.total.images)
+        for (i, key), v in c.items():
+            images[i] = images.get(i, ()) + ((key, v),)
+        return SullivanModel._packed(t.total.gens, images, t.bound, name)
 
     def entry(self, key: str, c: dict) -> RelativeModel:
-        t = self.trivial
-        diff = {name: v for name, v in self.diff(c).items() if name in t.fiber.gens.by_name}
-        return RelativeModel(t.base, t.fiber.gens, diff, dict(t.fiber.diff), name=key, bound=t.bound)
+        t, total = self.trivial, self.total(c, key)
+        return _relative(t.base, t.fiber.gens, total.gens, total.images, key, t.bound)
 
     def _bracket(self, n: int, s: tuple) -> Optional[RatMatrix]:
         """B_s^n, or None when it is zero."""
@@ -240,8 +233,9 @@ def enumerate_fibrations(
     thereby forced by degree); assignments with D.D != 0 are discarded, and
     the finiteness gate is applied on request.  D.D is decided slot by slot
     from terms computed once per slot (_closed).  A closed candidate stays
-    its coefficient vector: only its total space is built, whose constructor
-    checks D.D = 0 again, and the gate reads that.  Coefficients are exact:
+    its coefficient vector: only its total space is built, from packed terms
+    (_Twist.total), whose validation checks D.D = 0 again, and the gate reads
+    that.  Coefficients are exact:
     ints, Fractions or rational strings; a float raises TypeError.
     """
     twist = _Twist(fiber, base, fiber.bound)
@@ -262,9 +256,8 @@ def enumerate_fibrations(
         c = {s: v for s, v in zip(slots, vector) if v}
         added = [f"D{w}+={'' if v == 1 else f'{v}*'}{text}" for (w, text), v in zip(texts, vector) if v]
         key = "; ".join(added) or "trivial"
-        # the total's constructor checks D.D = 0 again: it stays the authority
-        total = SullivanModel(combined, twist.diff(c), bound=trivial.bound, name=key)
-        if not require_finite or finiteness_window(total, window).finite:
+        # the total's validation checks D.D = 0 again: it stays the authority
+        if not require_finite or finiteness_window(twist.total(c, key), window).finite:
             kept.append((key, twist, c))
     return Catalog(fiber, twists=kept)
 

@@ -28,7 +28,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from types import MappingProxyType
+from typing import Mapping, Optional, Union
 
 from .algebra import (
     MIXED,
@@ -56,67 +57,50 @@ from .linalg import HomologySlice, RatMatrix
 class SullivanModel:
     """A free graded-commutative algebra with a differential on generators.
 
-    diff keeps d as given, one element over gens per generator; the
-    computations read images, the same d as packed terms."""
+    images is d as packed terms, the one form the model keeps; diff is a
+    view of it as elements, built on first read."""
 
     def __init__(
         self,
         gens: GenSet,
-        diff: Optional[dict[str, AlgElement]] = None,
+        diff: Optional[Mapping[str, AlgElement]] = None,
         bound: Optional[int] = None,
         name: Optional[str] = None,
     ):
-        self.gens = gens
-        self.diff: dict[str, AlgElement] = {}
-        for gname, val in (diff or {}).items():
-            gens.get(gname)  # raises UnknownGenerator
-            if val.gens != gens:  # its exponents index its own set: over gens they name others
-                raise GeneratorSetMismatch(f"d({gname}) is given over {val.gens!r}, not {gens!r}")
-            if not val.is_zero():
-                self.diff[gname] = val
-        self.bound = bound
-        self.name = name
+        self.gens, self.images, self.bound, self.name = gens, _pack(gens, diff or {}), bound, name
         self.validate()
+
+    @classmethod
+    def _packed(cls, gens: GenSet, images: dict, bound: Optional[int], name: Optional[str]):
+        """The model of d already packed over gens, from terms that were
+        checked when they were packed: only d.d = 0 is checked."""
+        m = cls.__new__(cls)
+        m.gens, m.images, m.bound, m.name = gens, images, bound, name
+        m.validate()
+        return m
 
     # a space is its own fibre and total, as a RelativeModel has both
     fiber = total = property(lambda self: self)
 
     @cached_property
-    def images(self) -> dict[int, tuple]:
-        """d as packed terms: for each generator g with d(g) != 0, its index
-        -> ((key, coeff), ...), an integral coefficient an int, so that the
-        matrices of an integral d hold ints.  Built once, on first use, which
-        validate makes after the degree check."""
-        pack = self.gens.pack
-        return {
-            self.gens.by_name[gname].index: tuple(
-                (pack(m.exponents), int(c) if c.denominator == 1 else c) for m, c in v.terms.items()
-            )
-            for gname, v in self.diff.items()
-        }
+    def diff(self) -> Mapping[str, AlgElement]:
+        """d as one element over gens per generator with d(g) != 0, unpacked
+        from images on first read, for printing and callers outside the
+        package; read-only."""
+        gens = self.gens
+        return MappingProxyType({
+            gens[i].name: AlgElement(gens, {gens.unpack(key): c for key, c in terms})
+            for i, terms in self.images.items()
+        })
 
     @cached_property
     def operator(self) -> tuple:
         """d compiled for the Leibniz kernel (_compile), on first use, once per model."""
         return _compile(self.gens, self.images, 1)
 
-    # --- differential -------------------------------------------------
-
-    def diff_of(self, name: str) -> AlgElement:
-        self.gens.get(name)
-        return self.diff.get(name, AlgElement.zero(self.gens))
-
     # --- validation ---------------------------------------------------
 
     def validate(self):
-        for gname, val in self.diff.items():
-            g = self.gens.get(gname)
-            deg = val.degree()
-            if deg is MIXED or (deg is not None and deg != g.degree + 1):
-                raise DegreeMismatch(
-                    f"d({gname}) must be homogeneous of degree {g.degree + 1}, "
-                    f"got degree {deg if deg is not MIXED else 'mixed'}"
-                )
         images, gens = self.images, self.gens
         held = sum(gens._packing.bits[i] for i in images)  # the fields of generators with images
         for g in gens:  # declaration order: the first failure is reported
@@ -132,11 +116,8 @@ class SullivanModel:
     @property
     def is_minimal(self) -> bool:
         """True when no differential has a linear (single-generator) part."""
-        for val in self.diff.values():
-            for mono in val.terms:
-                if len(mono.exponents) == 1 and mono.exponents[0][1] == 1:
-                    return False
-        return True
+        linear = {1 << s for s in self.gens._packing.shift}  # the key of each generator
+        return not any(key in linear for terms in self.images.values() for key, _ in terms)
 
     # --- degrees ------------------------------------------------------
 
@@ -156,6 +137,31 @@ class SullivanModel:
         return f"SullivanModel({self.gens!r}, name={self.name!r})"
 
 
+def _pack(gens: GenSet, diff: Mapping[str, AlgElement]) -> dict[int, tuple]:
+    """d given as elements, packed over gens: {index: ((key, coeff), ...)}
+    for each generator with d(g) != 0, an integral coefficient an int, so
+    that the matrices of an integral d hold ints.  The one reader of given
+    elements: each must name a generator, be over gens and be homogeneous of
+    degree |g| + 1."""
+    out = {}
+    for gname, val in diff.items():
+        g = gens.get(gname)  # raises UnknownGenerator
+        if val.gens != gens:  # its exponents index its own set: over gens they name others
+            raise GeneratorSetMismatch(f"d({gname}) is given over {val.gens!r}, not {gens!r}")
+        deg = val.degree()
+        if deg is MIXED or (deg is not None and deg != g.degree + 1):
+            raise DegreeMismatch(
+                f"d({gname}) must be homogeneous of degree {g.degree + 1}, "
+                f"got degree {deg if deg is not MIXED else 'mixed'}"
+            )
+        if val.terms:
+            out[g.index] = tuple(
+                (gens.pack(m.exponents), int(c) if c.denominator == 1 else c)
+                for m, c in val.terms.items()
+            )
+    return out
+
+
 class RelativeModel:
     """A Koszul-Sullivan model Lambda V -> Lambda V (x) Lambda W -> Lambda W."""
 
@@ -163,79 +169,73 @@ class RelativeModel:
         self,
         base: SullivanModel,
         fiber_gens: GenSet,
-        total_diff: dict[str, AlgElement],
-        fiber_diff: Optional[dict[str, AlgElement]] = None,
+        total_diff: Mapping[str, AlgElement],
+        fiber_diff: Optional[Mapping[str, AlgElement]] = None,
         name: Optional[str] = None,
         bound: Optional[int] = None,
     ):
-        self.base = base
-        self.name = name
-        self.base_size = len(base.gens)
         # the base generators, then the fiber's; D given over a set of this
         # layout lends it to the total, so that fibrations built over one set
         # share it and its degree bases
-        layout = [(g.name, g.degree) for g in (*base.gens, *fiber_gens)]
-        total_gens = next(
-            (v.gens for v in total_diff.values() if [(g.name, g.degree) for g in v.gens] == layout),
-            None,
-        )
-        if total_gens is None:
-            total_gens = GenSet(layout)
-        if bound is None:
-            bound = base.bound
-        elif base.bound is not None:
-            bound = min(bound, base.bound)
-        # total differential: base generators keep the base differential,
-        # unchanged because they lead the total set
-        tdiff = {n: AlgElement(total_gens, v.terms) for n, v in base.diff.items()}
-        for gname, val in total_diff.items():
+        layout = GenSet([(g.name, g.degree) for g in (*base.gens, *fiber_gens)])
+        total_gens = next((v.gens for v in total_diff.values() if v.gens == layout), layout)
+        for gname in total_diff:
             if gname in base.gens.by_name:
                 raise BaseDiffViolated(
                     f"total differential may only be given on fiber generators, not {gname}"
                 )
             fiber_gens.get(gname)
-            if val.gens != total_gens:
-                val = _reexpress(val, total_gens)
-            tdiff[gname] = val
-        # fiber differential = base-killing projection of D
-        proj_diff = {
-            g.name: AlgElement(fiber_gens, self._fiber_terms(tdiff[g.name]))
-            for g in fiber_gens
-            if g.name in tdiff
-        }
-        if fiber_diff is not None:
+        images = _pack(total_gens, total_diff)
+        declared = None if fiber_diff is None else _pack(fiber_gens, fiber_diff)
+        self._assemble(base, fiber_gens, total_gens, images, name, bound, declared)
+
+    def _assemble(self, base, fiber_gens, total_gens, images, name, bound, declared=None):
+        """Build the fibre, then the total, from D packed over total_gens (the
+        base's generators, then fiber_gens), so that a fibre violation is
+        reported before the total's; returns self.  images may leave out the
+        base's d, which is laid out in the total set here.  declared, a fibre
+        d packed over fiber_gens, must equal the projection of D."""
+        self.base, self.name, self.base_size = base, name, len(base.gens)
+        if bound is None:
+            bound = base.bound
+        elif base.bound is not None:
+            bound = min(bound, base.bound)
+        # fiber differential = base-killing projection of D, key by key
+        proj, k = {}, self.base_size
+        for i, terms in images.items():
+            keys = total_gens.move([key for key, _ in terms], fiber_gens) if i >= k else ()
+            kept = tuple((key, c) for key, (_, c) in zip(keys, terms) if key is not None)
+            if kept:
+                proj[i - k] = kept
+        if declared is not None:
             for g in fiber_gens:
-                declared = fiber_diff.get(g.name, AlgElement.zero(fiber_gens))
-                if declared != proj_diff.get(g.name, AlgElement.zero(fiber_gens)):
+                if dict(declared.get(g.index, ())) != dict(proj.get(g.index, ())):
                     raise BaseDiffViolated(
                         f"declared fiber differential of {g.name} disagrees with "
                         "the base-killing projection of D"
                     )
         try:
-            self.fiber = SullivanModel(fiber_gens, proj_diff, bound=bound, name=name)
+            self.fiber = SullivanModel._packed(fiber_gens, proj, bound, name)
         except NotClosed as exc:
             raise BaseDiffViolated(
                 f"projected fiber differential does not square to zero: {exc}"
             ) from exc
-        # last, so that a fiber violation is reported before the total's
-        self.total = SullivanModel(total_gens, tdiff, bound=bound, name=name)
+        if base.images:
+            # the base's keys in the total set: its odd bits keep their place,
+            # and its even fields move up past the fibre's odd bits
+            below, above = base.gens._packing.odd, total_gens._packing.odd.bit_length()
+            lead = below.bit_length()
+            lifted = {
+                i: tuple((key & below | key >> lead << above, c) for key, c in terms)
+                for i, terms in base.images.items()
+            }
+            images = {**lifted, **images}
+        self.total = SullivanModel._packed(total_gens, images, bound, name)
+        return self
 
     @property
     def bound(self) -> Optional[int]:
         return self.total.bound
-
-    # --- moving elements between the three algebras -------------------
-
-    def fiber_exponents(self, e: tuple) -> Optional[tuple]:
-        """p_V on one total exponent tuple: None when it holds a base generator."""
-        k = self.base_size
-        # sorted by generator index, and the base generators lead
-        return None if e and e[0][0] < k else tuple((i - k, x) for i, x in e)
-
-    def _fiber_terms(self, el: AlgElement) -> dict[Monomial, Fraction]:
-        """The terms of p_V(el), in fiber monomials."""
-        terms = ((self.fiber_exponents(m.exponents), c) for m, c in el.terms.items())
-        return {Monomial(e): c for e, c in terms if e is not None}
 
     def serialize(self) -> str:
         lines = [
@@ -247,10 +247,8 @@ class RelativeModel:
             *_section_lines(self.fiber, self.bound if self.bound != self.base.bound else None),
             "[total]",
         ]
-        for g in self.fiber.gens:
-            dv = self.total.diff_of(g.name)
-            if not dv.is_zero():
-                lines.append(f"D {g.name} = {dv.format()}")
+        diff = self.total.diff
+        lines += [f"D {g.name} = {diff[g.name].format()}" for g in self.fiber.gens if g.name in diff]
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
@@ -265,9 +263,23 @@ def trivial_fibration(
     fiber: SullivanModel, base: SullivanModel, name: Optional[str] = None
 ) -> RelativeModel:
     """The product fibration: D = d_W, no base terms in any D(w)."""
-    return RelativeModel(
-        base, fiber.gens, fiber.diff, fiber_diff=fiber.diff, name=name, bound=fiber.bound
-    )
+    return _product(fiber, base, fiber.bound, name)
+
+
+def _product(fiber: SullivanModel, base: SullivanModel, bound, name=None) -> RelativeModel:
+    """The product fibration at bound, over a new set of the base's
+    generators then the fibre's: D is d_W, its keys moved into that set."""
+    gens, k = GenSet([(g.name, g.degree) for g in (*base.gens, *fiber.gens)]), len(base.gens)
+    images = {
+        i + k: tuple(zip(fiber.gens.move([key for key, _ in terms], gens), [c for _, c in terms]))
+        for i, terms in fiber.images.items()
+    }
+    return _relative(base, fiber.gens, gens, images, name, bound)
+
+
+def _relative(*args) -> RelativeModel:
+    """The RelativeModel of D packed from checked terms (RelativeModel._assemble)."""
+    return RelativeModel.__new__(RelativeModel)._assemble(*args)
 
 
 def _section_lines(m: SullivanModel, bound: Optional[int]) -> list[str]:
@@ -275,21 +287,6 @@ def _section_lines(m: SullivanModel, bound: Optional[int]) -> list[str]:
     lines = [f"gen {g.name} {g.degree}" for g in m.gens]
     lines += [f"d {g.name} = {m.diff[g.name].format()}" for g in m.gens if g.name in m.diff]
     return lines + ([] if bound is None else [f"bound {bound}"])
-
-
-def _reexpress(el: AlgElement, target: GenSet) -> AlgElement:
-    """Map an element into a generator set containing the same names."""
-    out = {}
-    for m, c in el.terms.items():
-        new = []
-        for i, e in m.exponents:
-            g = el.gens[i]
-            tg = target.get(g.name)
-            if tg.degree != g.degree:
-                raise DegreeMismatch(f"generator {g.name} changes degree")
-            new.append((tg.index, e))
-        out[Monomial(tuple(sorted(new)))] = c
-    return AlgElement(target, out)
 
 
 # ----------------------------------------------------------------------
@@ -526,6 +523,10 @@ _HEADER_RE = re.compile(
 def _format_name(name: str) -> str:
     if re.fullmatch(r"[A-Za-z0-9_.'-]+", name):
         return name
+    # '#' starts a comment even inside quotes, and a line break ends the header
+    bad = next((c for c in name if c in '#"' or c.splitlines() != [c]), None)
+    if bad is not None:
+        raise ModelSyntaxError(f"the name {name!r} holds {bad!r}, which a section header cannot")
     return f'"{name}"'
 
 

@@ -33,10 +33,17 @@ from rht.errors import GeneratorSetMismatch, RhtError
 from rht.invariants import LesNodeReport, LesReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
+CP3 = Path(__file__).parent.parent / "perfbench" / "cp3.smf"
 
 
 def load(name: str):
     return parse_document((FIXTURES / name).read_text())
+
+
+def fixture_models():
+    """Every model of every well-formed fixture file, and cp3.smf."""
+    paths = [p for p in sorted(FIXTURES.glob("*.smf")) if p.name != "bad-degree.smf"]
+    return [m for p in paths + [CP3] for m in parse_document(p.read_text())]
 
 
 def fixture_texts() -> list[str]:
@@ -183,6 +190,12 @@ def oracle_operator(gens: GenSet, values: dict, parity: int, element: AlgElement
 
 def as_dict(el: AlgElement) -> dict:
     return dict(el.terms)
+
+
+def diff_of(model: SullivanModel, name: str) -> AlgElement:
+    """d(name) as an element of model's diff view, zero when d(name) = 0."""
+    model.gens.get(name)
+    return model.diff.get(name, AlgElement.zero(model.gens))
 
 
 class Derivation(NamedTuple):
@@ -513,3 +526,18 @@ def flag_manifold(n: int) -> SullivanModel:
     for v in [*xs, last]:
         e = [e[0]] + [e[i] + v * e[i - 1] for i in range(1, len(e))] + [v * e[-1]]
     return SullivanModel(gens, {f"y{i}": e[i] for i in range(2, n + 1)}, name=f"Fl({n})")
+
+
+def scaling_family(k, connected=False):
+    """ex47's fibre over t1..tk in degree 2, twisted by D w4 = w1*w2*t1^3 + t1^9.
+
+    The connected variant adds + t2^9 + ... + tk^9 to D w4.
+    """
+    base = "".join(f"gen t{i} 2\n" for i in range(1, k + 1))
+    more = "".join(f" + t{i}^9" for i in range(2, k + 1)) if connected else ""
+    text = (
+        f"[fibration scale-{k}]\n[base]\n{base}[fiber]\n"
+        "gen u 2\ngen w1 3\ngen w2 9\ngen w3 11\ngen w4 17\nd w3 = u^6\n"
+        f"[total]\nD w3 = u^6\nD w4 = w1*w2*t1^3 + t1^9{more}\n"
+    )
+    return parse_document(text)[0]

@@ -39,6 +39,7 @@ from rht.invariants import top_shift
 from rht.model import parse_document, trivial_fibration
 
 from conftest import (
+    diff_of,
     evaluation_matrix,
     fixture_texts,
     image_by_projection,
@@ -216,7 +217,7 @@ def brute_force(fiber, base, coeff_set, most=300):
         return None
     out = []
     for assignment in itertools.product(coeffs, repeat=len(slots)):
-        diff = {w.name: trivial.total.diff_of(w.name) for w in fiber.gens}
+        diff = {w.name: diff_of(trivial.total, w.name) for w in fiber.gens}
         added = []
         for (name, mono), c in zip(slots, assignment):
             if c:
@@ -268,13 +269,13 @@ def test_enumeration_builds_only_closed_candidates(monkeypatch, built_key_lists)
     closed = len(enumerate_fibrations(fiber, base).entries)
     built, bases = [], built_key_lists
     bases.clear()  # count the gated enumeration's key lists alone
-    real_init = rht.model.RelativeModel.__init__
+    real_assemble = rht.model.RelativeModel._assemble  # every RelativeModel, given or packed
 
-    def counting_init(self, *args, **kwargs):
+    def counting_assemble(self, *args, **kwargs):
         built.append(self)
-        real_init(self, *args, **kwargs)
+        return real_assemble(self, *args, **kwargs)
 
-    monkeypatch.setattr(rht.model.RelativeModel, "__init__", counting_init)
+    monkeypatch.setattr(rht.model.RelativeModel, "_assemble", counting_assemble)
     cat = enumerate_fibrations(fiber, base, require_finite=True)
     cat.realized_subspaces()
     # the trivial fibration alone: a closed candidate stays its vector
@@ -378,11 +379,12 @@ def benchmark_enumerations():
 
 
 def test_validation_and_brackets_unpack_no_key(monkeypatch):
-    # the model packs d once and reads only keys after: no key is unpacked
-    # while every fixture and the totals of E1-E3 are validated, nor while
-    # every fixture's boundaries are bracketed in each scope
-    texts = fixture_texts()
-    totals = [entry.total for cat in benchmark_enumerations() for _, entry in cat.entries]
+    # a model packs the d it is given once and reads only keys after: no key
+    # is unpacked while every fixture is parsed, its fibrations included,
+    # while the entries of E1-E3 are built from packed terms and their
+    # totals validated again, nor while every fixture's boundaries are
+    # bracketed in each scope
+    texts, enumerations = fixture_texts(), benchmark_enumerations()  # ids print their slots
     unpacked, real = [], GenSet.unpack
 
     def counting(gens, key):
@@ -391,8 +393,9 @@ def test_validation_and_brackets_unpack_no_key(monkeypatch):
 
     monkeypatch.setattr(GenSet, "unpack", counting)
     documents = [parse_document(text) for text in texts]
+    totals = [entry.total for cat in enumerations for _, entry in cat.entries]
     for t in totals:
-        SullivanModel(t.gens, t.diff, bound=t.bound, name=t.name)
+        t.validate()
     brackets = 0
     for m in (m for models in documents for m in models):
         for scope in (ABSOLUTE, RELATIVE, IDEAL) if isinstance(m, RelativeModel) else (ABSOLUTE,):
@@ -400,6 +403,7 @@ def test_validation_and_brackets_unpack_no_key(monkeypatch):
             for n in range(1, top_shift(m) + 2):
                 brackets += cx.boundary(n).cols
     assert len(totals) > 50 and len(spaces_of(m for models in documents for m in models)) > 30
+    assert sum(isinstance(m, RelativeModel) for models in documents for m in models) > 5
     assert brackets > 1000 and not unpacked
 
 

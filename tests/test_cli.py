@@ -344,21 +344,23 @@ def test_enumerate_single_node(capsys):
 
 def test_enumerate_builds_no_relative_model_per_candidate(capsys, monkeypatch):
     # E1 of the benchmark: each of the 58 closed candidates stays a vector
-    # of slot coefficients; only its total space is built, whose constructor
-    # checks D.D = 0, and the 42 finite ones are realized without an entry
+    # of slot coefficients; only its total space is built, whose validation
+    # checks D.D = 0, and the 42 finite ones are realized without an entry;
+    # every model, given or packed, is assembled (a RelativeModel) or
+    # validated (a SullivanModel) once
     relative, totals = [], Counter()
-    real_relative, real_space = RelativeModel.__init__, rht.model.SullivanModel.__init__
+    real_relative, real_space = RelativeModel._assemble, rht.model.SullivanModel.validate
 
     def counting_relative(self, *args, **kwargs):
         relative.append(self)
-        real_relative(self, *args, **kwargs)
+        return real_relative(self, *args, **kwargs)
 
-    def counting_space(self, gens, *args, **kwargs):
-        totals[len(gens)] += 1
-        real_space(self, gens, *args, **kwargs)
+    def counting_space(self):
+        totals[len(self.gens)] += 1
+        real_space(self)
 
-    monkeypatch.setattr(RelativeModel, "__init__", counting_relative)
-    monkeypatch.setattr(rht.model.SullivanModel, "__init__", counting_space)
+    monkeypatch.setattr(RelativeModel, "_assemble", counting_relative)
+    monkeypatch.setattr(rht.model.SullivanModel, "validate", counting_space)
     code, _, err = run(
         capsys, "enumerate", fx("fiber-3-5-9-17.smf"), fx("base-qt.smf"),
         "--coeffs", "0,1", "--json", "--require-finite",
@@ -367,6 +369,30 @@ def test_enumerate_builds_no_relative_model_per_candidate(capsys, monkeypatch):
     assert len(relative) <= 1  # the trivial fibration's own
     # the trivial fibration's total, then one per closed candidate
     assert totals[5] == 1 + 58, totals
+
+
+def test_enumerate_builds_as_many_elements_at_any_coefficients(capsys, monkeypatch):
+    # E1 of the benchmark twists packed terms: the elements built are the
+    # parser's alone, as many at 0,1 (2^8 candidates) as at 0,1,-1 (3^8);
+    # building each candidate's D as elements made 249 and 3,060
+    built = []
+    real = rht.AlgElement.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(rht.AlgElement, "__init__", counting)
+    counts = {}
+    for coeffs in ("0,1", "0,1,-1"):
+        built.clear()
+        code, _, err = run(
+            capsys, "enumerate", fx("fiber-3-5-9-17.smf"), fx("base-qt.smf"),
+            "--coeffs", coeffs, "--json", "--require-finite",
+        )
+        assert code == 0 and err.endswith("fibration(s) kept\n"), err
+        counts[coeffs] = len(built)
+    assert counts["0,1"] == counts["0,1,-1"], counts
 
 
 def test_enumerate_windows_each_model_once(capsys, monkeypatch):

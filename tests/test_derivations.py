@@ -15,6 +15,7 @@ from conftest import (
     apply_derivation,
     as_dict,
     derivation_of,
+    diff_of,
     differential,
     evaluation_matrix,
     labels,
@@ -162,7 +163,7 @@ def oracle_boundary_column(cx, n, j):
         value = {}
         if gv.index == w.index:
             value = oracle_operator(gens, d_values, 1, AlgElement.monomial(gens, mono))
-        for m, c in oracle_operator(gens, theta, n, model.diff_of(g.name)).items():
+        for m, c in oracle_operator(gens, theta, n, diff_of(model, g.name)).items():
             value[m] = value.get(m, 0) - (-1) ** n * c
         for m, c in value.items():
             if c:

@@ -57,25 +57,20 @@ from rht.invariants import _pure_quotient_vanishes, top_shift
 from rht.model import formal_dimension_estimate, parse_expression
 
 from conftest import (
+    CP3,
     FIXTURES,
+    fixture_models,
     image_by_projection,
     les_by_coordinates,
     load,
     random_fibration,
     random_pure_elliptic,
     random_space,
+    scaling_family,
 )
-
-CP3 = Path(__file__).parent.parent / "perfbench" / "cp3.smf"
 
 # random fibrations the inclusion and product tests read at seed 11
 INCLUSION_DRAWS = 40
-
-
-def fixture_models():
-    """Every model of every well-formed fixture file, and cp3.smf."""
-    paths = [p for p in sorted(FIXTURES.glob("*.smf")) if p.name != "bad-degree.smf"]
-    return [m for p in paths + [CP3] for m in parse_document(p.read_text())]
 
 
 def total_of(m):
@@ -609,21 +604,6 @@ def test_finiteness_window(su4_fixtures):
     trivial = finiteness_window(su4_fixtures["su4-trivial"], 6)
     assert not trivial.finite and trivial[0] is trivial.finite
     assert trivial.fd < trivial.top_nonzero <= trivial.fd + 6
-
-
-def scaling_family(k, connected=False):
-    """ex47's fibre over t1..tk in degree 2, twisted by D w4 = w1*w2*t1^3 + t1^9.
-
-    The connected variant adds + t2^9 + ... + tk^9 to D w4.
-    """
-    base = "".join(f"gen t{i} 2\n" for i in range(1, k + 1))
-    more = "".join(f" + t{i}^9" for i in range(2, k + 1)) if connected else ""
-    text = (
-        f"[fibration scale-{k}]\n[base]\n{base}[fiber]\n"
-        "gen u 2\ngen w1 3\ngen w2 9\ngen w3 11\ngen w4 17\nd w3 = u^6\n"
-        f"[total]\nD w3 = u^6\nD w4 = w1*w2*t1^3 + t1^9{more}\n"
-    )
-    return parse_document(text)[0]
 
 
 def test_scaling_family_k3_is_refuted_at_bound():

@@ -26,6 +26,7 @@ from rht.model import Cochains, formal_dimension_estimate, parse_document
 
 from conftest import (
     apply_images,
+    diff_of,
     fixture_texts,
     load,
     monomial_images,
@@ -159,7 +160,7 @@ def twists(f: RelativeModel) -> list[dict]:
     return [
         {gens.get(w.name).index: ((mono.exponents, 1),)}
         for w in f.fiber.gens
-        for mono in f.total.diff_of(w.name).terms
+        for mono in diff_of(f.total, w.name).terms
         if any(gens[i].name in base for i, _ in mono.exponents)
     ]
 

@@ -21,7 +21,7 @@ from rht import (
 from rht.algebra import normalize_word
 from rht.invariants import top_shift
 
-from conftest import random_fibration, random_space
+from conftest import diff_of, random_fibration, random_space
 
 
 def random_models(seed, count):
@@ -66,7 +66,7 @@ def renamed(m, prefix, rng=None):
     head = [] if base is None else [(g.name, g.degree) for g in base.gens]
     gens = GenSet(head + new)
     diff = {
-        gens[position[g.index]].name: relabel(total.diff_of(g.name), gens, position)
+        gens[position[g.index]].name: relabel(diff_of(total, g.name), gens, position)
         for g in total.gens[k:]
     }
     if base is None:

@@ -1,7 +1,9 @@
 """Model construction, parsing, serialization, cohomology."""
 
 import random
+import re
 import time
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -43,10 +45,13 @@ from conftest import (
     as_dict,
     cochain_text,
     derivation_text,
+    diff_of,
     differential,
+    fixture_texts,
     load,
     oracle_operator,
     random_fibration,
+    random_pure_elliptic,
     random_space,
 )
 
@@ -112,6 +117,68 @@ def test_minimal_and_pure_flags():
     assert not contractible.is_minimal
 
 
+def test_diff_is_a_view_of_the_given_d_and_is_minimal_reads_keys(monkeypatch):
+    # the packed images are the one form a model keeps: on every fixture
+    # model and on 20 draws each of random_space, random_fibration and
+    # random_pure_elliptic, the diff built from them equals the d each
+    # constructor was given, a fibre's d is D with the terms that hold a base
+    # generator dropped, and is_minimal agrees with a reading of the elements
+    given = []  # (model, its d or D as given, a declared fibre d or None)
+    real_space, real_relative = SullivanModel.__init__, RelativeModel.__init__
+
+    def space(self, gens, diff=None, *args, **kwargs):
+        real_space(self, gens, diff, *args, **kwargs)
+        given.append((self, dict(diff or {}), None))
+
+    def relative(self, base, fiber_gens, total_diff, fiber_diff=None, *args, **kwargs):
+        real_relative(self, base, fiber_gens, total_diff, fiber_diff, *args, **kwargs)
+        given.append((self, dict(total_diff), fiber_diff))
+
+    monkeypatch.setattr(SullivanModel, "__init__", space)
+    monkeypatch.setattr(RelativeModel, "__init__", relative)
+    for text in fixture_texts():
+        parse_document(text)
+    rng = random.Random(42)
+    for _ in range(20):
+        random_space(rng), random_fibration(rng), random_pure_elliptic(rng)
+    gens = GenSet([("y", 3), ("x", 4)])
+    SullivanModel(gens, {"y": AlgElement.gen(gens, "x")})  # d y = x is linear
+    minimal = Counter()
+    for m, d, declared in given:
+        nonzero = {name: v for name, v in d.items() if not v.is_zero()}
+        if isinstance(m, SullivanModel):
+            assert m.diff == nonzero, m.serialize()
+            spaces = [m]
+        else:
+            k, total = m.base_size, m.total.gens
+            base = {name: AlgElement(total, v.terms) for name, v in m.base.diff.items()}  # base leads
+            assert m.total.diff == {**base, **nonzero}, m.serialize()
+            projection = {}
+            for name, v in nonzero.items():
+                kept = {
+                    Monomial(tuple((i - k, e) for i, e in mono.exponents)): c
+                    for mono, c in v.terms.items()
+                    if all(i >= k for i, _ in mono.exponents)
+                }
+                if kept:
+                    projection[name] = AlgElement(m.fiber.gens, kept)
+            assert m.fiber.diff == projection, m.serialize()
+            if declared is not None:
+                assert m.fiber.diff == {name: v for name, v in declared.items() if not v.is_zero()}
+            spaces = [m.fiber, m.total]
+        for s in spaces:
+            linear = any(
+                len(mono.exponents) == 1 and mono.exponents[0][1] == 1
+                for v in s.diff.values()
+                for mono in v.terms
+            )
+            assert s.is_minimal is not linear, s.serialize()
+            minimal[s.is_minimal] += 1
+    assert not given[-1][0].is_minimal and minimal[False] >= 2 and minimal[True] > 100, minimal
+    with pytest.raises(TypeError):
+        given[-1][0].diff["x"] = AlgElement.zero(gens)  # the view is read-only
+
+
 def test_bound_enforced():
     m = parse_model("[space b]\ngen x 3\nbound 5\n")
     m.check_bound(5)
@@ -130,28 +197,31 @@ def test_d_extends_by_leibniz():
 
 
 def test_d_applies_the_images_built_with_the_model(monkeypatch):
-    # each model packs its differential into images once, one key per term;
-    # validation applies them without packing again, and d of each D(w),
-    # applied through them, is zero
+    # each given term is packed once, into the images of the model it is
+    # given to: the base's d, D and a declared fibre d; the fibre's and the
+    # total's images are moved from those keys, validation (once per model)
+    # applies them without packing again, and d of each D(w), applied
+    # through them, is zero
     packs, models = [], []
-    real_pack, real_init = GenSet.pack, SullivanModel.__init__
+    real_pack, real_validate = GenSet.pack, SullivanModel.validate
 
     def counting_pack(gens, exponents):
         packs.append(gens)
         return real_pack(gens, exponents)
 
-    def counting_init(self, *args, **kwargs):
+    def counting_validate(self):
         models.append(self)
-        real_init(self, *args, **kwargs)
+        real_validate(self)
 
     monkeypatch.setattr(GenSet, "pack", counting_pack)
-    monkeypatch.setattr(SullivanModel, "__init__", counting_init)
+    monkeypatch.setattr(SullivanModel, "validate", counting_validate)
     fibrations = load("ex47.smf") + load("su5-bundle.smf")
     assert len(models) == 3 * len(fibrations)  # base, fiber and total of each
-    assert len(packs) == sum(len(v.terms) for m in models for v in m.diff.values()) > 0
+    # the totals hold the base's d and D; ex47's fibrations each declare d w3 = u^6
+    assert len(packs) == sum(len(t) for f in fibrations for t in f.total.images.values()) + 3 > 3
     for f in fibrations:
         for w in f.fiber.gens:
-            assert differential(f.total, f.total.diff_of(w.name)).is_zero()
+            assert differential(f.total, diff_of(f.total, w.name)).is_zero()
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +230,7 @@ def test_d_applies_the_images_built_with_the_model(monkeypatch):
 
 def test_relative_projection_and_consistency(ex44):
     # D w4 = w1*w2*v1 + w3^2 projects to d w4 = w3^2 on the fiber
-    dw4 = ex44.fiber.diff_of("w4")
+    dw4 = diff_of(ex44.fiber, "w4")
     w3 = AlgElement.gen(ex44.fiber.gens, "w3")
     assert dw4 == w3 * w3
     assert ex44.base.gens.by_name["v1"].degree == 2
@@ -188,6 +258,25 @@ D x = t^4
 """
     with pytest.raises(BaseDiffViolated):
         parse_fibration(text)
+
+
+def test_relative_refuses_a_differential_over_another_generator_set():
+    # a declared fibre d equal to the projection of D, but built over the
+    # reordered set (u, x), is refused as SullivanModel refuses one, not
+    # reported as disagreeing with D; so is a D over the fibre's own set
+    base = SullivanModel(GenSet([("t", 2)]), {})
+    fiber_gens, total = GenSet([("x", 3), ("u", 2)]), GenSet([("t", 2), ("x", 3), ("u", 2)])
+    u, t = AlgElement.gen(total, "u"), AlgElement.gen(total, "t")
+    D = {"x": u * u + t * t}
+    reordered = AlgElement.gen(GenSet([("u", 2), ("x", 3)]), "u")
+    with pytest.raises(GeneratorSetMismatch, match=r"^d\(x\) is given over GenSet\(u:2, x:3\), not GenSet\(x:3, u:2\)"):
+        RelativeModel(base, fiber_gens, D, fiber_diff={"x": reordered * reordered})
+    same = AlgElement.gen(fiber_gens, "u")
+    with pytest.raises(GeneratorSetMismatch, match=r"^d\(x\) is given over GenSet\(x:3, u:2\)"):
+        RelativeModel(base, fiber_gens, {"x": same * same})
+    # the same declared d over the fibre's own set is read as given
+    f = RelativeModel(base, fiber_gens, D, fiber_diff={"x": same * same})
+    assert f.fiber.diff == {"x": same * same} and f.total.diff == D
 
 
 def test_relative_total_closure_checked():
@@ -272,25 +361,22 @@ def test_trivial_fibration_structure(su5):
     assert triv.fiber.gens == su5.gens
     assert triv.fiber.diff == su5.diff
     for g in su5.gens:
-        assert triv.total.diff_of(g.name).is_zero()
+        assert diff_of(triv.total, g.name).is_zero()
 
 
 def test_embed_and_project(su5_bundle):
-    # GenSet.move embeds a fiber key in the total set and is p_V on a total
-    # one; fiber_exponents is p_V on a total exponent tuple
+    # GenSet.move embeds a fiber key in the total set and is p_V on a total one
     f = su5_bundle
     fiber, total = f.fiber.gens, f.total.gens
     v1 = ((fiber.get("v1").index, 1),)
     [up] = fiber.move([fiber.pack(v1)], total)
     assert total.unpack(up).degree(total) == 3 and total.unpack(up).format(total) == "v1"
     assert total.move([up], fiber) == [fiber.pack(v1)] and not up & total.mask(f.base_size)
-    assert f.fiber_exponents(total.unpack(up).exponents) == v1
     # base generators lead the total set
     t1 = Monomial(((f.base.gens.get("t1").index, 1),))
     assert t1.format(total) == "t1" and total.unpack(total.pack(t1.exponents)) == t1
     assert total.pack(t1.exponents) & total.mask(f.base_size)
     assert total.move([total.pack(t1.exponents)], fiber) == [None]
-    assert f.fiber_exponents(t1.exponents) is None
 
 
 # ----------------------------------------------------------------------
@@ -368,6 +454,16 @@ def test_serialize_round_trip(su5, su5_bundle, ex44):
         text = model.serialize()
         again = parse_document(text)[0]
         assert again.serialize() == text
+    # a name the header cannot hold is refused, naming the character; any
+    # other is written quoted and read back
+    for name, bad in (("a#b", "'#'"), ('a"b', "'\"'"), ("a\nb", "'\\n'"), ("a\u2028b", "'\\u2028'")):
+        for model in (SullivanModel(su5.gens, su5.diff, name=name), parse_fibration(su5_bundle.serialize())):
+            model.name = name
+            with pytest.raises(ModelSyntaxError, match=f"holds {re.escape(bad)}, which a section header"):
+                model.serialize()
+    for name in ("a b", "a'b [x]", "π", "model"):
+        again = parse_document(SullivanModel(su5.gens, su5.diff, name=name).serialize())[0]
+        assert again.name == name
 
 
 def test_serialize_round_trip_fixture_files():

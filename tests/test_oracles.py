@@ -3,11 +3,18 @@
 import math
 import random
 
-from rht import Cochains, GenSet, SullivanModel, gottlieb, parse_model
-from rht.invariants import _pure_quotient_vanishes
+from rht import Cochains, GenSet, RelativeModel, SullivanModel, gottlieb, parse_model
+from rht.invariants import _pure_quotient_vanishes, finiteness_window, toral_certificate
 from rht.model import formal_dimension_estimate
 
-from conftest import flag_manifold, grassmannian, random_pure_elliptic
+from conftest import (
+    fixture_models,
+    flag_manifold,
+    grassmannian,
+    random_pure_elliptic,
+    scaling_family,
+    spaces_of,
+)
 
 
 def cohomology_dims(m: SullivanModel, top: int) -> list[int]:
@@ -155,4 +162,56 @@ def test_f0_spaces_have_the_poincare_series_of_their_degrees():
         read += 1
         assert cohomology_dims(m, fd + 2) == f0_series(m, fd + 2), m.serialize()
     assert read >= 35 and balanced - read <= 3, (read, balanced)
+
+
+def chi_pi(m: SullivanModel) -> int:
+    """The homotopy Euler characteristic dim V_even - dim V_odd."""
+    return sum(-1 if g.is_odd else 1 for g in m.gens)
+
+
+def test_a_finite_total_has_nonpositive_homotopy_euler_characteristic():
+    # an elliptic space has chi_pi <= 0, and chi(H) > 0 exactly when
+    # chi_pi = 0 (Halperin, Trans. AMS 230, 1977; Felix-Halperin-Thomas, GTM
+    # 205, section 32); read on every space and total that finiteness_window
+    # calls finite among the fixtures, cp3.smf, scaling_family for k <= 4 and
+    # the random pure models the pure quotient certifies at window s; chi(H)
+    # is read through fd on each of them but the random models with more
+    # than 300 cochains in degrees 0..fd, for time
+    named = fixture_models() + [scaling_family(k) for k in range(1, 5)]
+    models = [(m, 6, math.inf) for m in spaces_of(named) if m.bound is None]
+    models += [(m, max(g.degree for g in m.gens if not g.is_odd), 300) for m, _ in certified_pure_models(5)]
+    finite, euler = [], {}  # euler: id of a model -> chi(H)
+    for m, window, most in models:
+        verdict = finiteness_window(m, window)
+        if not verdict.finite:
+            continue
+        finite.append(m)
+        assert chi_pi(m) <= 0, m.serialize()
+        cx = Cochains(m)
+        if sum(len(cx.keys(n)) for n in range(verdict.fd + 1)) <= most:
+            chi = sum((-1) ** n * cx.homology(n).dim for n in range(verdict.fd + 1))
+            assert (chi > 0) == (chi_pi(m) == 0) and chi >= 0, (m.serialize(), chi)
+            euler[id(m)] = chi
+    # su4-torus is the one fixture total with chi_pi = 0, and its H has
+    # dimension 24, all even; each other finite fixture total has chi = 0
+    totals = [f.total for f in named if isinstance(f, RelativeModel) and f.total in finite]
+    assert {f.name: (chi_pi(f), euler[id(f)]) for f in totals if chi_pi(f) == 0} == {"su4-torus": (0, 24)}
+    assert all(euler[id(f)] == 0 for f in totals if f.name != "su4-torus") and len(totals) >= 8
+    assert len(finite) >= 60 and sum(chi > 0 for chi in euler.values()) >= 5, len(finite)
+
+
+def test_a_certified_torus_has_rank_at_most_minus_the_fibre_chi_pi():
+    # a torus T^r acting almost freely on a space F with finite H has
+    # r <= -chi_pi(F) (Allday-Halperin, 1978); toral_certificate's
+    # "certified" claims such an action through the Borel fibration over
+    # BT^r, so its r must respect the bound
+    named = fixture_models() + [scaling_family(k) for k in range(1, 5)]
+    certified = {}
+    for f in named:
+        if isinstance(f, RelativeModel) and all(g.degree == 2 for g in f.base.gens):
+            cert = toral_certificate(f)
+            if cert.verdict == "certified":
+                assert cert.r <= -chi_pi(f.fiber), f.serialize()
+                certified[f.name] = (cert.r, -chi_pi(f.fiber))
+    assert certified["su4-torus"] == (3, 3) and len(certified) >= 6, certified
 
