@@ -26,8 +26,6 @@ from .errors import (
     UnknownGenerator,
 )
 
-MIXED = object()  # sentinel returned by AlgElement.degree() for inhomogeneous elements
-
 # Largest degree basis any computation may build; above it the count alone
 # is reported.  The largest basis of any fixture or benchmark has 331.
 MAX_BASIS = 50_000
@@ -280,38 +278,6 @@ def _exact(c) -> Fraction:
     return Fraction(c)
 
 
-def normalize_word(gens: GenSet, factors: Sequence[tuple[int, int]]):
-    """Sort a sequence of (generator index, exponent) factors into normal form.
-
-    Returns (sign, Monomial) or None when the product is zero (an odd
-    generator appearing with total exponent >= 2).  The sign is the Koszul
-    sign accumulated from transposing odd factors past each other.
-    """
-    total: dict[int, int] = {}
-    odd_positions: list[int] = []
-    for i, e in factors:
-        if e < 0:
-            raise ValueError("negative exponent")
-        if e == 0:
-            continue
-        if i < 0 or i >= len(gens):
-            raise UnknownGenerator(f"generator index {i} out of range")
-        if gens[i].is_odd:
-            if total.get(i, 0) + e >= 2:
-                return None
-            odd_positions.append(i)
-        total[i] = total.get(i, 0) + e
-    # sign = parity of inversions among the odd occurrences, read in input order
-    inv = 0
-    for a in range(len(odd_positions)):
-        for b in range(a + 1, len(odd_positions)):
-            if odd_positions[a] > odd_positions[b]:
-                inv += 1
-    sign = -1 if inv % 2 else 1
-    mono = Monomial(tuple(sorted(total.items())))
-    return sign, mono
-
-
 class AlgElement:
     """A Q-linear combination of normal-form monomials over a fixed GenSet."""
 
@@ -351,15 +317,6 @@ class AlgElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self):
-        """Common degree of all terms, MIXED if they disagree, None if zero."""
-        degs = {m.degree(self.gens) for m in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            return MIXED
-        return degs.pop()
-
     def _check(self, other: "AlgElement"):
         if self.gens != other.gens:
             raise GeneratorSetMismatch("elements over different generator sets")
@@ -392,15 +349,13 @@ class AlgElement:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        out: dict[Monomial, Fraction] = {}
+        gens, out = self.gens, {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                norm = normalize_word(self.gens, ma.exponents + mb.exponents)
-                if norm is None:
-                    continue
-                sign, mono = norm
-                out[mono] = out.get(mono, Fraction(0)) + sign * ca * cb
-        return AlgElement(self.gens, out)
+                sign, key = gens._packing.product(ma.exponents + mb.exponents)
+                if sign:
+                    out[key] = out.get(key, 0) + sign * ca * cb
+        return AlgElement(gens, {gens.unpack(k): c for k, c in out.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgElement):
@@ -411,19 +366,16 @@ class AlgElement:
         return hash((self.gens, frozenset(self.terms.items())))
 
     def __repr__(self):
-        return f"AlgElement({self.format()})"
-
-    def format(self) -> str:
         items = sorted(self.terms.items(), key=lambda mc: mc[0].sort_key(self.gens))
-        return _format_sum(self.gens, items)
+        return f"AlgElement({_format_sum(self.gens, items)})"
 
 
 def _format_sum(gens: GenSet, terms: Iterable[tuple[Monomial, Rational]]) -> str:
     """The text of a sum from its nonzero (monomial, coefficient) terms, in
     the order given; "0" when there is none.  Every sum the package prints
-    is written here: elements, model files and the representatives of
-    cohomology and derivation homology, which give their terms in basis
-    order, the sort_key order within a degree."""
+    is written here: packed terms sorted by _format_terms, and the
+    representatives of cohomology and derivation homology, which give their
+    terms in basis order, the sort_key order within a degree."""
     parts = []
     for m, c in terms:
         mono = m.format(gens)
@@ -436,6 +388,14 @@ def _format_sum(gens: GenSet, terms: Iterable[tuple[Monomial, Rational]]) -> str
         else:
             parts.append(f"{c}*{mono}")
     return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+def _format_terms(gens: GenSet, terms: Iterable[tuple[int, Rational]]) -> str:
+    """The text of a sum of packed terms (key, coefficient) in sort_key
+    order: a d line of a model file, or the d(d(g)) of a NotClosed error."""
+    printed = [(gens.unpack(key), c) for key, c in terms]
+    printed.sort(key=lambda t: t[0].sort_key(gens))
+    return _format_sum(gens, printed)
 
 
 def basis_in_degree(gens: GenSet, n: int) -> list[Monomial]:
@@ -497,6 +457,26 @@ class _Packing:
             if e:
                 out.append((i, e))
         return tuple(out)
+
+    def degree(self, key: int) -> int:
+        return sum((key >> s & f) * g.degree for s, f, g in zip(self.shift, self.field, self.gens))
+
+    def product(self, factors: Iterable[tuple[int, int]], key: int = 0) -> tuple[int, int]:
+        """The packed monomial key times a word of (generator index, positive
+        exponent) factors, as (sign, packed monomial): sign is the Koszul sign
+        of bringing the odd generators into order, or 0 when one of them
+        repeats.  CombinatorialBlowup for an exponent a field cannot hold."""
+        swaps = 0
+        for i, e in factors:
+            s, f = self.shift[i], self.field[i]
+            if f == 1:  # an odd generator, which moves left past those of key above it
+                if e > 1 or key >> s & 1:
+                    return 0, key
+                swaps += ((key & self.odd) >> s).bit_count()
+            elif (key >> s & f) + e > self.limit[i]:
+                self.pack(((i, (key >> s & f) + e),))  # raises, naming the generator
+            key += e << s
+        return -1 if swaps & 1 else 1, key
 
 
 def _compile(gens: GenSet, images: Mapping[int, Sequence], parity: int) -> tuple:

@@ -33,12 +33,12 @@ class Catalog:
         self._entries = None if twists is not None else list(entries)
         self._twists = twists or []  # (id, _Twist, {slot: coefficient}) per entry
         groups: list[_Twist] = []  # one per base and bound
-        seen = set()
+        seen, fiber_d = set(), _d(fiber)
         for key, entry in self._entries or ():
             if key in seen:
                 raise DuplicateId(f"duplicate catalog id {key!r}")
             seen.add(key)
-            if entry.fiber.gens != self.fiber.gens or entry.fiber.diff != self.fiber.diff:
+            if entry.fiber.gens != self.fiber.gens or _d(entry.fiber) != fiber_d:
                 raise FiberMismatch(f"catalog entry {key!r} has a different fiber")
             group = next((g for g in groups if g.holds(entry)), None)
             if group is None:
@@ -66,6 +66,12 @@ class Catalog:
         offenders = [key for key, entry in self.entries if not finiteness_window(entry, window).finite]
         if offenders:
             raise NotFiniteAtBound("total spaces failed the finiteness gate: " + ", ".join(offenders))
+
+
+def _d(m: SullivanModel) -> dict:
+    """m's d as {index: {key: coefficient}}: over one generator set, two
+    models have the same d exactly when these are equal, in any term order."""
+    return {i: dict(terms) for i, terms in m.images.items()}
 
 
 class _Twist:
@@ -98,7 +104,7 @@ class _Twist:
     def holds(self, entry: RelativeModel) -> bool:
         """True when the entry twists T: same base and bound."""
         t = self.trivial
-        same_base = entry.base.gens == t.base.gens and entry.base.diff == t.base.diff
+        same_base = entry.base.gens == t.base.gens and _d(entry.base) == _d(t.base)
         return entry.bound == t.bound and same_base
 
     def read(self, entry: RelativeModel) -> dict:

@@ -31,20 +31,11 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
-from .algebra import (
-    MIXED,
-    AlgElement,
-    GenSet,
-    Monomial,
-    _compile,
-    _format_sum,
-    _sum,
-    _leibniz,
-    normalize_word,
-)
+from .algebra import AlgElement, GenSet, Rational, _compile, _format_sum, _format_terms, _leibniz, _sum
 from .errors import (
     BaseDiffViolated,
     BoundExceeded,
+    CombinatorialBlowup,
     DegreeMismatch,
     GeneratorSetMismatch,
     ModelSyntaxError,
@@ -67,7 +58,8 @@ class SullivanModel:
         bound: Optional[int] = None,
         name: Optional[str] = None,
     ):
-        self.gens, self.images, self.bound, self.name = gens, _pack(gens, diff or {}), bound, name
+        self.gens, self.bound, self.name = gens, bound, name
+        self.images = _pack_elements(gens, diff or {})
         self.validate()
 
     @classmethod
@@ -109,9 +101,7 @@ class SullivanModel:
             if any(key & held for key, _ in terms):
                 dd = _sum(self.operator, terms)
                 if dd:
-                    printed = [(gens.unpack(k), c) for k, c in dd.items()]
-                    printed.sort(key=lambda t: t[0].sort_key(gens))
-                    raise NotClosed(f"d(d({g.name})) = {_format_sum(gens, printed)} != 0")
+                    raise NotClosed(f"d(d({g.name})) = {_format_terms(gens, dd.items())} != 0")
 
     @property
     def is_minimal(self) -> bool:
@@ -137,29 +127,34 @@ class SullivanModel:
         return f"SullivanModel({self.gens!r}, name={self.name!r})"
 
 
-def _pack(gens: GenSet, diff: Mapping[str, AlgElement]) -> dict[int, tuple]:
-    """d given as elements, packed over gens: {index: ((key, coeff), ...)}
-    for each generator with d(g) != 0, an integral coefficient an int, so
-    that the matrices of an integral d hold ints.  The one reader of given
-    elements: each must name a generator, be over gens and be homogeneous of
-    degree |g| + 1."""
-    out = {}
-    for gname, val in diff.items():
+def _pack(gens: GenSet, diff: Mapping[str, Mapping[int, Rational]]) -> dict[int, tuple]:
+    """d given as packed terms over gens, {name: {key: coeff}} with no zero
+    coefficient, laid out as images: {index: ((key, coeff), ...)} for each
+    generator with d(g) != 0, an integral coefficient an int, so that the
+    matrices of an integral d hold ints.  The one checker of a given d:
+    each name must be a generator and each key of degree |g| + 1."""
+    out, p = {}, gens._packing
+    for gname, terms in diff.items():
         g = gens.get(gname)  # raises UnknownGenerator
+        degrees = {p.degree(key) for key in terms}
+        if degrees - {g.degree + 1}:
+            got = degrees.pop() if len(degrees) == 1 else "mixed"
+            raise DegreeMismatch(
+                f"d({gname}) must be homogeneous of degree {g.degree + 1}, got degree {got}"
+            )
+        if terms:
+            out[g.index] = tuple((key, int(c) if c.denominator == 1 else c) for key, c in terms.items())
+    return out
+
+
+def _pack_elements(gens: GenSet, diff: Mapping[str, AlgElement]) -> dict[int, tuple]:
+    """_pack of d given as elements, as the public constructors take it; each must be over gens."""
+    terms = {}
+    for gname, val in diff.items():
         if val.gens != gens:  # its exponents index its own set: over gens they name others
             raise GeneratorSetMismatch(f"d({gname}) is given over {val.gens!r}, not {gens!r}")
-        deg = val.degree()
-        if deg is MIXED or (deg is not None and deg != g.degree + 1):
-            raise DegreeMismatch(
-                f"d({gname}) must be homogeneous of degree {g.degree + 1}, "
-                f"got degree {deg if deg is not MIXED else 'mixed'}"
-            )
-        if val.terms:
-            out[g.index] = tuple(
-                (gens.pack(m.exponents), int(c) if c.denominator == 1 else c)
-                for m, c in val.terms.items()
-            )
-    return out
+        terms[gname] = {gens.pack(m.exponents): c for m, c in val.terms.items()}
+    return _pack(gens, terms)
 
 
 class RelativeModel:
@@ -179,14 +174,13 @@ class RelativeModel:
         # share it and its degree bases
         layout = GenSet([(g.name, g.degree) for g in (*base.gens, *fiber_gens)])
         total_gens = next((v.gens for v in total_diff.values() if v.gens == layout), layout)
-        for gname in total_diff:
+        for gname in total_diff:  # any other name not of the fibre is unknown to _pack
             if gname in base.gens.by_name:
                 raise BaseDiffViolated(
                     f"total differential may only be given on fiber generators, not {gname}"
                 )
-            fiber_gens.get(gname)
-        images = _pack(total_gens, total_diff)
-        declared = None if fiber_diff is None else _pack(fiber_gens, fiber_diff)
+        images = _pack_elements(total_gens, total_diff)
+        declared = None if fiber_diff is None else _pack_elements(fiber_gens, fiber_diff)
         self._assemble(base, fiber_gens, total_gens, images, name, bound, declared)
 
     def _assemble(self, base, fiber_gens, total_gens, images, name, bound, declared=None):
@@ -247,8 +241,7 @@ class RelativeModel:
             *_section_lines(self.fiber, self.bound if self.bound != self.base.bound else None),
             "[total]",
         ]
-        diff = self.total.diff
-        lines += [f"D {g.name} = {diff[g.name].format()}" for g in self.fiber.gens if g.name in diff]
+        lines += _d_lines("D", self.total, self.total.gens[self.base_size:])
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
@@ -285,8 +278,13 @@ def _relative(*args) -> RelativeModel:
 def _section_lines(m: SullivanModel, bound: Optional[int]) -> list[str]:
     """The gen, d and bound lines of a [space], [base] or [fiber] section."""
     lines = [f"gen {g.name} {g.degree}" for g in m.gens]
-    lines += [f"d {g.name} = {m.diff[g.name].format()}" for g in m.gens if g.name in m.diff]
-    return lines + ([] if bound is None else [f"bound {bound}"])
+    return lines + _d_lines("d", m, m.gens) + ([] if bound is None else [f"bound {bound}"])
+
+
+def _d_lines(kind: str, m: SullivanModel, gens) -> list[str]:
+    """The d (or D) line of each of gens with d(g) != 0 in m, its terms in sort_key order."""
+    d = [(g.name, m.images[g.index]) for g in gens if g.index in m.images]
+    return [f"{kind} {name} = {_format_terms(m.gens, terms)}" for name, terms in d]
 
 
 # ----------------------------------------------------------------------
@@ -367,19 +365,21 @@ def formal_dimension_estimate(gens: GenSet) -> Optional[int]:
 
 # any other non-space character is a "bad" token, so that an error names it
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
+    r"\s*(?:(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
 )
 
 
 def parse_expression(
     text: str, gens: GenSet, line: Optional[int] = None, column: int = 1
-) -> AlgElement:
-    """Parse a sum-of-terms expression over the given generator set.
+) -> dict[int, Fraction]:
+    """Parse a sum-of-terms expression over the given generator set into
+    packed terms {key: coefficient}, without the terms that cancel.
 
-    Each term is read as a signed coefficient and a list of (generator index,
-    exponent) factors, which normalize_word brings to normal form once.
-    column is where text starts in its line, so that an error names the
-    column of the line."""
+    Each term is a signed coefficient times a word of factors, which the
+    packed product takes into one key, factor by factor.  column is where
+    text starts in its line, so that an error names the column of the
+    line; an exponent no packed field holds is refused at its own."""
+    p = gens._packing
     tokens: list[tuple[str, str, int]] = []  # (kind, value, column)
     for mm in _TOKEN_RE.finditer(text):
         kind, col = mm.lastgroup, column + mm.start(mm.lastgroup)
@@ -389,7 +389,7 @@ def parse_expression(
     if not tokens:
         raise ModelSyntaxError("empty expression", line)
     tokens.append(("end", "", column + len(text)))
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[int, Fraction] = {}
     i = 0
     while True:
         # a term: signs, then a coefficient, '*'-joined factors, or both
@@ -397,7 +397,7 @@ def parse_expression(
         while tokens[i][1] in ("+", "-"):
             sign = -sign if tokens[i][1] == "-" else sign
             i += 1
-        coeff, factors = Fraction(sign), []
+        coeff, koszul, key = Fraction(sign), 1, 0
         kind, value, col = tokens[i]
         if kind == "num":
             coeff *= int(value)
@@ -421,28 +421,30 @@ def parse_expression(
                 raise ModelSyntaxError(f"expected a generator name, got {value!r}", line, col)
             if value not in gens.by_name:
                 raise ModelSyntaxError(f"unknown generator {value!r}", line, col)
-            exp = 1
+            index, exp = gens.by_name[value].index, 1
             if tokens[i + 1][1] == "^":
                 kind, digits, col = tokens[i + 2]
                 if kind != "num" or int(digits) < 1:
                     raise ModelSyntaxError("expected a positive integer exponent", line, col)
                 exp, i = int(digits), i + 2
-            factors.append((gens.by_name[value].index, exp))
+            try:  # the term so far times this factor, in normal form
+                sign, key = p.product(((index, exp),), key)
+            except CombinatorialBlowup as exc:  # no field holds the exponent: no valid d has it
+                raise ModelSyntaxError(str(exc), line, col) from None
+            koszul *= sign
             more = tokens[i + 1][1] == "*"
             i += 2 if more else 1
-        norm = normalize_word(gens, factors)  # None: an odd generator twice
-        if norm is not None:
-            koszul, mono = norm
-            c = terms.get(mono, 0) + koszul * coeff
+        if koszul:
+            c = terms.get(key, 0) + koszul * coeff
             if c:
-                terms[mono] = c
+                terms[key] = c
             else:
-                terms.pop(mono, None)  # so a later term on mono comes last, as in a sum
+                terms.pop(key, None)  # so a later term on key comes last, as in a sum
         if tokens[i][1] not in ("+", "-"):
             break
     if tokens[i][0] != "end":
         raise ModelSyntaxError(f"unexpected token {tokens[i][1]!r}", line, tokens[i][2])
-    return AlgElement(gens, terms)
+    return terms
 
 
 # the line kinds each section takes; a fibration's bound goes in its
@@ -477,7 +479,7 @@ class _Section:
         if kind not in _LINE_KINDS[self.kind]:
             raise ModelSyntaxError(f"a [{self.kind}] section takes no '{kind}' line", lineno)
         if kind == "gen":
-            if len(parts) != 3 or not parts[2].isdigit():
+            if len(parts) != 3 or not re.fullmatch("[0-9]+", parts[2]):
                 raise ModelSyntaxError("expected 'gen NAME DEGREE'", lineno)
             # a fibration's base and fibre generators share one namespace
             declared = (name for sec in top.parts.values() or [self] for name, _ in sec.gens)
@@ -485,7 +487,7 @@ class _Section:
                 raise ModelSyntaxError(f"generator {parts[1]} declared twice", lineno)
             self.gens.append((parts[1], int(parts[2])))
         elif kind == "bound":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not re.fullmatch("[0-9]+", parts[1]):
                 raise ModelSyntaxError("expected 'bound N'", lineno)
             owner = top if self.kind == "fiber" else self
             if owner.bound is not None:
@@ -499,8 +501,8 @@ class _Section:
                 raise ModelSyntaxError(f"a second '{kind}' line for {m.group(1)}", lineno)
             self.dlines[m.group(1)] = (m.group(2), lineno, column + m.start(2))
 
-    def diff(self, gens: GenSet) -> dict[str, AlgElement]:
-        """The section's d or D lines, parsed over gens."""
+    def diff(self, gens: GenSet) -> dict[str, dict[int, Fraction]]:
+        """The section's d or D lines, parsed over gens into packed terms."""
         out = {}
         for name, (expr, lineno, column) in self.dlines.items():
             try:
@@ -511,7 +513,7 @@ class _Section:
         return out
 
     def space(self, gens: GenSet, name: Optional[str] = None) -> SullivanModel:
-        return SullivanModel(gens, self.diff(gens), bound=self.bound, name=name)
+        return SullivanModel._packed(gens, _pack(gens, self.diff(gens)), self.bound, name)
 
 
 _HEADER_RE = re.compile(
@@ -582,21 +584,17 @@ def parse_document(text: str) -> list[ModelLike]:
                 )
         bsec, fsec = sec.parts["base"], sec.parts["fiber"]
         base, fiber_gens = bsec.space(gen_set(bsec.gens)), gen_set(fsec.gens)
-        fiber_diff = fsec.diff(fiber_gens) if fsec.dlines else None
+        fiber_diff = fsec.diff(fiber_gens)
         total_gens = gen_set(bsec.gens + fsec.gens)
         total_diff = sec.parts["total"].diff(total_gens)
-        if not total_diff and fsec.gens:  # an empty [total] lends the total its set by a zero D
-            total_diff = {fsec.gens[0][0]: AlgElement.zero(total_gens)}
         for name, (_, lineno, _) in sec.parts["total"].dlines.items():
             if name in base.gens.by_name:
                 raise ModelSyntaxError(
                     f"total differential may only be given on fiber generators, not {name}", lineno
                 )
-        out.append(
-            RelativeModel(
-                base, fiber_gens, total_diff, fiber_diff=fiber_diff, name=sec.name, bound=sec.bound
-            )
-        )
+        images = _pack(total_gens, total_diff)
+        declared = _pack(fiber_gens, fiber_diff) if fsec.dlines else None
+        out.append(_relative(base, fiber_gens, total_gens, images, sec.name, sec.bound, declared))
     return out
 
 

@@ -27,9 +27,9 @@ from rht import (
     basis_in_degree,
     parse_document,
 )
-from rht.algebra import _compile, _sum
+from rht.algebra import _compile, _format_sum, _sum
 from rht.derivations import ABSOLUTE, IDEAL, DerComplex, _inverse, dual_frame
-from rht.errors import GeneratorSetMismatch, RhtError
+from rht.errors import GeneratorSetMismatch, RhtError, UnknownGenerator
 from rht.invariants import LesNodeReport, LesReport
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -140,6 +140,45 @@ def bubble_sign(gens: GenSet, word: list[int]):
     return sign, word
 
 
+def normalize_word(gens: GenSet, factors):
+    """Sort a sequence of (generator index, exponent) factors into normal form.
+
+    Returns (sign, Monomial) or None when the product is zero (an odd
+    generator appearing with total exponent >= 2).  The sign is the Koszul
+    sign accumulated from transposing odd factors past each other.  The
+    reference for the packed word product, _Packing.product.
+    """
+    total: dict[int, int] = {}
+    odd_positions: list[int] = []
+    for i, e in factors:
+        if e < 0:
+            raise ValueError("negative exponent")
+        if e == 0:
+            continue
+        if i < 0 or i >= len(gens):
+            raise UnknownGenerator(f"generator index {i} out of range")
+        if gens[i].is_odd:
+            if total.get(i, 0) + e >= 2:
+                return None
+            odd_positions.append(i)
+        total[i] = total.get(i, 0) + e
+    # sign = parity of inversions among the odd occurrences, read in input order
+    inv = 0
+    for a in range(len(odd_positions)):
+        for b in range(a + 1, len(odd_positions)):
+            if odd_positions[a] > odd_positions[b]:
+                inv += 1
+    sign = -1 if inv % 2 else 1
+    mono = Monomial(tuple(sorted(total.items())))
+    return sign, mono
+
+
+def element_text(el: AlgElement) -> str:
+    """The reference text of an element: its terms in sort_key order."""
+    items = sorted(el.terms.items(), key=lambda mc: mc[0].sort_key(el.gens))
+    return _format_sum(el.gens, items)
+
+
 def word_to_monomial(word: list[int]) -> Monomial:
     counts: dict[int, int] = {}
     for i in word:
@@ -192,6 +231,21 @@ def as_dict(el: AlgElement) -> dict:
     return dict(el.terms)
 
 
+def packed_terms(el: AlgElement) -> dict:
+    """An element as packed terms {key: coefficient}, the form parse_expression returns."""
+    return {el.gens.pack(m.exponents): c for m, c in el.terms.items()}
+
+
+def images_of(model: SullivanModel) -> dict:
+    """A model's d as {index: {key: coefficient}}, in no term order."""
+    return {i: dict(terms) for i, terms in model.images.items()}
+
+
+def element_of(gens: GenSet, terms: dict) -> AlgElement:
+    """Packed terms {key: coefficient} as an element over gens."""
+    return AlgElement(gens, {gens.unpack(key): c for key, c in terms.items()})
+
+
 def diff_of(model: SullivanModel, name: str) -> AlgElement:
     """d(name) as an element of model's diff view, zero when d(name) = 0."""
     model.gens.get(name)
@@ -230,15 +284,15 @@ def vector_derivation(slice_, vector) -> Derivation:
 
 def derivation_text(slice_, vector) -> str:
     """The reference text of a slice vector: "(w, value)" per generator,
-    each value an AlgElement's format, in generator order."""
+    each value an element_text, in generator order."""
     theta = vector_derivation(slice_, vector)
-    parts = (f"({theta.gens[i].name}, {v.format()})" for i, v in sorted(theta.values.items()))
+    parts = (f"({theta.gens[i].name}, {element_text(v)})" for i, v in sorted(theta.values.items()))
     return " + ".join(parts)
 
 
 def cochain_text(gens: GenSet, keys, vector) -> str:
-    """The reference text of a cochain vector over the key list keys: an AlgElement's format."""
-    return AlgElement(gens, {gens.unpack(keys[i]): c for i, c in vector.items()}).format()
+    """The reference text of a cochain vector over the key list keys: an element_text."""
+    return element_text(AlgElement(gens, {gens.unpack(keys[i]): c for i, c in vector.items()}))
 
 
 def monomial_images(gens: GenSet, values: dict) -> dict:

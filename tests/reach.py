@@ -44,6 +44,8 @@ ALLOWED = {
         " substitution (ROADMAP item 5) decides whether it is the substitution's arithmetic"
         for name in ("__mul__", "__rmul__", "__sub__", "__neg__", "scale", "unit", "gen")
     },
+    "algebra.AlgElement.__eq__": "the equality of the public diff view, which README says"
+    " equals the d given; the package compares d as packed terms",
     "model.SullivanModel.is_minimal": "kept for exact finiteness and minimal models"
     " (ROADMAP items 3 and 5)",
     "catalog._Twist.entry": "builds an enumerated Catalog's entries; only"

@@ -79,6 +79,26 @@ def test_catalog_rejects_fiber_mismatch(ex47, su5_bundle):
     with pytest.raises(FiberMismatch):
         Catalog(ex47["first"].fiber, [("odd", su5_bundle)])
 
+    # d compares as packed terms in any order: the same base and fibre with
+    # their terms written in another order are one group; one coefficient
+    # changed is another fibre
+    def fibration(name, ds, dx, Dx):
+        return parse_fibration(
+            f"[fibration {name}]\n[base]\ngen t 2\ngen r 2\ngen s 3\nd s = {ds}\n"
+            f"[fiber]\ngen u 2\ngen v 2\ngen x 3\ngen y 3\nd x = {dx}\nd y = u*v\n"
+            f"[total]\nD x = {Dx}\nD y = v*u\n"
+        )
+
+    a = fibration("a", "t^2 + r^2", "u^2 + v^2", "u^2 + v^2 + t*u")
+    b = fibration("b", "r^2 + t^2", "v^2 + u^2", "t*u + v^2 + u^2")
+    assert a.base.images != b.base.images and a.fiber.images != b.fiber.images
+    cat = Catalog(a.fiber, [("a", a), ("b", b)])
+    assert len({id(twist) for _, twist, _ in cat._twists}) == 1
+    assert cat.realized_subspaces()["a"] == cat.realized_subspaces()["b"]
+    changed = fibration("c", "t^2 + r^2", "u^2 + 2*v^2", "u^2 + 2*v^2 + t*u")
+    with pytest.raises(FiberMismatch):
+        Catalog(a.fiber, [("a", a), ("c", changed)])
+
 
 def test_catalog_finiteness_gate_lists_offenders(su4_fixtures):
     cat = Catalog(

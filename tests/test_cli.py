@@ -31,7 +31,7 @@ from rht.model import formal_dimension_estimate
 
 from cli_snapshot import differences, sweep
 from cli_snapshot import load as load_snapshot
-from conftest import FIXTURES, derivation_text
+from conftest import FIXTURES, derivation_text, fixture_texts
 
 
 def fx(name):
@@ -372,8 +372,9 @@ def test_enumerate_builds_no_relative_model_per_candidate(capsys, monkeypatch):
 
 
 def test_enumerate_builds_as_many_elements_at_any_coefficients(capsys, monkeypatch):
-    # E1 of the benchmark twists packed terms: the elements built are the
-    # parser's alone, as many at 0,1 (2^8 candidates) as at 0,1,-1 (3^8);
+    # E1 of the benchmark twists packed terms and the reader and the writer
+    # read packed terms: no element is built at 0,1 (2^8 candidates) nor at
+    # 0,1,-1 (3^8), nor while every fixture is parsed and written back;
     # building each candidate's D as elements made 249 and 3,060
     built = []
     real = rht.AlgElement.__init__
@@ -392,7 +393,12 @@ def test_enumerate_builds_as_many_elements_at_any_coefficients(capsys, monkeypat
         )
         assert code == 0 and err.endswith("fibration(s) kept\n"), err
         counts[coeffs] = len(built)
-    assert counts["0,1"] == counts["0,1,-1"], counts
+    built.clear()
+    for text in fixture_texts():
+        for m in rht.parse_document(text):
+            m.serialize()
+    counts["fixtures"] = len(built)
+    assert counts == {"0,1": 0, "0,1,-1": 0, "fixtures": 0}, counts
 
 
 def test_enumerate_windows_each_model_once(capsys, monkeypatch):
@@ -515,6 +521,17 @@ def test_subcommand_refuses_flags_it_does_not_read(capsys, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+# model files with digits other than ASCII 0-9: int() refuses a superscript,
+# and a regex \d reads an Arabic-Indic digit as its value
+DIGIT_FILES = {
+    "GEN-SUPERSCRIPT-DEGREE": "gen x \u00b2\n",
+    "BOUND-SUPERSCRIPT": "gen x 2\nbound \u00b2\n",
+    "GEN-ARABIC-DEGREE": "gen x \u0663\n",
+    "EXPONENT-ARABIC": "gen t 2\ngen y 5\nd y = t^\u0663\n",
+    "COEFFICIENT-ARABIC": "gen t 2\ngen y 5\nd y = \u0663*t^3\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -531,6 +548,11 @@ def test_subcommand_refuses_flags_it_does_not_read(capsys, flag):
         ["toral-check", fx("su4-trivial.smf"), "--window", "-2"],
         ["depth", fx("ex47.smf"), fx("ex47.smf")],
         ["poset", "NOT-ASCII-NAME"],
+        ["validate", "GEN-SUPERSCRIPT-DEGREE"],
+        ["validate", "BOUND-SUPERSCRIPT"],
+        ["gottlieb", "GEN-ARABIC-DEGREE"],
+        ["validate", "EXPONENT-ARABIC"],
+        ["validate", "COEFFICIENT-ARABIC"],
     ],
     ids=[
         "degrees-reversed",
@@ -546,6 +568,11 @@ def test_subcommand_refuses_flags_it_does_not_read(capsys, flag):
         "window-negative",
         "duplicate-catalog-id",
         "name-stdout-cannot-encode",
+        "gen-superscript-degree",
+        "bound-superscript",
+        "gen-arabic-degree",
+        "exponent-arabic",
+        "coefficient-arabic",
     ],
 )
 def test_bad_input_exits_one_without_traceback(argv, tmp_path):
@@ -556,6 +583,9 @@ def test_bad_input_exits_one_without_traceback(argv, tmp_path):
     text = (FIXTURES / "ex47.smf").read_text(encoding="utf-8")
     named.write_text(text.replace("[fibration tpower]", '[fibration "tp\xf6wer"]'), "utf-8")
     files = {"NOT-UTF8": str(bad), "NOT-ASCII-NAME": str(named)}
+    for key, text in DIGIT_FILES.items():
+        (tmp_path / f"{key}.smf").write_text(text, "utf-8")
+        files[key] = str(tmp_path / f"{key}.smf")
     code, out, err = subprocess_cli(*(files.get(a, a) for a in argv), PYTHONIOENCODING="ascii")
     assert code == 1
     assert "Traceback" not in err

@@ -18,10 +18,9 @@ from rht import (
     parse_document,
     trivial_fibration,
 )
-from rht.algebra import normalize_word
 from rht.invariants import top_shift
 
-from conftest import diff_of, random_fibration, random_space
+from conftest import diff_of, normalize_word, random_fibration, random_space
 
 
 def random_models(seed, count):
