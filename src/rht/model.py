@@ -501,7 +501,7 @@ class _Section:
                 raise ModelSyntaxError(f"a second '{kind}' line for {m.group(1)}", lineno)
             self.dlines[m.group(1)] = (m.group(2), lineno, column + m.start(2))
 
-    def diff(self, gens: GenSet) -> dict[str, dict[int, Fraction]]:
+    def terms(self, gens: GenSet) -> dict[str, dict[int, Fraction]]:
         """The section's d or D lines, parsed over gens into packed terms."""
         out = {}
         for name, (expr, lineno, column) in self.dlines.items():
@@ -513,7 +513,7 @@ class _Section:
         return out
 
     def space(self, gens: GenSet, name: Optional[str] = None) -> SullivanModel:
-        return SullivanModel._packed(gens, _pack(gens, self.diff(gens)), self.bound, name)
+        return SullivanModel._packed(gens, _pack(gens, self.terms(gens)), self.bound, name)
 
 
 _HEADER_RE = re.compile(
@@ -584,9 +584,9 @@ def parse_document(text: str) -> list[ModelLike]:
                 )
         bsec, fsec = sec.parts["base"], sec.parts["fiber"]
         base, fiber_gens = bsec.space(gen_set(bsec.gens)), gen_set(fsec.gens)
-        fiber_diff = fsec.diff(fiber_gens)
+        fiber_diff = fsec.terms(fiber_gens)
         total_gens = gen_set(bsec.gens + fsec.gens)
-        total_diff = sec.parts["total"].diff(total_gens)
+        total_diff = sec.parts["total"].terms(total_gens)
         for name, (_, lineno, _) in sec.parts["total"].dlines.items():
             if name in base.gens.by_name:
                 raise ModelSyntaxError(

@@ -445,6 +445,13 @@ def test_parse_expression_errors_carry_position():
         parse_expression("", gens)
     with pytest.raises(ModelSyntaxError):
         parse_expression("x $ x", gens)
+    # an exponent no packed field holds, alone or summed with the term's
+    # earlier ones, is refused at its column; an odd power is zero at once
+    both = GenSet([("t", 2), ("x", 3)])
+    for text, col in (("t^3000000000", 3), ("x*t^2000000000*t^2000000000", 18)):
+        with pytest.raises(ModelSyntaxError, match=rf"is more than 2147483647, .* \(line 4, col {col}\)"):
+            parse_expression(text, both, line=4)
+    assert parse_expression("x^3000000000*t", both) == {}
 
 
 def test_parse_document_errors():
