@@ -2,12 +2,13 @@
 
 Elements live in Lambda(g_1, ..., g_k) where each generator carries a degree
 >= 2.  Odd-degree generators anticommute (so they square to zero), even-degree
-generators commute freely.  Monomials are kept in a normal form sorted by
-generator declaration index, with the Koszul sign accumulated on the way.
-Below the printers a monomial is one packed int, with a field per generator
-(_Packing): degree bases are born packed, from per-GenSet suffix lists kept
-for the set's life, and the Leibniz kernel and the matrices read them.  A
-Monomial is made only for an element, a printed basis or a test.
+generators commute freely.  Below the printers a monomial is one packed
+int, with a field per generator (_Packing): degree bases are born packed,
+from per-GenSet suffix lists kept for the set's life, and the Leibniz kernel
+and the matrices read them.  The one product is the packed word product
+(_Packing.product), which takes a word of factors into normal form with its
+Koszul sign.  A Monomial, the normal form as exponents sorted by generator
+index, is made only for an element, a printed basis or a test.
 """
 
 from __future__ import annotations
@@ -266,8 +267,6 @@ class Monomial:
         return "*".join(parts)
 
 
-UNIT = Monomial(())
-
 Rational = Union[int, Fraction]
 
 
@@ -279,7 +278,9 @@ def _exact(c) -> Fraction:
 
 
 class AlgElement:
-    """A Q-linear combination of normal-form monomials over a fixed GenSet."""
+    """A Q-linear combination of normal-form monomials over a fixed GenSet:
+    the public constructors' input and the diff view.  It adds but does not
+    multiply."""
 
     __slots__ = ("gens", "terms")
 
@@ -300,15 +301,6 @@ class AlgElement:
         return AlgElement(gens)
 
     @staticmethod
-    def unit(gens: GenSet, coeff: Rational = 1) -> "AlgElement":
-        return AlgElement(gens, {UNIT: coeff})
-
-    @staticmethod
-    def gen(gens: GenSet, name: str) -> "AlgElement":
-        g = gens.get(name)
-        return AlgElement(gens, {Monomial(((g.index, 1),)): Fraction(1)})
-
-    @staticmethod
     def monomial(gens: GenSet, mono: Monomial, coeff: Rational = 1) -> "AlgElement":
         return AlgElement(gens, {mono: coeff})
 
@@ -321,41 +313,12 @@ class AlgElement:
         if self.gens != other.gens:
             raise GeneratorSetMismatch("elements over different generator sets")
 
-    # --- arithmetic ---------------------------------------------------
-
     def __add__(self, other: "AlgElement") -> "AlgElement":
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, Fraction(0)) + c
         return AlgElement(self.gens, out)
-
-    def __sub__(self, other: "AlgElement") -> "AlgElement":
-        return self + (-other)
-
-    def __neg__(self) -> "AlgElement":
-        return AlgElement(self.gens, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c: Rational) -> "AlgElement":
-        c = _exact(c)
-        return AlgElement(self.gens, {m: c * v for m, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return self.scale(c)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check(other)
-        gens, out = self.gens, {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                sign, key = gens._packing.product(ma.exponents + mb.exponents)
-                if sign:
-                    out[key] = out.get(key, 0) + sign * ca * cb
-        return AlgElement(gens, {gens.unpack(k): c for k, c in out.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgElement):

@@ -148,11 +148,20 @@ def _pack(gens: GenSet, diff: Mapping[str, Mapping[int, Rational]]) -> dict[int,
 
 
 def _pack_elements(gens: GenSet, diff: Mapping[str, AlgElement]) -> dict[int, tuple]:
-    """_pack of d given as elements, as the public constructors take it; each must be over gens."""
+    """_pack of d given as elements, as the public constructors take it: each
+    over gens, each monomial in normal form over it (indices increasing and
+    in the set, exponents positive, an odd generator's 1)."""
     terms = {}
     for gname, val in diff.items():
         if val.gens != gens:  # its exponents index its own set: over gens they name others
             raise GeneratorSetMismatch(f"d({gname}) is given over {val.gens!r}, not {gens!r}")
+        for m in val.terms:
+            indices = [i for i, _ in m.exponents]
+            if any(not 0 <= i < len(gens) for i in indices):
+                raise GeneratorSetMismatch(f"d({gname}) has the term {m.exponents}, indexing past {gens!r}")
+            odd_power = any(e > 1 and gens[i].is_odd for i, e in m.exponents)
+            if indices != sorted(set(indices)) or odd_power or any(e < 1 for _, e in m.exponents):
+                raise ValueError(f"d({gname}) has the term {m.exponents}, not in normal form over {gens!r}")
         terms[gname] = {gens.pack(m.exponents): c for m, c in val.terms.items()}
     return _pack(gens, terms)
 
@@ -400,12 +409,13 @@ def parse_expression(
         coeff, koszul, key = Fraction(sign), 1, 0
         kind, value, col = tokens[i]
         if kind == "num":
-            coeff *= int(value)
+            coeff *= _number(value, line, col)
             if tokens[i + 1][1] == "/":
                 kind, value, col = tokens[i + 2]
-                if kind != "num" or int(value) == 0:
+                denominator = _number(value, line, col) if kind == "num" else 0
+                if not denominator:
                     raise ModelSyntaxError("expected a positive integer denominator", line, col)
-                coeff /= int(value)
+                coeff /= denominator
                 i += 2
             i += 1
             more = tokens[i][0] == "name" or tokens[i][1] == "*"
@@ -424,9 +434,10 @@ def parse_expression(
             index, exp = gens.by_name[value].index, 1
             if tokens[i + 1][1] == "^":
                 kind, digits, col = tokens[i + 2]
-                if kind != "num" or int(digits) < 1:
+                exp = _number(digits, line, col) if kind == "num" else 0
+                if exp < 1:
                     raise ModelSyntaxError("expected a positive integer exponent", line, col)
-                exp, i = int(digits), i + 2
+                i += 2
             try:  # the term so far times this factor, in normal form
                 sign, key = p.product(((index, exp),), key)
             except CombinatorialBlowup as exc:  # no field holds the exponent: no valid d has it
@@ -445,6 +456,15 @@ def parse_expression(
     if tokens[i][0] != "end":
         raise ModelSyntaxError(f"unexpected token {tokens[i][1]!r}", line, tokens[i][2])
     return terms
+
+
+def _number(digits: str, line: Optional[int], column: int) -> int:
+    """The int of a digit string of a model file; a ModelSyntaxError at its
+    place when it is longer than int() converts (4,300 digits by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ModelSyntaxError(f"a number of {len(digits)} digits, more than can be read", line, column) from None
 
 
 # the line kinds each section takes; a fibration's bound goes in its
@@ -472,7 +492,7 @@ class _Section:
     def read(self, code: str, lineno: int, column: int, top: _Section) -> None:
         """File one line of this section, code starting at column; top is the
         [space] or [fibration] holding it."""
-        parts = code.split()
+        parts, end = code.split(), column + len(code)  # a number ends the line: its column is end - len
         kind = parts[0]
         if kind not in ("gen", "d", "D", "bound"):
             raise ModelSyntaxError(f"unrecognized line {code!r}", lineno)
@@ -485,14 +505,14 @@ class _Section:
             declared = (name for sec in top.parts.values() or [self] for name, _ in sec.gens)
             if parts[1] in declared:
                 raise ModelSyntaxError(f"generator {parts[1]} declared twice", lineno)
-            self.gens.append((parts[1], int(parts[2])))
+            self.gens.append((parts[1], _number(parts[2], lineno, end - len(parts[2]))))
         elif kind == "bound":
             if len(parts) != 2 or not re.fullmatch("[0-9]+", parts[1]):
                 raise ModelSyntaxError("expected 'bound N'", lineno)
             owner = top if self.kind == "fiber" else self
             if owner.bound is not None:
                 raise ModelSyntaxError(f"a second 'bound' line for one {owner.kind}", lineno)
-            owner.bound = int(parts[1])
+            owner.bound = _number(parts[1], lineno, end - len(parts[1]))
         else:
             m = re.fullmatch(r"[dD]\s+([A-Za-z_][A-Za-z0-9_']*)\s*=\s*(.+)", code)
             if not m:

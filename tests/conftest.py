@@ -28,6 +28,7 @@ from rht import (
     parse_document,
 )
 from rht.algebra import _compile, _format_sum, _sum
+from rht.model import parse_expression
 from rht.derivations import ABSOLUTE, IDEAL, DerComplex, _inverse, dual_frame
 from rht.errors import GeneratorSetMismatch, RhtError, UnknownGenerator
 from rht.invariants import LesNodeReport, LesReport
@@ -244,6 +245,11 @@ def images_of(model: SullivanModel) -> dict:
 def element_of(gens: GenSet, terms: dict) -> AlgElement:
     """Packed terms {key: coefficient} as an element over gens."""
     return AlgElement(gens, {gens.unpack(key): c for key, c in terms.items()})
+
+
+def expression(gens: GenSet, text: str) -> AlgElement:
+    """The element of an expression over gens, as a d line writes it, read by parse_expression."""
+    return element_of(gens, parse_expression(text, gens))
 
 
 def diff_of(model: SullivanModel, name: str) -> AlgElement:
@@ -558,11 +564,12 @@ def grassmannian(k: int, n: int) -> SullivanModel:
     gens = GenSet(
         [(f"c{i}", 2 * i) for i in range(1, k + 1)] + [(f"y{j}", 2 * j - 1) for j in range(n - k + 1, n + 1)]
     )
-    inverse = [AlgElement.unit(gens)]  # its part in each degree 2m: s_m = -sum_i c_i s_(m-i)
+    inverse = [AlgElement.monomial(gens, Monomial(()))]  # its part in each degree 2m: s_m = -sum_i c_i s_(m-i)
     for m in range(1, n + 1):
         part = AlgElement.zero(gens)
         for i in range(1, min(k, m) + 1):
-            part = part - AlgElement.gen(gens, f"c{i}") * inverse[m - i]
+            minus_c = {Monomial(((i - 1, 1),)): -1}
+            part = part + AlgElement(gens, oracle_mul(gens, minus_c, inverse[m - i].terms))
         inverse.append(part)
     return SullivanModel(gens, {f"y{j}": inverse[j] for j in range(n - k + 1, n + 1)}, name=f"Gr_{k}(C^{n})")
 
@@ -572,13 +579,15 @@ def flag_manifold(n: int) -> SullivanModel:
     2, odd y_i in degree 2i - 1 for i = 2..n, and d y_i the elementary
     symmetric polynomial e_i(x_1, ..., x_(n-1), -x_1 - ... - x_(n-1))."""
     gens = GenSet([(f"x{i}", 2) for i in range(1, n)] + [(f"y{i}", 2 * i - 1) for i in range(2, n + 1)])
-    xs = [AlgElement.gen(gens, f"x{i}") for i in range(1, n)]
-    last = AlgElement.zero(gens)
-    for x in xs:
-        last = last - x
-    e = [AlgElement.unit(gens)]  # e_0..e_j of the variables read so far
+    xs = [{Monomial(((i, 1),)): 1} for i in range(n - 1)]
+    last = {Monomial(((i, 1),)): -1 for i in range(n - 1)}
+    e = [AlgElement.monomial(gens, Monomial(()))]  # e_0..e_j of the variables read so far
+
+    def times(v: dict, el: AlgElement) -> AlgElement:
+        return AlgElement(gens, oracle_mul(gens, v, el.terms))
+
     for v in [*xs, last]:
-        e = [e[0]] + [e[i] + v * e[i - 1] for i in range(1, len(e))] + [v * e[-1]]
+        e = [e[0]] + [e[i] + times(v, e[i - 1]) for i in range(1, len(e))] + [times(v, e[-1])]
     return SullivanModel(gens, {f"y{i}": e[i] for i in range(2, n + 1)}, name=f"Fl({n})")
 
 

@@ -39,11 +39,6 @@ EXEMPT = ("__repr__", "__hash__")
 
 # function (module.qualified.name) -> why it stays although nothing enters it
 ALLOWED = {
-    **{
-        f"algebra.AlgElement.{name}": "element arithmetic, kept until the minimal-model"
-        " substitution (ROADMAP item 5) decides whether it is the substitution's arithmetic"
-        for name in ("__mul__", "__rmul__", "__sub__", "__neg__", "scale", "unit", "gen")
-    },
     "algebra.AlgElement.__eq__": "the equality of the public diff view, which README says"
     " equals the d given; the package compares d as packed terms",
     "model.SullivanModel.is_minimal": "kept for exact finiteness and minimal models"

@@ -6,7 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rht import (
@@ -18,7 +18,6 @@ from rht import (
 )
 from rht.algebra import (
     MAX_BASIS,
-    UNIT,
     _format_terms,
 )
 from rht.errors import (
@@ -122,20 +121,32 @@ def test_packed_product_refuses_an_exponent_past_its_field():
 
 
 def test_odd_square_is_zero():
-    a = AlgElement.gen(GENS, "a")
-    assert (a * a).is_zero()
+    p, a = GENS._packing, GENS.pack([(0, 1)])
+    assert p.product([(0, 1)], a)[0] == p.product([(0, 2)])[0] == p.product([(0, 1), (0, 1)])[0] == 0
     assert normalize_word(GENS, [(0, 2)]) is None
 
 
 def test_odd_anticommute_even_commute():
-    a, b, c = (AlgElement.gen(GENS, n) for n in "abc")
-    assert a * b == -1 * (b * a)
-    assert a * c == c * a
-    assert c * c != AlgElement.zero(GENS)
+    p = GENS._packing
+    a, b, c = (GENS.pack([(GENS.get(n).index, 1)]) for n in "abc")
+    ab = GENS.pack([(0, 1), (1, 1)])
+    assert p.product([(1, 1)], a) == (1, ab) and p.product([(0, 1)], b) == (-1, ab)
+    assert p.product([(2, 1)], a) == p.product([(0, 1)], c) == (1, GENS.pack([(0, 1), (2, 1)]))
+    assert p.product([(2, 1)], c) == (1, GENS.pack([(2, 2)]))
 
 
 # ----------------------------------------------------------------------
-# element arithmetic
+# the packed word product against the reference
+
+
+def times(key: int, factors) -> tuple:
+    """The packed product of key by a word, unpacked: (sign, Monomial), or
+    None when it is zero, the form normalize_word returns."""
+    sign, key = GENS._packing.product(factors, key)
+    return (sign, GENS.unpack(key)) if sign else None
+
+
+factor_words = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 3)), max_size=4)
 
 
 @st.composite
@@ -151,39 +162,61 @@ def elements(draw, max_terms=3):
     return AlgElement(GENS, terms)
 
 
-@given(elements(), elements())
+@given(factor_words, factor_words)
+@example([(1, 1)], [(0, 1)])  # b*a = -a*b
 @settings(max_examples=100)
-def test_multiply_matches_word_concatenation_oracle(x, y):
-    assert as_dict(x * y) == oracle_mul(GENS, as_dict(x), as_dict(y))
+def test_multiply_matches_word_concatenation_oracle(u, v):
+    # the normal form of u times the word v is the normal form of the word uv,
+    # the signs of the two steps multiplied
+    first = normalize_word(GENS, u)
+    want = normalize_word(GENS, u + v)
+    if first is None:
+        assert want is None
+        return
+    got = times(GENS.pack(first[1].exponents), v)
+    assert want == (got and (first[0] * got[0], got[1]))
 
 
-@given(elements(), elements(), elements())
-@settings(max_examples=60)
-def test_multiply_associative_and_distributive(x, y, z):
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
+@given(factor_words, factor_words, factor_words)
+@example([(1, 1)], [(4, 1)], [(0, 1)])  # b*f*a = a*b*f, a moved past two odd factors
+@example([(4, 1)], [(2, 2)], [(1, 1)])  # f*c^2*b = -b*c^2*f
+@settings(max_examples=200)
+def test_multiply_associative_and_distributive(u, v, w):
+    # associative: (uv)w and u(vw) have one normal form and sign, that of
+    # the word uvw; the product distributes over a word, as the product by
+    # its first part and then by the rest
+    uvw = normalize_word(GENS, u + v + w)
+    for left, right in ((u + v, w), (u, v + w)):
+        head, tail = normalize_word(GENS, left), normalize_word(GENS, right)
+        if head is None or tail is None:
+            assert uvw is None
+            continue
+        got = times(GENS.pack(head[1].exponents), tail[1].exponents)
+        assert uvw == (got and (head[0] * tail[0] * got[0], got[1]))
+    sign, key = GENS._packing.product(v)
+    rest = times(key, w) if sign else None
+    assert times(0, v + w) == (rest and (sign * rest[0], rest[1]))
 
 
 def test_graded_commutativity_of_monomials():
+    # x*y = (-1)^(7*5) y*x in degrees 7 and 5, each the word's normal form
     for ma in basis_in_degree(GENS, 7):
         for mb in basis_in_degree(GENS, 5):
-            x = AlgElement.monomial(GENS, ma)
-            y = AlgElement.monomial(GENS, mb)
-            sign = (-1) ** (7 * 5)
-            assert x * y == sign * (y * x)
+            xy, yx = times(GENS.pack(ma.exponents), mb.exponents), times(GENS.pack(mb.exponents), ma.exponents)
+            assert xy == normalize_word(GENS, ma.exponents + mb.exponents)
+            assert xy == (yx and ((-1) ** (7 * 5) * yx[0], yx[1]))
 
 
 def test_degree_and_augment():
-    x = AlgElement.gen(GENS, "a") * AlgElement.gen(GENS, "b")
+    ab, unit = Monomial(((0, 1), (1, 1))), Monomial(())
+    x = AlgElement.monomial(GENS, ab)
     # the augmentation: the coefficient of the unit
-    assert (AlgElement.unit(GENS, 5) + x).terms.get(UNIT, 0) == 5
-    assert x.terms.get(UNIT, 0) == 0
+    assert (AlgElement.monomial(GENS, unit, 5) + x).terms.get(unit, 0) == 5
+    assert x.terms.get(unit, 0) == 0
 
 
 def test_format_round_trips_signs():
-    x = AlgElement.gen(GENS, "a") * AlgElement.gen(GENS, "b")
-    y = x.scale(-2) + AlgElement.unit(GENS, Fraction(1, 3))
-    terms = [(GENS.pack(m.exponents), c) for m, c in y.terms.items()]
+    terms = [(GENS.pack([(0, 1), (1, 1)]), -2), (0, Fraction(1, 3))]
     assert _format_terms(GENS, terms) == _format_terms(GENS, terms[::-1]) == "1/3 - 2*a*b"
 
 
@@ -193,9 +226,7 @@ class _Half(Fraction):
 
 ENTRY_POINTS = {
     "init": lambda c: AlgElement(GENS, {Monomial(((2, 1),)): c}),
-    "unit": lambda c: AlgElement.unit(GENS, c),
     "monomial": lambda c: AlgElement.monomial(GENS, Monomial(((2, 1),)), c),
-    "scale": lambda c: AlgElement.gen(GENS, "c").scale(c),
 }
 
 
@@ -306,9 +337,9 @@ def test_generator_degree_above_the_basis_cap_is_refused():
 
 
 def test_basis_degree_zero_is_unit():
-    assert basis_in_degree(GENS, 0) == [UNIT]
+    assert basis_in_degree(GENS, 0) == [Monomial(())]
     # a point: the unit in degree 0 and nothing above it
-    assert basis_in_degree(GenSet([]), 0) == [UNIT] and basis_in_degree(GenSet([]), 1) == []
+    assert basis_in_degree(GenSet([]), 0) == [Monomial(())] and basis_in_degree(GenSet([]), 1) == []
     with pytest.raises(ValueError):
         basis_in_degree(GENS, -1)
 
@@ -352,11 +383,16 @@ def test_kernel_matches_dense_oracle_on_every_monomial(parity):
 
 
 def test_leibniz_on_product_rule():
-    # an odd operator on x*y splits as (op x)*y + (-1)^|x| x*(op y)
-    values = {GENS.get("a").index: AlgElement.unit(GENS)}  # a -> 1, shift 3
-    x = AlgElement.gen(GENS, "a")
-    y = AlgElement.gen(GENS, "b") * AlgElement.gen(GENS, "c")
+    # an odd operator on x*y splits as (op x)*y + (-1)^|x| x*(op y), the
+    # products by the word-concatenation reference
+    values = {GENS.get("a").index: AlgElement.monomial(GENS, Monomial(()))}  # a -> 1, shift 3
+    x, y = {Monomial(((0, 1),)): 1}, {Monomial(((1, 1), (2, 1))): 1}
+
+    def op(terms: dict) -> dict:
+        return as_dict(apply_images(GENS, images, 1, AlgElement(GENS, terms)))
+
     images = packed(GENS, monomial_images(GENS, values))
-    lhs = apply_images(GENS, images, 1, x * y)
-    rhs = apply_images(GENS, images, 1, x) * y + (-1) ** 3 * (x * apply_images(GENS, images, 1, y))
-    assert lhs == rhs
+    lhs = op(oracle_mul(GENS, x, y))
+    first, second = oracle_mul(GENS, op(x), y), oracle_mul(GENS, x, op(y))
+    rhs = {m: first.get(m, 0) + (-1) ** 3 * second.get(m, 0) for m in first.keys() | second.keys()}
+    assert lhs and lhs == {m: c for m, c in rhs.items() if c}

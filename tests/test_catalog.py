@@ -497,7 +497,7 @@ def test_realized_subspaces_raise_what_fibre_gottlieb_raises():
 
     # a non-minimal fibre: evaluation does not kill the boundaries
     gens = GenSet([("y", 3), ("x", 4)])
-    fiber = SullivanModel(gens, {"y": AlgElement.gen(gens, "x")}, name="pair")
+    fiber = SullivanModel(gens, {"y": AlgElement.monomial(gens, Monomial(((1, 1),)))}, name="pair")
     catalogs = [enumerate_fibrations(fiber, qt_base())]
     # equal bases under two bounds: the entries form two groups
     low, high = low_and_high()

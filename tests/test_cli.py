@@ -529,6 +529,11 @@ DIGIT_FILES = {
     "GEN-ARABIC-DEGREE": "gen x \u0663\n",
     "EXPONENT-ARABIC": "gen t 2\ngen y 5\nd y = t^\u0663\n",
     "COEFFICIENT-ARABIC": "gen t 2\ngen y 5\nd y = \u0663*t^3\n",
+    # past the interpreter's 4,300-digit limit on integer string conversion
+    "GEN-LONG-DEGREE": f"gen x {'1' * 5000}\n",
+    "BOUND-LONG": f"gen x 2\nbound {'1' * 5000}\n",
+    "EXPONENT-LONG": f"gen t 2\ngen y 5\nd y = t^{'1' * 5000}\n",
+    "COEFFICIENT-LONG": f"gen t 2\ngen y 5\nd y = {'1' * 5000}*t^3\n",
 }
 
 
@@ -553,6 +558,10 @@ DIGIT_FILES = {
         ["gottlieb", "GEN-ARABIC-DEGREE"],
         ["validate", "EXPONENT-ARABIC"],
         ["validate", "COEFFICIENT-ARABIC"],
+        ["validate", "GEN-LONG-DEGREE"],
+        ["validate", "BOUND-LONG"],
+        ["validate", "EXPONENT-LONG"],
+        ["validate", "COEFFICIENT-LONG"],
     ],
     ids=[
         "degrees-reversed",
@@ -573,6 +582,10 @@ DIGIT_FILES = {
         "gen-arabic-degree",
         "exponent-arabic",
         "coefficient-arabic",
+        "gen-long-degree",
+        "bound-long",
+        "exponent-long",
+        "coefficient-long",
     ],
 )
 def test_bad_input_exits_one_without_traceback(argv, tmp_path):

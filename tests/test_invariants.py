@@ -974,10 +974,11 @@ def test_invariant_checks_survive_optimize_flag():
     # boundaries, so it is not a chain map; the check must raise even when
     # python -O strips assert statements
     code = (
-        "from rht import AlgElement, GenSet, SullivanModel, gottlieb\n"
+        "from rht import AlgElement, GenSet, Monomial, SullivanModel, gottlieb\n"
         "from rht.errors import NotAComplex\n"
         "gens = GenSet([('y', 3), ('x', 4)])\n"
-        "pair = SullivanModel(gens, {'y': AlgElement.gen(gens, 'x')}, name='pair')\n"
+        "x = AlgElement.monomial(gens, Monomial(((1, 1),)))\n"
+        "pair = SullivanModel(gens, {'y': x}, name='pair')\n"
         "try:\n"
         "    gottlieb(pair)\n"
         "except NotAComplex:\n"

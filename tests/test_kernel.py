@@ -253,7 +253,7 @@ def test_an_exponent_no_field_holds_is_refused():
     # two never carries; 2^40 is refused with a message, not wrapped
     gens = GenSet([("t", 2), ("x", 3)])
     t = gens.get("t").index
-    images = monomial_images(gens, {t: AlgElement.gen(gens, "x")})
+    images = monomial_images(gens, {t: AlgElement.monomial(gens, Monomial(((1, 1),)))})
     big = AlgElement(gens, {Monomial(((t, 2**40),)): 1})
     assert DIGIT <= 40
     with pytest.raises(CombinatorialBlowup, match=f"exponent {2**40} of t is more than"):

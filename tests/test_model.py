@@ -48,6 +48,7 @@ from conftest import (
     diff_of,
     differential,
     element_of,
+    expression,
     fixture_texts,
     images_of,
     load,
@@ -70,20 +71,19 @@ def sphere_model(odd=7):
 def test_differential_degree_checked():
     gens = GenSet([("x", 3), ("y", 5)])
     with pytest.raises(DegreeMismatch):
-        SullivanModel(gens, {"y": AlgElement.gen(gens, "x")})
+        SullivanModel(gens, {"y": expression(gens, "x")})
 
 
 def test_differential_closure_checked():
     gens = GenSet([("a", 2), ("x", 3), ("y", 4)])
-    a = AlgElement.gen(gens, "a")
-    x = AlgElement.gen(gens, "x")
-    SullivanModel(gens, {"x": a * a})  # fine: d(d x) = 0
+    a2, ax = expression(gens, "a^2"), expression(gens, "a*x")
+    SullivanModel(gens, {"x": a2})  # fine: d(d x) = 0
     # d y = a*x forces d(d y) = a * d(x) = a^3 != 0
     with pytest.raises(NotClosed):
-        SullivanModel(gens, {"x": a * a, "y": a * x})
+        SullivanModel(gens, {"x": a2, "y": ax})
     # the constructor is the one validation: no option skips it
     with pytest.raises(TypeError):
-        SullivanModel(gens, {"x": a * a, "y": a * x}, validate=False)
+        SullivanModel(gens, {"x": a2, "y": ax}, validate=False)
 
 
 def test_unknown_generator_in_diff():
@@ -101,14 +101,46 @@ def test_a_differential_over_another_generator_set_is_refused():
         ([("x", 2), ("y", 3)], [("y", 3), ("x", 2)]),
     )
     for layout, other in cases:
-        gens, x = GenSet(layout), AlgElement.gen(GenSet(other), "x")
+        gens = GenSet(layout)
         with pytest.raises(GeneratorSetMismatch, match=r"^d\(y\) is given over GenSet\("):
-            SullivanModel(gens, {"y": x * x})
+            SullivanModel(gens, {"y": expression(GenSet(other), "x^2")})
         # the same value over the model's own set is read as given
-        same = AlgElement.gen(gens, "x")
-        m = SullivanModel(gens, {"y": same * same})
+        m = SullivanModel(gens, {"y": expression(gens, "x^2")})
         assert parse_model(m.serialize()).serialize() == m.serialize()
         assert m.images == {gens.get("y").index: ((gens.pack(((gens.get("x").index, 2),)), 1),)}
+
+
+def test_a_term_out_of_normal_form_is_refused():
+    # a and b odd: the exponents ((1, 1), (0, 1)) of b*a = -a*b were stored
+    # as d y = a*b, a^2 was refused as an exponent past its field, and an
+    # index past the set ended in an IndexError.  Both constructors refuse
+    # each in one line naming d(g) and the term.
+    gens = GenSet([("a", 3), ("b", 3), ("y", 5)])
+    base, total = SullivanModel(GenSet([("t", 2)]), {}), GenSet([("t", 2), ("a", 3), ("b", 3), ("y", 5)])
+    cases = {
+        ((1, 1), (0, 1)): ValueError,  # indices decreasing
+        ((0, 1), (0, 1)): ValueError,  # an index twice
+        ((0, 2),): ValueError,  # an odd generator squared
+        ((0, 1), (1, 1), (2, 0)): ValueError,  # a zero exponent
+        ((9, 1),): GeneratorSetMismatch,
+        ((-2, 1), (0, 1)): GeneratorSetMismatch,
+    }
+    for exponents, error in cases.items():
+        bad = {"y": AlgElement(gens, {Monomial(exponents): 1})}
+        text = re.escape(f"d(y) has the term {exponents}, ")
+        with pytest.raises(error, match=f"^{text}") as raised:
+            SullivanModel(gens, bad)
+        assert len(str(raised.value).splitlines()) == 1
+        shifted = tuple((i + 1, e) for i, e in exponents)  # the same term in the total's layout
+        with pytest.raises(error, match=re.escape(f"d(y) has the term {shifted}, ")):
+            RelativeModel(base, gens, {"y": AlgElement(total, {Monomial(shifted): 1})})
+        with pytest.raises(error, match=f"^{text}"):
+            RelativeModel(base, gens, {}, fiber_diff=bad)
+    # the normal form is read as given, and so is an even generator's power
+    ab = AlgElement(gens, {Monomial(((0, 1), (1, 1))): 1})
+    assert SullivanModel(gens, {"y": ab}).diff["y"] == ab
+    t3 = AlgElement(total, {Monomial(((0, 3),)): 1})
+    assert RelativeModel(base, gens, {"y": t3}).total.diff["y"] == t3
 
 
 def test_minimal_and_pure_flags():
@@ -156,7 +188,7 @@ def test_diff_is_a_view_of_the_given_d_and_is_minimal_reads_keys(monkeypatch):
     for _ in range(20):
         random_space(rng), random_fibration(rng), random_pure_elliptic(rng)
     gens = GenSet([("y", 3), ("x", 4)])
-    SullivanModel(gens, {"y": AlgElement.gen(gens, "x")})  # d y = x is linear
+    SullivanModel(gens, {"y": expression(gens, "x")})  # d y = x is linear
     minimal = Counter()
     for m, d, declared in given:
         nonzero = {name: v for name, v in d.items() if not v.is_zero()}
@@ -204,10 +236,8 @@ def test_bound_enforced():
 
 def test_d_extends_by_leibniz():
     m = parse_model("[space s4]\ngen u 4\ngen x 7\nd x = u^2\n")
-    u = AlgElement.gen(m.gens, "u")
-    x = AlgElement.gen(m.gens, "x")
-    assert differential(m, x * u) == u * u * u
-    assert differential(m, x) == u * u
+    assert differential(m, expression(m.gens, "x*u")) == expression(m.gens, "u^3")
+    assert differential(m, expression(m.gens, "x")) == expression(m.gens, "u^2")
 
 
 def test_d_applies_the_images_built_with_the_model(monkeypatch):
@@ -247,8 +277,7 @@ def test_d_applies_the_images_built_with_the_model(monkeypatch):
 def test_relative_projection_and_consistency(ex44):
     # D w4 = w1*w2*v1 + w3^2 projects to d w4 = w3^2 on the fiber
     dw4 = diff_of(ex44.fiber, "w4")
-    w3 = AlgElement.gen(ex44.fiber.gens, "w3")
-    assert dw4 == w3 * w3
+    assert dw4 == expression(ex44.fiber.gens, "w3^2")
     assert ex44.base.gens.by_name["v1"].degree == 2
 
 
@@ -282,17 +311,16 @@ def test_relative_refuses_a_differential_over_another_generator_set():
     # reported as disagreeing with D; so is a D over the fibre's own set
     base = SullivanModel(GenSet([("t", 2)]), {})
     fiber_gens, total = GenSet([("x", 3), ("u", 2)]), GenSet([("t", 2), ("x", 3), ("u", 2)])
-    u, t = AlgElement.gen(total, "u"), AlgElement.gen(total, "t")
-    D = {"x": u * u + t * t}
-    reordered = AlgElement.gen(GenSet([("u", 2), ("x", 3)]), "u")
+    D = {"x": expression(total, "u^2 + t^2")}
+    reordered = expression(GenSet([("u", 2), ("x", 3)]), "u^2")
     with pytest.raises(GeneratorSetMismatch, match=r"^d\(x\) is given over GenSet\(u:2, x:3\), not GenSet\(x:3, u:2\)"):
-        RelativeModel(base, fiber_gens, D, fiber_diff={"x": reordered * reordered})
-    same = AlgElement.gen(fiber_gens, "u")
+        RelativeModel(base, fiber_gens, D, fiber_diff={"x": reordered})
+    same = expression(fiber_gens, "u^2")
     with pytest.raises(GeneratorSetMismatch, match=r"^d\(x\) is given over GenSet\(x:3, u:2\)"):
-        RelativeModel(base, fiber_gens, {"x": same * same})
+        RelativeModel(base, fiber_gens, {"x": same})
     # the same declared d over the fibre's own set is read as given
-    f = RelativeModel(base, fiber_gens, D, fiber_diff={"x": same * same})
-    assert f.fiber.diff == {"x": same * same} and f.total.diff == D
+    f = RelativeModel(base, fiber_gens, D, fiber_diff={"x": same})
+    assert f.fiber.diff == {"x": same} and f.total.diff == D
 
 
 def test_relative_total_closure_checked():
@@ -338,8 +366,7 @@ def test_total_shares_the_generator_set_of_its_differential(ex44, su5):
     assert ex44.total.diff and all(v.gens is ex44.total.gens for v in ex44.total.diff.values())
     base = SullivanModel(GenSet([("t", 2)]), {})
     gens = trivial_fibration(su5, base).total.gens
-    t = AlgElement.gen(gens, "t")
-    twisted = RelativeModel(base, su5.gens, {"v1": t * t})
+    twisted = RelativeModel(base, su5.gens, {"v1": expression(gens, "t^2")})
     assert twisted.total.gens is gens
     # with no D over that layout, the total gets a set of its own
     fiber_only = RelativeModel(base, su5.gens, {})
@@ -402,26 +429,22 @@ def test_embed_and_project(su5_bundle):
 def test_parse_expression_terms():
     gens = GenSet([("w1", 3), ("w2", 5), ("t", 2)])
     el = parse_expression("w1*w2*t + 2/3*t^5 - t^5", gens)
-    t5 = AlgElement.gen(gens, "t")
-    t5 = t5 * t5 * t5 * t5 * t5
-    w1w2t = (
-        AlgElement.gen(gens, "w1") * AlgElement.gen(gens, "w2") * AlgElement.gen(gens, "t")
-    )
-    assert el == packed_terms(w1w2t + Fraction(-1, 3) * t5)
-    w1, w2, t = (AlgElement.gen(gens, n) for n in ("w1", "w2", "t"))
+    # the packed keys of w1*w2*t, t, t^2 and t^5, and of the unit
+    w1w2t, t, t2, t5, unit = (gens.pack(e) for e in ([(0, 1), (1, 1), (2, 1)], [(2, 1)], [(2, 2)], [(2, 5)], []))
+    assert el == {w1w2t: 1, t5: Fraction(-1, 3)}
     cases = {
-        "w2*t*w1": -(w1 * w2 * t),  # odd factors reordered: a Koszul sign
-        "w1*t*w1": AlgElement.zero(gens),  # an odd generator twice
-        "2 t": 2 * t,  # a factor right after a coefficient, no '*'
-        "2/3 t^2": Fraction(2, 3) * t * t,
-        "--t + -+-t - - -t": t,  # repeated signs
-        "3": AlgElement.unit(gens, 3),  # a bare coefficient
-        "-2/4": AlgElement.unit(gens, Fraction(-1, 2)),
-        "t^2 - 1/2*t*t - 1/2 t^2": AlgElement.zero(gens),  # terms that cancel
-        "w1*w2 + w2*w1": AlgElement.zero(gens),
+        "w2*t*w1": {w1w2t: -1},  # odd factors reordered: a Koszul sign
+        "w1*t*w1": {},  # an odd generator twice
+        "2 t": {t: 2},  # a factor right after a coefficient, no '*'
+        "2/3 t^2": {t2: Fraction(2, 3)},
+        "--t + -+-t - - -t": {t: 1},  # repeated signs
+        "3": {unit: 3},  # a bare coefficient
+        "-2/4": {unit: Fraction(-1, 2)},
+        "t^2 - 1/2*t*t - 1/2 t^2": {},  # terms that cancel
+        "w1*w2 + w2*w1": {},
     }
     for text, want in cases.items():
-        assert parse_expression(text, gens) == packed_terms(want), text
+        assert parse_expression(text, gens) == want, text
 
 
 def test_power_is_parsed_by_exponent():
@@ -431,6 +454,23 @@ def test_power_is_parsed_by_exponent():
     el = parse_expression("t^1000000 + x^2", gens)
     assert time.perf_counter() - start < 1.0
     assert el == packed_terms(AlgElement.monomial(gens, Monomial(((0, 1000000),))))
+
+
+def test_a_number_past_the_conversion_limit_is_refused_at_its_column():
+    # int() refuses more than 4,300 digits: a degree, bound, exponent,
+    # coefficient or denominator that long is a ModelSyntaxError at its place
+    long = "1" * 5000
+    cases = {
+        f"gen x {long}\n": (1, 7),
+        f"gen x 2\n  bound  {long}\n": (2, 10),
+        f"gen t 2\ngen y 5\nd y = t^{long}\n": (3, 9),
+        f"gen t 2\ngen y 5\nd y = {long}*t^3\n": (3, 7),
+        f"gen t 2\ngen y 5\nd y = 1/{long}*t^3\n": (3, 9),
+    }
+    for text, place in cases.items():
+        with pytest.raises(ModelSyntaxError, match="^a number of 5000 digits") as err:
+            parse_document(text)
+        assert (err.value.line, err.value.column) == place, text
 
 
 def test_parse_expression_errors_carry_position():
