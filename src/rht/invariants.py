@@ -298,7 +298,7 @@ class Finiteness(NamedTuple):
 
     finite: bool
     fd: Optional[int]
-    cochains: Cochains  # of the total; unread when the pure quotient decided
+    top: Optional[HomologySlice]  # the total's H at top_nonzero, None when there is none
     top_nonzero: Optional[int]  # highest degree of the window where H is nonzero
 
 
@@ -306,23 +306,24 @@ def finiteness_window(model: ModelLike, window: int = DEFAULT_WINDOW) -> Finiten
     """Finiteness test: does H vanish on (fd, fd + window]?
 
     A True verdict is exact when the associated pure quotient certifies H
-    finite; the Cochains is then unread.  Otherwise the window decides: one
-    scan reads H down from fd + window to its first nonzero degree, and
-    callers read more from the Cochains.
+    finite; no cochain is built then.  Otherwise the window decides: one
+    scan reads H down from fd + window to its first nonzero degree, whose
+    slice the record keeps for callers that read more of it.
     """
     # the range must hold at least one degree, or every model passes vacuously
     if window < 1:
         raise ValueError(f"the finiteness window must be at least 1, got {window}")
     total = model.total
-    cx = Cochains(total)
     fd = formal_dimension_estimate(total.gens)
     if fd is None:
-        return Finiteness(False, None, cx, None)
+        return Finiteness(False, None, None, None)
     total.check_bound(fd + window)
     if _pure_quotient_vanishes(total, fd, window):
-        return Finiteness(True, fd, cx, None)
-    top = next((n for n in range(fd + window, fd, -1) if cx.homology(n).dim), None)
-    return Finiteness(top is None, fd, cx, top)
+        return Finiteness(True, fd, None, None)
+    cx = Cochains(total)
+    slices = ((n, cx.homology(n)) for n in range(fd + window, fd, -1))
+    top_nonzero, top = next(((n, h) for n, h in slices if h.dim), (None, None))
+    return Finiteness(top is None, fd, top, top_nonzero)
 
 
 def toral_certificate(f: RelativeModel, window: int = DEFAULT_WINDOW) -> ToralCertificate:
@@ -337,7 +338,7 @@ def toral_certificate(f: RelativeModel, window: int = DEFAULT_WINDOW) -> ToralCe
                 f"base generator {g.name} has degree {g.degree}, expected 2"
             )
     r = len(f.base.gens)
-    finite, fd, cx, top_nonzero = finiteness_window(f, window)
+    finite, fd, top, top_nonzero = finiteness_window(f, window)
     if fd is None:
         return ToralCertificate(r, -1, "inconclusive")
     if finite:
@@ -345,8 +346,8 @@ def toral_certificate(f: RelativeModel, window: int = DEFAULT_WINDOW) -> ToralCe
     # nonvanishing persists: refute (at this bound) when the top classes are
     # base-polynomial multiples, the signature of surviving t-powers
     base = f.total.gens.mask(r)
-    base_only = [j for j, key in enumerate(cx.keys(top_nonzero)) if key and key & base == key]
-    verdict = "refuted-at-bound" if cx.homology(top_nonzero).touches(base_only) else "inconclusive"
+    base_only = [j for j, key in enumerate(f.total.gens.keys(top_nonzero)) if key and key & base == key]
+    verdict = "refuted-at-bound" if top.touches(base_only) else "inconclusive"
     return ToralCertificate(r, fd + window, verdict, top_nonzero)
 
 

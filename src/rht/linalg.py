@@ -25,6 +25,7 @@ Vector = tuple[Number, ...]
 Sparse = dict[int, Number]  # column -> nonzero entry
 
 _EXACT = frozenset((int, Fraction))
+_INDEX = frozenset((int,))  # the one type of an index: a bool or a float is none
 _ONE = Fraction(1)
 
 
@@ -63,7 +64,7 @@ class RatMatrix:
         self.columns: list[Sparse] = []
         for column in columns:
             col = _exact_sparse(column.items())
-            if col and not (0 <= min(col) and max(col) < rows):
+            if col and not (0 <= min(col) and max(col) < rows and _INDEX.issuperset(map(type, col))):
                 raise IndexError("entry outside matrix dimensions")
             self.columns.append(col)
         self.cols = len(self.columns)
@@ -114,7 +115,7 @@ class Echelon:
     basis is unique for its span, whatever vectors were added and in
     whatever order.  ``rank`` reads no row.  Vectors are sparse; an explicit
     zero entry is dropped, a stored row with an inexact entry raises
-    TypeError, and one with an entry outside columns 0..n-1 IndexError.
+    TypeError, and one with an index other than an int in 0..n-1 IndexError.
     """
 
     __slots__ = ("n", "_rows", "_clean")
@@ -183,9 +184,8 @@ class Echelon:
         if not v:
             return False
         p = min(v)
-        if p < 0 or max(v) >= self.n:
-            # no stored row holds such a column, so elimination never clears it:
-            # checked once per stored row
+        if p < 0 or max(v) >= self.n or not _INDEX.issuperset(map(type, v)):
+            # checked once per stored row: elimination never clears a column no row holds
             raise IndexError(f"entry outside the {self.n} columns")
         pivot = v[p]
         if pivot != 1:
@@ -231,7 +231,7 @@ class Subspace:
     def _in_frame(self, v: Mapping[int, object]) -> Sparse:
         if not isinstance(v, Mapping):
             raise TypeError(f"a vector must be a mapping {{index: value}}, got {type(v).__name__}")
-        if any(not 0 <= i < len(self.ambient) for i in v):
+        if not _INDEX.issuperset(map(type, v)) or any(not 0 <= i < len(self.ambient) for i in v):
             raise AmbientMismatch("vector index outside the ambient frame")
         return _exact_sparse(v.items())
 

@@ -301,18 +301,16 @@ def _d_lines(kind: str, m: SullivanModel, gens) -> list[str]:
 
 
 class Cochains:
-    """The cochain complex (Lambda V, d) of one model, for one call.
+    """The cochain complex (Lambda V, d) of one model.
 
-    Each degree's differential and cohomology is built at most once, on first
-    use, and lives only as long as this object.  The degree bases are the
-    packed key lists of the model's GenSet, which every model over it
+    It keeps no matrix and no slice: each call of d(n) or homology(n) builds
+    anew, so a caller holds only the degrees it reads.  The degree bases are
+    the packed key lists of the model's GenSet, which every model over it
     shares; a caller unpacks only the monomials it prints.
     """
 
     def __init__(self, m: SullivanModel):
         self.model = m
-        self._d: dict[int, RatMatrix] = {}
-        self._h: dict[int, HomologySlice] = {}
 
     def keys(self, n: int) -> list[int]:
         """The degree-n basis as packed monomials; d(-1) is the zero map into H^0."""
@@ -320,21 +318,17 @@ class Cochains:
 
     def d(self, n: int) -> RatMatrix:
         """Matrix of d from the degree-n basis to the degree-(n+1) basis."""
-        if n not in self._d:
-            images = self.model.operator
-            index = {k: i for i, k in enumerate(self.keys(n + 1))}
-            columns = [
-                {index[k]: c for k, c in _leibniz(images, key, {}).items() if c}
-                for key in self.keys(n)
-            ]
-            self._d[n] = RatMatrix._trusted(len(index), columns)
-        return self._d[n]
+        images = self.model.operator
+        index = {k: i for i, k in enumerate(self.keys(n + 1))}
+        columns = [
+            {index[k]: c for k, c in _leibniz(images, key, {}).items() if c}
+            for key in self.keys(n)
+        ]
+        return RatMatrix._trusted(len(index), columns)
 
     def homology(self, n: int) -> HomologySlice:
         """H^n, in coordinates of the degree-n basis."""
-        if n not in self._h:
-            self._h[n] = HomologySlice(self.d(n - 1), self.d(n))
-        return self._h[n]
+        return HomologySlice(self.d(n - 1), self.d(n))
 
 
 def cohomology(model: ModelLike, max_degree: int) -> dict[int, tuple[int, list[str]]]:

@@ -598,12 +598,41 @@ def test_window_below_one_is_rejected(su4_fixtures, window):
         finiteness_window(su4_fixtures["su4-trivial"], window)
 
 
-def test_finiteness_window(su4_fixtures):
+def test_finiteness_window(su4_fixtures, monkeypatch):
     circle = finiteness_window(su4_fixtures["su4-circle"], 6)
     assert circle.finite and circle.fd == 3 + 5 + 7 - 1 and circle.top_nonzero is None
     trivial = finiteness_window(su4_fixtures["su4-trivial"], 6)
     assert not trivial.finite and trivial[0] is trivial.finite
     assert trivial.fd < trivial.top_nonzero <= trivial.fd + 6
+    # the record keeps the slice at top_nonzero, and only the window's scan
+    # builds a Cochains: neither an fd of None nor the pure quotient does
+    built = []
+
+    class Counted(rht.model.Cochains):
+        def __init__(self, m):
+            built.append(m)
+            super().__init__(m)
+
+    monkeypatch.setattr(rht.invariants, "Cochains", Counted)
+    paths = Counter()
+    for m in fixture_models() + [scaling_family(2)]:
+        total = total_of(m)
+        for window in (1, 6):
+            built.clear()
+            try:
+                f = finiteness_window(m, window)
+            except BoundExceeded:
+                continue  # wedge.smf: its window passes its bound
+            assert (f.top is None) == (f.top_nonzero is None), (m.name, window)
+            if f.top is not None:
+                assert f.top.dim == Cochains(total).homology(f.top_nonzero).dim > 0, (m.name, window)
+            if f.fd is None:
+                path = "no fd"
+            else:
+                path = "pure" if _pure_quotient_vanishes(total, f.fd, window) else "window"
+            assert len(built) == (path == "window"), (m.name, window, path)
+            paths[path, f.top is None] += 1
+    assert set(paths) == {("no fd", True), ("pure", True), ("window", True), ("window", False)}, paths
 
 
 def test_scaling_family_k3_is_refuted_at_bound():

@@ -112,7 +112,8 @@ def test_matrix_stores_fraction_entries():
         assert m.columns == [{r: Fraction(x) for r, x in col.items()} for col in columns]
     # a Fraction entry is stored as it is, not copied
     assert RatMatrix(1, [{0: kept}]).columns[0][0] is kept
-    for column in ({2: kept}, {-1: 1}, {0: 1, 5: half}):
+    # an index is an int: {0.5: 1} was once stored
+    for column in ({2: kept}, {-1: 1}, {0: 1, 5: half}, {0.5: 1}, {True: 1}, {0: 1, 1.0: 1}):
         with pytest.raises(IndexError):
             RatMatrix(2, [column])
 
@@ -236,8 +237,9 @@ def test_subspace_refuses_a_dense_vector():
 
 
 def test_ambient_mismatch():
-    # a sparse vector's indices lie in 0..len(ambient)-1
-    for vector in ({4: 1}, {-1: 1}, {0: 1, 4: 0}):
+    # a sparse vector's indices are ints in 0..len(ambient)-1: {0.5: 1} once
+    # gave dim 1 and the zero row ((0, 0),)
+    for vector in ({4: 1}, {-1: 1}, {0: 1, 4: 0}, {0.5: 1}, {True: 1}):
         with pytest.raises(AmbientMismatch):
             Subspace(FRAME, [vector])
     with pytest.raises(AmbientMismatch):
@@ -479,8 +481,12 @@ def test_echelon_drops_explicit_zero_entries():
 
 def test_echelon_refuses_entries_outside_its_columns():
     # as RatMatrix does: {5: 1} once gave rank 1 and two kernel vectors in
-    # Q^2, and {0: 1, 3: 2} a KeyError from kernel
-    for vectors in ([{5: 1}], [{0: 1, 3: 2}], [{-1: 1}], [{0: 1}, {0: 1, 1: 1, 2: 4}]):
+    # Q^2, {0: 1, 3: 2} a KeyError from kernel, and {1.5: 2} rank 1 and two
+    # kernel vectors; an index that is no int survives elimination too
+    for vectors in (
+        [{5: 1}], [{0: 1, 3: 2}], [{-1: 1}], [{0: 1}, {0: 1, 1: 1, 2: 4}],
+        [{1.5: 2}], [{True: 1}], [{0: 1}, {0: 1, 0.5: 1}],
+    ):
         with pytest.raises(IndexError):
             Echelon(2, vectors)
     # no stored row holds such a column, so the entry survives elimination

@@ -3,6 +3,7 @@
 import random
 import re
 import time
+import weakref
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -10,6 +11,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import rht.model
 
 from rht import (
     AlgElement,
@@ -38,7 +41,7 @@ from rht.errors import (
     UnknownGenerator,
 )
 from rht.invariants import top_shift
-from rht.linalg import HomologySlice
+from rht.linalg import HomologySlice, RatMatrix
 from rht.model import formal_dimension_estimate, parse_expression
 
 from conftest import (
@@ -57,6 +60,7 @@ from conftest import (
     random_fibration,
     random_pure_elliptic,
     random_space,
+    scaling_family,
 )
 
 
@@ -600,6 +604,35 @@ def test_differential_matrices_match_oracle(seed):
                 got = {target[r]: v for r, v in matrix.columns[j].items()}
                 want = oracle_operator(gens, values, 1, AlgElement.monomial(gens, mono))
                 assert got == want, (m.name, n, mono.format(gens))
+
+
+def test_cohomology_holds_at_most_two_degrees(monkeypatch):
+    # Cochains keeps no matrix and no slice, so a pass through connected k=3
+    # (C^42 has 4,537 dimensions) holds, when it builds the slice at n, the
+    # slice at n - 1 it has printed and the matrices the two read.  The
+    # classes of both have __slots__ without __weakref__, so subclasses
+    # stand in for them
+    slices, matrices, alive = weakref.WeakSet(), weakref.WeakSet(), []
+
+    class Slice(HomologySlice):
+        def __init__(self, d_in, d_out):
+            super().__init__(d_in, d_out)
+            slices.add(self)
+            alive.append((len(slices), len(matrices)))
+
+    class Matrix(RatMatrix):
+        @classmethod
+        def _trusted(cls, rows, columns):
+            m = super()._trusted(rows, columns)
+            matrices.add(m)
+            return m
+
+    monkeypatch.setattr(rht.model, "HomologySlice", Slice)
+    monkeypatch.setattr(rht.model, "RatMatrix", Matrix)
+    coh = cohomology(scaling_family(3, connected=True), 42)
+    assert [coh[n][0] for n in range(37, 43)] == [1080, 1134, 1188, 1242, 1296, 1350]
+    assert len(alive) == 43
+    assert max(n for n, _ in alive) <= 2 and max(n for _, n in alive) <= 4, alive
 
 
 def test_cohomology_representatives_are_cocycles(su4_fixtures):

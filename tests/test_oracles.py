@@ -99,6 +99,31 @@ def test_certified_cohomology_is_a_poincare_duality_algebra():
     assert certified >= 45 and balanced >= 1, (certified, balanced)
 
 
+def test_named_finite_models_have_no_even_gottlieb_group_and_poincare_duality():
+    # the two oracles above on every unbounded space and total among the
+    # fixtures and scaling_family for k <= 3, plain and connected, read when
+    # finiteness_window calls it finite and it is minimal: the formal
+    # dimension estimate is the formal dimension only of a minimal model,
+    # and gottlieb refuses the non-minimal su5-bundle total.  H is read
+    # through fd + 1; the window has read it on (fd, fd + 6]
+    named = fixture_models() + [scaling_family(k, c) for k in range(1, 4) for c in (False, True)]
+    read = 0
+    for m in spaces_of(named):
+        if m.bound is not None:
+            continue
+        verdict = finiteness_window(m, 6)
+        if not (verdict.finite and m.is_minimal):
+            continue
+        read += 1
+        even = {n: sub.dim for n, sub in gottlieb(m).per_degree.items() if n % 2 == 0}
+        assert not any(even.values()), (m.serialize(), even)
+        fd = verdict.fd
+        dims = cohomology_dims(m, fd + 1)
+        assert dims[0] == dims[fd] == 1 and not dims[fd + 1], (m.serialize(), dims)
+        assert dims[: fd + 1] == dims[fd::-1], (m.serialize(), dims)
+    assert read >= 25, read
+
+
 def test_classical_gottlieb_groups():
     # the classical rational values: G_* = pi_* when d = 0, G_*(S^2n) is
     # pi_{4n-1} alone and G_*(CP^n) is pi_{2n+1} alone; models written inline
