@@ -10,9 +10,9 @@ from .algebra import _compile, _exact, _sum
 from .derivations import RELATIVE, DerComplex, dual_frame, frame_degrees
 from .errors import CombinatorialBlowup, DuplicateId, FiberMismatch, NotFiniteAtBound
 from .invariants import (
-    DEFAULT_WINDOW, GottliebResult, _image_on_cycles, finiteness_window, top_shift
+    DEFAULT_WINDOW, GottliebResult, _evaluation_shift, _image_on_cycles, finiteness_window, top_shift
 )
-from .linalg import RatMatrix, Subspace
+from .linalg import Subspace, _subtract
 from .model import RelativeModel, SullivanModel, _product, _relative
 
 # Most candidate differentials an enumeration may try; above it the count
@@ -83,8 +83,9 @@ class _Twist:
 
     The boundary is linear in D, so at shift n it is delta_T^n, from T's
     relative DerComplex, plus each nonzero c_s times B_s^n = [theta_s, -],
-    theta_s sending w_s to m_s; each B_s^n is built once, and realized
-    computes the image at shift n once per distinct such terms.
+    theta_s sending w_s to m_s.  Per frame degree n it keeps evaluation's
+    checked positions and the rows of delta_T^n and of each B_s^n, each built
+    once (_shift); realized sums rows once per distinct such terms at n.
     """
 
     def __init__(self, fiber: SullivanModel, base: SullivanModel, bound: Optional[int]):
@@ -92,7 +93,7 @@ class _Twist:
         self.fiber = self.trivial.fiber
         shifts = frame_degrees(self.fiber, top_shift(self.fiber))
         self.frames = [(n, dual_frame(self.fiber, n)) for n in shifts]
-        self._brackets: dict = {}  # (n, s) -> B_s^n, None when zero
+        self._shifts: dict = {}  # n -> see _shift
         self._images: dict[tuple, Subspace] = {}  # (n, nonzero terms at n) -> image
         self._totals: dict[tuple, Subspace] = {}  # the images, one per frame -> their sum
 
@@ -134,33 +135,34 @@ class _Twist:
         t, total = self.trivial, self.total(c, key)
         return _relative(t.base, t.fiber.gens, total.gens, total.images, key, t.bound)
 
-    def _bracket(self, n: int, s: tuple) -> Optional[RatMatrix]:
-        """B_s^n, or None when it is zero."""
-        if (n, s) not in self._brackets:
-            part = self.cx.bracket(n, {s[0]: ((s[1], 1),)})
-            self._brackets[n, s] = None if part.is_zero() else part
-        return self._brackets[n, s]
+    def _shift(self, n: int) -> tuple:
+        """The positions, delta_T^n's rows and {slot: B_s^n's rows, None when zero} at
+        frame degree n, built on first use, the first two through _evaluation_shift."""
+        if n not in self._shifts:
+            self._shifts[n] = (*_evaluation_shift(self.cx, n), {})
+        return self._shifts[n]
 
     def realized(self, c: dict) -> Subspace:
         """fibre_gottlieb(E).total() for the twist E by the slot coefficients c.
 
         Evaluation kills every B_s^{n+1}, whose values lie in the base ideal,
-        so the image at shift n reads only the terms whose B_s^n is nonzero
-        and checks evaluation against delta_T^{n+1}."""
+        so the image at shift n reads only the terms whose B_s^n is nonzero,
+        and its check against delta_T^{n+1} is made once per shift."""
         terms = sorted(c.items())
         per = {}
         for n, frame in self.frames:
-            key = (n, tuple((s, v) for s, v in terms if self._bracket(n, s)))
+            positions, delta, brackets = self._shift(n)
+            for s, _ in terms:
+                if s not in brackets:
+                    part = self.cx.bracket(n, {s[0]: ((s[1], 1),)})
+                    brackets[s] = None if part.is_zero() else part.row_lines()
+            key = (n, tuple((s, v) for s, v in terms if brackets[s]))
             if key not in self._images:
-                delta = self.cx.boundary(n)
-                columns = [dict(col) for col in delta.columns]
+                rows = [dict(row) for row in delta]
                 for s, v in key[1]:
-                    for acc, col in zip(columns, self._brackets[n, s].columns):
-                        for r, x in col.items():
-                            acc[r] = acc.get(r, 0) + v * x
-                d_out = RatMatrix(delta.rows, columns)
-                d_in = self.cx.boundary(n + 1)
-                self._images[key] = _image_on_cycles(self.cx.evaluation(n), d_out, d_in, frame)
+                    for acc, row in zip(rows, brackets[s]):
+                        _subtract(acc, -v, row)
+                self._images[key] = _image_on_cycles(positions, rows, frame)
             per[n] = self._images[key]
         images = tuple(map(id, per.values()))
         if images not in self._totals:

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .derivations import ABSOLUTE, IDEAL, RELATIVE, DerComplex, _inverse, dual_frame, frame_degrees
 from .errors import BaseNotDegreeTwo, CombinatorialBlowup, NotAComplex
-from .linalg import Echelon, HomologySlice, Number, RatMatrix, Subspace
+from .linalg import Echelon, HomologySlice, Number, Sparse, Subspace
 from .model import Cochains, ModelLike, RelativeModel, SullivanModel, formal_dimension_estimate
 from .poset import poset_of_subspaces
 
@@ -62,29 +62,35 @@ def _moved(v: Mapping[int, Number], positions: Sequence[Optional[int]]) -> dict:
     return {positions[i]: c for i, c in v.items() if positions[i] is not None}
 
 
-def _image_on_cycles(
-    evaluation: Sequence[Optional[int]],
-    d_out: RatMatrix,
-    d_in: RatMatrix,
-    frame: Sequence[str],
-) -> Subspace:
-    """Image under evaluation, read as positions into frame, of the cycles of d_out.
+def _image_on_cycles(positions: Sequence[int], rows: Iterable[Sparse], frame: Sequence[str]) -> Subspace:
+    """Image under evaluation, read as positions (_evaluation_shift), of the cycles of d_out.
 
-    The evaluation must kill the boundaries d_in, that is no entry of d_in
-    may sit at a pair it keeps, otherwise the image on cycles is not well
-    defined on homology; checked on every run.  The image is the kernel of
-    the functionals on the frame that vanish on it: read through evaluation,
-    the row space of d_out zero on every dropped pair.  One echelon of d_out,
-    each kept pair j moved to column d_out.cols + evaluation[j], holds them
-    as its rows pivoted on a kept pair.
+    The image is the kernel of the functionals on the frame that vanish on
+    it: read through evaluation, the row space of d_out zero on every
+    dropped pair.  One echelon of d_out's rows, each pair j moved to
+    column positions[j], holds them as its rows pivoted on a kept pair.
     """
-    if any(evaluation[r] is not None for col in d_in.columns for r in col):
-        raise NotAComplex("evaluation does not kill boundaries")
-    cols = d_out.cols
-    index = [j if e is None else cols + e for j, e in enumerate(evaluation)]
-    rows = Echelon(cols + len(frame), (_moved(r, index) for r in d_out.row_lines() if r)).rows
-    vanishing = ({c - cols: x for c, x in row.items()} for p, row in rows.items() if p >= cols)
+    cols = len(positions)
+    echelon = Echelon(cols + len(frame), (_moved(r, positions) for r in rows if r)).rows
+    vanishing = ({c - cols: x for c, x in row.items()} for p, row in echelon.items() if p >= cols)
     return Subspace(frame, Echelon(len(frame), vanishing).kernel())
+
+
+def _evaluation_shift(cx: DerComplex, n: int) -> tuple[list[int], list[Sparse]]:
+    """Evaluation at shift n as positions for _image_on_cycles, and the rows of cx.boundary(n).
+
+    Each dropped pair j stays at j and each kept pair at d_out.cols +
+    evaluation[j].  The evaluation must kill the boundaries into shift n,
+    that is no entry of cx.boundary(n + 1) may sit at a pair it keeps,
+    otherwise the image on cycles is not well defined on homology; checked
+    on every call, after the slices below and above are built.
+    """
+    rows = cx.boundary(n).row_lines()
+    evaluation = cx.evaluation(n)
+    if any(evaluation[r] is not None for col in cx.boundary(n + 1).columns for r in col):
+        raise NotAComplex("evaluation does not kill boundaries")
+    cols = len(evaluation)
+    return [j if e is None else cols + e for j, e in enumerate(evaluation)], rows
 
 
 def gottlieb(m: ModelLike, max_degree: Optional[int] = None) -> GottliebResult:
@@ -106,8 +112,7 @@ def _evaluation_images(cx: DerComplex, max_degree: Optional[int]) -> GottliebRes
     top = max_degree if max_degree is not None else top_shift(fiber)
     per: dict[int, Subspace] = {}
     for n in frame_degrees(fiber, top):
-        frame = dual_frame(fiber, n)
-        per[n] = _image_on_cycles(cx.evaluation(n), cx.boundary(n), cx.boundary(n + 1), frame)
+        per[n] = _image_on_cycles(*_evaluation_shift(cx, n), dual_frame(fiber, n))
     return GottliebResult(fiber, per)
 
 
@@ -308,7 +313,8 @@ def finiteness_window(model: ModelLike, window: int = DEFAULT_WINDOW) -> Finiten
     A True verdict is exact when the associated pure quotient certifies H
     finite; no cochain is built then.  Otherwise the window decides: one
     scan reads H down from fd + window to its first nonzero degree, whose
-    slice the record keeps for callers that read more of it.
+    slice the record keeps for callers that read more of it; it builds
+    each d once (Cochains.homology).
     """
     # the range must hold at least one degree, or every model passes vacuously
     if window < 1:

@@ -303,14 +303,17 @@ def _d_lines(kind: str, m: SullivanModel, gens) -> list[str]:
 class Cochains:
     """The cochain complex (Lambda V, d) of one model.
 
-    It keeps no matrix and no slice: each call of d(n) or homology(n) builds
-    anew, so a caller holds only the degrees it reads.  The degree bases are
+    It keeps no slice and one matrix at most: each call of d(n) builds anew,
+    and homology(n) keeps only its d(n - 1), for the next call when that is
+    homology(n - 1), so a caller holds only the degrees it reads and a scan
+    down the degrees builds each d once.  The degree bases are
     the packed key lists of the model's GenSet, which every model over it
     shares; a caller unpacks only the monomials it prints.
     """
 
     def __init__(self, m: SullivanModel):
         self.model = m
+        self._below: tuple = (None, None)  # (n - 1, d(n - 1)) of the last homology(n)
 
     def keys(self, n: int) -> list[int]:
         """The degree-n basis as packed monomials; d(-1) is the zero map into H^0."""
@@ -328,7 +331,9 @@ class Cochains:
 
     def homology(self, n: int) -> HomologySlice:
         """H^n, in coordinates of the degree-n basis."""
-        return HomologySlice(self.d(n - 1), self.d(n))
+        d_in = self.d(n - 1)
+        (below, d_out), self._below = self._below, (n - 1, d_in)
+        return HomologySlice(d_in, d_out if below == n else self.d(n))
 
 
 def cohomology(model: ModelLike, max_degree: int) -> dict[int, tuple[int, list[str]]]:

@@ -45,6 +45,8 @@ ALLOWED = {
     " (ROADMAP items 3 and 5)",
     "catalog._Twist.entry": "builds an enumerated Catalog's entries; only"
     " perfbench/tracer.py reads Catalog.entries of an enumeration, in traced passes",
+    "linalg.RatMatrix.__init__": "the checking constructor of the public RatMatrix, which"
+    " README's linalg bullet names; the package builds each matrix it makes through _trusted",
 }
 
 HELP_CALLS = (

@@ -34,8 +34,9 @@ from rht.errors import (
     NotFiniteAtBound,
     RhtError,
 )
-from rht.derivations import ABSOLUTE, IDEAL, RELATIVE, DerComplex
+from rht.derivations import ABSOLUTE, IDEAL, RELATIVE, DerComplex, frame_degrees
 from rht.invariants import top_shift
+from rht.linalg import RatMatrix
 from rht.model import parse_document, trivial_fibration
 
 from conftest import (
@@ -530,7 +531,8 @@ def test_evaluation_kills_every_twist_bracket():
             slots.update(twist.read(entry))
         for n, _ in twist.frames:
             for s in slots:
-                if (part := twist._bracket(n + 1, s)) is not None:
+                part = twist.cx.bracket(n + 1, {s[0]: ((s[1], 1),)})
+                if not part.is_zero():
                     assert not any(product(evaluation_matrix(twist.cx, n), part)), (i, n)
                     checked[i] += 1
     # E2's fibre has one degree, and wedge's brackets vanish one shift above
@@ -541,7 +543,7 @@ def test_evaluation_kills_every_twist_bracket():
 def test_realized_subspaces_build_each_part_once(monkeypatch, su4_fixtures):
     # fiber-3-5-9-17 over qt, ungated and gated, both read over the trivial
     # fibration: one complex for its one base, each bracket [E, -] built
-    # once, and each image once per distinct pair of boundaries (before
+    # once, and each image once per distinct d_out at its shift (before
     # _Twist, the ungated one built 58 complexes and 232 images)
     ungated, gated = (benchmark_enumerations()[i] for i in (2, 0))
     # given catalogs: one relative complex per distinct base and bound
@@ -565,12 +567,9 @@ def test_realized_subspaces_build_each_part_once(monkeypatch, su4_fixtures):
         brackets[id(self), n, tuple(sorted(images.items()))] += 1
         return real_bracket(self, n, images)
 
-    def canonical(m):
-        return m.rows, tuple(tuple(sorted(col.items())) for col in m.columns)
-
-    def counting_image(eval_matrix, d_out, d_in, frame):
-        images.append((tuple(frame), canonical(d_out), canonical(d_in)))
-        return real_image(eval_matrix, d_out, d_in, frame)
+    def counting_image(positions, rows, frame):
+        images.append((tuple(frame), tuple(positions), tuple(tuple(sorted(r.items())) for r in rows)))
+        return real_image(positions, rows, frame)
 
     monkeypatch.setattr(rht.derivations.DerComplex, "__init__", counting_init)
     monkeypatch.setattr(rht.derivations.DerComplex, "bracket", counting_bracket)
@@ -595,13 +594,66 @@ def test_realized_subspaces_build_each_part_once(monkeypatch, su4_fixtures):
         assert brackets and max(brackets.values()) == 1, brackets.most_common(3)
 
 
+def test_realization_checks_evaluation_once_per_shift(monkeypatch):
+    # fiber-3-5-9-17 over qt, ungated and gated: one twist with four frame
+    # degrees, so evaluation and its check against delta_T^{n+1} run once per
+    # frame degree and delta_T^n's rows are read once, for the 68 distinct
+    # images each one needs (the check once ran per image)
+    ungated, gated = (benchmark_enumerations()[i] for i in (2, 0))
+    complexes, evaluations, scans, images, rows = [], [], [], [], Counter()
+    real_init, real_evaluation = DerComplex.__init__, DerComplex.evaluation
+    real_scan, real_image, real_rows = (
+        rht.catalog._evaluation_shift, rht.catalog._image_on_cycles, RatMatrix.row_lines
+    )
+
+    def counting_init(self, *args, **kwargs):
+        complexes.append(self)
+        real_init(self, *args, **kwargs)
+
+    def counting_evaluation(self, n):
+        evaluations.append((self, n))
+        return real_evaluation(self, n)
+
+    def counting_scan(cx, n):
+        scans.append((cx, n))
+        return real_scan(cx, n)
+
+    def counting_image(*args):
+        images.append(args[-1])
+        return real_image(*args)
+
+    def counting_rows(self):
+        rows[id(self)] += 1
+        return real_rows(self)
+
+    monkeypatch.setattr(DerComplex, "__init__", counting_init)
+    monkeypatch.setattr(DerComplex, "evaluation", counting_evaluation)
+    monkeypatch.setattr(rht.catalog, "_evaluation_shift", counting_scan)
+    monkeypatch.setattr(rht.catalog, "_image_on_cycles", counting_image)
+    monkeypatch.setattr(RatMatrix, "row_lines", counting_rows)
+    for cat in (ungated, gated):
+        for counted in (complexes, evaluations, scans, images, rows):
+            counted.clear()
+        for _ in range(2):  # a second pass builds nothing again
+            assert len(cat.realized_subspaces()) == len(cat.entries)
+        (cx,) = complexes
+        shifts = [(cx, n) for n in frame_degrees(cat.fiber, top_shift(cat.fiber))]
+        assert len(shifts) == 4 and evaluations == scans == shifts, (evaluations, scans)
+        assert all(rows[id(cx.boundary(n))] == 1 for _, n in shifts), rows
+        assert len(images) == 68, len(images)
+
+
 def test_enumerated_images_match_kernel_then_project(monkeypatch):
     # every image the benchmark's enumerations compute equals the reference,
     # a kernel vector of d_out per free column moved through evaluation
     real_image, checked = rht.catalog._image_on_cycles, []
 
-    def checked_image(evaluation, d_out, d_in, frame):
-        image = real_image(evaluation, d_out, d_in, frame)
+    def checked_image(positions, rows, frame):
+        image = real_image(positions, rows, frame)
+        cols = len(positions)  # each kept pair j sits at cols + evaluation[j]
+        evaluation = [None if p < cols else p - cols for p in positions]
+        columns = [{r: row[j] for r, row in enumerate(rows) if j in row} for j in range(cols)]
+        d_out = RatMatrix(len(rows), columns)
         assert image == image_by_projection(evaluation, d_out, frame), (frame, d_out)
         checked.append(image.dim)
         return image

@@ -487,9 +487,9 @@ def test_images_eliminate_no_empty_vector(monkeypatch):
             kernels.append((self.n, frames[-1]))
         return real_kernel(self)
 
-    def recording_image(evaluation, d_out, d_in, frame):
+    def recording_image(positions, rows, frame):
         frames.append(len(frame))
-        image = real_image(evaluation, d_out, d_in, frame)
+        image = real_image(positions, rows, frame)
         frames.pop()
         return image
 
@@ -966,6 +966,29 @@ def test_toral_scan_reads_down_from_the_top(su4_fixtures, monkeypatch):
         assert cert.top_nonzero is not None, m.name
         fd = cert.finite_through - window
         assert built == list(range(fd + window, cert.top_nonzero - 1, -1)), (m.name, built)
+
+
+def test_window_scan_builds_each_differential_once(monkeypatch, capsys):
+    # the scan down the window hands each d(n - 1) to the slice below it:
+    # toral-check on cp3 at window 6 reads H^17 and H^16 from 3 differentials
+    # (4 when each slice built both of its own), and a scan that reads the
+    # whole window builds window + 1 of them (2 * window when each slice did)
+    built, real_d = [], rht.model.Cochains.d
+
+    def counting_d(self, n):
+        built.append(n)
+        return real_d(self, n)
+
+    monkeypatch.setattr(rht.model.Cochains, "d", counting_d)
+    assert rht.cli.main(["toral-check", str(CP3), "--window", "6"]) == 0
+    assert "top nonzero degree 16" in capsys.readouterr().out
+    assert sorted(built) == [15, 16, 17], built
+    # fd 0 and no pure relation: the window alone decides, and H^1..H^6 are 0
+    free = SullivanModel(GenSet([("y", 7), ("x", 8)]), {}, name="free")
+    for window in (1, 3, 6):
+        built.clear()
+        assert finiteness_window(free, window) == (True, 0, None, None)
+        assert sorted(built) == list(range(window + 1)), (window, built)
 
 
 def test_each_degree_basis_is_built_once_per_call(built_key_lists):
