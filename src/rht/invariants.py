@@ -62,7 +62,9 @@ def _moved(v: Mapping[int, Number], positions: Sequence[Optional[int]]) -> dict:
     return {positions[i]: c for i, c in v.items() if positions[i] is not None}
 
 
-def _image_on_cycles(positions: Sequence[int], rows: Iterable[Sparse], frame: Sequence[str]) -> Subspace:
+def _image_on_cycles(
+    positions: Sequence[int], rows: Iterable[Sparse], frame: Sequence[str]
+) -> Subspace:
     """Image under evaluation, read as positions (_evaluation_shift), of the cycles of d_out.
 
     The image is the kernel of the functionals on the frame that vanish on

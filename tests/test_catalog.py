@@ -568,7 +568,8 @@ def test_realized_subspaces_build_each_part_once(monkeypatch, su4_fixtures):
         return real_bracket(self, n, images)
 
     def counting_image(positions, rows, frame):
-        images.append((tuple(frame), tuple(positions), tuple(tuple(sorted(r.items())) for r in rows)))
+        d_out = tuple(tuple(sorted(r.items())) for r in rows)
+        images.append((tuple(frame), tuple(positions), d_out))
         return real_image(positions, rows, frame)
 
     monkeypatch.setattr(rht.derivations.DerComplex, "__init__", counting_init)

@@ -6,6 +6,7 @@ import subprocess
 from collections import Counter
 from fractions import Fraction
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -989,6 +990,24 @@ def test_window_scan_builds_each_differential_once(monkeypatch, capsys):
         built.clear()
         assert finiteness_window(free, window) == (True, 0, None, None)
         assert sorted(built) == list(range(window + 1)), (window, built)
+    # a pass up keeps no matrix between its calls, only the first call keeps
+    # its d(n - 1); RatMatrix has __slots__ without __weakref__, so a
+    # subclass stands in for it
+    alive = weakref.WeakSet()
+
+    class Matrix(RatMatrix):
+        @classmethod
+        def _trusted(cls, rows, columns):
+            m = super()._trusted(rows, columns)
+            alive.add(m)
+            return m
+
+    monkeypatch.setattr(rht.model, "RatMatrix", Matrix)
+    cx, kept = Cochains(free), []
+    for n in range(1, 9):
+        cx.homology(n)
+        kept.append(len(alive))
+    assert kept == [1] + [0] * 7, kept
 
 
 def test_each_degree_basis_is_built_once_per_call(built_key_lists):
