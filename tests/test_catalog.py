@@ -601,7 +601,7 @@ def test_realization_checks_evaluation_once_per_shift(monkeypatch):
     # frame degree and delta_T^n's rows are read once, for the 68 distinct
     # images each one needs (the check once ran per image)
     ungated, gated = (benchmark_enumerations()[i] for i in (2, 0))
-    complexes, evaluations, scans, images, rows = [], [], [], [], Counter()
+    complexes, evaluations, scans, images, read = [], [], [], [], Counter()
     real_init, real_evaluation = DerComplex.__init__, DerComplex.evaluation
     real_scan, real_image, real_rows = (
         rht.catalog._evaluation_shift, rht.catalog._image_on_cycles, RatMatrix.row_lines
@@ -619,12 +619,12 @@ def test_realization_checks_evaluation_once_per_shift(monkeypatch):
         scans.append((cx, n))
         return real_scan(cx, n)
 
-    def counting_image(*args):
-        images.append(args[-1])
-        return real_image(*args)
+    def counting_image(positions, rows, frame):
+        images.append(frame)
+        return real_image(positions, rows, frame)
 
     def counting_rows(self):
-        rows[id(self)] += 1
+        read[id(self)] += 1
         return real_rows(self)
 
     monkeypatch.setattr(DerComplex, "__init__", counting_init)
@@ -633,14 +633,14 @@ def test_realization_checks_evaluation_once_per_shift(monkeypatch):
     monkeypatch.setattr(rht.catalog, "_image_on_cycles", counting_image)
     monkeypatch.setattr(RatMatrix, "row_lines", counting_rows)
     for cat in (ungated, gated):
-        for counted in (complexes, evaluations, scans, images, rows):
+        for counted in (complexes, evaluations, scans, images, read):
             counted.clear()
         for _ in range(2):  # a second pass builds nothing again
             assert len(cat.realized_subspaces()) == len(cat.entries)
         (cx,) = complexes
         shifts = [(cx, n) for n in frame_degrees(cat.fiber, top_shift(cat.fiber))]
         assert len(shifts) == 4 and evaluations == scans == shifts, (evaluations, scans)
-        assert all(rows[id(cx.boundary(n))] == 1 for _, n in shifts), rows
+        assert all(read[id(cx.boundary(n))] == 1 for _, n in shifts), read
         assert len(images) == 68, len(images)
 
 
