@@ -10,8 +10,7 @@ from .algebra import _compile, _exact, _sum
 from .derivations import RELATIVE, DerComplex, dual_frame, frame_degrees
 from .errors import CombinatorialBlowup, DuplicateId, FiberMismatch, NotFiniteAtBound
 from .invariants import (
-    DEFAULT_WINDOW, GottliebResult, _evaluation_shift, _image_on_cycles, finiteness_window,
-    top_shift,
+    DEFAULT_WINDOW, GottliebResult, _evaluation_shift, _image_on_cycles, finiteness_window, top_shift
 )
 from .linalg import Subspace, _subtract
 from .model import RelativeModel, SullivanModel, _product, _relative

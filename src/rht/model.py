@@ -303,17 +303,14 @@ def _d_lines(kind: str, m: SullivanModel, gens) -> list[str]:
 class Cochains:
     """The cochain complex (Lambda V, d) of one model.
 
-    It keeps no slice and one matrix at most: each call of d(n) builds anew,
-    and homology(n), unless it is a step up, keeps only its d(n - 1) for a
-    following homology(n - 1).  So a caller holds only the degrees it reads,
-    and a scan down the degrees builds each d once.  The degree bases are
+    It keeps no matrix and no slice: each call of d(n) or homology(n) builds
+    anew, so a caller holds only the degrees it reads.  The degree bases are
     the packed key lists of the model's GenSet, which every model over it
     shares; a caller unpacks only the monomials it prints.
     """
 
     def __init__(self, m: SullivanModel):
         self.model = m
-        self._below: tuple = (None, None)  # n - 1 of the last homology(n), and its d(n - 1) if kept
 
     def keys(self, n: int) -> list[int]:
         """The degree-n basis as packed monomials; d(-1) is the zero map into H^0."""
@@ -331,11 +328,7 @@ class Cochains:
 
     def homology(self, n: int) -> HomologySlice:
         """H^n, in coordinates of the degree-n basis."""
-        d_in = self.d(n - 1)
-        below, d_out = self._below
-        down = below in (None, n)  # the first call, or a step down from homology(n + 1)
-        self._below = (n - 1, d_in if down else None)  # a step up keeps no matrix
-        return HomologySlice(d_in, d_out if below == n and d_out is not None else self.d(n))
+        return HomologySlice(self.d(n - 1), self.d(n))
 
 
 def cohomology(model: ModelLike, max_degree: int) -> dict[int, tuple[int, list[str]]]:

@@ -6,7 +6,6 @@ import subprocess
 from collections import Counter
 from fractions import Fraction
 import sys
-import weakref
 from pathlib import Path
 
 import pytest
@@ -896,7 +895,7 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
     monkeypatch.setattr(rht.model.Cochains, "keys", counting_keys)
     monkeypatch.setattr(rht.algebra.GenSet, "even", recording_even)
     monkeypatch.setattr(rht.algebra.GenSet, "keys", counting_pure_keys)
-    monkeypatch.setattr(rht.model, "HomologySlice", counting_slice)
+    monkeypatch.setattr(rht.invariants, "HomologySlice", counting_slice)
     monkeypatch.setattr(rht.model.Cochains, "d", counting_d)
     monkeypatch.setattr(rht.linalg.Echelon, "kernel", counting_kernel)
     monkeypatch.setattr(rht.linalg.HomologySlice, "representatives", property(reading_reps))
@@ -945,22 +944,20 @@ def test_toral_scan_reads_down_from_the_top(su4_fixtures, monkeypatch):
     # top_nonzero is the highest nonzero degree of the window: the one scan
     # runs down from fd + window, builds no slice below the degree it stops
     # at and builds each degree at most once
-    calls, built = [], []  # degrees of the open Cochains.homology calls, of each new slice
-    real_homology, real_slice = rht.model.Cochains.homology, rht.model.HomologySlice
+    degrees, built = {}, []  # id of each d(n) built -> (n, d), degree of each new slice
+    real_d, real_slice = rht.model.Cochains.d, rht.invariants.HomologySlice
 
-    def recording_homology(self, n):
-        calls.append(n)
-        try:
-            return real_homology(self, n)
-        finally:
-            calls.pop()
+    def recording_d(self, n):
+        d = real_d(self, n)
+        degrees[id(d)] = n, d
+        return d
 
     def counting_slice(d_in, d_out):
-        built.append(calls[-1])
+        built.append(degrees[id(d_out)][0])  # H^n's d_out is d(n)
         return real_slice(d_in, d_out)
 
-    monkeypatch.setattr(rht.model.Cochains, "homology", recording_homology)
-    monkeypatch.setattr(rht.model, "HomologySlice", counting_slice)
+    monkeypatch.setattr(rht.model.Cochains, "d", recording_d)
+    monkeypatch.setattr(rht.invariants, "HomologySlice", counting_slice)
     for m, window in ((scaling_family(2), 6), (su4_fixtures["su4-trivial"], 8)):
         built.clear()
         cert = toral_certificate(m, window)
@@ -990,24 +987,6 @@ def test_window_scan_builds_each_differential_once(monkeypatch, capsys):
         built.clear()
         assert finiteness_window(free, window) == (True, 0, None, None)
         assert sorted(built) == list(range(window + 1)), (window, built)
-    # a pass up keeps no matrix between its calls, only the first call keeps
-    # its d(n - 1); RatMatrix has __slots__ without __weakref__, so a
-    # subclass stands in for it
-    alive = weakref.WeakSet()
-
-    class Matrix(RatMatrix):
-        @classmethod
-        def _trusted(cls, rows, columns):
-            m = super()._trusted(rows, columns)
-            alive.add(m)
-            return m
-
-    monkeypatch.setattr(rht.model, "RatMatrix", Matrix)
-    cx, kept = Cochains(free), []
-    for n in range(1, 9):
-        cx.homology(n)
-        kept.append(len(alive))
-    assert kept == [1] + [0] * 7, kept
 
 
 def test_each_degree_basis_is_built_once_per_call(built_key_lists):
