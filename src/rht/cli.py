@@ -19,6 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .algebra import MAX_BASIS
 from .catalog import Catalog, enumerate_fibrations
 from .derivations import ABSOLUTE, RELATIVE, DerComplex, frame_degrees
 from .errors import (
@@ -96,6 +97,8 @@ def _parse_degrees(spec: Optional[str], default: tuple[int, int]) -> range:
             raise RhtError(f"--degrees expects a..b or a single degree, got {spec!r}") from None
         if not 1 <= lo <= hi:
             raise RhtError(f"--degrees needs 1 <= a <= b, got {spec!r}")
+        if hi > MAX_BASIS:
+            raise CombinatorialBlowup(f"--degrees ends at {hi}, past {MAX_BASIS}, the highest generator degree")
     return range(lo, hi + 1)
 
 
@@ -115,20 +118,26 @@ def _emit(args, doc, lines) -> None:
 
 
 def _report_degrees(args, model_name, rows, bound=None):
-    """rows: degree -> (dim, basis labels).  Text table or JSON document."""
-    rows = sorted(rows.items())
-    degrees = {str(n): {"dim": dim, "basis": list(basis)} for n, (dim, basis) in rows}
-    # "window" is part of the pinned schema; no per-degree report has one
-    doc = {"model": model_name, "degrees": degrees, "bound": bound, "window": None}
-    lines = [f"model {model_name}"]
+    """Write rows, (n, (dim, basis labels)) in ascending n, each as it comes: a text
+    table, or json.dumps(doc, indent=2)'s layout under --json.  "window" is part
+    of the pinned schema; no per-degree report has one."""
+    if not args.json:
+        print(f"model {model_name}")
+        for n, (dim, basis) in rows:
+            print(f"  n={n}  dim {dim}" + ("  " + ", ".join(basis) if basis else ""))
+        return
+    print(f'{{\n  "model": {json.dumps(model_name)},\n  "degrees": {{', end="")
+    sep = ""  # "," once a row is written
     for n, (dim, basis) in rows:
-        lines.append(f"  n={n}  dim {dim}" + ("  " + ", ".join(basis) if basis else ""))
-    _emit(args, doc, lines)
+        labels = "[\n        " + ",\n        ".join(map(json.dumps, basis)) + "\n      ]" if basis else "[]"
+        print(f'{sep}\n    "{n}": {{\n      "dim": {dim},\n      "basis": {labels}\n    }}', end="")
+        sep = ","
+    print(("\n  }" if sep else "}") + f',\n  "bound": {json.dumps(bound)},\n  "window": null\n}}')
 
 
-def _subspace_rows(per_degree) -> dict[int, tuple[int, list[str]]]:
+def _subspace_rows(per_degree) -> list[tuple[int, tuple[int, list[str]]]]:
     """The report rows of per-degree subspaces of Hom(W^n, Q)."""
-    return {n: (sub.dim, sub.basis_labels()) for n, sub in per_degree.items()}
+    return [(n, (sub.dim, sub.basis_labels())) for n, sub in sorted(per_degree.items())]
 
 
 # ----------------------------------------------------------------------
@@ -151,10 +160,8 @@ def _cmd_homotopy(args) -> int:
     for m in _load_models(args.files):
         space = m.fiber
         top = top_shift(m) if args.max_degree is None else args.max_degree
-        rows = {}
-        for n in frame_degrees(space, top):
-            names = [g.name for g in space.gens if g.degree == n]
-            rows[n] = (len(names), names)
+        names = [(n, [g.name for g in space.gens if g.degree == n]) for n in frame_degrees(space, top)]
+        rows = [(n, (len(v), v)) for n, v in names]
         _report_degrees(args, space.name or "model", rows, bound=space.bound)
     return 0
 
@@ -171,7 +178,7 @@ def _cmd_cohomology(args) -> int:
         total.check_bound(top)
         if fd is not None and fd < top and _pure_quotient_vanishes(total, fd, top - fd):
             top = fd  # H is finite, so zero above fd: only nonzero rows are printed
-        rows = {n: (dim, reps) for n, (dim, reps) in cohomology(m, top).items() if dim}
+        rows = ((n, row) for n, row in cohomology(m, top) if row[0])
         _report_degrees(args, m.name or "model", rows, bound=total.bound)
     return 0
 
@@ -185,7 +192,7 @@ def _cmd_der_homology(args) -> int:
         for n in degrees:
             h, basis = cx.homology(n), cx.slice(n)
             rows[n] = (h.dim, [basis.format(rep) for rep in h.representatives])
-        _report_degrees(args, m.name or "model", rows)
+        _report_degrees(args, m.name or "model", sorted(rows.items()))
     return 0
 
 

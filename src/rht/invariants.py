@@ -9,7 +9,7 @@ certificates for torus actions, and depth of chains of realized subspaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .derivations import ABSOLUTE, IDEAL, RELATIVE, DerComplex, _inverse, dual_frame, frame_degrees
 from .errors import BaseNotDegreeTwo, CombinatorialBlowup, NotAComplex
@@ -314,9 +314,9 @@ def finiteness_window(model: ModelLike, window: int = DEFAULT_WINDOW) -> Finiten
 
     A True verdict is exact when the associated pure quotient certifies H
     finite; no cochain is built then.  Otherwise the window decides: one
-    scan reads H down from fd + window to its first nonzero degree, whose
-    slice the record keeps for callers that read more of it; it builds
-    each d once (_slices_down).
+    walk of Cochains.slices reads H down from fd + window to its first
+    nonzero degree, building each d once, and the record keeps that
+    degree's slice for callers that read more of it.
     """
     # the range must hold at least one degree, or every model passes vacuously
     if window < 1:
@@ -328,20 +328,9 @@ def finiteness_window(model: ModelLike, window: int = DEFAULT_WINDOW) -> Finiten
     total.check_bound(fd + window)
     if _pure_quotient_vanishes(total, fd, window):
         return Finiteness(True, fd, None, None)
-    slices = _slices_down(Cochains(total), fd + window, fd)
+    slices = Cochains(total).slices(range(fd + window, fd, -1))
     top_nonzero, top = next(((n, h) for n, h in slices if h.dim), (None, None))
     return Finiteness(top is None, fd, top, top_nonzero)
-
-
-def _slices_down(cx: Cochains, top: int, stop: int) -> Iterator[tuple[int, HomologySlice]]:
-    """(n, H^n) for n from top down to stop + 1, each d built once: d(n - 1) is the
-    d_in of H^n, then the d_out of H^(n - 1), and is built first, as in Cochains.homology,
-    so an oversized degree is refused where homology(n) would refuse it."""
-    d_out = None
-    for n in range(top, stop, -1):
-        d_in = cx.d(n - 1)
-        yield n, HomologySlice(d_in, cx.d(n) if d_out is None else d_out)
-        d_out = d_in
 
 
 def toral_certificate(f: RelativeModel, window: int = DEFAULT_WINDOW) -> ToralCertificate:

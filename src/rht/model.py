@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from .algebra import AlgElement, GenSet, Rational, _compile, _format_sum, _format_terms, _leibniz, _sum
 from .errors import (
@@ -303,10 +303,10 @@ def _d_lines(kind: str, m: SullivanModel, gens) -> list[str]:
 class Cochains:
     """The cochain complex (Lambda V, d) of one model.
 
-    It keeps no matrix and no slice: each call of d(n) or homology(n) builds
-    anew, so a caller holds only the degrees it reads.  The degree bases are
-    the packed key lists of the model's GenSet, which every model over it
-    shares; a caller unpacks only the monomials it prints.
+    It keeps no matrix and no slice: d(n) builds anew on each call, and a
+    walk of slices holds only the two d its slice reads.  The degree bases
+    are the packed key lists of the model's GenSet, which every model over
+    it shares; a caller unpacks only the monomials it prints.
     """
 
     def __init__(self, m: SullivanModel):
@@ -326,29 +326,32 @@ class Cochains:
         ]
         return RatMatrix._trusted(len(index), columns)
 
-    def homology(self, n: int) -> HomologySlice:
-        """H^n, in coordinates of the degree-n basis."""
-        return HomologySlice(self.d(n - 1), self.d(n))
+    def slices(self, degrees: range) -> Iterator[tuple[int, HomologySlice]]:
+        """(n, H^n in coordinates of the degree-n basis) for n in degrees, a
+        range of step 1 or -1.  Each d is built once, d(n - 1) before d(n), so
+        an oversized degree is refused at the same degree either way."""
+        if degrees.step not in (1, -1):
+            raise ValueError(f"Cochains.slices needs a range of step 1 or -1, got {degrees.step}")
+        d = {}  # d(n - 1) and d(n), by degree; the next slice takes one of them over
+        for n in degrees:
+            d = {k: d[k] if k in d else self.d(k) for k in (n - 1, n)}
+            yield n, HomologySlice(d[n - 1], d[n])
 
 
-def cohomology(model: ModelLike, max_degree: int) -> dict[int, tuple[int, list[str]]]:
-    """H^n of the (total) algebra for n = 0..max_degree: its dimension and
-    the text of a representative cocycle of each basis class."""
+def cohomology(model: ModelLike, max_degree: int) -> Iterator[tuple[int, tuple[int, list[str]]]]:
+    """(n, (dim H^n, the text of a representative cocycle of each basis class))
+    of the (total) algebra for n = 0..max_degree, one degree at a time; the
+    bound and the basis sizes are checked on the call, before any row."""
     m = model.total
     m.check_bound(max_degree)
     for n in range(max_degree + 2):
         m.gens.size(n)  # an oversized basis is refused before any is built
-    cx = Cochains(m)
-    out = {}
-    for n in range(max_degree + 1):
-        h, keys = cx.homology(n), cx.keys(n)
-        # basis order is sort_key order within a degree
-        reps = [
-            _format_sum(m.gens, [(m.gens.unpack(keys[i]), rep[i]) for i in sorted(rep)])
-            for rep in h.representatives
-        ]
-        out[n] = (h.dim, reps)
-    return out
+
+    def text(keys, rep):  # basis order is sort_key order within a degree
+        return _format_sum(m.gens, [(m.gens.unpack(keys[i]), rep[i]) for i in sorted(rep)])
+
+    walk = Cochains(m).slices(range(max_degree + 1))
+    return ((n, (h.dim, [text(m.gens.keys(n), rep) for rep in h.representatives])) for n, h in walk)
 
 
 def formal_dimension_estimate(gens: GenSet) -> Optional[int]:

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, output shapes, exit codes."""
 
 import argparse
+import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -31,7 +33,7 @@ from rht.model import formal_dimension_estimate
 
 from cli_snapshot import differences, sweep
 from cli_snapshot import load as load_snapshot
-from conftest import FIXTURES, derivation_text, fixture_texts
+from conftest import FIXTURES, derivation_text, fixture_texts, random_space
 
 
 def fx(name):
@@ -262,6 +264,71 @@ def test_les_check_names_the_first_degree_past_the_bound(capsys, tmp_path, degre
     code, out, err = run(capsys, "les-check", str(path), "--degrees", degrees)
     assert (code, out) == (2, "")
     assert err == f"BoundExceeded: degree {overrun} exceeds the model's validity bound 4\n"
+
+
+def test_degrees_past_max_basis_are_refused(capsys, monkeypatch):
+    # no generator has a degree above MAX_BASIS, so every derivation there is
+    # zero: a range that ends past it is refused on one line with exit 2,
+    # before any complex is built, where les-check met an OverflowError and
+    # der-homology ran until it was killed
+    built = []
+    real_init = DerComplex.__init__
+
+    def recording_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DerComplex, "__init__", recording_init)
+    for command in ("les-check", "der-homology"):
+        for degrees in (f"1..{2**64}", "4294967296", "50001"):
+            code, out, err = run_within(capsys, 10, command, fx("su4-torus.smf"), "--degrees", degrees)
+            top = degrees.rpartition("..")[2]
+            assert (code, out) == (2, ""), (command, degrees)
+            refusal = f"--degrees ends at {top}, past 50000, the highest generator degree"
+            assert err == f"CombinatorialBlowup: {refusal}\n", (command, degrees)
+        assert not built, command
+        # the top degree a generator may have is still read, and is zero
+        code, out, _ = run_within(capsys, 10, command, fx("su4-torus.smf"), "--degrees", "50000")
+        assert code == 0 and "dim 0" in out and "dim 1" not in out, (command, out)
+        built.clear()
+
+
+REPORTS = [
+    ("no-rows", [], 5),
+    ("a\\b \u00e9", [(1, (2, ["x", "y*z - 1/2*w"])), (4, (1, ["t^2"]))], None),
+    ("zeros", [(2, (0, [])), (3, (1, ["v"])), (7, (0, []))], 12),
+]
+
+
+def test_report_degrees_writes_each_row_as_it_comes(monkeypatch):
+    # the streamed writer prints what json.dumps(doc, indent=2) and the
+    # joined text lines print, on what the snapshot lacks (no row at all, a
+    # name with a backslash, a non-ASCII letter and a space, dim 0 rows,
+    # bound as an int and as None) and on the cohomology of random spaces;
+    # each row is written before the next is asked for
+    rng = random.Random(23)
+    reports = list(REPORTS)
+    for m in (random_space(rng) for _ in range(6)):
+        reports.append((m.name, list(rht.cohomology(m, 10)), m.bound))
+    for name, rows, bound in reports:
+        degrees = {str(n): {"dim": dim, "basis": basis} for n, (dim, basis) in rows}
+        doc = {"model": name, "degrees": degrees, "bound": bound, "window": None}
+        lines = [f"model {name}"]
+        for n, (dim, basis) in rows:
+            lines.append(f"  n={n}  dim {dim}" + ("  " + ", ".join(basis) if basis else ""))
+        for as_json, want in ((True, json.dumps(doc, indent=2)), (False, "\n".join(lines))):
+            out, seen = io.StringIO(), []  # seen: what was written when each row was asked for
+
+            def stream():
+                for row in rows:
+                    seen.append(out.getvalue())
+                    yield row
+
+            monkeypatch.setattr(sys, "stdout", out)
+            rht.cli._report_degrees(argparse.Namespace(json=as_json), name, stream(), bound)
+            monkeypatch.undo()
+            assert out.getvalue() == want + "\n", (name, as_json)
+            assert all(a < b for a, b in zip(map(len, seen), map(len, seen[1:]))), (name, as_json)
 
 
 def test_les_check_reports_a_sequence_that_is_not_exact(capsys, monkeypatch):

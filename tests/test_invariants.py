@@ -625,7 +625,8 @@ def test_finiteness_window(su4_fixtures, monkeypatch):
                 continue  # wedge.smf: its window passes its bound
             assert (f.top is None) == (f.top_nonzero is None), (m.name, window)
             if f.top is not None:
-                assert f.top.dim == Cochains(total).homology(f.top_nonzero).dim > 0, (m.name, window)
+                cx, n = Cochains(total), f.top_nonzero
+                assert f.top.dim == HomologySlice(cx.d(n - 1), cx.d(n)).dim > 0, (m.name, window)
             if f.fd is None:
                 path = "no fd"
             else:
@@ -647,7 +648,7 @@ def test_connected_scaling_family_k3_cohomology_above_fd():
     total = scaling_family(3, connected=True).total
     cx = rht.model.Cochains(total)
     assert formal_dimension_estimate(total.gens) == 36
-    assert [cx.homology(n).dim for n in range(37, 43)] == [1080, 1134, 1188, 1242, 1296, 1350]
+    assert [h.dim for _, h in cx.slices(range(37, 43))] == [1080, 1134, 1188, 1242, 1296, 1350]
 
 
 def test_window_verdicts_match_full_cohomology():
@@ -669,7 +670,7 @@ def test_window_verdicts_match_full_cohomology():
                 finiteness_window(m, window)
         if not windows:
             continue
-        coh = cohomology(total, fd + max(windows))
+        coh = dict(cohomology(total, fd + max(windows)))
         for window in windows:
             # the highest nonzero degree in the window, and the verdict it implies
             top = max((n for n in range(fd + 1, fd + window + 1) if coh[n][0]), default=None)
@@ -704,8 +705,7 @@ def test_touches_reads_what_the_representatives_hold():
         fd = formal_dimension_estimate(total.gens)
         top = min(30 if fd is None else fd + 6, 30 if total.bound is None else total.bound)
         cx = Cochains(total)
-        for n in range(top + 1):
-            h = cx.homology(n)
+        for n, h in cx.slices(range(top + 1)):
             if not h.dim:
                 continue
             columns = range(len(cx.keys(n)))
@@ -799,12 +799,12 @@ def test_pure_quotient_certificate_is_sound():
         pure = [w for w in windows if _pure_quotient_vanishes(total, fd, w)]
         if pure:
             top = fd + max(pure) + 6
-            dims = {n: dim for n, (dim, _) in cohomology(total, top).items()}
+            dims = {n: dim for n, (dim, _) in cohomology(total, top)}
             for w in pure:
                 assert not any(dims[n] for n in range(fd + 1, fd + w + 7)), (m.name, w)
         for w in windows:
             cx = Cochains(total)
-            want = all(cx.homology(n).dim == 0 for n in range(fd + 1, fd + w + 1))
+            want = all(h.dim == 0 for _, h in cx.slices(range(fd + 1, fd + w + 1)))
             assert finiteness_window(m, w)[:2] == (want, fd), (m.name, w)
         certified += len(pure)
         undecided += len(windows) - len(pure)
@@ -895,7 +895,7 @@ def test_finiteness_window_reads_only_its_window(monkeypatch):
     monkeypatch.setattr(rht.model.Cochains, "keys", counting_keys)
     monkeypatch.setattr(rht.algebra.GenSet, "even", recording_even)
     monkeypatch.setattr(rht.algebra.GenSet, "keys", counting_pure_keys)
-    monkeypatch.setattr(rht.invariants, "HomologySlice", counting_slice)
+    monkeypatch.setattr(rht.model, "HomologySlice", counting_slice)
     monkeypatch.setattr(rht.model.Cochains, "d", counting_d)
     monkeypatch.setattr(rht.linalg.Echelon, "kernel", counting_kernel)
     monkeypatch.setattr(rht.linalg.HomologySlice, "representatives", property(reading_reps))
@@ -945,7 +945,7 @@ def test_toral_scan_reads_down_from_the_top(su4_fixtures, monkeypatch):
     # runs down from fd + window, builds no slice below the degree it stops
     # at and builds each degree at most once
     degrees, built = {}, []  # id of each d(n) built -> (n, d), degree of each new slice
-    real_d, real_slice = rht.model.Cochains.d, rht.invariants.HomologySlice
+    real_d, real_slice = rht.model.Cochains.d, rht.model.HomologySlice
 
     def recording_d(self, n):
         d = real_d(self, n)
@@ -957,7 +957,7 @@ def test_toral_scan_reads_down_from_the_top(su4_fixtures, monkeypatch):
         return real_slice(d_in, d_out)
 
     monkeypatch.setattr(rht.model.Cochains, "d", recording_d)
-    monkeypatch.setattr(rht.invariants, "HomologySlice", counting_slice)
+    monkeypatch.setattr(rht.model, "HomologySlice", counting_slice)
     for m, window in ((scaling_family(2), 6), (su4_fixtures["su4-trivial"], 8)):
         built.clear()
         cert = toral_certificate(m, window)
@@ -997,7 +997,7 @@ def test_each_degree_basis_is_built_once_per_call(built_key_lists):
     for m in fixture_models():
         total = total_of(m)
         calls = {
-            "cohomology": lambda: cohomology(m, total.bound or 12),
+            "cohomology": lambda: dict(cohomology(m, total.bound or 12)),
             "finiteness_window": lambda: finiteness_window(m),
             "gottlieb": lambda: gottlieb(m),
         }

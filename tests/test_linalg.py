@@ -520,7 +520,7 @@ def test_kept_columns_are_what_the_checking_constructor_stores(monkeypatch):
     models += [random_space(rng, 5) for _ in range(15)]
     models += [random_fibration(rng, 5) for _ in range(15)]
     for m in models:
-        cohomology(m, min(12, m.total.bound or 12))
+        dict(cohomology(m, min(12, m.total.bound or 12)))
         gottlieb(m)
         if isinstance(m, RelativeModel):
             fibre_gottlieb(m)

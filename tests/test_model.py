@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 import time
 import weakref
 from collections import Counter
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rht.cli
 import rht.model
 
 from rht import (
@@ -235,7 +237,7 @@ def test_bound_enforced():
     with pytest.raises(BoundExceeded):
         m.check_bound(6)
     with pytest.raises(BoundExceeded):
-        cohomology(m, 10)
+        dict(cohomology(m, 10))
 
 
 def test_d_extends_by_leibniz():
@@ -565,21 +567,21 @@ def test_fibration_bound_in_its_header_or_its_fiber():
 
 
 def test_cohomology_odd_sphere():
-    coh = cohomology(sphere_model(7), 14)
+    coh = dict(cohomology(sphere_model(7), 14))
     dims = {n: d for n, (d, _) in coh.items() if d}
     assert dims == {0: 1, 7: 1}
 
 
 def test_cohomology_even_sphere():
     m = parse_model("[space s4]\ngen u 4\ngen x 7\nd x = u^2\n")
-    coh = cohomology(m, 12)
+    coh = dict(cohomology(m, 12))
     dims = {n: d for n, (d, _) in coh.items() if d}
     assert dims == {0: 1, 4: 1}
 
 
 def test_cohomology_product_matches_kunneth(su5):
     # zero differential: H = Lambda(v1..v4), so dims are Poincare coefficients
-    coh = cohomology(su5, 24)
+    coh = dict(cohomology(su5, 24))
     poly = [0] * 25
     poly[0] = 1
     for d in (3, 5, 7, 9):
@@ -606,7 +608,33 @@ def test_differential_matrices_match_oracle(seed):
                 assert got == want, (m.name, n, mono.format(gens))
 
 
-def test_cohomology_holds_at_most_two_degrees(monkeypatch):
+def test_cohomology_builds_each_differential_once(monkeypatch):
+    # the walk hands d(n) from H^n to H^(n + 1): cohomology through N builds
+    # d(-1)..d(N), N + 2 of them (2N + 2 when each slice built both of its
+    # own), and a walk down the same degrees reads the same dimensions
+    built, real_d = [], Cochains.d
+
+    def counting_d(self, n):
+        built.append(n)
+        return real_d(self, n)
+
+    monkeypatch.setattr(Cochains, "d", counting_d)
+    models = [sphere_model(7), scaling_family(2, connected=True)] + load("su4-circle.smf")
+    for m, top in zip(models, (14, 20, 14)):
+        built.clear()
+        coh = dict(cohomology(m, top))
+        assert built == list(range(-1, top + 1)), (m.name, built)
+        built.clear()
+        down = Cochains(m.total).slices(range(top, -1, -1))
+        assert {n: h.dim for n, h in down} == {n: dim for n, (dim, _) in coh.items()}, m.name
+        assert built == [top - 1, top, *range(top - 2, -2, -1)], (m.name, built)
+    # any other step is refused, also under python -O
+    for step in (2, -2):
+        with pytest.raises(ValueError, match="step 1 or -1"):
+            next(Cochains(sphere_model(7)).slices(range(0, 10 * step, step)))
+
+
+def test_cohomology_holds_at_most_two_degrees(monkeypatch, tmp_path):
     # Cochains keeps no matrix and no slice, so a pass through connected k=3
     # (C^42 has 4,537 dimensions) holds, when it builds the slice at n, the
     # slice at n - 1 it has printed and the matrices the two read.  The
@@ -629,16 +657,48 @@ def test_cohomology_holds_at_most_two_degrees(monkeypatch):
 
     monkeypatch.setattr(rht.model, "HomologySlice", Slice)
     monkeypatch.setattr(rht.model, "RatMatrix", Matrix)
-    coh = cohomology(scaling_family(3, connected=True), 42)
+    coh = dict(cohomology(scaling_family(3, connected=True), 42))
     assert [coh[n][0] for n in range(37, 43)] == [1080, 1134, 1188, 1242, 1296, 1350]
     assert len(alive) == 43
     assert max(n for n, _ in alive) <= 2 and max(n for _, n in alive) <= 4, alive
+    # the printed rows: rht cohomology --json on Q[a, b, c] through degree 100
+    # writes each degree as it comes, so whenever it writes, the strings of
+    # at most two degrees are alive, the row it writes and the one before.
+    # Each string cohomology prints is a str subclass that a weak set holds
+    texts, real_format, counts = weakref.WeakSet(), rht.model._format_sum, []
+
+    class Text(str):
+        pass
+
+    def recording_format(gens, terms):
+        terms = list(terms)
+        text = Text(real_format(gens, terms))
+        text.degree = terms[0][0].degree(gens)
+        texts.add(text)
+        return text
+
+    class Sink:
+        """stdout that keeps nothing: it counts the degrees alive at each write"""
+
+        def write(self, text):
+            counts.append(len({t.degree for t in texts}))
+            return len(text)
+
+        def flush(self):
+            pass
+
+    path = tmp_path / "qabc.smf"
+    path.write_text("[space qabc]\ngen a 2\ngen b 2\ngen c 2\n")
+    monkeypatch.setattr(rht.model, "_format_sum", recording_format)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert rht.cli.main(["cohomology", str(path), "--max-degree", "100", "--json"]) == 0
+    assert 0 < max(counts) <= 2 and len(counts) > 51, Counter(counts)
 
 
 def test_cohomology_representatives_are_cocycles(su4_fixtures):
     # each printed representative reads back as a cocycle of its degree
     f = su4_fixtures["su4-circle"]
-    coh = cohomology(f, 14)
+    coh = dict(cohomology(f, 14))
     for n, (dim, reps) in coh.items():
         assert len(reps) == dim
         for rep in reps:
@@ -688,7 +748,7 @@ def test_printers_match_element_format(seed):
 
         total = m.total
         with mock.patch.object(HomologySlice, "representatives", property(representatives)):
-            coh = cohomology(m, min(12, total.bound or 12))
+            coh = dict(cohomology(m, min(12, total.bound or 12)))
         for n, (dim, reps) in coh.items():
             keys = total.gens.keys(n)
             assert reps == [cochain_text(total.gens, keys, v) for v in read[n]], (m.name, n)
