@@ -85,7 +85,8 @@ class _Twist:
     relative DerComplex, plus each nonzero c_s times B_s^n = [theta_s, -],
     theta_s sending w_s to m_s.  Per frame degree n it keeps evaluation's
     checked positions and the rows of delta_T^n and of each B_s^n, each built
-    once (_shift); realized sums rows once per distinct such terms at n.
+    once (_shift).  realized sums rows once per distinct such terms at n, keeps
+    each image once per value, and builds one total per tuple of image values.
     """
 
     def __init__(self, fiber: SullivanModel, base: SullivanModel, bound: Optional[int]):
@@ -96,6 +97,7 @@ class _Twist:
         self._shifts: dict = {}  # n -> see _shift
         self._images: dict[tuple, Subspace] = {}  # (n, nonzero terms at n) -> image
         self._totals: dict[tuple, Subspace] = {}  # the images, one per frame -> their sum
+        self._values: dict[Subspace, Subspace] = {}  # each image, kept once per value
 
     @cached_property
     def cx(self) -> DerComplex:
@@ -162,12 +164,14 @@ class _Twist:
                 for s, v in key[1]:
                     for acc, row in zip(rows, brackets[s]):
                         _subtract(acc, -v, row)
-                self._images[key] = _image_on_cycles(positions, rows, frame)
+                image = _image_on_cycles(positions, rows, frame)
+                self._images[key] = self._values.setdefault(image, image)
             per[n] = self._images[key]
-        images = tuple(map(id, per.values()))
-        if images not in self._totals:
-            self._totals[images] = GottliebResult(self.fiber, per).total()
-        return self._totals[images]
+        images = tuple(per.values())
+        total = self._totals.get(images)
+        if total is None:
+            total = self._totals[images] = GottliebResult(self.fiber, per).total()
+        return total
 
 
 def _closed(total: SullivanModel, slots: list[tuple[int, int]], coeffs: list) -> list[tuple]:

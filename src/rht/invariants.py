@@ -46,15 +46,16 @@ class GottliebResult:
         return {n: s.dim for n, s in self.per_degree.items() if s.dim}
 
     def total(self) -> Subspace:
-        """Direct sum over degrees inside the full dual frame Hom(W, Q)."""
+        """Direct sum over degrees inside the full dual frame Hom(W, Q), with no
+        elimination: the degrees' frames are disjoint blocks of it in label
+        order, so their reduced rows, moved there, are the sum's reduced basis."""
         frame = tuple(f"{g.name}*" for g in self.fiber.gens)
         pos = {label: i for i, label in enumerate(frame)}
-        vectors = []
-        for n in sorted(self.per_degree):
-            sub = self.per_degree[n]
+        rows = {}
+        for sub in self.per_degree.values():
             to_frame = [pos[label] for label in sub.ambient]
-            vectors += (_moved(row, to_frame) for row in sub._echelon.rows.values())
-        return Subspace(frame, vectors)
+            rows.update((to_frame[p], _moved(row, to_frame)) for p, row in sub._echelon.rows.items())
+        return Subspace._reduced(frame, rows)
 
 
 def _moved(v: Mapping[int, Number], positions: Sequence[Optional[int]]) -> dict:
@@ -71,10 +72,13 @@ def _image_on_cycles(
     it: read through evaluation, the row space of d_out zero on every
     dropped pair.  One echelon of d_out's rows, each pair j moved to
     column positions[j], holds them as its rows pivoted on a kept pair.
+    When there is none the image is the whole frame, taken with no kernel.
     """
     cols = len(positions)
     echelon = Echelon(cols + len(frame), (_moved(r, positions) for r in rows if r)).rows
-    vanishing = ({c - cols: x for c, x in row.items()} for p, row in echelon.items() if p >= cols)
+    vanishing = [{c - cols: x for c, x in row.items()} for p, row in echelon.items() if p >= cols]
+    if not vanishing:
+        return Subspace._reduced(frame, {i: {i: 1} for i in range(len(frame))})
     return Subspace(frame, Echelon(len(frame), vanishing).kernel())
 
 

@@ -13,10 +13,11 @@ equals and hashes like its int).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from numbers import Rational
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import AmbientMismatch, NotAComplex
 
@@ -219,10 +220,21 @@ class Subspace:
 
     def __init__(self, ambient: Sequence[str], vectors: Iterable[Mapping[int, object]] = ()):
         self.ambient: tuple[str, ...] = tuple(ambient)
-        n = len(self.ambient)
-        self._echelon = Echelon(n, filter(None, map(self._in_frame, vectors)))
-        rows = [self._echelon.rows[p] for p in sorted(self._echelon.rows)]
-        self.rows: tuple[Vector, ...] = tuple(tuple(r.get(i, 0) for i in range(n)) for r in rows)
+        self._keep(Echelon(len(self.ambient), filter(None, map(self._in_frame, vectors))))
+
+    @classmethod
+    def _reduced(cls, ambient: Sequence[str], rows: dict[int, Sparse]) -> "Subspace":
+        """The subspace whose reduced basis is rows, keyed by pivot, kept with no
+        copy and no elimination: only for rows that are that basis by construction."""
+        s = cls.__new__(cls)
+        s.ambient, echelon = tuple(ambient), Echelon(len(ambient))
+        echelon._rows = rows
+        s._keep(echelon)
+        return s
+
+    def _keep(self, echelon: Echelon) -> None:
+        self._echelon, n, rows = echelon, echelon.n, echelon.rows
+        self.rows: tuple[Vector, ...] = tuple(tuple(rows[p].get(i, 0) for i in range(n)) for p in sorted(rows))
 
     @property
     def dim(self) -> int:

@@ -15,6 +15,7 @@ from rht import (
     AlgElement,
     Catalog,
     GenSet,
+    GottliebResult,
     Monomial,
     RelativeModel,
     SullivanModel,
@@ -642,6 +643,36 @@ def test_realization_checks_evaluation_once_per_shift(monkeypatch):
         assert len(shifts) == 4 and evaluations == scans == shifts, (evaluations, scans)
         assert all(read[id(cx.boundary(n))] == 1 for _, n in shifts), read
         assert len(images) == 68, len(images)
+
+
+def test_realization_builds_one_total_per_image_value(monkeypatch):
+    # E3 (fiber-3-5-9-17 over qt, ungated): its 68 images take 7 values and
+    # its 58 entries realize 5 subspaces.  Each image is kept once per value,
+    # so a total is built once per distinct tuple of image values, 5 (29 when
+    # totals were keyed by image objects), and equal subspaces are one object
+    cat = benchmark_enumerations()[2]
+    totals, images = [], []
+    real_total, real_image = GottliebResult.total, rht.catalog._image_on_cycles
+
+    def counting_total(self):
+        totals.append(self)
+        return real_total(self)
+
+    def counting_image(positions, rows, frame):
+        images.append(real_image(positions, rows, frame))
+        return images[-1]
+
+    monkeypatch.setattr(GottliebResult, "total", counting_total)
+    monkeypatch.setattr(rht.catalog, "_image_on_cycles", counting_image)
+    realized = cat.realized_subspaces()
+    assert len(realized) == len(cat) == 58
+    assert len(images) == 68 and len(set(images)) == 7
+    assert len(totals) == len(set(realized.values())) == 5, len(totals)
+    assert len({id(s) for s in realized.values()}) == 5
+    # the totals read the images kept, one object per value
+    assert len({id(s) for t in totals for s in t.per_degree.values()}) == len(set(images))
+    totals.clear()
+    assert cat.realized_subspaces() == realized and not totals
 
 
 def test_enumerated_images_match_kernel_then_project(monkeypatch):

@@ -40,6 +40,7 @@ from rht import (
     gottlieb,
     les_check,
     parse_document,
+    parse_fibration,
     parse_model,
     toral_certificate,
     trivial_fibration,
@@ -229,6 +230,61 @@ def test_images_match_kernel_then_project():
                 )
                 checked += 1
     assert checked >= 300, checked
+
+
+INTERLEAVED = """
+[space interleaved]
+gen x 3
+gen y 5
+gen z 3
+gen w 7
+gen u 5
+gen v 7
+d w = 1/2*x*y - 3/4*z*y
+"""
+
+
+def assert_total_is_eliminated_sum(result):
+    """total() is the span of every per-degree row moved into Hom(W, Q),
+    eliminated by Echelon; returns the rows' largest number of entries."""
+    frame = tuple(f"{g.name}*" for g in result.fiber.gens)
+    pos = {label: i for i, label in enumerate(frame)}
+    vectors = [
+        {pos[sub.ambient[i]]: x for i, x in enumerate(row) if x}
+        for sub in result.per_degree.values()
+        for row in sub.rows
+    ]
+    total, echelon = result.total(), Echelon(len(frame), vectors)
+    assert total.ambient == frame and total._echelon.rows == echelon.rows
+    assert total == Subspace(frame, vectors) and total.rows == Subspace(frame, vectors).rows
+    assert total.dim == sum(sub.dim for sub in result.per_degree.values())
+    return max(map(len, vectors), default=0)
+
+
+def test_total_is_the_eliminated_direct_sum():
+    # the direct sum read off the per-degree reduced rows is the one an
+    # elimination of all of them gives: on every fixture, on random
+    # fibrations, and on a fibre whose frame degrees interleave (3, 5, 3, 7,
+    # 5, 7) with a Fraction in d, whose degree-3 image x* + 2/3 z* is not a
+    # coordinate line
+    rng = random.Random(48)
+    interleaved = parse_model(INTERLEAVED)
+    qt = parse_model("[space qt]\ngen t 2")
+    fibre = INTERLEAVED.replace("[space interleaved]", "[fiber]")
+    twisted = parse_fibration(
+        f"[fibration twisted]\n[base]\ngen t 2\n{fibre}[total]\nD u = t^3\nD w = 1/2*x*y - 3/4*z*y\n"
+    )
+    models = fixture_models() + [random_fibration(rng) for _ in range(40)]
+    models += [interleaved, trivial_fibration(interleaved, qt), twisted]
+    widths = []
+    for m in models:
+        widths.append(assert_total_is_eliminated_sum(gottlieb(m)))
+        if isinstance(m, RelativeModel):
+            widths.append(assert_total_is_eliminated_sum(fibre_gottlieb(m)))
+    assert len(widths) >= 100 and max(widths) > 1, widths
+    g = gottlieb(interleaved)
+    assert g.per_degree[3].rows == ((1, Fraction(2, 3)),) and g.total().basis_labels() == ["x*", "w*", "u*", "v*"]
+    assert g.total().rows[0] == (1, 0, Fraction(2, 3), 0, 0, 0)
 
 
 def test_top_degree_equality(su5_bundle, ex44, ex47):
