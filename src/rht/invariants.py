@@ -72,7 +72,7 @@ def _image_on_cycles(
     it: read through evaluation, the row space of d_out zero on every
     dropped pair.  One echelon of d_out's rows, each pair j moved to
     column positions[j], holds them as its rows pivoted on a kept pair.
-    When there is none the image is the whole frame, taken with no kernel.
+    When no row pivots on a kept pair the image is the whole frame, with no kernel.
     """
     cols = len(positions)
     echelon = Echelon(cols + len(frame), (_moved(r, positions) for r in rows if r)).rows
