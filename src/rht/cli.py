@@ -135,6 +135,29 @@ def _report_degrees(args, model_name, rows, bound=None):
     print(("\n  }" if sep else "}") + f',\n  "bound": {json.dumps(bound)},\n  "window": null\n}}')
 
 
+def _report_les(args, name, report) -> None:
+    """Write a LesReport: a text table, or json.dumps(doc, indent=2)'s bytes
+    under --json, one f-string per node, with no pure-Python encoder."""
+    if not args.json:
+        print(f"model {name}")
+        for nd in report.nodes:
+            flag = "ok" if nd.exact else "FAIL"
+            print(f"  {nd.node}: dim {nd.dim}, in {nd.rank_in}, out {nd.rank_out}  [{flag}]")
+        print("  exact" if report.exact else "  NOT exact")
+        return
+    # str(b).lower() is a bool's JSON, at a hundredth of json.dumps(b)'s cost
+    nodes = ",".join(
+        f'\n    {{\n      "node": {json.dumps(nd.node)},\n      "dim": {nd.dim},\n      "rank_in": '
+        f'{nd.rank_in},\n      "rank_out": {nd.rank_out},\n      "exact": {str(nd.exact).lower()}\n    }}'
+        for nd in report.nodes
+    )
+    nodes = f"[{nodes}\n  ]" if nodes else "[]"
+    print(
+        f'{{\n  "model": {json.dumps(name)},\n  "chain_level_ok": {str(report.chain_level_ok).lower()},'
+        f'\n  "exact": {str(report.exact).lower()},\n  "nodes": {nodes}\n}}'
+    )
+
+
 def _subspace_rows(per_degree) -> list[tuple[int, tuple[int, list[str]]]]:
     """The report rows of per-degree subspaces of Hom(W^n, Q)."""
     return [(n, (sub.dim, sub.basis_labels())) for n, sub in sorted(per_degree.items())]
@@ -223,19 +246,7 @@ def _cmd_les_check(args) -> int:
         if not degrees:
             raise RhtError(f"{f.name or 'fibration'} has no fiber generators: pass --degrees")
         report = les_check(f, list(degrees))
-        name = f.name or "fibration"
-        doc = {
-            "model": name,
-            "chain_level_ok": report.chain_level_ok,
-            "exact": report.exact,
-            "nodes": [vars(nd) for nd in report.nodes],
-        }
-        lines = [f"model {name}"]
-        for nd in report.nodes:
-            flag = "ok" if nd.exact else "FAIL"
-            lines.append(f"  {nd.node}: dim {nd.dim}, in {nd.rank_in}, out {nd.rank_out}  [{flag}]")
-        lines.append("  exact" if report.exact else "  NOT exact")
-        _emit(args, doc, lines)
+        _report_les(args, f.name or "fibration", report)
         if not report.exact:
             status = 1
     return status

@@ -133,8 +133,9 @@ class DerComplex:
         The bracket is linear in E: E = d gives the boundary, and a model
         twisted by sum_s c_s theta_s has boundary delta + sum_s c_s [theta_s, -].
         The column of the pair (w, m) is E(m) at w and, at each domain
-        generator v whose E(v) holds w, the image of E(v) under the pair's
-        derivation; both go through the Leibniz kernel.
+        generator v whose E(v) holds w (one of w's users, kept by _operator),
+        the image of E(v) under the pair's derivation; both go through the
+        Leibniz kernel.
         """
         if n < 1:
             raise ValueError("boundary starts at shift 1")
@@ -143,31 +144,19 @@ class DerComplex:
         src = self.slice(n)
         tgt = self.slice(n - 1)
         gens = self.model.gens
-        entries, holds = self._operator(images)
-        bits, index = gens._packing.bits, tgt.index
+        entries, users = self._operator(images)
+        index = tgt.index
         sign = -1 if n % 2 == 0 else 1  # -(-1)^n
-        gen_images = []  # (index, packed image under E, the OR of its keys)
-        for g in self.domain:
-            i = gens.get(g.name).index
-            gen_images.append((i, images.get(i, ()), holds.get(i, 0)))
         columns = []
         for w, key in src.keys:
-            theta, col, field = None, {}, bits[w]
-            for gi, image, held in gen_images:
-                if gi == w:
-                    val = {k: c for k, c in _leibniz(entries, key, {}).items() if c}
-                elif held & field:
-                    val = {}
-                else:
-                    continue  # the pair's derivation kills E(gi)
-                if held & field:
-                    theta = theta or _compile(gens, {w: ((key, 1),)}, n)
+            vals = {w: _leibniz(entries, key, {})}
+            if w in users:
+                theta = _compile(gens, {w: ((key, 1),)}, n)
+                for v, image in users[w]:
+                    val = vals.setdefault(v, {})
                     for term, c in image:
                         _leibniz(theta, term, val, sign * c)
-                for k, c in val.items():
-                    if c:
-                        col[index[gi, k]] = c
-            columns.append(col)
+            columns.append({index[v, k]: c for v, val in vals.items() for k, c in val.items() if c})
         return RatMatrix._trusted(tgt.dim, columns)
 
     def _cut(self, n: int, d: RatMatrix) -> RatMatrix:
@@ -187,19 +176,25 @@ class DerComplex:
             self._inclusions[n] = inc, _inverse(inc, self.relative.slice(n).dim)
         return self._inclusions[n]
 
-    def _operator(self, images: Mapping) -> tuple[tuple, dict[int, int]]:
+    def _operator(self, images: Mapping) -> tuple[tuple, dict[int, list]]:
         """E compiled once per complex and not once per shift, keyed by its
-        images: its _leibniz entries and, per image, the OR of its keys,
-        which holds w's field bits iff a term holds w."""
+        images: its _leibniz entries and, per value generator w, its users,
+        each domain generator v whose image E(v) holds w, as (v, E(v))."""
         key = tuple(images.items())
         if key not in self._operators:
             own = images is self.model.images  # d, compiled once per model
-            entries = self.model.operator if own else _compile(self.model.gens, images, 1)
-            holds = {}
-            for i, terms in images.items():
-                for k, _ in terms:
-                    holds[i] = holds.get(i, 0) | k
-            self._operators[key] = entries, holds
+            gens = self.model.gens
+            entries = self.model.operator if own else _compile(gens, images, 1)
+            bits, domain = gens._packing.bits, [gens.get(g.name).index for g in self.domain]
+            users: dict[int, list] = {}
+            for v in domain:
+                held = 0  # the OR of E(v)'s keys: it holds w's field bits iff a term holds w
+                for k, _ in images.get(v, ()):
+                    held |= k
+                for w in domain:
+                    if held & bits[w]:
+                        users.setdefault(w, []).append((v, images[v]))
+            self._operators[key] = entries, users
         return self._operators[key]
 
     def homology(self, n: int) -> HomologySlice:

@@ -230,7 +230,8 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
             if key not in images:
                 images[key] = classes(*key, maps[key[0]][0].homology(key[1]).cycles)
         a, b = images[into], images[out]
-        zero = not a.rank or not classes(*out, a.rows.values()).rank  # out . in = 0
+        # out . in = 0, read on a's stored rows: only their span matters
+        zero = not a.rank or not classes(*out, a._rows.values()).rank
         exact = zero and a.rank + b.rank == h.dim
         report.nodes.append(LesNodeReport(label, h.dim, a.rank, b.rank, exact))
 

@@ -216,7 +216,7 @@ class Subspace:
     """A subspace of a labeled coordinate space, spanned by sparse vectors
     {index: value}; ``rows``, its RREF basis as dense vectors, is its key."""
 
-    __slots__ = ("ambient", "rows", "_echelon")
+    __slots__ = ("ambient", "rows", "_echelon", "_hash")
 
     def __init__(self, ambient: Sequence[str], vectors: Iterable[Mapping[int, object]] = ()):
         self.ambient: tuple[str, ...] = tuple(ambient)
@@ -235,6 +235,7 @@ class Subspace:
     def _keep(self, echelon: Echelon) -> None:
         self._echelon, n, rows = echelon, echelon.n, echelon.rows
         self.rows: tuple[Vector, ...] = tuple(tuple(rows[p].get(i, 0) for i in range(n)) for p in sorted(rows))
+        self._hash = hash((self.ambient, self.rows))  # kept: a catalog hashes each image per entry
 
     @property
     def dim(self) -> int:
@@ -262,7 +263,7 @@ class Subspace:
         return self.ambient == other.ambient and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return self._hash
 
     def basis_labels(self) -> list[str]:
         """Labels of coordinates that head the basis rows (for display)."""
@@ -320,12 +321,15 @@ class HomologySlice:
     def classes(self, vectors: Iterable[Mapping[int, Number]], where: str) -> Echelon:
         """The echelon of the vectors' remainders modulo the boundaries: its
         rank is the dimension of the span of their classes.  A vector that is
-        not a cycle raises NotAComplex, which names where it was sent."""
-        out = Echelon(self._boundaries.n)
-        for v in vectors:
+        not a cycle raises NotAComplex, which names where it was sent; a zero
+        vector is skipped."""
+        out, rows = Echelon(self._boundaries.n), self._boundaries.rows
+        for v in filter(None, vectors):  # a zero vector is a cycle with a zero class
             if self._d_out.apply(v):
                 raise NotAComplex(f"a vector sent to {where} is not a cycle")
-            r = self._boundaries.reduce(v)
+            r = dict(v)
+            for p in [c for c in r if c in rows]:  # as Echelon.reduce, with rows read once
+                _subtract(r, r[p], rows[p])
             if r:
                 out.add(r)
         return out

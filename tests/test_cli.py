@@ -33,7 +33,7 @@ from rht.model import formal_dimension_estimate
 
 from cli_snapshot import differences, sweep
 from cli_snapshot import load as load_snapshot
-from conftest import FIXTURES, derivation_text, fixture_texts, random_space
+from conftest import CP3, FIXTURES, derivation_text, fixture_texts, random_space
 
 
 def fx(name):
@@ -300,12 +300,16 @@ REPORTS = [
 ]
 
 
-def test_report_degrees_writes_each_row_as_it_comes(monkeypatch):
+def test_report_degrees_writes_each_row_as_it_comes(monkeypatch, capsys, tmp_path):
     # the streamed writer prints what json.dumps(doc, indent=2) and the
     # joined text lines print, on what the snapshot lacks (no row at all, a
     # name with a backslash, a non-ASCII letter and a space, dim 0 rows,
     # bound as an int and as None) and on the cohomology of random spaces;
-    # each row is written before the next is asked for
+    # each row is written before the next is asked for.  les-check --json's
+    # writer beside it prints json.dumps(doc, indent=2) for each fibration
+    # of a file: on every fixture fibration, cp3, a single degree, a range
+    # and a name json.dumps escapes, then on a report with no node and one
+    # that is not exact, written directly
     rng = random.Random(23)
     reports = list(REPORTS)
     for m in (random_space(rng) for _ in range(6)):
@@ -329,6 +333,27 @@ def test_report_degrees_writes_each_row_as_it_comes(monkeypatch):
             monkeypatch.undo()
             assert out.getvalue() == want + "\n", (name, as_json)
             assert all(a < b for a, b in zip(map(len, seen), map(len, seen[1:]))), (name, as_json)
+    odd = tmp_path / "odd.smf"
+    text = Path(fx("su4-circle.smf")).read_text()
+    odd.write_text(text.replace("su4-circle", '"\u00f6 \\ x"'), encoding="utf-8")
+    paths = [p for p in sorted(FIXTURES.glob("*.smf")) if "[fibration" in p.read_text()]
+    cases = [(str(p), None, None) for p in paths + [CP3, odd]]
+    cases += [(fx("ex47.smf"), "2", [2]), (fx("su5-bundle.smf"), "2..4", [2, 3, 4]), (str(odd), "3", [3])]
+    for path, spec, degrees in cases:
+        want = ""
+        for f in parse_document(Path(path).read_text(encoding="utf-8")):
+            report = rht.les_check(f, degrees or range(1, top_shift(f) + 1))
+            doc = {"model": f.name, "chain_level_ok": report.chain_level_ok,
+                   "exact": report.exact, "nodes": [vars(nd) for nd in report.nodes]}
+            want += json.dumps(doc, indent=2) + "\n"
+        code, out, err = run(capsys, "les-check", path, "--json", *(["--degrees", spec] if spec else []))
+        assert (code, out, err) == (0, want, ""), (path, spec)
+    assert "\\u00f6" in out
+    for report in (LesReport(), LesReport([LesNodeReport("H_2(ideal)", 3, 1, 1, False)], False)):
+        doc = {"model": "m", "chain_level_ok": report.chain_level_ok, "exact": report.exact,
+               "nodes": [vars(nd) for nd in report.nodes]}
+        rht.cli._report_les(argparse.Namespace(json=True), "m", report)
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_les_check_reports_a_sequence_that_is_not_exact(capsys, monkeypatch):

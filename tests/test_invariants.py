@@ -410,6 +410,41 @@ def test_les_check_ranks_each_map_once(ex47, monkeypatch):
         assert len(sent) == len(read) + sum(nd.rank_in > 0 for nd in report.nodes), f.name
 
 
+def test_les_check_checks_only_the_nonzero_vectors_it_sends(ex47, monkeypatch):
+    # a vector a chain map leaves empty is a cycle with a zero class, so
+    # classes tests each nonzero vector it receives for a cycle, once, and
+    # skips the others: on tpower 145 of the 419 vectors sent, 44 of the 243
+    # sent into H(absolute) and none of the 75 sent into H(ideal)
+    received, applied, inside = Counter(), [], []
+    real_classes, real_apply = HomologySlice.classes, RatMatrix.apply
+
+    def recording_classes(self, vectors, where):
+        vectors = list(vectors)
+        scope = where[where.index("(") + 1 : -1]
+        received[scope, "sent"] += len(vectors)
+        received[scope, "nonzero"] += sum(map(bool, vectors))
+        inside.append(where)
+        try:
+            return real_classes(self, vectors, where)
+        finally:
+            inside.pop()
+
+    def recording_apply(self, v):
+        if inside:
+            applied.append(v)
+        return real_apply(self, v)
+
+    monkeypatch.setattr(HomologySlice, "classes", recording_classes)
+    monkeypatch.setattr(RatMatrix, "apply", recording_apply)
+    f = ex47["tpower"]
+    assert les_check(f, range(1, top_shift(f) + 1)).exact
+    assert sum(v for (_, k), v in received.items() if k == "sent") == 419
+    assert len(applied) == sum(v for (_, k), v in received.items() if k == "nonzero") == 145
+    assert all(applied)
+    assert (received[ABSOLUTE, "sent"], received[ABSOLUTE, "nonzero"]) == (243, 44)
+    assert (received[IDEAL, "sent"], received[IDEAL, "nonzero"]) == (75, 0)
+
+
 def test_les_check_matches_the_coordinate_reference(monkeypatch):
     # the nodes equal those of the coordinate path: representatives, class
     # coordinates, an induced matrix per map, its rank and out . in as a

@@ -220,6 +220,17 @@ def test_subspace_canonical_equality():
     assert a.basis_labels() == ["x0", "x1"]
 
 
+def test_subspace_keeps_a_hash_that_the_unchecked_constructor_shares():
+    # the hash is kept with the rows; a subspace built from its reduced rows
+    # (with an integral Fraction where the checked one holds an int) is the
+    # same key as the one built by elimination
+    a = Subspace(FRAME, [{0: 2, 2: 4}, {1: 3, 3: -3}, {0: 1, 1: 1, 2: 2, 3: -1}])
+    b = Subspace._reduced(FRAME, {0: {0: Fraction(1), 2: 2}, 1: {1: 1, 3: -1}})
+    assert a == b and hash(a) == hash(b) == hash((a.ambient, a.rows))
+    assert {a: "kept"}[b] == "kept"
+    assert hash(Subspace._reduced(FRAME, {})) == hash(Subspace(FRAME)) != hash(a)
+
+
 def test_subspace_membership():
     s = Subspace(FRAME, [{0: 1, 2: 1}])
     assert s.includes(Subspace(FRAME, [{0: 2, 2: 2}]))
