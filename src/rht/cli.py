@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .algebra import MAX_BASIS
-from .catalog import Catalog, enumerate_fibrations
+from .catalog import Catalog, _d, enumerate_fibrations
 from .derivations import ABSOLUTE, RELATIVE, DerComplex, frame_degrees
 from .errors import (
     AmbientMismatch,
@@ -33,12 +33,12 @@ from .errors import (
 )
 from .invariants import (
     DEFAULT_WINDOW,
+    _les_check,
     _pure_quotient_vanishes,
     connecting_images,
     depth_of_subspaces,
     fibre_gottlieb,
     gottlieb,
-    les_check,
     top_shift,
     toral_certificate,
 )
@@ -84,6 +84,21 @@ def _fibrations(models: Sequence[ModelLike]) -> list[RelativeModel]:
     if not fibs:
         raise RhtError("this subcommand needs at least one [fibration]")
     return fibs
+
+
+def _per_fibre(build):
+    """m -> build(m), build called once per distinct fibre: same generators,
+    d (as Catalog compares fibres) and bound; kept as long as the function."""
+    fibres, made = [], []  # per fibre, its (generators, bound, d) and what build made
+
+    def get(m: ModelLike):
+        key = (m.fiber.gens, m.fiber.bound, _d(m.fiber))
+        if key not in fibres:  # compared by ==: a GenSet's hash costs a tuple per call
+            made.append(build(m))
+            fibres.append(key)
+        return made[fibres.index(key)]
+
+    return get
 
 
 def _parse_degrees(spec: Optional[str], default: tuple[int, int]) -> range:
@@ -220,9 +235,9 @@ def _cmd_der_homology(args) -> int:
 
 
 def _cmd_gottlieb(args) -> int:
+    group = _per_fibre(lambda m: gottlieb(m, args.max_degree))  # a fibre's, for every model over it
     for m in _load_models(args.files):
-        result = gottlieb(m, args.max_degree)
-        _report_degrees(args, m.name or "model", _subspace_rows(result.per_degree))
+        _report_degrees(args, m.name or "model", _subspace_rows(group(m).per_degree))
     return 0
 
 
@@ -240,12 +255,12 @@ def _cmd_connecting(args) -> int:
 
 
 def _cmd_les_check(args) -> int:
-    status = 0
+    status, absolute = 0, _per_fibre(lambda f: DerComplex(f, ABSOLUTE))  # one per fibre
     for f in _fibrations(_load_models(args.files)):
         degrees = _parse_degrees(args.degrees, (1, top_shift(f)))
         if not degrees:
             raise RhtError(f"{f.name or 'fibration'} has no fiber generators: pass --degrees")
-        report = les_check(f, list(degrees))
+        report = _les_check(f, list(degrees), absolute(f))
         _report_les(args, f.name or "fibration", report)
         if not report.exact:
             status = 1

@@ -17,8 +17,6 @@ it, and the bracket with any other degree +1 derivation, the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .algebra import GenSet, _compile, _format_sum, _leibniz
@@ -31,29 +29,31 @@ RELATIVE = "relative"
 IDEAL = "ideal"
 
 
-@dataclass(frozen=True)
 class ComplexSlice:
     """Ordered basis of one degree of a derivation complex, held packed.
 
     keys holds each pair (w, m) as (index of w in value_gens, packed m); a
-    monomial is unpacked only to print it (format).
+    monomial is unpacked only to print it (format).  A slotted record: a
+    slice costs its keys and, once read, its index.
     """
 
-    degree: int
-    scope: str
-    value_gens: GenSet
-    domain_gens: GenSet
-    keys: tuple[tuple[int, int], ...]
+    __slots__ = ("degree", "scope", "value_gens", "domain_gens", "keys", "_index")
+
+    def __init__(self, degree: int, scope: str, value_gens: GenSet, domain_gens: GenSet, keys: tuple):
+        self.degree, self.scope, self.value_gens, self.domain_gens = degree, scope, value_gens, domain_gens
+        self.keys, self._index = keys, None
 
     @property
     def dim(self) -> int:
         return len(self.keys)
 
-    @cached_property
+    @property
     def index(self) -> dict[tuple[int, int], int]:
         """Position of each pair, keyed as in keys: (generator index, packed
-        monomial); built on first use, callers must not change it."""
-        return {k: i for i, k in enumerate(self.keys)}
+        monomial); built on first read, callers must not change it."""
+        if self._index is None:
+            self._index = {k: i for i, k in enumerate(self.keys)}
+        return self._index
 
     def format(self, vector: Mapping[int, Number]) -> str:
         """The text of a sparse vector of the slice: "(w, value)" for each
@@ -91,6 +91,7 @@ class DerComplex:
         self.source = m
         self.scope = scope
         self.domain = m.fiber.gens
+        self._values = [self.model.gens.get(g.name) for g in self.domain]  # looked up once
         self._slices: dict[int, ComplexSlice] = {}
         self._boundaries: dict[int, RatMatrix] = {}
         self._h: dict[int, HomologySlice] = {}
@@ -103,14 +104,17 @@ class DerComplex:
             return self._slices[n]
         if n < 0:
             raise ValueError("derivation degree must be nonnegative")
-        gens, keep, keys = self.model.gens, self._keep, []
-        for g in self.domain:
-            w = gens.get(g.name)
-            deg = w.degree - n
-            if deg < 0:
-                continue
-            self.model.check_bound(deg)
-            keys += [(w.index, k) for k in gens.keys(deg) if keep is None or k & keep]
+        gens, keep = self.model.gens, self._keep
+        if keep is not None:  # the ideal pairs of the relative slice, in its order
+            keys = tuple(p for p in self.relative.slice(n).keys if p[1] & keep)
+        else:
+            keys = []
+            for w in self._values:
+                deg = w.degree - n
+                if deg < 0:
+                    continue
+                self.model.check_bound(deg)
+                keys += [(w.index, k) for k in gens.keys(deg)]
         self._slices[n] = ComplexSlice(n, self.scope, gens, self.domain, tuple(keys))
         return self._slices[n]
 
@@ -185,7 +189,7 @@ class DerComplex:
             own = images is self.model.images  # d, compiled once per model
             gens = self.model.gens
             entries = self.model.operator if own else _compile(gens, images, 1)
-            bits, domain = gens._packing.bits, [gens.get(g.name).index for g in self.domain]
+            bits, domain = gens._packing.bits, [w.index for w in self._values]
             users: dict[int, list] = {}
             for v in domain:
                 held = 0  # the OR of E(v)'s keys: it holds w's field bits iff a term holds w

@@ -71,11 +71,12 @@ def _image_on_cycles(
     The image is the kernel of the functionals on the frame that vanish on
     it: read through evaluation, the row space of d_out zero on every
     dropped pair.  One echelon of d_out's rows, each pair j moved to
-    column positions[j], holds them as its rows pivoted on a kept pair.
+    column positions[j], holds them as its rows pivoted on a kept pair; its
+    plain rows serve, as they span the same functionals as reduced ones.
     When no row pivots on a kept pair the image is the whole frame, with no kernel.
     """
     cols = len(positions)
-    echelon = Echelon(cols + len(frame), (_moved(r, positions) for r in rows if r)).rows
+    echelon = Echelon(cols + len(frame), (_moved(r, positions) for r in rows if r))._rows
     vanishing = [{c - cols: x for c, x in row.items()} for p, row in echelon.items() if p >= cols]
     if not vanishing:
         return Subspace._reduced(frame, {i: {i: 1} for i in range(len(frame))})
@@ -174,14 +175,21 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     is the rank of the classes of its images of the source cycles, and
     out . in = 0 when out sends the rows of in's image echelon to zero
     classes; no representative, coordinate or induced matrix is built.
+    ``rht les-check`` shares one absolute complex per fibre (_les_check).
     """
+    return _les_check(f, degrees, DerComplex(f, ABSOLUTE))
+
+
+def _les_check(f: RelativeModel, degrees: Sequence[int], ab: DerComplex) -> LesReport:
+    """les_check(f, degrees) on ab, an absolute complex of f's fibre (same
+    generators, d and bound), which may already hold slices and boundaries."""
     degrees = sorted(set(degrees))
     if not degrees:
         raise ValueError("les_check needs at least one degree")
     lo, hi = degrees[0], degrees[-1]
     if lo < 1:
         raise ValueError("les_check needs degrees >= 1")
-    ideal, ab = DerComplex(f, IDEAL), DerComplex(f, ABSOLUTE)
+    ideal = DerComplex(f, IDEAL)
     rel = ideal.relative  # one relative complex serves both scopes
     report = LesReport()
     # the deepest slices read, first: a bound overrun is reported from them

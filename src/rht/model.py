@@ -581,8 +581,10 @@ def _split_sections(text: str) -> list[_Section]:
 
 
 def parse_document(text: str) -> list[ModelLike]:
-    """Parse a model file; returns the models in order of appearance."""
+    """Parse a model file; returns the models in order of appearance.  Models of one
+    layout share one GenSet, and equal [base] sections one base model, validated once."""
     sets: dict[tuple, GenSet] = {}  # one per generator layout: its models share its degree bases
+    bases: dict[tuple, SullivanModel] = {}  # per [base] section: its generators, d lines and bound
 
     def gen_set(layout: list[tuple[str, int]]) -> GenSet:
         if tuple(layout) not in sets:
@@ -600,7 +602,10 @@ def parse_document(text: str) -> list[ModelLike]:
                     f"fibration {sec.name!r} is missing a [{needed}] section", sec.line
                 )
         bsec, fsec = sec.parts["base"], sec.parts["fiber"]
-        base, fiber_gens = bsec.space(gen_set(bsec.gens)), gen_set(fsec.gens)
+        key = (tuple(bsec.gens), tuple((n, e) for n, (e, _, _) in bsec.dlines.items()), bsec.bound)
+        if key not in bases:
+            bases[key] = bsec.space(gen_set(bsec.gens))
+        base, fiber_gens = bases[key], gen_set(fsec.gens)
         fiber_diff = fsec.terms(fiber_gens)
         total_gens = gen_set(bsec.gens + fsec.gens)
         total_diff = sec.parts["total"].terms(total_gens)

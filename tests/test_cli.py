@@ -16,6 +16,7 @@ import pytest
 import rht
 import rht.catalog
 import rht.cli
+import rht.invariants
 import rht.model
 from rht import (
     ABSOLUTE,
@@ -359,11 +360,11 @@ def test_report_degrees_writes_each_row_as_it_comes(monkeypatch, capsys, tmp_pat
 def test_les_check_reports_a_sequence_that_is_not_exact(capsys, monkeypatch):
     # no fixture has a non-exact sequence: the first of ex47's three
     # fibrations gets one node whose ranks do not add up to its dimension
-    def fake_les_check(f, degrees):
+    def fake_les_check(f, degrees, absolute):
         out = 0 if f.name == "tpower" else 1
         return LesReport([LesNodeReport("H_2(relative)", 2, 1, out, bool(out))])
 
-    monkeypatch.setattr(rht.cli, "les_check", fake_les_check)
+    monkeypatch.setattr(rht.cli, "_les_check", fake_les_check)
     code, out, err = run(capsys, "les-check", fx("ex47.smf"), "--degrees", "2")
     assert (code, err) == (1, "")
     assert out.splitlines() == [
@@ -383,6 +384,127 @@ def test_les_check_reports_a_sequence_that_is_not_exact(capsys, monkeypatch):
         [("node", "H_2(relative)"), ("dim", 2), ("rank_in", 1), ("rank_out", 0),
          ("exact", False)]
     ]
+
+
+# four fibrations over one layout: "a" and "b" share a fibre, "c" has
+# another fibre d, and "d" has a's fibre below a lower bound, which the
+# slices at shifts 0 and 1 pass (y to a monomial of degree 5 and 4)
+FOUR_FIBRATIONS = """
+[fibration a]
+[base]
+gen t 2
+[fiber]
+gen u 2
+gen x 3
+gen y 5
+d y = u^3
+[total]
+D x = t^2
+D y = u^3
+
+[fibration b]
+[base]
+gen t 2
+[fiber]
+gen u 2
+gen x 3
+gen y 5
+d y = u^3
+[total]
+D y = u^3 + u^2*t
+
+[fibration c]
+[base]
+gen t 2
+[fiber]
+gen u 2
+gen x 3
+gen y 5
+d x = u^2
+d y = u^3
+[total]
+D x = u^2 + u*t
+D y = u^3 + t^3
+
+[fibration d]
+[base]
+gen t 2
+[fiber]
+gen u 2
+gen x 3
+gen y 5
+d y = u^3
+bound 3
+[total]
+D x = u*t
+D y = u^3
+"""
+
+
+def test_fibre_sharing_never_crosses_fibres(capsys, tmp_path):
+    # each command prints on the whole file what it prints on one file per
+    # fibration, one after the other; an overrun in the last fibration is
+    # reported after the three reports before it.  gottlieb reads only the
+    # fibre's complex, so it overruns only if "d" gets a fibre of its own.
+    whole = tmp_path / "four.smf"
+    whole.write_text(FOUR_FIBRATIONS)
+    parts = []
+    for i, text in enumerate(FOUR_FIBRATIONS.split("\n\n")):
+        parts.append(tmp_path / f"part{i}.smf")
+        parts[-1].write_text(text + "\n")
+    assert len(parts) == 4
+    overruns = []
+    for command in ("gottlieb", "les-check", "fibre-gottlieb", "der-homology"):
+        flags = ["--degrees", "4..5"] if command in ("les-check", "der-homology") else ["--max-degree", "1"]
+        for extra in ([], flags):
+            for json_flag in ([], ["--json"]):
+                argv = [command, *extra, *json_flag]
+                want, code = ["", ""], 0
+                for part in parts:
+                    code, out, err = run(capsys, argv[0], str(part), *argv[1:])
+                    want = [want[0] + out, want[1] + err]
+                    if code:
+                        break
+                got = run(capsys, argv[0], str(whole), *argv[1:])
+                assert got == (code, *want), argv
+                if code:
+                    assert (code, out, got[1].count("model")) == (2, "", 3), argv
+                    assert got[2].startswith("BoundExceeded: degree 4 exceeds"), argv
+                    overruns.append(command)
+    # each command overruns in "d" at its default degrees, in text and JSON
+    assert Counter(overruns) == {"gottlieb": 2, "les-check": 2, "fibre-gottlieb": 2, "der-homology": 2}
+
+
+def test_catalog_file_does_fibre_work_once(capsys, monkeypatch):
+    # on ex47's three fibrations over one fibre and one [base] section,
+    # les-check builds one absolute complex, gottlieb enters
+    # _evaluation_images once, and the reader validates one base and each
+    # fibration's fibre and total
+    absolute, images, validated = [], [], []
+    real_init, real_images = DerComplex.__init__, rht.invariants._evaluation_images
+    real_validate = rht.model.SullivanModel.validate
+
+    def recording_init(self, m, scope=ABSOLUTE):
+        if scope == ABSOLUTE:
+            absolute.append(m)
+        real_init(self, m, scope)
+
+    def recording_images(cx, max_degree):
+        images.append(cx)
+        return real_images(cx, max_degree)
+
+    def recording_validate(self):
+        validated.append(self)
+        real_validate(self)
+
+    monkeypatch.setattr(DerComplex, "__init__", recording_init)
+    monkeypatch.setattr(rht.invariants, "_evaluation_images", recording_images)
+    monkeypatch.setattr(rht.model.SullivanModel, "validate", recording_validate)
+    code, out, _ = run(capsys, "les-check", fx("ex47.smf"))
+    assert (code, out.count("  exact"), len(absolute), len(validated)) == (0, 3, 1, 7)
+    absolute.clear()
+    code, out, _ = run(capsys, "gottlieb", fx("ex47.smf"))
+    assert (code, out.count("model "), len(images), len(absolute)) == (0, 3, 1, 1)
 
 
 def test_toral_check(capsys):

@@ -266,7 +266,9 @@ def test_d_applies_the_images_built_with_the_model(monkeypatch):
     monkeypatch.setattr(GenSet, "pack", counting_pack)
     monkeypatch.setattr(SullivanModel, "validate", counting_validate)
     fibrations = load("ex47.smf") + load("su5-bundle.smf")
-    assert len(models) == 3 * len(fibrations)  # base, fiber and total of each
+    # fiber and total of each, and each file's one [base] model
+    assert len({id(f.base) for f in fibrations}) == 2
+    assert len(models) == 2 * len(fibrations) + 2
     assert packs == []
     for f in fibrations:
         SullivanModel(f.total.gens, dict(f.total.diff))
