@@ -146,6 +146,12 @@ class GenSet:
     def _packing(self) -> "_Packing":
         return _Packing(self)
 
+    @cached_property
+    def _layout(self) -> tuple:
+        """(name, degree) per generator, what == and hash read; built on first
+        comparison, since most sets (a quotient's, a total's) are never compared."""
+        return tuple((g.name, g.degree) for g in self.gens)
+
     def keys(self, n: int) -> list[int]:
         """The degree-n basis as packed monomials, suffix(0, n), built on first
         use; callers must not change the list.  Two monomials with no odd
@@ -220,12 +226,10 @@ class GenSet:
             return True
         if not isinstance(other, GenSet):
             return NotImplemented
-        return [(g.name, g.degree) for g in self.gens] == [
-            (g.name, g.degree) for g in other.gens
-        ]
+        return self._layout == other._layout
 
     def __hash__(self):
-        return hash(tuple((g.name, g.degree) for g in self.gens))
+        return hash(self._layout)
 
     def __repr__(self):
         inner = ", ".join(f"{g.name}:{g.degree}" for g in self.gens)

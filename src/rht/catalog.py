@@ -32,17 +32,17 @@ class Catalog:
         self.fiber = fiber
         self._entries = None if twists is not None else list(entries)
         self._twists = twists or []  # (id, _Twist, {slot: coefficient}) per entry
-        groups: list[_Twist] = []  # one per base and bound
-        seen, fiber_d = set(), _d(fiber)
+        groups: dict[tuple, _Twist] = {}  # (base value, bound) -> its group
+        seen = set()
         for key, entry in self._entries or ():
             if key in seen:
                 raise DuplicateId(f"duplicate catalog id {key!r}")
             seen.add(key)
-            if entry.fiber.gens != self.fiber.gens or _d(entry.fiber) != fiber_d:
+            if entry.fiber._value != fiber._value:  # the bound may differ
                 raise FiberMismatch(f"catalog entry {key!r} has a different fiber")
-            group = next((g for g in groups if g.holds(entry)), None)
+            group = groups.get(at := (entry.base._value, entry.bound))
             if group is None:
-                groups.append(group := _Twist(self.fiber, entry.base, entry.bound))
+                group = groups[at] = _Twist(fiber, entry.base, entry.bound)
             self._twists.append((key, group, group.read(entry)))
 
     def __len__(self) -> int:
@@ -66,12 +66,6 @@ class Catalog:
         offenders = [key for key, entry in self.entries if not finiteness_window(entry, window).finite]
         if offenders:
             raise NotFiniteAtBound("total spaces failed the finiteness gate: " + ", ".join(offenders))
-
-
-def _d(m: SullivanModel) -> dict:
-    """m's d as {index: {key: coefficient}}: over one generator set, two
-    models have the same d exactly when these are equal, in any term order."""
-    return {i: dict(terms) for i, terms in m.images.items()}
 
 
 class _Twist:
@@ -103,12 +97,6 @@ class _Twist:
     def cx(self) -> DerComplex:
         """T's relative complex: slices, delta_T and evaluation."""
         return DerComplex(self.trivial, RELATIVE)
-
-    def holds(self, entry: RelativeModel) -> bool:
-        """True when the entry twists T: same base and bound."""
-        t = self.trivial
-        same_base = entry.base.gens == t.base.gens and _d(entry.base) == _d(t.base)
-        return entry.bound == t.bound and same_base
 
     def read(self, entry: RelativeModel) -> dict:
         """A given entry's slot coefficients: the terms of D(w) holding a base generator, as

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .algebra import MAX_BASIS
-from .catalog import Catalog, _d, enumerate_fibrations
+from .catalog import Catalog, enumerate_fibrations
 from .derivations import ABSOLUTE, RELATIVE, DerComplex, frame_degrees
 from .errors import (
     AmbientMismatch,
@@ -87,16 +87,15 @@ def _fibrations(models: Sequence[ModelLike]) -> list[RelativeModel]:
 
 
 def _per_fibre(build):
-    """m -> build(m), build called once per distinct fibre: same generators,
-    d (as Catalog compares fibres) and bound; kept as long as the function."""
-    fibres, made = [], []  # per fibre, its (generators, bound, d) and what build made
+    """m -> build(m), build called once per distinct fibre: same value (as
+    Catalog compares fibres) and same bound; kept as long as the function."""
+    made = {}  # (fibre value, bound) -> what build made
 
     def get(m: ModelLike):
-        key = (m.fiber.gens, m.fiber.bound, _d(m.fiber))
-        if key not in fibres:  # compared by ==: a GenSet's hash costs a tuple per call
-            made.append(build(m))
-            fibres.append(key)
-        return made[fibres.index(key)]
+        key = (m.fiber._value, m.fiber.bound)
+        if key not in made:
+            made[key] = build(m)
+        return made[key]
 
     return get
 

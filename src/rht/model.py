@@ -86,6 +86,13 @@ class SullivanModel:
         })
 
     @cached_property
+    def _value(self) -> tuple:
+        """The model as a value, its bound aside: the generator layout and d,
+        term order ignored.  Two models are the same exactly when these are
+        equal; built once per model, its frozen d hashed once."""
+        return self.gens._layout, frozenset((i, frozenset(terms)) for i, terms in self.images.items())
+
+    @cached_property
     def operator(self) -> tuple:
         """d compiled for the Leibniz kernel (_compile), on first use, once per model."""
         return _compile(self.gens, self.images, 1)
@@ -582,9 +589,10 @@ def _split_sections(text: str) -> list[_Section]:
 
 def parse_document(text: str) -> list[ModelLike]:
     """Parse a model file; returns the models in order of appearance.  Models of one
-    layout share one GenSet, and equal [base] sections one base model, validated once."""
+    layout share one GenSet, and [base] sections of equal text, so of equal _value, one
+    base model, parsed and validated once."""
     sets: dict[tuple, GenSet] = {}  # one per generator layout: its models share its degree bases
-    bases: dict[tuple, SullivanModel] = {}  # per [base] section: its generators, d lines and bound
+    bases: dict[tuple, SullivanModel] = {}  # per [base] text: its generators, d lines and bound
 
     def gen_set(layout: list[tuple[str, int]]) -> GenSet:
         if tuple(layout) not in sets:

@@ -487,6 +487,21 @@ def low_and_high():
     ]
 
 
+TWO_BASES = """
+[fibration NAME]
+[base]
+gen t 2
+gen s 3
+DS
+[fiber]
+gen x 3
+gen y 7
+[total]
+D x = t^2
+D y = t^4
+"""
+
+
 def test_realized_subspaces_raise_what_fibre_gottlieb_raises():
     def outcome(call):
         try:
@@ -527,8 +542,8 @@ def test_evaluation_kills_every_twist_bracket():
         first = cat.entries[0][1]
         twist = rht.catalog._Twist(cat.fiber, first.base, first.bound)
         slots = set()
-        for _, entry in cat.entries:
-            assert twist.holds(entry)
+        for _, entry in cat.entries:  # each entry twists T: the same base value and bound
+            assert (entry.base._value, entry.bound) == (first.base._value, first.bound)
             slots.update(twist.read(entry))
         for n, _ in twist.frames:
             for s in slots:
@@ -554,6 +569,12 @@ def test_realized_subspaces_build_each_part_once(monkeypatch, su4_fixtures):
         given.append((Catalog(fibs[0].fiber, [(f.name, f) for f in fibs]), 1))
     su4 = list(su4_fixtures.items())  # circle and trivial over qt, torus over three t
     given += [(Catalog(su4[0][1].fiber, entries), 2) for entries in (su4, su4[::-1])]
+    # one fibre twisted alike over two bases of one layout that differ in d alone: two groups
+    two = [
+        (n, parse_fibration(TWO_BASES.replace("NAME", n).replace("DS", ds)))
+        for n, ds in (("exact", "d s = t^2"), ("free", ""))
+    ]
+    given.append((Catalog(two[0][1].fiber, two), 2))
     low, high = low_and_high()
     bounded = Catalog(low.fiber, [("high", high), ("low", low)])
     complexes, brackets, images = [], Counter(), []
