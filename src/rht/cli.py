@@ -33,11 +33,11 @@ from .errors import (
 )
 from .invariants import (
     DEFAULT_WINDOW,
+    _evaluation_images,
     _les_check,
     _pure_quotient_vanishes,
     connecting_images,
     depth_of_subspaces,
-    fibre_gottlieb,
     gottlieb,
     top_shift,
     toral_certificate,
@@ -86,18 +86,28 @@ def _fibrations(models: Sequence[ModelLike]) -> list[RelativeModel]:
     return fibs
 
 
-def _per_fibre(build):
-    """m -> build(m), build called once per distinct fibre: same value (as
-    Catalog compares fibres) and same bound; kept as long as the function."""
-    made = {}  # (fibre value, bound) -> what build made
+def _per_call(key, build=lambda m: {}):
+    """m -> build(m), build called once per distinct key(m), by default a new
+    dict; kept as long as the function, which a command makes once per call."""
+    made = {}  # key(m) -> what build made
 
     def get(m: ModelLike):
-        key = (m.fiber._value, m.fiber.bound)
-        if key not in made:
-            made[key] = build(m)
-        return made[key]
+        k = key(m)
+        if k not in made:
+            made[k] = build(m)
+        return made[k]
 
     return get
+
+
+def _fibre(m: ModelLike) -> tuple:
+    """A fibre's key: its value (as Catalog compares fibres) and its bound."""
+    return m.fiber._value, m.fiber.bound
+
+
+def _layout(m: ModelLike) -> tuple:
+    """A layout's key, for DerComplex's _shared: total and fibre generators, by value, and bound."""
+    return m.total.gens, m.fiber.gens, m.total.bound
 
 
 def _parse_degrees(spec: Optional[str], default: tuple[int, int]) -> range:
@@ -221,10 +231,11 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_der_homology(args) -> int:
+    layout = _per_call(_layout)  # one slice per shift, for every model over a layout
     for m in _load_models(args.files):
         scope = RELATIVE if isinstance(m, RelativeModel) else ABSOLUTE
         degrees = _parse_degrees(args.degrees, (1, top_shift(m)))
-        cx = DerComplex(m, scope)  # one complex for every degree of this model
+        cx = DerComplex(m, scope, layout(m))  # one complex for every degree of this model
         rows = {}
         for n in degrees:
             h, basis = cx.homology(n), cx.slice(n)
@@ -234,15 +245,16 @@ def _cmd_der_homology(args) -> int:
 
 
 def _cmd_gottlieb(args) -> int:
-    group = _per_fibre(lambda m: gottlieb(m, args.max_degree))  # a fibre's, for every model over it
+    group = _per_call(_fibre, lambda m: gottlieb(m, args.max_degree))  # one per fibre
     for m in _load_models(args.files):
         _report_degrees(args, m.name or "model", _subspace_rows(group(m).per_degree))
     return 0
 
 
 def _cmd_fibre_gottlieb(args) -> int:
+    layout = _per_call(_layout)  # as fibre_gottlieb, sharing slices and evaluations per layout
     for f in _fibrations(_load_models(args.files)):
-        result = fibre_gottlieb(f, args.max_degree)
+        result = _evaluation_images(DerComplex(f, RELATIVE, layout(f)), args.max_degree)
         _report_degrees(args, f.name or "fibration", _subspace_rows(result.per_degree))
     return 0
 
@@ -254,12 +266,13 @@ def _cmd_connecting(args) -> int:
 
 
 def _cmd_les_check(args) -> int:
-    status, absolute = 0, _per_fibre(lambda f: DerComplex(f, ABSOLUTE))  # one per fibre
+    status, layout = 0, _per_call(_layout)
+    absolute = _per_call(_fibre, lambda f: DerComplex(f, ABSOLUTE))  # one per fibre
     for f in _fibrations(_load_models(args.files)):
         degrees = _parse_degrees(args.degrees, (1, top_shift(f)))
         if not degrees:
             raise RhtError(f"{f.name or 'fibration'} has no fiber generators: pass --degrees")
-        report = _les_check(f, list(degrees), absolute(f))
+        report = _les_check(f, list(degrees), absolute(f), layout(f))
         _report_les(args, f.name or "fibration", report)
         if not report.exact:
             status = 1

@@ -68,15 +68,16 @@ class ComplexSlice:
 class DerComplex:
     """One scope of the derivation complex of a model, for one call.
 
-    Each slice, boundary and homology is built at most once, on
-    first use, and lives only as long as this object: a caller that needs
-    several of them builds one DerComplex and drops it when it is done.  The
-    slices hold the packed degree bases (GenSet.keys) of the value model's
-    GenSet, which every complex over that set shares; a key is unpacked only
-    to print it (ComplexSlice.format).
+    Each slice, boundary and homology is built at most once, on first use.
+    Boundaries and homology live only as long as this object.  Slices,
+    inclusions and evaluations depend on the layout alone (total and fibre
+    generators, bound): every complex given one _shared dict keeps them there,
+    scope by scope, so a caller passes one per layout and drops it when done.
+    A slice holds packed degree bases (GenSet.keys); a key is unpacked only to
+    print it (ComplexSlice.format).
     """
 
-    def __init__(self, m: ModelLike, scope: str = ABSOLUTE):
+    def __init__(self, m: ModelLike, scope: str = ABSOLUTE, _shared: Optional[dict] = None):
         if scope == ABSOLUTE:
             self.model, self._keep = m.fiber, None
         elif scope in (RELATIVE, IDEAL):
@@ -85,18 +86,19 @@ class DerComplex:
             self.model = m.total
             # the ideal pairs: a monomial holding a base generator
             self._keep = m.total.gens.mask(m.base_size) if scope == IDEAL else None
-            self.relative = DerComplex(m, RELATIVE) if scope == IDEAL else None
+            self.relative = DerComplex(m, RELATIVE, _shared) if scope == IDEAL else None
         else:
             raise ValueError(f"unknown scope {scope!r}")
         self.source = m
         self.scope = scope
         self.domain = m.fiber.gens
         self._values = [self.model.gens.get(g.name) for g in self.domain]  # looked up once
-        self._slices: dict[int, ComplexSlice] = {}
         self._boundaries: dict[int, RatMatrix] = {}
         self._h: dict[int, HomologySlice] = {}
         self._operators: dict = {}  # see _operator
-        self._inclusions: dict[int, tuple[list, list]] = {}  # see inclusion
+        # per shift: the slice, the inclusion (ideal scope) and the evaluation
+        shared = {} if _shared is None else _shared
+        self._slices, self._inclusions, self._evaluations = shared.setdefault(scope, ({}, {}, {}))
 
     def slice(self, n: int) -> ComplexSlice:
         """All pairs (w, monomial) with |w| - |monomial| = n, filtered by scope."""
@@ -226,10 +228,12 @@ class DerComplex:
 
     def evaluation(self, n: int) -> list[Optional[int]]:
         """Evaluation on generators, as positions into dual_frame(fiber, n):
-        the pair (w, 1) goes to w*, every other pair to None."""
-        duals = {g.name: i for i, g in enumerate(g for g in self.domain if g.degree == n)}
-        gens = self.model.gens
-        return [duals[gens[w].name] if k == 0 else None for w, k in self.slice(n).keys]
+        the pair (w, 1) goes to w*, every other pair to None; built once."""
+        if n not in self._evaluations:
+            duals = {g.name: i for i, g in enumerate(g for g in self.domain if g.degree == n)}
+            gens = self.model.gens
+            self._evaluations[n] = [duals[gens[w].name] if k == 0 else None for w, k in self.slice(n).keys]
+        return self._evaluations[n]
 
 
 def _inverse(positions: Sequence[Optional[int]], dim: int) -> list[Optional[int]]:

@@ -175,21 +175,23 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     is the rank of the classes of its images of the source cycles, and
     out . in = 0 when out sends the rows of in's image echelon to zero
     classes; no representative, coordinate or induced matrix is built.
-    ``rht les-check`` shares one absolute complex per fibre (_les_check).
+    ``rht les-check`` shares an absolute complex per fibre, and slices and
+    positions per layout (_les_check).
     """
-    return _les_check(f, degrees, DerComplex(f, ABSOLUTE))
+    return _les_check(f, degrees, DerComplex(f, ABSOLUTE), {})
 
 
-def _les_check(f: RelativeModel, degrees: Sequence[int], ab: DerComplex) -> LesReport:
+def _les_check(f: RelativeModel, degrees: Sequence[int], ab: DerComplex, shared: dict) -> LesReport:
     """les_check(f, degrees) on ab, an absolute complex of f's fibre (same
-    generators, d and bound), which may already hold slices and boundaries."""
+    generators, d and bound), and shared, the DerComplex _shared dict of f's
+    layout, which also keeps per shift the restriction, its sections and verdict."""
     degrees = sorted(set(degrees))
     if not degrees:
         raise ValueError("les_check needs at least one degree")
     lo, hi = degrees[0], degrees[-1]
     if lo < 1:
         raise ValueError("les_check needs degrees >= 1")
-    ideal = DerComplex(f, IDEAL)
+    ideal = DerComplex(f, IDEAL, shared)
     rel = ideal.relative  # one relative complex serves both scopes
     report = LesReport()
     # the deepest slices read, first: a bound overrun is reported from them
@@ -197,17 +199,19 @@ def _les_check(f: RelativeModel, degrees: Sequence[int], ab: DerComplex) -> LesR
     # chain-level short exactness per degree: the inclusion and the
     # restriction partition the relative pairs, and the restriction is a
     # bijection onto the absolute pairs
-    inc, res, sections = {}, {}, {}
+    inc, res, sections, chain = {}, {}, {}, shared.setdefault("chain", {})
     for n in range(max(0, lo - 1), hi + 2):
         inc[n] = ideal.inclusion(n)[0]
-        res[n] = rel.positions(ab, n)
-        sections[n] = _inverse(res[n], ab.slice(n).dim)
-        kept = [j for j, a in enumerate(res[n]) if a is not None]
-        ok = (
-            None not in inc[n]
-            and sorted(inc[n] + kept) == list(range(rel.slice(n).dim))
-            and sorted(res[n][j] for j in kept) == list(range(ab.slice(n).dim))
-        )
+        if n not in chain:
+            r = rel.positions(ab, n)
+            kept = [j for j, a in enumerate(r) if a is not None]
+            ok = (
+                None not in inc[n]
+                and sorted(inc[n] + kept) == list(range(rel.slice(n).dim))
+                and sorted(r[j] for j in kept) == list(range(ab.slice(n).dim))
+            )
+            chain[n] = r, _inverse(r, ab.slice(n).dim), ok
+        res[n], sections[n], ok = chain[n]
         report.chain_level_ok = report.chain_level_ok and ok
 
     def connecting(n: int, z: Mapping[int, Number]) -> dict:

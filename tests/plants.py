@@ -57,10 +57,24 @@ PLANTS = (
     ),
     Plant(
         "cli.py",
-        "key = (m.fiber._value, m.fiber.bound)",
-        "key = (m.fiber._value, None)",
+        "return m.fiber._value, m.fiber.bound",
+        "return m.fiber._value, None",
         ("tests/test_cli.py::test_fibre_sharing_never_crosses_fibres",),
         "one fibre's work shared across two bounds within a CLI call",
+    ),
+    Plant(
+        "cli.py",
+        "return m.total.gens, m.fiber.gens, m.total.bound",
+        "return m.total.gens, m.fiber.gens, None",
+        ("tests/test_cli.py::test_fibre_sharing_never_crosses_fibres",),
+        "one layout's slices and positions shared across two bounds within a CLI call",
+    ),
+    Plant(
+        "cli.py",
+        "return m.total.gens, m.fiber.gens, m.total.bound",
+        "return m.total.gens, None, m.total.bound",
+        ("tests/test_cli.py::test_layout_sharing_never_crosses_layouts",),
+        "one layout's slices and positions shared across two splits of its generators",
     ),
     Plant(
         "catalog.py",

@@ -360,7 +360,7 @@ def test_report_degrees_writes_each_row_as_it_comes(monkeypatch, capsys, tmp_pat
 def test_les_check_reports_a_sequence_that_is_not_exact(capsys, monkeypatch):
     # no fixture has a non-exact sequence: the first of ex47's three
     # fibrations gets one node whose ranks do not add up to its dimension
-    def fake_les_check(f, degrees, absolute):
+    def fake_les_check(f, degrees, absolute, shared):
         out = 0 if f.name == "tpower" else 1
         return LesReport([LesNodeReport("H_2(relative)", 2, 1, out, bool(out))])
 
@@ -475,6 +475,121 @@ def test_fibre_sharing_never_crosses_fibres(capsys, tmp_path):
     assert Counter(overruns) == {"gottlieb": 2, "les-check": 2, "fibre-gottlieb": 2, "der-homology": 2}
 
 
+# four fibrations over one total layout (a3, b5, c7): "split" and "lift"
+# split it two ways, "trivial" has split's fibre and layout and another D,
+# and "low" is split below a lower bound, which overruns at shift 0
+FOUR_LAYOUTS = """
+[fibration split]
+[base]
+gen a 3
+[fiber]
+gen b 5
+gen c 7
+[total]
+D c = a*b
+
+[fibration lift]
+[base]
+gen a 3
+gen b 5
+[fiber]
+gen c 7
+[total]
+D c = a*b
+
+[fibration trivial]
+[base]
+gen a 3
+[fiber]
+gen b 5
+gen c 7
+[total]
+D c = 0
+
+[fibration low]
+[base]
+gen a 3
+[fiber]
+gen b 5
+gen c 7
+bound 6
+[total]
+D c = a*b
+"""
+
+
+def test_layout_sharing_never_crosses_layouts(capsys, tmp_path):
+    # what a call shares per layout (slices, positions) is keyed by the total
+    # and fibre generators and the bound: each command prints on the whole
+    # file what it prints on one file per fibration, one after the other
+    whole = tmp_path / "layouts.smf"
+    whole.write_text(FOUR_LAYOUTS)
+    parts = []
+    for i, text in enumerate(FOUR_LAYOUTS.split("\n\n")):
+        parts.append(tmp_path / f"part{i}.smf")
+        parts[-1].write_text(text + "\n")
+    assert len(parts) == 4
+    outcomes = []
+    for command in ("les-check", "der-homology", "fibre-gottlieb", "gottlieb"):
+        flags = ["--degrees", "3..4"] if command in ("les-check", "der-homology") else ["--max-degree", "5"]
+        for extra in ([], flags):
+            for json_flag in ([], ["--json"]):
+                argv = [command, *extra, *json_flag]
+                want, code = ["", ""], 0
+                for part in parts:
+                    code, out, err = run(capsys, argv[0], str(part), *argv[1:])
+                    want = [want[0] + out, want[1] + err]
+                    if code:
+                        break
+                got = run(capsys, argv[0], str(whole), *argv[1:])
+                assert got == (code, *want), argv
+                outcomes.append((command, code))
+    # split and trivial differ in D alone, and in what they print
+    _, out, _ = run(capsys, "der-homology", str(whole), "--degrees", "4")
+    assert "model split\n  n=4  dim 0\n" in out and "model trivial\n  n=4  dim 1  (c, a)\n" in out
+    # only les-check and der-homology at their default degrees read shift 0
+    assert Counter(outcomes) == {
+        ("les-check", 2): 2, ("les-check", 0): 2, ("der-homology", 2): 2, ("der-homology", 0): 2,
+        ("fibre-gottlieb", 0): 4, ("gottlieb", 0): 4,
+    }
+
+
+def test_catalog_file_shares_each_layout_once(capsys, monkeypatch):
+    # ex47's three fibrations share one layout: each call builds each
+    # relative and ideal slice once per shift and, in les-check, one set of
+    # inclusion and restriction positions per shift
+    slices, positions = Counter(), Counter()
+    real_init, real_positions = ComplexSlice.__init__, DerComplex.positions
+
+    def counting_init(self, *args):
+        real_init(self, *args)
+        slices[self.scope, self.degree] += 1
+
+    def counting_positions(self, other, n):
+        positions[self.scope, other.scope, n] += 1
+        return real_positions(self, other, n)
+
+    monkeypatch.setattr(ComplexSlice, "__init__", counting_init)
+    monkeypatch.setattr(DerComplex, "positions", counting_positions)
+    seen = {}
+    for command in ("les-check", "der-homology", "fibre-gottlieb"):
+        slices.clear()
+        positions.clear()
+        code, out, _ = run(capsys, command, fx("ex47.smf"))
+        assert (code, out.count("model ")) == (0, 3), command
+        assert set(slices.values()) == {1} and set(positions.values()) <= {1}, command
+        seen[command] = (
+            Counter(scope for scope, _ in slices), Counter((a, b) for a, b, _ in positions)
+        )
+    assert seen == {
+        # shifts 0..18, and absolute shift 19 below the connecting map's H_18
+        "les-check": ({"relative": 19, "ideal": 19, "absolute": 20},
+                      {("ideal", "relative"): 19, ("relative", "absolute"): 19}),
+        "der-homology": ({"relative": 19}, {}),
+        "fibre-gottlieb": ({"relative": 12}, {}),
+    }
+
+
 def test_catalog_file_does_fibre_work_once(capsys, monkeypatch):
     # on ex47's three fibrations over one fibre and one [base] section,
     # les-check builds one absolute complex, gottlieb enters
@@ -484,10 +599,10 @@ def test_catalog_file_does_fibre_work_once(capsys, monkeypatch):
     real_init, real_images = DerComplex.__init__, rht.invariants._evaluation_images
     real_validate = rht.model.SullivanModel.validate
 
-    def recording_init(self, m, scope=ABSOLUTE):
+    def recording_init(self, m, scope=ABSOLUTE, shared=None):
         if scope == ABSOLUTE:
             absolute.append(m)
-        real_init(self, m, scope)
+        real_init(self, m, scope, shared)
 
     def recording_images(cx, max_degree):
         images.append(cx)
@@ -1173,9 +1288,11 @@ def test_der_homology_builds_each_slice_once_per_model(capsys, monkeypatch):
     monkeypatch.setattr(rht.cli, "_report_degrees", report)
     code, _, _ = run(capsys, "der-homology", fx("ex47.smf"), "--degrees", "1..12")
     assert code == 0 and len(per_model) == 3
-    for name, counts in per_model:
-        repeats = {key: k for key, k in counts.items() if k > 1}
-        assert counts and not repeats, (name, repeats)
+    # ex47's three fibrations share one layout: the first builds each slice
+    # once, and the others read its slices
+    whole = sum((counts for _, counts in per_model), Counter())
+    repeats = {key: k for key, k in whole.items() if k > 1}
+    assert whole and whole == per_model[0][1] and not repeats, repeats
 
 
 @pytest.mark.parametrize(
