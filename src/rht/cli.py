@@ -33,12 +33,12 @@ from .errors import (
 )
 from .invariants import (
     DEFAULT_WINDOW,
-    _evaluation_images,
-    _les_check,
     _pure_quotient_vanishes,
     connecting_images,
     depth_of_subspaces,
+    fibre_gottlieb,
     gottlieb,
+    les_check,
     top_shift,
     toral_certificate,
 )
@@ -84,30 +84,6 @@ def _fibrations(models: Sequence[ModelLike]) -> list[RelativeModel]:
     if not fibs:
         raise RhtError("this subcommand needs at least one [fibration]")
     return fibs
-
-
-def _per_call(key, build=lambda m: {}):
-    """m -> build(m), build called once per distinct key(m), by default a new
-    dict; kept as long as the function, which a command makes once per call."""
-    made = {}  # key(m) -> what build made
-
-    def get(m: ModelLike):
-        k = key(m)
-        if k not in made:
-            made[k] = build(m)
-        return made[k]
-
-    return get
-
-
-def _fibre(m: ModelLike) -> tuple:
-    """A fibre's key: its value (as Catalog compares fibres) and its bound."""
-    return m.fiber._value, m.fiber.bound
-
-
-def _layout(m: ModelLike) -> tuple:
-    """A layout's key, for DerComplex's _shared: total and fibre generators, by value, and bound."""
-    return m.total.gens, m.fiber.gens, m.total.bound
 
 
 def _parse_degrees(spec: Optional[str], default: tuple[int, int]) -> range:
@@ -231,11 +207,11 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_der_homology(args) -> int:
-    layout = _per_call(_layout)  # one slice per shift, for every model over a layout
+    shared = {}  # DerComplex's, one per call
     for m in _load_models(args.files):
         scope = RELATIVE if isinstance(m, RelativeModel) else ABSOLUTE
         degrees = _parse_degrees(args.degrees, (1, top_shift(m)))
-        cx = DerComplex(m, scope, layout(m))  # one complex for every degree of this model
+        cx = DerComplex(m, scope, shared)  # one complex for every degree of this model
         rows = {}
         for n in degrees:
             h, basis = cx.homology(n), cx.slice(n)
@@ -245,16 +221,17 @@ def _cmd_der_homology(args) -> int:
 
 
 def _cmd_gottlieb(args) -> int:
-    group = _per_call(_fibre, lambda m: gottlieb(m, args.max_degree))  # one per fibre
+    shared = {}  # DerComplex's, one per call
     for m in _load_models(args.files):
-        _report_degrees(args, m.name or "model", _subspace_rows(group(m).per_degree))
+        result = gottlieb(m, args.max_degree, _shared=shared)
+        _report_degrees(args, m.name or "model", _subspace_rows(result.per_degree))
     return 0
 
 
 def _cmd_fibre_gottlieb(args) -> int:
-    layout = _per_call(_layout)  # as fibre_gottlieb, sharing slices and evaluations per layout
+    shared = {}  # DerComplex's, one per call
     for f in _fibrations(_load_models(args.files)):
-        result = _evaluation_images(DerComplex(f, RELATIVE, layout(f)), args.max_degree)
+        result = fibre_gottlieb(f, args.max_degree, _shared=shared)
         _report_degrees(args, f.name or "fibration", _subspace_rows(result.per_degree))
     return 0
 
@@ -266,13 +243,12 @@ def _cmd_connecting(args) -> int:
 
 
 def _cmd_les_check(args) -> int:
-    status, layout = 0, _per_call(_layout)
-    absolute = _per_call(_fibre, lambda f: DerComplex(f, ABSOLUTE))  # one per fibre
+    status, shared = 0, {}  # shared: DerComplex's, one per call
     for f in _fibrations(_load_models(args.files)):
         degrees = _parse_degrees(args.degrees, (1, top_shift(f)))
         if not degrees:
             raise RhtError(f"{f.name or 'fibration'} has no fiber generators: pass --degrees")
-        report = _les_check(f, list(degrees), absolute(f), layout(f))
+        report = les_check(f, list(degrees), _shared=shared)
         _report_les(args, f.name or "fibration", report)
         if not report.exact:
             status = 1

@@ -68,13 +68,12 @@ class ComplexSlice:
 class DerComplex:
     """One scope of the derivation complex of a model, for one call.
 
-    Each slice, boundary and homology is built at most once, on first use.
-    Boundaries and homology live only as long as this object.  Slices,
-    inclusions and evaluations depend on the layout alone (total and fibre
-    generators, bound): every complex given one _shared dict keeps them there,
-    scope by scope, so a caller passes one per layout and drops it when done.
-    A slice holds packed degree bases (GenSet.keys); a key is unpacked only to
-    print it (ComplexSlice.format).
+    Each slice, boundary and homology is built at most once, on first use,
+    and kept here or, when a caller passes one _shared dict per call, there:
+    per layout (scope, domain and value GenSets, bound) the slices,
+    inclusions, evaluations and les_check's _chain; per value (the layout and
+    SullivanModel._value) the boundaries, homology and evaluation _images.
+    A slice holds packed degree bases (GenSet.keys), unpacked only to print.
     """
 
     def __init__(self, m: ModelLike, scope: str = ABSOLUTE, _shared: Optional[dict] = None):
@@ -93,12 +92,14 @@ class DerComplex:
         self.scope = scope
         self.domain = m.fiber.gens
         self._values = [self.model.gens.get(g.name) for g in self.domain]  # looked up once
-        self._boundaries: dict[int, RatMatrix] = {}
-        self._h: dict[int, HomologySlice] = {}
         self._operators: dict = {}  # see _operator
-        # per shift: the slice, the inclusion (ideal scope) and the evaluation
-        shared = {} if _shared is None else _shared
-        self._slices, self._inclusions, self._evaluations = shared.setdefault(scope, ({}, {}, {}))
+        layout, value = ({}, {}, {}, {}), ({}, {}, {})
+        if _shared is not None:
+            key = (scope, self.domain, self.model.gens, self.model.bound)
+            layout = _shared.setdefault(key, layout)
+            value = _shared.setdefault((*key, self.model._value), value)
+        self._slices, self._inclusions, self._evaluations, self._chain = layout
+        self._boundaries, self._h, self._images = value
 
     def slice(self, n: int) -> ComplexSlice:
         """All pairs (w, monomial) with |w| - |monomial| = n, filtered by scope."""

@@ -100,27 +100,33 @@ def _evaluation_shift(cx: DerComplex, n: int) -> tuple[list[int], list[Sparse]]:
     return [j if e is None else cols + e for j, e in enumerate(evaluation)], rows
 
 
-def gottlieb(m: ModelLike, max_degree: Optional[int] = None) -> GottliebResult:
-    """Image of evaluation on absolute derivation homology, per degree."""
-    return _evaluation_images(DerComplex(m, ABSOLUTE), max_degree)
+def gottlieb(m: ModelLike, max_degree: Optional[int] = None, _shared: Optional[dict] = None) -> GottliebResult:
+    """Image of evaluation on absolute derivation homology, per degree;
+    _shared is DerComplex's, one dict per call."""
+    return _evaluation_images(DerComplex(m, ABSOLUTE, _shared), max_degree)
 
 
-def fibre_gottlieb(f: RelativeModel, max_degree: Optional[int] = None) -> GottliebResult:
+def fibre_gottlieb(
+    f: RelativeModel, max_degree: Optional[int] = None, _shared: Optional[dict] = None
+) -> GottliebResult:
     """Image of evaluation . restriction on relative derivation cycles.
 
     The restriction keeps each pair (w, 1) and evaluation keeps only those,
-    so the composite is evaluation on the relative slice itself.
+    so the composite is evaluation on the relative slice itself.  _shared is
+    DerComplex's: one dict per call.
     """
-    return _evaluation_images(DerComplex(f, RELATIVE), max_degree)
+    return _evaluation_images(DerComplex(f, RELATIVE, _shared), max_degree)
 
 
 def _evaluation_images(cx: DerComplex, max_degree: Optional[int]) -> GottliebResult:
     fiber = cx.source.fiber
     top = max_degree if max_degree is not None else top_shift(fiber)
-    per: dict[int, Subspace] = {}
-    for n in frame_degrees(fiber, top):
-        per[n] = _image_on_cycles(*_evaluation_shift(cx, n), dual_frame(fiber, n))
-    return GottliebResult(fiber, per)
+    per = cx._images.get(top)  # kept by value, per top degree
+    if per is None:
+        per = cx._images[top] = {
+            n: _image_on_cycles(*_evaluation_shift(cx, n), dual_frame(fiber, n)) for n in frame_degrees(fiber, top)
+        }
+    return GottliebResult(fiber, dict(per))
 
 
 def connecting_images(f: RelativeModel) -> dict[int, Subspace]:
@@ -164,7 +170,7 @@ class LesReport:
         return self.chain_level_ok and all(nd.exact for nd in self.nodes)
 
 
-def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
+def les_check(f: RelativeModel, degrees: Sequence[int], _shared: Optional[dict] = None) -> LesReport:
     """Verify exactness of the ideal -> relative -> absolute homology sequence.
 
     Checks the degreewise short exact sequence of slices and, once at each
@@ -175,23 +181,16 @@ def les_check(f: RelativeModel, degrees: Sequence[int]) -> LesReport:
     is the rank of the classes of its images of the source cycles, and
     out . in = 0 when out sends the rows of in's image echelon to zero
     classes; no representative, coordinate or induced matrix is built.
-    ``rht les-check`` shares an absolute complex per fibre, and slices and
-    positions per layout (_les_check).
+    _shared is DerComplex's; the relative complex's layout state keeps, per
+    shift, the restriction, its sections and the chain-level verdict.
     """
-    return _les_check(f, degrees, DerComplex(f, ABSOLUTE), {})
-
-
-def _les_check(f: RelativeModel, degrees: Sequence[int], ab: DerComplex, shared: dict) -> LesReport:
-    """les_check(f, degrees) on ab, an absolute complex of f's fibre (same
-    generators, d and bound), and shared, the DerComplex _shared dict of f's
-    layout, which also keeps per shift the restriction, its sections and verdict."""
     degrees = sorted(set(degrees))
     if not degrees:
         raise ValueError("les_check needs at least one degree")
     lo, hi = degrees[0], degrees[-1]
     if lo < 1:
         raise ValueError("les_check needs degrees >= 1")
-    ideal = DerComplex(f, IDEAL, shared)
+    ideal, ab = DerComplex(f, IDEAL, _shared), DerComplex(f, ABSOLUTE, _shared)
     rel = ideal.relative  # one relative complex serves both scopes
     report = LesReport()
     # the deepest slices read, first: a bound overrun is reported from them
@@ -199,7 +198,7 @@ def _les_check(f: RelativeModel, degrees: Sequence[int], ab: DerComplex, shared:
     # chain-level short exactness per degree: the inclusion and the
     # restriction partition the relative pairs, and the restriction is a
     # bijection onto the absolute pairs
-    inc, res, sections, chain = {}, {}, {}, shared.setdefault("chain", {})
+    inc, res, sections, chain = {}, {}, {}, rel._chain
     for n in range(max(0, lo - 1), hi + 2):
         inc[n] = ideal.inclusion(n)[0]
         if n not in chain:

@@ -56,25 +56,32 @@ PLANTS = (
         "a model's value keeps the order of d's terms: one d written two ways counts as two",
     ),
     Plant(
-        "cli.py",
-        "return m.fiber._value, m.fiber.bound",
-        "return m.fiber._value, None",
+        "derivations.py",
+        "key = (scope, self.domain, self.model.gens, self.model.bound)",
+        "key = (scope, self.domain, self.model.gens, None)",
         ("tests/test_cli.py::test_fibre_sharing_never_crosses_fibres",),
-        "one fibre's work shared across two bounds within a CLI call",
+        "one layout's slices, homology and images shared across two bounds within a CLI call",
     ),
     Plant(
-        "cli.py",
-        "return m.total.gens, m.fiber.gens, m.total.bound",
-        "return m.total.gens, m.fiber.gens, None",
-        ("tests/test_cli.py::test_fibre_sharing_never_crosses_fibres",),
-        "one layout's slices and positions shared across two bounds within a CLI call",
-    ),
-    Plant(
-        "cli.py",
-        "return m.total.gens, m.fiber.gens, m.total.bound",
-        "return m.total.gens, None, m.total.bound",
+        "derivations.py",
+        "key = (scope, self.domain, self.model.gens, self.model.bound)",
+        "key = (scope, None, self.model.gens, self.model.bound)",
         ("tests/test_cli.py::test_layout_sharing_never_crosses_layouts",),
         "one layout's slices and positions shared across two splits of its generators",
+    ),
+    Plant(
+        "derivations.py",
+        "value = _shared.setdefault((*key, self.model._value), value)",
+        "value = _shared.setdefault((*key, self.model.gens), value)",
+        ("tests/test_cli.py::test_layout_sharing_never_crosses_layouts",),
+        "one layout's boundaries and homology shared across two models that differ in d alone",
+    ),
+    Plant(
+        "invariants.py",
+        "per = cx._images.get(top)",
+        "per = next(iter(cx._images.values()), None)",
+        ("tests/test_invariants.py::test_one_shared_dict_gives_what_fresh_calls_give",),
+        "the evaluation images kept without their top degree: a call's second top degree reads the first's",
     ),
     Plant(
         "catalog.py",
@@ -94,7 +101,10 @@ PLANTS = (
         "algebra.py",
         "compiled.append((key, key & odd, mask, c))",
         "compiled.append((key, key & odd, mask ^ 1, c))",
-        ("tests/test_algebra.py::test_leibniz_matches_dense_oracle",),
+        (
+            "tests/test_algebra.py::test_leibniz_matches_dense_oracle",
+            "tests/test_algebra.py::test_kernel_matches_dense_oracle_on_every_monomial",
+        ),
         "a flipped Koszul mask bit in the compiled differential",
     ),
     Plant(

@@ -20,7 +20,9 @@ import rht.invariants
 import rht.model
 from rht import (
     ABSOLUTE,
+    IDEAL,
     RELATIVE,
+    HomologySlice,
     RelativeModel,
     finiteness_window,
     parse_document,
@@ -360,11 +362,11 @@ def test_report_degrees_writes_each_row_as_it_comes(monkeypatch, capsys, tmp_pat
 def test_les_check_reports_a_sequence_that_is_not_exact(capsys, monkeypatch):
     # no fixture has a non-exact sequence: the first of ex47's three
     # fibrations gets one node whose ranks do not add up to its dimension
-    def fake_les_check(f, degrees, absolute, shared):
+    def fake_les_check(f, degrees, _shared=None):
         out = 0 if f.name == "tpower" else 1
         return LesReport([LesNodeReport("H_2(relative)", 2, 1, out, bool(out))])
 
-    monkeypatch.setattr(rht.cli, "_les_check", fake_les_check)
+    monkeypatch.setattr(rht.cli, "les_check", fake_les_check)
     code, out, err = run(capsys, "les-check", fx("ex47.smf"), "--degrees", "2")
     assert (code, err) == (1, "")
     assert out.splitlines() == [
@@ -555,11 +557,14 @@ def test_layout_sharing_never_crosses_layouts(capsys, tmp_path):
 
 
 def test_catalog_file_shares_each_layout_once(capsys, monkeypatch):
-    # ex47's three fibrations share one layout: each call builds each
-    # relative and ideal slice once per shift and, in les-check, one set of
-    # inclusion and restriction positions per shift
-    slices, positions = Counter(), Counter()
+    # ex47's three fibrations share one layout and one fibre: each call builds
+    # each slice once per shift and scope and, in les-check, one set of
+    # inclusion and restriction positions per shift; the fibre's absolute
+    # homology and gottlieb's images are built once, not once per fibration
+    slices, positions, work = Counter(), Counter(), Counter()
     real_init, real_positions = ComplexSlice.__init__, DerComplex.positions
+    real_homology, real_bracket = HomologySlice.__init__, DerComplex.bracket
+    real_image = rht.invariants._image_on_cycles
 
     def counting_init(self, *args):
         real_init(self, *args)
@@ -569,57 +574,78 @@ def test_catalog_file_shares_each_layout_once(capsys, monkeypatch):
         positions[self.scope, other.scope, n] += 1
         return real_positions(self, other, n)
 
+    def counting_homology(self, *args):
+        work["homology"] += 1
+        real_homology(self, *args)
+
+    def counting_bracket(self, n, images):
+        work["bracket"] += 1
+        return real_bracket(self, n, images)
+
+    def counting_image(*args):
+        work["image"] += 1
+        return real_image(*args)
+
     monkeypatch.setattr(ComplexSlice, "__init__", counting_init)
     monkeypatch.setattr(DerComplex, "positions", counting_positions)
+    monkeypatch.setattr(HomologySlice, "__init__", counting_homology)
+    monkeypatch.setattr(DerComplex, "bracket", counting_bracket)
+    monkeypatch.setattr(rht.invariants, "_image_on_cycles", counting_image)
     seen = {}
-    for command in ("les-check", "der-homology", "fibre-gottlieb"):
-        slices.clear()
-        positions.clear()
+    for command in ("les-check", "der-homology", "fibre-gottlieb", "gottlieb"):
+        for record in (slices, positions, work):
+            record.clear()
         code, out, _ = run(capsys, command, fx("ex47.smf"))
         assert (code, out.count("model ")) == (0, 3), command
         assert set(slices.values()) == {1} and set(positions.values()) <= {1}, command
         seen[command] = (
-            Counter(scope for scope, _ in slices), Counter((a, b) for a, b, _ in positions)
+            Counter(scope for scope, _ in slices), Counter((a, b) for a, b, _ in positions), dict(work)
         )
     assert seen == {
         # shifts 0..18, and absolute shift 19 below the connecting map's H_18
         "les-check": ({"relative": 19, "ideal": 19, "absolute": 20},
-                      {("ideal", "relative"): 19, ("relative", "absolute"): 19}),
-        "der-homology": ({"relative": 19}, {}),
-        "fibre-gottlieb": ({"relative": 12}, {}),
+                      {("ideal", "relative"): 19, ("relative", "absolute"): 19},
+                      {"homology": 120, "bracket": 73}),
+        "der-homology": ({"relative": 19}, {}, {"homology": 51, "bracket": 54}),
+        "fibre-gottlieb": ({"relative": 12}, {}, {"bracket": 27, "image": 15}),
+        # shifts 0..11 of the fibre's absolute complex, one per frame degree and below
+        "gottlieb": ({"absolute": 12}, {}, {"bracket": 9, "image": 5}),
     }
 
 
 def test_catalog_file_does_fibre_work_once(capsys, monkeypatch):
     # on ex47's three fibrations over one fibre and one [base] section,
-    # les-check builds one absolute complex, gottlieb enters
-    # _evaluation_images once, and the reader validates one base and each
-    # fibration's fibre and total
-    absolute, images, validated = [], [], []
-    real_init, real_images = DerComplex.__init__, rht.invariants._evaluation_images
+    # les-check builds each absolute shift's homology once and each relative
+    # and ideal one per fibration, gottlieb builds one image per frame
+    # degree, and the reader validates one base and each fibration's fibre
+    # and total
+    built, images, validated = {}, [], []
+    real_homology, real_image = DerComplex.homology, rht.invariants._image_on_cycles
     real_validate = rht.model.SullivanModel.validate
 
-    def recording_init(self, m, scope=ABSOLUTE, shared=None):
-        if scope == ABSOLUTE:
-            absolute.append(m)
-        real_init(self, m, scope, shared)
+    def recording_homology(self, n):
+        h = real_homology(self, n)
+        built.setdefault((self.scope, n), {})[id(h)] = h  # keeps h, so no id is reused
+        return h
 
-    def recording_images(cx, max_degree):
-        images.append(cx)
-        return real_images(cx, max_degree)
+    def recording_image(*args):
+        images.append(args[-1])
+        return real_image(*args)
 
     def recording_validate(self):
         validated.append(self)
         real_validate(self)
 
-    monkeypatch.setattr(DerComplex, "__init__", recording_init)
-    monkeypatch.setattr(rht.invariants, "_evaluation_images", recording_images)
+    monkeypatch.setattr(DerComplex, "homology", recording_homology)
+    monkeypatch.setattr(rht.invariants, "_image_on_cycles", recording_image)
     monkeypatch.setattr(rht.model.SullivanModel, "validate", recording_validate)
     code, out, _ = run(capsys, "les-check", fx("ex47.smf"))
-    assert (code, out.count("  exact"), len(absolute), len(validated)) == (0, 3, 1, 7)
-    absolute.clear()
+    assert (code, out.count("  exact"), len(validated)) == (0, 3, 7)
+    per_scope = Counter((scope, len(made)) for (scope, _), made in built.items())
+    assert set(per_scope) == {(ABSOLUTE, 1), (RELATIVE, 3), (IDEAL, 3)}, per_scope
     code, out, _ = run(capsys, "gottlieb", fx("ex47.smf"))
-    assert (code, out.count("model "), len(images), len(absolute)) == (0, 3, 1, 1)
+    assert (code, out.count("model ")) == (0, 3)
+    assert images == [("u*",), ("w1*",), ("w2*",), ("w3*",), ("w4*",)]
 
 
 def test_toral_check(capsys):

@@ -421,6 +421,44 @@ def test_each_slice_is_built_once_per_call(ex47, monkeypatch):
             assert built and not repeats, (f.name, name, repeats)
 
 
+def test_one_shared_dict_gives_what_fresh_calls_give(monkeypatch):
+    # one dict shared by gottlieb across two top degrees, and across a
+    # [space] and a fibration of an equal fibre, gives each call what a fresh
+    # call gives, and builds each top degree's images once
+    tpower = load("ex47.smf")[0]
+    space = parse_document(tpower.fiber.serialize().replace("tpower", "space"))[0]
+    tops, models = (None, 9), (space, tpower)
+    fresh = {(top, m.name): gottlieb(m, top).per_degree for top in tops for m in models}
+    assert len(fresh) == 4 and fresh[None, "space"] != fresh[9, "space"]
+    images = []
+    real_image = rht.invariants._image_on_cycles
+
+    def recording_image(positions, rows, frame):
+        images.append(frame)
+        return real_image(positions, rows, frame)
+
+    monkeypatch.setattr(rht.invariants, "_image_on_cycles", recording_image)
+    shared = {}
+    for top in tops:
+        for m in models:
+            assert gottlieb(m, top, _shared=shared).per_degree == fresh[top, m.name], (top, m.name)
+    # frame degrees 2, 3, 9, 11, 17 through the top shift, 2, 3, 9 through 9
+    assert len(images) == 5 + 3 and len(set(images)) == 5
+
+
+def test_no_shared_dict_reads_no_model_value():
+    # the library path keys nothing: with no dict, no model's value is built
+    calls = {
+        "gottlieb": gottlieb,
+        "fibre_gottlieb": fibre_gottlieb,
+        "les_check": lambda f: les_check(f, [2, 3]),
+    }
+    for name, call in calls.items():
+        f = load("ex47.smf")[1]
+        call(f)
+        assert "_value" not in vars(f.total) and "_value" not in vars(f.fiber), name
+
+
 def test_les_check_ranks_each_map_once(ex47, monkeypatch):
     # each homology slice is the source of one map and the target of one:
     # its cycles are read once, for the image of the map out of it, and it
